@@ -277,9 +277,10 @@ class RetryConfig:
 class OverloadConfig:
     """Overload control: admission, retry budgets, breakers, brownout.
 
-    Disabled by default -- with ``enabled=False`` neither engine takes the
-    overload code paths, so every seeded replay from earlier PRs stays
-    byte-identical.  When enabled:
+    Disabled by default -- with ``enabled=False`` (and no
+    ``CXLPod.enable_overload_control()`` call) no driver takes the armed
+    path, so every seeded replay from earlier PRs stays byte-identical.
+    A pod built with ``enabled=True`` arms every driver as it is added:
 
     * frontends bound their submission queues (``admission_depth``) and run
       CoDel-style drop-from-front on queue sojourn, so offered load beyond

@@ -23,6 +23,7 @@ from heapq import heappush
 from typing import Any, Optional
 
 from ..config import OasisConfig
+from ..obs.flow import NULL_FLOWS
 from ..sim.core import _NEAR_WINDOW, NSEC, Event, Signal, Simulator
 
 __all__ = ["Driver"]
@@ -93,6 +94,24 @@ class _WorkDoorbell(Signal):
 
 class Driver:
     """Base class for frontend/backend drivers (one dedicated core each)."""
+
+    # Optional facilities follow one pattern: a class-level None that hot
+    # paths test once, rebound per driver when the pod turns the facility on.
+    flows = NULL_FLOWS
+    #: the flow registry while flow tracing is enabled, else None
+    _flows = None
+    #: the driver's :class:`~repro.overload.stage.AdmissionStage`; None is
+    #: the unarmed datapath
+    _stage = None
+
+    def set_flows(self, flows) -> None:
+        """Bind a flow registry; hot paths keep a None-or-registry alias."""
+        self.flows = flows
+        self._flows = flows if flows.enabled else None
+
+    def arm(self, stage) -> None:
+        """Attach the admission stage (called once, by the pod's ``_arm``)."""
+        self._stage = stage
 
     def __init__(self, sim: Simulator, name: str, config: Optional[OasisConfig] = None):
         self.sim = sim

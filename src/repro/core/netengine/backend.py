@@ -24,8 +24,8 @@ from ...errors import ChannelFullError, DeviceError
 from ...host.host import Host, MemDomain
 from ...mem.layout import FixedPool, Region
 from ...net.packet import BROADCAST_MAC, Frame
-from ...obs.flow import NULL_FLOWS
 from ...obs.trace import NULL_TRACER
+from ...overload.stage import StageView
 from ...pcie.nic import TX_STATUS_DMA_ABORT, SimNIC
 from ...pcie.queues import Completion, RxDescriptor, TxDescriptor
 from ...sim.core import MSEC, Simulator
@@ -53,42 +53,18 @@ class NetBackend(Driver):
     COMP_ITEM_NS = 60.0
 
     tracer = NULL_TRACER
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while the facility is disabled; rebound by
-    # set_tracer()/set_flows() when the pod enables tracing / flow tracing.
+    # Precomputed dispatch: None while tracing is disabled; rebound by
+    # set_tracer() when the pod enables it.
     _trace = None
-    _flows = None
-    # Overload control (same pattern): enable_overload() binds a retry
-    # budget so DMA-abort reposts can never exceed a fraction of fresh TX.
-    _overload = None
-    _retry_rng = None
+    # Armed (``_stage`` set): DMA-abort reposts spend the stage's retry
+    # budget, funded by fresh posts, so they can never exceed a fraction
+    # of fresh TX; refusals are a read-only view of the stage ledger.
+    retry_budget_denied = StageView("retry_budget_denied")
 
     def set_tracer(self, tracer) -> None:
         """Bind a tracer; hot paths keep a None-or-tracer fast alias."""
         self.tracer = tracer
         self._trace = tracer if tracer.enabled else None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
-
-    def enable_overload(self, overload_cfg, rng_factory) -> None:
-        """Arm the TX retry budget (funded by fresh posts, spent by reposts).
-
-        Backoff jitter, when configured, comes from a dedicated substream
-        (``overload/<name>/retry``) so it never touches workload RNG draws.
-        """
-        from ...overload import RetryBudget
-
-        self._ovl_cfg = overload_cfg
-        self._budget = RetryBudget(
-            overload_cfg.retry_budget_ratio,
-            overload_cfg.retry_budget_min,
-            overload_cfg.retry_budget_cap)
-        if overload_cfg.retry_jitter_frac > 0:
-            self._retry_rng = rng_factory.get(f"overload/{self.name}/retry")
-        self._overload = self._budget
 
     def __init__(
         self,
@@ -133,7 +109,6 @@ class NetBackend(Driver):
         self.rx_dropped_unknown = 0
         self.tx_retries = 0       # DMA-aborted descriptors reposted
         self.tx_giveups = 0       # aborted descriptors surfaced as errors
-        self.retry_budget_denied = 0   # reposts refused by the retry budget
         self.fence_rejects = 0    # stale-epoch posts answered OP_TX_FENCED
         self.stale_accepted = 0   # stale posts let through (fencing disabled)
 
@@ -318,8 +293,8 @@ class NetBackend(Driver):
             epoch=message.epoch,
         )
         descriptor.local = self.tx_buffers_local
-        if self._overload is not None:
-            self._budget.deposit()    # fresh posts fund the retry budget
+        if self._stage is not None:
+            self._stage.budget.deposit()   # fresh posts fund the retry budget
         if self.nic.tx_ring.full or self.nic.failed:
             self._tx_pending.append(descriptor)
         else:
@@ -357,32 +332,28 @@ class NetBackend(Driver):
     def _process_tx_comps(self) -> tuple:
         cost = 0.0
         items = 0
+        stage = self._stage
         while self._tx_comps:
             items += 1
             completion = self._tx_comps.popleft()
             descriptor = completion.descriptor
-            if (completion.status == TX_STATUS_DMA_ABORT
-                    and descriptor.retries < self.config.retry.tx_max_retries
-                    and (self._overload is None or self._budget.try_spend())):
-                # A DMA abort left the buffer untouched and owned by us:
-                # repost the same WQE after a short backoff instead of
-                # surfacing a loss to the frontend.
-                descriptor.retries += 1
-                self.tx_retries += 1
-                backoff_s = (self.config.retry.tx_retry_backoff_us * 1e-6
-                             * 2 ** (descriptor.retries - 1))
-                if self._retry_rng is not None:
-                    # Jitter from the dedicated overload substream only.
-                    frac = self._ovl_cfg.retry_jitter_frac
-                    backoff_s *= 1.0 + frac * float(
-                        self._retry_rng.uniform(-1.0, 1.0))
-                self.sim.call_after(backoff_s, self._repost_tx, descriptor)
-                cost += self.COMP_ITEM_NS
-                continue
             if completion.status == TX_STATUS_DMA_ABORT:
-                if (self._overload is not None
-                        and descriptor.retries < self.config.retry.tx_max_retries):
-                    self.retry_budget_denied += 1
+                if descriptor.retries < self.config.retry.tx_max_retries:
+                    if stage is None or stage.budget.try_spend():
+                        # A DMA abort left the buffer untouched and owned
+                        # by us: repost the same WQE after a short backoff
+                        # instead of surfacing a loss to the frontend.
+                        descriptor.retries += 1
+                        self.tx_retries += 1
+                        backoff_s = (self.config.retry.tx_retry_backoff_us
+                                     * 1e-6 * 2 ** (descriptor.retries - 1))
+                        if stage is not None:
+                            backoff_s *= stage.jitter()
+                        self.sim.call_after(backoff_s, self._repost_tx,
+                                            descriptor)
+                        cost += self.COMP_ITEM_NS
+                        continue
+                    stage.count(None, "retry_budget_denied")
                 self.tx_giveups += 1
             message, fe_name = descriptor.cookie
             cost += self.COMP_ITEM_NS

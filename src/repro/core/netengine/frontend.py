@@ -29,7 +29,7 @@ from ...host.host import Host, MemDomain
 from ...host.instance import Instance
 from ...mem.layout import Region, RegionAllocator
 from ...net.packet import Frame
-from ...obs.flow import NULL_FLOWS
+from ...overload.stage import StageView
 from ...sim.core import MSEC, NSEC, USEC, Simulator
 from ..engine import Driver
 from .messages import (OP_RX, OP_RX_COMP, OP_TX, OP_TX_COMP, OP_TX_FENCED,
@@ -80,77 +80,38 @@ class VirtualNIC:
 class NetFrontend(Driver):
     """One frontend driver per host, on a dedicated busy-polling core."""
 
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while flow tracing is disabled; rebound by
-    # set_flows() when the pod enables it.
-    _flows = None
-    # Overload control (same None-alias pattern): enable_overload() binds
-    # the config so the TX admission gate and brownout shedding turn on.
-    _overload = None
-    brownout_level = 0
-    # Multi-tenant serving: enable_multi_tenant() swaps the FIFO TX queue
-    # for a per-tenant weighted-fair scheduler keyed off the ``tenant``
-    # field riding Frame.meta; None keeps the legacy paths byte-identical.
-    _tx_wfq = None
+    # Frames refused at the TX admission stage, by reason: read-only views
+    # of the stage ledger (0 while unarmed).
+    tx_shed = StageView("shed")
+    tx_shed_queue_full = StageView("shed_queue_full")
+    tx_shed_brownout = StageView("shed_brownout")
+    tx_shed_sojourn = StageView("shed_sojourn")     # CoDel front-drops
+    brownout_level = StageView("brownout_level")
 
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
+    def arm(self, stage) -> None:
+        """Attach the TX admission stage.
 
-    def enable_overload(self, overload_cfg, rng_factory=None) -> None:
-        """Arm the TX admission gate and brownout frame shedding."""
-        self._overload = overload_cfg
-
-    def enable_multi_tenant(self, tenants) -> None:
-        """Per-tenant weighted-fair TX scheduling (needs overload armed).
-
-        Frames tagged with ``frame.meta["tenant"]`` get their own bounded
-        TX lane (depth cap + CoDel sojourn drop) and are forwarded to the
-        backend in virtual-time weighted-fair order; untagged frames share
-        a weight-1 lane.  Off by default -- the plain FIFO path is
-        untouched until this is called.
+        Frames tagged with ``frame.meta["tenant"]`` ride their tenant's
+        bounded lane (depth cap + CoDel sojourn drop) once the tenant is
+        registered; everything else shares one lane.  Frames already
+        queued move into the stage, so arming mid-run strands nothing.
         """
-        if self._overload is None:
-            raise RuntimeError("enable_overload() must be armed before "
-                               "enable_multi_tenant()")
-        from ...overload import WeightedFairScheduler
-
-        cfg = self._overload
-        self._tx_wfq = WeightedFairScheduler(
-            cfg.admission_depth,
-            cfg.codel_target_ms * 1e-3,
-            cfg.codel_interval_ms * 1e-3,
-            tenants=dict(tenants))
+        super().arm(stage)
+        stage.downstream = self._ring_occupancy
+        while self._tx_queue:
+            item = self._tx_queue.popleft()
+            if not stage.queue.push(self.sim.now, item, item[4]):
+                self._shed_tx(item, "queue_full")
 
     def tenant_stats(self):
-        """Per-tenant TX scheduling counters (empty until armed)."""
-        return {} if self._tx_wfq is None else self._tx_wfq.per_tenant()
+        """Per-lane TX scheduling counters (empty while unarmed)."""
+        return {} if self._stage is None else self._stage.queue.per_tenant()
 
-    def set_brownout(self, level: int) -> None:
-        """Brownout hook: level >= 1 sheds low-priority frames first."""
-        self.brownout_level = level
-
-    @property
-    def admission_saturation(self) -> float:
-        """Worst congestion signal the brownout controller should see.
-
-        Max of TX-queue fullness vs the admission depth and the cached
-        occupancy of each backend IPC ring (zero-cost, conservatively
-        biased full).  0.0 with overload control off, so disabled pods
-        never pay for the scan.
-        """
-        if self._overload is None:
-            return 0.0
-        if self._tx_wfq is not None:
-            worst = self._tx_wfq.saturation
-        else:
-            worst = len(self._tx_queue) / self._overload.admission_depth
-        for link in self._links.values():
-            occupancy = getattr(link.tx, "occupancy_cached", 0.0)
-            if occupancy > worst:
-                worst = occupancy
-        return worst
+    def _ring_occupancy(self) -> float:
+        """Worst cached occupancy of the backend IPC rings (zero-cost,
+        conservatively biased full): congestion behind the TX stage."""
+        return max((getattr(link.tx, "occupancy_cached", 0.0)
+                    for link in self._links.values()), default=0.0)
 
     def __init__(
         self,
@@ -172,7 +133,8 @@ class NetFrontend(Driver):
         # rebuilt on connect: the drain loop runs once per wakeup and these
         # four attribute chains are invariant for a link's lifetime.
         self._drain_links: list = []
-        self._tx_queue: deque = deque()          # (ip, Region, packed_size, wire)
+        # (ip, Region, packed_size, wire, tenant); unarmed TX path only
+        self._tx_queue: deque = deque()
         self._tx_pending: Dict[int, tuple] = {}  # buffer addr -> (Region, ip)
         self._retry: deque = deque()             # (link, NetMessage) on full ring
         # Control-plane client (set by the pod): lease renewal + resync.
@@ -186,11 +148,6 @@ class NetFrontend(Driver):
         self.tx_no_buffer = 0
         self.tx_fenced = 0
         self.resyncs = 0
-        # Overload control: frames refused at the TX admission gate.
-        self.tx_shed = 0
-        self.tx_shed_queue_full = 0
-        self.tx_shed_brownout = 0
-        self.tx_shed_sojourn = 0     # CoDel drops off a tenant TX lane
 
     # -- wiring -----------------------------------------------------------------
 
@@ -239,12 +196,16 @@ class NetFrontend(Driver):
         record = self._records.get(instance.ip)
         if record is None:
             raise AllocationError(f"instance {instance.name} not registered")
-        if (self._overload is not None and self.brownout_level
-                and frame.meta and frame.meta.get("prio", 1) < 1):
+        meta = frame.meta
+        # The tenant tag rides the IPC hop beside the buffer (the packed
+        # bytes drop frame identity).
+        tenant = meta.get("tenant") if meta else None
+        stage = self._stage
+        if (stage is not None and stage.brownout_level
+                and meta and meta.get("prio", 1) < 1):
             # Brownout: low-priority frames are shed before buying a buffer,
             # keeping the TX area and queue for foreground traffic.
-            self.tx_shed += 1
-            self.tx_shed_brownout += 1
+            stage.count(tenant, "shed_brownout")
             record.tx_dropped += 1
             return
         # The instance's network stack fills the Ethernet header.
@@ -258,8 +219,8 @@ class NetFrontend(Driver):
             record.tx_dropped += 1
             self.tx_no_buffer += 1
             return
-        if frame.meta:
-            flow = frame.meta.get("flow")
+        if meta:
+            flow = meta.get("flow")
             if flow is not None:
                 # The packed bytes drop frame identity; bridge the DMA/IPC
                 # boundary by parking the context under the buffer address.
@@ -267,51 +228,34 @@ class NetFrontend(Driver):
                 self.flows.stash(region.base, flow)
         store_ns = self.domain.cache.store(region.base, data, category="payload")
         delay = self.config.datapath.ipc_hop_us * USEC + store_ns * NSEC
-        if self._tx_wfq is None:
-            self.sim.call_after(delay, self._ipc_tx_arrive, instance.ip,
-                                region, len(data), frame.wire_size)
-        else:
-            # Multi-tenant: the tenant tag rides Frame.meta across the IPC
-            # hop (the packed bytes drop frame identity).
-            self.sim.call_after(delay, self._ipc_tx_arrive, instance.ip,
-                                region, len(data), frame.wire_size,
-                                frame.meta.get("tenant") if frame.meta
-                                else None)
+        self.sim.call_after(delay, self._ipc_tx_arrive, instance.ip, region,
+                            len(data), frame.wire_size, tenant)
 
     def _ipc_tx_arrive(self, ip: int, region: Region, packed: int, wire: int,
                        tenant=None) -> None:
-        if self._tx_wfq is not None:
-            if not self._tx_wfq.push(self.sim.now, (ip, region, packed, wire),
-                                     tenant):
-                # The tenant's own TX lane is full: only its excess sheds.
-                self.tx_shed += 1
-                self.tx_shed_queue_full += 1
-                self._drop_tx_frame(ip, region)
+        item = (ip, region, packed, wire, tenant)
+        stage = self._stage
+        if stage is None:
+            depth = len(self._tx_queue)
+            self._tx_queue.append(item)
+        else:
+            depth = len(stage.queue)
+            if not stage.queue.push(self.sim.now, item, tenant):
+                # The lane is standing-room only: shed this frame (only the
+                # lane's own excess) instead of growing the backlog.
+                self._shed_tx(item, "queue_full")
                 return
-            if self._flows is not None:
-                flow = self._flows.peek(region.base)
-                if flow is not None:
-                    flow.stage("fe.tx", depth=len(self._tx_wfq))
-            self.kick()
-            return
-        if (self._overload is not None
-                and len(self._tx_queue) >= self._overload.admission_depth):
-            # Bounded admission: the frontend queue is standing-room only,
-            # so shed this frame instead of growing an unbounded backlog.
-            self.tx_shed += 1
-            self.tx_shed_queue_full += 1
-            self._drop_tx_frame(ip, region)
-            return
-        flows = self._flows
-        if flows is not None:
-            flow = flows.peek(region.base)
+        if self._flows is not None:
+            flow = self._flows.peek(region.base)
             if flow is not None:
-                flow.stage("fe.tx", depth=len(self._tx_queue))
-        self._tx_queue.append((ip, region, packed, wire))
+                flow.stage("fe.tx", depth=depth)
         self.kick()
 
-    def _drop_tx_frame(self, ip: int, region: Region) -> None:
-        """Release a shed frame's flow context and TX buffer."""
+    def _shed_tx(self, item: tuple, reason: str) -> None:
+        """Count a frame shed by the TX stage; release its flow context
+        and TX buffer."""
+        ip, region, _packed, _wire, tenant = item
+        self._stage.count(tenant, "shed_" + reason)
         if self._flows is not None:
             self._flows.pop(region.base)
         record = self._records.get(ip)
@@ -328,11 +272,12 @@ class NetFrontend(Driver):
     def _process(self) -> tuple:
         # Guard the optional stages on their queues so an idle wakeup does
         # not pay calls that return ``(0, 0.0)``; the backend-message drain
-        # always runs (it is what discovers new work) and is inlined below
-        # with its own cost accumulator (same float grouping as the call).
+        # always runs (it is what discovers new work); its own accumulator
+        # keeps the float grouping of the cost sum the replays were pinned on.
         items = 0
         cost = 0.0
-        if self._tx_queue or (self._tx_wfq is not None and len(self._tx_wfq)):
+        stage = self._stage
+        if self._tx_queue if stage is None else len(stage.queue):
             n, c = self._process_tx()
             items += n
             cost += c
@@ -382,23 +327,21 @@ class NetFrontend(Driver):
         tx_pending = self._tx_pending
         clwb_range = self.domain.cache.clwb_range
         flows = self._flows
-        wfq = self._tx_wfq
+        stage = self._stage
         now = self.sim.now
         while count < batch:
-            if wfq is not None:
-                item, dropped = wfq.pop(now)
-                for dip, dregion, _dpacked, _dwire in dropped:
-                    # CoDel front-drop off an overlong tenant TX lane.
-                    self.tx_shed += 1
-                    self.tx_shed_sojourn += 1
-                    self._drop_tx_frame(dip, dregion)
+            if stage is not None:
+                item, dropped = stage.queue.pop(now)
+                for drop in dropped:
+                    # CoDel front-drop off an overlong TX lane.
+                    self._shed_tx(drop, "sojourn")
                 if item is None:
                     break
-                ip, region, packed, wire = item
             elif tx_queue:
-                ip, region, packed, wire = tx_queue.popleft()
+                item = tx_queue.popleft()
             else:
                 break
+            ip, region, packed, _wire, _tenant = item
             record = records.get(ip)
             if record is None:
                 continue
@@ -444,38 +387,6 @@ class NetFrontend(Driver):
             # Ring still full: back off instead of spinning.
             self.sim.call_after(5e-6, self.kick)
         return sent, cost
-
-    def _process_backend_messages(self) -> tuple:
-        cost = 0.0
-        items = 0
-        unpack = NetMessage.unpack
-        now_eps = self.sim.now + 1e-12
-        for link, rx, cv, qv, timed in self._drain_links:
-            if cv._consumed_since_update == 0:
-                if not qv or (timed and qv[0] > now_eps):
-                    continue   # drain() would be a no-op
-            payloads, drain_cost = rx.drain()
-            cost += drain_cost
-            items += len(payloads)
-            comp_batch = []
-            for raw in payloads:
-                message = unpack(raw)
-                if message.opcode == OP_TX_COMP:
-                    cost += self._handle_tx_comp(message)
-                elif message.opcode == OP_TX_FENCED:
-                    cost += self._handle_tx_fenced(message)
-                elif message.opcode == OP_RX:
-                    cost += self._handle_rx(link, message)
-                    comp_batch.append(
-                        NetMessage(OP_RX_COMP, 0, message.instance_ip,
-                                   message.buffer_addr)
-                    )
-                else:
-                    cost += 20.0
-            if comp_batch:
-                __, c = self._send_link(link, comp_batch)
-                cost += c
-        return items, cost
 
     def _handle_tx_comp(self, message: NetMessage) -> float:
         entry = self._tx_pending.pop(message.buffer_addr, None)

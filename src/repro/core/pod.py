@@ -32,7 +32,7 @@ Typical use::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..config import OasisConfig
@@ -44,6 +44,8 @@ from ..net.endpoint import ExternalEndpoint
 from ..net.packet import make_ip, make_mac
 from ..net.switch import LearningSwitch
 from ..obs import FlowRegistry, MetricsRegistry, TelemetryScraper, Tracer, bindings
+from ..overload import BrownoutController, TenantSpec
+from ..overload.stage import AdmissionStage
 from ..pcie.nic import SimNIC
 from ..sim.core import Simulator
 from ..sim.rng import RngFactory
@@ -107,16 +109,12 @@ class CXLPod:
         # built lazily by enable_fleet_telemetry(), None while off.
         self.fleet = None
         # Overload control (bounded admission, retry budgets, breakers,
-        # brownout): armed by enable_overload_control(), off by default so
-        # existing runs replay byte-identically.
+        # brownout, per-tenant WFQ): None while unarmed, so existing runs
+        # replay byte-identically; once armed, the (OverloadConfig,
+        # {tenant: TenantSpec}) pair every driver's stage is built from.
         self.brownout = None
-        self._overload_on = False
-        self._overload_cfg = None
+        self._stage_spec = None
         self._load_sources: list = []
-        # Multi-tenant QoS serving (per-tenant WFQ at the frontends):
-        # armed by enable_multi_tenant(), None while off.
-        self._tenant_specs = None
-        self._tenant_clients: list = []
         self.allocator.tracer = self.tracer
         bindings.bind_pool(self.metrics, self.pool)
         bindings.bind_scraper(self.metrics, self.scraper)
@@ -130,6 +128,8 @@ class CXLPod:
         # computed while disabled are swapped for the live object.
         self._traced: list = []
         self._flowed: list = []
+        if self.config.overload.enabled:
+            self.enable_overload_control()
 
     # -- construction hooks (overridden by RackPod) ---------------------------------
 
@@ -150,16 +150,29 @@ class CXLPod:
         component.set_flows(self.flows)
         self._flowed.append(component)
 
-    def _arm_overload(self, component, brownout_target: bool = False) -> None:
-        """Late-join hook: thread overload control into a new driver."""
-        if not self._overload_on:
+    def _shards(self):
+        """One ``(allocator shard, member hosts, node-id prefix, pool)``
+        per control-plane shard: the whole pod here, one per pool group in
+        a rack."""
+        yield self.allocator, self.hosts, "alloc", self.pool
+
+    def _drivers(self):
+        """Every driver that can hold an admission stage."""
+        yield from self.storage_frontends.values()
+        yield from self.frontends.values()
+        yield from self.backends.values()
+
+    def _arm(self, driver) -> None:
+        """Give ``driver`` its admission stage -- the one place a driver is
+        armed, whether it exists when overload control turns on or joins
+        later.  A no-op while the pod is unarmed or the driver is armed."""
+        if self._stage_spec is None or driver._stage is not None:
             return
-        component.enable_overload(self._overload_cfg, self.rng)
-        if brownout_target and self.brownout is not None:
-            self.brownout.register(component)
-        if self._tenant_specs is not None and hasattr(component,
-                                                      "enable_multi_tenant"):
-            component.enable_multi_tenant(self._tenant_specs)
+        cfg, tenants = self._stage_spec
+        stage = AdmissionStage(cfg, self.rng, driver.name, tenants)
+        driver.arm(stage)
+        if self.brownout is not None:
+            self.brownout.register(stage)
 
     # -- topology ------------------------------------------------------------------
 
@@ -192,7 +205,7 @@ class CXLPod:
         bindings.bind_cache(self.metrics, host.local.cache, host.name,
                             domain="ddr")
         bindings.bind_driver(self.metrics, frontend)
-        self._arm_overload(frontend, brownout_target=True)
+        self._arm(frontend)
 
         # Connect the new frontend to every existing backend (oasis mode).
         if self.mode == "oasis":
@@ -231,7 +244,7 @@ class CXLPod:
         self._bind_flows(backend)
         bindings.bind_nic(self.metrics, nic)
         bindings.bind_driver(self.metrics, backend)
-        self._arm_overload(backend)
+        self._arm(backend)
         self.backends[nic.name] = backend
         self.allocator.register_backend(backend, self.config.nic.bandwidth_gbps,
                                         is_backup=is_backup)
@@ -354,7 +367,7 @@ class CXLPod:
             frontend.control = AllocatorClient(self.sim, self.allocator)
             frontend.start()
             bindings.bind_driver(self.metrics, frontend)
-            self._arm_overload(frontend, brownout_target=True)
+            self._arm(frontend)
             self.storage_frontends[host.name] = frontend
             self.allocator.register_storage_frontend(host.name, frontend)
         return frontend
@@ -421,33 +434,38 @@ class CXLPod:
         Each node carries a full replica of the allocator state machine;
         commands committed through the log apply on every replica, and the
         leader additionally runs the external side effects (exactly once,
-        deduplicated by command ID across leader changes).
+        deduplicated by command ID across leader changes).  A rack gets one
+        cluster per pool shard, strided across that shard's own hosts.
         """
-        transport = DirectTransport(self.sim, latency_us)
-        ids = [f"alloc-{i}" for i in range(replicas)]
-        for i, node_id in enumerate(ids):
-            # The allocator's colocated node gets a short election timeout so
-            # it (deterministically) wins the first election.
-            timeouts = (60.0, 90.0) if i == 0 else (150.0, 300.0)
-            node = RaftNode(
-                self.sim, node_id, ids, transport,
-                apply_cb=None,
-                election_timeout_ms=timeouts,
-                rng=self.rng.get(f"raft-{node_id}"),
-            )
-            node.tracer = self.tracer
-            # Pin each replica to a host so host-crash faults take its
-            # control-plane replica down with it.  With more hosts than
-            # replicas, stride the replicas evenly across the host list --
-            # packing them onto the first few hosts (the old ``i % len``)
-            # put a log majority on one rack slice, so a single host crash
-            # could stall the whole control plane.
-            node.host = self._replica_host(i, replicas, self.hosts)
-            bindings.bind_raft_node(self.metrics, node)
-            self.raft_nodes.append(node)
-        self.allocator.attach_raft_cluster(self.raft_nodes)
-        for node in self.raft_nodes:
-            node.start()
+        for shard, hosts, prefix, _pool in self._shards():
+            transport = DirectTransport(self.sim, latency_us)
+            ids = [f"{prefix}-{i}" for i in range(replicas)]
+            nodes = []
+            for i, node_id in enumerate(ids):
+                # The shard-colocated node gets a short election timeout so
+                # it (deterministically) wins the first election.
+                timeouts = (60.0, 90.0) if i == 0 else (150.0, 300.0)
+                node = RaftNode(
+                    self.sim, node_id, ids, transport,
+                    apply_cb=None,
+                    election_timeout_ms=timeouts,
+                    rng=self.rng.get(f"raft-{node_id}"),
+                )
+                node.tracer = self.tracer
+                # Pin each replica to one of the shard's hosts so host-crash
+                # faults take its control-plane replica down with it.  With
+                # more hosts than replicas, stride the replicas evenly
+                # across the host list -- packing them onto the first few
+                # hosts (the old ``i % len``) put a log majority on one rack
+                # slice, so a single host crash could stall the control plane.
+                node.host = self._replica_host(i, replicas,
+                                               hosts or self.hosts)
+                bindings.bind_raft_node(self.metrics, node)
+                self.raft_nodes.append(node)
+                nodes.append(node)
+            shard.attach_raft_cluster(nodes)
+            for node in nodes:
+                node.start()
 
     @staticmethod
     def _replica_host(i: int, replicas: int, hosts: List[Host]):
@@ -463,13 +481,13 @@ class CXLPod:
         Disabling detaches the epoch table entirely, so the data path pays
         zero extra cost; re-enabling re-attaches the live table.
         """
-        table = self.allocator.epochs if enabled else None
-        for backend in self.backends.values():
-            backend.epochs = table
-            backend.fencing_enabled = enabled
-        for backend in self.storage_backends.values():
-            backend.epochs = table
-            backend.fencing_enabled = enabled
+        for shard, hosts, _prefix, _pool in self._shards():
+            table = shard.epochs if enabled else None
+            for backend in (*self.backends.values(),
+                            *self.storage_backends.values()):
+                if backend.host in hosts:
+                    backend.epochs = table
+                    backend.fencing_enabled = enabled
 
     # -- failure injection -------------------------------------------------------------------
 
@@ -520,49 +538,44 @@ class CXLPod:
     def enable_overload_control(self, overload=None):
         """Arm overload control across both engines (off by default).
 
-        Threads bounded admission queues, the shared retry budget and
-        per-device circuit breakers into every storage/net frontend and
-        net backend (including ones added later), and -- once fleet
-        telemetry is on -- starts the brownout controller that sheds
-        low-priority work off the HealthView queue-saturation gauges.
+        Gives every storage/net frontend and net backend -- including ones
+        added later -- an :class:`~repro.overload.stage.AdmissionStage`
+        (bounded admission, the retry budget, per-device circuit breakers)
+        and, once fleet telemetry is on, starts the brownout controller
+        that sheds low-priority work off the HealthView queue-saturation
+        gauges.  ``config.overload.enabled`` arms the pod the same way at
+        construction.
 
         ``overload`` overrides ``config.overload``; either way the config
-        is force-enabled for this pod.  Disabled pods pay only a ``None``
-        check on the hot paths, so runs without this call replay
+        is force-enabled for this pod.  Calling this on an armed pod is a
+        no-op (the armed config is returned).  Unarmed pods pay only a
+        ``None`` check on the hot paths, so runs without this call replay
         byte-identically against older builds.
         """
-        from dataclasses import replace
-
+        if self._stage_spec is not None:
+            return self._stage_spec[0]
         cfg = overload if overload is not None else self.config.overload
         if not cfg.enabled:
             cfg = replace(cfg, enabled=True)
         cfg.validate()
-        self._overload_cfg = cfg
-        self._overload_on = True
-        for frontend in self.storage_frontends.values():
-            frontend.enable_overload(cfg, self.rng)
-        for frontend in self.frontends.values():
-            frontend.enable_overload(cfg, self.rng)
-        for backend in self.backends.values():
-            backend.enable_overload(cfg, self.rng)
+        self._stage_spec = (cfg, {})
+        for driver in self._drivers():
+            self._arm(driver)
         self._start_brownout()
         return cfg
 
     def _start_brownout(self) -> None:
         """Start the saturation-driven brownout loop (needs fleet health)."""
-        if not self._overload_on or self.fleet is None or self.brownout is not None:
+        if (self._stage_spec is None or self.fleet is None
+                or self.brownout is not None):
             return
-        from ..overload import BrownoutController
-
-        cfg = self._overload_cfg
+        cfg = self._stage_spec[0]
         self.brownout = BrownoutController(
             self.sim, self.fleet.view(),
             high=cfg.brownout_high, low=cfg.brownout_low,
             period_s=cfg.brownout_period_s)
-        for frontend in self.storage_frontends.values():
-            self.brownout.register(frontend)
-        for frontend in self.frontends.values():
-            self.brownout.register(frontend)
+        for driver in self._drivers():
+            self.brownout.register(driver._stage)
         self.brownout.start()
 
     def register_load_source(self, client) -> None:
@@ -572,37 +585,31 @@ class CXLPod:
     # -- multi-tenant QoS serving (per-tenant WFQ, rate guarantees) -----------------
 
     def enable_multi_tenant(self, tenants, overload=None):
-        """Arm per-tenant weighted-fair queueing at every frontend.
+        """Register tenants for weighted-fair queueing at every driver.
 
         ``tenants`` maps tenant name to
         :class:`~repro.overload.TenantSpec` (weight, optional guaranteed
-        rate).  Requires overload control -- it is armed implicitly when
-        not already on -- because WFQ replaces the single admission queue.
-        Frontends added later inherit the tenant set via the same
-        late-join hook as overload control.  Off by default: pods that
-        never call this keep the single shared queue and replay
-        byte-identically.
+        rate).  Overload control is armed first when it is not already on
+        (``overload`` as for :meth:`enable_overload_control`); the tenants
+        then *extend* each live admission stage with one lane apiece --
+        queued work stays queued -- and drivers added later inherit the
+        set.  Off by default: pods that never call this keep the single
+        shared lane and replay byte-identically.
         """
-        from ..overload import TenantSpec
-
         specs = {}
         for name, spec in tenants.items():
             if not isinstance(spec, TenantSpec):
                 spec = TenantSpec(**spec)
             spec.validate()
             specs[name] = spec
-        if not self._overload_on:
-            self.enable_overload_control(overload)
-        self._tenant_specs = specs
-        for frontend in self.storage_frontends.values():
-            frontend.enable_multi_tenant(specs)
-        for frontend in self.frontends.values():
-            frontend.enable_multi_tenant(specs)
+        self.enable_overload_control(overload)
+        self._stage_spec[1].update(specs)
+        for driver in self._drivers():
+            driver._stage.register(specs)
         return specs
 
     def register_tenant_client(self, client) -> None:
         """Register a tenant load generator for fleet telemetry export."""
-        self._tenant_clients.append(client)
         self._load_sources.append(client)
         bindings.bind_tenant_client(self.metrics, client)
 
@@ -684,9 +691,10 @@ class CXLPod:
     def cxl_traffic_by_category(self) -> Dict[str, int]:
         """Pod-wide CXL link bytes by category (payload/message/counter)."""
         merged: Dict[str, int] = {}
-        for stats in self.pool.link_stats.values():
-            for category, nbytes in stats.by_category().items():
-                merged[category] = merged.get(category, 0) + nbytes
+        for _shard, _hosts, _prefix, pool in self._shards():
+            for stats in pool.link_stats.values():
+                for category, nbytes in stats.by_category().items():
+                    merged[category] = merged.get(category, 0) + nbytes
         return merged
 
     def stop(self) -> None:
@@ -770,6 +778,11 @@ class RackPod(CXLPod):
             self.allocator.shards[group.name].epochs.attach_mirror(
                 group.pool, group.regions.alloc(4096, "epoch-meta"))
 
+    def _shards(self):
+        for group in self.groups:
+            yield (self.allocator.shards[group.name], group.hosts,
+                   f"alloc-{group.name}", group.pool)
+
     @contextmanager
     def _in_group(self, group: PoolGroup):
         """Run base-class topology code against ``group``'s pool/regions."""
@@ -829,60 +842,6 @@ class RackPod(CXLPod):
     def add_block_device(self, instance: Instance, ssd=None):
         with self._in_group(self._host_group[instance.host.name]):
             return super().add_block_device(instance, ssd=ssd)
-
-    # -- control-plane replication --------------------------------------------------
-
-    def enable_raft(self, replicas: int = 3, latency_us: float = 5.0) -> None:
-        """One Raft cluster per pool shard.
-
-        Replicas are strided across the shard's own hosts (distinct hosts
-        whenever the pool has enough), so one host crash can never take a
-        log majority down with it.
-        """
-        for group in self.groups:
-            shard = self.allocator.shards[group.name]
-            transport = DirectTransport(self.sim, latency_us)
-            ids = [f"alloc-{group.name}-{i}" for i in range(replicas)]
-            nodes = []
-            for i, node_id in enumerate(ids):
-                # The shard-colocated node deterministically wins the first
-                # election (same convention as the 2-host pod).
-                timeouts = (60.0, 90.0) if i == 0 else (150.0, 300.0)
-                node = RaftNode(
-                    self.sim, node_id, ids, transport,
-                    apply_cb=None,
-                    election_timeout_ms=timeouts,
-                    rng=self.rng.get(f"raft-{node_id}"),
-                )
-                node.tracer = self.tracer
-                node.host = self._replica_host(i, replicas,
-                                               group.hosts or self.hosts)
-                bindings.bind_raft_node(self.metrics, node)
-                self.raft_nodes.append(node)
-                nodes.append(node)
-            shard.attach_raft_cluster(nodes)
-            for node in nodes:
-                node.start()
-
-    def set_fencing(self, enabled: bool) -> None:
-        for name, backend in self.backends.items():
-            shard = self.allocator.shard_for_device(name)
-            backend.epochs = shard.epochs if enabled else None
-            backend.fencing_enabled = enabled
-        for name, backend in self.storage_backends.items():
-            shard = self.allocator.shard_for_device(name)
-            backend.epochs = shard.epochs if enabled else None
-            backend.fencing_enabled = enabled
-
-    # -- measurement ----------------------------------------------------------------
-
-    def cxl_traffic_by_category(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        for group in self.groups:
-            for stats in group.pool.link_stats.values():
-                for category, nbytes in stats.by_category().items():
-                    merged[category] = merged.get(category, 0) + nbytes
-        return merged
 
 
 class RackBuilder:

@@ -20,7 +20,6 @@ from typing import Dict, Optional
 from ...config import OasisConfig
 from ...errors import ChannelFullError, DeviceError, DeviceFailedError
 from ...host.host import Host
-from ...obs.flow import NULL_FLOWS
 from ...pcie.queues import Completion, NVMeCommand
 from ...pcie.ssd import NVME_STATUS_FAILED, SimSSD
 from ...sim.core import Simulator
@@ -35,16 +34,6 @@ class StorageBackend(Driver):
     """One backend driver per pooled SSD."""
 
     ITEM_NS = 150.0
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while flow tracing is disabled; rebound by
-    # set_flows() when the pod enables it.
-    _flows = None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
-
     def __init__(
         self,
         sim: Simulator,

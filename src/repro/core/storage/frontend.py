@@ -17,9 +17,7 @@ from ...config import OasisConfig
 from ...errors import AllocationError, ChannelFullError, DeviceFailedError
 from ...host.host import Host, MemDomain
 from ...mem.layout import Region, RegionAllocator
-from ...obs.flow import NULL_FLOWS
-from ...overload import (AdmissionQueue, CircuitBreaker, RetryBudget,
-                         WeightedFairScheduler)
+from ...overload.stage import StageView
 from ...pcie.ssd import NVME_STATUS_FAILED, NVME_STATUS_MEDIA
 from ...sim.core import MSEC, NSEC, USEC, Simulator
 from ..engine import Driver
@@ -60,7 +58,8 @@ class VirtualBlockDevice:
         ``background=True`` marks shed-first work (read-ahead, scrubbing):
         under brownout the frontend drops it before any foreground request.
         ``tenant`` tags the request for per-tenant weighted-fair scheduling
-        once the pod arms ``enable_multi_tenant()`` (inert otherwise).
+        once the pod registers tenants (``enable_multi_tenant()``); until
+        then tagged and untagged requests share one queue.
         """
         return self.frontend.submit_read(self, lba, nblocks, callback,
                                          flow=flow, background=background,
@@ -79,24 +78,20 @@ class StorageFrontend(Driver):
     """One storage frontend per host, on its own busy-polling core."""
 
     ITEM_NS = 180.0
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while flow tracing is disabled; rebound by
-    # set_flows() when the pod enables it.
-    _flows = None
-    # Same pattern for overload control: None until enable_overload() binds
-    # the admission queue, so disabled runs take the legacy paths unchanged.
-    _overload = None
-    _retry_rng = None
-    brownout_level = 0
-    # Multi-tenant serving: None until enable_multi_tenant() swaps the
-    # single admission queue for the per-tenant WFQ; then a dict of
-    # per-tenant accounting (tenant -> counter dict).
-    _tenants = None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
+    # Overload-control counters are read-only views of the admission stage
+    # (0 while unarmed): requests shed before reaching the device, by
+    # reason, retries the budget refused, breaker and brownout state.
+    # Conservation: submitted == completed_ok + completed_error + shed
+    # + in flight (give-ups are a subset of the error completions).
+    shed = StageView("shed")
+    shed_queue_full = StageView("shed_queue_full")
+    shed_sojourn = StageView("shed_sojourn")
+    shed_breaker = StageView("shed_breaker")
+    shed_brownout = StageView("shed_brownout")
+    retry_budget_denied = StageView("retry_budget_denied")
+    breaker_trips = StageView("breaker_trips")
+    breakers_open = StageView("breakers_open")
+    brownout_level = StageView("brownout_level")
 
     def __init__(
         self,
@@ -116,17 +111,6 @@ class StorageFrontend(Driver):
         self.submitted = 0
         self.completed_ok = 0
         self.completed_error = 0
-        # Overload control (off by default): requests shed before reaching
-        # the device, by reason.  Conservation under shedding:
-        # submitted == completed + in_flight + shed + gave_up.
-        self.shed = 0
-        self.shed_queue_full = 0
-        self.shed_sojourn = 0
-        self.shed_breaker = 0
-        self.shed_brownout = 0
-        self.retry_budget_denied = 0
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._launched = 0
         self._pumping = False
         # Fault tolerance (§ graceful degradation): transient device errors
         # and lost completions are retried with exponential backoff before
@@ -152,135 +136,42 @@ class StorageFrontend(Driver):
             raise AllocationError(f"no storage backend link {backend_name}")
         return VirtualBlockDevice(self, instance, backend_name, block_size)
 
-    # -- overload control: admission, retry budget, breakers, brownout -----
+    # -- the armed path: admission stage (see repro.overload.stage) ---------
 
-    def enable_overload(self, overload_cfg, rng_factory) -> None:
-        """Arm admission control, the retry budget and per-device breakers.
-
-        ``rng_factory`` supplies dedicated substreams for breaker probe
-        jitter and (optional) retry backoff jitter -- workload RNG streams
-        are never touched, so enabling overload control cannot perturb
-        arrival processes.
-        """
-        self._ovl_cfg = overload_cfg
-        self._ovl_rng = rng_factory
-        self._admission = AdmissionQueue(
-            overload_cfg.admission_depth,
-            overload_cfg.codel_target_ms * 1e-3,
-            overload_cfg.codel_interval_ms * 1e-3)
-        self._budget = RetryBudget(
-            overload_cfg.retry_budget_ratio,
-            overload_cfg.retry_budget_min,
-            overload_cfg.retry_budget_cap)
-        if overload_cfg.retry_jitter_frac > 0:
-            self._retry_rng = rng_factory.get(f"overload/{self.name}/retry")
-        self._overload = self._admission    # non-None alias gates hot paths
-
-    def enable_multi_tenant(self, tenants) -> None:
-        """Swap the single admission queue for per-tenant WFQ.
-
-        ``tenants`` maps tenant name to :class:`~repro.overload.TenantSpec`
-        (weight + optional token-bucket rate guarantee).  Requires
-        ``enable_overload()`` first -- the pod arms both.  Requests tagged
-        with a ``tenant`` get their own admission lane; untagged traffic
-        shares a weight-1 lane.
-        """
-        if self._overload is None:
-            raise RuntimeError("enable_overload() must be armed before "
-                               "enable_multi_tenant()")
-        cfg = self._ovl_cfg
-        self._admission = WeightedFairScheduler(
-            cfg.admission_depth,
-            cfg.codel_target_ms * 1e-3,
-            cfg.codel_interval_ms * 1e-3,
-            tenants=dict(tenants))
-        self._overload = self._admission
-        self._tenants = {}
-        for name in tenants:
-            self._tenant_stats(name)
-
-    _TENANT_STAT_KEYS = (
-        "submitted", "completed_ok", "completed_error", "shed",
-        "shed_queue_full", "shed_sojourn", "shed_breaker", "shed_brownout",
-        "gave_up", "retries", "retry_budget_denied",
-    )
-
-    def _tenant_stats(self, tenant: Optional[str]) -> dict:
-        stats = self._tenants.get(tenant)
-        if stats is None:
-            stats = self._tenants[tenant] = {
-                key: 0 for key in self._TENANT_STAT_KEYS}
-        return stats
+    def arm(self, stage) -> None:
+        """Attach the admission stage, adopting requests already in flight
+        (submitted unarmed) so the per-tenant books balance from here on."""
+        super().arm(stage)
+        for state in self._pending.values():
+            stage.count(state["tenant"], "submitted")
 
     def tenant_stats(self) -> Dict[str, dict]:
-        """Per-tenant accounting (empty until multi-tenant is armed)."""
-        if self._tenants is None:
-            return {}
-        return {name: dict(stats)
-                for name, stats in sorted(self._tenants.items(),
-                                          key=lambda kv: str(kv[0]))}
-
-    def set_brownout(self, level: int) -> None:
-        """Brownout hook: level >= 1 sheds background I/O at admission."""
-        self.brownout_level = level
-
-    @property
-    def admission_saturation(self) -> float:
-        """Admission-queue fullness in [0, 1] (0.0 with overload off)."""
-        if self._overload is None:
-            return 0.0
-        if self._tenants is not None:
-            return self._admission.saturation
-        return len(self._admission) / self._ovl_cfg.admission_depth
-
-    @property
-    def breaker_trips(self) -> int:
-        return sum(b.trips for b in self._breakers.values())
-
-    @property
-    def breakers_open(self) -> int:
-        return sum(1 for b in self._breakers.values() if b.state != "closed")
-
-    def _breaker_for(self, backend_name: str) -> CircuitBreaker:
-        breaker = self._breakers.get(backend_name)
-        if breaker is None:
-            cfg = self._ovl_cfg
-            breaker = CircuitBreaker(
-                cfg.breaker_failure_threshold,
-                cfg.breaker_open_ms * 1e-3,
-                cfg.breaker_probe_jitter_ms * 1e-3,
-                rng=self._ovl_rng.get(
-                    f"overload/{self.name}/breaker/{backend_name}"),
-                name=backend_name)
-            self._breakers[backend_name] = breaker
-        return breaker
+        """Per-tenant accounting (empty until tenants are registered)."""
+        return {} if self._stage is None else self._stage.tenant_stats()
 
     def _admit(self, cid: int, message: StorageMessage) -> None:
-        """Overload-mode entry: request arrives at the admission queue."""
+        """Armed entry: the request arrives at the admission stage."""
         state = self._pending.get(cid)
         if state is None:
             return
-        if self.brownout_level and state["background"]:
+        stage = self._stage
+        if stage.brownout_level and state["background"]:
             self._shed(cid, state, "brownout")
-            return
-        if self._tenants is None:
-            admitted = self._admission.push(self.sim.now, (cid, message))
-        else:
-            admitted = self._admission.push(self.sim.now, (cid, message),
-                                            state["tenant"])
-        if not admitted:
+        elif not stage.queue.push(self.sim.now, (cid, message),
+                                  state["tenant"]):
             self._shed(cid, state, "queue_full")
-            return
-        self._pump()
+        else:
+            self._pump()
 
     def _pump(self) -> None:
         """Launch admitted requests while the device window has room."""
         if self._pumping:
             return
         self._pumping = True
+        stage = self._stage
         try:
-            while self._launched < self._ovl_cfg.launch_window:
-                item, dropped = self._admission.pop(self.sim.now)
+            while stage.launched < stage.cfg.launch_window:
+                item, dropped = stage.queue.pop(self.sim.now)
                 for drop_cid, _msg in dropped:
                     drop_state = self._pending.get(drop_cid)
                     if drop_state is not None:
@@ -291,11 +182,11 @@ class StorageFrontend(Driver):
                 state = self._pending.get(cid)
                 if state is None:
                     continue
-                if not self._breaker_for(state["backend"]).allow(self.sim.now):
+                if not stage.breaker(state["backend"]).allow(self.sim.now):
                     self._shed(cid, state, "breaker")
                     continue
                 state["launched"] = True
-                self._launched += 1
+                stage.launched += 1
                 self._enqueue(state["backend"], message)
                 self._arm_timeout(cid)
         finally:
@@ -303,19 +194,7 @@ class StorageFrontend(Driver):
 
     def _shed(self, cid: int, state: dict, reason: str) -> None:
         """Refuse a request before the device sees it (load shedding)."""
-        self.shed += 1
-        if reason == "queue_full":
-            self.shed_queue_full += 1
-        elif reason == "sojourn":
-            self.shed_sojourn += 1
-        elif reason == "breaker":
-            self.shed_breaker += 1
-        else:
-            self.shed_brownout += 1
-        if self._tenants is not None:
-            stats = self._tenant_stats(state["tenant"])
-            stats["shed"] += 1
-            stats["shed_" + reason] += 1
+        self._stage.count(state["tenant"], "shed_" + reason)
         self._retire(cid, state, STATUS_SHED, b"")
 
     # -- fencing epochs (§3.3.3) --------------------------------------------------
@@ -338,87 +217,67 @@ class StorageFrontend(Driver):
 
     # -- submission (instance context) ------------------------------------------
 
-    def _alloc_cid(self) -> int:
-        cid = self._next_cid
-        self._next_cid = (self._next_cid % 0xFFFF) + 1
-        while self._next_cid in self._pending:
-            self._next_cid = (self._next_cid % 0xFFFF) + 1
-        return cid
-
     def submit_write(self, device: VirtualBlockDevice, lba: int, data: bytes,
                      callback: Callable[[int], None], flow=None,
                      background: bool = False,
                      tenant: Optional[str] = None) -> int:
         if len(data) % device.block_size:
             raise AllocationError("write size must be a multiple of block size")
-        nlb = len(data) // device.block_size
         region = self._space.alloc(len(data), "wbuf")
-        if flow is not None:
-            flow.stage("sfe.submit", depth=len(self._pending))
-            self.flows.stash(region.base, flow)
         store_ns = self.domain.cache.store(region.base, data, category="payload")
         store_ns += self.domain.cache.clwb_range(region.base, len(data),
                                                  category="payload")
-        cid = self._alloc_cid()
-        ip = device.instance.ip if device.instance else 0
-        self.submitted += 1
-        self._pending[cid] = {
-            "op": SOP_WRITE, "region": region, "callback": callback,
-            "nbytes": len(data), "backend": device.backend_name,
-            "lba": lba, "nlb": nlb, "ip": ip, "retries": 0, "attempt": 0,
-            "background": background, "tenant": tenant,
-        }
-        if self._tenants is not None:
-            self._tenant_stats(tenant)["submitted"] += 1
-        message = StorageMessage(SOP_WRITE, cid, lba, nlb, region.base, ip,
-                                 epoch=self._stamp_for(device.backend_name, ip))
-        delay = self.config.datapath.ipc_hop_us * USEC + store_ns * NSEC
-        if self._overload is None:
-            self.sim.schedule(delay, self._enqueue, device.backend_name,
-                              message)
-            self._arm_timeout(cid)
-        else:
-            # Fresh traffic funds the retry budget; launch goes through the
-            # admission queue (the timeout is armed at launch, not here).
-            self._budget.deposit()
-            self.sim.schedule(delay, self._admit, cid, message)
-        return cid
+        return self._submit(SOP_WRITE, device, lba, len(data), region,
+                            store_ns, callback, flow, background, tenant)
 
     def submit_read(self, device: VirtualBlockDevice, lba: int, nblocks: int,
                     callback: Callable[[int, bytes], None], flow=None,
                     background: bool = False,
                     tenant: Optional[str] = None) -> int:
-        region = self._space.alloc(nblocks * device.block_size, "rbuf")
-        if flow is not None:
-            flow.stage("sfe.submit", depth=len(self._pending))
-            self.flows.stash(region.base, flow)
+        nbytes = nblocks * device.block_size
+        region = self._space.alloc(nbytes, "rbuf")
         # The region may have been a recycled write buffer whose (clean)
         # lines are still in our cache; the SSD's DMA write on the remote
         # host will not snoop them (§3.2.1).  Invalidate before posting so
         # the completion copy reads the device's bytes, not stale ones.
-        self.domain.cache.clflush_range(region.base,
-                                        nblocks * device.block_size,
+        self.domain.cache.clflush_range(region.base, nbytes,
                                         category="payload")
-        cid = self._alloc_cid()
+        return self._submit(SOP_READ, device, lba, nbytes, region, 0.0,
+                            callback, flow, background, tenant)
+
+    def _submit(self, op: int, device: VirtualBlockDevice, lba: int,
+                nbytes: int, region: Region, store_ns: float, callback,
+                flow, background: bool, tenant: Optional[str]) -> int:
+        """Book a prepared request and send it towards the device."""
+        if flow is not None:
+            flow.stage("sfe.submit", depth=len(self._pending))
+            self.flows.stash(region.base, flow)
+        cid = self._next_cid
+        self._next_cid = (self._next_cid % 0xFFFF) + 1
+        while self._next_cid in self._pending:
+            self._next_cid = (self._next_cid % 0xFFFF) + 1
+        nlb = nbytes // device.block_size
+        backend = device.backend_name
         ip = device.instance.ip if device.instance else 0
         self.submitted += 1
         self._pending[cid] = {
-            "op": SOP_READ, "region": region, "callback": callback,
-            "nbytes": nblocks * device.block_size, "backend": device.backend_name,
-            "lba": lba, "nlb": nblocks, "ip": ip, "retries": 0, "attempt": 0,
+            "op": op, "region": region, "callback": callback,
+            "nbytes": nbytes, "backend": backend,
+            "lba": lba, "nlb": nlb, "ip": ip, "retries": 0, "attempt": 0,
             "background": background, "tenant": tenant,
         }
-        if self._tenants is not None:
-            self._tenant_stats(tenant)["submitted"] += 1
-        message = StorageMessage(SOP_READ, cid, lba, nblocks, region.base, ip,
-                                 epoch=self._stamp_for(device.backend_name, ip))
-        delay = self.config.datapath.ipc_hop_us * USEC
-        if self._overload is None:
-            self.sim.schedule(delay, self._enqueue, device.backend_name,
-                              message)
+        message = StorageMessage(op, cid, lba, nlb, region.base, ip,
+                                 epoch=self._stamp_for(backend, ip))
+        delay = self.config.datapath.ipc_hop_us * USEC + store_ns * NSEC
+        stage = self._stage
+        if stage is None:
+            self.sim.schedule(delay, self._enqueue, backend, message)
             self._arm_timeout(cid)
         else:
-            self._budget.deposit()
+            # Fresh traffic funds the retry budget; launch goes through the
+            # admission stage (the timeout is armed at launch, not here).
+            stage.count(tenant, "submitted")
+            stage.budget.deposit()
             self.sim.schedule(delay, self._admit, cid, message)
         return cid
 
@@ -471,31 +330,33 @@ class StorageFrontend(Driver):
         if state is None or state["attempt"] != attempt:
             return   # completed, or already retried: the deadline is stale
         self.timeouts += 1
-        if self._overload is not None:
-            self._breaker_for(state["backend"]).record_failure(self.sim.now)
-        if state["retries"] >= self.config.retry.storage_max_retries:
-            self.giveups += 1
-            if self._tenants is not None:
-                self._tenant_stats(state["tenant"])["gave_up"] += 1
-            self._finish(cid, state, STATUS_TIMEOUT, b"")
-            return
-        if self._overload is not None and not self._budget.try_spend():
-            # Retry budget exhausted: fail fast instead of feeding the storm.
-            self.retry_budget_denied += 1
-            self.giveups += 1
-            if self._tenants is not None:
-                stats = self._tenant_stats(state["tenant"])
-                stats["retry_budget_denied"] += 1
-                stats["gave_up"] += 1
-            self._finish(cid, state, STATUS_TIMEOUT, b"")
-            return
-        self._schedule_retry(cid, state)
+        stage = self._stage
+        if stage is not None:
+            stage.breaker(state["backend"]).record_failure(self.sim.now)
+        self._retry_or_give_up(cid, state, STATUS_TIMEOUT, budgeted=True)
+
+    def _retry_or_give_up(self, cid: int, state: dict, status: int,
+                          budgeted: bool) -> None:
+        """Schedule another attempt, or finish the request with ``status``.
+
+        A retry needs attempts left and -- on the armed path, for
+        ``budgeted`` failures -- a retry-budget token: with the budget
+        exhausted the request fails fast instead of feeding the storm.
+        """
+        stage = self._stage
+        if state["retries"] < self.config.retry.storage_max_retries:
+            if stage is None or not budgeted or stage.budget.try_spend():
+                self._schedule_retry(cid, state)
+                return
+            stage.count(state["tenant"], "retry_budget_denied")
+        self.giveups += 1
+        if stage is not None:
+            stage.count(state["tenant"], "gave_up")
+        self._finish(cid, state, status, b"")
 
     def _schedule_retry(self, cid: int, state: dict) -> None:
         state["retries"] += 1
         self.retries += 1
-        if self._tenants is not None:
-            self._tenant_stats(state["tenant"])["retries"] += 1
         if self._flows is not None:
             flow = self._flows.peek(state["region"].base)
             if flow is not None:
@@ -503,11 +364,10 @@ class StorageFrontend(Driver):
         backoff = (self.config.retry.storage_backoff_ms
                    * self.config.retry.storage_backoff_mult
                    ** (state["retries"] - 1))
-        if self._retry_rng is not None:
-            # Jitter comes from a dedicated substream (overload/<name>/retry)
-            # so it can never perturb workload RNG draws.
-            frac = self._ovl_cfg.retry_jitter_frac
-            backoff *= 1.0 + frac * float(self._retry_rng.uniform(-1.0, 1.0))
+        stage = self._stage
+        if stage is not None:
+            stage.count(state["tenant"], "retries")
+            backoff *= stage.jitter()
         self.sim.schedule(backoff * MSEC, self._resubmit, cid)
 
     def _resubmit(self, cid: int) -> None:
@@ -532,40 +392,28 @@ class StorageFrontend(Driver):
         state = self._pending.get(message.cid)
         if state is None:
             return 20.0   # duplicate or post-timeout completion: ignore
-        if message.status == STATUS_FENCED:
+        status = message.status
+        if status == STATUS_FENCED:
             # Stale fencing epoch: refresh the lease through the allocator,
             # then retry -- the resubmission picks up the new stamp.
             self.fenced += 1
             self._request_resync(state["backend"], state["ip"])
-            if state["retries"] < self.config.retry.storage_max_retries:
-                self._schedule_retry(message.cid, state)
-                return self.ITEM_NS
-            self.giveups += 1
-            if self._tenants is not None:
-                self._tenant_stats(state["tenant"])["gave_up"] += 1
-            self._finish(message.cid, state, STATUS_FENCED, b"")
+            self._retry_or_give_up(message.cid, state, status, budgeted=False)
             return self.ITEM_NS
-        if self._overload is not None:
-            breaker = self._breaker_for(state["backend"])
-            if message.status == 0:
+        transient = status in _TRANSIENT_STATUSES
+        stage = self._stage
+        if stage is not None:
+            breaker = stage.breaker(state["backend"])
+            if status == 0:
                 breaker.record_success(self.sim.now)
-            elif message.status in _TRANSIENT_STATUSES:
+            elif transient:
                 breaker.record_failure(self.sim.now)
-        if message.status in _TRANSIENT_STATUSES:
-            if state["retries"] < self.config.retry.storage_max_retries:
-                if self._overload is None or self._budget.try_spend():
-                    self._schedule_retry(message.cid, state)
-                    return self.ITEM_NS
-                self.retry_budget_denied += 1
-                if self._tenants is not None:
-                    self._tenant_stats(
-                        state["tenant"])["retry_budget_denied"] += 1
-            self.giveups += 1
-            if self._tenants is not None:
-                self._tenant_stats(state["tenant"])["gave_up"] += 1
+        if transient:
+            self._retry_or_give_up(message.cid, state, status, budgeted=True)
+            return self.ITEM_NS
         cost = self.ITEM_NS
         region: Region = state["region"]
-        if state["op"] == SOP_READ and message.status == 0:
+        if state["op"] == SOP_READ and status == 0:
             # Copy the data out of shared memory, then invalidate the lines.
             data, load_ns = self.domain.cache.load(region.base, state["nbytes"],
                                                    category="payload")
@@ -574,7 +422,7 @@ class StorageFrontend(Driver):
                                                     category="payload")
         else:
             data = b""
-        self._finish(message.cid, state, message.status, data)
+        self._finish(message.cid, state, status, data)
         return cost
 
     def _finish(self, cid: int, state: dict, status: int, data: bytes) -> None:
@@ -583,16 +431,15 @@ class StorageFrontend(Driver):
             self.completed_ok += 1
         else:
             self.completed_error += 1
-        if self._tenants is not None:
-            self._tenant_stats(state["tenant"])[
-                "completed_ok" if status == 0 else "completed_error"] += 1
+        stage = self._stage
+        if stage is not None:
+            stage.count(state["tenant"],
+                        "completed_ok" if status == 0 else "completed_error")
         self._retire(cid, state, status, data)
 
     def _retire(self, cid: int, state: dict, status: int, data: bytes) -> None:
         """Release a request's buffer and call the instance back."""
         self._pending.pop(cid, None)
-        if state.pop("launched", False):
-            self._launched -= 1
         region: Region = state["region"]
         if self._flows is not None:
             # Pop: the buffer region is freed below and will be recycled.
@@ -606,8 +453,12 @@ class StorageFrontend(Driver):
             self.sim.schedule(ipc, callback, status, data)
         else:
             self.sim.schedule(ipc, callback, status)
-        if self._overload is not None and len(self._admission):
-            self._pump()    # a freed window slot launches the next request
+        stage = self._stage
+        if stage is not None:
+            if state.pop("launched", False):
+                stage.launched -= 1
+            if len(stage.queue):
+                self._pump()    # a freed window slot launches the next request
 
     @property
     def inflight(self) -> int:

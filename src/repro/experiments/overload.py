@@ -35,13 +35,10 @@ from dataclasses import replace
 
 from ..config import OasisConfig
 from ..core.pod import CXLPod
-from ..net.packet import make_ip
 from ..workloads.openloop import OpenLoopBlockClient
-from .common import scale
+from .common import SERVER_IP, scale
 
 __all__ = ["run_overload", "main_overload", "main"]
-
-SERVER_IP = make_ip(10, 0, 0, 1)
 
 #: Derated drive for the sweep: 40 MB/s => one 4 KB op serialises ~102.4 us,
 #: so device capacity is ~9.8k IOPS -- small enough that a CI-sized run can
@@ -131,7 +128,7 @@ def _one_run(
         },
     }
     if overload_on:
-        budget = frontend._budget
+        budget = frontend._stage.budget
         out["budget"] = {"deposits": budget.deposits, "spent": budget.spent,
                          "denied": budget.denied,
                          "tokens": round(budget.tokens, 6)}

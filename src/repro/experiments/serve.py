@@ -45,11 +45,10 @@ from ..config import OasisConfig
 from ..core.pod import CXLPod
 from ..workloads.tenants import SERVE_PROFILES, TenantClient, TenantProfile
 from .common import SERVER_IP, scale
+# The same derated drive as the overload sweep: ~9.8k IOPS capacity.
+from .overload import SSD_BANDWIDTH_GBPS, _capacity_iops
 
 __all__ = ["run_serve", "main_serve", "main", "weighted_fair_share"]
-
-#: Same derated drive as the overload sweep: ~9.8k IOPS capacity.
-SSD_BANDWIDTH_GBPS = 0.04
 
 #: Noisy-neighbour surge factor on the ``bg`` tenant.
 SURGE_FACTOR = 8.0
@@ -62,10 +61,6 @@ SERVE_LAUNCH_WINDOW = 2
 
 P99_RATIO_CEILING = 1.5
 SHARE_FRAC_FLOOR = 0.9
-
-
-def _capacity_iops(config) -> float:
-    return config.ssd.bytes_per_sec / config.ssd.block_size
 
 
 def weighted_fair_share(demands: Dict[str, float],
@@ -121,8 +116,7 @@ def _one_run(seed: int, tenants, pre_s: float, surge_s: float,
 
     profiles = SERVE_PROFILES(_capacity_iops(config))
     pod.enable_multi_tenant(
-        {name: profile.spec() for name, profile in profiles.items()},
-        overload=config.overload)
+        {name: profile.spec() for name, profile in profiles.items()})
 
     clients: Dict[str, TenantClient] = {}
     for name, profile in profiles.items():
@@ -163,7 +157,7 @@ def _one_run(seed: int, tenants, pre_s: float, surge_s: float,
         "tenants": sorted(clients),
         "per_tenant": per_tenant,
         "frontend_tenants": frontend.tenant_stats(),
-        "wfq": frontend._admission.per_tenant(),
+        "wfq": frontend._stage.queue.per_tenant(),
         "invariants_ok": verdict.ok,
         "invariant_violations": [
             {"t": round(v.time, 9), "invariant": v.invariant,

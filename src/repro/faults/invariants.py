@@ -35,6 +35,7 @@ still stuck in flight once the run has settled.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -291,49 +292,39 @@ class InvariantChecker:
         completed splits into ok and error and the give-ups are a subset of
         the error completions -- so the closed form checked here is
         ``submitted == completed_ok + completed_error + shed + pending``.
+
+        With tenants registered the admission stage's ledger is exposed
+        per tenant, and the same identity must hold for each row: a request
+        charged to the wrong tenant would keep the aggregate intact while
+        breaking isolation accounting.
         """
         for frontend in self.pod.storage_frontends.values():
-            self._checked("shed-conservation")
-            accounted = (frontend.completed_ok + frontend.completed_error
-                         + frontend.shed + len(frontend._pending))
-            if frontend.submitted != accounted:
-                self.violate(
-                    "shed-conservation",
-                    f"{frontend.name}: submitted {frontend.submitted} != "
-                    f"{frontend.completed_ok} ok + "
-                    f"{frontend.completed_error} err + {frontend.shed} shed "
-                    f"+ {len(frontend._pending)} in flight",
-                )
-            self._check_tenant_conservation(frontend)
+            self._check_books(
+                "shed-conservation", frontend.name,
+                {key: getattr(frontend, key) for key in
+                 ("submitted", "completed_ok", "completed_error", "shed")},
+                len(frontend._pending))
+            rows = frontend.tenant_stats()
+            if rows:
+                pending = Counter(state.get("tenant")
+                                  for state in frontend._pending.values())
+                for tenant, row in rows.items():
+                    self._check_books("tenant-conservation",
+                                      f"{frontend.name}/{tenant}", row,
+                                      pending[tenant])
 
-    def _check_tenant_conservation(self, frontend) -> None:
-        """The shed-conservation books must also balance *per tenant*.
-
-        With multi-tenant WFQ armed the frontend keeps per-tenant counters;
-        a request charged to the wrong tenant's lane would keep the
-        aggregate identity intact while breaking isolation accounting, so
-        each tenant's ledger is checked on its own:
-        ``submitted == completed_ok + completed_error + shed + pending``.
-        """
-        if frontend._tenants is None:
-            return
-        pending: dict = {}
-        for state in frontend._pending.values():
-            tenant = state.get("tenant")
-            pending[tenant] = pending.get(tenant, 0) + 1
-        for tenant, stats in frontend.tenant_stats().items():
-            self._checked("tenant-conservation")
-            in_flight = pending.get(tenant, 0)
-            accounted = (stats["completed_ok"] + stats["completed_error"]
-                         + stats["shed"] + in_flight)
-            if stats["submitted"] != accounted:
-                self.violate(
-                    "tenant-conservation",
-                    f"{frontend.name}/{tenant}: submitted "
-                    f"{stats['submitted']} != {stats['completed_ok']} ok + "
-                    f"{stats['completed_error']} err + {stats['shed']} shed "
-                    f"+ {in_flight} in flight",
-                )
+    def _check_books(self, invariant: str, label: str, books: dict,
+                     in_flight: int) -> None:
+        self._checked(invariant)
+        accounted = (books["completed_ok"] + books["completed_error"]
+                     + books["shed"] + in_flight)
+        if books["submitted"] != accounted:
+            self.violate(
+                invariant,
+                f"{label}: submitted {books['submitted']} != "
+                f"{books['completed_ok']} ok + {books['completed_error']} err "
+                f"+ {books['shed']} shed + {in_flight} in flight",
+            )
 
     # -- final evaluation ------------------------------------------------------
 

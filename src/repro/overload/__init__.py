@@ -1,9 +1,10 @@
 """Overload control for the pooled datapaths.
 
 Oasis shares pooled NICs and SSDs across hosts, so one overloaded tenant
-can collapse goodput for every host on the pool.  This package supplies the
-building blocks both engine frontends thread in when
-``OasisConfig.overload.enabled`` is set:
+can collapse goodput for every host on the pool.  A pod armed through
+``OasisConfig.overload.enabled`` or ``CXLPod.enable_overload_control()``
+gives each driver one :class:`~repro.overload.stage.AdmissionStage`, which
+composes the parts in this package:
 
 * :class:`~repro.overload.budget.RetryBudget` -- a token bucket replenished
   by fresh traffic, so retries can never exceed a configured fraction of
@@ -11,14 +12,17 @@ building blocks both engine frontends thread in when
 * :class:`~repro.overload.breaker.CircuitBreaker` -- a per-device
   closed -> open -> half-open state machine with seeded probe jitter.
 * :class:`~repro.overload.admission.AdmissionQueue` -- a bounded admission
-  queue with CoDel-style sojourn-based drop-from-front.
-* :class:`~repro.overload.brownout.BrownoutController` -- watches the fleet
-  ``HealthView`` queue-saturation gauges and tells frontends to shed
-  background/low-priority work first (graceful brownout).
-* :class:`~repro.overload.wfq.WeightedFairScheduler` -- virtual-time
-  weighted-fair queueing over per-tenant admission queues, plus
-  :class:`~repro.overload.wfq.TokenBucket` rate guarantees, for the
+  queue with CoDel-style sojourn-based drop-from-front: the lane type of
+  the scheduler below, and the reference its tenant-less form is tested
+  against.
+* :class:`~repro.overload.wfq.WeightedFairScheduler` -- every stage's
+  scheduler: virtual-time weighted-fair queueing over admission-queue
+  lanes (one shared lane until tenants are registered), plus
+  :class:`~repro.overload.wfq.TokenBucket` rate guarantees for the
   multi-tenant serving layer (``python -m repro serve``).
+* :class:`~repro.overload.brownout.BrownoutController` -- watches the fleet
+  ``HealthView`` queue-saturation gauges and sets the registered stages'
+  brownout level, so their drivers shed background/low-priority work first.
 
 Everything here is deterministic: the only randomness (breaker probe
 jitter, optional retry backoff jitter) comes from dedicated

@@ -87,9 +87,6 @@ class AdmissionQueue:
         self._first_above = None
         return items
 
-    def head_sojourn(self, now: float) -> float:
-        return now - self._q[0][0] if self._q else 0.0
-
     def _overdue(self, now: float) -> bool:
         """Has the head breached ``target_s`` for a full ``interval_s``?"""
         if now - self._q[0][0] < self.target_s:

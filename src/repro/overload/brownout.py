@@ -5,13 +5,14 @@ placement policy will use) on a fixed period and maps the worst device queue
 onto a discrete *brownout level*:
 
 * level 0 -- healthy, serve everything;
-* level 1 -- a device queue has saturated past ``high``: registered
-  frontends shed background work first (storage drops flush/read-ahead
-  batch work, the netengine drops low-priority frames).
+* level 1 -- a device queue has saturated past ``high``: the drivers of
+  the registered admission stages shed background work first (storage
+  drops flush/read-ahead batch work, the netengine drops low-priority
+  frames).
 
 Hysteresis (``low`` < ``high``) prevents flapping; the controller only
-calls ``set_brownout(level)`` on transitions, so a disabled or healthy pod
-pays one gauge read per period and nothing else.  Everything is driven by
+writes ``stage.brownout_level`` on transitions, so a healthy pod pays one
+gauge read per period and nothing else.  Everything is driven by
 sim time -- brownout enter/exit instants replay byte-identically.
 """
 
@@ -41,9 +42,10 @@ class BrownoutController:
         self._targets: list = []
         self._task = None
 
-    def register(self, target) -> None:
-        """Register a frontend exposing ``set_brownout(level: int)``."""
-        self._targets.append(target)
+    def register(self, stage) -> None:
+        """Register an admission stage; a late joiner adopts the live level."""
+        stage.brownout_level = self.level
+        self._targets.append(stage)
 
     def start(self) -> None:
         if self._task is None:
@@ -59,13 +61,13 @@ class BrownoutController:
 
         Device-queue gauges come from the HealthView; with admission
         control armed the device queue is deliberately kept short, so the
-        registered frontends' own admission-queue saturation is folded in
-        -- that is where excess load piles up once launches are windowed.
+        registered stages' own admission saturation is folded in -- that
+        is where excess load piles up once launches are windowed.
         """
         table = self.view.queue_saturation()
         worst = max(table.values()) if table else 0.0
-        for target in self._targets:
-            worst = max(worst, getattr(target, "admission_saturation", 0.0))
+        for stage in self._targets:
+            worst = max(worst, stage.admission_saturation)
         return worst
 
     def _tick(self) -> None:
@@ -82,8 +84,8 @@ class BrownoutController:
         else:
             self.exits += 1
         self.transitions.append((self.sim.now, level, round(worst, 6)))
-        for target in self._targets:
-            target.set_brownout(level)
+        for stage in self._targets:
+            stage.brownout_level = level
 
     def log_json(self) -> List[list]:
         """Deterministic transition log (replay-identity contract)."""

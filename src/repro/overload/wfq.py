@@ -1,14 +1,17 @@
 """Per-tenant weighted-fair queueing for the multi-tenant serving layer.
 
-PR 9's single :class:`~repro.overload.admission.AdmissionQueue` protects a
+A single :class:`~repro.overload.admission.AdmissionQueue` protects a
 frontend from aggregate overload but cannot isolate tenants: one noisy
 neighbour fills the shared queue and every tenant's requests sit behind its
-backlog.  :class:`WeightedFairScheduler` replaces that single queue when a
-pod arms multi-tenant serving:
+backlog.  :class:`WeightedFairScheduler` is the scheduler of every armed
+:class:`~repro.overload.stage.AdmissionStage`.  With no tenant registered
+all traffic shares the ``"-"`` lane -- one ``AdmissionQueue``, so the
+scheduler *is* that single queue (pinned by a property test against
+``AdmissionQueue`` as the reference); registering tenants extends it:
 
-* each tenant gets its **own** :class:`AdmissionQueue` (depth cap + CoDel
-  front-drop apply per tenant, so a noisy neighbour sheds *its own* excess,
-  never a well-behaved victim's);
+* each registered tenant gets its **own** :class:`AdmissionQueue` lane
+  (depth cap + CoDel front-drop apply per tenant, so a noisy neighbour
+  sheds *its own* excess, never a well-behaved victim's);
 * dequeue order is **virtual-time weighted-fair** (start-time fair
   queueing with unit request cost): each tenant carries a virtual tag that
   advances by ``1/weight`` per served request, the backlogged tenant with
@@ -108,9 +111,9 @@ class _Tenant:
 class WeightedFairScheduler:
     """Virtual-time WFQ over per-tenant admission queues.
 
-    Drop-in for :class:`AdmissionQueue` at a frontend -- ``push`` takes an
-    extra ``tenant`` tag and ``pop`` picks the next tenant by virtual
-    time -- with the same conservation contract per tenant:
+    Same interface as :class:`AdmissionQueue` -- ``push`` takes an extra
+    ``tenant`` tag and ``pop`` picks the next lane by virtual time -- with
+    the same conservation contract per lane:
     ``pushed == admitted + shed_full`` and
     ``admitted == served + shed_sojourn + queued``.
     """
@@ -136,12 +139,14 @@ class WeightedFairScheduler:
                                       self.target_s, self.interval_s)
 
     def _tenant(self, name: Optional[str]) -> _Tenant:
-        # Untagged (or unknown) traffic shares one weight-1 "-" lane.
-        key = name if name is not None else "-"
-        tenant = self._tenants.get(key)
+        # Untagged and unregistered traffic shares one weight-1 "-" lane.
+        tenant = self._tenants.get(name)
         if tenant is None:
-            tenant = self._tenants[key] = _Tenant(
-                key, TenantSpec(), self.depth, self.target_s, self.interval_s)
+            tenant = self._tenants.get("-")
+            if tenant is None:
+                tenant = self._tenants["-"] = _Tenant(
+                    "-", TenantSpec(), self.depth, self.target_s,
+                    self.interval_s)
         return tenant
 
     def __len__(self) -> int:

@@ -31,9 +31,11 @@ from repro.workloads.echo import EchoClient
 
 
 def run_echo_flows(mode="oasis", duration_s=0.02, rate_pps=20_000.0,
-                   packet_size=256, tracer_categories=None):
+                   packet_size=256, tracer_categories=None, tenants=None):
     pod, inst, client_ep, _ = build_echo_pod(mode, remote=(mode == "oasis"))
     pod.enable_flow_tracing()
+    if tenants is not None:
+        pod.enable_multi_tenant(tenants)
     if tracer_categories is not None:
         pod.enable_tracing(categories=tracer_categories)
     client = EchoClient(pod.sim, client_ep, SERVER_IP,
@@ -130,8 +132,10 @@ class TestFlowPrimitives:
 
 
 class TestEchoConservation:
-    def test_conservation_and_stage_sequence(self):
-        pod, client = run_echo_flows("oasis")
+    @pytest.mark.parametrize("tenants", [None, {"t": {"weight": 2.0}}],
+                             ids=["unarmed", "armed"])
+    def test_conservation_and_stage_sequence(self, tenants):
+        pod, client = run_echo_flows("oasis", tenants=tenants)
         flows = pod.flows
         assert flows.completed > 100
         assert flows.check_conservation() == []
@@ -144,6 +148,12 @@ class TestEchoConservation:
             "fe.rx", "app", "inst.tx", "fe.tx", "chan.fe2be", "be.tx",
             "nic.tx.dma", "switch.wire", "client.rx",
         ]
+        # Depth is the occupancy seen on entry, excluding the frame itself,
+        # on the armed TX path as on the unarmed one: at this rate the
+        # frontend's TX queue is empty whenever a reply arrives.
+        fe_tx = [s.depth for r in flows.records for s in r.segments
+                 if s.name == "fe.tx"]
+        assert fe_tx and set(fe_tx) == {0}
 
     def test_flow_p50_equals_rtt_p50(self):
         pod, client = run_echo_flows("oasis")

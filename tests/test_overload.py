@@ -102,7 +102,7 @@ class TestDisabledByDefault:
         pod.run(0.1)
         pod.stop()
         frontend = pod.storage_frontends[h1.name]
-        assert frontend._overload is None
+        assert frontend._stage is None
         assert frontend.submitted > 0
         assert frontend.shed == 0
         assert frontend.retry_budget_denied == 0
@@ -184,8 +184,9 @@ class TestBreakerOnSickDevice:
         assert frontend.shed_breaker >= 1        # rejected while open
         # The device healed once the armed errors ran out, so the half-open
         # probe succeeded and traffic flowed again.
-        assert all(b.state == "closed" for b in frontend._breakers.values())
-        assert sum(b.reclosures for b in frontend._breakers.values()) >= 1
+        breakers = frontend._stage.breakers.values()
+        assert all(b.state == "closed" for b in breakers)
+        assert sum(b.reclosures for b in breakers) >= 1
         assert client.stats.completed_ok > 0
         assert conservation_holds(frontend)
 
@@ -227,7 +228,7 @@ class TestNetengineBrownout:
         pod.enable_overload_control()
         frontend = next(f for f in pod.frontends.values()
                         if inst.ip in f._records)
-        frontend.set_brownout(1)
+        frontend._stage.brownout_level = 1
 
         def send(prio):
             frame = Frame(dst_mac=0, src_mac=0, src_ip=inst.ip,
@@ -240,7 +241,7 @@ class TestNetengineBrownout:
         assert frontend.tx_shed_brownout == 1
         send(1)                             # foreground: goes through
         assert frontend.tx_shed_brownout == 1
-        frontend.set_brownout(0)
+        frontend._stage.brownout_level = 0
         send(0)                             # healthy again: nothing shed
         assert frontend.tx_shed_brownout == 1
         assert frontend.tx_shed == 1

@@ -11,17 +11,26 @@ queue, checking the invariants the frontends rely on:
   admits traffic while open before the dwell elapses, and is deterministic
   under a fixed seed (trip/probe instants byte-identical);
 * the admission queue conserves items (admitted == popped + shed + queued)
-  and never holds more than ``depth`` entries.
+  and never holds more than ``depth`` entries;
+* a :class:`WeightedFairScheduler` with no tenant registered *is* an
+  ``AdmissionQueue``: same results, same counters, for any interleaving --
+  the licence for every admission stage running the scheduler
+  unconditionally, with ``AdmissionQueue`` kept as the reference
+  (``CHAOS_MAX_EXAMPLES`` raises the search effort in the nightly job).
 """
 
 import math
+import os
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overload import AdmissionQueue, CircuitBreaker, RetryBudget
+from repro.overload import (AdmissionQueue, CircuitBreaker, RetryBudget,
+                            WeightedFairScheduler)
 from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
+
+MAX_EXAMPLES = int(os.environ.get("CHAOS_MAX_EXAMPLES", "100"))
 
 # -- retry budget -----------------------------------------------------------
 
@@ -239,3 +248,40 @@ class TestAdmissionQueueProperties:
         queue.push(0.500, "next")
         item, dropped = queue.pop(0.506)
         assert item == "next" and dropped == []
+
+
+# -- tenant-less WFQ == the admission queue ---------------------------------
+
+LaneOp = st.one_of(
+    # Tags of tenants nobody registered must not open lanes of their own.
+    st.tuples(st.just("push"), st.sampled_from([None, "a", "b"])),
+    st.tuples(st.just("pop"), st.none()),
+    st.tuples(st.just("drain"), st.none()),
+    st.tuples(st.just("advance"), st.integers(1, 40)),    # x1 ms
+)
+
+
+class TestTenantlessWfqIsTheAdmissionQueue:
+    @given(st.lists(LaneOp, max_size=300), st.integers(1, 32),
+           st.integers(1, 20), st.integers(1, 50))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_same_results_and_counters(self, ops, depth, target_ms,
+                                       interval_ms):
+        args = (depth, target_ms * 1e-3, interval_ms * 1e-3)
+        queue, wfq = AdmissionQueue(*args), WeightedFairScheduler(*args)
+        now, next_item = 0.0, 0
+        for op, arg in ops:
+            if op == "advance":
+                now += arg * 1e-3
+            elif op == "push":
+                assert (wfq.push(now, next_item, arg)
+                        == queue.push(now, next_item))
+                next_item += 1
+            elif op == "pop":
+                assert wfq.pop(now) == queue.pop(now)
+            else:
+                assert wfq.drain() == queue.drain()
+            assert len(wfq) == len(queue)
+            assert wfq.saturation == len(queue) / depth
+            assert ((wfq.admitted, wfq.shed_full, wfq.shed_sojourn)
+                    == (queue.admitted, queue.shed_full, queue.shed_sojourn))

@@ -14,12 +14,24 @@ actionable.
 The fleet-alert tests extend it to the streaming health pipeline: same
 seed, same scrape cadence, same rules -- byte-identical alert sequence
 (every fire and clear at the same sim time with the same value).
+
+The golden tests are the cross-build pin: ``tests/data/golden_*.json`` were
+captured from the tree *before* the admission-stage refactor, and every
+later build must reproduce them byte for byte (overload sweep with budgets
+on and off, the serve solo+mix run, the fig10 metrics report).  Regenerate
+with ``PYTHONPATH=src python tests/test_replay.py`` only in a PR that says
+it changes an observable.
 """
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.experiments.fig10 import run_echo
 from repro.faults.chaos import run_chaos
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
 
 def _snapshot(seed: int) -> dict:
@@ -222,3 +234,43 @@ class TestBatchedCommitReplay:
         pod.run(0.4)
         assert alloc.convergence_ok()
         pod.stop()
+
+
+def _golden_overload() -> dict:
+    from repro.experiments.overload import run_overload
+
+    return run_overload(seed=11, pre_s=0.2, surge_s=0.15, post_s=0.3)
+
+
+def _golden_serve() -> dict:
+    from repro.experiments.serve import run_serve
+
+    return run_serve(seed=5, pre_s=0.05, surge_s=0.05, post_s=0.05)
+
+
+def _golden_fig10() -> dict:
+    return json.loads(_snapshot(17)["report_json"])
+
+
+GOLDENS = {"overload": _golden_overload, "serve": _golden_serve,
+           "fig10": _golden_fig10}
+
+
+def _golden_bytes(name: str) -> str:
+    return json.dumps(GOLDENS[name](), indent=1, sort_keys=True) + "\n"
+
+
+class TestGoldenReplay:
+    """This build reproduces the documents an earlier build committed."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_matches_committed_golden(self, name):
+        golden = (GOLDEN_DIR / f"golden_{name}.json").read_text()
+        assert _golden_bytes(name) == golden
+
+
+if __name__ == "__main__":   # pragma: no cover - regenerates the goldens
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for _name in sorted(GOLDENS):
+        (GOLDEN_DIR / f"golden_{_name}.json").write_text(_golden_bytes(_name))
+        print(f"wrote {GOLDEN_DIR / f'golden_{_name}.json'}")

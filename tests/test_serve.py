@@ -9,13 +9,15 @@ byte-identical same-seed serve runs, and the off-by-default contract
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.config import OasisConfig
 from repro.core.pod import CXLPod
+from repro.experiments.fig10 import run_echo
 from repro.experiments.serve import run_serve, weighted_fair_share
-from repro.net.packet import make_ip
+from repro.net.packet import Frame, make_ip
 from repro.overload import TenantSpec
 from repro.workloads.echo import EchoClient, EchoServer
 from repro.workloads.tenants import SERVE_PROFILES, TenantClient, TenantProfile
@@ -120,7 +122,7 @@ class TestServeIsolation:
 
     def test_wfq_books_balance(self, mix_run):
         _pod, frontend, _clients = mix_run
-        for tenant, lane in frontend._admission.per_tenant().items():
+        for tenant, lane in frontend._stage.queue.per_tenant().items():
             assert lane["pushed"] == lane["admitted"] + lane["shed_full"]
             assert lane["admitted"] == (lane["served"] + lane["shed_sojourn"]
                                         + lane["queued"]), tenant
@@ -169,20 +171,35 @@ class TestOffByDefault:
         inst = pod.add_instance(h1, ip=SERVER_IP)
         pod.add_block_device(inst, ssd)
         frontend = pod.storage_frontends[h1.name]
-        assert frontend._tenants is None
+        assert frontend._stage is None
         assert frontend.tenant_stats() == {}
         net = pod.frontends[h1.name]
-        assert net._tx_wfq is None
+        assert net._stage is None
         assert net.tenant_stats() == {}
+        assert all(b._stage is None for b in pod.backends.values())
         pod.stop()
+
+    def test_default_pod_exports_the_same_metric_keys(self):
+        """The registry's sample set (family + labels) of a default pod is
+        the one captured before the admission-stage refactor: every legacy
+        counter name is still exported, none was added."""
+        def keys(document):
+            return {(s["name"], tuple(sorted(s["labels"].items())))
+                    for s in document["samples"]}
+
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "golden_fig10.json").read_text())
+        report = run_echo("oasis", packet_size=256, rate_pps=20_000.0,
+                          duration_s=0.05, seed=17)["report_json"]
+        assert keys(json.loads(report)) == keys(golden)
 
     def test_multi_tenant_requires_overload_control_and_arms_it(self):
         pod = CXLPod(mode="oasis")
         h0 = pod.add_host()
         pod.add_nic(h0)
         pod.enable_multi_tenant({"t": TenantSpec(weight=2.0)})
-        assert pod._overload_on
-        assert pod.frontends[h0.name]._tx_wfq is not None
+        for driver in (*pod.frontends.values(), *pod.backends.values()):
+            assert "t" in driver._stage.tenants
         pod.stop()
 
     def test_late_joining_frontends_inherit_the_tenant_set(self):
@@ -194,8 +211,91 @@ class TestOffByDefault:
         ssd = pod.add_ssd(h0)
         inst = pod.add_instance(h1, ip=SERVER_IP)
         pod.add_block_device(inst, ssd)
-        assert pod.frontends[h1.name]._tx_wfq is not None
-        assert pod.storage_frontends[h1.name]._tenants is not None
+        assert "t" in pod.frontends[h1.name]._stage.tenants
+        assert "t" in pod.storage_frontends[h1.name]._stage.tenants
+        pod.stop()
+
+
+class TestArmingMidRun:
+    """Regressions: arming a live pod must strand nothing.  Registering
+    tenants used to swap in a fresh scheduler (orphaning every queued
+    request) and left frames in the unarmed TX queue undrained."""
+
+    def test_registering_tenants_keeps_queued_requests(self):
+        base = OasisConfig()
+        pod = CXLPod(config=base.with_(
+            seed=7, ssd=replace(base.ssd, bandwidth_gbps=0.04)), mode="oasis")
+        h0 = pod.add_host()
+        h1 = pod.add_host()
+        pod.add_nic(h0)
+        ssd = pod.add_ssd(h0)
+        inst = pod.add_instance(h1, ip=SERVER_IP)
+        device = pod.add_block_device(inst, ssd)
+        pod.enable_overload_control(replace(base.overload, launch_window=1))
+        frontend = pod.storage_frontends[h1.name]
+        done = []
+        for i in range(5):
+            device.read(i, 1, lambda status, data: done.append(status),
+                        tenant="mc" if i % 2 else None)
+        pod.run(20e-6)          # past the IPC hop: 1 launched, 4 queued
+        assert len(frontend._stage.queue) == 4
+        pod.enable_multi_tenant({"mc": TenantSpec(weight=2.0)})
+        pod.run(0.05)
+        pod.stop()
+        assert done == [0] * 5
+        assert frontend.submitted == 5 == (frontend.completed_ok
+                                           + frontend.completed_error
+                                           + frontend.shed)
+        assert frontend.inflight == 0
+        # The books balance per tenant too, for requests queued before
+        # their tenant was registered.
+        for row in frontend.tenant_stats().values():
+            assert row["submitted"] == row["completed_ok"]
+
+    def test_arming_moves_queued_tx_frames_into_the_stage(self):
+        pod = CXLPod(config=OasisConfig().with_(seed=9), mode="oasis")
+        h0 = pod.add_host()
+        h1 = pod.add_host()
+        pod.add_nic(h0)
+        inst = pod.add_instance(h1, ip=SERVER_IP)
+        frontend = pod.frontends[h1.name]
+        tx_area = frontend.record_of(inst.ip).tx_area
+        free_before = tx_area.free_bytes
+        pod.run(1e-6)
+        frontend.stop()         # a stalled core: frames pile up unserved
+        for _ in range(4):
+            inst.vnic.transmit(Frame(
+                dst_mac=0, src_mac=0, src_ip=inst.ip, dst_ip=CLIENT_IP,
+                src_port=1, dst_port=2, payload=b"x" * 64))
+        pod.run(20e-6)          # past the IPC hop: all four are queued
+        assert len(frontend._tx_queue) == 4
+        pod.enable_multi_tenant({"edge": TenantSpec(weight=2.0)})
+        frontend.start()
+        pod.run(0.01)
+        pod.stop()
+        assert frontend.tx_forwarded == 4
+        assert frontend.tx_shed == 0
+        assert tx_area.free_bytes == free_before
+
+    def test_arming_twice_is_a_no_op(self):
+        pod = CXLPod(mode="oasis")
+        h0 = pod.add_host()
+        pod.add_nic(h0)
+        cfg = pod.enable_overload_control()
+        stages = [driver._stage for driver in pod._drivers()]
+        assert None not in stages
+        assert pod.enable_overload_control(
+            replace(cfg, admission_depth=1)) is cfg
+        assert [driver._stage for driver in pod._drivers()] == stages
+        pod.stop()
+
+    def test_config_enabled_arms_the_pod(self):
+        base = OasisConfig()
+        pod = CXLPod(config=base.with_(
+            overload=replace(base.overload, enabled=True)), mode="oasis")
+        h0 = pod.add_host()
+        pod.add_nic(h0)
+        assert all(driver._stage is not None for driver in pod._drivers())
         pod.stop()
 
 

@@ -5,6 +5,17 @@ of traffic being payload buffers.
 """
 
 from repro.experiments import table3
+from repro.experiments.common import scale
+
+#: PR 15 changed how ``repro.mem`` stores lines, not which lines move: at full
+#: scale the per-category link bytes are, to the last bit, what the per-line
+#: model counted (45,002 NIC operations per row, scaled to 4 MOp/s).
+PARENT_FULL_SCALE = {
+    "busy_75": {"payload_gbps": 0.9180113772721212, "message_gbps": 1.4953660726189948,
+                "total_gbps": 2.413377449891116, "ops_measured": 45002.0},
+    "busy_1500": {"payload_gbps": 12.216011377272121, "message_gbps": 1.4953660726189948,
+                  "total_gbps": 13.711377449891115, "ops_measured": 45002.0},
+}
 
 
 def test_table3_cxl_bandwidth(benchmark):
@@ -13,3 +24,6 @@ def test_table3_cxl_bandwidth(benchmark):
     row = results["busy_1500"]
     assert row["payload_gbps"] / row["total_gbps"] > 0.7
     assert 8.0 <= row["total_gbps"] <= 20.0
+    if scale() == 1.0:
+        for load, expected in PARENT_FULL_SCALE.items():
+            assert results[load] == expected, load

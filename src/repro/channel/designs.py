@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..mem.cache import _Line
 from .protocol import ChannelReceiver
 
 __all__ = [
@@ -50,13 +49,13 @@ class BypassCacheReceiver(ChannelReceiver):
     __slots__ = ()
 
     def poll(self) -> Tuple[Optional[bytes], float]:
-        cost = self._invalidate_line_of(self.next_seq, fenced=True)
+        seq = self.next_seq
+        cost = self._invalidate_line_of(seq, True)
         cost += self.cache.mfence()
-        payload, check_cost = self._check_slot(self.next_seq)
+        payload, check_cost = self._check_slot(seq)
         cost += check_cost
-        if payload is None:
-            return None, cost
-        cost += self._consume(self.next_seq)
+        if payload is not None:
+            cost += self._consume(seq)
         return payload, cost
 
 
@@ -78,16 +77,24 @@ class _PrefetchingReceiver(ChannelReceiver):
         self._prefetch_threshold = max(2, layout.messages_per_line)
 
     def poll(self) -> Tuple[Optional[bytes], float]:
-        if self._timing is not None:
-            return self._poll_hooked()
-        # No timing harness installed: one flat pass over the slot check,
-        # consume bookkeeping and line maintenance, with the same cost
-        # composition as the hooked path below.
+        # One flat pass over the slot check, consume bookkeeping and line
+        # maintenance; a timing harness, when installed, is told about every
+        # fill and invalidation on the way.
         seq = self.next_seq
         msize = self._msize
         addr = self._slot_base + (seq & self._slot_mask) * msize
         cache = self.cache
-        raw, cost = cache.load(addr, msize, category="message")
+        timing = self._timing
+        if timing is None:
+            raw, cost = cache.load(addr, msize, "message")
+        else:
+            # One slot lies in one line, so the load misses at most once.
+            misses = cache.stats.misses
+            raw, cost = cache.load(addr, msize, "message")
+            if cache.stats.misses == misses:
+                cost += timing.hit_stall_ns(addr >> 6)
+            else:
+                timing.on_demand_fill(addr >> 6)
         b0 = raw[0]
         if (b0 >> 7) != 1 - ((seq >> self._wrap_shift) & 1):
             # Empty poll: the cached copy of the current line may simply be
@@ -96,7 +103,9 @@ class _PrefetchingReceiver(ChannelReceiver):
             timings = self._timings
             cost += timings.empty_poll_ns
             self._streak = 0
-            cost += cache.clflush(addr & -64, fenced=True, category="message")
+            cost += cache.clflush(addr & -64, True, "message")
+            if timing is not None:
+                timing.on_invalidate(addr >> 6)
             cache.stats.fences += 1
             cost += timings.mfence_ns
             if self.invalidate_prefetched:
@@ -117,184 +126,34 @@ class _PrefetchingReceiver(ChannelReceiver):
         if self.invalidate_consumed and ((addr + msize) & 63) == 0:
             # Line fully consumed: drop it (unfenced, off the critical
             # path) so the next lap's prefetch can bring in fresh data.
-            cost += cache.clflush(addr & -64, fenced=False, category="message")
+            cost += cache.clflush(addr & -64, False, "message")
+            if timing is not None:
+                timing.on_invalidate(addr >> 6)
         if streak >= self._prefetch_threshold:
             cost += self._prefetch_ahead(self.prefetch_depth)
         return payload, cost
-
-    def poll_batch(self, limit: int) -> Tuple[list, float]:
-        """Fused drain loop: :meth:`poll` inlined per message (no-hook path).
-
-        Driver cores call this once per drain; fusing the batch loop, the
-        per-message poll and the single-line cache-hit load removes three
-        Python frames per message while keeping the exact per-poll cost
-        composition of the generic loop.
-        """
-        if self._timing is not None:
-            return ChannelReceiver.poll_batch(self, limit)
-        out = []
-        append = out.append
-        total = 0.0
-        cache = self.cache
-        lines = cache._lines
-        track = cache._track_lru
-        cstats = cache.stats
-        t = self._timings
-        counters = self.counters
-        batch = self.counter_batch
-        base = self._slot_base
-        mask = self._slot_mask
-        msize = self._msize
-        wshift = self._wrap_shift
-        inv_consumed = self.invalidate_consumed
-        threshold = self._prefetch_threshold
-        pool = cache.pool
-        pool_lines = pool._lines
-        pool_size = pool.size
-        n = 0
-        while n < limit:
-            seq = self.next_seq
-            addr = base + (seq & mask) * msize
-            index = addr >> 6
-            line = lines.get(index)
-            if line is not None:
-                # cache.load single-line hit, inlined; the payload is built
-                # straight off the cached bytearray (one copy, no concat).
-                if track:
-                    lines.move_to_end(index)
-                cstats.hits += 1
-                cost = 0.0 + t.cache_hit_ns
-                offset = addr & 63
-                data = line.data
-                b0 = data[offset]
-            elif not track and (index + 1) << 6 <= pool_size and index >= 0:
-                # cache.load single-line miss (_fill), inlined: demand-fetch
-                # the line from the pool with the same accounting as load().
-                src = pool_lines.get(index)
-                line = _Line(bytearray(src) if src is not None
-                             else bytearray(64))
-                lines[index] = line
-                rd = cache._rd
-                if rd is None:
-                    link_stats = pool.stats_for(cache.host)
-                    cache._rd = rd = link_stats.read_bytes
-                    cache._wr = link_stats.write_bytes
-                rd["message"] = rd.get("message", 0) + 64
-                cstats.misses += 1
-                cost = 0.0 + t.cxl_load_ns
-                offset = addr & 63
-                data = line.data
-                b0 = data[offset]
-            else:
-                raw, cost = cache.load(addr, msize, category="message")
-                b0 = raw[0]
-            if (b0 >> 7) != 1 - ((seq >> wshift) & 1):
-                counters.empty_polls += 1
-                cost += t.empty_poll_ns
-                self._streak = 0
-                # cache.clflush(fenced=True) + cache.mfence(), inlined; the
-                # just-polled line is clean (it was loaded, never stored).
-                dropped = lines.pop(index, None)
-                if dropped is not None:
-                    if dropped.dirty:
-                        cache._write_back(index, dropped, "message")
-                        cstats.writebacks += 1
-                    cstats.invalidations += 1
-                cost += t.clflush_ns
-                cstats.fences += 1
-                cost += t.mfence_ns
-                if self.invalidate_prefetched:
-                    cost += self._invalidate_prefetch_window()
-                total += cost
-                break
-            if line is not None:
-                buf = data[offset:offset + msize]
-                buf[0] = b0 & 0x7F
-                payload = bytes(buf)
-            else:
-                payload = bytes((b0 & 0x7F,)) + raw[1:]
-            self.next_seq = seq + 1
-            counters.received += 1
-            consumed = self._consumed_since_update + 1
-            self._consumed_since_update = consumed
-            consume_cost = t.message_cpu_ns
-            if consumed >= batch:
-                consume_cost += self._publish_counter()
-            cost += consume_cost
-            streak = self._streak + 1
-            self._streak = streak
-            if inv_consumed and ((addr + msize) & 63) == 0:
-                # cache.clflush(fenced=False) of the consumed line, inlined.
-                dropped = lines.pop(index, None)
-                if dropped is not None:
-                    if dropped.dirty:
-                        cache._write_back(index, dropped, "message")
-                        cstats.writebacks += 1
-                    cstats.invalidations += 1
-                cost += t.clflush_issue_ns
-            if streak >= threshold:
-                cost += self._prefetch_ahead(self.prefetch_depth)
-            append(payload)
-            total += cost
-            n += 1
-        return out, total
-
-    def _poll_hooked(self) -> Tuple[Optional[bytes], float]:
-        seq = self.next_seq
-        payload, cost = self._check_slot(seq)
-        if payload is not None:
-            cost += self._consume(seq)
-            self._streak += 1
-            if self.invalidate_consumed and \
-                    ((self._slot_base + (seq & self._slot_mask) * self._msize
-                      + self._msize) & 63) == 0:
-                # Line fully consumed: drop it (unfenced, off the critical
-                # path) so the next lap's prefetch can bring in fresh data.
-                cost += self._invalidate_line_of(seq, fenced=False)
-            if self._streak >= self._prefetch_threshold:
-                cost += self._prefetch_ahead(self.prefetch_depth)
-            return payload, cost
-
-        # Empty poll: the cached copy of the current line may simply be
-        # stale.  Drop it (fenced, so the re-poll really goes to CXL).
-        self._streak = 0
-        cost += self._invalidate_line_of(seq, fenced=True)
-        cost += self.cache.mfence()
-        if self.invalidate_prefetched:
-            cost += self._invalidate_prefetch_window()
-        return None, cost
 
     def _invalidate_prefetch_window(self) -> float:
         """④ only: drop the prefetched-ahead lines that may now be stale."""
         cost = 0.0
         layout = self.layout
-        per_line = layout.messages_per_line
-        depth = self.prefetch_depth
-        lines = layout.lines - 1
-        if lines < depth:
-            depth = lines
-        cache = self.cache
-        cached_lines = cache._lines
+        depth = min(self.prefetch_depth, layout.lines - 1)
         timing = self._timing
-        base = self._slot_base
-        mask = self._slot_mask
-        msize = self._msize
-        next_seq = self.next_seq
-        cstats = cache.stats
-        issue_ns = cache.timings.clflush_issue_ns
-        for i in range(1, depth + 1):
-            seq = next_seq + i * per_line
-            line_addr = (base + (seq & mask) * msize) & ~63
-            # cache.clflush(fenced=False), inlined per cached window line.
-            dropped = cached_lines.pop(line_addr >> 6, None)
-            if dropped is not None:
-                if dropped.dirty:
-                    cache._write_back(line_addr >> 6, dropped, "message")
-                    cstats.writebacks += 1
-                cstats.invalidations += 1
-                cost += issue_ns
-                if timing is not None:
-                    timing.on_invalidate(line_addr >> 6)
+        lseq = self.next_seq // layout.messages_per_line + 1
+        ring_bytes = self._ring_bytes
+        while depth:
+            # The longest run of ring lines from ``lseq`` before the wrap.
+            offset = (lseq << 6) & (ring_bytes - 1)
+            lines = min(depth, (ring_bytes - offset) >> 6)
+            # Only the lines actually cached cost a CLFLUSHOPT.
+            dropped, c = self.cache.clflush_cached(
+                self._slot_base + offset, lines << 6, "message")
+            cost += c
+            if timing is not None:
+                for index in dropped:
+                    timing.on_invalidate(index)
+            lseq += lines
+            depth -= lines
         self._reset_prefetch_horizon()
         return cost
 

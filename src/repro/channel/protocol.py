@@ -29,38 +29,13 @@ from typing import Optional, Tuple
 
 from ..config import CACHE_LINE
 from ..errors import ChannelError
-from ..mem.cache import HostCache, _Line
+from ..mem.cache import HostCache
 from .ring import RingLayout, decode_slot, encode_slot  # noqa: F401  (re-export)
 
 __all__ = ["ChannelSender", "ChannelReceiver", "TimingHooks", "ChannelCounters"]
 
 _COUNTER = struct.Struct("<Q")
 _LINE_MASK = CACHE_LINE - 1
-
-
-def _clwb_hot(cache: HostCache, addr: int, category: str) -> float:
-    """``cache.clwb`` with the hook-free, fault-free writeback inlined.
-
-    Every channel message and counter publish pays one CLWB, so the common
-    case (dirty line, no writeback hook, no fault injection armed) skips the
-    method call chain; anything unusual falls back to the generic path.
-    """
-    index = addr // CACHE_LINE
-    line = cache._lines.get(index)
-    if line is None or not line.dirty:
-        return cache.timings.clflush_issue_ns
-    if cache._wb_fault is not None or cache.writeback_hook is not None:
-        return cache.clwb(addr, category=category)
-    cache.pool._lines[index] = bytearray(line.data)
-    wr = cache._wr
-    if wr is None:
-        link_stats = cache.pool.stats_for(cache.host)
-        cache._rd = link_stats.read_bytes
-        cache._wr = wr = link_stats.write_bytes
-    wr[category] = wr.get(category, 0) + CACHE_LINE
-    line.dirty = False
-    cache.stats.writebacks += 1
-    return cache.timings.clwb_ns
 
 
 class TimingHooks:
@@ -139,9 +114,9 @@ class ChannelSender:
     def refresh_consumed(self) -> float:
         """Re-read the consumed counter from CXL (invalidate + fence + load)."""
         counter_addr = self.layout.counter_addr
-        cost = self.cache.clflush(counter_addr, fenced=True, category="counter")
+        cost = self.cache.clflush(counter_addr, True, "counter")
         cost += self.cache.mfence()
-        raw, load_cost = self.cache.load(counter_addr, 8, category="counter")
+        raw, load_cost = self.cache.load(counter_addr, 8, "counter")
         cost += load_cost
         value = _COUNTER.unpack(raw)[0]
         if value > self.next_seq:
@@ -185,23 +160,13 @@ class ChannelSender:
             slot[0] = b0 | 0x80
         addr = self._slot_base + (seq & self._slot_mask) * msize
         cache = self.cache
-        line = cache._lines.get(addr // CACHE_LINE)
-        if line is not None and not cache._track_lru:
-            # cache.store single-line hit, inlined (steady state: ring lines
-            # stay cached between laps).
-            offset = addr & _LINE_MASK
-            line.data[offset:offset + msize] = slot
-            line.dirty = True
-            cache.stats.stores += 1
-            cost += cache.timings.store_ns
-        else:
-            cost += cache.store(addr, slot, category=self.category)
+        cost += cache.store(addr, slot, self.category)
         self.next_seq = seq + 1
         self.counters.sent += 1
 
         line_addr = addr & ~_LINE_MASK
         if (addr + msize) & _LINE_MASK == 0:
-            cost += _clwb_hot(cache, line_addr, self.category)
+            cost += cache.clwb(line_addr, self.category)
             self._dirty_line_addr = None
         else:
             self._dirty_line_addr = line_addr
@@ -222,10 +187,6 @@ class ChannelSender:
         base = self._slot_base
         wshift = self._wrap_shift
         cache = self.cache
-        lines = cache._lines
-        track = cache._track_lru
-        cstats = cache.stats
-        store_ns = cache.timings.store_ns
         category = self.category
         counters = self.counters
         for payload in payloads:
@@ -251,20 +212,12 @@ class ChannelSender:
                 slot = bytearray(payload)
                 slot[0] = b0 | 0x80
             addr = base + (seq & mask) * msize
-            line = lines.get(addr // CACHE_LINE)
-            if line is not None and not track:
-                offset = addr & _LINE_MASK
-                line.data[offset:offset + msize] = slot
-                line.dirty = True
-                cstats.stores += 1
-                c += store_ns
-            else:
-                c += cache.store(addr, slot, category=category)
+            c += cache.store(addr, slot, category)
             self.next_seq = seq + 1
             counters.sent += 1
             line_addr = addr & ~_LINE_MASK
             if (addr + msize) & _LINE_MASK == 0:
-                c += _clwb_hot(cache, line_addr, category)
+                c += cache.clwb(line_addr, category)
                 self._dirty_line_addr = None
             else:
                 self._dirty_line_addr = line_addr
@@ -276,7 +229,7 @@ class ChannelSender:
         """CLWB a partially filled line so receivers can see it (low rate)."""
         if self._dirty_line_addr is None:
             return 0.0
-        cost = _clwb_hot(self.cache, self._dirty_line_addr, self.category)
+        cost = self.cache.clwb(self._dirty_line_addr, self.category)
         self._dirty_line_addr = None
         return cost
 
@@ -292,7 +245,7 @@ class ChannelSender:
         if dirty is None:
             return cost + 0.0
         self._dirty_line_addr = None
-        return cost + _clwb_hot(self.cache, dirty, self.category)
+        return cost + self.cache.clwb(dirty, self.category)
 
 
 class ChannelReceiver:
@@ -304,7 +257,7 @@ class ChannelReceiver:
     __slots__ = ("layout", "cache", "timing", "_timing", "counter_batch",
                  "next_seq", "_consumed_since_update", "_prefetch_horizon",
                  "counters", "_slot_base", "_slot_mask", "_msize",
-                 "_wrap_shift", "_counter_addr", "_timings")
+                 "_wrap_shift", "_counter_addr", "_timings", "_ring_bytes")
 
     def __init__(
         self,
@@ -336,6 +289,7 @@ class ChannelReceiver:
         self._slot_mask = layout.slots - 1
         self._msize = layout.message_size
         self._wrap_shift = layout.slots.bit_length() - 1
+        self._ring_bytes = layout.slots * layout.message_size
         self._counter_addr = layout.counter_addr
         self._timings = cache.timings
 
@@ -351,17 +305,15 @@ class ChannelReceiver:
         timing = self._timing
         cache = self.cache
         if timing is None:
-            raw, cost = cache.load(addr, msize, category="message")
+            raw, cost = cache.load(addr, msize, "message")
         else:
-            line_idx = addr // CACHE_LINE
-            was_cached = cache.contains(addr)
-            cost = 0.0
-            if was_cached:
-                cost += timing.hit_stall_ns(line_idx)
-            raw, load_cost = cache.load(addr, msize, category="message")
-            cost += load_cost
-            if not was_cached:
-                timing.on_demand_fill(line_idx)
+            # One slot lies in one line, so the load misses at most once.
+            misses = cache.stats.misses
+            raw, cost = cache.load(addr, msize, "message")
+            if cache.stats.misses == misses:
+                cost += timing.hit_stall_ns(addr >> 6)
+            else:
+                timing.on_demand_fill(addr >> 6)
         b0 = raw[0]
         if (b0 >> 7) != 1 - ((seq >> self._wrap_shift) & 1):
             self.counters.empty_polls += 1
@@ -380,43 +332,10 @@ class ChannelReceiver:
         return cost
 
     def _publish_counter(self) -> float:
-        """Store + CLWB the consumed counter so the sender can reuse slots.
-
-        The counter line is the hottest store in the protocol (published
-        once per drained batch), so the single-line store hit is inlined.
-        """
-        counter_addr = self._counter_addr
+        """Store + CLWB the consumed counter so the sender can reuse slots."""
         cache = self.cache
-        line = cache._lines.get(counter_addr // CACHE_LINE)
-        if line is not None and not cache._track_lru:
-            offset = counter_addr & _LINE_MASK
-            line.data[offset:offset + 8] = _COUNTER.pack(self.next_seq)
-            line.dirty = True
-            cache.stats.stores += 1
-            cost = 0.0 + cache.timings.store_ns
-        else:
-            cost = cache.store(
-                counter_addr, _COUNTER.pack(self.next_seq), category="counter"
-            )
-        # _clwb_hot, inlined: the counter line is dirty here in steady state
-        # (we just stored to it), so the common case is one writeback.
-        index = counter_addr // CACHE_LINE
-        wline = cache._lines.get(index)
-        if wline is None or not wline.dirty:
-            cost += cache.timings.clflush_issue_ns
-        elif cache._wb_fault is not None or cache.writeback_hook is not None:
-            cost += cache.clwb(counter_addr, category="counter")
-        else:
-            cache.pool._lines[index] = bytearray(wline.data)
-            wr = cache._wr
-            if wr is None:
-                link_stats = cache.pool.stats_for(cache.host)
-                cache._rd = link_stats.read_bytes
-                cache._wr = wr = link_stats.write_bytes
-            wr["counter"] = wr.get("counter", 0) + CACHE_LINE
-            wline.dirty = False
-            cache.stats.writebacks += 1
-            cost += cache.timings.clwb_ns
+        cost = cache.store(self._counter_addr, _COUNTER.pack(self.next_seq), "counter")
+        cost += cache.clwb(self._counter_addr, "counter")
         self._consumed_since_update = 0
         self.counters.counter_updates += 1
         return cost
@@ -429,9 +348,9 @@ class ChannelReceiver:
 
     def _invalidate_line_of(self, seq: int, fenced: bool) -> float:
         line_addr = (self._slot_base + (seq & self._slot_mask) * self._msize) & ~_LINE_MASK
-        cost = self.cache.clflush(line_addr, fenced=fenced, category="message")
+        cost = self.cache.clflush(line_addr, fenced, "message")
         if self._timing is not None:
-            self._timing.on_invalidate(line_addr // CACHE_LINE)
+            self._timing.on_invalidate(line_addr >> 6)
         return cost
 
     def _prefetch_ahead(self, depth_lines: int) -> float:
@@ -442,56 +361,27 @@ class ChannelReceiver:
         hardware no-op, which is the pathology Figure 6's design ② hits.
         """
         layout = self.layout
-        per_line = layout.messages_per_line
-        lines = layout.lines - 1
-        if lines < depth_lines:
-            depth_lines = lines
-        cur_lseq = self.next_seq // per_line
+        depth_lines = min(depth_lines, layout.lines - 1)
+        cur_lseq = self.next_seq // layout.messages_per_line
         start = self._prefetch_horizon + 1
         if start < cur_lseq + 1:
             start = cur_lseq + 1
         end = cur_lseq + depth_lines
         cost = 0.0
         if start <= end:
-            cache = self.cache
             timing = self._timing
-            base = self._slot_base
-            mask = self._slot_mask
-            msize = self._msize
-            if cache._track_lru:
-                for lseq in range(start, end + 1):
-                    addr = (base + ((lseq * per_line) & mask) * msize) & ~_LINE_MASK
-                    issued, c = cache.prefetch(addr, category="message")
-                    cost += c
-                    if issued and timing is not None:
-                        timing.on_prefetch_issued(addr // CACHE_LINE)
-            else:
-                # cache.prefetch + its fill, inlined per window line (the
-                # streaming receiver issues one burst of these per message).
-                lines = cache._lines
-                pool_lines = cache.pool._lines
-                cstats = cache.stats
-                issue_ns = cache.timings.prefetch_issue_ns
-                rd = cache._rd
-                if rd is None:
-                    link_stats = cache.pool.stats_for(cache.host)
-                    cache._rd = rd = link_stats.read_bytes
-                    cache._wr = link_stats.write_bytes
-                for lseq in range(start, end + 1):
-                    index = ((base + ((lseq * per_line) & mask) * msize)
-                             & ~_LINE_MASK) // CACHE_LINE
-                    if index in lines:
-                        cstats.prefetches_ignored += 1
-                    else:
-                        src = pool_lines.get(index)
-                        lines[index] = _Line(
-                            bytearray(src) if src is not None
-                            else bytearray(CACHE_LINE))
-                        rd["message"] = rd.get("message", 0) + CACHE_LINE
-                        cstats.prefetches_issued += 1
-                        if timing is not None:
-                            timing.on_prefetch_issued(index)
-                    cost += issue_ns
+            ring_bytes = self._ring_bytes
+            while start <= end:
+                # The longest run of ring lines from ``start`` before the wrap.
+                offset = (start << 6) & (ring_bytes - 1)
+                lines = min(end - start + 1, (ring_bytes - offset) >> 6)
+                issued, c = self.cache.prefetch_range(
+                    self._slot_base + offset, lines << 6, "message")
+                cost += c
+                if timing is not None:
+                    for index in issued:
+                        timing.on_prefetch_issued(index)
+                start += lines
         if self._prefetch_horizon < end:
             self._prefetch_horizon = end
         return cost

@@ -64,6 +64,8 @@ class RingLayout:
             raise ChannelError("slots must be a power of two >= 2")
         if self.message_size not in (16, 64):
             raise ChannelError("message_size must be 16 or 64")
+        if self.region.base % CACHE_LINE:
+            raise ChannelError("ring must start on a cache-line boundary")
         if self.region.size < self.required_bytes(self.slots, self.message_size):
             raise ChannelError(
                 f"region of {self.region.size} B too small for "

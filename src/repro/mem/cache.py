@@ -19,12 +19,21 @@ reality Oasis is built for.
 Every operation returns its CPU cost in nanoseconds; callers (driver loops,
 the Figure 6 microbench) accumulate those costs into virtual time.
 
-This sits on the hottest path of the simulator (every channel poll, doorbell
-and payload move goes through it), so the single-line cases -- 16 B messages,
-8 B counters, aligned 64 B slots -- take a branch-free fast path, and the
-per-line link accounting writes straight into this host's
-:class:`~repro.mem.cxl.LinkStats` tables instead of re-resolving them per
-operation.
+Representation (DESIGN §3h): per touched 4 KiB page the cache keeps one data
+page and two 64-bit masks, ``present`` and ``dirty``.  Every operation is, per
+page spanned, one mask computation, ``int.bit_count()`` for the stats, link
+bytes and cost, and one slice copy per contiguous run of lines; a single-line
+access is the one-bit case of that loop.  Only three conditions make an
+operation walk its lines bit by bit: a writeback hook, an armed writeback
+fault (both see one 64 B line at a time) and a bounded cache
+(``capacity_lines``), whose LRU order is per line.
+
+``load``, ``store`` and ``prefetch_range`` begin with a short cut for an
+access that lies inside one line (every ring slot and counter): same result
+as the loop, a third of the interpreter steps.  It is the one hand-written
+fast path here and it is kept because the ledger says so -- without it
+``channel_sweep`` is 18 % slower than the per-line model it replaced, with it
+5 % (DESIGN §3h); the differential oracle drives both routes.
 """
 
 from __future__ import annotations
@@ -35,14 +44,23 @@ from typing import Optional, Tuple
 
 from ..config import CACHE_LINE, CacheTimings
 from ..errors import MemoryFault
-from .cxl import CXLMemoryPool, lines_spanned
+from .cxl import (BIT, PAGE_SIZE, SPAN, ZERO_PAGE, CXLMemoryPool, Page, copy_lines,
+                  mask_bits)
 
 __all__ = ["HostCache", "CacheStats"]
 
 
 @dataclass
 class CacheStats:
-    """Operation counters, used by tests and the Table 3 experiment."""
+    """Operation counters, used by tests and the Table 3 experiment.
+
+    ``writebacks`` counts the writebacks software asked for (CLWB or
+    CLFLUSHOPT of a dirty line).  The two the hardware starts on its own are
+    counted where they are caused instead: a dirty capacity eviction under
+    ``evictions`` (its bytes under the ``"eviction"`` link category), a dirty
+    line snooped out by a device read under ``dma_read_snoop_hits``
+    (``"snoop"``).
+    """
 
     hits: int = 0
     misses: int = 0
@@ -63,20 +81,12 @@ class CacheStats:
             setattr(self, name, 0)
 
 
-class _Line:
-    __slots__ = ("data", "dirty")
-
-    def __init__(self, data: bytearray, dirty: bool = False):
-        self.data = data
-        self.dirty = dirty
-
-
 class HostCache:
     """One host's view of the shared pool through its (non-coherent) caches."""
 
-    __slots__ = ("pool", "host", "capacity_lines", "timings", "_lines",
-                 "stats", "_track_lru", "_rd", "_wr", "writeback_hook",
-                 "_wb_fault")
+    __slots__ = ("pool", "host", "capacity_lines", "timings", "_pages",
+                 "stats", "_lru", "_spare", "_size", "_rd", "_wr",
+                 "writeback_hook", "_wb_fault")
 
     def __init__(
         self,
@@ -85,15 +95,23 @@ class HostCache:
         capacity_lines: Optional[int] = None,
         timings: Optional[CacheTimings] = None,
     ):
+        if capacity_lines is not None and capacity_lines < 1:
+            raise ValueError("capacity_lines must be at least 1")
         self.pool = pool
+        self._size = pool.size
         self.host = host
         self.capacity_lines = capacity_lines
         self.timings = timings or pool.timings
-        self._lines: "OrderedDict[int, _Line]" = OrderedDict()
+        self._pages: "dict[int, Page]" = {}
+        # The page that last went empty, kept for the next claim: a buffer
+        # that is invalidated and re-read does not churn 4 KiB allocations.
+        self._spare: Optional[Page] = None
         self.stats = CacheStats()
-        # LRU order only matters for a bounded cache; the unbounded default
-        # skips the per-access move_to_end.
-        self._track_lru = capacity_lines is not None
+        # A bounded cache keeps its lines in LRU order and evicts after every
+        # line it admits, so its loads and stores advance a line at a time;
+        # the unbounded default advances a page at a time.
+        self._lru: "Optional[OrderedDict[int, None]]" = \
+            None if capacity_lines is None else OrderedDict()
         # This host's per-category byte counters, bound lazily on the first
         # accounted transfer so the pool's link table is populated exactly
         # when traffic first flows (not when the cache object is built).
@@ -111,55 +129,190 @@ class HostCache:
 
     # -- internals ----------------------------------------------------------
 
+    def _link_tables(self):
+        stats = self.pool.stats_for(self.host)
+        self._rd = stats.read_bytes
+        self._wr = stats.write_bytes
+        return self._rd, self._wr
+
     def _account(self, direction_write: bool, category: str, nbytes: int) -> None:
         table = self._wr if direction_write else self._rd
         if table is None:
-            stats = self.pool.stats_for(self.host)
-            self._rd = stats.read_bytes
-            self._wr = stats.write_bytes
-            table = self._wr if direction_write else self._rd
+            table = self._link_tables()[direction_write]
         table[category] = table.get(category, 0) + nbytes
 
-    def _evict_if_needed(self) -> None:
-        while self.capacity_lines is not None and len(self._lines) > self.capacity_lines:
-            index, line = self._lines.popitem(last=False)
-            if line.dirty:
-                # A capacity eviction of a dirty line is a posted write just
-                # like CLWB/CLFLUSHOPT: it must go through the writeback hook
-                # so timing harnesses model its flight time too.
-                self._write_back(index, line, "eviction")
-            self.stats.evictions += 1
-
-    def _fill(self, index: int, category: str) -> _Line:
-        pool = self.pool
-        if index < 0 or (index + 1) * CACHE_LINE > pool.size:
+    def _check(self, addr: int, size: int) -> None:
+        if addr < 0 or addr + size > self._size:
             raise MemoryFault(
-                f"access [{index * CACHE_LINE}, {(index + 1) * CACHE_LINE}) "
-                f"outside pool of {pool.size} B")
-        src = pool._lines.get(index)
-        data = bytearray(src) if src is not None else bytearray(CACHE_LINE)
-        line = _Line(data)
-        self._lines[index] = line
-        if self._track_lru:
-            self._evict_if_needed()
-        self._account(False, category, CACHE_LINE)
-        return line
+                f"access [{addr}, {addr + size}) outside pool of {self._size} B")
 
-    def _touch(self, index: int) -> None:
-        self._lines.move_to_end(index)
+    def _claim(self, pidx: int, page: Optional[Page], lo: int, hi: int,
+               claim: int, fetch: int, category: str, addr: int, size: int) -> Page:
+        """Make the absent lines ``claim`` (within lines ``lo..hi``) of page
+        ``pidx`` present, reading the subset ``fetch`` from the pool (the rest
+        is about to be fully overwritten).  ``[addr, addr+size)`` is the whole
+        access: it is validated here, before the first mutation, because an
+        access that finds all its lines present needs no check -- present
+        lines are always in range (an access that goes on into another page
+        is validated by its caller before it touches the first).
+        """
+        if addr < 0 or addr + size > self._size:
+            self._check(addr, size)
+        if page is None:
+            page = self._pages[pidx] = self._spare or Page()
+            self._spare = None
+        dst = page.data
+        end = (hi + 1) << 6
+        if len(dst) < end:
+            dst = page.reach(hi + 1)
+        if fetch:
+            src = self.pool._pages.get(pidx)
+            src = ZERO_PAGE if src is None else src.data
+            if len(src) < end:                  # beyond the pool page's written extent
+                src = src.ljust(PAGE_SIZE, b"\x00")
+            if fetch == SPAN[lo][hi]:
+                dst[lo << 6:end] = src[lo << 6:end]
+            else:
+                copy_lines(dst, src, fetch)
+            rd = self._rd
+            if rd is None:
+                rd = self._link_tables()[0]
+            rd[category] = rd.get(category, 0) + fetch.bit_count() * CACHE_LINE
+        page.present |= claim
+        if self._lru is not None:
+            # Bounded cache (``claim`` is one line): most recent; evict the excess.
+            lru = self._lru
+            lru[(pidx << 6) | (claim.bit_length() - 1)] = None
+            while len(lru) > self.capacity_lines:
+                victim, _ = lru.popitem(last=False)
+                old = self._pages[victim >> 6]
+                bit = BIT[victim & 63]
+                if old.dirty & bit:
+                    # A capacity eviction of a dirty line is a posted write
+                    # just like CLWB/CLFLUSHOPT: it must go through the
+                    # writeback hook so timing harnesses model its flight
+                    # time too.
+                    self._write_back(victim >> 6, old, victim & 63, victim & 63, bit,
+                                     "eviction")
+                self._forget(victim >> 6, old, bit)
+                self.stats.evictions += 1
+        return page
+
+    def _forget(self, pidx: int, page: Page, mask: int) -> None:
+        """Drop the present lines ``mask`` of ``page`` (no writeback)."""
+        page.present ^= mask
+        page.dirty &= ~mask
+        if not page.present:
+            del self._pages[pidx]
+            self._spare = page
+
+    def _write_back(self, pidx: int, page: Page, lo: int, hi: int, mask: int,
+                    category: str, posted: bool = True) -> None:
+        """Send the dirty lines ``mask`` (within lines ``lo..hi``) of ``page``
+        to the pool and mark them clean.  ``posted=False`` is a device
+        snooping data out inside the host -- not a posted CXL write, so
+        neither hook nor fault applies.
+        """
+        page.dirty ^= mask
+        if not posted or (self._wb_fault is None and self.writeback_hook is None):
+            # pool._page_for_write(pidx, mask), inlined: every CLWB of a ring
+            # line or a counter comes through here.
+            pool_pages = self.pool._pages
+            dst = pool_pages.get(pidx)
+            if dst is None:
+                dst = pool_pages[pidx] = Page()
+            dst.present |= mask
+            end = (hi + 1) << 6
+            dst = dst.data if len(dst.data) >= end else dst.reach(hi + 1)
+            if mask == SPAN[lo][hi]:
+                dst[lo << 6:end] = page.data[lo << 6:end]
+            else:
+                copy_lines(dst, page.data, mask)
+            wr = self._wr
+            if wr is None:
+                wr = self._link_tables()[1]
+            wr[category] = wr.get(category, 0) + mask.bit_count() * CACHE_LINE
+            return
+        # A hook or a fault sees one line at a time (and a fault can run out
+        # in the middle of a range).
+        data = page.data
+        for bit in range(lo, hi + 1):
+            if not mask & BIT[bit]:
+                continue
+            index = (pidx << 6) | bit
+            line = bytes(data[bit << 6:(bit + 1) << 6])
+            if self._wb_fault is not None and self._writeback_faulted(index, line, category):
+                continue
+            if self.writeback_hook is not None:
+                self.writeback_hook(index, line, category)
+            else:
+                self.pool.write_line(index, line)
+            wr = self._wr
+            if wr is None:
+                wr = self._link_tables()[1]
+            wr[category] = wr.get(category, 0) + CACHE_LINE
+
+    def _sweep(self, addr: int, size: int, category: Optional[str], drop: bool,
+               posted: bool = True, dropped_lines: Optional[list] = None
+               ) -> Tuple[int, int, int]:
+        """Visit the cached lines of ``[addr, addr+size)``: write the dirty
+        ones back under ``category`` (``None``: do not), then forget them all
+        if ``drop`` (appending their indices to ``dropped_lines``).  Returns
+        ``(lines spanned, written back, dropped)``.
+        """
+        if addr < 0 or addr + size > self._size:
+            self._check(addr, size)
+        pages = self._pages
+        spanned = written = dropped = 0
+        while size > 0:
+            off = addr & 4095                       # page-relative [off, stop)
+            stop = off + size
+            if stop > 4096:
+                stop = 4096
+            lo = off >> 6
+            hi = (stop - 1) >> 6
+            spanned += hi - lo + 1
+            page = pages.get(addr >> 12)
+            if page is not None:
+                mask = SPAN[lo][hi]
+                dirty = page.dirty & mask
+                if dirty and category is not None:
+                    self._write_back(addr >> 12, page, lo, hi, dirty, category, posted)
+                    written += dirty.bit_count()
+                hit = page.present & mask
+                if hit and drop:
+                    self._forget(addr >> 12, page, hit)
+                    dropped += hit.bit_count()
+                    if dropped_lines is not None or self._lru is not None:
+                        base = (addr >> 12) << 6
+                        for bit in mask_bits(hit):
+                            if dropped_lines is not None:
+                                dropped_lines.append(base | bit)
+                            if self._lru is not None:
+                                del self._lru[base | bit]
+            stop -= off
+            addr += stop
+            size -= stop
+        return spanned, written, dropped
 
     # -- inspection (free: used by assertions, not the datapath) -------------
 
     def contains(self, addr: int) -> bool:
-        return addr // CACHE_LINE in self._lines
+        page = self._pages.get(addr >> 12)
+        return page is not None and page.present & BIT[(addr & 4095) >> 6] != 0
 
     def is_dirty(self, addr: int) -> bool:
-        line = self._lines.get(addr // CACHE_LINE)
-        return bool(line and line.dirty)
+        page = self._pages.get(addr >> 12)
+        return page is not None and page.dirty & BIT[(addr & 4095) >> 6] != 0
 
     @property
     def cached_line_count(self) -> int:
-        return len(self._lines)
+        return sum(page.present.bit_count() for page in self._pages.values())
+
+    @property
+    def armed_writeback_faults(self) -> int:
+        """Injected writeback faults still waiting for a matching writeback."""
+        return 0 if self._wb_fault is None else self._wb_fault["count"]
 
     # -- CPU loads and stores -------------------------------------------------
 
@@ -169,228 +322,149 @@ class HostCache:
         Cached lines are served from the cache *even if stale* -- staleness is
         the caller's problem, exactly as on real non-coherent CXL 2.0.
         """
-        t = self.timings
-        index = addr // CACHE_LINE
-        offset = addr - index * CACHE_LINE
-        if offset + size <= CACHE_LINE:
-            # Fast path: the load is contained in one line.
-            line = self._lines.get(index)
-            stats = self.stats
-            if line is None:
-                # _fill, inlined (this is the hottest miss path in the sim).
-                pool = self.pool
-                if index < 0 or (index + 1) * CACHE_LINE > pool.size:
-                    raise MemoryFault(
-                        f"access [{index * CACHE_LINE}, {(index + 1) * CACHE_LINE}) "
-                        f"outside pool of {pool.size} B")
-                src = pool._lines.get(index)
-                line = _Line(bytearray(src) if src is not None else bytearray(CACHE_LINE))
-                self._lines[index] = line
-                if self._track_lru:
-                    self._evict_if_needed()
-                rd = self._rd
-                if rd is None:
-                    link_stats = pool.stats_for(self.host)
-                    self._rd = rd = link_stats.read_bytes
-                    self._wr = link_stats.write_bytes
-                rd[category] = rd.get(category, 0) + CACHE_LINE
-                stats.misses += 1
-                cost = 0.0 + t.cxl_load_ns
-            else:
-                if self._track_lru:
-                    self._lines.move_to_end(index)
-                stats.hits += 1
-                cost = 0.0 + t.cache_hit_ns
-            return bytes(line.data[offset:offset + size]), cost
-        out = bytearray(size)
-        cost = 0.0
-        pos = 0
-        first_miss = True
-        lines = self._lines
+        pages = self._pages
+        lru = self._lru
+        off = addr & 4095
+        if 0 < size <= 64 - (off & 63) and lru is None:
+            # Short cut for the commonest access of all, one inside a single
+            # line (ring slots, counters): the loop below computes the same
+            # thing in three times the steps (DESIGN §3h has the ledger rows).
+            page = pages.get(addr >> 12)
+            lo = off >> 6
+            if page is not None and page.present & BIT[lo]:
+                self.stats.hits += 1
+                return bytes(page.data[off:off + size]), self.timings.cache_hit_ns
+            page = self._claim(addr >> 12, page, lo, lo, BIT[lo], BIT[lo], category, addr, size)
+            self.stats.misses += 1
+            return bytes(page.data[off:off + size]), self.timings.cxl_load_ns
+        if lru is not None and size > 0:
+            self._check(addr, size)             # before any LRU reordering
+        out = b""
+        lines = misses = 0
+        pos = addr
+        left = size
+        while left > 0:
+            off = pos & 4095                        # page-relative [off, stop)
+            stop = off + left
+            if stop > 4096:
+                stop = 4096
+                self._check(addr, size)             # more pages follow: validate first
+            if lru is not None and stop > (off | 63) + 1:
+                stop = (off | 63) + 1               # bounded: a line at a time
+            lo = off >> 6
+            hi = (stop - 1) >> 6
+            mask = SPAN[lo][hi]
+            page = pages.get(pos >> 12)
+            if page is None or page.present & mask != mask:
+                need = mask if page is None else mask & ~page.present
+                page = self._claim(pos >> 12, page, lo, hi, need, need, category, addr, size)
+                misses += need.bit_count()
+            elif lru is not None:
+                lru.move_to_end(pos >> 6)
+            lines += hi - lo + 1
+            out += page.data[off:stop]
+            stop -= off
+            pos += stop
+            left -= stop
+        if not misses:
+            self.stats.hits += lines
+            return out, lines * self.timings.cache_hit_ns
         stats = self.stats
-        track = self._track_lru
-        while pos < size:
-            index = (addr + pos) // CACHE_LINE
-            offset = (addr + pos) - index * CACHE_LINE
-            take = CACHE_LINE - offset
-            rest = size - pos
-            if rest < take:
-                take = rest
-            line = lines.get(index)
-            if line is None:
-                line = self._fill(index, category)
-                stats.misses += 1
-                # A sequential multi-line load overlaps misses after the
-                # first (hardware prefetch + MLP): only the first pays the
-                # full load-to-use latency.
-                cost += t.cxl_load_ns if first_miss else t.cxl_stream_ns
-                first_miss = False
-            else:
-                if track:
-                    lines.move_to_end(index)
-                stats.hits += 1
-                cost += t.cache_hit_ns
-            out[pos:pos + take] = line.data[offset:offset + take]
-            pos += take
-        return bytes(out), cost
+        stats.hits += lines - misses
+        stats.misses += misses
+        t = self.timings
+        # A sequential multi-line load overlaps misses after the first
+        # (hardware prefetch + MLP): only the first pays the full load-to-use
+        # latency.
+        return out, ((lines - misses) * t.cache_hit_ns + t.cxl_load_ns
+                     + (misses - 1) * t.cxl_stream_ns)
 
     def store(self, addr: int, data: bytes, category: str = "payload") -> float:
         """CPU store (write-allocate).  Dirty data stays local until CLWB."""
-        t = self.timings
         size = len(data)
-        index = addr // CACHE_LINE
-        offset = addr - index * CACHE_LINE
-        if offset + size <= CACHE_LINE:
-            # Fast path: the store is contained in one line.
-            line = self._lines.get(index)
-            if line is None:
-                if offset == 0 and size == CACHE_LINE:
-                    # Full-line store: no read-for-ownership needed.
-                    line = _Line(bytearray(CACHE_LINE))
-                    self._lines[index] = line
-                    if self._track_lru:
-                        self._evict_if_needed()
-                    cost = 0.0
-                else:
-                    # _fill (read-for-ownership), inlined.
-                    pool = self.pool
-                    if index < 0 or (index + 1) * CACHE_LINE > pool.size:
-                        raise MemoryFault(
-                            f"access [{index * CACHE_LINE}, "
-                            f"{(index + 1) * CACHE_LINE}) "
-                            f"outside pool of {pool.size} B")
-                    src = pool._lines.get(index)
-                    line = _Line(bytearray(src) if src is not None
-                                 else bytearray(CACHE_LINE))
-                    self._lines[index] = line
-                    if self._track_lru:
-                        self._evict_if_needed()
-                    rd = self._rd
-                    if rd is None:
-                        link_stats = pool.stats_for(self.host)
-                        self._rd = rd = link_stats.read_bytes
-                        self._wr = link_stats.write_bytes
-                    rd[category] = rd.get(category, 0) + CACHE_LINE
-                    cost = 0.0 + t.cxl_load_ns
-            else:
-                if self._track_lru:
-                    self._lines.move_to_end(index)
-                cost = 0.0
-            line.data[offset:offset + size] = data
-            line.dirty = True
+        pages = self._pages
+        lru = self._lru
+        off = addr & 4095
+        if 0 < size <= 64 - (off & 63) and lru is None:
+            # The same short cut as in load(): a store inside a single line.
+            page = pages.get(addr >> 12)
+            lo = off >> 6
+            t = self.timings
+            cost = t.store_ns
+            if page is None or not page.present & BIT[lo]:
+                # Read-for-ownership unless the whole line is overwritten.
+                fetch = 0 if size == 64 else BIT[lo]
+                page = self._claim(addr >> 12, page, lo, lo, BIT[lo], fetch, category, addr, size)
+                if fetch:
+                    cost += t.cxl_load_ns
+            page.data[off:off + size] = data
+            page.dirty |= BIT[lo]
             self.stats.stores += 1
-            return cost + t.store_ns
-        cost = 0.0
-        pos = 0
-        first_miss = True
-        lines = self._lines
-        stats = self.stats
-        track = self._track_lru
-        while pos < size:
-            index = (addr + pos) // CACHE_LINE
-            offset = (addr + pos) - index * CACHE_LINE
-            take = CACHE_LINE - offset
-            rest = size - pos
-            if rest < take:
-                take = rest
-            line = lines.get(index)
-            if line is None:
-                if offset == 0 and take == CACHE_LINE:
-                    # Full-line store: no read-for-ownership needed.
-                    line = _Line(bytearray(CACHE_LINE))
-                    lines[index] = line
-                    if track:
-                        self._evict_if_needed()
-                else:
-                    line = self._fill(index, category)
-                    # RFO fetch; overlapped after the first miss (MLP).
-                    cost += t.cxl_load_ns if first_miss else t.cxl_stream_ns
-                    first_miss = False
-            else:
-                if track:
-                    lines.move_to_end(index)
-            line.data[offset:offset + take] = data[pos:pos + take]
-            line.dirty = True
-            cost += t.store_ns
-            stats.stores += 1
-            pos += take
-        return cost
+            return cost
+        if lru is not None and size > 0:
+            self._check(addr, size)             # before any LRU reordering
+        lines = fetched = 0
+        pos = addr
+        left = size
+        while left > 0:
+            off = pos & 4095                        # page-relative [off, stop)
+            stop = off + left
+            if stop > 4096:
+                stop = 4096
+                self._check(addr, size)             # more pages follow: validate first
+            if lru is not None and stop > (off | 63) + 1:
+                stop = (off | 63) + 1               # bounded: a line at a time
+            lo = off >> 6
+            hi = (stop - 1) >> 6
+            mask = SPAN[lo][hi]
+            page = pages.get(pos >> 12)
+            if page is None or page.present & mask != mask:
+                absent = mask if page is None else mask & ~page.present
+                # Read-for-ownership only where old bytes survive the store:
+                # a first or last line that is partially overwritten.
+                fetch = 0
+                if off & 63:
+                    fetch = absent & BIT[lo]
+                if stop & 63:
+                    fetch |= absent & BIT[hi]
+                page = self._claim(pos >> 12, page, lo, hi, absent, fetch, category, addr, size)
+                fetched += fetch.bit_count()
+            elif lru is not None:
+                lru.move_to_end(pos >> 6)
+            lines += hi - lo + 1
+            stop -= off
+            page.data[off:off + stop] = (
+                data if stop == size else data[size - left:size - left + stop])
+            page.dirty |= mask
+            pos += stop
+            left -= stop
+        self.stats.stores += lines
+        t = self.timings
+        if not fetched:
+            return lines * t.store_ns
+        # RFO fetches overlap after the first miss (MLP), like loads.
+        return lines * t.store_ns + t.cxl_load_ns + (fetched - 1) * t.cxl_stream_ns
 
     # -- explicit coherence operations ----------------------------------------
 
     def clwb(self, addr: int, category: str = "payload") -> float:
         """Write back the line containing ``addr`` (kept cached, clean)."""
-        index = addr // CACHE_LINE
-        line = self._lines.get(index)
-        if line is None or not line.dirty:
-            return self.timings.clflush_issue_ns
-        # _write_back, inlined: every visible channel message pays one of
-        # these, so the common hook-free, fault-free case stays flat.
-        if self._wb_fault is not None and self._writeback_faulted(index, line, category):
-            line.dirty = False
-            self.stats.writebacks += 1
-            return self.timings.clwb_ns
-        hook = self.writeback_hook
-        if hook is not None:
-            hook(index, bytes(line.data), category)
-        else:
-            pool = self.pool
-            if index < 0 or (index + 1) * CACHE_LINE > pool.size:
-                raise MemoryFault(
-                    f"access [{index * CACHE_LINE}, {(index + 1) * CACHE_LINE}) "
-                    f"outside pool of {pool.size} B")
-            pool._lines[index] = bytearray(line.data)
-        wr = self._wr
-        if wr is None:
-            link_stats = self.pool.stats_for(self.host)
-            self._rd = link_stats.read_bytes
-            self._wr = wr = link_stats.write_bytes
-        wr[category] = wr.get(category, 0) + CACHE_LINE
-        line.dirty = False
-        self.stats.writebacks += 1
-        return self.timings.clwb_ns
+        page = self._pages.get(addr >> 12)
+        if page is not None:
+            lo = (addr & 4095) >> 6
+            if page.dirty & BIT[lo]:
+                self._write_back(addr >> 12, page, lo, lo, BIT[lo], category)
+                self.stats.writebacks += 1
+                return self.timings.clwb_ns
+        if addr < 0 or addr >= self._size:      # (a cached line is always in range)
+            self._check(addr, 1)
+        return self.timings.clflush_issue_ns
 
     def clwb_range(self, addr: int, size: int, category: str = "payload") -> float:
-        if size > 0 and addr >= 0 and \
-                addr // CACHE_LINE == (addr + size - 1) // CACHE_LINE:
-            # Single-line range (counters, 16/64 B messages): skip the loop.
-            return self.clwb(addr, category)
-        if self._wb_fault is not None or self.writeback_hook is not None:
-            cost = 0.0
-            for i in lines_spanned(addr, size):
-                cost += self.clwb(i * CACHE_LINE, category)
-            return cost
-        # Hook-free fast path: clwb() inlined per spanned line (every TX
-        # payload writeback walks this loop).
+        spanned, written, _ = self._sweep(addr, size, category, drop=False)
+        self.stats.writebacks += written
         t = self.timings
-        clwb_ns = t.clwb_ns
-        issue_ns = t.clflush_issue_ns
-        lines = self._lines
-        pool = self.pool
-        pool_size = pool.size
-        pool_lines = pool._lines
-        stats = self.stats
-        wr = self._wr
-        cost = 0.0
-        for i in lines_spanned(addr, size):
-            line = lines.get(i)
-            if line is None or not line.dirty:
-                cost += issue_ns
-                continue
-            if i < 0 or (i + 1) * CACHE_LINE > pool_size:
-                raise MemoryFault(
-                    f"access [{i * CACHE_LINE}, {(i + 1) * CACHE_LINE}) "
-                    f"outside pool of {pool_size} B")
-            pool_lines[i] = bytearray(line.data)
-            if wr is None:
-                link_stats = pool.stats_for(self.host)
-                self._rd = link_stats.read_bytes
-                self._wr = wr = link_stats.write_bytes
-            wr[category] = wr.get(category, 0) + CACHE_LINE
-            line.dirty = False
-            stats.writebacks += 1
-            cost += clwb_ns
-        return cost
+        return written * t.clwb_ns + (spanned - written) * t.clflush_issue_ns
 
     def clflush(self, addr: int, fenced: bool = False, category: str = "payload") -> float:
         """CLFLUSHOPT: write back if dirty, then drop the line.
@@ -399,16 +473,49 @@ class HostCache:
         (serialising, ~5x the cost of a background flush) -- the difference
         that separates the Figure 6 baseline from the Oasis design.
         """
+        page = self._pages.get(addr >> 12)
+        lo = (addr & 4095) >> 6
+        bit = BIT[lo]
+        if page is not None and page.present & bit:
+            if page.dirty & bit:
+                self._write_back(addr >> 12, page, lo, lo, bit, category)
+                self.stats.writebacks += 1
+            page.present ^= bit                 # _forget, inlined
+            if not page.present:
+                del self._pages[addr >> 12]
+                self._spare = page
+            if self._lru is not None:
+                del self._lru[addr >> 6]
+            self.stats.invalidations += 1
+        elif addr < 0 or addr >= self._size:    # (a cached line is always in range)
+            self._check(addr, 1)
         t = self.timings
-        index = addr // CACHE_LINE
-        line = self._lines.pop(index, None)
-        if line is not None:
-            stats = self.stats
-            if line.dirty:
-                self._write_back(index, line, category)
-                stats.writebacks += 1
-            stats.invalidations += 1
         return t.clflush_ns if fenced else t.clflush_issue_ns
+
+    def clflush_range(self, addr: int, size: int, fenced: bool = False,
+                      category: str = "payload") -> float:
+        spanned, written, dropped = self._sweep(addr, size, category, drop=True)
+        stats = self.stats
+        stats.writebacks += written
+        stats.invalidations += dropped
+        t = self.timings
+        return spanned * (t.clflush_ns if fenced else t.clflush_issue_ns)
+
+    def clflush_cached(self, addr: int, size: int,
+                       category: str = "payload") -> Tuple[list, float]:
+        """Unfenced CLFLUSHOPT of exactly the cached lines in the range.
+
+        For a caller that tracks what it brought in (a receiver's prefetch
+        window) and so issues no flush for the lines it knows are absent:
+        those cost nothing.  Returns ``(dropped line indices, cost_ns)``.
+        """
+        lines: list = []
+        _, written, dropped = self._sweep(addr, size, category, drop=True,
+                                          dropped_lines=lines)
+        stats = self.stats
+        stats.writebacks += written
+        stats.invalidations += dropped
+        return lines, dropped * self.timings.clflush_issue_ns
 
     def inject_writeback_fault(self, count: int = 1, mode: str = "drop",
                                category: Optional[str] = "payload",
@@ -429,10 +536,8 @@ class HostCache:
         self._wb_fault = {"count": int(count), "mode": mode,
                           "category": category, "on_fault": on_fault}
 
-    def _writeback_faulted(self, index: int, line: "_Line", category: str) -> bool:
+    def _writeback_faulted(self, index: int, line: bytes, category: str) -> bool:
         fault = self._wb_fault
-        if fault is None:
-            return False
         if fault["category"] is not None and fault["category"] != category:
             return False
         fault["count"] -= 1
@@ -445,68 +550,10 @@ class HostCache:
             return True
         # Partial: the first half of the line lands, the tail is torn off.
         half = CACHE_LINE // 2
-        merged = bytes(line.data[:half]) + self.pool.read_line(index)[half:]
-        self.pool.write_line(index, merged)
+        self.pool.write_line(index, line[:half] + self.pool.read_line(index)[half:])
         self._account(True, category, CACHE_LINE)
         self.stats.writebacks_partial += 1
         return True
-
-    def _write_back(self, index: int, line: "_Line", category: str) -> None:
-        if self._wb_fault is not None and self._writeback_faulted(index, line, category):
-            return
-        hook = self.writeback_hook
-        if hook is not None:
-            hook(index, bytes(line.data), category)
-        else:
-            pool = self.pool
-            if index < 0 or (index + 1) * CACHE_LINE > pool.size:
-                raise MemoryFault(
-                    f"access [{index * CACHE_LINE}, {(index + 1) * CACHE_LINE}) "
-                    f"outside pool of {pool.size} B")
-            pool._lines[index] = bytearray(line.data)
-        self._account(True, category, CACHE_LINE)
-
-    def clflush_range(self, addr: int, size: int, fenced: bool = False,
-                      category: str = "payload") -> float:
-        if size > 0 and addr >= 0 and \
-                addr // CACHE_LINE == (addr + size - 1) // CACHE_LINE:
-            # Single-line range: skip the loop.
-            return self.clflush(addr, fenced, category)
-        if self._wb_fault is not None or self.writeback_hook is not None:
-            cost = 0.0
-            for i in lines_spanned(addr, size):
-                cost += self.clflush(i * CACHE_LINE, fenced, category)
-            return cost
-        # Hook-free fast path: clflush() inlined per spanned line (every RX
-        # buffer invalidation walks this loop).
-        t = self.timings
-        per_line_ns = t.clflush_ns if fenced else t.clflush_issue_ns
-        lines = self._lines
-        pool = self.pool
-        pool_size = pool.size
-        pool_lines = pool._lines
-        stats = self.stats
-        wr = self._wr
-        cost = 0.0
-        for i in lines_spanned(addr, size):
-            line = lines.pop(i, None)
-            if line is not None:
-                if line.dirty:
-                    # _write_back, inlined (hook-free, fault-free).
-                    if i < 0 or (i + 1) * CACHE_LINE > pool_size:
-                        raise MemoryFault(
-                            f"access [{i * CACHE_LINE}, {(i + 1) * CACHE_LINE})"
-                            f" outside pool of {pool_size} B")
-                    pool_lines[i] = bytearray(line.data)
-                    if wr is None:
-                        link_stats = pool.stats_for(self.host)
-                        self._rd = link_stats.read_bytes
-                        self._wr = wr = link_stats.write_bytes
-                    wr[category] = wr.get(category, 0) + CACHE_LINE
-                    stats.writebacks += 1
-                stats.invalidations += 1
-            cost += per_line_ns
-        return cost
 
     def mfence(self) -> float:
         self.stats.fences += 1
@@ -519,38 +566,76 @@ class HostCache:
         hardware -- including when the cached copy is stale.  This no-op is
         the root cause dissected in §3.2.2.
         """
-        index = addr // CACHE_LINE
-        if index in self._lines:
-            self.stats.prefetches_ignored += 1
-            return False, self.timings.prefetch_issue_ns
-        self._fill(index, category)
-        self.stats.prefetches_issued += 1
-        return True, self.timings.prefetch_issue_ns
+        issued, cost = self.prefetch_range(addr, 1, category)
+        return bool(issued), cost
+
+    def prefetch_range(self, addr: int, size: int,
+                       category: str = "message") -> Tuple[list, float]:
+        """One PREFETCHT0 per line of the range.  Returns ``(indices of the
+        lines actually fetched, cost_ns)``; the rest were already cached."""
+        pages = self._pages
+        lru = self._lru
+        off = addr & 4095
+        if 0 < size <= 64 - (off & 63) and lru is None:
+            # One line (the streaming receiver's usual request): short cut.
+            page = pages.get(addr >> 12)
+            lo = off >> 6
+            if page is not None and page.present & BIT[lo]:
+                self.stats.prefetches_ignored += 1
+                return [], self.timings.prefetch_issue_ns
+            self._claim(addr >> 12, page, lo, lo, BIT[lo], BIT[lo], category, addr, size)
+            self.stats.prefetches_issued += 1
+            return [addr >> 6], self.timings.prefetch_issue_ns
+        issued: list = []
+        lines = 0
+        pos = addr
+        left = size
+        while left > 0:
+            off = pos & 4095                        # page-relative [off, stop)
+            stop = off + left
+            if stop > 4096:
+                stop = 4096
+                self._check(addr, size)             # more pages follow: validate first
+            if lru is not None and stop > (off | 63) + 1:
+                stop = (off | 63) + 1               # bounded: a line at a time
+            lo = off >> 6
+            hi = (stop - 1) >> 6
+            mask = SPAN[lo][hi]
+            page = pages.get(pos >> 12)
+            need = mask if page is None else mask & ~page.present
+            if need:
+                self._claim(pos >> 12, page, lo, hi, need, need, category, addr, size)
+                base = (pos >> 12) << 6
+                if need == mask:
+                    issued += range(base | lo, (base | hi) + 1)
+                else:
+                    issued += [base | bit for bit in mask_bits(need)]
+            lines += hi - lo + 1
+            stop -= off
+            pos += stop
+            left -= stop
+        stats = self.stats
+        stats.prefetches_issued += len(issued)
+        stats.prefetches_ignored += lines - len(issued)
+        return issued, lines * self.timings.prefetch_issue_ns
 
     def drop_all(self) -> None:
         """Invalidate the entire cache without writing anything back."""
-        self._lines.clear()
+        self._pages.clear()
+        self._spare = None
+        if self._lru is not None:
+            self._lru.clear()
 
     # -- intra-host DMA snooping ------------------------------------------------
 
     def snoop_dma_write(self, addr: int, size: int) -> float:
         """Called when a *local* device DMA-writes: invalidate our copies."""
-        cost = 0.0
-        for index in lines_spanned(addr, size):
-            if self._lines.pop(index, None) is not None:
-                self.stats.dma_write_snoop_hits += 1
-                cost += self.timings.clflush_issue_ns
-        return cost
+        _, _, dropped = self._sweep(addr, size, None, drop=True)
+        self.stats.dma_write_snoop_hits += dropped
+        return dropped * self.timings.clflush_issue_ns
 
     def snoop_dma_read(self, addr: int, size: int) -> float:
         """Called when a *local* device DMA-reads: flush our dirty data."""
-        cost = 0.0
-        for index in lines_spanned(addr, size):
-            line = self._lines.get(index)
-            if line is not None and line.dirty:
-                self.pool.write_line(index, bytes(line.data))
-                self._account(True, "snoop", CACHE_LINE)
-                line.dirty = False
-                self.stats.dma_read_snoop_hits += 1
-                cost += self.timings.clwb_ns
-        return cost
+        _, written, _ = self._sweep(addr, size, "snoop", drop=False, posted=False)
+        self.stats.dma_read_snoop_hits += written
+        return written * self.timings.clwb_ns

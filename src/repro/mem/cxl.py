@@ -6,10 +6,12 @@ The pool is a flat, byte-addressable store shared by every host in the pod
 *not* cache-coherent across hosts), while PCIe devices DMA straight to the
 pool through :meth:`CXLMemoryPool.dma_read` / :meth:`dma_write`.
 
-Storage is sparse (a dict of 64 B lines), so a 256 GB pool costs memory only
-for the lines actually written.  Every transfer is accounted per host link and
-per *category* ("payload", "message", "counter", ...), which is what
-regenerates Table 3's bandwidth breakdown.
+Storage is sparse and page-granular: a dict of 4 KiB ``bytearray`` pages, each
+with a 64-bit mask of the lines ever written, so a 256 GB pool costs memory
+only for the pages actually touched and a 4 KiB buffer moves as one slice copy
+(DESIGN §3h).  Every transfer is accounted per host link and per
+*category* ("payload", "message", "counter", ...), which is what regenerates
+Table 3's bandwidth breakdown.
 """
 
 from __future__ import annotations
@@ -21,6 +23,66 @@ from ..config import CACHE_LINE, CXLConfig
 from ..errors import MemoryFault
 
 __all__ = ["CXLMemoryPool", "LinkStats", "line_index", "line_base", "lines_spanned"]
+
+# One page is 64 lines, so per-page line state fits one 64-bit mask word.  The
+# loops here and in cache.py spell that geometry as literals: a byte offset
+# ``>> 6`` is a line number, ``>> 12`` a page number, ``& 4095`` page-relative.
+PAGE_SIZE = 4096
+ZERO_PAGE = bytes(PAGE_SIZE)
+assert CACHE_LINE == 64
+
+
+# Masks are looked up, not shifted into being: a 64-bit shift allocates a fresh
+# multi-digit int on every access.  SPAN[lo][hi] selects lines lo..hi of a
+# page, BIT[lo] line lo alone, _BELOW[n] lines 0..n-1.
+SPAN = tuple(tuple((2 << hi) - (1 << lo) if hi >= lo else 0 for hi in range(64))
+             for lo in range(64))
+BIT = tuple(1 << lo for lo in range(64))
+_BELOW = tuple((1 << n) - 1 for n in range(65))
+
+
+def mask_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def copy_lines(dst: bytearray, src, mask: int) -> None:
+    """Copy the 64 B lines selected by ``mask`` from page ``src`` to page
+    ``dst``: one slice per contiguous run.  (Callers that know ``mask`` is the
+    single run ``SPAN[lo][hi]`` copy that slice themselves.)"""
+    while mask:
+        top = mask.bit_length()                         # the run is [low, top)
+        low = (mask ^ _BELOW[top]).bit_length()
+        dst[low << 6:top << 6] = src[low << 6:top << 6]
+        mask &= _BELOW[low]
+
+
+class Page:
+    """One touched 4 KiB page: its bytes and two 64-bit line masks.
+
+    In a host cache ``present`` marks the cached lines and ``dirty`` (always
+    a subset) those not yet written back; bytes of absent lines are garbage.
+    In the pool ``present`` marks the lines ever written and ``dirty`` stays
+    zero.  ``data`` reaches only as far as the highest line ever held (in the
+    pool the rest of the page reads as zeros): rings of 2 KiB packet buffers
+    holding 256 B frames, and counters alone on their page, would otherwise
+    be mostly resident padding.
+    """
+
+    __slots__ = ("data", "present", "dirty")
+
+    def __init__(self):
+        self.data = bytearray()
+        self.present = 0
+        self.dirty = 0
+
+    def reach(self, lines: int) -> bytearray:
+        """``data``, extended with zeros to hold ``lines`` lines."""
+        self.data.extend(bytes((lines << 6) - len(self.data)))
+        return self.data
 
 
 def line_index(addr: int) -> int:
@@ -95,9 +157,10 @@ class CXLMemoryPool:
     def __init__(self, config: Optional[CXLConfig] = None, size: Optional[int] = None):
         self.config = config or CXLConfig()
         self.size = size if size is not None else self.config.pool_bytes
-        if self.size <= 0:
-            raise MemoryFault("pool size must be positive")
-        self._lines: Dict[int, bytearray] = {}
+        if self.size <= 0 or self.size % CACHE_LINE:
+            raise MemoryFault(
+                f"pool size must be a positive multiple of {CACHE_LINE} B, got {self.size}")
+        self._pages: Dict[int, Page] = {}
         self.link_stats: Dict[str, LinkStats] = {}
         self.timings = self.config.timings
         # Fault injection (repro.faults): per-host-link bandwidth derate and
@@ -129,23 +192,39 @@ class CXLMemoryPool:
         if addr < 0 or size < 0 or addr + size > self.size:
             raise MemoryFault(f"access [{addr}, {addr + size}) outside pool of {self.size} B")
 
+    def _page_for_write(self, pidx: int, mask: int) -> bytearray:
+        """Bytes of page ``pidx``, materialised, with the lines ``mask`` marked written."""
+        page = self._pages.get(pidx)
+        if page is None:
+            page = self._pages[pidx] = Page()
+        page.present |= mask
+        lines = mask.bit_length()
+        return page.data if len(page.data) >= lines << 6 else page.reach(lines)
+
     def read_line(self, index: int) -> bytes:
         """Return the 64 B line at ``index`` (zeros if never written)."""
-        if index < 0 or (index + 1) * CACHE_LINE > self.size:
-            raise MemoryFault(
-                f"access [{index * CACHE_LINE}, {(index + 1) * CACHE_LINE}) "
-                f"outside pool of {self.size} B")
-        data = self._lines.get(index)
-        return bytes(data) if data is not None else bytes(CACHE_LINE)
+        self._check(index * CACHE_LINE, CACHE_LINE)
+        page = self._pages.get(index >> 6)
+        if page is None:
+            return bytes(CACHE_LINE)
+        offset = (index & 63) << 6
+        return bytes(page.data[offset:offset + CACHE_LINE]).ljust(CACHE_LINE, b"\x00")
 
     def write_line(self, index: int, data: bytes) -> None:
-        if index < 0 or (index + 1) * CACHE_LINE > self.size:
-            raise MemoryFault(
-                f"access [{index * CACHE_LINE}, {(index + 1) * CACHE_LINE}) "
-                f"outside pool of {self.size} B")
+        if index < 0 or (index + 1) << 6 > self.size:
+            self._check(index * CACHE_LINE, CACHE_LINE)
         if len(data) != CACHE_LINE:
             raise MemoryFault(f"line write must be {CACHE_LINE} B, got {len(data)}")
-        self._lines[index] = bytearray(data)
+        # _page_for_write, inlined: the Figure 6 microbench lands every posted
+        # write through here, one call per line.
+        page = self._pages.get(index >> 6)
+        if page is None:
+            page = self._pages[index >> 6] = Page()
+        page.present |= BIT[index & 63]
+        offset = (index & 63) << 6
+        if len(page.data) < offset + CACHE_LINE:
+            page.reach((index & 63) + 1)
+        page.data[offset:offset + CACHE_LINE] = data
 
     # -- device (DMA) access: bypasses CPU caches ----------------------------
 
@@ -158,27 +237,23 @@ class CXLMemoryPool:
         declared wire size when padding bytes are not physically stored).
         """
         self._check(addr, size)
-        out = bytearray(size)
-        lines = self._lines
-        pos = 0
-        while pos < size:
-            cursor = addr + pos
-            index = cursor >> 6
-            offset = cursor & 63
-            take = CACHE_LINE - offset
-            rest = size - pos
-            if rest < take:
-                take = rest
-            line = lines.get(index)
-            if line is not None:
-                out[pos:pos + take] = line[offset:offset + take]
-            pos += take
-        nbytes = account_bytes if account_bytes is not None else (
-            0 if size <= 0 else
-            ((addr + size - 1) // CACHE_LINE - addr // CACHE_LINE + 1) * CACHE_LINE
-        )
-        self._account(host, "read", category, nbytes)
-        return bytes(out)
+        chunks = []
+        pos = addr
+        left = size
+        while left > 0:
+            off = pos & 4095                        # page-relative [off, stop)
+            stop = min(off + left, PAGE_SIZE)
+            page = self._pages.get(pos >> 12)
+            chunk = b"" if page is None else page.data[off:stop]
+            chunks.append(chunk)
+            if len(chunk) < stop - off:             # beyond the written extent
+                chunks.append(bytes(stop - off - len(chunk)))
+            pos += stop - off
+            left -= stop - off
+        self._account(host, "read", category,
+                      account_bytes if account_bytes is not None
+                      else len(lines_spanned(addr, size)) * CACHE_LINE)
+        return b"".join(chunks)
 
     def dma_write(self, addr: int, data: bytes, host: Optional[str] = None,
                   category: str = "payload",
@@ -186,27 +261,18 @@ class CXLMemoryPool:
         """Device write straight to the pool (no CPU cache involvement)."""
         size = len(data)
         self._check(addr, size)
-        lines = self._lines
-        pos = 0
-        while pos < size:
-            cursor = addr + pos
-            index = cursor >> 6
-            offset = cursor & 63
-            take = CACHE_LINE - offset
-            rest = size - pos
-            if rest < take:
-                take = rest
-            line = lines.get(index)
-            if line is None:
-                line = bytearray(CACHE_LINE)
-                lines[index] = line
-            line[offset:offset + take] = data[pos:pos + take]
-            pos += take
-        nbytes = account_bytes if account_bytes is not None else (
-            0 if size <= 0 else
-            ((addr + size - 1) // CACHE_LINE - addr // CACHE_LINE + 1) * CACHE_LINE
-        )
-        self._account(host, "write", category, nbytes)
+        pos = addr
+        left = size
+        while left > 0:
+            off = pos & 4095                        # page-relative [off, stop)
+            stop = min(off + left, PAGE_SIZE)
+            self._page_for_write(pos >> 12, SPAN[off >> 6][(stop - 1) >> 6])[off:stop] = (
+                data if stop - off == size else data[size - left:size - left + stop - off])
+            pos += stop - off
+            left -= stop - off
+        self._account(host, "write", category,
+                      account_bytes if account_bytes is not None
+                      else len(lines_spanned(addr, size)) * CACHE_LINE)
 
     # -- transfer timing -----------------------------------------------------
 
@@ -239,5 +305,7 @@ class CXLMemoryPool:
 
     def touched_lines(self) -> Iterator[Tuple[int, bytes]]:
         """All lines ever written, for debugging/verification."""
-        for index in sorted(self._lines):
-            yield index, bytes(self._lines[index])
+        for pidx in sorted(self._pages):
+            page = self._pages[pidx]
+            for bit in mask_bits(page.present):
+                yield (pidx << 6) | bit, bytes(page.data[bit << 6:(bit + 1) << 6])

@@ -251,9 +251,7 @@ class TestControlPlaneChaos:
         # echo frames -- budget for them instead of hiding them.
         armed = pod.switch._drop_next
         for host in hosts:
-            fault = host.shared.cache._wb_fault
-            if fault is not None:
-                armed += fault["count"]
+            armed += host.shared.cache.armed_writeback_faults
         echo.start(0.05)
         pod.run(0.1)
         assert echo.stats.received >= 0.9 * echo.stats.sent - armed

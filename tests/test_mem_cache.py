@@ -7,8 +7,10 @@ cached lines, and intra-host DMA snooping.
 
 import pytest
 
-from repro.config import CACHE_LINE
+from repro.config import CACHE_LINE, CXLConfig
+from repro.errors import MemoryFault
 from repro.mem.cache import HostCache
+from repro.mem.cxl import CXLMemoryPool
 
 
 class TestBasics:
@@ -254,3 +256,189 @@ class TestDmaSnoop:
         a, _ = cache_pair
         assert a.snoop_dma_read(0, 64) == 0.0
         assert a.snoop_dma_write(0, 64) == 0.0
+
+
+def _snapshot(cache, pool):
+    return (cache.cached_line_count, vars(cache.stats).copy(),
+            {h: (dict(s.read_bytes), dict(s.write_bytes))
+             for h, s in pool.link_stats.items()},
+            list(pool.touched_lines()))
+
+
+class TestBoundsCheckedUpFront:
+    """PR 15: every path validates ``[addr, addr+size)`` before it mutates.
+
+    At the parent the full-line no-RFO store never checked bounds (the fault
+    only appeared at a later CLWB, and a load of the bogus line then *hit*),
+    and an out-of-range multi-line load filled its in-range lines first.
+    """
+
+    @pytest.mark.parametrize("addr", [-64, -1, 1 << 20, (1 << 20) - 32])
+    def test_out_of_range_full_line_store_faults(self, cache_pair, small_pool, addr):
+        a, _ = cache_pair
+        before = _snapshot(a, small_pool)
+        with pytest.raises(MemoryFault):
+            a.store(addr, bytes(CACHE_LINE))
+        assert _snapshot(a, small_pool) == before
+        assert not a.contains(addr)
+
+    def test_out_of_range_load_fills_nothing(self, cache_pair, small_pool):
+        a, _ = cache_pair
+        before = _snapshot(a, small_pool)
+        with pytest.raises(MemoryFault):
+            a.load(small_pool.size - 128, 256)      # two lines in, two out
+        assert _snapshot(a, small_pool) == before
+
+    def test_page_crossing_store_past_the_end_writes_nothing(self, small_pool):
+        # The first page is fully cached, so nothing in it needs claiming --
+        # the access must still be rejected before the first byte lands.
+        pool = CXLMemoryPool(CXLConfig(), size=8192)
+        cache = HostCache(pool, "h")
+        cache.load(4096, 4096)
+        before = _snapshot(cache, pool)
+        with pytest.raises(MemoryFault):
+            cache.store(8000, b"x" * 400)
+        assert _snapshot(cache, pool) == before
+        assert not cache.is_dirty(8000)
+
+    @pytest.mark.parametrize("op", [
+        lambda c: c.clwb(-64), lambda c: c.clflush(1 << 20),
+        lambda c: c.clwb_range(-1, 10), lambda c: c.clflush_range((1 << 20) - 64, 128),
+        lambda c: c.prefetch(-1), lambda c: c.snoop_dma_write((1 << 20) - 8, 16),
+        lambda c: c.snoop_dma_read(-8, 16), lambda c: c.clflush_cached(-64, 128)])
+    def test_every_operation_rejects_out_of_range(self, cache_pair, op):
+        a, _ = cache_pair
+        with pytest.raises(MemoryFault):
+            op(a)
+
+    def test_pool_size_must_be_whole_lines(self):
+        with pytest.raises(MemoryFault):
+            CXLMemoryPool(CXLConfig(), size=1000)
+
+
+class TestZeroLengthIsFree:
+    """PR 15: at the parent ``load(a, 0)`` filled a line, counted a miss and
+    charged 250 ns; ``store(a, b"")`` did an RFO and dirtied the line."""
+
+    def test_zero_length_load(self, cache_pair, small_pool):
+        a, _ = cache_pair
+        before = _snapshot(a, small_pool)
+        assert a.load(128, 0) == (b"", 0.0)
+        assert _snapshot(a, small_pool) == before
+
+    def test_zero_length_store(self, cache_pair, small_pool):
+        a, _ = cache_pair
+        before = _snapshot(a, small_pool)
+        assert a.store(130, b"") == 0.0
+        assert _snapshot(a, small_pool) == before
+        assert not a.contains(130)
+
+
+class TestEvictionAccounting:
+    def test_dirty_eviction_is_not_a_software_writeback(self, small_pool):
+        """``stats.writebacks`` counts CLWB/CLFLUSHOPT of dirty lines only; a
+        dirty capacity eviction shows as ``evictions`` plus ``"eviction"``
+        link bytes (see the ``CacheStats`` docstring)."""
+        cache = HostCache(small_pool, "h", capacity_lines=1)
+        cache.store(0, b"a" * 64)
+        cache.store(64, b"b" * 64)               # evicts dirty line 0
+        cache.load(128, 1)                       # evicts dirty line 1
+        assert cache.stats.evictions == 2
+        assert cache.stats.writebacks == 0
+        assert small_pool.stats_for("h").write_bytes == {"eviction": 128}
+        cache.clflush(128)                       # clean: still no writeback
+        cache.store(128, b"c")
+        cache.clwb(128)
+        assert cache.stats.writebacks == 1
+
+    def test_capacity_must_be_positive(self, small_pool):
+        with pytest.raises(ValueError):
+            HostCache(small_pool, "h", capacity_lines=0)
+
+
+class TestPageLayoutEdges:
+    """Ranges that cross the seams of the page/bitmask layout (DESIGN §3h)."""
+
+    def test_partial_first_and_last_lines_pay_rfo(self, cache_pair, small_pool):
+        a, _ = cache_pair
+        small_pool.dma_write(4000, b"\x11" * 400)
+        # [4090, 4300): partial line 63 of page 0, lines 0-2 of page 1 whole,
+        # partial line 3 of page 1.  Exactly the two partial lines are fetched.
+        t = a.timings
+        cost = a.store(4090, b"\x22" * 210)
+        assert cost == 5 * t.store_ns + t.cxl_load_ns + t.cxl_stream_ns
+        assert small_pool.stats_for("hostA").read_bytes == {"payload": 2 * CACHE_LINE}
+        assert a.stats.stores == 5 and a.stats.misses == 0
+        data, _ = a.load(4032, 320)
+        assert data == (b"\x11" * 58 + b"\x22" * 210 + b"\x11" * 52)
+
+    def test_clwb_range_publishes_across_a_page_boundary(self, cache_pair, small_pool):
+        a, _ = cache_pair
+        a.store(4000, bytes(range(200)))
+        t = a.timings
+        # Lines 62, 63 | 0, 1 are dirty; the range also spans clean line 2.
+        assert a.clwb_range(4000, 330) == 4 * t.clwb_ns + 2 * t.clflush_issue_ns
+        assert small_pool.dma_read(4000, 200) == bytes(range(200))
+        assert a.stats.writebacks == 4
+
+    def test_partial_writeback_fault_in_the_middle_of_a_range(self, cache_pair, small_pool):
+        a, _ = cache_pair
+        small_pool.dma_write(0, b"\xEE" * 512)
+        a.store(0, b"\x55" * 512)
+        a.clwb(0)                                   # line 0 lands whole
+        seen = []
+        a.inject_writeback_fault(count=2, mode="partial",
+                                 on_fault=lambda i, c, m: seen.append((i, m)))
+        a.clwb_range(64, 448)                       # lines 1..7; 1 and 2 are torn
+        assert seen == [(1, "partial"), (2, "partial")]
+        assert a.armed_writeback_faults == 0
+        torn = b"\x55" * 32 + b"\xEE" * 32
+        assert small_pool.dma_read(0, 512) == b"\x55" * 64 + torn * 2 + b"\x55" * 320
+        assert a.stats.writebacks == 8 and a.stats.writebacks_partial == 2
+        assert not any(a.is_dirty(i * 64) for i in range(8))
+        assert small_pool.stats_for("hostA").write_bytes == {"payload": 512}
+
+    def test_clflush_cached_charges_only_cached_lines(self, cache_pair):
+        a, _ = cache_pair
+        a.load(64, 1)
+        a.load(4096, 1)
+        dropped, cost = a.clflush_cached(0, 8192)
+        assert dropped == [1, 64]
+        assert cost == 2 * a.timings.clflush_issue_ns
+        assert a.cached_line_count == 0 and a.stats.invalidations == 2
+
+    def test_prefetch_range_skips_cached_lines(self, cache_pair, small_pool):
+        _, b = cache_pair
+        b.load(4096, 1)
+        issued, cost = b.prefetch_range(4032, 192)  # lines 63 | 0 (cached), 1
+        assert issued == [63, 65]
+        assert cost == 3 * b.timings.prefetch_issue_ns
+        assert b.stats.prefetches_issued == 2 and b.stats.prefetches_ignored == 1
+
+    def test_read_buffer_recycled_from_a_dirty_write_buffer(self, cache_pair, small_pool):
+        """The storage frontend's invalidate-before-read (§3.2.1), byte for
+        byte: the region still holds a previous write's lines -- some written
+        back, some still dirty -- when a device on another host DMA-writes it."""
+        a, _ = cache_pair
+        old = bytes((3 * i) & 0xFF for i in range(4096))
+        a.store(8192 - 2048, old)                  # straddles pages 1 and 2
+        a.clwb_range(8192 - 2048, 1024)            # first quarter published
+        device = bytes((5 * i + 1) & 0xFF for i in range(4096))
+
+        # Without the invalidation the instance would read its own stale bytes.
+        small_pool.dma_write(8192 - 2048, device)
+        assert a.load(8192 - 2048, 4096)[0] == old
+
+        # The real sequence: recycle -> invalidate -> device writes -> read.
+        cost = a.clflush_range(8192 - 2048, 4096)
+        assert cost == 64 * a.timings.clflush_issue_ns
+        assert a.stats.invalidations == 64
+        assert a.stats.writebacks == 16 + 48       # CLWB'd quarter + flushed dirty rest
+        # Only the still-dirty three quarters are written back over the device's
+        # bytes; the clean quarter is dropped without touching the pool.
+        assert small_pool.dma_read(8192 - 2048, 4096) == device[:1024] + old[1024:]
+        small_pool.dma_write(8192 - 2048, device)  # remote device: no snoop
+        data, load_cost = a.load(8192 - 2048, 4096)
+        assert data == device
+        t = a.timings
+        assert load_cost == t.cxl_load_ns + 63 * t.cxl_stream_ns

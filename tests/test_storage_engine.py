@@ -259,3 +259,44 @@ class TestBlockWorkload:
         # Open-loop overload: many issue ticks find the queue full.
         assert workload.stats.submitted < 500_000 * 0.01
         assert workload.stats.completed == workload.stats.submitted
+
+
+class TestPageGranularBuffers:
+    """PR 15: buffers move through the memory model a page at a time; the
+    seams of that layout must not show in what a device or instance sees."""
+
+    def test_512_byte_blocks_straddling_a_page_boundary(self):
+        from dataclasses import replace
+
+        from repro.config import OasisConfig
+
+        base = OasisConfig()
+        pod = CXLPod(config=base.with_(ssd=replace(base.ssd, block_size=512)))
+        h0, h1 = pod.add_host(), pod.add_host()
+        pod.add_nic(h0)
+        ssd = pod.add_ssd(h0)
+        device = pod.add_block_device(pod.add_instance(h1, ip=IP), ssd)
+        frontend = pod.storage_frontends[h1.name]
+        regions = []
+        alloc = frontend._space.alloc
+        frontend._space.alloc = lambda size, label="": (
+            regions.append(alloc(size, label)) or regions[-1])
+
+        # 3-block (1536 B) buffers packed back to back: 1536 does not divide
+        # 4096, so some of them cross a 4 KiB page boundary.
+        blobs = [bytes((7 * i + j) & 0xFF for j in range(3 * 512)) for i in range(8)]
+        statuses = []
+        for i, blob in enumerate(blobs):
+            device.write(3 * i, blob, statuses.append)
+        pod.run(0.01)
+        assert statuses == [0] * 8
+        got = {}
+        for i in range(8):
+            device.read(3 * i, 3, lambda s, d, i=i: got.setdefault(i, (s, d)))
+        pod.run(0.01)
+        assert got == {i: (0, blob) for i, blob in enumerate(blobs)}
+        assert any(r.base // 4096 != (r.base + r.size - 1) // 4096 for r in regions)
+        # A single block read back from the middle of a straddling write.
+        device.read(7, 1, lambda s, d: got.setdefault("mid", (s, d)))
+        pod.run(0.01)
+        assert got["mid"] == (0, blobs[2][512:1024])

@@ -94,10 +94,11 @@ class CXLPod:
         self.storage_frontends: Dict[str, object] = {}
         self._next_client_index = 200
 
-        # Observability: every legacy counter object registers into the
-        # pod-wide metrics registry via collectors (observation-only), the
-        # tracer starts disabled (cheap boolean check on hot paths) and the
-        # scraper samples the registry once started.
+        # Observability: every legacy counter object binds a reader into the
+        # pod-wide metrics registry (observation-only; its series are
+        # declared at the first scrape, so a pod that never scrapes pays
+        # nothing), the tracer starts disabled (cheap boolean check on hot
+        # paths) and the scraper samples the registry once started.
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(self.sim, enabled=False)
         self.scraper = TelemetryScraper(self.sim, self.metrics)
@@ -640,7 +641,8 @@ class CXLPod:
         return self.flows
 
     def start_telemetry(self, period_s: Optional[float] = None) -> TelemetryScraper:
-        """Start sampling the metrics registry at ``period_s`` of sim time."""
+        """Start sampling the metrics registry at ``period_s`` of sim time
+        (idempotent; asking a running scraper for another period raises)."""
         return self.scraper.start(period_s)
 
     def enable_fleet_telemetry(self, period_s: float = 0.01, rules=None,
@@ -649,10 +651,12 @@ class CXLPod:
 
         Builds a :class:`~repro.obs.fleet.FleetHealth` sized from this
         pod's configured device/link capacities, subscribes it to the
-        scraper (it consumes deltas, never retains raw snapshots), exports
-        its ``fleet_alert_*`` counters into the registry, and starts the
-        scraper at ``period_s``.  Returns the pipeline; query it through
-        ``pod.fleet.view()``.
+        scraper, exports its ``fleet_alert_*`` counters into the registry,
+        and starts the scraper at ``period_s`` (a :class:`ConfigError` if
+        the scraper already runs at another period).  The pipeline itself
+        holds one previous value vector; ``pod.scraper`` retains up to
+        ``max_snapshots`` scrapes at 8 bytes per series each.  Returns the
+        pipeline; query it through ``pod.fleet.view()``.
 
         ``rules`` overrides :data:`~repro.obs.fleet.DEFAULT_ALERT_RULES`;
         ``slo`` is an optional :class:`~repro.obs.attribution.SLOChecker`
@@ -663,6 +667,7 @@ class CXLPod:
 
         if self.fleet is not None:
             return self.fleet
+        self.start_telemetry(period_s)     # first: may refuse the period
         self.fleet = FleetHealth(
             nic_bytes_per_sec=self.config.nic.bytes_per_sec,
             ssd_bytes_per_sec=self.config.ssd.bytes_per_sec,
@@ -676,7 +681,6 @@ class CXLPod:
             slo=slo,
         )
         self.scraper.subscribe(self.fleet.ingest)
-        self.start_telemetry(period_s)
         self._start_brownout()
         return self.fleet
 

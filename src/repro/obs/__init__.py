@@ -1,7 +1,8 @@
 """Unified observability layer: metrics registry, sim-time tracer, scraper.
 
 * :mod:`repro.obs.metrics` -- named/labelled counters, gauges, histograms
-  plus snapshot/delta semantics (:class:`MetricsRegistry`).
+  interned once into a series table and scraped as flat value vectors
+  (:class:`MetricsRegistry`, :class:`MetricsSnapshot`).
 * :mod:`repro.obs.trace` -- typed span/instant events against the virtual
   clock with Chrome-trace/Perfetto JSON export (:class:`Tracer`).
 * :mod:`repro.obs.scraper` -- a sim-time process sampling the registry into
@@ -12,7 +13,7 @@
 * :mod:`repro.obs.attribution` -- the bottleneck profiler on top of flow
   records: streaming per-stage percentiles, queueing-vs-service splits,
   critical-path summaries and SLO checks.
-* :mod:`repro.obs.bindings` -- collectors that expose the pre-existing
+* :mod:`repro.obs.bindings` -- readers that expose the pre-existing
   ad-hoc counter classes (``LinkStats``, ``CacheStats``, ...) through the
   registry without mutating them.
 * :mod:`repro.obs.fleet` -- the streaming fleet-health pipeline on top of

@@ -1,80 +1,60 @@
 """Registry bindings for the pre-existing ad-hoc counter classes.
 
-Each ``bind_*`` function registers a *collector* -- a callable evaluated at
-snapshot time that reads a legacy counter object (``LinkStats``,
-``CacheStats``, ``ChannelCounters``, NIC/SSD/switch/driver attributes) and
-yields registry :class:`~repro.obs.metrics.Sample` objects with canonical
-names and labels.  Binding is observation-only: the legacy objects stay the
-source of truth and are never mutated, so experiments that read them
-directly keep producing identical numbers.
+Each ``bind_*`` function binds a *reader* of a legacy counter object
+(``LinkStats``, ``CacheStats``, ``ChannelCounters``, NIC/SSD/switch/driver
+attributes): a declaration -- mostly ``(name, labels, attribute)`` rows,
+which are also the list of canonical metric names -- that interns the
+object's series into the registry's series table once, at the first scrape,
+and a ``read(vector)`` that adds the raw counter values into those slots on
+every scrape thereafter.  Families whose members appear at run time (link
+categories, switch ports, allocator devices, injector kinds) are
+:class:`~repro.obs.metrics.Family` maps that intern on first sight.
+Binding is observation-only: the legacy objects stay the source of truth
+and are never mutated, so experiments that read them directly keep
+producing identical numbers.
 
 Everything here is duck-typed on the counter objects' public attributes to
 keep :mod:`repro.obs` import-free of the subsystem modules (the pod wires
 the concrete objects in).
-
-Canonical metric names:
-
-=========================  ==============================  =================
-name                       labels                          source
-=========================  ==============================  =================
-``cxl_link_bytes``         host, direction, category       ``LinkStats``
-``cache_ops``              host, domain, op                ``CacheStats``
-``channel_ops``            channel, role, op               ``ChannelCounters``
-``nic_frames``/``_bytes``  device, host, direction         ``SimNIC``
-``nic_dropped_frames``     device, host, reason            ``SimNIC``
-``ssd_ops``/``ssd_bytes``  device, host, op                ``SimSSD``
-``switch_frames``          switch, event                   ``LearningSwitch``
-``switch_port_*``          switch, port                    ``SwitchPort``
-``driver_*``               driver, (op)                    ``Driver`` + subclasses
-``allocator_events``       event                           ``PodAllocator``
-``raft_term``/...          node                            ``RaftNode``
-=========================  ==============================  =================
 """
 
 from __future__ import annotations
 
-from .metrics import MetricsRegistry, Sample, labels_key
+from dataclasses import fields
+from functools import wraps
+from operator import attrgetter
 
-__all__ = [
-    "bind_sim",
-    "bind_scraper",
-    "bind_pool",
-    "bind_cache",
-    "bind_channel_endpoint",
-    "bind_channel_pair",
-    "bind_nic",
-    "bind_ssd",
-    "bind_switch",
-    "bind_driver",
-    "bind_allocator",
-    "bind_raft_node",
-    "bind_tracer",
-    "bind_flows",
-    "bind_injector",
-    "CACHE_OP_FIELDS",
-    "CHANNEL_OP_FIELDS",
-]
-
-#: CacheStats counter attributes exported as ``cache_ops``
-CACHE_OP_FIELDS = (
-    "hits", "misses", "stores", "writebacks", "invalidations", "fences",
-    "prefetches_issued", "prefetches_ignored", "evictions",
-    "dma_read_snoop_hits", "dma_write_snoop_hits",
-    "writebacks_lost", "writebacks_partial",
-)
-
-#: ChannelCounters attributes exported as ``channel_ops``
-CHANNEL_OP_FIELDS = (
-    "sent", "received", "empty_polls", "counter_refreshes",
-    "counter_updates", "full_stalls",
-)
+from .metrics import MetricsRegistry
 
 
-def _sample(name, value, **labels) -> Sample:
-    return Sample(name, labels_key(labels), float(value))
+def _bind(declare):
+    """Turn ``declare(series, *args) -> read`` into ``bind(registry, *args)``;
+    the declaration runs at the registry's next scrape, not at bind time."""
+
+    @wraps(declare)
+    def bind(registry: MetricsRegistry, *args, **kwargs) -> None:
+        registry.register(lambda series: declare(series, *args, **kwargs))
+
+    return bind
 
 
-def bind_sim(registry: MetricsRegistry, sim) -> None:
+def _reader(series, source, rows, **labels):
+    """Intern ``(name, extra labels, attribute), ...`` of ``source``; returns
+    ``read(vector)``.  ``attribute`` is a dotted path re-read on every scrape
+    (``"stats.hits"`` survives a replaced ``stats``) or a callable of it."""
+    slots = [(series(name, **labels, **extra),
+              attrgetter(get) if isinstance(get, str) else get)
+             for name, extra, get in rows]
+
+    def read(vector):
+        for slot, get in slots:
+            vector[slot] += get(source)
+
+    return read
+
+
+@_bind
+def bind_sim(series, sim):
     """Export the event kernel's own health gauges.
 
     ``sim_pending_events`` counts *live* (non-tombstoned) queue entries --
@@ -83,156 +63,125 @@ def bind_sim(registry: MetricsRegistry, sim) -> None:
     default: scraping it into reports would perturb the byte-identical
     seeded snapshots the replay suite pins.
     """
-
-    def collect():
-        yield _sample("sim_processed_events", sim.processed_events)
-        yield _sample("sim_pending_events", sim.pending)
-        yield _sample("sim_now_seconds", sim.now)
-
-    registry.register_collector(collect)
+    return _reader(series, sim, (
+        ("sim_processed_events", {}, "processed_events"),
+        ("sim_pending_events", {}, "pending"),
+        ("sim_now_seconds", {}, "now")))
 
 
-def bind_scraper(registry: MetricsRegistry, scraper) -> None:
+@_bind
+def bind_scraper(series, scraper):
     """Export the scraper's own buffering health.
 
     ``scraper_dropped`` counts snapshots evicted off the back of the ring
     (sampling itself never stops); ``report`` surfaces it so a window that
     silently rolled over is visible in the artifact built from it.
     """
-
-    def collect():
-        yield _sample("scraper_samples_taken", scraper.samples_taken)
-        yield _sample("scraper_buffered", len(scraper))
-        yield _sample("scraper_dropped", scraper.dropped)
-
-    registry.register_collector(collect)
+    return _reader(series, scraper, (
+        ("scraper_samples_taken", {}, "samples_taken"),
+        ("scraper_buffered", {}, len),
+        ("scraper_dropped", {}, "dropped")))
 
 
-def bind_pool(registry: MetricsRegistry, pool) -> None:
+@_bind
+def bind_pool(series, pool):
     """Export a :class:`CXLMemoryPool`'s per-host ``LinkStats``."""
+    links = series.family("cxl_link_bytes", "host", "direction", "category")
 
-    def collect():
+    def read(vector):
         for host, stats in pool.link_stats.items():
             for category, nbytes in stats.read_bytes.items():
-                yield _sample("cxl_link_bytes", nbytes, host=host,
-                              direction="read", category=category)
+                vector[links[host, "read", category]] += nbytes
             for category, nbytes in stats.write_bytes.items():
-                yield _sample("cxl_link_bytes", nbytes, host=host,
-                              direction="write", category=category)
+                vector[links[host, "write", category]] += nbytes
 
-    registry.register_collector(collect)
-
-
-def bind_cache(registry: MetricsRegistry, cache, host: str,
-               domain: str = "cxl") -> None:
-    """Export one :class:`HostCache`'s ``CacheStats`` plus its line count."""
-
-    def collect():
-        stats = cache.stats
-        for op in CACHE_OP_FIELDS:
-            yield _sample("cache_ops", getattr(stats, op), host=host,
-                          domain=domain, op=op)
-        yield _sample("cache_lines_resident", cache.cached_line_count,
-                      host=host, domain=domain)
-
-    registry.register_collector(collect)
+    return read
 
 
-def bind_channel_endpoint(registry: MetricsRegistry, counters, channel: str,
-                          role: str) -> None:
-    """Export one ``ChannelCounters`` (sender or receiver side)."""
+@_bind
+def bind_cache(series, cache, host: str, domain: str = "cxl"):
+    """Export one :class:`HostCache`'s ``CacheStats`` -- every counter the
+    dataclass declares -- plus its line count."""
+    return _reader(
+        series, cache,
+        [("cache_ops", {"op": f.name}, f"stats.{f.name}")
+         for f in fields(cache.stats)]
+        + [("cache_lines_resident", {}, "cached_line_count")],
+        host=host, domain=domain)
 
-    def collect():
-        for op in CHANNEL_OP_FIELDS:
-            yield _sample("channel_ops", getattr(counters, op),
-                          channel=channel, role=role, op=op)
 
-    registry.register_collector(collect)
+@_bind
+def bind_channel_endpoint(series, counters, channel: str, role: str):
+    """Export one ``ChannelCounters`` dataclass (sender or receiver side)."""
+    return _reader(series, counters, [("channel_ops", {"op": f.name}, f.name)
+                                      for f in fields(counters)],
+                   channel=channel, role=role)
 
 
 def bind_channel_pair(registry: MetricsRegistry, pair) -> None:
     """Export both directions of a :class:`ChannelPair` (CXL channels only)."""
     for endpoint in (pair.a_to_b, pair.b_to_a):
-        sender = getattr(endpoint, "sender", None)
-        receiver = getattr(endpoint, "receiver", None)
-        if sender is not None:
-            bind_channel_endpoint(registry, sender.counters, endpoint.name,
-                                  "sender")
-        if receiver is not None:
-            bind_channel_endpoint(registry, receiver.counters, endpoint.name,
-                                  "receiver")
+        for role in ("sender", "receiver"):
+            side = getattr(endpoint, role, None)
+            if side is not None:
+                bind_channel_endpoint(registry, side.counters, endpoint.name,
+                                      role)
 
 
-def bind_nic(registry: MetricsRegistry, nic) -> None:
-    host = nic.host.name
-
-    def collect():
-        name = nic.name
-        yield _sample("nic_frames", nic.tx_frames, device=name, host=host,
-                      direction="tx")
-        yield _sample("nic_frames", nic.rx_frames, device=name, host=host,
-                      direction="rx")
-        yield _sample("nic_bytes", nic.tx_bytes, device=name, host=host,
-                      direction="tx")
-        yield _sample("nic_bytes", nic.rx_bytes, device=name, host=host,
-                      direction="rx")
-        yield _sample("nic_dropped_frames", nic.rx_dropped_no_buffer,
-                      device=name, host=host, reason="no_buffer")
-        yield _sample("nic_dropped_frames", nic.rx_dropped_down,
-                      device=name, host=host, reason="link_down")
-        yield _sample("nic_link_up", 1.0 if nic.link_up else 0.0,
-                      device=name, host=host)
-        yield _sample("device_aer_errors", nic.aer.total(), device=name,
-                      host=host)
-        yield _sample("nic_tx_completions", nic.tx_completions, device=name,
-                      host=host)
-        yield _sample("nic_dma_aborts", nic.dma_aborts, device=name,
-                      host=host)
-
-    registry.register_collector(collect)
+def _aer_total(device) -> int:
+    return device.aer.total()
 
 
-def bind_ssd(registry: MetricsRegistry, ssd) -> None:
-    host = ssd.host.name
-
-    def collect():
-        name = ssd.name
-        yield _sample("ssd_ops", ssd.reads, device=name, host=host, op="read")
-        yield _sample("ssd_ops", ssd.writes, device=name, host=host, op="write")
-        yield _sample("ssd_bytes", ssd.read_bytes, device=name, host=host,
-                      op="read")
-        yield _sample("ssd_bytes", ssd.write_bytes, device=name, host=host,
-                      op="write")
-        yield _sample("device_aer_errors", ssd.aer.total(), device=name,
-                      host=host)
-        yield _sample("ssd_completions", ssd.completions, device=name,
-                      host=host)
-        yield _sample("ssd_media_errors", ssd.media_errors, device=name,
-                      host=host)
-
-    registry.register_collector(collect)
+@_bind
+def bind_nic(series, nic):
+    return _reader(series, nic, (
+        ("nic_frames", {"direction": "tx"}, "tx_frames"),
+        ("nic_frames", {"direction": "rx"}, "rx_frames"),
+        ("nic_bytes", {"direction": "tx"}, "tx_bytes"),
+        ("nic_bytes", {"direction": "rx"}, "rx_bytes"),
+        ("nic_dropped_frames", {"reason": "no_buffer"}, "rx_dropped_no_buffer"),
+        ("nic_dropped_frames", {"reason": "link_down"}, "rx_dropped_down"),
+        ("nic_link_up", {}, "link_up"),
+        ("device_aer_errors", {}, _aer_total),
+        ("nic_tx_completions", {}, "tx_completions"),
+        ("nic_dma_aborts", {}, "dma_aborts")),
+        device=nic.name, host=nic.host.name)
 
 
-def bind_switch(registry: MetricsRegistry, switch) -> None:
-    def collect():
-        name = switch.name
-        yield _sample("switch_frames", switch.forwarded_frames, switch=name,
-                      event="forwarded")
-        yield _sample("switch_frames", switch.flooded_frames, switch=name,
-                      event="flooded")
-        yield _sample("switch_frames", switch.fault_dropped, switch=name,
-                      event="fault_dropped")
-        yield _sample("switch_frames", switch.fault_duplicated, switch=name,
-                      event="fault_duplicated")
+@_bind
+def bind_ssd(series, ssd):
+    return _reader(series, ssd, (
+        ("ssd_ops", {"op": "read"}, "reads"),
+        ("ssd_ops", {"op": "write"}, "writes"),
+        ("ssd_bytes", {"op": "read"}, "read_bytes"),
+        ("ssd_bytes", {"op": "write"}, "write_bytes"),
+        ("device_aer_errors", {}, _aer_total),
+        ("ssd_completions", {}, "completions"),
+        ("ssd_media_errors", {}, "media_errors")),
+        device=ssd.name, host=ssd.host.name)
+
+
+@_bind
+def bind_switch(series, switch):
+    name = switch.name
+    frames = _reader(series, switch, (
+        ("switch_frames", {"event": "forwarded"}, "forwarded_frames"),
+        ("switch_frames", {"event": "flooded"}, "flooded_frames"),
+        ("switch_frames", {"event": "fault_dropped"}, "fault_dropped"),
+        ("switch_frames", {"event": "fault_duplicated"}, "fault_duplicated")),
+        switch=name)
+    tx_frames, tx_bytes, dropped = (
+        series.family(f"switch_port_{what}", "switch", "port")
+        for what in ("tx_frames", "tx_bytes", "dropped_frames"))
+
+    def read(vector):
+        frames(vector)
         for port_id, port in switch.ports.items():
-            yield _sample("switch_port_tx_frames", port.tx_frames,
-                          switch=name, port=str(port_id))
-            yield _sample("switch_port_tx_bytes", port.tx_bytes,
-                          switch=name, port=str(port_id))
-            yield _sample("switch_port_dropped_frames", port.dropped_frames,
-                          switch=name, port=str(port_id))
+            vector[tx_frames[name, port_id]] += port.tx_frames
+            vector[tx_bytes[name, port_id]] += port.tx_bytes
+            vector[dropped[name, port_id]] += port.dropped_frames
 
-    registry.register_collector(collect)
+    return read
 
 
 #: extra per-driver counters exported when present (frontends vs backends)
@@ -253,133 +202,112 @@ _DRIVER_EXTRA_FIELDS = (
 )
 
 
-def bind_driver(registry: MetricsRegistry, driver) -> None:
+@_bind
+def bind_driver(series, driver):
     """Export a busy-polling :class:`Driver`'s loop and datapath counters."""
-
-    def collect():
-        name = driver.name
-        yield _sample("driver_busy_ns", driver.busy_ns, driver=name)
-        yield _sample("driver_wakeups", driver.wakeups, driver=name)
-        for op in _DRIVER_EXTRA_FIELDS:
-            value = getattr(driver, op, None)
-            if value is not None:
-                yield _sample("driver_ops", value, driver=name, op=op)
-        depth = getattr(driver, "queue_depth", None)
-        if depth is not None:
-            # Backends expose live device-queue occupancy (NIC TX ring +
-            # overflow backlog, SSD submission queue); fleet health turns
-            # this into queue saturation vs the configured depth.
-            yield _sample("device_queue_depth", depth,
-                          device=driver.device_name)
-
-    registry.register_collector(collect)
+    at = {"driver": driver.name}
+    rows = [("driver_busy_ns", at, "busy_ns"), ("driver_wakeups", at, "wakeups")]
+    rows += [("driver_ops", {"op": op, **at}, op) for op in _DRIVER_EXTRA_FIELDS
+             if getattr(driver, op, None) is not None]
+    if getattr(driver, "queue_depth", None) is not None:
+        # Backends expose live device-queue occupancy (NIC TX ring +
+        # overflow backlog, SSD submission queue); fleet health turns
+        # this into queue saturation vs the configured depth.
+        rows.append(("device_queue_depth", {"device": driver.device_name},
+                     "queue_depth"))
+    return _reader(series, driver, rows)
 
 
-def bind_tenant_client(registry: MetricsRegistry, client) -> None:
+@_bind
+def bind_tenant_client(series, client):
     """Export a tenant load generator's request counters.
 
     One ``tenant_requests`` family keyed by (tenant, result); fleet health
     turns the deltas into per-tenant SLO-burn and shed-rate gauges.
     """
-
-    def collect():
-        tenant = client.tenant
-        stats = client.stats
-        yield _sample("tenant_requests", stats.submitted,
-                      tenant=tenant, result="submitted")
-        yield _sample("tenant_requests", stats.completed_ok,
-                      tenant=tenant, result="ok")
-        yield _sample("tenant_requests", stats.shed,
-                      tenant=tenant, result="shed")
-        yield _sample("tenant_requests", stats.errors,
-                      tenant=tenant, result="error")
-        yield _sample("tenant_requests", client.slo_violations,
-                      tenant=tenant, result="slo_violation")
-
-    registry.register_collector(collect)
+    return _reader(series, client, (
+        ("tenant_requests", {"result": "submitted"}, "stats.submitted"),
+        ("tenant_requests", {"result": "ok"}, "stats.completed_ok"),
+        ("tenant_requests", {"result": "shed"}, "stats.shed"),
+        ("tenant_requests", {"result": "error"}, "stats.errors"),
+        ("tenant_requests", {"result": "slo_violation"}, "slo_violations")),
+        tenant=client.tenant)
 
 
-def bind_allocator(registry: MetricsRegistry, allocator) -> None:
-    def collect():
-        yield _sample("allocator_events", allocator.failovers_executed,
-                      event="failover")
-        yield _sample("allocator_events", allocator.migrations_executed,
-                      event="migration")
-        yield _sample("allocator_telemetry_records",
-                      allocator.telemetry_store.records_ingested)
-        yield _sample("allocator_events", allocator.lease_expirations,
-                      event="lease_expiry")
-        yield _sample("allocator_events", allocator.duplicate_reports,
-                      event="duplicate_report")
-        yield _sample("allocator_events", allocator.failover_no_backup,
-                      event="failover_no_backup")
-        yield _sample("allocator_pending_commands",
-                      allocator.pending_commands)
-        yield _sample("fence_epoch_grants", allocator.epochs.grants)
-        yield _sample("fence_epoch_revokes", allocator.epochs.revokes)
-        yield _sample("notify_delivered", allocator.notify.delivered)
-        yield _sample("notify_dropped", allocator.notify.dropped)
-        for device in allocator.devices.values():
-            yield _sample("allocator_device_allocated", device.allocated,
-                          device=device.name, kind="nic")
-            yield _sample("allocator_device_capacity", device.capacity,
-                          device=device.name, kind="nic")
-            yield _sample("allocator_device_failed",
-                          1.0 if device.failed else 0.0,
-                          device=device.name, kind="nic")
-        for device in allocator.storage_devices.values():
-            yield _sample("allocator_device_allocated", device.allocated,
-                          device=device.name, kind="ssd")
-            yield _sample("allocator_device_capacity", device.capacity,
-                          device=device.name, kind="ssd")
-            yield _sample("allocator_device_failed",
-                          1.0 if device.failed else 0.0,
-                          device=device.name, kind="ssd")
+@_bind
+def bind_allocator(series, allocator):
+    counters = _reader(series, allocator, (
+        ("allocator_events", {"event": "failover"}, "failovers_executed"),
+        ("allocator_events", {"event": "migration"}, "migrations_executed"),
+        ("allocator_telemetry_records", {}, "telemetry_store.records_ingested"),
+        ("allocator_events", {"event": "lease_expiry"}, "lease_expirations"),
+        ("allocator_events", {"event": "duplicate_report"},
+         "duplicate_reports"),
+        ("allocator_events", {"event": "failover_no_backup"},
+         "failover_no_backup"),
+        ("allocator_pending_commands", {}, "pending_commands"),
+        ("fence_epoch_grants", {}, "epochs.grants"),
+        ("fence_epoch_revokes", {}, "epochs.revokes"),
+        ("notify_delivered", {}, "notify.delivered"),
+        ("notify_dropped", {}, "notify.dropped")))
+    allocated, capacity, failed = (
+        series.family(f"allocator_device_{what}", "device", "kind")
+        for what in ("allocated", "capacity", "failed"))
 
-    registry.register_collector(collect)
+    def read(vector):
+        counters(vector)
+        for kind, devices in (("nic", allocator.devices),
+                              ("ssd", allocator.storage_devices)):
+            for device in devices.values():
+                key = (device.name, kind)
+                vector[allocated[key]] += device.allocated
+                vector[capacity[key]] += device.capacity
+                vector[failed[key]] += device.failed
+
+    return read
 
 
-def bind_tracer(registry: MetricsRegistry, tracer) -> None:
+@_bind
+def bind_tracer(series, tracer):
     """Export the tracer's recording health (recorded vs silently dropped)."""
-
-    def collect():
-        yield _sample("tracer_events_recorded", len(tracer.events))
-        yield _sample("tracer_events_dropped", tracer.dropped)
-
-    registry.register_collector(collect)
+    return _reader(series, tracer, (
+        ("tracer_events_recorded", {}, lambda tracer: len(tracer.events)),
+        ("tracer_events_dropped", {}, "dropped")))
 
 
-def bind_flows(registry: MetricsRegistry, flows) -> None:
+@_bind
+def bind_flows(series, flows):
     """Export a :class:`~repro.obs.flow.FlowRegistry`'s bookkeeping."""
-
-    def collect():
-        yield _sample("flow_started", flows.started)
-        yield _sample("flow_completed", flows.completed)
-        yield _sample("flow_records_dropped", flows.dropped_records)
-        yield _sample("flow_stash_evicted", flows.stash_evicted)
-        yield _sample("flow_stash_open", len(flows._stash))
-
-    registry.register_collector(collect)
+    return _reader(series, flows, (
+        ("flow_started", {}, "started"),
+        ("flow_completed", {}, "completed"),
+        ("flow_records_dropped", {}, "dropped_records"),
+        ("flow_stash_evicted", {}, "stash_evicted"),
+        ("flow_stash_open", {}, lambda flows: len(flows._stash))))
 
 
-def bind_injector(registry: MetricsRegistry, injector) -> None:
+@_bind
+def bind_injector(series, injector):
     """Export a :class:`~repro.faults.injector.FaultInjector`'s event counts."""
+    injected = series.family("fault_injected", "kind")
+    recovered = series.family("fault_recovered", "kind")
 
-    def collect():
+    def read(vector):
         for kind, count in injector.injected.items():
-            yield _sample("fault_injected", count, kind=kind)
+            vector[injected[kind,]] += count
         for kind, count in injector.recovered.items():
-            yield _sample("fault_recovered", count, kind=kind)
+            vector[recovered[kind,]] += count
 
-    registry.register_collector(collect)
+    return read
 
 
-def bind_raft_node(registry: MetricsRegistry, node) -> None:
-    def collect():
-        name = node.node_id
-        yield _sample("raft_term", node.current_term, node=name)
-        yield _sample("raft_commit_index", node.commit_index, node=name)
-        yield _sample("raft_is_leader", 1.0 if node.state == "leader" else 0.0,
-                      node=name)
+@_bind
+def bind_raft_node(series, node):
+    return _reader(series, node, (
+        ("raft_term", {}, "current_term"),
+        ("raft_commit_index", {}, "commit_index"),
+        ("raft_is_leader", {}, lambda node: node.state == "leader")),
+        node=node.node_id)
 
-    registry.register_collector(collect)
+
+__all__ = sorted(name for name in dict(globals()) if name.startswith("bind_"))

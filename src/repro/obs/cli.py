@@ -163,8 +163,7 @@ def main_report(as_json: bool = False, sim_gauges: bool = False) -> dict:
     scraper = data["pod"].scraper
     print(f"\n{len(scraper)} snapshots scraped "
           f"({scraper.dropped} evicted from the ring), "
-          f"{data['pod'].metrics.collector_count} collectors, "
-          f"{len(snapshot)} samples in the last snapshot")
+          f"{len(snapshot)} series in the last snapshot")
     tracer = data["pod"].tracer
     recorded = int(snapshot.get("tracer_events_recorded"))
     dropped = int(snapshot.get("tracer_events_dropped"))

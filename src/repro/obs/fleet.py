@@ -5,30 +5,13 @@ started"; this module answers "which device, link, or host is hot *right
 now*, and how stranded is each pool?" -- the live signals the load-aware
 placement policy (ROADMAP item 5) consumes and the ``python -m repro top``
 dashboard renders.  Everything is bounded-memory and fed exclusively from
-:class:`~repro.obs.scraper.TelemetryScraper` deltas: the pipeline keeps one
-previous snapshot and fixed-size streaming state per entity, never a raw
-snapshot history of its own.
-
-Pieces:
-
-* :class:`Ewma` -- exponentially weighted moving average over the
-  irregular (but near-periodic) scrape timeline;
-* :class:`P2Quantile` -- the Jain & Chlamtac P-square streaming quantile
-  estimator: five markers, O(1) memory, deterministic;
-* :class:`HealthSeries` -- one entity's gauge: last value, peak, EWMA and
-  streaming p50/p99 sketches;
-* :class:`StrandingGauge` -- duration-weighted live stranding
-  (``1 - time_avg(used) / provisioned``), the *same* definition
-  :func:`repro.workloads.stranding.stranded_fractions` computes offline,
-  so the live gauge and the Figure 2 pipeline cross-check exactly;
-* :class:`AlertEngine` -- declarative threshold / hysteresis /
-  for-duration rules evaluated once per scrape tick, emitting sim-time
-  alert instants into the :class:`~repro.obs.trace.Tracer` and
-  ``fleet_alert_*`` counters into the registry;
-* :class:`FleetHealth` -- the pipeline tying it together, subscribed to
-  the scraper; :class:`HealthView` -- the stable query API
-  (``hot_devices()`` / ``stranding(pool)`` / ``saturation(link)`` /
-  ``alerts()``) that placement policies consume.
+:class:`~repro.obs.scraper.TelemetryScraper` ticks: :class:`FleetHealth`
+keeps the previous value vector and fixed-size streaming state per entity
+(:class:`HealthSeries`: last, peak, :class:`Ewma`, :class:`P2Quantile`
+p50/p99; :class:`StrandingGauge`: the Figure 2 stranding integral, live),
+never a snapshot history of its own.  :class:`AlertEngine` evaluates
+declarative threshold / hysteresis / for-duration rules once per tick;
+:class:`HealthView` is the stable query API placement policies consume.
 """
 
 from __future__ import annotations
@@ -129,22 +112,18 @@ class P2Quantile:
             if ((d >= 1.0 and pos[i + 1] - pos[i] > 1)
                     or (d <= -1.0 and pos[i - 1] - pos[i] < -1)):
                 step = 1 if d >= 1.0 else -1
-                candidate = self._parabolic(i, step)
+                # Piecewise-parabolic prediction of the marker height ...
+                candidate = h[i] + step / (pos[i + 1] - pos[i - 1]) * (
+                    (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i])
+                    / (pos[i + 1] - pos[i])
+                    + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1])
+                    / (pos[i] - pos[i - 1]))
                 if not h[i - 1] < candidate < h[i + 1]:
-                    candidate = self._linear(i, step)
+                    # ... linear when that leaves the neighbours' interval.
+                    candidate = h[i] + step * (h[i + step] - h[i]) / (
+                        pos[i + step] - pos[i])
                 h[i] = candidate
                 pos[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + step * (h[i + step] - h[i]) / (n[i + step] - n[i])
 
     @property
     def value(self) -> float:
@@ -458,13 +437,32 @@ class AlertEngine:
 # -- the pipeline -------------------------------------------------------------
 
 
+def _growth(now, before, groups) -> float:
+    """Largest growth between two vectors among groups of counter slots."""
+    best = None
+    for slots in groups:
+        total = 0.0
+        for slot in slots:
+            total += now[slot] - before[slot]
+        if best is None or total > best:
+            best = total
+    return best
+
+
+def _level(now, slots) -> float:
+    total = 0.0
+    for slot in slots:
+        total += now[slot]
+    return total
+
+
 class FleetHealth:
-    """Streaming fleet state fed from scraper deltas.
+    """Streaming fleet state fed from scraper ticks.
 
     Subscribe via ``scraper.subscribe(fleet.ingest)`` (what
     :meth:`repro.core.pod.CXLPod.enable_fleet_telemetry` does); each scrape
-    tick differences the new snapshot against the previous one, updates the
-    per-entity :class:`HealthSeries` gauges and per-pool
+    tick differences the new value vector against the previous one, updates
+    the per-entity :class:`HealthSeries` gauges and per-pool
     :class:`StrandingGauge` s, and runs the :class:`AlertEngine`.  Memory
     is bounded by the entity count, never the run length.
     """
@@ -504,6 +502,7 @@ class FleetHealth:
         #: per-tenant SLO-burn EWMAs (created lazily as tenants appear)
         self._tenant_burn: Dict[str, Ewma] = {}
         self._prev = None
+        self._planned = -1           # series-table size the plan was built for
         self.ticks = 0
         self.time = 0.0
 
@@ -524,7 +523,9 @@ class FleetHealth:
     # -- ingest ------------------------------------------------------------
 
     def ingest(self, snapshot) -> None:
-        """Consume one scraped snapshot (called by the scraper per tick)."""
+        """Consume one scraped snapshot (called by the scraper per tick):
+        counters are differenced slot by slot against the previous vector,
+        levels read off the new one, by a plan made once per table size."""
         t = snapshot.time
         prev, self._prev = self._prev, snapshot
         self.ticks += 1
@@ -532,142 +533,43 @@ class FleetHealth:
         if prev is None or t <= prev.time:
             return
         dt = t - prev.time
-        delta = snapshot.delta_since(prev)
-        self._ingest_devices(t, dt, delta)
-        self._ingest_links(t, dt, delta)
-        self._ingest_queues(t, snapshot)
-        self._ingest_pools(t, snapshot)
-        self._ingest_control(t, dt, delta)
-        self._ingest_overload(t, dt, snapshot, delta)
-        self._ingest_tenants(t, dt, delta)
-        self._ingest_slo(t)
-        self.alerts.evaluate(t, {key: series.last
-                                 for key, series in self.gauges.items()})
-
-    def _ingest_devices(self, t: float, dt: float, delta) -> None:
+        now, before = snapshot.vector, prev.vector
+        if len(before) < len(now):      # series that appeared since: were 0
+            before = list(before) + [0.0] * (len(now) - len(before))
+        if self._planned != len(now):
+            self._plan(snapshot.table, len(now))
         host_util: Dict[str, float] = {}
-        nic = delta.aggregate("nic_bytes", by=("device", "host", "direction"))
-        per_device: Dict[Tuple[str, str], Dict[str, float]] = {}
-        for (device, host, direction), nbytes in nic.items():
-            per_device.setdefault((device, host), {})[direction] = nbytes
-        for (device, host), dirs in sorted(per_device.items()):
-            self.device_host[device] = host
-            self.device_kind[device] = "nic"
-            # Full-duplex link: the busier direction sets the utilization.
-            util = max(dirs.get("tx", 0.0), dirs.get("rx", 0.0)) / (
-                self.nic_bytes_per_sec * dt)
-            self._observe("device_util", device, t, util)
-            host_util[host] = max(host_util.get(host, 0.0), util)
-        ssd = delta.aggregate("ssd_bytes", by=("device", "host", "op"))
-        per_ssd: Dict[Tuple[str, str], float] = {}
-        for (device, host, _op), nbytes in ssd.items():
-            per_ssd[(device, host)] = per_ssd.get((device, host), 0.0) + nbytes
-        for (device, host), nbytes in sorted(per_ssd.items()):
-            self.device_host[device] = host
-            self.device_kind[device] = "ssd"
-            util = nbytes / (self.ssd_bytes_per_sec * dt)
-            self._observe("device_util", device, t, util)
-            host_util[host] = max(host_util.get(host, 0.0), util)
-        for host, util in sorted(host_util.items()):
-            self._observe("host_util", host, t, util)
-
-    def _ingest_links(self, t: float, dt: float, delta) -> None:
-        links = delta.aggregate("cxl_link_bytes", by=("host", "direction"))
-        per_host: Dict[str, Dict[str, float]] = {}
-        for (host, direction), nbytes in links.items():
-            per_host.setdefault(host, {})[direction] = nbytes
-        for host, dirs in sorted(per_host.items()):
-            saturation = max(dirs.get("read", 0.0), dirs.get("write", 0.0)) / (
-                self.link_bytes_per_sec * dt)
-            self._observe("link_saturation", host, t, saturation)
-
-    def _ingest_queues(self, t: float, snapshot) -> None:
-        depths = snapshot.aggregate("device_queue_depth", by=("device",))
-        for (device,), depth in sorted(depths.items()):
-            capacity = self.queue_depths.get(
-                self.device_kind.get(device, "nic"), 1024)
-            self._observe("queue_saturation", device, t,
-                          depth / capacity if capacity else 0.0)
-
-    def _ingest_pools(self, t: float, snapshot) -> None:
-        allocated = snapshot.aggregate("allocator_device_allocated",
-                                       by=("device", "kind"))
-        capacity = snapshot.aggregate("allocator_device_capacity",
-                                      by=("device", "kind"))
-        failed = snapshot.aggregate("allocator_device_failed",
-                                    by=("device", "kind"))
+        for series, groups, per_sec, host in self._rates:
+            rate = _growth(now, before, groups) / (per_sec * dt)
+            series.observe(t, rate)
+            if host is not None:
+                host_util[host] = max(host_util.get(host, 0.0), rate)
+        for host, series in self._hosts:
+            series.observe(t, host_util[host])
+        for series, slots, full in self._levels:
+            series.observe(t, _level(now, slots) / full)
         pools: Dict[str, dict] = {}
-        for (device, kind), cap in capacity.items():
+        for kind, capacity, failed, allocated in self._pool_devices:
             pool = pools.setdefault(kind, {"allocated": 0.0,
                                            "provisioned": 0.0,
                                            "devices": 0, "failed": 0})
-            if failed.get((device, kind), 0.0):
+            if _level(now, failed):
                 pool["failed"] += 1
                 continue           # failed devices are not provisioned
             pool["devices"] += 1
-            pool["provisioned"] += cap
-            pool["allocated"] += allocated.get((device, kind), 0.0)
-        for kind, pool in sorted(pools.items()):
-            gauge = self.stranding_gauges.get(kind)
-            if gauge is None:
-                gauge = self.stranding_gauges[kind] = StrandingGauge()
-            gauge.update(t, pool["allocated"], pool["provisioned"])
-            self._observe("pool_stranding", kind, t, gauge.stranded_now)
+            pool["provisioned"] += _level(now, capacity)
+            pool["allocated"] += _level(now, allocated)
+        for kind, gauge, series in self._pools:
+            gauge.update(t, pools[kind]["allocated"],
+                         pools[kind]["provisioned"])
+            series.observe(t, gauge.stranded_now)
         self.pools = pools
-
-    def _ingest_control(self, t: float, dt: float, delta) -> None:
-        expiries = delta.aggregate("allocator_events", by=("event",)).get(
-            ("lease_expiry",), 0.0)
-        self._observe("lease_expiry_rate", "pod", t, expiries / dt)
-
-    def _ingest_overload(self, t: float, dt: float, snapshot, delta) -> None:
-        """Overload-control gauges off the driver counters (PR 9).
-
-        ``shed_rate``/``retry_denied_rate`` are per-second rates from the
-        shed and budget-denial counter deltas; ``brownout`` is the level
-        itself (0/1) straight from the snapshot.  All zero -- and alert-
-        silent -- unless the pod armed ``enable_overload_control()``.
-        """
-        ops = delta.aggregate("driver_ops", by=("driver", "op"))
-        shed: Dict[str, float] = {}
-        denied: Dict[str, float] = {}
-        for (driver, op), count in ops.items():
-            if op in ("shed", "tx_shed"):
-                shed[driver] = shed.get(driver, 0.0) + count
-            elif op == "retry_budget_denied":
-                denied[driver] = denied.get(driver, 0.0) + count
-        for driver, count in sorted(shed.items()):
-            self._observe("shed_rate", driver, t, count / dt)
-        for driver, count in sorted(denied.items()):
-            self._observe("retry_denied_rate", driver, t, count / dt)
-        levels = snapshot.aggregate("driver_ops", by=("driver", "op"))
-        for (driver, op), level in sorted(levels.items()):
-            if op == "brownout_level":
-                self._observe("brownout", driver, t, level)
-
-    def _ingest_tenants(self, t: float, dt: float, delta) -> None:
-        """Per-tenant serving gauges off the ``tenant_requests`` family.
-
-        ``tenant_slo_burn`` is the EWMA'd fraction of this tick's ok
-        completions that blew the tenant's latency SLO (feeding the
-        ``tenant_slo_burn`` alert rule); ``tenant_shed_rate`` is the
-        tenant's sheds/s.  The family only exists once a pod registers
-        tenant clients (``register_tenant_client``), so non-serving runs
-        never grow these gauges and the alert rule stays inert.
-        """
-        requests = delta.aggregate("tenant_requests", by=("tenant", "result"))
-        if not requests:
-            return
-        per_tenant: Dict[str, Dict[str, float]] = {}
-        for (tenant, result), count in requests.items():
-            per_tenant.setdefault(tenant, {})[result] = count
-        for tenant, results in sorted(per_tenant.items()):
-            ok = results.get("ok", 0.0)
-            ewma = self._tenant_burn.get(tenant)
-            if ewma is None:
-                ewma = self._tenant_burn[tenant] = Ewma(self._slo_tau_s)
+        for tenant, ewma, ok_slots, violation_slots in self._tenants:
+            # ``tenant_slo_burn``: the EWMA'd fraction of this tick's ok
+            # completions that blew the tenant's latency SLO.
+            ok = _growth(now, before, (ok_slots,))
             if ok > 0:
-                burn = min(1.0, results.get("slo_violation", 0.0) / ok)
+                burn = min(1.0, _growth(now, before, (violation_slots,)) / ok)
                 self._observe("tenant_slo_burn", tenant, t,
                               ewma.update(t, burn))
             elif ewma.value is not None:
@@ -675,8 +577,101 @@ class FleetHealth:
                 # a stalled tenant's burn gauge does not freeze mid-alert.
                 self._observe("tenant_slo_burn", tenant, t,
                               ewma.update(t, ewma.value))
-            self._observe("tenant_shed_rate", tenant, t,
-                          results.get("shed", 0.0) / dt)
+        self._ingest_slo(t)
+        self.alerts.evaluate(t, {key: series.last
+                                 for key, series in self.gauges.items()})
+
+    def _plan(self, table, n: int) -> None:
+        """Map the first ``n`` slots of the series table onto the gauges.
+
+        A rate gauge is ``(series, counter groups, capacity per second,
+        host)``: the busiest group's growth over capacity x dt (NICs and CXL
+        links are full duplex: the busier direction sets it); a level gauge
+        ``(series, slots, full scale)``.  Entities are planned sorted, and
+        every gauge created here is observed in this same tick.
+        """
+        self._planned = n
+
+        def grouped(name, by):
+            return {group: tuple(slots) for group, slots
+                    in table.groups(name, by, n).items()}
+
+        def nested(name, by):
+            """Sorted ``(entity, {value of the last label: slots})``."""
+            out: dict = {}
+            for group, slots in grouped(name, by).items():
+                out.setdefault(group[:-1], {})[group[-1]] = slots
+            return sorted(out.items())
+
+        def rates(family, name, by, wanted, per_sec=1.0, kind=None,
+                  sparse=False):
+            """One gauge per entity over the ``wanted`` member groups (None:
+            all members, summed); ``sparse`` skips entities with none."""
+            for entity, members in nested(name, by):
+                groups = ((sum(members.values(), ()),) if wanted is None
+                          else tuple(sum((members.get(m, ()) for m in group),
+                                         ()) for group in wanted))
+                if kind is not None:
+                    self.device_host[entity[0]] = entity[1]
+                    self.device_kind[entity[0]] = kind
+                if any(groups) or not sparse:
+                    self._rates.append((
+                        self.gauge(family, entity[0]), groups, per_sec,
+                        entity[1] if kind is not None else None))
+
+        self._rates = []
+        rates("device_util", "nic_bytes", ("device", "host", "direction"),
+              (("tx",), ("rx",)), self.nic_bytes_per_sec, "nic")
+        rates("device_util", "ssd_bytes", ("device", "host", "op"), None,
+              self.ssd_bytes_per_sec, "ssd")
+        self._hosts = [(host, self.gauge("host_util", host)) for host in
+                       sorted({entry[3] for entry in self._rates})]
+        rates("link_saturation", "cxl_link_bytes", ("host", "direction"),
+              (("read",), ("write",)), self.link_bytes_per_sec)
+        self._levels = [
+            (self.gauge("queue_saturation", device), slots,
+             # a zero-depth queue reads 0, never divides by it
+             self.queue_depths.get(self.device_kind.get(device, "nic"), 1024)
+             or math.inf)
+            for (device,), slots in sorted(grouped(
+                "device_queue_depth", ("device",)).items())]
+        by_device = ("device", "kind")
+        failed = grouped("allocator_device_failed", by_device)
+        allocated = grouped("allocator_device_allocated", by_device)
+        self._pool_devices = [
+            (key[1], slots, failed.get(key, ()), allocated.get(key, ()))
+            for key, slots in grouped("allocator_device_capacity",
+                                      by_device).items()]
+        self._pools = [
+            (kind, self.stranding_gauges.setdefault(kind, StrandingGauge()),
+             self.gauge("pool_stranding", kind))
+            for kind in sorted({entry[0] for entry in self._pool_devices})]
+        self._rates.append((
+            self.gauge("lease_expiry_rate", "pod"),
+            (grouped("allocator_events", ("event",)).get(
+                ("lease_expiry",), ()),), 1.0, None))
+        # Overload control (PR 9): per-second rates of the shed and budget-
+        # denial counters, ``brownout`` the level (0/1) itself.  All zero --
+        # and alert-silent -- unless the pod armed overload control.
+        by_op = ("driver", "op")
+        rates("shed_rate", "driver_ops", by_op, (("shed", "tx_shed"),),
+              sparse=True)
+        rates("retry_denied_rate", "driver_ops", by_op,
+              (("retry_budget_denied",),), sparse=True)
+        self._levels += [
+            (self.gauge("brownout", driver), ops["brownout_level"], 1.0)
+            for (driver,), ops in nested("driver_ops", by_op)
+            if "brownout_level" in ops]
+        # Per-tenant serving gauges: ``tenant_requests`` only exists once a
+        # pod registers tenant clients, so non-serving runs never grow them
+        # and the ``tenant_slo_burn`` alert rule stays inert.
+        by_result = ("tenant", "result")
+        self._tenants = [
+            (tenant, self._tenant_burn.setdefault(tenant,
+                                                  Ewma(self._slo_tau_s)),
+             results.get("ok", ()), results.get("slo_violation", ()))
+            for (tenant,), results in nested("tenant_requests", by_result)]
+        rates("tenant_shed_rate", "tenant_requests", by_result, (("shed",),))
 
     def _ingest_slo(self, t: float) -> None:
         if self.slo is None or self.flows is None:
@@ -706,12 +701,18 @@ class HealthView:
 
     # -- devices -----------------------------------------------------------
 
+    def _latest(self, family: str, entity: Optional[str]):
+        """Latest level per entity of one gauge family (or one entity's)."""
+        if entity is not None:
+            series = self.fleet.gauges.get((family, entity))
+            return series.last if series is not None else 0.0
+        return {name: series.last
+                for (fam, name), series in self.fleet.gauges.items()
+                if fam == family}
+
     def utilization(self, device: Optional[str] = None):
         """Latest utilization per device (or one device's level)."""
-        table = {entity: series.last
-                 for (family, entity), series in self.fleet.gauges.items()
-                 if family == "device_util"}
-        return table if device is None else table.get(device, 0.0)
+        return self._latest("device_util", device)
 
     def hot_devices(self, threshold: float = 0.8,
                     smoothed: bool = False) -> List[Tuple[str, float]]:
@@ -743,31 +744,19 @@ class HealthView:
 
     def saturation(self, link: Optional[str] = None):
         """CXL link saturation per host link (or one host's level)."""
-        table = {entity: series.last
-                 for (family, entity), series in self.fleet.gauges.items()
-                 if family == "link_saturation"}
-        return table if link is None else table.get(link, 0.0)
+        return self._latest("link_saturation", link)
 
     def queue_saturation(self, device: Optional[str] = None):
-        table = {entity: series.last
-                 for (family, entity), series in self.fleet.gauges.items()
-                 if family == "queue_saturation"}
-        return table if device is None else table.get(device, 0.0)
+        return self._latest("queue_saturation", device)
 
     # -- tenants (multi-tenant serving) ------------------------------------
 
     def tenant_slo_burn(self, tenant: Optional[str] = None):
         """EWMA'd fraction of each tenant's completions blowing its SLO."""
-        table = {entity: series.last
-                 for (family, entity), series in self.fleet.gauges.items()
-                 if family == "tenant_slo_burn"}
-        return table if tenant is None else table.get(tenant, 0.0)
+        return self._latest("tenant_slo_burn", tenant)
 
     def tenant_shed_rate(self, tenant: Optional[str] = None):
-        table = {entity: series.last
-                 for (family, entity), series in self.fleet.gauges.items()
-                 if family == "tenant_shed_rate"}
-        return table if tenant is None else table.get(tenant, 0.0)
+        return self._latest("tenant_shed_rate", tenant)
 
     # -- alerts ------------------------------------------------------------
 
@@ -791,19 +780,16 @@ class HealthView:
     def as_dict(self) -> dict:
         """The full JSON document ``python -m repro top --json`` emits."""
         fleet = self.fleet
-        devices = {}
+        devices, hosts = {}, {}
         for (family, entity), series in sorted(fleet.gauges.items()):
-            if family != "device_util":
-                continue
-            devices[entity] = {
-                "kind": fleet.device_kind.get(entity, "nic"),
-                "host": fleet.device_host.get(entity, ""),
-                "util": series.as_dict(),
-                "queue_saturation": self.queue_saturation(entity),
-            }
-        hosts = {}
-        for (family, entity), series in sorted(fleet.gauges.items()):
-            if family == "host_util":
+            if family == "device_util":
+                devices[entity] = {
+                    "kind": fleet.device_kind.get(entity, "nic"),
+                    "host": fleet.device_host.get(entity, ""),
+                    "util": series.as_dict(),
+                    "queue_saturation": self.queue_saturation(entity),
+                }
+            elif family == "host_util":
                 hosts.setdefault(entity, {})["util"] = series.as_dict()
             elif family == "link_saturation":
                 hosts.setdefault(entity, {})["link_saturation"] = \
@@ -814,16 +800,14 @@ class HealthView:
             info["stranded"] = gauge.stranded_fraction
             info["stranded_now"] = gauge.stranded_now
             pools[kind] = info
-        lease = fleet.gauges.get(("lease_expiry_rate", "pod"))
-        slo = fleet.gauges.get(("slo_burn", "pod"))
         return {
             "time": fleet.time,
             "ticks": fleet.ticks,
             "hosts": hosts,
             "devices": devices,
             "pools": pools,
-            "lease_expiry_rate": lease.last if lease is not None else 0.0,
-            "slo_burn": slo.last if slo is not None else 0.0,
+            "lease_expiry_rate": self._latest("lease_expiry_rate", "pod"),
+            "slo_burn": self._latest("slo_burn", "pod"),
             "alerts": {
                 "active": self.alerts(active_only=True),
                 "fired": fleet.alerts.fired,

@@ -1,36 +1,38 @@
-"""Pod-wide metrics registry: named, labelled counters/gauges/histograms.
+"""Pod-wide metrics registry: named, labelled series scraped as flat vectors.
 
-Before this layer existed, counters were scattered ad hoc across
-``CacheStats``, ``ChannelCounters``, ``LinkStats`` and the NIC/SSD/switch
-classes, with no way to scrape them over time or correlate them with
-sim-time events.  The registry gives every subsystem one place to publish:
+Every subsystem publishes through one registry, two ways:
 
 * **instruments** -- :class:`Counter` / :class:`Gauge` / :class:`Histogram`
   objects created through the registry and mutated on the hot path
-  (``inc`` / ``set`` / ``observe`` are a dict lookup plus an add);
-* **collectors** -- callables registered with
-  :meth:`MetricsRegistry.register_collector` that *read* the existing
-  legacy counter objects at snapshot time.  Binding a subsystem is therefore
-  observation-only: ``CacheStats`` and friends remain the source of truth,
-  and experiments that consume them keep producing identical numbers.
+  (``inc`` / ``set`` / ``observe`` are an attribute update);
+* **readers** -- bound with :meth:`MetricsRegistry.register` (the
+  ``bind_*`` functions of :mod:`repro.obs.bindings`) over counters that live
+  elsewhere (``CacheStats``, ``LinkStats``, ...).  Binding is
+  observation-only: those objects remain the source of truth.
 
-Every sample carries a label set (``host``, ``device``, ``channel``,
-``category``, ...).  :meth:`MetricsRegistry.snapshot` materialises all
-samples into an immutable :class:`MetricsSnapshot` with cheap
-``delta_since`` / ``aggregate`` semantics, mirroring (and generalising) the
-pre-existing ``LinkStats.snapshot`` / ``delta_since`` idiom.
+Identity is separated from value.  A :class:`SeriesTable` interns every
+``(name, labels_key)`` to an integer slot exactly once (labels ``host``,
+``device``, ``category``, ... are sorted and stringified then, never again);
+:meth:`MetricsRegistry.snapshot` fills one flat value vector and wraps it in
+a :class:`MetricsSnapshot`, a thin view ``(table, vector, time)``.  Readers
+are declared lazily at the first scrape and a :class:`Family` interns members
+on first sight, so a pod that never scrapes pays nothing and an older,
+shorter vector reads a later series as absent.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "Sample",
+    "SeriesTable",
+    "Family",
     "MetricsRegistry",
     "MetricsSnapshot",
     "labels_key",
@@ -38,6 +40,7 @@ __all__ = [
 
 #: canonical immutable form of a label set: sorted (key, value) pairs
 LabelsKey = Tuple[Tuple[str, str], ...]
+SeriesKey = Tuple[str, LabelsKey]
 
 
 def labels_key(labels: Dict[str, str]) -> LabelsKey:
@@ -47,7 +50,7 @@ def labels_key(labels: Dict[str, str]) -> LabelsKey:
 
 @dataclass(frozen=True)
 class Sample:
-    """One scraped value: a metric name, its labels, and a number."""
+    """One materialised value: a metric name, its labels, and a number."""
 
     name: str
     labels: LabelsKey
@@ -58,6 +61,34 @@ class Sample:
             if k == key:
                 return v
         return default
+
+
+class SeriesTable:
+    """Each ``(name, labels_key)`` interned to an integer slot, exactly once.
+
+    Slots are handed out in first-sight order and never reused, so a vector
+    taken when the table held ``n`` series covers exactly slots ``[0, n)``.
+    """
+
+    __slots__ = ("keys", "slots", "families")
+
+    def __init__(self):
+        self.keys: List[SeriesKey] = []               # slot -> key
+        self.slots: Dict[SeriesKey, int] = {}
+        self.families: Dict[str, List[int]] = {}      # name -> its slots
+
+    def groups(self, name: str, by: Sequence[str],
+               n: int) -> Dict[Tuple[str, ...], List[int]]:
+        """Slots below ``n`` of one family, grouped by the ``by`` label
+        values; groups and their slots in first-sight order."""
+        out: Dict[Tuple[str, ...], List[int]] = {}
+        for slot in self.families.get(name, ()):
+            if slot >= n:
+                break
+            labels = dict(self.keys[slot][1])
+            out.setdefault(tuple(labels.get(k, "") for k in by),
+                           []).append(slot)
+        return out
 
 
 class _Instrument:
@@ -71,12 +102,13 @@ class _Instrument:
         self.labels = labels
         self.help = help
 
-    def samples(self) -> Iterable[Sample]:
-        raise NotImplementedError
+    def declare(self, series) -> Callable[[list], None]:
+        slot = series(self.name, self.labels)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pairs = ",".join(f"{k}={v}" for k, v in self.labels)
-        return f"<{type(self).__name__} {self.name}{{{pairs}}}>"
+        def read(vector):
+            vector[slot] += self.value
+
+        return read
 
 
 class Counter(_Instrument):
@@ -94,16 +126,11 @@ class Counter(_Instrument):
             raise ValueError(f"counter {self.name} cannot decrease (by {amount})")
         self.value += amount
 
-    def samples(self) -> Iterable[Sample]:
-        yield Sample(self.name, self.labels, self.value)
-
 
 class Gauge(_Instrument):
     """A point-in-time value; optionally backed by a read callback.
 
-    Callback-backed gauges (``fn``) are how the legacy ad-hoc counters are
-    registered without being rewritten: the callable is evaluated at
-    snapshot time.
+    Callback-backed gauges (``fn``) are evaluated at snapshot time.
     """
 
     kind = "gauge"
@@ -121,17 +148,11 @@ class Gauge(_Instrument):
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     @property
     def value(self) -> float:
         if self.fn is not None:
             return float(self.fn())
         return self._value
-
-    def samples(self) -> Iterable[Sample]:
-        yield Sample(self.name, self.labels, self.value)
 
 
 #: default histogram bucket bounds (generic latency-ish scale)
@@ -168,12 +189,13 @@ class Histogram(_Instrument):
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if value != value:
+            # A NaN lands in no bucket: _count would outrun +Inf for good.
+            raise ValueError(f"histogram {self.name} cannot observe NaN")
         self.count += 1
         self.sum += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
+        # First bound >= value; the last bound is +Inf, so always in range.
+        self.bucket_counts[bisect_left(self.buckets, value)] += 1
         if self.keep_raw:
             self.observations.append(value)
 
@@ -181,77 +203,133 @@ class Histogram(_Instrument):
     def mean(self) -> float:
         return self.sum / self.count if self.count else float("nan")
 
-    def samples(self) -> Iterable[Sample]:
-        yield Sample(f"{self.name}_count", self.labels, float(self.count))
-        yield Sample(f"{self.name}_sum", self.labels, self.sum)
-        cumulative = 0
-        for bound, n in zip(self.buckets, self.bucket_counts):
-            cumulative += n
-            le = "+Inf" if bound == float("inf") else f"{bound:g}"
-            yield Sample(f"{self.name}_bucket", self.labels + (("le", le),),
-                         float(cumulative))
+    def declare(self, series) -> Callable[[list], None]:
+        count = series(f"{self.name}_count", self.labels)
+        total = series(f"{self.name}_sum", self.labels)
+        buckets = [
+            series(f"{self.name}_bucket", self.labels + ((
+                "le", "+Inf" if bound == float("inf") else f"{bound:g}"),))
+            for bound in self.buckets]
+
+        def read(vector):
+            vector[count] += self.count
+            vector[total] += self.sum
+            cumulative = 0
+            for slot, n in zip(buckets, self.bucket_counts):
+                cumulative += n
+                vector[slot] += cumulative
+
+        return read
 
 
 class MetricsSnapshot:
-    """An immutable point-in-time view of every sample in a registry."""
+    """A point-in-time view of a registry: ``(table, vector, time)``.
 
-    __slots__ = ("time", "values")
+    ``vector[slot]`` is the value of the series the shared table interned
+    at ``slot``; series interned later lie beyond the vector and read as
+    absent.  Only ``values`` / ``items()`` materialise the
+    ``{(name, labels_key): value}`` dict (reports, tests).
+    """
 
-    def __init__(self, values: Dict[Tuple[str, LabelsKey], float],
+    __slots__ = ("table", "vector", "time")
+
+    def __init__(self, table: SeriesTable, vector: Sequence[float],
                  time: float = 0.0):
+        self.table = table
+        self.vector = vector
         self.time = time
-        self.values = values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.vector)
 
     def get(self, name: str, default: float = 0.0, **labels) -> float:
-        return self.values.get((name, labels_key(labels)), default)
+        slot = self.table.slots.get((name, labels_key(labels)))
+        if slot is None or slot >= len(self.vector):
+            return default
+        return self.vector[slot]
 
     def delta_since(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Per-sample difference against an earlier snapshot.
-
-        Samples absent from ``earlier`` are treated as zero, matching
-        ``LinkStats.delta_since``.
-        """
-        return MetricsSnapshot(
-            {key: value - earlier.values.get(key, 0.0)
-             for key, value in self.values.items()},
-            time=self.time,
-        )
+        """Per-series difference against an earlier snapshot; series absent
+        from ``earlier`` count from zero, as ``LinkStats.delta_since``."""
+        vector, before = self.vector, earlier.vector
+        delta = [now - then for now, then in zip(vector, before)]
+        delta.extend(vector[len(before):])
+        return MetricsSnapshot(self.table, delta, time=self.time)
 
     def aggregate(self, name: str,
                   by: Sequence[str] = ()) -> Dict[Tuple[str, ...], float]:
-        """Sum samples of ``name`` grouped by the given label keys.
-
-        With ``by=()`` the result has a single entry keyed by the empty
-        tuple (the grand total).
-        """
-        out: Dict[Tuple[str, ...], float] = {}
-        for (sample_name, labels), value in self.values.items():
-            if sample_name != name:
-                continue
-            table = dict(labels)
-            group = tuple(table.get(k, "") for k in by)
-            out[group] = out.get(group, 0.0) + value
+        """Sum series of ``name`` grouped by the given label keys (``by=()``:
+        one entry keyed by the empty tuple, the grand total)."""
+        vector, out = self.vector, {}
+        for group, slots in self.table.groups(name, by, len(vector)).items():
+            total = 0.0
+            for slot in slots:
+                total += vector[slot]
+            out[group] = total
         return out
 
     def total(self, name: str) -> float:
-        return sum(self.aggregate(name).values())
+        return self.aggregate(name).get((), 0)
 
     def names(self) -> List[str]:
-        return sorted({name for name, _ in self.values})
+        n = len(self.vector)
+        return sorted(name for name, family in self.table.families.items()
+                      if family[0] < n)
+
+    @property
+    def values(self) -> Dict[SeriesKey, float]:
+        return dict(zip(self.table.keys, self.vector))
 
     def items(self):
         return self.values.items()
 
 
+class Family(dict):
+    """Slots of a metric family whose members appear at run time, keyed by
+    the tuple of label values.  A miss interns the new series, so
+    ``vector[family[host, category]] += n`` costs one dict lookup per scrape
+    and one ``labels_key`` per series ever."""
+
+    def __init__(self, series, name: str, label_names: Tuple[str, ...]):
+        self._series = series
+        self.name = name
+        self.label_names = label_names
+
+    def __missing__(self, values: tuple) -> int:
+        slot = self[values] = self._series(
+            self.name, **dict(zip(self.label_names, values)))
+        return slot
+
+
+class _Scope:
+    """What a declaration is handed: interns series for one reader."""
+
+    __slots__ = ("_registry", "_reader")
+
+    def __init__(self, registry: "MetricsRegistry", reader: int):
+        self._registry = registry
+        self._reader = reader
+
+    def __call__(self, name: str, key: Optional[LabelsKey] = None, /,
+                 **labels) -> int:
+        return self._registry._intern(
+            self._reader, name, labels_key(labels) if key is None else key)
+
+    def family(self, name: str, *label_names: str) -> Family:
+        self._registry._producers.setdefault(name, set()).add(self._reader)
+        return Family(self, name, label_names)
+
+
 class MetricsRegistry:
-    """The pod-wide registry of instruments and legacy-counter collectors."""
+    """The pod-wide registry: one series table, instruments and readers."""
 
     def __init__(self):
-        self._instruments: Dict[Tuple[str, LabelsKey], _Instrument] = {}
-        self._collectors: List[Callable[[], Iterable[Sample]]] = []
+        self.table = SeriesTable()
+        self._instruments: Dict[SeriesKey, _Instrument] = {}
+        self._pending: List[Callable] = []       # declarations not yet run
+        self._readers: List[Callable[[list], None]] = []
+        self._producers: Dict[str, set] = {}     # name -> readers writing it
+        self._filling: Optional[list] = None     # grows with late interning
 
     # -- instrument creation (get-or-create, idempotent) ----------------------
 
@@ -261,6 +339,7 @@ class MetricsRegistry:
         if instrument is None:
             instrument = cls(name, key[1], help=help, **kwargs)
             self._instruments[key] = instrument
+            self.register(instrument.declare)
         elif not isinstance(instrument, cls):
             raise TypeError(
                 f"metric {name}{dict(key[1])} already registered as "
@@ -284,43 +363,56 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, labels,
                                    buckets=buckets, keep_raw=keep_raw)
 
-    def register_collector(self, fn: Callable[[], Iterable[Sample]]) -> None:
-        """Register a callable yielding :class:`Sample` objects at scrape time."""
-        self._collectors.append(fn)
+    def register(self, declare: Callable) -> None:
+        """Bind a reader of counters that live elsewhere.
+
+        ``declare(series)`` runs once, at the next scrape: it interns the
+        reader's series (``series(name, **labels)`` returns a slot,
+        ``series.family(name, *label_names)`` a :class:`Family`) and returns
+        ``read(vector)``, which adds the current raw numbers into those
+        slots (series written twice sum).
+        """
+        self._pending.append(declare)
+
+    def _intern(self, reader: int, name: str, labels: LabelsKey) -> int:
+        table, key = self.table, (name, labels)
+        slot = table.slots.get(key)
+        if slot is None:
+            slot = table.slots[key] = len(table.keys)
+            table.keys.append(key)
+            table.families.setdefault(name, []).append(slot)
+            if self._filling is not None:
+                self._filling.append(0.0)
+        self._producers.setdefault(name, set()).add(reader)
+        return slot
 
     # -- reading ---------------------------------------------------------------
 
-    def collect(self) -> List[Sample]:
-        """Every sample currently visible (instruments + collectors)."""
-        out: List[Sample] = []
-        for instrument in self._instruments.values():
-            out.extend(instrument.samples())
-        for collector in self._collectors:
-            out.extend(collector())
-        return out
+    def _fill(self, name: Optional[str] = None) -> list:
+        """One value vector; with ``name``, only its producers are read."""
+        pending, self._pending = self._pending, []
+        for declare in pending:
+            self._readers.append(declare(_Scope(self, len(self._readers))))
+        readers = self._readers if name is None else [
+            self._readers[i] for i in sorted(self._producers.get(name, ()))]
+        vector = self._filling = [0.0] * len(self.table.keys)
+        try:
+            for read in readers:
+                read(vector)
+        finally:
+            self._filling = None
+        return vector
 
     def snapshot(self, time: float = 0.0) -> MetricsSnapshot:
-        """Materialise a :class:`MetricsSnapshot` (duplicate samples sum)."""
-        values: Dict[Tuple[str, LabelsKey], float] = {}
-        for sample in self.collect():
-            key = (sample.name, sample.labels)
-            values[key] = values.get(key, 0.0) + sample.value
-        return MetricsSnapshot(values, time=time)
+        """Read every series into one vector (a view, nothing materialised)."""
+        return MetricsSnapshot(self.table, self._fill(), time=time)
 
     def value(self, name: str, default: float = 0.0, **labels) -> float:
-        return self.snapshot().get(name, default, **labels)
+        """One series' current value, reading only the readers that own it."""
+        return MetricsSnapshot(self.table, self._fill(name)).get(
+            name, default, **labels)
 
     def aggregate(self, name: str,
                   by: Sequence[str] = ()) -> Dict[Tuple[str, ...], float]:
-        return self.snapshot().aggregate(name, by=by)
-
-    def find(self, name: str) -> List[_Instrument]:
-        return [inst for (n, _), inst in self._instruments.items() if n == name]
-
-    @property
-    def instrument_count(self) -> int:
-        return len(self._instruments)
-
-    @property
-    def collector_count(self) -> int:
-        return len(self._collectors)
+        return MetricsSnapshot(self.table, self._fill(name)).aggregate(
+            name, by=by)

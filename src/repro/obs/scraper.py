@@ -1,20 +1,20 @@
 """Periodic scraping of a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 The scraper is a simulation-time process: every ``period_s`` of *virtual*
-time it materialises a :class:`~repro.obs.metrics.MetricsSnapshot` of the
-whole registry into a bounded time-series buffer.  Experiments and the
-``python -m repro report`` CLI then read per-metric series
-(:meth:`TelemetryScraper.series`) or per-interval rates
-(:meth:`TelemetryScraper.rates`) out of the buffer, exactly the way the
+time it reads the whole registry into one value vector and keeps it in a
+bounded time-series buffer, from which experiments and ``python -m repro
+report`` read per-metric series (:meth:`TelemetryScraper.series`) or
+per-interval rates (:meth:`TelemetryScraper.rates`), exactly the way the
 pod-wide allocator consumes the backends' 100 ms telemetry records (§3.5).
 
 The buffer is a ring: at ``max_snapshots`` the oldest snapshot is evicted
-so sampling never stops -- a long-running pod always has the freshest
-window, and ``dropped`` counts how many fell off the back.  Streaming
-consumers that must see *every* sample regardless of buffer depth register
-via :meth:`TelemetryScraper.subscribe` (that is how
-:class:`~repro.obs.fleet.FleetHealth` gets its deltas without retaining
-raw snapshots at all).
+so sampling never stops, and ``dropped`` counts how many fell off the back.
+A retained scrape is one packed ``array('d')`` -- 8 bytes per series --
+against the registry's shared series table, not a dict with label tuples of
+its own.  Streaming consumers that must see *every* sample regardless of
+buffer depth register via :meth:`TelemetryScraper.subscribe` (that is how
+:class:`~repro.obs.fleet.FleetHealth` gets each new vector; it keeps only
+the previous one to difference against).
 
 The scrape period relies on :class:`~repro.sim.core.PeriodicTask` firing
 from an unjittered base timeline -- "every 100 ms" really means a 100 ms
@@ -23,9 +23,11 @@ mean period, which is what makes the derived rates trustworthy.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Callable, List, Optional, Tuple
 
+from ..errors import ConfigError
 from .metrics import MetricsRegistry, MetricsSnapshot
 
 __all__ = ["TelemetryScraper"]
@@ -44,7 +46,6 @@ class TelemetryScraper:
         self.sim = sim
         self.registry = registry
         self.period_s = period_s
-        self.max_snapshots = max_snapshots
         self.snapshots: deque = deque(maxlen=max_snapshots)
         self.samples_taken = 0
         self.dropped = 0
@@ -58,8 +59,12 @@ class TelemetryScraper:
         return self._task is not None
 
     def start(self, period_s: Optional[float] = None) -> "TelemetryScraper":
-        """Begin sampling every ``period_s`` (idempotent)."""
+        """Begin sampling every ``period_s`` (idempotent for one period)."""
         if self._task is not None:
+            if period_s is not None and period_s != self.period_s:
+                raise ConfigError(
+                    f"scraper already samples every {self.period_s} s; "
+                    f"cannot restart it at {period_s} s (stop() it first)")
             return self
         if period_s is not None:
             self.period_s = period_s
@@ -80,23 +85,21 @@ class TelemetryScraper:
         """
         self._subscribers.append(fn)
 
-    def _append(self, snapshot: MetricsSnapshot) -> None:
-        if (self.snapshots.maxlen is not None
-                and len(self.snapshots) == self.snapshots.maxlen):
-            self.dropped += 1          # ring full: the oldest falls off
-        self.snapshots.append(snapshot)
-        for fn in self._subscribers:
-            fn(snapshot)
-
-    def _sample(self) -> None:
-        self.samples_taken += 1
-        self._append(self.registry.snapshot(time=self.sim.now))
-
     def sample_now(self) -> MetricsSnapshot:
         """Take one out-of-band sample immediately (also buffered)."""
         snapshot = self.registry.snapshot(time=self.sim.now)
-        self._append(snapshot)
+        if (self.snapshots.maxlen is not None
+                and len(self.snapshots) == self.snapshots.maxlen):
+            self.dropped += 1          # ring full: the oldest falls off
+        self.snapshots.append(MetricsSnapshot(
+            snapshot.table, array("d", snapshot.vector), snapshot.time))
+        for fn in self._subscribers:
+            fn(snapshot)
         return snapshot
+
+    def _sample(self) -> None:
+        self.samples_taken += 1
+        self.sample_now()
 
     # -- reading -----------------------------------------------------------
 
@@ -106,9 +109,6 @@ class TelemetryScraper:
     @property
     def latest(self) -> Optional[MetricsSnapshot]:
         return self.snapshots[-1] if self.snapshots else None
-
-    def times(self) -> List[float]:
-        return [snapshot.time for snapshot in self.snapshots]
 
     def series(self, name: str, **labels) -> Tuple[List[float], List[float]]:
         """The sampled values of one metric over time: ``(times, values)``.
@@ -139,7 +139,3 @@ class TelemetryScraper:
             out_t.append(times[i])
             out_r.append((values[i] - values[i - 1]) / dt)
         return out_t, out_r
-
-    def clear(self) -> None:
-        self.snapshots.clear()
-        self.dropped = 0

@@ -8,10 +8,13 @@ objects or from the registry.
 """
 
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.mem.cxl import CXLMemoryPool, LinkStats
 from repro.obs import (
     MetricsRegistry,
@@ -88,6 +91,77 @@ class TestRegistry:
         s = Sample("x", labels_key({"host": "h0", "op": "r"}), 1.0)
         assert s.label("host") == "h0"
         assert s.label("missing", "d") == "d"
+
+
+class TestSeriesTable:
+    """Identity is interned once; a scrape only moves numbers."""
+
+    def test_later_series_read_absent_in_earlier_snapshots(self):
+        reg = MetricsRegistry()
+        reg.counter("ops", host="h0").inc(5)
+        first = reg.snapshot(time=1.0)
+        late = reg.counter("ops", host="h1")
+        late.inc(2)
+        second = reg.snapshot(time=2.0)
+        assert (len(first), len(second)) == (1, 2)
+        assert first.get("ops", -1.0, host="h1") == -1.0
+        assert first.aggregate("ops", by=("host",)) == {("h0",): 5.0}
+        assert second.delta_since(first).values == {
+            ("ops", (("host", "h0"),)): 0.0, ("ops", (("host", "h1"),)): 2.0}
+        assert first.delta_since(second).values == {
+            ("ops", (("host", "h0"),)): 0.0}
+        assert second.names() == ["ops"] and second.total("ops") == 7.0
+
+    def test_series_written_by_two_readers_sum(self):
+        reg = MetricsRegistry()
+        for amount in (3, 4):
+            def declare(series, amount=amount):
+                slot = series("bytes", host="h0")
+
+                def read(vector):
+                    vector[slot] += amount
+                return read
+            reg.register(declare)
+        assert reg.snapshot().get("bytes", host="h0") == 7.0
+        assert reg.value("bytes", host="h0") == 7.0
+
+    def test_readers_are_declared_at_the_first_scrape(self):
+        reg = MetricsRegistry()
+        pool = CXLMemoryPool(size=1 << 20)
+        bindings.bind_pool(reg, pool)
+        assert len(reg.table.keys) == 0       # nothing interned by binding
+        pool.dma_write(0, b"x" * 64, host="h0", category="payload")
+        assert len(reg.snapshot()) == 1
+        pool.dma_write(0, b"x" * 64, host="h0", category="message")
+        assert len(reg.snapshot()) == 2       # a family member, on sight
+
+    def test_value_and_aggregate_read_only_the_owning_readers(self):
+        """One number must not cost a whole snapshot (counted, not timed)."""
+        from repro.experiments.common import build_echo_pod
+
+        pod, _, _, _ = build_echo_pod("oasis", remote=True)
+        reg = pod.metrics
+        hist = reg.histogram("echo_rtt_us", client="c0")
+        hist.observe(9.0)
+        reg.snapshot()                         # declare everything
+        calls = []
+        reg._readers[:] = [
+            (lambda vector, read=read: (calls.append(read), read(vector))[1])
+            for read in reg._readers]
+        assert reg.value("echo_rtt_us_count", client="c0") == 1.0
+        assert len(calls) == 1
+        frames = reg.snapshot().aggregate("nic_frames", by=("device",))
+        del calls[:]
+        assert reg.aggregate("nic_frames", by=("device",)) == frames
+        assert len(calls) == len(pod.nics) < len(reg._readers)
+        del calls[:]
+        assert reg.value("no_such_metric", default=-1.0) == -1.0
+        assert reg.aggregate("no_such_metric") == {}
+        assert calls == []
+        # A family whose members appear at run time is owned by its reader
+        # before it has any member.
+        assert reg.aggregate("fault_injected") == {}
+        assert "cxl_link_bytes" in reg._producers
 
 
 class TestLinkStatsBinding:
@@ -223,6 +297,46 @@ class TestScraper:
         assert len(seen) > len(scraper)
         assert seen == sorted(seen)
 
+    def test_asking_a_running_scraper_for_another_period_raises(self):
+        from repro.experiments.common import build_echo_pod
+
+        pod, _, _, _ = build_echo_pod("oasis", remote=True)
+        pod.start_telemetry(0.1)
+        assert pod.start_telemetry(0.1) is pod.scraper      # same: idempotent
+        assert pod.start_telemetry() is pod.scraper
+        with pytest.raises(ConfigError, match=r"0\.1 s.*0\.002 s"):
+            pod.enable_fleet_telemetry(period_s=0.002)
+        assert pod.fleet is None and pod.scraper.period_s == 0.1
+        pod.scraper.stop()
+        fleet = pod.enable_fleet_telemetry(period_s=0.002)
+        pod.run(0.3)
+        assert fleet.ticks >= 149               # not 2: alerts run on 2 ms
+
+    def test_ring_holds_one_packed_vector_per_scrape(self):
+        """<= 16 B x series + a constant per retained scrape."""
+        from repro.experiments.common import build_echo_pod
+
+        pod, _, _, _ = build_echo_pod("oasis", remote=True)
+        scraper = pod.scraper
+        scraper.sample_now()
+        series = len(scraper.latest)
+        assert series > 150
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for _ in range(200):
+                scraper.sample_now()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        grown = sum(stat.size_diff
+                    for stat in after.compare_to(before, "filename"))
+        assert grown / 200 <= 16 * series + 512
+        assert len(scraper) == 201 and scraper.dropped == 0
+        assert scraper.latest.get("scraper_buffered") == 200
+        times, values = scraper.series("scraper_buffered")
+        assert values == [float(i) for i in range(201)]
+
     def test_scraper_self_telemetry_binding(self):
         from repro.obs import bindings
 
@@ -270,6 +384,85 @@ class TestHistogramPercentiles:
             assert _percentile(hist, q) == pytest.approx(7.0)
         assert hist.count == 100
         assert hist.mean == pytest.approx(7.0)
+
+
+    def test_nan_is_rejected_before_it_poisons_the_sum(self):
+        hist = self._hist()
+        hist.observe(2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            hist.observe(float("nan"))
+        assert (hist.count, hist.sum, hist.observations) == (1, 2.0, [2.0])
+        assert sum(hist.bucket_counts) == hist.count
+
+    def test_bucket_edges(self):
+        """``value == bound`` lands in that bound's bucket, +Inf in the last,
+        as the linear scan ``value <= bound`` did."""
+        hist = self._hist()                     # bounds 1, 10, +Inf
+        for value in (-5.0, 1.0, 1.0000001, 10.0, 10.5, float("inf"),
+                      float("-inf")):
+            hist.observe(value)
+        assert hist.bucket_counts == [3, 2, 2]
+        reg = MetricsRegistry()
+        registered = reg.histogram("lat_us", buckets=(1.0, 10.0))
+        for value in hist.observations:
+            registered.observe(value)
+        snap = reg.snapshot()
+        assert [snap.get("lat_us_bucket", le=le) for le in ("1", "10", "+Inf")
+                ] == [3.0, 5.0, 7.0]
+        assert snap.get("lat_us_count") == snap.get("lat_us_bucket", le="+Inf")
+
+
+class TestScrapeCost:
+    """Count-based guard: a tick moves numbers, it never rebuilds identity.
+
+    Deterministic on any box (Python-level call counts under
+    ``sys.setprofile``, no wall clock).  The parent's dict-of-label-tuples
+    snapshot cost ~2,500 calls inside ``repro/obs`` per scrape+ingest tick
+    of this pod; the series table costs 188.
+    """
+
+    CALLS_PER_TICK_CEILING = 235          # measured 188, +25 %
+
+    def test_tick_makes_no_label_keys_no_samples_and_few_calls(
+            self, monkeypatch):
+        import repro.obs
+        from repro.obs import metrics
+
+        from .test_replay import _serve_mix_pod
+
+        pod, _run = _serve_mix_pod(5)
+        for client in pod._load_sources:
+            client.start(1.0)
+        pod.run(0.1)                           # warm: every series interned
+        pod.scraper.stop()
+        series = len(pod.scraper.latest)
+        assert series >= 269
+
+        samples = []
+        init = metrics.Sample.__init__
+        monkeypatch.setattr(metrics.Sample, "__init__", lambda self, *a: (
+            samples.append(a), init(self, *a))[1])
+        obs_dir = repro.obs.__path__[0]
+        counts = {"obs": 0, "labels_key": 0}
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                code = frame.f_code
+                counts["obs"] += code.co_filename.startswith(obs_dir)
+                counts["labels_key"] += code is metrics.labels_key.__code__
+
+        for _ in range(50):
+            pod.run(0.002)
+            sys.setprofile(profile)
+            try:
+                pod.scraper._sample()
+            finally:
+                sys.setprofile(None)
+        pod.stop()
+        assert pod.fleet.ticks >= 99 and len(pod.scraper.latest) == series
+        assert counts["labels_key"] == 0
+        assert samples == []
+        assert 0 < counts["obs"] / 50 <= self.CALLS_PER_TICK_CEILING
 
 
 class TestTracer:

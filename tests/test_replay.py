@@ -18,7 +18,10 @@ seed, same scrape cadence, same rules -- byte-identical alert sequence
 The golden tests are the cross-build pin: ``tests/data/golden_*.json`` were
 captured from the tree *before* the admission-stage refactor, and every
 later build must reproduce them byte for byte (overload sweep with budgets
-on and off, the serve solo+mix run, the fig10 metrics report).  Regenerate
+on and off, the serve solo+mix run, the fig10 metrics report) -- and
+``golden_fleet.json`` from the tree before the telemetry series table (alert
+log, health document and ``top --once --json`` of the seeded echo cell, and
+the same for the three-tenant serve mix).  Regenerate
 with ``PYTHONPATH=src python tests/test_replay.py`` only in a PR that says
 it changes an observable.
 """
@@ -109,6 +112,46 @@ def _fleet_snapshot(seed: int) -> tuple:
     pod.stop()
     return (json.dumps(fleet.alerts.log_json(), sort_keys=True),
             json.dumps(fleet.view().as_dict(), sort_keys=True))
+
+
+def _serve_mix_pod(seed: int):
+    """``(pod, run)``: the three-tenant serve mix on a derated SSD with fleet
+    telemetry at 2 ms; ``run()`` drives the 8x bg surge and stops the pod."""
+    from dataclasses import replace
+
+    from repro.config import OasisConfig
+    from repro.core.pod import CXLPod
+    from repro.experiments.common import SERVER_IP
+    from repro.workloads.tenants import SERVE_PROFILES, TenantClient
+
+    base = OasisConfig()
+    config = base.with_(
+        seed=seed, ssd=replace(base.ssd, bandwidth_gbps=0.04),
+        overload=replace(base.overload, enabled=True, launch_window=2,
+                         brownout_high=0.15, brownout_low=0.05))
+    pod = CXLPod(config=config, mode="oasis")
+    h0, h1 = pod.add_host(), pod.add_host()
+    pod.add_nic(h0)
+    device = pod.add_block_device(pod.add_instance(h1, ip=SERVER_IP),
+                                  pod.add_ssd(h0))
+    pod.enable_fleet_telemetry(period_s=0.002)
+    profiles = SERVE_PROFILES(config.ssd.bytes_per_sec / config.ssd.block_size)
+    pod.enable_multi_tenant({name: p.spec() for name, p in profiles.items()})
+    clients = {}
+    for name, profile in profiles.items():
+        clients[name] = TenantClient(pod.sim, device, profile,
+                                     rng=pod.rng.get(f"serve/{name}"))
+        pod.register_tenant_client(clients[name])
+
+    def run(third_s: float = 0.05) -> None:
+        for client in clients.values():
+            client.start(3 * third_s)
+        pod.sim.at(third_s, clients["bg"].set_rate_multiplier, 8.0)
+        pod.sim.at(2 * third_s, clients["bg"].set_rate_multiplier, 1.0)
+        pod.run(3 * third_s + 0.05)
+        pod.stop()
+
+    return pod, run
 
 
 class TestFleetAlertReplay:
@@ -252,8 +295,22 @@ def _golden_fig10() -> dict:
     return json.loads(_snapshot(17)["report_json"])
 
 
+def _golden_fleet() -> dict:
+    from repro.obs.cli import top
+
+    log, doc = _fleet_snapshot(17)
+    pod, run = _serve_mix_pod(5)
+    run()
+    return {
+        "echo": {"log": json.loads(log), "doc": json.loads(doc)},
+        "top": top(duration_s=0.05, once=True)["doc"],
+        "serve_mix": {"log": pod.fleet.alerts.log_json(),
+                      "doc": pod.fleet.view().as_dict()},
+    }
+
+
 GOLDENS = {"overload": _golden_overload, "serve": _golden_serve,
-           "fig10": _golden_fig10}
+           "fig10": _golden_fig10, "fleet": _golden_fleet}
 
 
 def _golden_bytes(name: str) -> str:

@@ -172,59 +172,6 @@ class ChannelSender:
             self._dirty_line_addr = line_addr
         return True, cost
 
-    def try_send_batch(self, payloads, out: list) -> bool:
-        """Fused :meth:`try_send` loop for driver batching.
-
-        ``out`` is a two-slot ``[sent, cost_ns]`` accumulator updated after
-        every payload, so a caller's ``finally`` observes partial progress
-        exactly as the call-per-payload loop would under an exception.
-        Returns True when the ring is full (the failed attempt's cost is
-        already accumulated).
-        """
-        slots = self._slots
-        msize = self._msize
-        mask = self._slot_mask
-        base = self._slot_base
-        wshift = self._wrap_shift
-        cache = self.cache
-        category = self.category
-        counters = self.counters
-        for payload in payloads:
-            if len(payload) != msize:
-                raise ChannelError(
-                    f"payload must be exactly {msize} B, got {len(payload)}"
-                )
-            seq = self.next_seq
-            c = 0.0
-            if slots - (seq - self._cached_consumed) <= 0:
-                c += self.refresh_consumed()
-                if slots - (seq - self._cached_consumed) <= 0:
-                    counters.full_stalls += 1
-                    out[1] += c
-                    return True
-            b0 = payload[0]
-            if b0 & 0x80:
-                raise ChannelError(
-                    "payload first byte must leave the epoch bit clear")
-            if (seq >> wshift) & 1:
-                slot = payload
-            else:
-                slot = bytearray(payload)
-                slot[0] = b0 | 0x80
-            addr = base + (seq & mask) * msize
-            c += cache.store(addr, slot, category)
-            self.next_seq = seq + 1
-            counters.sent += 1
-            line_addr = addr & ~_LINE_MASK
-            if (addr + msize) & _LINE_MASK == 0:
-                c += cache.clwb(line_addr, category)
-                self._dirty_line_addr = None
-            else:
-                self._dirty_line_addr = line_addr
-            out[1] += c
-            out[0] += 1
-        return False
-
     def flush(self) -> float:
         """CLWB a partially filled line so receivers can see it (low rate)."""
         if self._dirty_line_addr is None:

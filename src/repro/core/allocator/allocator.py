@@ -73,9 +73,7 @@ class PodAllocator:
         self._host_check_task = None
         self._lease_sweep_task = None
         self.storage_backends: Dict[str, object] = {}
-        # Replication: either a single legacy-attached node or a full
-        # cluster with one replica state machine per node.
-        self._raft = None
+        # Replication: a Raft cluster with one replica state machine per node.
         self._raft_nodes: list = []
         self.replicas: Dict[str, AllocatorStateMachine] = {}
         self._pending: Dict[str, dict] = {}    # cid -> command awaiting commit
@@ -151,30 +149,20 @@ class PodAllocator:
 
     @property
     def replicated(self) -> bool:
-        return self._raft is not None or bool(self._raft_nodes)
+        return bool(self._raft_nodes)
 
     def leader_node(self):
-        if self._raft_nodes:
-            for node in self._raft_nodes:
-                if node.alive and node.is_leader:
-                    return node
-            return None
-        if self._raft is not None and self._raft.is_leader:
-            return self._raft
+        for node in self._raft_nodes:
+            if node.alive and node.is_leader:
+                return node
         return None
 
     # -- wiring --------------------------------------------------------------------
-
-    def attach_raft(self, raft_node) -> None:
-        """Replicate decisions through ``raft_node`` (apply_cb must be us)."""
-        self._raft = raft_node
-        self._start_commit_retry()
 
     def attach_raft_cluster(self, nodes) -> None:
         """Replicate through a full cluster: one state-machine replica per
         node, seeded from a snapshot of the current state; the canonical
         machine (and its side effects) advance wherever the leader applies."""
-        self._raft = None
         self._raft_nodes = list(nodes)
         snap = self.state.snapshot()
         self.replicas = {}
@@ -380,11 +368,6 @@ class PodAllocator:
             for cid in due:
                 leader.propose(self._pending[cid])
                 self._proposed_at[cid] = self.sim.now
-
-    def apply(self, index: int, command: dict) -> None:
-        """State-machine apply (legacy Raft callback or direct)."""
-        if self._raft is None or self._raft.is_leader:
-            self._service_apply(command)
 
     def replica_signature(self, node_id: str):
         replica = self.replicas.get(node_id)

@@ -21,8 +21,7 @@ in full-system experiments.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..config import OasisConfig
 from ..channel.designs import InvalidatePrefetchedReceiver
@@ -31,8 +30,8 @@ from ..channel.ring import RingLayout
 from ..errors import ChannelFullError
 from ..mem.cxl import CXLMemoryPool
 from ..mem.layout import Region, RegionAllocator
-from ..obs.trace import NULL_TRACER
-from ..sim.core import _NEAR_WINDOW, Event, Signal, Simulator, USEC
+from ..obs.trace import TracerBinding
+from ..sim.core import Signal, Simulator, USEC
 
 __all__ = ["SharedRegions", "DoorbellChannel", "LocalChannel", "ChannelPair"]
 
@@ -68,7 +67,7 @@ class SharedRegions:
         return self._allocator.free_bytes
 
 
-class DoorbellChannel:
+class DoorbellChannel(TracerBinding):
     """One-way cross-host channel: non-coherent ring + modelled hop latency.
 
     The *hop* covers what the microbenchmark measures end to end: the
@@ -78,18 +77,9 @@ class DoorbellChannel:
     work).
     """
 
-    tracer = NULL_TRACER
-    # Precomputed dispatch: None while tracing is disabled; rebound to the
-    # live tracer by set_tracer() when the pod enables tracing.
-    _trace = None
     #: queue_view holds visibility timestamps; a future head means drain()
-    #: cannot deliver yet (engine loops use this to skip the call).
+    #: cannot deliver yet (the engine drain loop uses this to skip the call).
     timed = True
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; the hot path keeps a None-or-tracer fast alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
 
     def __init__(
         self,
@@ -120,7 +110,7 @@ class DoorbellChannel:
         # message never rides an earlier message's doorbell for free.
         self._visible_at: deque = deque()
         self._fire_scheduled_for: Optional[float] = None
-        # Stable aliases the engine drain loops use to skip a drain() call
+        # Stable aliases the engine drain loop uses to skip a drain() call
         # that would be a guaranteed no-op (nothing in flight, no counter
         # update owed).  Both objects are fixed for the channel's lifetime.
         self.queue_view = self._visible_at
@@ -198,14 +188,24 @@ class DoorbellChannel:
         return cost
 
     def send_many(self, payloads: List[bytes]) -> float:
-        """Send a batch with one flush + one doorbell (driver batching)."""
-        state = [0, 0.0]   # [sent, cost_ns], updated in place per payload
+        """Send a batch with one flush + one doorbell (driver batching).
+
+        A full ring raises :class:`ChannelFullError` carrying how many
+        messages went out; those are flushed and made visible first.
+        """
+        sender = self.sender
+        sent = 0
+        cost = 0.0
         try:
-            if self.sender.try_send_batch(payloads, state):
-                raise ChannelFullError(self.name)
+            for payload in payloads:
+                ok, send_cost = sender.try_send(payload)
+                cost += send_cost
+                if not ok:
+                    raise ChannelFullError(self.name, sent=sent)
+                sent += 1
         finally:
-            cost = state[1] + self.sender.flush()
-            self._mark_visible(state[0])
+            cost += sender.flush()
+            self._mark_visible(sent)
         return cost
 
     def _mark_visible(self, count: int) -> None:
@@ -232,31 +232,8 @@ class DoorbellChannel:
                 self._fire_scheduled_for <= when + 1e-12:
             return
         self._fire_scheduled_for = when
-        sim = self.sim
-        now = sim.now
-        # sim.call_at(max(when, now), self._fire), open-coded: one of these
-        # runs per doorbell ring, right behind every message send.
-        delay = when - now if when > now else 0.0
-        pool = sim._pool
-        if pool:
-            event = pool.pop()
-            event.time = t = now + delay
-            event.fn = self._fire
-            event.args = ()
-            event._live = True
-        else:
-            event = Event(sim, now + delay, self._fire, ())
-            event._pooled = True
-            t = event.time
-        sim._live_events += 1
-        seq = next(sim._seq)
-        if delay == 0.0:
-            event._seqno = seq
-            sim._now_q.append(event)
-        elif delay < _NEAR_WINDOW:
-            heappush(sim._near, (t, seq, event))
-        else:
-            heappush(sim._far, (t, seq, event))
+        now = self.sim.now
+        self.sim.call_after(when - now if when > now else 0.0, self._fire)
 
     def _fire(self) -> None:
         self._fire_scheduled_for = None
@@ -270,21 +247,16 @@ class _NoCounter:
     _consumed_since_update = 0
 
 
-class LocalChannel:
+class LocalChannel(TracerBinding):
     """Baseline signalling path: a lock-free ring in local DDR (no CXL)."""
 
-    tracer = NULL_TRACER
-    _trace = None
     # Drain-skip views (see DoorbellChannel): a LocalChannel owes nothing
     # when its queue is empty.
     counter_view = _NoCounter
     #: queue_view holds payloads (no timestamps); any entry is drainable now.
     timed = False
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; the hot path keeps a None-or-tracer fast alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
+    #: an unbounded local ring never reads as congested
+    occupancy_cached = 0.0
 
     def __init__(self, sim: Simulator, name: str, hop_us: float = 0.25):
         self.sim = sim

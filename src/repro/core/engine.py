@@ -1,12 +1,24 @@
-"""Engine framework: the driver event loop shared by all Oasis engines.
+"""Engine framework: the datapath every Oasis engine driver shares (§3.2-3.4).
 
 Each Oasis engine contributes a frontend driver (every host) and a backend
 driver (device-attached hosts only), each pinned to a dedicated busy-polling
-core (§3.3).  In the simulation a driver sleeps on a doorbell, then drains
-all of its work sources, charging the accumulated per-item CPU costs as
-virtual time before sleeping again.  This keeps event counts proportional to
-work done -- the polling loop itself costs no simulation events while idle --
-which is what makes 10-second failover experiments tractable.
+core (§3.3).  What differs between them is how a message is handled; the
+rest lives here, once:
+
+* :class:`Link` -- one peer driver, a channel endpoint each way, attached
+  with :meth:`Driver.connect`;
+* the event loop -- a driver sleeps on a doorbell, then drains all of its
+  work sources, charging the accumulated per-item CPU costs as virtual time
+  before sleeping again.  Event counts stay proportional to work done (the
+  polling loop itself costs no simulation events while idle), which is what
+  makes 10-second failover experiments tractable;
+* :meth:`Driver._drain_links` -- the link-drain loop with its no-op guard,
+  delivering each link's payloads to the driver's ``_on_messages`` hook;
+* :meth:`Driver._send` -- the send path and the one ring-full rule: what
+  does not fit waits on the driver's backlog, per-link FIFO, and one timer
+  re-kicks the driver to try again;
+* :meth:`Driver._fenced` (backends) and ``start_monitors`` /
+  ``stop_monitors`` -- the epoch-fence check and the periodic report.
 
 The loop is a flat callback state machine rather than a coroutine: a parked
 driver is woken by one zero-delay event per doorbell ring, each productive
@@ -19,37 +31,27 @@ send/yield machinery on the simulator's hottest resume path.
 
 from __future__ import annotations
 
-from heapq import heappush
-from typing import Any, Optional
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
 from ..config import OasisConfig
-from ..obs.flow import NULL_FLOWS
-from ..sim.core import _NEAR_WINDOW, NSEC, Event, Signal, Simulator
+from ..errors import ChannelFullError
+from ..obs.flow import FlowBinding
+from ..sim.core import MSEC, NSEC, USEC, Signal, Simulator
 
-__all__ = ["Driver"]
+__all__ = ["Driver", "Link"]
 
 
-def _post_now(sim: Simulator, fn) -> None:
-    """``sim.call_after(0.0, fn)``, open-coded for the wakeup path.
+@dataclass(eq=False)
+class Link:
+    """A driver's view of one peer driver it exchanges messages with."""
 
-    Doorbell rings and park/unpark transitions are the most frequent event
-    source in the whole simulator; this skips the ``call_after`` frame and
-    its varargs packing while allocating (or recycling) the same pooled
-    Event with the same sequence number.
-    """
-    pool = sim._pool
-    if pool:
-        event = pool.pop()
-        event.time = sim.now
-        event.fn = fn
-        event.args = ()
-        event._live = True
-    else:
-        event = Event(sim, sim.now, fn, ())
-        event._pooled = True
-    sim._live_events += 1
-    event._seqno = next(sim._seq)
-    sim._now_q.append(event)
+    name: str        # peer identifier: device name at a frontend, host name at a backend
+    tx: object       # channel endpoint: this driver -> peer
+    rx: object       # channel endpoint: peer -> this driver
+    #: messages for this peer waiting in the owning driver's backlog
+    parked: int = field(default=0, init=False)
 
 
 class _WorkDoorbell(Signal):
@@ -72,42 +74,30 @@ class _WorkDoorbell(Signal):
         driver = self._driver
         if driver._parked:
             driver._parked = False
-            # _post_now, inlined: every doorbell ring on a parked driver
-            # lands here.
-            sim = driver.sim
-            pool = sim._pool
-            if pool:
-                event = pool.pop()
-                event.time = sim.now
-                event.fn = driver._wake_cb
-                event.args = ()
-                event._live = True
-            else:
-                event = Event(sim, sim.now, driver._wake_cb, ())
-                event._pooled = True
-            sim._live_events += 1
-            event._seqno = next(sim._seq)
-            sim._now_q.append(event)
+            driver.sim.call_after(0.0, driver._wake_cb)
         else:
             driver._kicked = True
 
 
-class Driver:
+class Driver(FlowBinding):
     """Base class for frontend/backend drivers (one dedicated core each)."""
 
-    # Optional facilities follow one pattern: a class-level None that hot
-    # paths test once, rebound per driver when the pod turns the facility on.
-    flows = NULL_FLOWS
-    #: the flow registry while flow tracing is enabled, else None
-    _flows = None
     #: the driver's :class:`~repro.overload.stage.AdmissionStage`; None is
     #: the unarmed datapath
     _stage = None
+    #: allocator client (set by the pod): telemetry, failure reports, resync
+    control = None
+    #: backends: the shard's EpochTable, None while fencing is detached
+    epochs = None
+    fencing_enabled = True
+    _telemetry_task = None
+    #: the periodic report to ``control``; drivers that report define it
+    _send_telemetry = None
 
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
+    #: ring-full backpressure: a failed attempt costs the sender one counter
+    #: refresh that found no room, and the backlog is retried after this long
+    RING_FULL_NS = 200.0
+    RING_FULL_BACKOFF_S = 5 * USEC
 
     def arm(self, stage) -> None:
         """Attach the admission stage (called once, by the pod's ``_arm``)."""
@@ -123,6 +113,29 @@ class Driver:
         self.wakeups = 0
         self._parked = False   # parked on the doorbell; the next ring wakes
         self._kicked = False   # rung while not parked: one wakeup latched
+        self._links: Dict[str, Link] = {}
+        # Per-link drain tuples (link, rx, counter_view, queue_view, timed),
+        # rebuilt on connect: the drain loop runs once per wakeup and these
+        # four attribute chains are invariant for a link's lifetime.
+        self._views: list = []
+        self._backlog: deque = deque()   # (link, payload) a full ring refused
+        self._rekick_armed = False       # the one backlog retry timer is pending
+
+    # -- wiring ----------------------------------------------------------------
+
+    def connect(self, link: Link) -> None:
+        """Attach a peer; its RX channel rings this driver's doorbell."""
+        self._links[link.name] = link
+        link.rx.bind(self.work)
+        self._views = [
+            (lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view, lk.rx.timed)
+            for lk in self._links.values()
+        ]
+
+    def link(self, name: str) -> Link:
+        return self._links[name]
+
+    # -- the loop ----------------------------------------------------------------
 
     def start(self) -> None:
         if self.running:
@@ -146,7 +159,7 @@ class Driver:
             return
         if self._kicked:
             self._kicked = False
-            _post_now(self.sim, self._wake_cb)
+            self.sim.call_after(0.0, self._wake_cb)
         else:
             self._parked = True
 
@@ -162,40 +175,136 @@ class Driver:
         # Idle busy-polling itself is *not* simulated event-by-event --
         # its (tiny, constant) CXL traffic is accounted analytically by
         # the Table 3 experiment.
-        while self.running:
-            items, cost_ns = self._process()
-            if cost_ns > 0.0:
-                self.busy_ns += cost_ns
-            if items <= 0:
-                break
-            # sim.call_after(cost_ns * NSEC, self._drain_cb), open-coded:
-            # one of these timers fires per productive drain pass.
-            delay = cost_ns * NSEC
-            sim = self.sim
-            pool = sim._pool
-            if pool:
-                event = pool.pop()
-                event.time = t = sim.now + delay
-                event.fn = self._drain_cb
-                event.args = ()
-                event._live = True
-            else:
-                event = Event(sim, sim.now + delay, self._drain_cb, ())
-                event._pooled = True
-                t = event.time
-            sim._live_events += 1
-            seq = next(sim._seq)
-            if delay == 0.0:
-                event._seqno = seq
-                sim._now_q.append(event)
-            elif delay < _NEAR_WINDOW:
-                heappush(sim._near, (t, seq, event))
-            else:
-                heappush(sim._far, (t, seq, event))
+        if not self.running:
             return
-        if self.running:
+        items, cost_ns = self._process()
+        if self._backlog:
+            sent, retry_ns = self._flush_backlog()
+            items += sent
+            cost_ns += retry_ns
+        if cost_ns > 0.0:
+            self.busy_ns += cost_ns
+        if items > 0:
+            self.sim.call_after(cost_ns * NSEC, self._drain_cb)
+        else:
             self._park()
 
-    def _process(self) -> tuple:
-        """Drain work sources; return ``(items_handled, cpu_ns)``."""
+    # -- receive: the one link-drain loop ----------------------------------------
+
+    def _drain_links(self) -> tuple:
+        """Hand every link's visible messages to :meth:`_on_messages`.
+
+        Returns ``(messages, cost_ns)``.  The cost is one running total that
+        the drain and handler costs are added to one by one, in arrival
+        order (the float grouping of that sum is part of replay identity).
+        """
+        items = 0
+        cost = 0.0
+        now_eps = self.sim.now + 1e-12
+        for link, rx, cv, qv, timed in self._views:
+            if cv._consumed_since_update == 0:
+                if not qv or (timed and qv[0] > now_eps):
+                    continue   # drain() would be a no-op
+            payloads, drain_cost = rx.drain()
+            cost += drain_cost
+            if payloads:
+                items += len(payloads)
+                cost = self._on_messages(link, payloads, cost)
+        return items, cost
+
+    def _on_messages(self, link: Link, payloads: list, cost: float) -> float:
+        """Handle ``payloads`` drained from ``link``; return ``cost`` plus
+        the CPU ns spent, added per message."""
         raise NotImplementedError
+
+    #: ``_process() -> (items_handled, cpu_ns)`` drains a driver's work
+    #: sources; a driver with device queues overrides it, the default has no
+    #: work source but its links.
+    _process = _drain_links
+
+    # -- send: the one ring-full rule ----------------------------------------------
+
+    def _send(self, link: Link, payloads: list) -> float:
+        """Send packed messages to ``link``'s peer (one flush, one
+        doorbell); returns the sender CPU ns.
+
+        Nothing is lost on a full ring: what did not fit -- or would
+        overtake messages of the same link already waiting -- is parked on
+        the driver's backlog in order, and one timer re-kicks the driver
+        after ``RING_FULL_BACKOFF_S`` to retry (the real ring backpressures
+        the polling loop the same way).
+        """
+        cost = 0.0
+        if not link.parked:
+            try:
+                return link.tx.send_many(payloads)
+            except ChannelFullError as full:
+                del payloads[:full.sent]
+                cost = self.RING_FULL_NS
+        link.parked += len(payloads)
+        self._backlog.extend((link, payload) for payload in payloads)
+        self._arm_rekick()
+        return cost
+
+    def _flush_backlog(self) -> tuple:
+        """Retry parked messages, oldest first; a link whose ring is still
+        full keeps its messages, in order.  Returns ``(sent, cost_ns)``."""
+        backlog, self._backlog = self._backlog, deque()
+        sent = 0
+        cost = 0.0
+        full = set()
+        for link, payload in backlog:
+            if link not in full:
+                try:
+                    cost += link.tx.send(payload)
+                except ChannelFullError:
+                    cost += self.RING_FULL_NS
+                    full.add(link)
+                else:
+                    link.parked -= 1
+                    sent += 1
+                    continue
+            self._backlog.append((link, payload))
+        if self._backlog:
+            self._arm_rekick()
+        return sent, cost
+
+    def _arm_rekick(self) -> None:
+        if not self._rekick_armed:
+            self._rekick_armed = True
+            self.sim.call_after(self.RING_FULL_BACKOFF_S, self._rekick)
+
+    def _rekick(self) -> None:
+        self._rekick_armed = False
+        self.kick()
+
+    # -- backends: epoch fencing (§3.3.3) --------------------------------------------
+
+    def _fenced(self, device: str, message) -> bool:
+        """True when ``message`` comes from a stale-epoch writer and must be
+        rejected before it touches ``device``; counts either outcome in the
+        backend's ``fence_rejects`` / ``stale_accepted``."""
+        if self.epochs is None or self.epochs.check(
+                device, message.instance_ip, message.epoch):
+            return False
+        if self.fencing_enabled:
+            self.fence_rejects += 1
+            return True
+        self.stale_accepted += 1
+        return False
+
+    # -- control plane: the periodic report (§3.5) -------------------------------------
+
+    def start_monitors(self) -> None:
+        """Start reporting to the allocator every telemetry interval (a
+        no-op without a control client, a report, or when already on)."""
+        if (self.control is None or self._send_telemetry is None
+                or self._telemetry_task is not None):
+            return
+        interval = self.config.failover.telemetry_interval_ms * MSEC
+        self._telemetry_task = self.sim.every(interval, self._send_telemetry)
+
+    def stop_monitors(self) -> None:
+        if self._telemetry_task is not None:
+            self._telemetry_task.cancel()
+            self._telemetry_task = None

@@ -1,6 +1,6 @@
 """Oasis network engine: NIC pooling (§3.3)."""
 
-from .backend import FrontendLink, NetBackend
+from .backend import NetBackend
 from .frontend import BackendLink, NetFrontend, VirtualNIC
 from .messages import (
     NET_MESSAGE_SIZE,
@@ -16,7 +16,6 @@ __all__ = [
     "NetBackend",
     "VirtualNIC",
     "BackendLink",
-    "FrontendLink",
     "NetMessage",
     "OP_TX",
     "OP_TX_COMP",

@@ -16,55 +16,37 @@ reports to the pod-wide allocator.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ...config import OasisConfig
-from ...errors import ChannelFullError, DeviceError
+from ...errors import DeviceError
 from ...host.host import Host, MemDomain
 from ...mem.layout import FixedPool, Region
 from ...net.packet import BROADCAST_MAC, Frame
-from ...obs.trace import NULL_TRACER
+from ...obs.trace import TracerBinding
 from ...overload.stage import StageView
 from ...pcie.nic import TX_STATUS_DMA_ABORT, SimNIC
 from ...pcie.queues import Completion, RxDescriptor, TxDescriptor
 from ...sim.core import MSEC, Simulator
-from ..engine import Driver
+from ..engine import Driver, Link
 from .messages import (OP_RX, OP_RX_COMP, OP_TX, OP_TX_COMP, OP_TX_FENCED,
                        NetMessage)
 
-__all__ = ["NetBackend", "FrontendLink"]
+__all__ = ["NetBackend"]
 
 
-@dataclass
-class FrontendLink:
-    """Backend's view of one frontend driver it serves."""
-
-    name: str        # frontend host name
-    tx: object       # channel endpoint: backend -> frontend
-    rx: object       # channel endpoint: frontend -> backend
-
-
-class NetBackend(Driver):
-    """One backend driver per pooled NIC, on a dedicated busy-polling core."""
+class NetBackend(Driver, TracerBinding):
+    """One backend driver per pooled NIC, on a dedicated busy-polling core
+    (each of its links is named after the frontend's host)."""
 
     TX_ITEM_NS = 100.0
     RX_ITEM_NS = 120.0
     COMP_ITEM_NS = 60.0
 
-    tracer = NULL_TRACER
-    # Precomputed dispatch: None while tracing is disabled; rebound by
-    # set_tracer() when the pod enables it.
-    _trace = None
     # Armed (``_stage`` set): DMA-abort reposts spend the stage's retry
     # budget, funded by fresh posts, so they can never exceed a fraction
     # of fresh TX; refusals are a read-only view of the stage ledger.
     retry_budget_denied = StageView("retry_budget_denied")
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; hot paths keep a None-or-tracer fast alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
 
     def __init__(
         self,
@@ -82,22 +64,12 @@ class NetBackend(Driver):
         self.rx_domain = rx_domain
         self.tx_buffers_local = tx_buffers_local
         self.rx_pool = FixedPool(rx_region, self.config.datapath.rx_buffer_bytes)
-        self._links: Dict[str, FrontendLink] = {}
-        # Per-link drain tuples (link, rx, counter_view, queue_view, timed),
-        # rebuilt on connect: the drain loop runs once per wakeup and these
-        # four attribute chains are invariant for a link's lifetime.
-        self._drain_links: list = []
         self._registry: Dict[int, str] = {}      # instance ip -> frontend name
         self._tag_to_ip: Dict[int, int] = {}     # NIC flow tag -> instance ip
         self._tx_pending: deque = deque()        # descriptors awaiting ring space
         self._tx_comps: deque = deque()
         self._rx_comps: deque = deque()
-        self._fe_retry: deque = deque()          # (fe_name, message) on full ring
-        self.control = None                       # allocator client, set by pod
-        self.epochs = None                        # EpochTable, set by pod
-        self.fencing_enabled = True
         self._monitor_task = None
-        self._telemetry_task = None
         self._failure_reported = False
         self._link_down_at: Optional[float] = None
         self._last_tx_bytes = 0
@@ -118,14 +90,6 @@ class NetBackend(Driver):
         self._fill_rx_ring()
 
     # -- wiring --------------------------------------------------------------------
-
-    def connect_frontend(self, link: FrontendLink) -> None:
-        self._links[link.name] = link
-        link.rx.bind(self.work)
-        self._drain_links = [
-            (lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view, lk.rx.timed)
-            for lk in self._links.values()
-        ]
 
     def register_instance(self, ip: int, frontend_name: str) -> Optional[int]:
         """Register an instance's IP with this NIC (flow tagging, §3.3.1)."""
@@ -178,39 +142,19 @@ class NetBackend(Driver):
         self.work.set()
 
     def _on_nic_rx(self, completion: Completion) -> None:
-        flows = self._flows
-        if flows is not None:
-            flow = flows.peek(completion.descriptor.addr)
-            if flow is not None:
-                flow.stage("be.rx", depth=len(self._rx_comps))
+        if self._flows is not None:
+            self._flows.mark(completion.descriptor.addr, "be.rx",
+                             len(self._rx_comps))
         self._rx_comps.append(completion)
         self.work.set()
 
     # -- driver loop ---------------------------------------------------------------------------
 
     def _process(self) -> tuple:
-        # The frontend-message drain (the only part that must always run) is
-        # inlined; the other parts are guarded on their queues so an idle
-        # wakeup does not pay four calls that return ``(0, 0.0)``.
-        cost = 0.0
-        items = 0
-        unpack = NetMessage.unpack
-        now_eps = self.sim.now + 1e-12
-        for link, rx, cv, qv, timed in self._drain_links:
-            if cv._consumed_since_update == 0:
-                if not qv or (timed and qv[0] > now_eps):
-                    continue   # drain() would be a no-op
-            payloads, drain_cost = rx.drain()
-            cost += drain_cost
-            items += len(payloads)
-            for raw in payloads:
-                message = unpack(raw)
-                if message.opcode == OP_TX:
-                    cost += self._handle_tx(link, message)
-                elif message.opcode == OP_RX_COMP:
-                    cost += self._handle_rx_comp(message)
-                else:
-                    cost += 20.0
+        # The frontend-message drain always runs (it is what discovers new
+        # work); the other parts are guarded on their queues so an idle
+        # wakeup does not pay three calls that return ``(0, 0.0)``.
+        items, cost = self._drain_links()
         if self._tx_pending:
             n, c = self._process_tx_pending()
             items += n
@@ -223,69 +167,32 @@ class NetBackend(Driver):
             n, c = self._process_rx_comps()
             items += n
             cost += c
-        if self._fe_retry:
-            n, c = self._process_fe_retries()
-            items += n
-            cost += c
         return items, cost
 
-    def _process_fe_retries(self) -> tuple:
-        """Re-send messages that hit a full frontend ring earlier."""
-        if not self._fe_retry:
-            return 0, 0.0
-        cost = 0.0
-        sent = 0
-        pending, self._fe_retry = self._fe_retry, deque()
-        for fe_name, message in pending:
-            cost += self._send_to_frontend(fe_name, message)
-            if not self._fe_retry or self._fe_retry[-1][1] is not message:
-                sent += 1
-        if self._fe_retry:
-            # Still full: back off and try again shortly.
-            self.sim.call_after(5e-6, self.kick)
-        return sent, cost
-
-    def _process_frontend_messages(self) -> tuple:
-        cost = 0.0
-        items = 0
+    def _on_messages(self, link: Link, payloads: list, cost: float) -> float:
         unpack = NetMessage.unpack
-        for link in self._links.values():
-            payloads, drain_cost = link.rx.drain()
-            cost += drain_cost
-            items += len(payloads)
-            for raw in payloads:
-                message = unpack(raw)
-                if message.opcode == OP_TX:
-                    cost += self._handle_tx(link, message)
-                elif message.opcode == OP_RX_COMP:
-                    cost += self._handle_rx_comp(message)
-                else:
-                    cost += 20.0
-        return items, cost
+        for raw in payloads:
+            message = unpack(raw)
+            if message.opcode == OP_TX:
+                cost += self._handle_tx(link, message)
+            elif message.opcode == OP_RX_COMP:
+                cost += self._handle_rx_comp(message)
+            else:
+                cost += 20.0
+        return cost
 
-    def _handle_tx(self, link: FrontendLink, message: NetMessage) -> float:
-        if (self.epochs is not None
-                and not self.epochs.check(self.nic.name, message.instance_ip,
-                                          message.epoch)):
-            # Stale-epoch writer (§3.3.3): reject before touching the device.
-            if self.fencing_enabled:
-                self.fence_rejects += 1
-                if self._flows is not None:
-                    flow = self._flows.peek(message.buffer_addr)
-                    if flow is not None:
-                        flow.stage("be.fence", depth=len(self.nic.tx_ring))
-                self._send_to_frontend(
-                    link.name,
-                    NetMessage(OP_TX_FENCED, message.size, message.instance_ip,
-                               message.buffer_addr, epoch=message.epoch),
-                )
-                return self.TX_ITEM_NS
-            self.stale_accepted += 1
+    def _handle_tx(self, link: Link, message: NetMessage) -> float:
         flows = self._flows
+        if self._fenced(self.nic.name, message):
+            if flows is not None:
+                flows.mark(message.buffer_addr, "be.fence",
+                           len(self.nic.tx_ring))
+            self._send(link, [
+                NetMessage(OP_TX_FENCED, message.size, message.instance_ip,
+                           message.buffer_addr, epoch=message.epoch).pack()])
+            return self.TX_ITEM_NS
         if flows is not None:
-            flow = flows.peek(message.buffer_addr)
-            if flow is not None:
-                flow.stage("be.tx", depth=len(self.nic.tx_ring))
+            flows.mark(message.buffer_addr, "be.tx", len(self.nic.tx_ring))
         descriptor = TxDescriptor(
             addr=message.buffer_addr,
             length=message.size,
@@ -386,7 +293,7 @@ class NetBackend(Driver):
             completion = self._rx_comps.popleft()
             cost += self.RX_ITEM_NS
             addr = completion.descriptor.addr
-            ip = self._ip_for_tag(completion.tag)
+            ip = self._tag_to_ip.get(completion.tag)
             if ip is None:
                 ip, inspect_cost = self._inspect_buffer(addr)
                 cost += inspect_cost
@@ -398,21 +305,14 @@ class NetBackend(Driver):
                 continue
             self.rx_forwarded += 1
             if self._flows is not None:
-                flow = self._flows.peek(addr)
-                if flow is not None:
-                    fe_link = self._links.get(fe_name)
-                    depth = (getattr(fe_link.tx, "pending", None)
-                             if fe_link is not None else None)
-                    flow.stage("chan.be2fe", depth=depth)
+                fe_link = self._links.get(fe_name)
+                self._flows.mark(
+                    addr, "chan.be2fe",
+                    fe_link.tx.pending if fe_link is not None else None)
             cost += self._send_to_frontend(
                 fe_name, NetMessage(OP_RX, completion.length, ip, addr)
             )
         return items, cost
-
-    def _ip_for_tag(self, tag: Optional[int]) -> Optional[int]:
-        if tag is None:
-            return None
-        return self._tag_to_ip.get(tag)
 
     def _inspect_buffer(self, addr: int) -> tuple:
         """Footnote 6 fallback: parse the header, then invalidate the lines."""
@@ -431,32 +331,23 @@ class NetBackend(Driver):
         link = self._links.get(fe_name)
         if link is None:
             return 20.0
-        try:
-            return link.tx.send(message.pack())
-        except ChannelFullError:
-            # Ring full: queue for retry (the real ring would backpressure
-            # the polling loop the same way).
-            self._fe_retry.append((fe_name, message))
-            self.sim.call_after(5e-6, self.kick)
-            return 50.0
+        return self._send(link, [message.pack()])
 
     # -- control plane (§3.3.3, §3.5) -----------------------------------------------------------
 
     def start_monitors(self) -> None:
-        """Start the link monitor and telemetry reporting."""
-        cfg = self.config.failover
-        self._monitor_task = self.sim.every(
-            cfg.link_monitor_interval_ms * MSEC, self._check_link
-        )
-        self._telemetry_task = self.sim.every(
-            cfg.telemetry_interval_ms * MSEC, self._send_telemetry
-        )
+        """Start the link monitor, then the telemetry report."""
+        if self._monitor_task is None:
+            self._monitor_task = self.sim.every(
+                self.config.failover.link_monitor_interval_ms * MSEC,
+                self._check_link)
+        super().start_monitors()
 
     def stop_monitors(self) -> None:
         if self._monitor_task is not None:
             self._monitor_task.cancel()
-        if self._telemetry_task is not None:
-            self._telemetry_task.cancel()
+            self._monitor_task = None
+        super().stop_monitors()
 
     def _on_link_change(self, up: bool) -> None:
         # Timestamp the physical failure so the detection span covers the
@@ -483,8 +374,6 @@ class NetBackend(Driver):
         self.control.report_failure(self)
 
     def _send_telemetry(self) -> None:
-        if self.control is None:
-            return
         tx_delta = self.nic.tx_bytes - self._last_tx_bytes
         rx_delta = self.nic.rx_bytes - self._last_rx_bytes
         self._last_tx_bytes = self.nic.tx_bytes

@@ -24,27 +24,25 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ...config import OasisConfig
-from ...errors import AllocationError, ChannelFullError
+from ...errors import AllocationError
 from ...host.host import Host, MemDomain
 from ...host.instance import Instance
 from ...mem.layout import Region, RegionAllocator
 from ...net.packet import Frame
 from ...overload.stage import StageView
-from ...sim.core import MSEC, NSEC, USEC, Simulator
-from ..engine import Driver
+from ...sim.core import NSEC, USEC, Simulator
+from ..engine import Driver, Link
 from .messages import (OP_RX, OP_RX_COMP, OP_TX, OP_TX_COMP, OP_TX_FENCED,
                        NetMessage)
 
 __all__ = ["NetFrontend", "VirtualNIC", "BackendLink"]
 
 
-@dataclass
-class BackendLink:
-    """Frontend's view of one backend driver it can reach."""
+@dataclass(eq=False)
+class BackendLink(Link):
+    """Frontend's view of one backend driver it can reach (``name`` is the
+    NIC's, e.g. "nic-h0")."""
 
-    name: str                   # backend/NIC identifier (e.g. "nic-h0")
-    tx: object                  # channel endpoint: frontend -> backend
-    rx: object                  # channel endpoint: backend -> frontend
     rx_domain: MemDomain        # where this NIC's RX buffer area lives
     nic_mac: int
     remote: bool = True         # False for the colocated-baseline link
@@ -110,7 +108,7 @@ class NetFrontend(Driver):
     def _ring_occupancy(self) -> float:
         """Worst cached occupancy of the backend IPC rings (zero-cost,
         conservatively biased full): congestion behind the TX stage."""
-        return max((getattr(link.tx, "occupancy_cached", 0.0)
+        return max((link.tx.occupancy_cached
                     for link in self._links.values()), default=0.0)
 
     def __init__(
@@ -128,18 +126,9 @@ class NetFrontend(Driver):
         self.arp = arp
         self._tx_space = RegionAllocator(tx_region)
         self._records: Dict[int, _InstanceRecord] = {}
-        self._links: Dict[str, BackendLink] = {}
-        # Per-link drain tuples (link, rx, counter_view, queue_view, timed),
-        # rebuilt on connect: the drain loop runs once per wakeup and these
-        # four attribute chains are invariant for a link's lifetime.
-        self._drain_links: list = []
         # (ip, Region, packed_size, wire, tenant); unarmed TX path only
         self._tx_queue: deque = deque()
         self._tx_pending: Dict[int, tuple] = {}  # buffer addr -> (Region, ip)
-        self._retry: deque = deque()             # (link, NetMessage) on full ring
-        # Control-plane client (set by the pod): lease renewal + resync.
-        self.control = None
-        self._telemetry_task = None
         self._resync_inflight: set = set()
         # Counters.
         self.tx_forwarded = 0
@@ -150,18 +139,6 @@ class NetFrontend(Driver):
         self.resyncs = 0
 
     # -- wiring -----------------------------------------------------------------
-
-    def connect_backend(self, link: BackendLink) -> None:
-        """Attach a backend link; its RX channel wakes this driver."""
-        self._links[link.name] = link
-        link.rx.bind(self.work)
-        self._drain_links = [
-            (lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view, lk.rx.timed)
-            for lk in self._links.values()
-        ]
-
-    def link(self, name: str) -> BackendLink:
-        return self._links[name]
 
     def register_instance(
         self,
@@ -246,9 +223,7 @@ class NetFrontend(Driver):
                 self._shed_tx(item, "queue_full")
                 return
         if self._flows is not None:
-            flow = self._flows.peek(region.base)
-            if flow is not None:
-                flow.stage("fe.tx", depth=depth)
+            self._flows.mark(region.base, "fe.tx", depth)
         self.kick()
 
     def _shed_tx(self, item: tuple, reason: str) -> None:
@@ -270,53 +245,39 @@ class NetFrontend(Driver):
     RX_ITEM_NS = 150.0
 
     def _process(self) -> tuple:
-        # Guard the optional stages on their queues so an idle wakeup does
-        # not pay calls that return ``(0, 0.0)``; the backend-message drain
-        # always runs (it is what discovers new work); its own accumulator
-        # keeps the float grouping of the cost sum the replays were pinned on.
+        # The TX stage is guarded on its queue so an idle wakeup does not pay
+        # a call that returns ``(0, 0.0)``; the backend-message drain always
+        # runs (it is what discovers new work) into its own accumulator,
+        # the float grouping of the cost sum the replays were pinned on.
         items = 0
         cost = 0.0
         stage = self._stage
         if self._tx_queue if stage is None else len(stage.queue):
-            n, c = self._process_tx()
-            items += n
-            cost += c
-        bcost = 0.0
-        bitems = 0
+            items, cost = self._process_tx()
+        drained, drain_cost = self._drain_links()
+        return items + drained, cost + drain_cost
+
+    def _on_messages(self, link: BackendLink, payloads: list,
+                     cost: float) -> float:
         unpack = NetMessage.unpack
-        now_eps = self.sim.now + 1e-12
-        for link, rx, cv, qv, timed in self._drain_links:
-            if cv._consumed_since_update == 0:
-                if not qv or (timed and qv[0] > now_eps):
-                    continue   # drain() would be a no-op
-            payloads, drain_cost = rx.drain()
-            bcost += drain_cost
-            bitems += len(payloads)
-            comp_batch = []
-            for raw in payloads:
-                message = unpack(raw)
-                if message.opcode == OP_TX_COMP:
-                    bcost += self._handle_tx_comp(message)
-                elif message.opcode == OP_TX_FENCED:
-                    bcost += self._handle_tx_fenced(message)
-                elif message.opcode == OP_RX:
-                    bcost += self._handle_rx(link, message)
-                    comp_batch.append(
-                        NetMessage(OP_RX_COMP, 0, message.instance_ip,
-                                   message.buffer_addr)
-                    )
-                else:
-                    bcost += 20.0
-            if comp_batch:
-                __, c = self._send_link(link, comp_batch)
-                bcost += c
-        items += bitems
-        cost += bcost
-        if self._retry:
-            n, c = self._process_retries()
-            items += n
-            cost += c
-        return items, cost
+        comp_batch = []
+        for raw in payloads:
+            message = unpack(raw)
+            if message.opcode == OP_TX_COMP:
+                cost += self._handle_tx_comp(message)
+            elif message.opcode == OP_TX_FENCED:
+                cost += self._handle_tx_fenced(message)
+            elif message.opcode == OP_RX:
+                cost += self._handle_rx(link, message)
+                comp_batch.append(
+                    NetMessage(OP_RX_COMP, 0, message.instance_ip,
+                               message.buffer_addr).pack()
+                )
+            else:
+                cost += 20.0
+        if comp_batch:
+            cost += self._send(link, comp_batch)
+        return cost
 
     def _process_tx(self, batch: int = 64) -> tuple:
         cost = 0.0
@@ -351,42 +312,14 @@ class NetFrontend(Driver):
             message = NetMessage(OP_TX, packed, ip, region.base,
                                  epoch=record.epoch & 0xFF)
             if flows is not None:
-                flow = flows.peek(region.base)
-                if flow is not None:
-                    flow.stage("chan.fe2be",
-                               depth=getattr(record.primary.tx, "pending", None))
-            per_link.setdefault(record.primary.name, []).append(message)
+                flows.mark(region.base, "chan.fe2be", record.primary.tx.pending)
+            per_link.setdefault(record.primary.name, []).append(message.pack())
             cost += self.TX_ITEM_NS
             count += 1
-        for link_name, messages in per_link.items():
-            __, c = self._send_link(self._links[link_name], messages)
-            cost += c
-            self.tx_forwarded += len(messages)
+        for link_name, payloads in per_link.items():
+            cost += self._send(self._links[link_name], payloads)
+            self.tx_forwarded += len(payloads)
         return count, cost
-
-    def _send_link(self, link: BackendLink, messages) -> tuple:
-        try:
-            return True, link.tx.send_many([m.pack() for m in messages])
-        except ChannelFullError:
-            for message in messages:
-                self._retry.append((link, message))
-            return False, 200.0
-
-    def _process_retries(self) -> tuple:
-        if not self._retry:
-            return 0, 0.0
-        cost = 0.0
-        sent = 0
-        pending, self._retry = self._retry, deque()
-        for link, message in pending:
-            ok, c = self._send_link(link, [message])
-            cost += c
-            if ok:
-                sent += 1
-        if self._retry:
-            # Ring still full: back off instead of spinning.
-            self.sim.call_after(5e-6, self.kick)
-        return sent, cost
 
     def _handle_tx_comp(self, message: NetMessage) -> float:
         entry = self._tx_pending.pop(message.buffer_addr, None)
@@ -431,21 +364,8 @@ class NetFrontend(Driver):
 
     # -- control-plane telemetry (lease renewal) -----------------------------------
 
-    def start_monitors(self) -> None:
-        """Renew this host's instance leases with the allocator (§3.5)."""
-        if self.control is None or self._telemetry_task is not None:
-            return
-        interval = self.config.failover.telemetry_interval_ms * MSEC
-        self._telemetry_task = self.sim.every(interval, self._send_telemetry)
-
-    def stop_monitors(self) -> None:
-        if self._telemetry_task is not None:
-            self._telemetry_task.cancel()
-            self._telemetry_task = None
-
     def _send_telemetry(self) -> None:
-        if self.control is None:
-            return
+        """Renew this host's instance leases with the allocator (§3.5)."""
         self.control.frontend_telemetry({
             "host": self.host.name,
             "ips": sorted(self._records),

@@ -52,7 +52,8 @@ from ..sim.rng import RngFactory
 from .allocator import AllocatorClient, PodAllocator, ShardedAllocator
 from .arp import ArpRegistry
 from .datapath import ChannelPair, SharedRegions
-from .netengine.backend import FrontendLink, NetBackend
+from .engine import Link
+from .netengine.backend import NetBackend
 from .netengine.frontend import BackendLink, NetFrontend
 from .raft import DirectTransport, RaftNode
 
@@ -163,6 +164,11 @@ class CXLPod:
         yield from self.frontends.values()
         yield from self.backends.values()
 
+    def _all_drivers(self):
+        """Every engine driver of the pod."""
+        yield from self._drivers()
+        yield from self.storage_backends.values()
+
     def _arm(self, driver) -> None:
         """Give ``driver`` its admission stage -- the one place a driver is
         armed, whether it exists when overload control turns on or joins
@@ -260,15 +266,14 @@ class CXLPod:
             self._wire(self.frontends[host.name], backend)
         return nic
 
-    def _wire(self, frontend: NetFrontend, backend: NetBackend) -> None:
-        """Create the per-(frontend, backend) channel pair (§3.2.2)."""
-        name = f"{frontend.host.name}-{backend.nic.name}"
+    def _channel_pair(self, name: str, cache_a, cache_b,
+                      message_bytes: int) -> ChannelPair:
+        """One traced, metered channel each way between two drivers: rings
+        in shared CXL memory in oasis mode, local DDR rings otherwise."""
         if self.mode == "oasis":
             pair = ChannelPair.over_cxl(
-                self.sim, self.regions,
-                frontend.host.shared.cache, backend.host.shared.cache,
-                name, message_size=self.config.datapath.net_message_bytes,
-                hop_us=self.channel_hop_us,
+                self.sim, self.regions, cache_a, cache_b, name,
+                message_size=message_bytes, hop_us=self.channel_hop_us,
                 slots=self.config.datapath.channel_slots,
             )
         else:
@@ -276,14 +281,21 @@ class CXLPod:
         self._bind_tracer(pair.a_to_b)
         self._bind_tracer(pair.b_to_a)
         bindings.bind_channel_pair(self.metrics, pair)
-        frontend.connect_backend(BackendLink(
+        return pair
+
+    def _wire(self, frontend: NetFrontend, backend: NetBackend) -> None:
+        """Create the per-(frontend, backend) channel pair (§3.2.2)."""
+        pair = self._channel_pair(
+            f"{frontend.host.name}-{backend.nic.name}",
+            frontend.host.shared.cache, backend.host.shared.cache,
+            self.config.datapath.net_message_bytes)
+        frontend.connect(BackendLink(
             name=backend.nic.name, tx=pair.a_to_b, rx=pair.b_to_a,
             rx_domain=backend.rx_domain, nic_mac=backend.nic.mac,
             remote=frontend.host is not backend.host,
         ))
-        backend.connect_frontend(FrontendLink(
-            name=frontend.host.name, tx=pair.b_to_a, rx=pair.a_to_b,
-        ))
+        backend.connect(Link(frontend.host.name, tx=pair.b_to_a,
+                             rx=pair.a_to_b))
 
     # -- instances and clients ----------------------------------------------------------
 
@@ -392,25 +404,14 @@ class CXLPod:
         epoch = self.allocator.epochs.entry(ssd.name, instance.ip) or 0
         frontend = self._storage_frontend(instance.host)
         frontend.set_stamp(ssd.name, instance.ip, epoch)
-        backend = self.storage_backends[ssd.name]
-        link_key = f"{instance.host.name}-{ssd.name}"
         if ssd.name not in frontend._links:
-            if self.mode == "oasis":
-                pair = ChannelPair.over_cxl(
-                    self.sim, self.regions,
-                    instance.host.shared.cache, ssd.host.shared.cache,
-                    f"st-{link_key}",
-                    message_size=self.config.datapath.storage_message_bytes,
-                    hop_us=self.channel_hop_us,
-                    slots=self.config.datapath.channel_slots,
-                )
-            else:
-                pair = ChannelPair.local(self.sim, f"st-{link_key}")
-            self._bind_tracer(pair.a_to_b)
-            self._bind_tracer(pair.b_to_a)
-            bindings.bind_channel_pair(self.metrics, pair)
-            frontend.connect_backend(ssd.name, pair.a_to_b, pair.b_to_a)
-            backend.connect_frontend(instance.host.name, pair.b_to_a, pair.a_to_b)
+            pair = self._channel_pair(
+                f"st-{instance.host.name}-{ssd.name}",
+                instance.host.shared.cache, ssd.host.shared.cache,
+                self.config.datapath.storage_message_bytes)
+            frontend.connect(Link(ssd.name, tx=pair.a_to_b, rx=pair.b_to_a))
+            self.storage_backends[ssd.name].connect(
+                Link(instance.host.name, tx=pair.b_to_a, rx=pair.a_to_b))
         return frontend.make_device(instance, ssd.name, self.config.ssd.block_size)
 
     def add_external_client(self, ip: int, name: Optional[str] = None,
@@ -702,17 +703,9 @@ class CXLPod:
         return merged
 
     def stop(self) -> None:
-        for driver in (list(self.frontends.values())
-                       + list(self.backends.values())
-                       + list(self.storage_frontends.values())
-                       + list(self.storage_backends.values())):
+        for driver in self._all_drivers():
             driver.stop()
-        for backend in self.backends.values():
-            backend.stop_monitors()
-        for backend in self.storage_backends.values():
-            backend.stop_monitors()
-        for frontend in self.frontends.values():
-            frontend.stop_monitors()
+            driver.stop_monitors()
         if self.brownout is not None:
             self.brownout.stop()
         self.allocator.stop()

@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ...errors import ChannelError, ChannelFullError
 from ...sim.core import Simulator, USEC
+from ..engine import Driver, Link
 
 __all__ = ["DirectTransport", "ChannelRpcTransport", "FRAGMENT_PAYLOAD"]
 
@@ -80,9 +81,7 @@ class ChannelRpcTransport:
     def add_channel(self, src: str, dst: str, channel) -> None:
         """Wire a one-way 64 B channel for src -> dst and pump it."""
         self._channels[(src, dst)] = channel
-        pump = _ChannelPump(self.sim, self, src, dst, channel)
-        channel.bind(pump.work)
-        pump.start()
+        _ChannelPump(self.sim, self, src, dst, channel).start()
 
     def send(self, src: str, dst: str, message: dict) -> None:
         channel = self._channels.get((src, dst))
@@ -122,28 +121,21 @@ class ChannelRpcTransport:
                 deliver(src, message)
 
 
-class _ChannelPump:
-    """Driver-lite: drains one control channel and feeds the transport."""
+class _ChannelPump(Driver):
+    """The receiving end of one control channel: an engine driver with one
+    link whose messages feed the transport's reassembly.  The sending end
+    is :meth:`ChannelRpcTransport.send`, which drops on a full ring instead
+    of parking -- Raft retries on its own timers."""
 
     def __init__(self, sim, transport: ChannelRpcTransport, src: str, dst: str,
                  channel):
-        self.sim = sim
+        super().__init__(sim, f"rpc-{src}-{dst}")
         self.transport = transport
         self.src = src
         self.dst = dst
-        self.channel = channel
-        self.work = sim.signal(auto_reset=True)
-        self.running = False
+        self.connect(Link(src, tx=None, rx=channel))
 
-    def start(self) -> None:
-        self.running = True
-        self.sim.spawn(self._loop(), name=f"rpc-{self.src}-{self.dst}")
-
-    def _loop(self):
-        while self.running:
-            yield self.work
-            payloads, cost = self.channel.drain()
-            for raw in payloads:
-                self.transport._on_fragment(self.src, self.dst, raw)
-            if cost:
-                yield cost * 1e-9
+    def _on_messages(self, link: Link, payloads: list, cost: float) -> float:
+        for raw in payloads:
+            self.transport._on_fragment(self.src, self.dst, raw)
+        return cost

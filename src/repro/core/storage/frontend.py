@@ -14,13 +14,13 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from ...config import OasisConfig
-from ...errors import AllocationError, ChannelFullError, DeviceFailedError
+from ...errors import AllocationError
 from ...host.host import Host, MemDomain
 from ...mem.layout import Region, RegionAllocator
 from ...overload.stage import StageView
 from ...pcie.ssd import NVME_STATUS_FAILED, NVME_STATUS_MEDIA
 from ...sim.core import MSEC, NSEC, USEC, Simulator
-from ..engine import Driver
+from ..engine import Driver, Link
 from .messages import (SOP_COMPLETION, SOP_READ, SOP_WRITE, STATUS_FENCED,
                        StorageMessage)
 
@@ -105,7 +105,6 @@ class StorageFrontend(Driver):
         self.host = host
         self.domain = buffer_domain
         self._space = RegionAllocator(buffer_region)
-        self._links: Dict[str, object] = {}        # backend name -> ChannelPair endpoints
         self._pending: Dict[int, dict] = {}        # cid -> request state
         self._next_cid = 1
         self.submitted = 0
@@ -120,15 +119,10 @@ class StorageFrontend(Driver):
         self.giveups = 0
         # Fencing (§3.3.3): per-(backend, instance) epoch stamps put on the
         # wire, refreshed through the allocator after a FENCED rejection.
-        self.control = None                          # allocator client
         self._stamps: Dict[Tuple[str, int], int] = {}
         self._resync_inflight: set = set()
         self.fenced = 0
         self.resyncs = 0
-
-    def connect_backend(self, name: str, tx, rx) -> None:
-        self._links[name] = (tx, rx)
-        rx.bind(self.work)
 
     def make_device(self, instance, backend_name: str, block_size: int
                     ) -> VirtualBlockDevice:
@@ -282,37 +276,21 @@ class StorageFrontend(Driver):
         return cid
 
     def _enqueue(self, backend_name: str, message: StorageMessage) -> None:
-        tx, _ = self._links[backend_name]
+        link = self._links[backend_name]
         if self._flows is not None:
-            flow = self._flows.peek(message.buffer_addr)
-            if flow is not None:
-                flow.stage("chan.sfe2sbe",
-                           depth=getattr(tx, "pending", None))
-        try:
-            tx.send(message.pack())
-        except ChannelFullError:
-            self.sim.schedule(10e-6, self._enqueue, backend_name, message)
+            self._flows.mark(message.buffer_addr, "chan.sfe2sbe",
+                             link.tx.pending)
+        self._send(link, [message.pack()])
 
-    # -- driver loop: completions -------------------------------------------------
+    # -- driver loop: completions (the links are the only work source) ------------
 
-    def _process(self) -> tuple:
-        items = 0
-        cost = 0.0
-        now_eps = self.sim.now + 1e-12
-        for name, (tx, rx) in self._links.items():
-            if rx.counter_view._consumed_since_update == 0:
-                qv = rx.queue_view
-                if not qv or (rx.timed and qv[0] > now_eps):
-                    continue   # drain() would be a no-op
-            payloads, drain_cost = rx.drain()
-            cost += drain_cost
-            items += len(payloads)
-            unpack = StorageMessage.unpack
-            for raw in payloads:
-                message = unpack(raw)
-                if message.opcode == SOP_COMPLETION:
-                    cost += self._handle_completion(message)
-        return items, cost
+    def _on_messages(self, link: Link, payloads: list, cost: float) -> float:
+        unpack = StorageMessage.unpack
+        for raw in payloads:
+            message = unpack(raw)
+            if message.opcode == SOP_COMPLETION:
+                cost += self._handle_completion(message)
+        return cost
 
     # -- fault tolerance: per-attempt deadlines and retries ------------------------
 
@@ -358,9 +336,8 @@ class StorageFrontend(Driver):
         state["retries"] += 1
         self.retries += 1
         if self._flows is not None:
-            flow = self._flows.peek(state["region"].base)
-            if flow is not None:
-                flow.stage("sfe.retry", depth=state["retries"])
+            self._flows.mark(state["region"].base, "sfe.retry",
+                             state["retries"])
         backoff = (self.config.retry.storage_backoff_ms
                    * self.config.retry.storage_backoff_mult
                    ** (state["retries"] - 1))

@@ -33,7 +33,14 @@ class ChannelError(ReproError):
 
 
 class ChannelFullError(ChannelError):
-    """Sender ran out of free slots (receiver's consumed counter too old)."""
+    """Sender ran out of free slots (receiver's consumed counter too old).
+
+    ``sent`` is how many messages of the refused batch did go out.
+    """
+
+    def __init__(self, message: str = "", sent: int = 0):
+        super().__init__(message)
+        self.sent = sent
 
 
 class DeviceError(ReproError):

@@ -259,8 +259,7 @@ class FaultInjector:
                 device.fail("host-crash")
         for driver in self._host_drivers(host):
             driver.stop()
-            if hasattr(driver, "stop_monitors"):
-                driver.stop_monitors()
+            driver.stop_monitors()
         for node in self.pod.raft_nodes:
             if getattr(node, "host", None) is host and node.alive:
                 node.crash()
@@ -274,8 +273,7 @@ class FaultInjector:
                 device.restore()
         for driver in self._host_drivers(host):
             driver.start()
-            if hasattr(driver, "start_monitors"):
-                driver.start_monitors()
+            driver.start_monitors()
             driver.kick()
         for node in self.pod.raft_nodes:
             if getattr(node, "host", None) is host and not node.alive:

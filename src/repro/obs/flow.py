@@ -48,6 +48,7 @@ __all__ = [
     "FlowRecord",
     "FlowRegistry",
     "NULL_FLOWS",
+    "FlowBinding",
 ]
 
 
@@ -255,6 +256,12 @@ class FlowRegistry:
     def pop(self, addr: Any) -> Optional[FlowContext]:
         return self._stash.pop(addr, None)
 
+    def mark(self, addr: Any, stage: str, depth: Optional[int] = None) -> None:
+        """Stage-mark the request parked under ``addr``, if there is one."""
+        ctx = self._stash.get(addr)
+        if ctx is not None:
+            ctx.stage(stage, depth)
+
     # -- reading -------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -295,3 +302,19 @@ class _NullFlowRegistry(FlowRegistry):
 
 #: shared no-op registry; components default to this until a pod wires one
 NULL_FLOWS = _NullFlowRegistry()
+
+
+class FlowBinding:
+    """Mixin for a component that stage-marks flows on a hot path.
+
+    ``flows`` is always a registry; ``_flows`` is the alias hot paths test
+    once: None while flow tracing is off, rebound by :meth:`set_flows` when
+    the pod turns it on.
+    """
+
+    flows = NULL_FLOWS
+    _flows = None
+
+    def set_flows(self, flows) -> None:
+        self.flows = flows
+        self._flows = flows if flows.enabled else None

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["TraceEvent", "Tracer", "NULL_TRACER"]
+__all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "TracerBinding"]
 
 
 @dataclass
@@ -234,3 +234,19 @@ class _NullTracer(Tracer):
 
 #: shared no-op tracer; components default to this until a pod wires a real one
 NULL_TRACER = _NullTracer()
+
+
+class TracerBinding:
+    """Mixin for a component that emits trace events on a hot path.
+
+    ``tracer`` is always a tracer; ``_trace`` is the alias hot paths test
+    once: None while tracing is off, rebound by :meth:`set_tracer` when the
+    pod turns it on.
+    """
+
+    tracer = NULL_TRACER
+    _trace = None
+
+    def set_tracer(self, tracer) -> None:
+        self.tracer = tracer
+        self._trace = tracer if tracer.enabled else None

@@ -28,8 +28,8 @@ from ..config import NICConfig
 from ..errors import DeviceError
 from ..net.packet import Frame
 from ..net.switch import SwitchPort
-from ..obs.flow import NULL_FLOWS
-from ..obs.trace import NULL_TRACER
+from ..obs.flow import FlowBinding
+from ..obs.trace import TracerBinding
 from ..sim.core import Simulator
 from .device import PCIeDevice
 from .queues import Completion, DescriptorRing, RxDescriptor, TxDescriptor
@@ -41,25 +41,8 @@ TX_STATUS_LINK_ERROR = 1    # NIC dead or link down: not retriable at the NIC
 TX_STATUS_DMA_ABORT = 2     # DMA aborted mid-transfer: retriable (repost)
 
 
-class SimNIC(PCIeDevice):
+class SimNIC(PCIeDevice, TracerBinding, FlowBinding):
     """A host-attached NIC pooled by the Oasis network engine."""
-
-    tracer = NULL_TRACER
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while the facility is disabled; rebound by
-    # set_tracer()/set_flows() when the pod enables tracing / flow tracing.
-    _trace = None
-    _flows = None
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; the DMA hot path keeps a None-or-tracer alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; the hot path keeps a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
 
     def __init__(
         self,

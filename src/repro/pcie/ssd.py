@@ -17,8 +17,8 @@ from typing import Callable, Dict, Optional
 
 from ..config import SSDConfig
 from ..errors import DeviceError
-from ..obs.flow import NULL_FLOWS
-from ..obs.trace import NULL_TRACER
+from ..obs.flow import FlowBinding
+from ..obs.trace import TracerBinding
 from ..sim.core import Simulator, USEC
 from .device import PCIeDevice
 from .queues import Completion, DescriptorRing, NVMeCommand
@@ -34,25 +34,8 @@ NVME_STATUS_FAILED = 0x06  # internal device error
 NVME_STATUS_LBA_RANGE = 0x80
 
 
-class SimSSD(PCIeDevice):
+class SimSSD(PCIeDevice, TracerBinding, FlowBinding):
     """A host-attached NVMe SSD pooled by the Oasis storage engine."""
-
-    tracer = NULL_TRACER
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while the facility is disabled; rebound by
-    # set_tracer()/set_flows() when the pod enables tracing / flow tracing.
-    _trace = None
-    _flows = None
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; the command hot path keeps a None-or-tracer alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; the hot path keeps a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
 
     def __init__(
         self,
@@ -108,11 +91,8 @@ class SimSSD(PCIeDevice):
         if cmd.nlb <= 0 or cmd.slba < 0 or cmd.slba + cmd.nlb > self.num_blocks:
             self._complete(cmd, NVME_STATUS_LBA_RANGE, 0.0)
             return
-        flows = self._flows
-        if flows is not None:
-            flow = flows.peek(cmd.addr)
-            if flow is not None:
-                flow.stage("ssd.media", depth=len(self.sq))
+        if self._flows is not None:
+            self._flows.mark(cmd.addr, "ssd.media", len(self.sq))
         config = self.config
         nbytes = cmd.nlb * config.block_size
         if cmd.opcode == NVME_OP_WRITE:

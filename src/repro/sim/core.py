@@ -377,34 +377,8 @@ class Simulator:
             heapq.heappush(self._far, (t, seq, event))
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`at`; see :meth:`call_after`.
-
-        Open-coded (not delegated) because device completion paths call it
-        once per DMA/IO hop.
-        """
-        delay = time - self.now
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} s in the past")
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = t = self.now + delay
-            event.fn = fn
-            event.args = args
-            event._live = True
-        else:
-            event = Event(self, self.now + delay, fn, args)
-            event._pooled = True
-            t = event.time
-        self._live_events += 1
-        seq = next(self._seq)
-        if delay == 0.0:
-            event._seqno = seq
-            self._now_q.append(event)
-        elif delay < _NEAR_WINDOW:
-            heapq.heappush(self._near, (t, seq, event))
-        else:
-            heapq.heappush(self._far, (t, seq, event))
+        """Fire-and-forget :meth:`at`; see :meth:`call_after`."""
+        self.call_after(time - self.now, fn, *args)
 
     def spawn(self, gen: Generator, name: str = "proc") -> Process:
         """Start a coroutine process; it first runs at the current time."""

@@ -74,10 +74,17 @@ def main():
     # Failure semantics (§3.4): errors propagate, no transparent failover.
     ssd.fail()
     outcome = {}
-    device.write(99, b"x" * BLOCK, lambda status: outcome.update(status=status))
-    pod.run(0.001)
+    device.write(99, b"x" * BLOCK,
+                 lambda status: outcome.update(status=status, at=pod.sim.now))
+    failed_at = pod.sim.now
+    # The error surfaces only after the frontend's I/O timeout and retries.
+    while not outcome and pod.sim.now - failed_at < 1.0:
+        pod.run(0.001)
+    assert outcome, "write to the failed drive never completed"
     print(f"\nAfter drive failure: write completed with NVMe status "
-          f"{outcome['status']:#x} (I/O error surfaced to the guest, §3.4)")
+          f"{outcome['status']:#x} after "
+          f"{(outcome['at'] - failed_at) * 1e3:.1f} ms "
+          f"(I/O error surfaced to the guest, §3.4)")
     pod.stop()
 
 

@@ -11,7 +11,7 @@ from .designs import (
 from .microbench import ChannelMicrobench, MicrobenchResult, sweep_designs
 from .protocol import ChannelCounters, ChannelReceiver, ChannelSender, TimingHooks
 from .ring import RingLayout, decode_slot, encode_slot
-from .sharded import ShardedChannelGroup, sharded_saturation
+from .sharded import sharded_saturation
 
 __all__ = [
     "RingLayout",
@@ -30,6 +30,5 @@ __all__ = [
     "ChannelMicrobench",
     "MicrobenchResult",
     "sweep_designs",
-    "ShardedChannelGroup",
     "sharded_saturation",
 ]

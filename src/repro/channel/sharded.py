@@ -3,11 +3,8 @@
 The paper's prototype uses one I/O core and one channel per direction, and
 notes that "message channel throughput scales linearly with additional
 channels", making a sharded multi-channel design the natural extension for
-devices faster than one core can feed.  This module implements that
-extension: a :class:`ShardedChannelGroup` stripes messages across N
-independent rings, each with its own sender/receiver endpoint (one per
-core), preserving FIFO order *within a shard* (messages for one flow hash to
-one shard, as the real design would pin a flow to a queue pair).
+devices faster than one core can feed: N independent rings, each with its
+own sender/receiver core pair, a flow pinned to one of them.
 
 :func:`sharded_saturation` measures aggregate saturation throughput vs shard
 count with the Figure 6 virtual-time harness, one simulated core pair per
@@ -16,82 +13,12 @@ shard -- the linear-scaling claim made quantitative.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..config import OasisConfig
-from ..errors import ChannelError
-from ..mem.cache import HostCache
-from ..mem.cxl import CXLMemoryPool
-from ..mem.layout import Region
-from .designs import InvalidatePrefetchedReceiver
 from .microbench import ChannelMicrobench
-from .protocol import ChannelSender
-from .ring import RingLayout
 
-__all__ = ["ShardedChannelGroup", "sharded_saturation"]
-
-
-class ShardedChannelGroup:
-    """N independent rings striped by flow hash.
-
-    Functional model: each shard is a full non-coherent ring with its own
-    sender/receiver cache endpoints.  ``send(flow, payload)`` routes by
-    ``hash(flow) % shards``; :meth:`drain_shard` consumes one shard (one
-    receiver core each in the sharded design).
-    """
-
-    def __init__(
-        self,
-        pool: CXLMemoryPool,
-        base_addr: int,
-        shards: int,
-        slots: int = 1024,
-        message_size: int = 16,
-        sender_host: str = "sender",
-        receiver_host: str = "receiver",
-        prefetch_depth: int = 16,
-    ):
-        if shards < 1:
-            raise ChannelError("need at least one shard")
-        self.shards = shards
-        self.message_size = message_size
-        self.senders: List[ChannelSender] = []
-        self.receivers: List[InvalidatePrefetchedReceiver] = []
-        ring_bytes = RingLayout.required_bytes(slots, message_size)
-        for i in range(shards):
-            region = Region(base_addr + i * ring_bytes, ring_bytes,
-                            f"shard-{i}")
-            layout = RingLayout(region, slots, message_size)
-            # One core (cache context) per shard endpoint.
-            self.senders.append(ChannelSender(
-                layout, HostCache(pool, f"{sender_host}-{i}")))
-            self.receivers.append(InvalidatePrefetchedReceiver(
-                layout, HostCache(pool, f"{receiver_host}-{i}"),
-                prefetch_depth=prefetch_depth))
-
-    def shard_of(self, flow: int) -> int:
-        return flow % self.shards
-
-    def send(self, flow: int, payload: bytes) -> float:
-        """Send on the flow's shard; returns sender cpu ns."""
-        return self.senders[self.shard_of(flow)].send(payload)
-
-    def try_send(self, flow: int, payload: bytes):
-        return self.senders[self.shard_of(flow)].try_send(payload)
-
-    def drain_shard(self, shard: int, limit: int = 256):
-        """Consume up to ``limit`` messages from one shard."""
-        return self.receivers[shard].poll_batch(limit)
-
-    def drain_all(self, limit_per_shard: int = 256):
-        """Convenience: drain every shard (tests/single-threaded callers)."""
-        out = []
-        cost = 0.0
-        for shard in range(self.shards):
-            msgs, c = self.drain_shard(shard, limit_per_shard)
-            out.extend(msgs)
-            cost += c
-        return out, cost
+__all__ = ["sharded_saturation"]
 
 
 def sharded_saturation(

@@ -21,7 +21,7 @@ in full-system experiments.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..config import OasisConfig
 from ..channel.designs import InvalidatePrefetchedReceiver
@@ -31,7 +31,7 @@ from ..errors import ChannelFullError
 from ..mem.cxl import CXLMemoryPool
 from ..mem.layout import Region, RegionAllocator
 from ..obs.trace import TracerBinding
-from ..sim.core import Signal, Simulator, USEC
+from ..sim.core import Simulator, USEC
 
 __all__ = ["SharedRegions", "DoorbellChannel", "LocalChannel", "ChannelPair"]
 
@@ -104,7 +104,7 @@ class DoorbellChannel(TracerBinding):
         self.receiver = InvalidatePrefetchedReceiver(
             layout, receiver_cache, prefetch_depth=prefetch_depth
         )
-        self._work_signal: Optional[Signal] = None
+        self._wake: Optional[Callable[[], None]] = None
         # Per-message visibility times: a message can be drained only once
         # its CLWB flight + busy-poll discovery delay has elapsed, so a later
         # message never rides an earlier message's doorbell for free.
@@ -133,9 +133,10 @@ class DoorbellChannel(TracerBinding):
 
     # -- receiver side ----------------------------------------------------------
 
-    def bind(self, work_signal: Signal) -> None:
-        """Attach the receiving driver's wakeup signal."""
-        self._work_signal = work_signal
+    def bind(self, wake: Callable[[], None]) -> None:
+        """Attach the receiver's doorbell: ``wake()`` is called when sent
+        messages become visible (a driver passes its ``kick``)."""
+        self._wake = wake
 
     def drain(self, limit: int = 256) -> Tuple[List[bytes], float]:
         """Receive the messages already visible; returns (payloads, cpu_ns)."""
@@ -226,7 +227,7 @@ class DoorbellChannel(TracerBinding):
             self._schedule_fire(visible_at)
 
     def _schedule_fire(self, when: float) -> None:
-        if self._work_signal is None:
+        if self._wake is None:
             return
         if self._fire_scheduled_for is not None and \
                 self._fire_scheduled_for <= when + 1e-12:
@@ -237,8 +238,8 @@ class DoorbellChannel(TracerBinding):
 
     def _fire(self) -> None:
         self._fire_scheduled_for = None
-        if self._work_signal is not None:
-            self._work_signal.set()
+        if self._wake is not None:
+            self._wake()
 
 
 class _NoCounter:
@@ -264,7 +265,7 @@ class LocalChannel(TracerBinding):
         self.hop_s = hop_us * USEC
         self._queue: deque = deque()
         self.queue_view = self._queue
-        self._work_signal: Optional[Signal] = None
+        self._wake: Optional[Callable[[], None]] = None
         self._notify_pending = False
         self.sent = 0
 
@@ -273,8 +274,8 @@ class LocalChannel(TracerBinding):
         """Messages queued but not yet drained (flow depth annotation)."""
         return len(self._queue)
 
-    def bind(self, work_signal: Signal) -> None:
-        self._work_signal = work_signal
+    def bind(self, wake: Callable[[], None]) -> None:
+        self._wake = wake
 
     def drain(self, limit: int = 256) -> Tuple[List[bytes], float]:
         out = []
@@ -302,15 +303,15 @@ class LocalChannel(TracerBinding):
         return 25.0 * len(payloads)
 
     def _notify(self) -> None:
-        if self._work_signal is None or self._notify_pending:
+        if self._wake is None or self._notify_pending:
             return
         self._notify_pending = True
         self.sim.call_after(self.hop_s, self._fire)
 
     def _fire(self) -> None:
         self._notify_pending = False
-        if self._work_signal is not None:
-            self._work_signal.set()
+        if self._wake is not None:
+            self._wake()
 
 
 class ChannelPair:

@@ -20,25 +20,29 @@ rest lives here, once:
 * :meth:`Driver._fenced` (backends) and ``start_monitors`` /
   ``stop_monitors`` -- the epoch-fence check and the periodic report.
 
-The loop is a flat callback state machine rather than a coroutine: a parked
-driver is woken by one zero-delay event per doorbell ring, each productive
-drain pass schedules one timer for its CPU cost, and rings that arrive while
-the driver is processing latch exactly one further wakeup.  This mirrors the
-event-for-event schedule of the equivalent ``yield``-based loop (same event
-count, same sequence-number allocation order) while skipping the generator
-send/yield machinery on the simulator's hottest resume path.
+The loop is a flat callback state machine.  A parked driver is woken by one
+zero-delay event per doorbell ring (:meth:`Driver.kick`, the plain callable
+each RX channel is handed by :meth:`Driver.connect`), each productive drain
+pass schedules one timer for its CPU cost, and rings that arrive while the
+driver is processing latch exactly one further wakeup.  Two events per wake
+carry no work of their own -- the zero-delay ``_wake_cb`` hop between the
+channel's ``_fire`` and the first drain, and the trailing empty pass that
+parks the driver (plus one ``_park`` event per :meth:`Driver.start`).  They
+are part of schedule version ``baseline_sim_speed.json["events"] == 32,139``,
+not of any observable contract, and are the first candidates of ROADMAP
+item 1(b).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from ..config import OasisConfig
 from ..errors import ChannelFullError
 from ..obs.flow import FlowBinding
-from ..sim.core import MSEC, NSEC, USEC, Signal, Simulator
+from ..sim.core import MSEC, NSEC, USEC, Simulator
 
 __all__ = ["Driver", "Link"]
 
@@ -52,31 +56,6 @@ class Link:
     rx: object       # channel endpoint: peer -> this driver
     #: messages for this peer waiting in the owning driver's backlog
     parked: int = field(default=0, init=False)
-
-
-class _WorkDoorbell(Signal):
-    """A driver's doorbell: ``set()`` wakes the owning driver directly.
-
-    Channels ring the doorbell through the ordinary :class:`Signal` API
-    (``rx.bind(driver.work)`` then ``work.set()``), so this keeps that
-    interface while routing the ring straight into the driver's state
-    machine: one wakeup event when parked, one latched wakeup otherwise --
-    the same delivery contract as an auto-reset signal with one waiter.
-    """
-
-    __slots__ = ("_driver",)
-
-    def __init__(self, sim: "Simulator", driver: "Driver"):
-        super().__init__(sim, auto_reset=True)
-        self._driver = driver
-
-    def set(self, value: Any = None) -> None:
-        driver = self._driver
-        if driver._parked:
-            driver._parked = False
-            driver.sim.call_after(0.0, driver._wake_cb)
-        else:
-            driver._kicked = True
 
 
 class Driver(FlowBinding):
@@ -107,7 +86,6 @@ class Driver(FlowBinding):
         self.sim = sim
         self.name = name
         self.config = config or OasisConfig()
-        self.work = _WorkDoorbell(sim, self)
         self.running = False
         self.busy_ns = 0.0
         self.wakeups = 0
@@ -126,7 +104,7 @@ class Driver(FlowBinding):
     def connect(self, link: Link) -> None:
         """Attach a peer; its RX channel rings this driver's doorbell."""
         self._links[link.name] = link
-        link.rx.bind(self.work)
+        link.rx.bind(self.kick)
         self._views = [
             (lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view, lk.rx.timed)
             for lk in self._links.values()
@@ -141,17 +119,23 @@ class Driver(FlowBinding):
         if self.running:
             return
         self.running = True
-        # One zero-delay event before the driver first parks, mirroring the
-        # spawn step of the coroutine formulation (event/sequence parity).
+        # The driver parks one zero-delay event after start() rather than
+        # inside it: that event is part of the pinned schedule version (see
+        # the module docstring), a candidate of ROADMAP item 1(b).
         self.sim.call_after(0.0, self._park)
 
     def stop(self) -> None:
         self.running = False
-        self.work.set()
+        self.kick()
 
     def kick(self) -> None:
-        """Ring this driver's doorbell."""
-        self.work.set()
+        """Ring this driver's doorbell: one wakeup event when parked, one
+        latched wakeup (however many rings) while it is busy."""
+        if self._parked:
+            self._parked = False
+            self.sim.call_after(0.0, self._wake_cb)
+        else:
+            self._kicked = True
 
     def _park(self) -> None:
         """Go idle, or consume a wakeup latched while we were busy."""

@@ -139,14 +139,14 @@ class NetBackend(Driver, TracerBinding):
 
     def _on_nic_tx_comp(self, completion: Completion) -> None:
         self._tx_comps.append(completion)
-        self.work.set()
+        self.kick()
 
     def _on_nic_rx(self, completion: Completion) -> None:
         if self._flows is not None:
             self._flows.mark(completion.descriptor.addr, "be.rx",
                              len(self._rx_comps))
         self._rx_comps.append(completion)
-        self.work.set()
+        self.kick()
 
     # -- driver loop ---------------------------------------------------------------------------
 

@@ -59,9 +59,10 @@ def bind_sim(series, sim):
 
     ``sim_pending_events`` counts *live* (non-tombstoned) queue entries --
     a steady climb under constant load is the signature of a leaked timer
-    (e.g. the pre-fix ``Process.interrupt``).  Not bound by the pod by
-    default: scraping it into reports would perturb the byte-identical
-    seeded snapshots the replay suite pins.
+    (one re-armed without cancelling its predecessor).  Both event gauges
+    are exact at every scrape, including the scraper's own ticks inside one
+    ``run()``.  Not bound by the pod by default: scraping it into reports
+    would perturb the byte-identical seeded snapshots the replay suite pins.
     """
     return _reader(series, sim, (
         ("sim_processed_events", {}, "processed_events"),

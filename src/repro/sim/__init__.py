@@ -1,7 +1,6 @@
 """Discrete-event simulation substrate."""
 
-from .core import MSEC, NSEC, SEC, USEC, Event, Process, Signal, SimulationError, Simulator
-from .resources import QueueFull, SimQueue
+from .core import MSEC, NSEC, SEC, USEC, Event, SimulationError, Simulator
 from .rng import RngFactory, derive_seed
 
 __all__ = [
@@ -10,12 +9,8 @@ __all__ = [
     "MSEC",
     "SEC",
     "Event",
-    "Signal",
-    "Process",
     "Simulator",
     "SimulationError",
-    "SimQueue",
-    "QueueFull",
     "RngFactory",
     "derive_seed",
 ]

@@ -19,12 +19,6 @@ from .stranding import (
     schedule_trace,
     stranded_fractions,
 )
-from .traceio import (
-    load_allocation_trace,
-    load_packet_trace,
-    save_allocation_trace,
-    save_packet_trace,
-)
 from .traces import (
     RACK_A_PARAMS,
     RACK_B_PARAMS,
@@ -65,8 +59,4 @@ __all__ = [
     "TraceReplayClient",
     "ReplayResult",
     "run_trace_replay",
-    "save_packet_trace",
-    "load_packet_trace",
-    "save_allocation_trace",
-    "load_allocation_trace",
 ]

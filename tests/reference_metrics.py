@@ -173,7 +173,7 @@ def bind_sim(registry, sim) -> None:
 
     ``sim_pending_events`` counts *live* (non-tombstoned) queue entries --
     a steady climb under constant load is the signature of a leaked timer
-    (e.g. the pre-fix ``Process.interrupt``).  Not bound by the pod by
+    (one re-armed without cancelling its predecessor).  Not bound by the pod by
     default: scraping it into reports would perturb the byte-identical
     seeded snapshots the replay suite pins.
     """

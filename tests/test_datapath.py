@@ -7,7 +7,7 @@ from repro.core.datapath import ChannelPair, DoorbellChannel, LocalChannel, Shar
 from repro.errors import ChannelFullError, MemoryFault
 from repro.mem.cache import HostCache
 from repro.mem.cxl import CXLMemoryPool
-from repro.sim.core import USEC, Signal, Simulator
+from repro.sim.core import USEC
 
 
 @pytest.fixture
@@ -50,16 +50,8 @@ class TestDoorbellChannel:
 
     def test_send_wakes_bound_signal_after_hop(self, sim, regions):
         channel = self._channel(sim, regions, hop_us=2.0)
-        signal = Signal(sim, auto_reset=True)
-        channel.bind(signal)
         wakes = []
-
-        def receiver():
-            while True:
-                yield signal
-                wakes.append(sim.now)
-
-        sim.spawn(receiver())
+        channel.bind(lambda: wakes.append(sim.now))
         sim.schedule(0.0, channel.send, payload(1))
         sim.run(until=10 * USEC)
         assert wakes and wakes[0] == pytest.approx(2 * USEC)
@@ -85,16 +77,8 @@ class TestDoorbellChannel:
 
     def test_notify_coalesced_until_fired(self, sim, regions):
         channel = self._channel(sim, regions, hop_us=5.0)
-        signal = Signal(sim, auto_reset=True)
-        channel.bind(signal)
         wakes = []
-
-        def receiver():
-            while True:
-                yield signal
-                wakes.append(sim.now)
-
-        sim.spawn(receiver())
+        channel.bind(lambda: wakes.append(sim.now))
         for i in range(5):
             sim.schedule(i * 0.1 * USEC, channel.send, payload(i))
         sim.run(until=100 * USEC)
@@ -127,15 +111,8 @@ class TestLocalChannel:
 
     def test_doorbell(self, sim):
         channel = LocalChannel(sim, "ipc", hop_us=0.5)
-        signal = Signal(sim, auto_reset=True)
-        channel.bind(signal)
         wakes = []
-
-        def receiver():
-            yield signal
-            wakes.append(sim.now)
-
-        sim.spawn(receiver())
+        channel.bind(lambda: wakes.append(sim.now))
         sim.schedule(0.0, channel.send, b"x")
         sim.run(until=10 * USEC)
         assert wakes and wakes[0] == pytest.approx(0.5 * USEC)

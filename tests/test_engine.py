@@ -102,6 +102,56 @@ class TestDriverLoop:
         assert driver.processed == ["x"]
 
 
+class TestDoorbell:
+    """The doorbell contract on the one callable every channel is handed,
+    ``Driver.kick``: a ring is a wakeup, never a count and never a payload."""
+
+    @pytest.mark.parametrize("state, rings", [
+        ("parked", 1), ("parked", 3), ("busy", 1), ("busy", 4), ("stopped", 2)])
+    def test_kick_is_one_wakeup_per_park(self, sim, state, rings):
+        driver = CountingDriver(sim)
+        woken = []
+        wake_cb = driver._wake_cb
+        driver._wake_cb = lambda: (woken.append(sim.now), wake_cb())
+        driver.start()
+        sim.run(until=1 * USEC)
+        assert driver._parked and sim.pending == 0
+
+        if state == "parked":
+            for _ in range(rings):
+                driver.kick()
+            # The first ring unparks: exactly one _wake_cb event.  The driver
+            # is busy from then on, so any further rings latch one more wake.
+            assert sim.pending == 1
+            sim.run(until=1e-3)
+            assert len(woken) == driver.passes == min(rings, 2)
+        elif state == "busy":
+            driver.queue.append("a")
+            driver.kick()
+            sim.run(max_events=1)            # woken, first pass done, cost timer armed
+            assert driver.processed == ["a"] and not driver._parked
+            for _ in range(rings):
+                driver.kick()
+            assert sim.pending == 1          # still only the cost timer: latched
+            sim.run(until=1e-3)
+            assert len(woken) == 2           # exactly one latched wake for k rings
+            assert driver.passes == 3        # productive, trailing empty, latched
+        else:
+            driver.stop()
+            sim.run(until=2 * USEC)
+            woken.clear()
+            driver.queue.append("late")
+            for _ in range(rings):
+                driver.kick()
+            sim.run(until=1e-3)
+            assert woken == [] and driver.passes == 0 and driver.processed == []
+        # Consumed means gone: nothing queued and no latch left to re-deliver
+        # (a stopped driver never parks again, so its latch is never read).
+        assert sim.pending == 0
+        if state != "stopped":
+            assert driver._parked and not driver._kicked
+
+
 class TestArpRegistry:
     def test_announce_and_lookup(self):
         arp = ArpRegistry()
@@ -314,7 +364,9 @@ class TestBackpressure:
 def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
     """Source scan (in the manner of test_mem_oracle's cache fence): the
     kernel's event queues, the drain loop's no-op guard and the ring-full
-    handler each appear only in the module that owns them."""
+    handler each appear only in the module that owns them, and no coroutine
+    primitive (``Signal``/``Process``/``SimQueue``/``spawn``, a loop driven
+    by resuming generators) appears anywhere: the kernel is callback-only."""
     import re
     from pathlib import Path
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -325,6 +377,11 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
          ("core/engine.py", "core/datapath.py", "channel/")),
         (re.compile(r"except ChannelFullError"),
          ("core/engine.py", "core/raft/rpc.py")),
+        # One scheduling style: no coroutine primitive, no second doorbell
+        # object, and generator functions only where they are plain iterators.
+        (re.compile(r"\bSignal\b|\bProcess\b|SimQueue|\.spawn\(|_WorkDoorbell"
+                    r"|\.work\b"), ()),
+        (re.compile(r"\byield\b"), ("mem/cxl.py", "core/pod.py")),
     )
     assert [f"{path}:{n}: {line.strip()}"
             for path in sorted(src.rglob("*.py"))

@@ -2,54 +2,15 @@
 
 import pytest
 
-from repro.channel.sharded import ShardedChannelGroup, sharded_saturation
+from repro.channel.sharded import sharded_saturation
 from repro.core.allocator.balancer import LoadBalancer
 from repro.core.pod import CXLPod
-from repro.errors import ChannelError
-from repro.mem.cxl import CXLMemoryPool
 from repro.net.packet import make_ip
 
 SERVER_IP = make_ip(10, 0, 0, 1)
 
 
-def msg(i):
-    return bytes([1]) + i.to_bytes(8, "little") + bytes(7)
-
-
 class TestShardedChannels:
-    def test_flow_pinned_to_one_shard(self):
-        pool = CXLMemoryPool(size=8 << 20)
-        group = ShardedChannelGroup(pool, 0, shards=4, slots=64)
-        assert group.shard_of(5) == group.shard_of(5)
-        assert group.shard_of(1) != group.shard_of(2) or group.shards == 1
-
-    def test_per_shard_fifo(self):
-        pool = CXLMemoryPool(size=8 << 20)
-        group = ShardedChannelGroup(pool, 0, shards=4, slots=64)
-        flows = [0, 1, 2, 3]
-        per_flow = {f: [] for f in flows}
-        for i in range(32):
-            flow = flows[i % 4]
-            payload = msg(i)
-            group.send(flow, payload)
-            per_flow[flow].append(payload)
-        for flow in flows:
-            got, _ = group.drain_shard(group.shard_of(flow))
-            assert got == per_flow[flow]
-
-    def test_drain_all_collects_everything(self):
-        pool = CXLMemoryPool(size=8 << 20)
-        group = ShardedChannelGroup(pool, 0, shards=2, slots=64)
-        for i in range(10):
-            group.send(i, msg(i))
-        got, _ = group.drain_all()
-        assert len(got) == 10
-
-    def test_zero_shards_rejected(self):
-        pool = CXLMemoryPool(size=8 << 20)
-        with pytest.raises(ChannelError):
-            ShardedChannelGroup(pool, 0, shards=0)
-
     def test_throughput_scales_linearly(self):
         """The §6 claim: aggregate throughput ~ linear in shard count."""
         results = sharded_saturation(shard_counts=(1, 4), n_messages=6000,

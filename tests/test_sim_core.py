@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim.core import (
-    MSEC,
-    USEC,
-    Process,
-    Signal,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.core import MSEC, SimulationError
 
 
 class TestScheduling:
@@ -106,179 +99,6 @@ class TestScheduling:
         sim.schedule(0.0, rearm)
         with pytest.raises(SimulationError):
             sim.run_all(limit=1000)
-
-
-class TestProcesses:
-    def test_process_sleeps(self, sim):
-        log = []
-
-        def proc():
-            log.append(sim.now)
-            yield 5e-6
-            log.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run_all()
-        assert log == [pytest.approx(0.0), pytest.approx(5e-6)]
-
-    def test_process_result(self, sim):
-        def proc():
-            yield 1e-6
-            return 42
-
-        p = sim.spawn(proc())
-        sim.run_all()
-        assert p.done
-        assert p.result == 42
-
-    def test_process_joins_another(self, sim):
-        def child():
-            yield 3e-6
-            return "done"
-
-        results = []
-
-        def parent():
-            value = yield sim.spawn(child())
-            results.append((sim.now, value))
-
-        sim.spawn(parent())
-        sim.run_all()
-        assert results == [(pytest.approx(3e-6), "done")]
-
-    def test_join_already_finished_process(self, sim):
-        def child():
-            return "early"
-            yield  # pragma: no cover
-
-        p = sim.spawn(child())
-        sim.run(until=1e-6)
-        assert p.done
-
-        got = []
-
-        def parent():
-            value = yield p
-            got.append(value)
-
-        sim.spawn(parent())
-        sim.run_all()
-        assert got == ["early"]
-
-    def test_yield_none_reschedules_same_time(self, sim):
-        times = []
-
-        def proc():
-            times.append(sim.now)
-            yield None
-            times.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run_all()
-        assert times[0] == times[1]
-
-    def test_negative_yield_raises(self, sim):
-        def proc():
-            yield -1.0
-
-        sim.spawn(proc())
-        with pytest.raises(SimulationError):
-            sim.run_all()
-
-    def test_unsupported_yield_raises(self, sim):
-        def proc():
-            yield "nope"
-
-        sim.spawn(proc())
-        with pytest.raises(SimulationError):
-            sim.run_all()
-
-    def test_interrupt_stops_process(self, sim):
-        log = []
-
-        def proc():
-            yield 1e-3
-            log.append("should not happen")
-
-        p = sim.spawn(proc())
-        sim.run(until=1e-6)
-        p.interrupt()
-        sim.run_all()
-        assert log == []
-        assert p.done
-
-
-class TestSignals:
-    def test_signal_wakes_waiter_with_value(self, sim):
-        signal = Signal(sim)
-        got = []
-
-        def waiter():
-            value = yield signal
-            got.append((sim.now, value))
-
-        sim.spawn(waiter())
-        sim.schedule(2e-6, signal.set, "hello")
-        sim.run_all()
-        assert got == [(pytest.approx(2e-6), "hello")]
-
-    def test_set_signal_does_not_block(self, sim):
-        signal = Signal(sim)
-        signal.set("v")
-        got = []
-
-        def waiter():
-            value = yield signal
-            got.append(value)
-
-        sim.spawn(waiter())
-        sim.run_all()
-        assert got == ["v"]
-
-    def test_auto_reset_latches_one_wakeup(self, sim):
-        """Doorbell semantics: a set with no waiter wakes the next waiter."""
-        signal = Signal(sim, auto_reset=True)
-        signal.set()
-        wakes = []
-
-        def waiter():
-            yield signal
-            wakes.append(sim.now)
-            yield signal  # no second set: blocks forever
-            wakes.append("never")
-
-        sim.spawn(waiter())
-        sim.run_all()
-        assert wakes == [pytest.approx(0.0)]
-
-    def test_auto_reset_wakes_each_set(self, sim):
-        signal = Signal(sim, auto_reset=True)
-        wakes = []
-
-        def waiter():
-            while True:
-                yield signal
-                wakes.append(sim.now)
-
-        sim.spawn(waiter())
-        sim.schedule(1e-6, signal.set)
-        sim.schedule(2e-6, signal.set)
-        sim.run_all()
-        assert len(wakes) == 2
-
-    def test_multiple_waiters_all_wake(self, sim):
-        signal = Signal(sim)
-        woken = []
-
-        def waiter(name):
-            yield signal
-            woken.append(name)
-
-        sim.spawn(waiter("a"))
-        sim.spawn(waiter("b"))
-        sim.schedule(1e-6, signal.set)
-        sim.run_all()
-        assert sorted(woken) == ["a", "b"]
 
 
 class TestPeriodicTask:

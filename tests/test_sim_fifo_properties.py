@@ -13,6 +13,10 @@ the reproduction depends on:
   queued for T (they drew a later sequence number), still before anything
   later.
 
+The kernel has one dispatch loop (``run``); ``step`` and ``run_all`` are
+wrappers over it, and the last property holds them to that: the same drawn
+schedule, cancellations included, replays identically through all three.
+
 ``CHAOS_MAX_EXAMPLES`` scales the search effort (raised in the nightly
 chaos CI job).
 """
@@ -38,15 +42,15 @@ DELAYS = st.sampled_from([0.0, 0.0, 0.0, 1e-9, 1e-9, 5e-7, 1e-6, 1e-6,
 APIS = st.sampled_from(["schedule", "at", "call_after", "call_at"])
 
 
-def _issue(sim: Simulator, api: str, delay: float, fn) -> None:
+def _issue(sim: Simulator, api: str, delay: float, fn):
+    """Post ``fn``; returns the Event handle of the APIs that give one."""
     if api == "schedule":
-        sim.schedule(delay, fn)
-    elif api == "at":
-        sim.at(sim.now + delay, fn)
-    elif api == "call_after":
-        sim.call_after(delay, fn)
-    else:
-        sim.call_at(sim.now + delay, fn)
+        return sim.schedule(delay, fn)
+    if api == "at":
+        return sim.at(sim.now + delay, fn)
+    if api == "call_after":
+        return sim.call_after(delay, fn)
+    return sim.call_at(sim.now + delay, fn)
 
 
 class TestSameTimestampFifo:
@@ -129,3 +133,48 @@ class TestSameTimestampFifo:
         sim.run_all()
         assert sim.pending == 0
         assert sim.processed_events == len(ops)
+
+
+# When to cancel an event that has a handle: never, before the run starts, or
+# from a callback at this delay (which may find it already fired: a no-op).
+CANCELS = st.sampled_from([None, None, "now", 0.0, 1e-9, 1e-6, 1e-5])
+# Delay of a child the callback posts while firing, if any.
+CHILDREN = st.one_of(st.none(), DELAYS)
+
+
+def _step_until_false(sim: Simulator) -> None:
+    while sim.step():
+        pass
+
+
+class TestOneDispatchLoop:
+    @given(st.lists(st.tuples(APIS, DELAYS, CANCELS, CHILDREN),
+                    min_size=1, max_size=60))
+    @FIFO_SETTINGS
+    def test_step_run_all_and_run_replay_identically(self, ops):
+        outcomes = []
+        for drive in (_step_until_false, Simulator.run_all, Simulator.run):
+            sim = Simulator()
+            fired = []
+            cancellers = 0
+
+            def fire(index, child):
+                fired.append((sim.now, index))
+                if child is not None:
+                    sim.call_after(child, fire, ~index, None)
+
+            for index, (api, delay, cancel, child) in enumerate(ops):
+                event = _issue(sim, api, delay,
+                               lambda i=index, c=child: fire(i, c))
+                if event is None or cancel is None:
+                    continue
+                if cancel == "now":
+                    event.cancel()
+                else:
+                    sim.schedule(cancel, event.cancel)
+                    cancellers += 1
+            drive(sim)
+            assert sim.processed_events == len(fired) + cancellers
+            outcomes.append((fired, sim.processed_events, sim.pending, sim.now))
+        assert outcomes[0][2] == 0
+        assert outcomes[0] == outcomes[1] == outcomes[2]

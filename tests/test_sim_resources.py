@@ -1,68 +1,8 @@
-"""Tests for SimQueue and the RNG factory."""
+"""Tests for the RNG factory."""
 
 import numpy as np
-import pytest
 
-from repro.sim.core import Simulator
-from repro.sim.resources import QueueFull, SimQueue
 from repro.sim.rng import RngFactory, derive_seed
-
-
-class TestSimQueue:
-    def test_fifo_order(self, sim):
-        q = SimQueue(sim)
-        q.put_nowait(1)
-        q.put_nowait(2)
-        assert q.get_nowait() == 1
-        assert q.get_nowait() == 2
-
-    def test_get_blocks_until_put(self, sim):
-        q = SimQueue(sim)
-        got = []
-
-        def consumer():
-            item = yield from q.get()
-            got.append((sim.now, item))
-
-        sim.spawn(consumer())
-        sim.schedule(5e-6, q.put_nowait, "x")
-        sim.run_all()
-        assert got == [(pytest.approx(5e-6), "x")]
-
-    def test_bounded_queue_raises_when_full(self, sim):
-        q = SimQueue(sim, capacity=2)
-        q.put_nowait(1)
-        q.put_nowait(2)
-        with pytest.raises(QueueFull):
-            q.put_nowait(3)
-        assert q.dropped == 1
-
-    def test_try_put_counts_drops(self, sim):
-        q = SimQueue(sim, capacity=1)
-        assert q.try_put(1) is True
-        assert q.try_put(2) is False
-        assert q.dropped == 1
-        assert q.total_put == 1
-
-    def test_drain_empties_queue(self, sim):
-        q = SimQueue(sim)
-        for i in range(4):
-            q.put_nowait(i)
-        assert q.drain() == [0, 1, 2, 3]
-        assert q.empty
-
-    def test_get_nowait_empty_raises(self, sim):
-        q = SimQueue(sim)
-        with pytest.raises(IndexError):
-            q.get_nowait()
-
-    def test_len_and_full(self, sim):
-        q = SimQueue(sim, capacity=2)
-        assert not q.full
-        q.put_nowait(1)
-        q.put_nowait(2)
-        assert len(q) == 2
-        assert q.full
 
 
 class TestRng:

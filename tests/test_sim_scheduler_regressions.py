@@ -1,27 +1,23 @@
 """Regression tests for the event-kernel scheduler bugfixes.
 
-Three seed bugs are pinned here, each with a test that fails on the
-pre-rebuild kernel:
-
 * :class:`~repro.sim.core.PeriodicTask` with ``jitter >= interval`` used to
   clamp overrun firings to zero delay, producing same-timestamp bursts that
   inflated the sample count; overrun base ticks are now skipped.
-* :meth:`Process.interrupt` used to leave the interrupted process's pending
-  sleep event live in the heap, so ``Simulator.pending`` (and the ``report``
-  CLI's queue-depth line) over-counted forever.
-* An auto-reset :class:`~repro.sim.core.Signal` used to wake *every* waiter
-  per :meth:`set` and latch the payload unconditionally, so a later waiter
-  could consume a stale value from an earlier, already-consumed set.
+* ``Simulator.pending`` counts live events only, never cancellation
+  tombstones (the ``report`` CLI's queue-depth line over-counted).
+* ``run()`` used to flush ``processed_events`` / ``pending`` only on exit, so
+  a scraper tick *inside* a run exported a flat processed count and an
+  over-counted queue depth; both are exact at every read now.
 
-The doorbell audits at the bottom pin the semantics the three auto-reset
-users (``sim.resources.SimQueue``, ``core.engine.Driver``'s work doorbell,
-``core.raft.rpc``'s channel pump) rely on: one set == one wakeup, FIFO
-waiter order, and a consumed latch never re-delivering its value.
+The doorbell audits at the bottom pin what the two doorbell users
+(``core.engine.Driver.kick`` and, through it, ``core.raft.rpc``'s channel
+pump) rely on: one wakeup per park however many rings arrive; the full
+contract is ``tests/test_engine.py::TestDoorbell``.
 """
 
 import numpy as np
 
-from repro.sim.core import MSEC, USEC, Signal, Simulator
+from repro.sim.core import MSEC, USEC, Simulator
 
 
 class TestPeriodicJitterOverrun:
@@ -74,57 +70,7 @@ class TestPeriodicJitterOverrun:
 
 
 class TestInterruptHeapLeak:
-    """Interrupting a sleeping process must cancel its pending sleep timer."""
-
-    def test_interrupt_sleeping_process_leaves_queue_empty(self, sim):
-        def sleeper():
-            yield 1.0
-
-        proc = sim.spawn(sleeper())
-        sim.run(until=1 * USEC)
-        assert sim.pending == 1          # the pending sleep timer
-        proc.interrupt()
-        assert proc.done
-        assert sim.pending == 0          # seed bug: stayed 1 forever
-
-    def test_interrupted_timer_never_fires(self, sim):
-        resumed = []
-
-        def sleeper():
-            yield 1 * MSEC
-            resumed.append(sim.now)
-
-        proc = sim.spawn(sleeper())
-        sim.run(until=1 * USEC)
-        proc.interrupt()
-        before = sim.processed_events
-        sim.run(until=10 * MSEC)
-        assert resumed == []
-        # The tombstoned timer is discarded by the dispatch loop without
-        # being counted as a fired event.
-        assert sim.processed_events == before
-
-    def test_interrupt_while_waiting_on_signal(self, sim):
-        signal = Signal(sim, auto_reset=True)
-
-        def waiter():
-            yield signal
-
-        proc = sim.spawn(waiter())
-        sim.run(until=1 * USEC)
-        proc.interrupt()
-        assert sim.pending == 0
-        assert signal._waiters == []     # unsubscribed, not leaked
-
-    def test_repeated_interrupts_do_not_underflow_live_count(self, sim):
-        def sleeper():
-            yield 1.0
-
-        proc = sim.spawn(sleeper())
-        sim.run(until=1 * USEC)
-        proc.interrupt()
-        proc.interrupt()
-        assert sim.pending == 0
+    """``pending`` must not count what will never fire."""
 
     def test_pending_matches_live_queue_entries(self, sim):
         """``pending`` counts live events only, not cancellation tombstones."""
@@ -136,91 +82,6 @@ class TestInterruptHeapLeak:
         live = sum(1 for _, _, e in (sim._near + sim._far)
                    if not e.cancelled) + len(sim._now_q)
         assert live == 3
-
-
-class TestAutoResetStaleValue:
-    """Auto-reset signals deliver each set's payload at most once."""
-
-    def test_consumed_latch_not_redelivered(self, sim):
-        signal = Signal(sim, auto_reset=True)
-        signal.set("a")
-        got = []
-
-        def first():
-            got.append((yield signal))
-
-        def second():
-            got.append((yield signal))
-
-        sim.spawn(first())
-        sim.run_all()
-        assert got == ["a"]
-        assert not signal.is_set
-        sim.spawn(second())
-        sim.run_all()
-        assert got == ["a"]             # seed bug: second also saw "a"
-        signal.set("b")
-        sim.run_all()
-        assert got == ["a", "b"]
-
-    def test_set_wakes_exactly_one_waiter_fifo(self, sim):
-        signal = Signal(sim, auto_reset=True)
-        woken = []
-
-        def waiter(name):
-            woken.append((name, (yield signal)))
-
-        sim.spawn(waiter("first"))
-        sim.spawn(waiter("second"))
-        sim.run(until=1 * USEC)
-        signal.set("x")
-        sim.run_all()
-        assert woken == [("first", "x")]   # seed bug: both woke
-        signal.set("y")
-        sim.run_all()
-        assert woken == [("first", "x"), ("second", "y")]
-
-    def test_latched_value_cleared_after_consumption(self, sim):
-        signal = Signal(sim, auto_reset=True)
-        signal.set("payload")
-
-        def consumer():
-            yield signal
-
-        sim.spawn(consumer())
-        sim.run_all()
-        assert signal._value is None
-        assert not signal.is_set
-
-    def test_one_set_per_wakeup_under_burst(self, sim):
-        """N sets with a waiter present wake it once each, never more."""
-        signal = Signal(sim, auto_reset=True)
-        wakes = []
-
-        def waiter():
-            while True:
-                yield signal
-                wakes.append(sim.now)
-
-        sim.spawn(waiter())
-        for k in range(1, 4):
-            sim.schedule(k * USEC, signal.set)
-        sim.run_all()
-        assert len(wakes) == 3
-
-    def test_level_triggered_signal_unchanged(self, sim):
-        """The fix is scoped to auto-reset: plain signals still broadcast."""
-        signal = Signal(sim)
-        woken = []
-
-        def waiter(name):
-            woken.append((name, (yield signal)))
-
-        sim.spawn(waiter("a"))
-        sim.spawn(waiter("b"))
-        sim.schedule(1 * USEC, signal.set, "v")
-        sim.run_all()
-        assert sorted(woken) == [("a", "v"), ("b", "v")]
 
 
 class TestSimGauges:
@@ -240,50 +101,43 @@ class TestSimGauges:
         assert registry.value("sim_pending_events") == 0
         assert registry.value("sim_processed_events") == 1
 
+    def test_gauges_exact_inside_run(self, sim):
+        """A callback reads the truth mid-``run()``: events fired before it
+        and events still queued after it (the parent read 0 and 11 here --
+        the counters were flushed only when ``run`` returned)."""
+        seen = []
+        for k in range(1, 12):
+            sim.schedule(k * USEC, lambda: seen.append(
+                (sim.processed_events, sim.pending)))
+        sim.schedule(3.5 * USEC, lambda: None).cancel()   # tombstone mid-queue
+        sim.run()
+        assert seen == [(k - 1, 11 - k) for k in range(1, 12)]
+        assert (sim.processed_events, sim.pending) == (11, 0)
+
+    def test_scraped_gauges_move_inside_one_run(self, sim):
+        """What ``report --sim-gauges`` retains: every scrape of one
+        ``run()`` sees more events processed than the last, and the queue
+        depth it exports is the real one (a lone self-re-arming timer plus
+        the scraper's own: never a climb)."""
+        from repro.obs.bindings import bind_sim
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.scraper import TelemetryScraper
+
+        registry = MetricsRegistry()
+        bind_sim(registry, sim)
+        scraper = TelemetryScraper(sim, registry, period_s=1 * MSEC)
+        scraper.start()
+        sim.every(100 * USEC, lambda: None)
+        sim.run(until=10.5 * MSEC)
+        _, processed = scraper.series("sim_processed_events")
+        _, pending = scraper.series("sim_pending_events")
+        assert len(processed) == 10
+        assert all(b > a for a, b in zip(processed, processed[1:]))
+        assert set(pending) == {1}
+
 
 class TestDoorbellUsers:
-    """Audit of the three auto-reset users against the pinned semantics."""
-
-    def test_simqueue_burst_put_drains_fully(self, sim):
-        # resources.SimQueue pairs the doorbell with a re-check loop, so a
-        # single latched wakeup is enough to drain a burst of puts.
-        from repro.sim.resources import SimQueue
-
-        queue = SimQueue(sim)
-        got = []
-
-        def consumer():
-            while True:
-                item = yield from queue.get()
-                got.append(item)
-
-        sim.spawn(consumer())
-        sim.run(until=1 * USEC)
-        for item in ("a", "b", "c"):
-            queue.put_nowait(item)
-        sim.run_all()
-        assert got == ["a", "b", "c"]
-
-    def test_simqueue_two_consumers_no_duplicate_delivery(self, sim):
-        # Single-wake doorbell: each put wakes one consumer, so every item
-        # is delivered exactly once even with competing getters.
-        from repro.sim.resources import SimQueue
-
-        queue = SimQueue(sim)
-        got = []
-
-        def consumer(name):
-            while True:
-                item = yield from queue.get()
-                got.append((name, item))
-
-        sim.spawn(consumer("x"))
-        sim.spawn(consumer("y"))
-        sim.run(until=1 * USEC)
-        for item in range(6):
-            sim.schedule(item * USEC, queue.put_nowait, item)
-        sim.run_all()
-        assert sorted(item for _, item in got) == list(range(6))
+    """Audit of the doorbell users against the pinned semantics."""
 
     def test_driver_doorbell_one_wakeup_per_park(self, sim):
         # engine.Driver: rings while parked wake once; rings while busy

@@ -1,72 +1,8 @@
-"""Tests for trace persistence and instance-to-instance traffic."""
-
-import numpy as np
-import pytest
+"""Tests for instance-to-instance traffic."""
 
 from repro.core.pod import CXLPod
 from repro.net.packet import make_ip
 from repro.net.transport import UdpSocket
-from repro.workloads.allocation import generate_allocation_trace
-from repro.workloads.stranding import schedule_trace
-from repro.workloads.traceio import (
-    load_allocation_trace,
-    load_packet_trace,
-    save_allocation_trace,
-    save_packet_trace,
-)
-from repro.workloads.traces import RACK_A_PARAMS, generate_trace
-
-
-class TestPacketTraceIO:
-    def test_roundtrip(self, tmp_path):
-        trace = generate_trace(RACK_A_PARAMS[0], np.random.default_rng(1))
-        path = tmp_path / "trace.npz"
-        save_packet_trace(trace, path)
-        loaded = load_packet_trace(path)
-        assert np.array_equal(loaded.times, trace.times)
-        assert np.array_equal(loaded.sizes, trace.sizes)
-        assert loaded.params.nic_gbps == trace.params.nic_gbps
-        assert loaded.duration_s == trace.duration_s
-
-    def test_loaded_trace_usable_for_analysis(self, tmp_path):
-        trace = generate_trace(RACK_A_PARAMS[0], np.random.default_rng(1))
-        path = tmp_path / "trace.npz"
-        save_packet_trace(trace, path)
-        loaded = load_packet_trace(path)
-        assert loaded.utilization_percentile(99.99) == pytest.approx(
-            trace.utilization_percentile(99.99))
-
-    def test_unsorted_input_is_sorted_on_load(self, tmp_path):
-        path = tmp_path / "raw.npz"
-        np.savez(path, times=np.array([0.3, 0.1, 0.2]),
-                 sizes=np.array([1, 2, 3]), duration_s=1.0, nic_gbps=100.0)
-        loaded = load_packet_trace(path)
-        assert list(loaded.times) == [0.1, 0.2, 0.3]
-        assert list(loaded.sizes) == [2, 3, 1]
-
-
-class TestAllocationTraceIO:
-    def test_roundtrip_preserves_placement(self, tmp_path):
-        trace = generate_allocation_trace(n_instances=200,
-                                          rng=np.random.default_rng(2))
-        schedule_trace(trace, 8)
-        path = tmp_path / "alloc.csv"
-        save_allocation_trace(trace, path)
-        loaded = load_allocation_trace(path)
-        assert len(loaded.instances) == 200
-        for orig, got in zip(trace.instances, loaded.instances):
-            assert got.host == orig.host
-            assert got.cores == pytest.approx(orig.cores)
-            assert got.nic_gbps == pytest.approx(orig.nic_gbps)
-            assert got.family == orig.family
-
-    def test_unplaced_instances_roundtrip_as_none(self, tmp_path):
-        trace = generate_allocation_trace(n_instances=50,
-                                          rng=np.random.default_rng(2))
-        path = tmp_path / "alloc.csv"
-        save_allocation_trace(trace, path)   # never scheduled: host=None
-        loaded = load_allocation_trace(path)
-        assert all(i.host is None for i in loaded.instances)
 
 
 class TestInstanceToInstanceTraffic:

@@ -6,7 +6,7 @@ and makes them visible with CLWB when a cache line fills or on an explicit
 :meth:`ChannelSender.flush`.  Backpressure uses the 8 B consumed counter:
 
 * the receiver bumps the counter only after consuming a large batch
-  (``capacity / counter_batch_divisor`` messages, §4) and CLWBs it;
+  (half the ring, ``slots // 2`` messages, §4) and CLWBs it;
 * the sender caches the counter value and re-reads it -- paying
   CLFLUSHOPT + MFENCE + a CXL miss -- only when the cached value says the
   ring is full.
@@ -95,11 +95,6 @@ class ChannelSender:
         self._wrap_shift = layout.slots.bit_length() - 1
 
     # -- capacity ------------------------------------------------------------
-
-    @property
-    def free_slots_cached(self) -> int:
-        """Free slots according to the locally cached consumed counter."""
-        return self._slots - (self.next_seq - self._cached_consumed)
 
     @property
     def occupancy_cached(self) -> float:

@@ -114,7 +114,6 @@ class NICConfig:
     rx_queue_depth: int = 1024
     max_flow_tags: int = 4096
     dma_setup_ns: float = 250.0         # WQE fetch + doorbell processing
-    wire_latency_us: float = 1.0        # NIC-to-switch propagation + PHY
     supports_flow_tagging: bool = True
 
     @property
@@ -158,8 +157,6 @@ class DatapathConfig:
     net_message_bytes: int = 16         # network engine message size
     storage_message_bytes: int = 64     # storage engine message size
     prefetch_depth: int = 16            # PREFETCHT0 look-ahead (best in Fig 6)
-    counter_batch_divisor: int = 2      # receiver updates counter every
-                                        # capacity/divisor messages (§4)
     tx_region_bytes: int = 4 << 30      # per-host frontend TX region (paper: 4 GB)
     instance_tx_area_bytes: int = 64 << 20  # per-instance TX buffer area (64 MB)
     # Per-NIC RX buffer area.  The paper uses 4 GB; the simulation enumerates
@@ -169,8 +166,6 @@ class DatapathConfig:
     rx_region_bytes: int = 16 << 20
     rx_buffer_bytes: int = 2048         # one RX buffer (fits a 1500 B frame)
     ipc_hop_us: float = 0.45            # instance <-> frontend IPC hop (local DDR)
-    driver_poll_us: float = 0.30        # driver loop service slice
-    dedicated_cores_per_driver: int = 1
 
     def validate(self) -> None:
         if self.channel_slots < 2 or self.channel_slots & (self.channel_slots - 1):
@@ -181,8 +176,6 @@ class DatapathConfig:
             raise ConfigError("storage_message_bytes must be 64 (NVMe command)")
         if self.prefetch_depth < 0:
             raise ConfigError("prefetch_depth must be >= 0")
-        if self.counter_batch_divisor < 1:
-            raise ConfigError("counter_batch_divisor must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -231,14 +224,13 @@ class TransportConfig:
     """Mini reliable transport used by the memcached workload (Fig 14)."""
 
     initial_rto_ms: float = 60.0
-    min_rto_ms: float = 60.0
     max_rto_ms: float = 1000.0
     rto_backoff: float = 2.0
     max_retries: int = 8
     window: int = 64
 
     def validate(self) -> None:
-        if self.min_rto_ms <= 0 or self.max_rto_ms < self.min_rto_ms:
+        if self.initial_rto_ms <= 0 or self.max_rto_ms < self.initial_rto_ms:
             raise ConfigError("invalid RTO bounds")
         if self.rto_backoff < 1.0:
             raise ConfigError("rto_backoff must be >= 1")

@@ -1,191 +1,45 @@
-"""Pool-sharded control plane for rack-scale pods.
+"""Router over a rack's per-pool-group allocators.
 
-A 2-host pod runs one :class:`~repro.core.allocator.allocator.PodAllocator`.
-At rack scale (32 hosts, hundreds of devices behind several CXL pools) a
-single sequencer becomes the bottleneck, and -- more fundamentally -- a
-placement is only valid inside one pool: the datapath needs shared buffers,
-and a host can only reach devices whose rx/tx regions live in a pool it is
-attached to.  The pool is therefore the natural shard unit.
+A placement is only valid inside one CXL pool -- the datapath needs shared
+buffers, and a host reaches only devices whose rx/tx regions live in the
+pool it is attached to -- so a rack runs one full
+:class:`~repro.core.allocator.allocator.PodAllocator` (state machine, epoch
+table, notification bus, optional Raft cluster) per pool group, and the
+groups never exchange commands: a leader crash in one group's Raft cluster
+stalls only that group's recovery ops (pinned by
+``tests/test_control_plane.py``).
 
-:class:`ShardedAllocator` runs one full ``PodAllocator`` (state machine,
-epoch table, notification bus, optional Raft cluster) per pool and routes
-every control operation to the owning shard:
+The pod hands every driver, backend epoch check and metrics reader its own
+group's allocator directly, and the invariant checker and fault injector
+walk ``pod.groups``.  What is left for :class:`ShardedAllocator` is what a
+caller that holds only a host name, an instance ip or a device name needs:
 
-* by **host** for placements, frontend telemetry and resyncs (an instance's
-  devices always live in its host's pool);
-* by **device** for backend telemetry, failure reports and migrations;
-* by **instance** for releases (the shard holding the assignment).
+* routing -- ``place_instance`` by host, ``release_*`` by the shard holding
+  the assignment, ``on_failure_report`` by device;
+* the start/stop fan-out;
+* the rack-wide roll-ups the rack experiment and the benchmark read:
+  ``commit_latencies``, ``batches_proposed``, ``pending_commands``,
+  ``convergence_ok()`` and one ``signature()``.
 
-Shards never exchange commands, so a leader crash in one pool's Raft
-cluster stalls only that pool's recovery ops -- sibling shards keep
-admitting placements (pinned by ``tests/test_control_plane.py``).  Merged
-read-only views (devices, leases, assignments, epochs, counters) present
-the rack as one control plane to the metrics bindings and the invariant
-checker; ``signature()`` is the tuple of per-shard signatures so replica
-convergence stays checkable per shard.
+Anything else is asked of ``shards[name]``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ...config import OasisConfig
-from ...sim.core import Simulator
 from .allocator import PodAllocator
-from .policy import PlacementPolicy
 
 __all__ = ["ShardedAllocator"]
 
 
-class _MergedEpochs:
-    """Read/route view over the per-shard epoch tables."""
-
-    def __init__(self, owner: "ShardedAllocator"):
-        self._owner = owner
-
-    def _table_for(self, device: str):
-        return self._owner.shard_for_device(device).epochs
-
-    def entry(self, device: str, ip: int):
-        return self._table_for(device).entry(device, ip)
-
-    def check(self, device: str, ip: int, stamp: int) -> bool:
-        return self._table_for(device).check(device, ip, stamp)
-
-    @property
-    def device_epoch(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        for shard in self._owner.shards.values():
-            merged.update(shard.epochs.device_epoch)
-        return merged
-
-    @property
-    def grants(self) -> int:
-        return sum(s.epochs.grants for s in self._owner.shards.values())
-
-    @property
-    def revokes(self) -> int:
-        return sum(s.epochs.revokes for s in self._owner.shards.values())
-
-
-class _MergedNotify:
-    """Fault hooks route by host; delivery counters aggregate."""
-
-    def __init__(self, owner: "ShardedAllocator"):
-        self._owner = owner
-
-    def delay_extra(self, host_name: str, extra_s: float) -> None:
-        self._owner.shard_for_host(host_name).notify.delay_extra(
-            host_name, extra_s)
-
-    def clear_delay(self, host_name: str) -> None:
-        self._owner.shard_for_host(host_name).notify.clear_delay(host_name)
-
-    def drop_next(self, host_name: str, count: int = 1) -> None:
-        self._owner.shard_for_host(host_name).notify.drop_next(
-            host_name, count)
-
-    def clear_drops(self, host_name: str) -> None:
-        self._owner.shard_for_host(host_name).notify.clear_drops(host_name)
-
-    @property
-    def delivered(self) -> int:
-        return sum(s.notify.delivered for s in self._owner.shards.values())
-
-    @property
-    def delayed(self) -> int:
-        return sum(s.notify.delayed for s in self._owner.shards.values())
-
-    @property
-    def dropped(self) -> int:
-        return sum(s.notify.dropped for s in self._owner.shards.values())
-
-
-class _MergedLeases:
-    """The invariant checker's lease views, merged across shards."""
-
-    def __init__(self, owner: "ShardedAllocator"):
-        self._owner = owner
-
-    @property
-    def _by_key(self) -> dict:
-        merged = {}
-        for shard in self._owner.shards.values():
-            merged.update(shard.leases._by_key)
-        return merged
-
-    def leases_on(self, device: str):
-        return self._owner.shard_for_device(device).leases.leases_on(device)
-
-    def get(self, ip: int, device: str):
-        return self._owner.shard_for_device(device).leases.get(ip, device)
-
-
-class _MergedState:
-    """Just enough of ``ControlState`` for convergence checks."""
-
-    def __init__(self, owner: "ShardedAllocator"):
-        self._owner = owner
-
-    def signature(self) -> tuple:
-        return tuple(
-            (name, shard.state.signature())
-            for name, shard in sorted(self._owner.shards.items())
-        )
-
-
-class _MergedTelemetry:
-    def __init__(self, owner: "ShardedAllocator"):
-        self._owner = owner
-
-    @property
-    def records_ingested(self) -> int:
-        return sum(s.telemetry_store.records_ingested
-                   for s in self._owner.shards.values())
-
-
 class ShardedAllocator:
-    """One ``PodAllocator`` shard per CXL pool, behind a routing facade."""
+    """``shards``: pool-group name -> that group's ``PodAllocator``."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: Optional[OasisConfig] = None,
-        shard_names: Optional[List[str]] = None,
-        port_limit: Optional[int] = None,
-    ):
-        self.sim = sim
-        self.config = config or OasisConfig()
-        self.port_limit = port_limit
-        self.shards: Dict[str, PodAllocator] = {}
-        for name in (shard_names or ["pool0"]):
-            policy = PlacementPolicy(allow_oversubscription=4.0,
-                                     port_limit=port_limit)
-            self.shards[name] = PodAllocator(sim, self.config, policy=policy)
-        self._host_shard: Dict[str, str] = {}
-        self._device_shard: Dict[str, str] = {}
-        self.epochs = _MergedEpochs(self)
-        self.notify = _MergedNotify(self)
-        self.leases = _MergedLeases(self)
-        self.state = _MergedState(self)
-        self.telemetry_store = _MergedTelemetry(self)
+    def __init__(self, shards: Dict[str, PodAllocator]):
+        self.shards = dict(shards)
 
     # -- routing -------------------------------------------------------------------
-
-    def assign_host(self, host_name: str, shard_name: str) -> None:
-        """Bind ``host_name`` to its pool's shard (topology wiring)."""
-        if shard_name not in self.shards:
-            raise KeyError(f"unknown shard {shard_name!r}")
-        self._host_shard[host_name] = shard_name
-
-    def shard_name_of_host(self, host_name: str) -> str:
-        return self._host_shard[host_name]
-
-    def shard_for_host(self, host_name: str) -> PodAllocator:
-        return self.shards[self._host_shard[host_name]]
-
-    def shard_for_device(self, device_name: str) -> PodAllocator:
-        return self.shards[self._device_shard[device_name]]
 
     def _shard_of_ip(self, ip: int) -> Optional[PodAllocator]:
         for shard in self.shards.values():
@@ -194,26 +48,31 @@ class ShardedAllocator:
                 return shard
         return None
 
-    # -- wiring --------------------------------------------------------------------
+    def place_instance(self, ip: int, host_name: str,
+                       nic_demand_gbps: float) -> tuple:
+        # A host registers its frontend with its own group's allocator.
+        for shard in self.shards.values():
+            if host_name in shard.frontends:
+                return shard.place_instance(ip, host_name, nic_demand_gbps)
+        raise KeyError(f"no pool group holds host {host_name!r}")
 
-    def register_frontend(self, host_name: str, frontend) -> None:
-        self.shard_for_host(host_name).register_frontend(host_name, frontend)
+    def release_instance(self, ip: int, nic_demand_gbps: float) -> None:
+        shard = self._shard_of_ip(ip)
+        if shard is not None:
+            shard.release_instance(ip, nic_demand_gbps)
 
-    def register_storage_frontend(self, host_name: str, frontend) -> None:
-        self.shard_for_host(host_name).register_storage_frontend(
-            host_name, frontend)
+    def release_storage(self, ip: int, ssd_demand_tb: float) -> None:
+        shard = self._shard_of_ip(ip)
+        if shard is not None:
+            shard.release_storage(ip, ssd_demand_tb)
 
-    def register_backend(self, backend, capacity_gbps: float,
-                         is_backup: bool = False) -> None:
-        shard_name = self._host_shard[backend.host.name]
-        self._device_shard[backend.nic.name] = shard_name
-        self.shards[shard_name].register_backend(backend, capacity_gbps,
-                                                 is_backup=is_backup)
+    def on_failure_report(self, nic_name: str) -> None:
+        for shard in self.shards.values():
+            if nic_name in shard.backends:
+                shard.on_failure_report(nic_name)
+                return
 
-    def register_storage_backend(self, backend, capacity_tb: float) -> None:
-        shard_name = self._host_shard[backend.host.name]
-        self._device_shard[backend.ssd.name] = shard_name
-        self.shards[shard_name].register_storage_backend(backend, capacity_tb)
+    # -- fan-out -------------------------------------------------------------------
 
     def start_host_monitor(self) -> None:
         for shard in self.shards.values():
@@ -227,174 +86,17 @@ class ShardedAllocator:
         for shard in self.shards.values():
             shard.stop()
 
-    @property
-    def tracer(self):
-        return next(iter(self.shards.values())).tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        for shard in self.shards.values():
-            shard.tracer = tracer
-
-    @property
-    def on_failover(self):
-        return next(iter(self.shards.values())).on_failover
-
-    @on_failover.setter
-    def on_failover(self, callback) -> None:
-        for shard in self.shards.values():
-            shard.on_failover = callback
-
-    # -- placement -----------------------------------------------------------------
-
-    def choose_backup_name(self, exclude: str) -> Optional[str]:
-        return self.shard_for_device(exclude).choose_backup_name(exclude)
-
-    def place_instance(self, ip: int, host_name: str,
-                       nic_demand_gbps: float) -> tuple:
-        return self.shard_for_host(host_name).place_instance(
-            ip, host_name, nic_demand_gbps)
-
-    def place_pinned(self, ip: int, host_name: str, nic_name: str,
-                     nic_demand_gbps: float = 0.0,
-                     backup: Optional[str] = None) -> int:
-        shard = self.shard_for_device(nic_name)
-        if shard is not self.shard_for_host(host_name):
-            raise ValueError(
-                f"{nic_name} is not reachable from {host_name}: instance "
-                "and device must share a CXL pool")
-        return shard.place_pinned(ip, host_name, nic_name,
-                                  nic_demand_gbps, backup=backup)
-
-    def place_storage(self, ip: int, host_name: str,
-                      ssd_demand_tb: float) -> str:
-        return self.shard_for_host(host_name).place_storage(
-            ip, host_name, ssd_demand_tb)
-
-    def place_pinned_storage(self, ip: int, host_name: str, ssd_name: str,
-                             ssd_demand_tb: float = 0.0) -> int:
-        shard = self.shard_for_device(ssd_name)
-        if shard is not self.shard_for_host(host_name):
-            raise ValueError(
-                f"{ssd_name} is not reachable from {host_name}: instance "
-                "and device must share a CXL pool")
-        return shard.place_pinned_storage(ip, host_name, ssd_name,
-                                          ssd_demand_tb)
-
-    def release_instance(self, ip: int, nic_demand_gbps: float) -> None:
-        shard = self._shard_of_ip(ip)
-        if shard is not None:
-            shard.release_instance(ip, nic_demand_gbps)
-
-    def release_storage(self, ip: int, ssd_demand_tb: float) -> None:
-        shard = self._shard_of_ip(ip)
-        if shard is not None:
-            shard.release_storage(ip, ssd_demand_tb)
-
-    def migrate(self, ip: int, new_nic: str, demand_gbps: float = 0.0) -> None:
-        self.shard_for_device(new_nic).migrate(ip, new_nic, demand_gbps)
-
-    # -- telemetry / failure routing ------------------------------------------------
-
-    def on_failure_report(self, nic_name: str) -> None:
-        shard_name = self._device_shard.get(nic_name)
-        if shard_name is not None:
-            self.shards[shard_name].on_failure_report(nic_name)
-
-    def on_telemetry(self, record: dict) -> None:
-        shard_name = self._device_shard.get(record.get("nic"))
-        if shard_name is not None:
-            self.shards[shard_name].on_telemetry(record)
-
-    def on_storage_telemetry(self, record: dict) -> None:
-        shard_name = self._device_shard.get(record.get("nic"))
-        if shard_name is not None:
-            self.shards[shard_name].on_storage_telemetry(record)
-
-    def on_frontend_telemetry(self, record: dict) -> None:
-        host = record.get("host")
-        if host is not None and host in self._host_shard:
-            self.shard_for_host(host).on_frontend_telemetry(record)
-        else:
-            # No host tag: lease renewal is a per-ip no-op in shards that
-            # don't hold the assignment, so fan out.
-            for shard in self.shards.values():
-                shard.on_frontend_telemetry(record)
-
-    def resync_instance(self, ip: int, host_name: str) -> None:
-        self.shard_for_host(host_name).resync_instance(ip, host_name)
-
-    def resync_storage(self, ip: int, host_name: str) -> None:
-        self.shard_for_host(host_name).resync_storage(ip, host_name)
-
-    # -- merged read views ------------------------------------------------------------
-
-    def _merged(self, attr: str) -> dict:
-        merged: dict = {}
-        for shard in self.shards.values():
-            merged.update(getattr(shard, attr))
-        return merged
-
-    @property
-    def devices(self) -> dict:
-        return self._merged("devices")
-
-    @property
-    def storage_devices(self) -> dict:
-        return self._merged("storage_devices")
-
-    @property
-    def assignments(self) -> dict:
-        return self._merged("assignments")
-
-    @property
-    def backup_assignments(self) -> dict:
-        return self._merged("backup_assignments")
-
-    @property
-    def storage_assignments(self) -> dict:
-        return self._merged("storage_assignments")
-
-    @property
-    def parked(self) -> dict:
-        return self._merged("parked")
-
-    @property
-    def failover_log(self) -> dict:
-        return self._merged("failover_log")
-
-    def _total(self, attr: str) -> int:
-        return sum(getattr(shard, attr) for shard in self.shards.values())
-
-    @property
-    def failovers_executed(self) -> int:
-        return self._total("failovers_executed")
-
-    @property
-    def migrations_executed(self) -> int:
-        return self._total("migrations_executed")
-
-    @property
-    def lease_expirations(self) -> int:
-        return self._total("lease_expirations")
-
-    @property
-    def duplicate_reports(self) -> int:
-        return self._total("duplicate_reports")
-
-    @property
-    def failover_no_backup(self) -> int:
-        return self._total("failover_no_backup")
+    # -- rack-wide roll-ups --------------------------------------------------------
 
     @property
     def batches_proposed(self) -> int:
-        return self._total("batches_proposed")
+        return sum(s.batches_proposed for s in self.shards.values())
 
     @property
     def pending_commands(self) -> int:
         # Each command is pending in exactly one shard (commands never cross
         # shards), so the rack-wide backlog is a plain sum.
-        return self._total("pending_commands")
+        return sum(s.pending_commands for s in self.shards.values())
 
     @property
     def commit_latencies(self) -> list:
@@ -403,47 +105,14 @@ class ShardedAllocator:
             merged.extend(shard.commit_latencies)
         return merged
 
-    # -- replication views ------------------------------------------------------------
-
-    @property
-    def replicated(self) -> bool:
-        return any(shard.replicated for shard in self.shards.values())
-
-    def leader_node(self):
-        """A representative leader, only when *every* replicated shard has
-        one (the rack-wide 'leaderless window over' signal)."""
-        leader = None
-        for shard in self.shards.values():
-            if not shard.replicated:
-                continue
-            node = shard.leader_node()
-            if node is None:
-                return None
-            if leader is None:
-                leader = node
-        return leader
-
-    def _shard_of_node(self, node_id: str) -> Optional[PodAllocator]:
-        for shard in self.shards.values():
-            if node_id in shard.replicas:
-                return shard
-        return None
-
-    def replica_signature(self, node_id: str):
-        """The rack signature with ``node_id``'s shard seen through that
-        replica -- equal to ``state.signature()`` iff the replica converged."""
-        owner = self._shard_of_node(node_id)
-        if owner is None:
-            return None
-        return tuple(
-            (name, (shard.replica_signature(node_id) if shard is owner
-                    else shard.state.signature()))
-            for name, shard in sorted(self.shards.items())
-        )
+    def signature(self) -> tuple:
+        """Every shard's canonical state signature, by shard name."""
+        return tuple((name, shard.state.signature())
+                     for name, shard in sorted(self.shards.items()))
 
     def convergence_ok(self) -> bool:
         """Every replica of every replicated shard matches its canonical
-        shard state (used by the rack CLI's end-of-run check)."""
+        shard state (the rack CLI's end-of-run check)."""
         for shard in self.shards.values():
             canonical = shard.state.signature()
             for node_id in shard.replicas:

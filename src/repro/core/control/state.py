@@ -364,8 +364,3 @@ class AllocatorStateMachine:
             # Storage has no failover path: the assignment (and its capacity
             # reservation) stays; the instance must re-acquire a fresh epoch
             # before its posts are accepted again.
-
-
-def replica_for(state: ControlState) -> AllocatorStateMachine:
-    """A fresh machine over a deep copy of ``state`` (for new Raft nodes)."""
-    return AllocatorStateMachine(ControlState.restore(state.snapshot()))

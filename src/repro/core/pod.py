@@ -2,11 +2,18 @@
 
 This is the library's main entry point.  A pod bundles:
 
-* one shared :class:`~repro.mem.cxl.CXLMemoryPool` (the multi-headed device),
+* its **pool groups** (:class:`PoolGroup`, DESIGN §3f): one by default,
+  several side by side in a rack.  A group is one multi-headed
+  :class:`~repro.mem.cxl.CXLMemoryPool`, the shared-region bookkeeping
+  inside it, the hosts attached to it and their pod-wide allocator
+  (optionally replicated with Raft).  A host belongs to exactly one group
+  (``host.group``) and everything built for it -- buffers, channels, the
+  epoch table its backends check, the allocator its drivers report to --
+  comes from that group;
 * hosts with non-coherent caches and network-engine frontend drivers,
 * pooled NICs with backend drivers, cabled to one learning switch,
-* the pod-wide allocator (optionally replicated with Raft),
-* the shared-region bookkeeping and all frontend<->backend message channels.
+* all frontend<->backend message channels (never across groups: there is
+  no shared memory to put the buffers in).
 
 Three datapath modes regenerate the paper's comparison points:
 
@@ -31,7 +38,6 @@ Typical use::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -62,6 +68,18 @@ __all__ = ["CXLPod", "RackPod", "RackBuilder", "PoolGroup"]
 _MODES = ("oasis", "local", "local-cxl-buffers")
 
 
+@dataclass
+class PoolGroup:
+    """One multi-headed CXL device and what shares it (§2.3, §3.5): the
+    pool, its region bookkeeping, the member hosts and their allocator."""
+
+    name: str
+    pool: CXLMemoryPool
+    regions: SharedRegions
+    allocator: PodAllocator
+    hosts: List[Host] = field(default_factory=list)
+
+
 class CXLPod:
     """A rack-scale CXL pod running the Oasis network engine."""
 
@@ -78,12 +96,8 @@ class CXLPod:
         self.channel_hop_us = channel_hop_us
         self.sim = Simulator()
         self.rng = RngFactory(self.config.seed)
-        self.pool = CXLMemoryPool(self.config.cxl)
-        self.regions = SharedRegions(self.pool, self.config)
         self.switch = LearningSwitch(self.sim)
         self.arp = ArpRegistry()
-        self.allocator = self._build_allocator()
-        self._attach_epoch_mirrors()
         self.hosts: List[Host] = []
         self.frontends: Dict[str, NetFrontend] = {}
         self.backends: Dict[str, NetBackend] = {}
@@ -117,11 +131,15 @@ class CXLPod:
         self.brownout = None
         self._stage_spec = None
         self._load_sources: list = []
-        self.allocator.tracer = self.tracer
-        bindings.bind_pool(self.metrics, self.pool)
+
+        # Topology: one pool group; ``pool``/``regions``/``allocator`` name
+        # its parts (a rack adds groups and puts a router in ``allocator``).
+        self.groups: List[PoolGroup] = []
+        group = self._add_group()
+        self.pool, self.regions = group.pool, group.regions
+        self.allocator = group.allocator
         bindings.bind_scraper(self.metrics, self.scraper)
         bindings.bind_switch(self.metrics, self.switch)
-        bindings.bind_allocator(self.metrics, self.allocator)
         bindings.bind_tracer(self.metrics, self.tracer)
         bindings.bind_flows(self.metrics, self.flows)
         # Components with precomputed obs dispatch (a _trace/_flows alias
@@ -133,16 +151,20 @@ class CXLPod:
         if self.config.overload.enabled:
             self.enable_overload_control()
 
-    # -- construction hooks (overridden by RackPod) ---------------------------------
-
-    def _build_allocator(self):
-        return PodAllocator(self.sim, self.config)
-
-    def _attach_epoch_mirrors(self) -> None:
+    def _add_group(self) -> PoolGroup:
+        """One more CXL pool with its regions and its own allocator."""
+        pool = CXLMemoryPool(self.config.cxl)
+        regions = SharedRegions(pool, self.config)
+        allocator = PodAllocator(self.sim, self.config)
         # CXL-resident device metadata (§3.3.3): one 64 B line per pooled
         # device mirrors its fencing epoch into pool memory.
-        self.allocator.epochs.attach_mirror(
-            self.pool, self.regions.alloc(4096, "epoch-meta"))
+        allocator.epochs.attach_mirror(pool, regions.alloc(4096, "epoch-meta"))
+        allocator.tracer = self.tracer
+        bindings.bind_pool(self.metrics, pool)
+        bindings.bind_allocator(self.metrics, allocator)
+        group = PoolGroup(f"pool{len(self.groups)}", pool, regions, allocator)
+        self.groups.append(group)
+        return group
 
     def _bind_tracer(self, component) -> None:
         component.set_tracer(self.tracer)
@@ -151,12 +173,6 @@ class CXLPod:
     def _bind_flows(self, component) -> None:
         component.set_flows(self.flows)
         self._flowed.append(component)
-
-    def _shards(self):
-        """One ``(allocator shard, member hosts, node-id prefix, pool)``
-        per control-plane shard: the whole pod here, one per pool group in
-        a rack."""
-        yield self.allocator, self.hosts, "alloc", self.pool
 
     def _drivers(self):
         """Every driver that can hold an admission stage."""
@@ -183,15 +199,22 @@ class CXLPod:
 
     # -- topology ------------------------------------------------------------------
 
-    def add_host(self, name: Optional[str] = None) -> Host:
-        """Add a host with a network-engine frontend driver."""
+    def add_host(self, name: Optional[str] = None, pool: int = 0) -> Host:
+        """Add a host, attached to pool group ``pool``, with a
+        network-engine frontend driver."""
+        if not 0 <= pool < len(self.groups):
+            raise ConfigError(f"pool must be in range({len(self.groups)}), "
+                              f"got {pool}")
+        group = self.groups[pool]
         index = len(self.hosts)
-        host = Host(self.sim, name or f"h{index}", self.pool, self.config, index)
+        host = Host(self.sim, name or f"h{index}", group.pool, self.config, index)
+        host.group = group
         self.hosts.append(host)
+        group.hosts.append(host)
 
         buffer_domain = host.local if self.mode == "local" else host.shared
         if buffer_domain.is_shared:
-            tx_region = self.regions.alloc_tx_region(host.name)
+            tx_region = group.regions.alloc_tx_region(host.name)
         else:
             # Baseline: TX region in host-local DDR.
             from ..mem.layout import Region, RegionAllocator
@@ -202,9 +225,9 @@ class CXLPod:
                                self.arp, self.config)
         self._bind_flows(frontend)
         frontend.on_unregister = self._on_migration_unregister
-        frontend.control = AllocatorClient(self.sim, self.allocator)
+        frontend.control = AllocatorClient(self.sim, group.allocator)
         self.frontends[host.name] = frontend
-        self.allocator.register_frontend(host.name, frontend)
+        group.allocator.register_frontend(host.name, frontend)
         frontend.start()
         frontend.start_monitors()
         bindings.bind_cache(self.metrics, host.shared.cache, host.name,
@@ -223,6 +246,7 @@ class CXLPod:
     def add_nic(self, host: Host, is_backup: bool = False,
                 name: Optional[str] = None) -> SimNIC:
         """Attach a NIC to ``host``, with its backend driver, and pool it."""
+        group = host.group
         mac = make_mac(host.index, len(host.devices))
         device_index = sum(1 for n in self.nics.values() if n.host is host)
         default_name = (f"nic-{host.name}" if device_index == 0
@@ -240,11 +264,11 @@ class CXLPod:
             rx_region = Region(8 << 30, self.config.datapath.rx_region_bytes,
                                f"rx-{nic.name}-local")
         else:
-            rx_region = self.regions.alloc_rx_region(nic.name)
+            rx_region = group.regions.alloc_rx_region(nic.name)
         backend = NetBackend(self.sim, host, nic, rx_domain, rx_region,
                              self.config, tx_buffers_local=(self.mode == "local"))
-        backend.control = AllocatorClient(self.sim, self.allocator)
-        backend.epochs = self.allocator.epochs
+        backend.control = AllocatorClient(self.sim, group.allocator)
+        backend.epochs = group.allocator.epochs
         self._bind_tracer(nic)
         self._bind_tracer(backend)
         self._bind_flows(nic)
@@ -253,8 +277,8 @@ class CXLPod:
         bindings.bind_driver(self.metrics, backend)
         self._arm(backend)
         self.backends[nic.name] = backend
-        self.allocator.register_backend(backend, self.config.nic.bandwidth_gbps,
-                                        is_backup=is_backup)
+        group.allocator.register_backend(
+            backend, self.config.nic.bandwidth_gbps, is_backup=is_backup)
         backend.start()
         backend.start_monitors()
 
@@ -266,13 +290,15 @@ class CXLPod:
             self._wire(self.frontends[host.name], backend)
         return nic
 
-    def _channel_pair(self, name: str, cache_a, cache_b,
+    def _channel_pair(self, name: str, host_a: Host, host_b: Host,
                       message_bytes: int) -> ChannelPair:
-        """One traced, metered channel each way between two drivers: rings
-        in shared CXL memory in oasis mode, local DDR rings otherwise."""
+        """One traced, metered channel each way between drivers on two hosts
+        of one group: rings in the group's shared CXL memory in oasis mode,
+        local DDR rings otherwise."""
         if self.mode == "oasis":
             pair = ChannelPair.over_cxl(
-                self.sim, self.regions, cache_a, cache_b, name,
+                self.sim, host_a.group.regions, host_a.shared.cache,
+                host_b.shared.cache, name,
                 message_size=message_bytes, hop_us=self.channel_hop_us,
                 slots=self.config.datapath.channel_slots,
             )
@@ -285,9 +311,11 @@ class CXLPod:
 
     def _wire(self, frontend: NetFrontend, backend: NetBackend) -> None:
         """Create the per-(frontend, backend) channel pair (§3.2.2)."""
+        if frontend.host.group is not backend.host.group:
+            return  # never wire across pools: no shared buffers to post into
         pair = self._channel_pair(
             f"{frontend.host.name}-{backend.nic.name}",
-            frontend.host.shared.cache, backend.host.shared.cache,
+            frontend.host, backend.host,
             self.config.datapath.net_message_bytes)
         frontend.connect(BackendLink(
             name=backend.nic.name, tx=pair.a_to_b, rx=pair.b_to_a,
@@ -313,17 +341,19 @@ class CXLPod:
                             host, ip, spec)
         self.instances[ip] = instance
         frontend = self.frontends[host.name]
+        allocator = host.group.allocator
 
         if nic is not None:
+            self._same_group(host, nic)
             primary_name = nic.name
-            backup_name = self.allocator.choose_backup_name(nic.name)
-            self.allocator.place_pinned(ip, host.name, primary_name,
-                                        spec.nic_gbps, backup=backup_name)
+            backup_name = allocator.choose_backup_name(nic.name)
+            allocator.place_pinned(ip, host.name, primary_name,
+                                   spec.nic_gbps, backup=backup_name)
         else:
-            primary_name, backup_name = self.allocator.place_instance(
+            primary_name, backup_name = allocator.place_instance(
                 ip, host.name, spec.nic_gbps
             )
-        epoch = self.allocator.epochs.entry(primary_name, ip) or 0
+        epoch = allocator.epochs.entry(primary_name, ip) or 0
 
         primary_backend = self.backends[primary_name]
         primary_backend.register_instance(ip, host.name)
@@ -337,6 +367,13 @@ class CXLPod:
                                    backup=backup_link, epoch=epoch)
         return instance
 
+    @staticmethod
+    def _same_group(host: Host, device) -> None:
+        if device.host.group is not host.group:
+            raise ConfigError(
+                f"{device.name} is not reachable from {host.name}: instance "
+                "and device must share a CXL pool")
+
     # -- storage engine (§3.4) ------------------------------------------------------
 
     def add_ssd(self, host: Host, name: Optional[str] = None):
@@ -348,15 +385,15 @@ class CXLPod:
                      name=name or f"ssd-{host.name}-{len(host.devices)}")
         backend = StorageBackend(self.sim, host, ssd, self.config)
         self.storage_backends[ssd.name] = backend
-        backend.control = AllocatorClient(self.sim, self.allocator,
-                                          storage=True)
-        backend.epochs = self.allocator.epochs
+        allocator = host.group.allocator
+        backend.control = AllocatorClient(self.sim, allocator, storage=True)
+        backend.epochs = allocator.epochs
         self._bind_tracer(ssd)
         self._bind_flows(ssd)
         self._bind_flows(backend)
         bindings.bind_ssd(self.metrics, ssd)
         bindings.bind_driver(self.metrics, backend)
-        self.allocator.register_storage_backend(
+        allocator.register_storage_backend(
             backend, self.config.ssd.capacity_bytes / 1e12
         )
         backend.start()
@@ -368,21 +405,22 @@ class CXLPod:
 
         frontend = self.storage_frontends.get(host.name)
         if frontend is None:
+            group = host.group
             domain = host.local if self.mode == "local" else host.shared
             if domain.is_shared:
-                region = self.regions.alloc(256 << 20, f"sbuf-{host.name}")
+                region = group.regions.alloc(256 << 20, f"sbuf-{host.name}")
             else:
                 from ..mem.layout import Region
 
                 region = Region(12 << 30, 256 << 20, f"sbuf-{host.name}-local")
             frontend = StorageFrontend(self.sim, host, domain, region, self.config)
             self._bind_flows(frontend)
-            frontend.control = AllocatorClient(self.sim, self.allocator)
+            frontend.control = AllocatorClient(self.sim, group.allocator)
             frontend.start()
             bindings.bind_driver(self.metrics, frontend)
             self._arm(frontend)
             self.storage_frontends[host.name] = frontend
-            self.allocator.register_storage_frontend(host.name, frontend)
+            group.allocator.register_storage_frontend(host.name, frontend)
         return frontend
 
     def add_block_device(self, instance: Instance, ssd=None):
@@ -391,23 +429,25 @@ class CXLPod:
         When ``ssd`` is omitted the pod-wide allocator places the instance
         (host-local SSD first, then the least-loaded drive in the pod, §3.5).
         """
+        allocator = instance.host.group.allocator
         if ssd is None:
-            name = self.allocator.place_storage(
+            name = allocator.place_storage(
                 instance.ip, instance.host.name, instance.spec.ssd_tb
             )
             ssd = self.storage_backends[name].ssd
         else:
-            self.allocator.place_pinned_storage(
+            self._same_group(instance.host, ssd)
+            allocator.place_pinned_storage(
                 instance.ip, instance.host.name, ssd.name,
                 instance.spec.ssd_tb
             )
-        epoch = self.allocator.epochs.entry(ssd.name, instance.ip) or 0
+        epoch = allocator.epochs.entry(ssd.name, instance.ip) or 0
         frontend = self._storage_frontend(instance.host)
         frontend.set_stamp(ssd.name, instance.ip, epoch)
         if ssd.name not in frontend._links:
             pair = self._channel_pair(
                 f"st-{instance.host.name}-{ssd.name}",
-                instance.host.shared.cache, ssd.host.shared.cache,
+                instance.host, ssd.host,
                 self.config.datapath.storage_message_bytes)
             frontend.connect(Link(ssd.name, tx=pair.a_to_b, rx=pair.b_to_a))
             self.storage_backends[ssd.name].connect(
@@ -436,16 +476,22 @@ class CXLPod:
         Each node carries a full replica of the allocator state machine;
         commands committed through the log apply on every replica, and the
         leader additionally runs the external side effects (exactly once,
-        deduplicated by command ID across leader changes).  A rack gets one
-        cluster per pool shard, strided across that shard's own hosts.
+        deduplicated by command ID across leader changes).  Every pool
+        group gets its own cluster, strided across the group's own hosts.
         """
-        for shard, hosts, prefix, _pool in self._shards():
+        if self.raft_nodes:
+            raise ConfigError("enable_raft() was already called on this pod")
+        for group in self.groups:
+            # A lone allocator's nodes are alloc-0..; behind a rack's router
+            # they carry the group name.
+            prefix = ("alloc" if group.allocator is self.allocator
+                      else f"alloc-{group.name}")
             transport = DirectTransport(self.sim, latency_us)
             ids = [f"{prefix}-{i}" for i in range(replicas)]
             nodes = []
             for i, node_id in enumerate(ids):
-                # The shard-colocated node gets a short election timeout so
-                # it (deterministically) wins the first election.
+                # The first node gets a short election timeout so it
+                # (deterministically) wins the first election.
                 timeouts = (60.0, 90.0) if i == 0 else (150.0, 300.0)
                 node = RaftNode(
                     self.sim, node_id, ids, transport,
@@ -454,18 +500,18 @@ class CXLPod:
                     rng=self.rng.get(f"raft-{node_id}"),
                 )
                 node.tracer = self.tracer
-                # Pin each replica to one of the shard's hosts so host-crash
+                # Pin each replica to one of the group's hosts so host-crash
                 # faults take its control-plane replica down with it.  With
                 # more hosts than replicas, stride the replicas evenly
                 # across the host list -- packing them onto the first few
                 # hosts (the old ``i % len``) put a log majority on one rack
                 # slice, so a single host crash could stall the control plane.
                 node.host = self._replica_host(i, replicas,
-                                               hosts or self.hosts)
+                                               group.hosts or self.hosts)
                 bindings.bind_raft_node(self.metrics, node)
                 self.raft_nodes.append(node)
                 nodes.append(node)
-            shard.attach_raft_cluster(nodes)
+            group.allocator.attach_raft_cluster(nodes)
             for node in nodes:
                 node.start()
 
@@ -483,13 +529,11 @@ class CXLPod:
         Disabling detaches the epoch table entirely, so the data path pays
         zero extra cost; re-enabling re-attaches the live table.
         """
-        for shard, hosts, _prefix, _pool in self._shards():
-            table = shard.epochs if enabled else None
-            for backend in (*self.backends.values(),
-                            *self.storage_backends.values()):
-                if backend.host in hosts:
-                    backend.epochs = table
-                    backend.fencing_enabled = enabled
+        for backend in (*self.backends.values(),
+                        *self.storage_backends.values()):
+            backend.epochs = (backend.host.group.allocator.epochs if enabled
+                              else None)
+            backend.fencing_enabled = enabled
 
     # -- failure injection -------------------------------------------------------------------
 
@@ -696,8 +740,8 @@ class CXLPod:
     def cxl_traffic_by_category(self) -> Dict[str, int]:
         """Pod-wide CXL link bytes by category (payload/message/counter)."""
         merged: Dict[str, int] = {}
-        for _shard, _hosts, _prefix, pool in self._shards():
-            for stats in pool.link_stats.values():
+        for group in self.groups:
+            for stats in group.pool.link_stats.values():
                 for category, nbytes in stats.by_category().items():
                     merged[category] = merged.get(category, 0) + nbytes
         return merged
@@ -714,29 +758,19 @@ class CXLPod:
 # -- rack scale -----------------------------------------------------------------------
 
 
-@dataclass
-class PoolGroup:
-    """One CXL pool's slice of a rack: memory, regions, member hosts."""
-
-    name: str
-    pool: CXLMemoryPool
-    regions: SharedRegions
-    hosts: List[Host] = field(default_factory=list)
-
-
 class RackPod(CXLPod):
     """A rack-scale pod: N hosts across M CXL pools, sharded control plane.
 
-    Each pool is an independent :class:`PoolGroup` -- its own
-    :class:`~repro.mem.cxl.CXLMemoryPool`, shared regions and allocator
-    shard (a full :class:`~repro.core.allocator.PodAllocator` with its own
-    state machine, epoch table and optional Raft cluster).  Hosts belong to
-    exactly one pool; frontends are wired only to same-pool backends, so a
-    placement never crosses a pool boundary -- the datapath's shared
-    buffers live in exactly one pool.
+    The same pod with ``pools`` pool groups instead of one.  Hosts join a
+    group through ``add_host(pool=k)``; frontends are wired only to
+    same-group backends, so a placement never crosses a pool boundary --
+    the datapath's shared buffers live in exactly one pool.  Each group's
+    allocator is a full :class:`~repro.core.allocator.PodAllocator` (own
+    state machine, epoch table and optional Raft cluster); ``allocator`` is
+    the :class:`~repro.core.allocator.ShardedAllocator` router over them.
 
-    ``port_limit`` models the multi-headed device's finite head count: the
-    shard's placement policy refuses to attach a device to more than
+    ``port_limit`` models the multi-headed device's finite head count: a
+    group's placement policy refuses to attach a device to more than
     ``port_limit`` distinct hosts.  Always ``"oasis"`` mode -- the rack
     regime only exists with pooled devices.
     """
@@ -750,95 +784,14 @@ class RackPod(CXLPod):
     ):
         if pools < 1:
             raise ConfigError(f"pools must be >= 1, got {pools}")
-        self._n_pools = pools
-        self._port_limit = port_limit
-        self.groups: List[PoolGroup] = []
-        self._host_group: Dict[str, PoolGroup] = {}
         super().__init__(config=config, mode="oasis",
                          channel_hop_us=channel_hop_us)
-
-    # -- construction hooks ---------------------------------------------------------
-
-    def _build_allocator(self):
-        # Pool 0 wraps the base pod's pool/regions; the rest are fresh.
-        self.groups = [PoolGroup("pool0", self.pool, self.regions)]
-        for i in range(1, self._n_pools):
-            pool = CXLMemoryPool(self.config.cxl)
-            self.groups.append(
-                PoolGroup(f"pool{i}", pool, SharedRegions(pool, self.config)))
-        return ShardedAllocator(self.sim, self.config,
-                                [g.name for g in self.groups],
-                                port_limit=self._port_limit)
-
-    def _attach_epoch_mirrors(self) -> None:
+        for _ in range(1, pools):
+            self._add_group()
         for group in self.groups:
-            self.allocator.shards[group.name].epochs.attach_mirror(
-                group.pool, group.regions.alloc(4096, "epoch-meta"))
-
-    def _shards(self):
-        for group in self.groups:
-            yield (self.allocator.shards[group.name], group.hosts,
-                   f"alloc-{group.name}", group.pool)
-
-    @contextmanager
-    def _in_group(self, group: PoolGroup):
-        """Run base-class topology code against ``group``'s pool/regions."""
-        prev = (self.pool, self.regions)
-        self.pool, self.regions = group.pool, group.regions
-        try:
-            yield
-        finally:
-            self.pool, self.regions = prev
-
-    # -- topology -------------------------------------------------------------------
-
-    def add_host(self, name: Optional[str] = None,
-                 pool: Optional[int] = None) -> Host:
-        """Add a host to pool ``pool`` (default: pool 0)."""
-        group = self.groups[(pool or 0) % len(self.groups)]
-        host_name = name or f"h{len(self.hosts)}"
-        # Routing must exist before the base class registers the frontend
-        # and wires channels (both consult the host -> shard map).
-        self._host_group[host_name] = group
-        self.allocator.assign_host(host_name, group.name)
-        with self._in_group(group):
-            host = super().add_host(host_name)
-        group.hosts.append(host)
-        return host
-
-    def add_nic(self, host: Host, is_backup: bool = False,
-                name: Optional[str] = None) -> SimNIC:
-        group = self._host_group[host.name]
-        with self._in_group(group):
-            nic = super().add_nic(host, is_backup=is_backup, name=name)
-        # Hot path: the backend stamps/checks epochs per post -- hand it the
-        # shard's real table instead of the per-call routing facade.
-        self.backends[nic.name].epochs = self.allocator.shards[group.name].epochs
-        return nic
-
-    def add_ssd(self, host: Host, name: Optional[str] = None):
-        group = self._host_group[host.name]
-        with self._in_group(group):
-            ssd = super().add_ssd(host, name=name)
-        self.storage_backends[ssd.name].epochs = (
-            self.allocator.shards[group.name].epochs)
-        return ssd
-
-    def _wire(self, frontend: NetFrontend, backend: NetBackend) -> None:
-        gf = self._host_group.get(frontend.host.name)
-        gb = self._host_group.get(backend.host.name)
-        if gf is None or gb is None or gf is not gb:
-            return  # never wire across pools: no shared buffers to post into
-        with self._in_group(gf):
-            super()._wire(frontend, backend)
-
-    def _storage_frontend(self, host: Host):
-        with self._in_group(self._host_group[host.name]):
-            return super()._storage_frontend(host)
-
-    def add_block_device(self, instance: Instance, ssd=None):
-        with self._in_group(self._host_group[instance.host.name]):
-            return super().add_block_device(instance, ssd=ssd)
+            group.allocator.policy.port_limit = port_limit
+        self.allocator = ShardedAllocator(
+            {group.name: group.allocator for group in self.groups})
 
 
 class RackBuilder:

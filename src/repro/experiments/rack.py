@@ -16,6 +16,11 @@ Headline numbers (dumped to ``BENCH_pr8.json`` with ``--out``):
 * ``control_commits_per_sec`` -- control-plane decision throughput;
 * ``converged`` -- every Raft replica of every shard matches its shard's
   canonical state at the end of the run.
+
+``--check`` also installs the chaos invariant probes
+(:meth:`~repro.core.pod.CXLPod.check_invariants`, no periodic task, so the
+event count does not move) and fails on a violated verdict: the per-group
+control-plane checks of DESIGN §3f run against every pool group here.
 """
 
 from __future__ import annotations
@@ -49,8 +54,10 @@ def run_rack(
     churn: int = 256,
     batch_window_ms: float = 0.2,
     replicas: int = 3,
+    check: bool = False,
 ) -> dict:
-    """Sustain the fig10 echo on every host; return the headline metrics."""
+    """Sustain the fig10 echo on every host; return the headline metrics
+    (plus the invariant checker's ``"verdict"`` when ``check``)."""
     if duration_s is None:
         duration_s = max(0.02, 0.08 * scale())
     base = OasisConfig()
@@ -109,6 +116,7 @@ def run_rack(
 
     for client in clients:
         client.start(duration_s)
+    checker = pod.check_invariants() if check else None
 
     before = pod.sim.processed_events
     t0 = time.perf_counter()
@@ -125,7 +133,7 @@ def run_rack(
          if c.stats.latencies_us] or [np.zeros(1)])
     commits = np.asarray(pod.allocator.commit_latencies, dtype=float)
     converged = pod.allocator.convergence_ok()
-    return {
+    result = {
         "hosts": hosts,
         "pools": pools,
         "devices": builder.device_count(),
@@ -156,6 +164,9 @@ def run_rack(
         "pending_after": pod.allocator.pending_commands,
         "converged": converged,
     }
+    if checker is not None:
+        result["verdict"] = checker.finish()
+    return result
 
 
 def main_rack(argv=None) -> int:
@@ -192,8 +203,9 @@ def main_rack(argv=None) -> int:
                         help="also write a BENCH-style dump "
                              "(e.g. BENCH_pr8.json)")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless replicas converged and the "
-                             "command queue drained")
+                        help="exit 1 unless replicas converged, the "
+                             "command queue drained and the invariant "
+                             "checker's verdict is OK")
     args = parser.parse_args(argv)
 
     result = run_rack(
@@ -202,8 +214,9 @@ def main_rack(argv=None) -> int:
         port_limit=(args.port_limit or None), packet_size=args.packet_size,
         rate_pps=args.rate, duration_s=args.duration, seed=args.seed,
         churn=args.churn, batch_window_ms=args.batch_window_ms,
-        replicas=args.replicas,
+        replicas=args.replicas, check=args.check,
     )
+    verdict = result.pop("verdict", None)
     if args.json:
         print(json.dumps(result, indent=1, sort_keys=True))
     else:
@@ -225,6 +238,8 @@ def main_rack(argv=None) -> int:
               f"{result['churn_released']} released")
         print(f"  verdict  converged={result['converged']} "
               f"pending={result['pending_after']}")
+        if verdict is not None:
+            print(f"  {verdict.render().splitlines()[0]}")
     if args.out:
         payload = {"results": {"rack_scale": result}}
         with open(args.out, "w") as fh:
@@ -234,6 +249,9 @@ def main_rack(argv=None) -> int:
     if args.check and not (result["converged"]
                            and result["pending_after"] == 0):
         print("rack: FAIL -- control plane did not converge", flush=True)
+        return 1
+    if verdict is not None and not verdict.ok:
+        print(f"rack: FAIL -- {verdict.render()}", flush=True)
         return 1
     return 0
 

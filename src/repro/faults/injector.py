@@ -303,26 +303,26 @@ class FaultInjector:
     def _apply_notify_delay(self, spec) -> None:
         host = self._host(spec.target)
         extra_s = float(spec.params.get("extra_s", 0.05))
-        self.pod.allocator.notify.delay_extra(host.name, extra_s)
+        host.group.allocator.notify.delay_extra(host.name, extra_s)
         self._record("inject", spec.kind, host.name, f"+{extra_s}s")
         self._schedule_recovery(spec, self._recover_notify_delay, spec.kind,
-                                host.name)
+                                host)
 
-    def _recover_notify_delay(self, kind: str, host_name: str) -> None:
-        self.pod.allocator.notify.clear_delay(host_name)
-        self._record("recover", kind, host_name)
+    def _recover_notify_delay(self, kind: str, host) -> None:
+        host.group.allocator.notify.clear_delay(host.name)
+        self._record("recover", kind, host.name)
 
     def _apply_notify_drop(self, spec) -> None:
         host = self._host(spec.target)
         count = int(spec.params.get("count", 1))
-        self.pod.allocator.notify.drop_next(host.name, count)
+        host.group.allocator.notify.drop_next(host.name, count)
         self._record("inject", spec.kind, host.name, f"count={count}")
 
     def _apply_report_duplicate(self, spec) -> None:
         nic = self._nic(spec.target)
         count = int(spec.params.get("count", 1))
         for _ in range(count):
-            self.pod.allocator.on_failure_report(nic.name)
+            nic.host.group.allocator.on_failure_report(nic.name)
         self._record("inject", spec.kind, nic.name, f"count={count}")
 
     # Overload ---------------------------------------------------------------

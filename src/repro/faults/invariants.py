@@ -231,17 +231,21 @@ class InvariantChecker:
                     f"{backend.name}: rx pool {rx.available} free + "
                     f"{rx.outstanding} out != {rx.capacity}",
                 )
-        for device in pod.allocator.devices.values():
-            self._checked("allocator-accounting")
-            if device.allocated < -1e-9:
-                self.violate("allocator-accounting",
-                             f"{device.name}: allocated {device.allocated} < 0")
-        allocator = pod.allocator
+        # Control plane: walk every pool group's own allocator (device
+        # names and instance ips are unique across groups).
         now = pod.sim.now
         holders: Dict[int, int] = {}
-        for (ip, dev), lease in allocator.leases._by_key.items():
-            if dev in allocator.devices and lease.valid(now):
-                holders[ip] = holders.get(ip, 0) + 1
+        for group in pod.groups:
+            allocator = group.allocator
+            for device in allocator.devices.values():
+                self._checked("allocator-accounting")
+                if device.allocated < -1e-9:
+                    self.violate(
+                        "allocator-accounting",
+                        f"{device.name}: allocated {device.allocated} < 0")
+            for (ip, dev), lease in allocator.leases._by_key.items():
+                if dev in allocator.devices and lease.valid(now):
+                    holders[ip] = holders.get(ip, 0) + 1
         self._checked("single-valid-holder")
         for ip, count in holders.items():
             if count > 1:
@@ -250,13 +254,15 @@ class InvariantChecker:
                     f"instance {ip:#x} holds {count} valid NIC leases",
                 )
         self._checked("monotone-epochs")
-        for device_name, epoch in allocator.epochs.device_epoch.items():
-            last = self._epoch_seen.get(device_name, 0)
-            if epoch < last:
-                self.violate("monotone-epochs",
-                             f"{device_name}: epoch went {last} -> {epoch}")
-            else:
-                self._epoch_seen[device_name] = epoch
+        for group in pod.groups:
+            for device_name, epoch in (
+                    group.allocator.epochs.device_epoch.items()):
+                last = self._epoch_seen.get(device_name, 0)
+                if epoch < last:
+                    self.violate("monotone-epochs",
+                                 f"{device_name}: epoch went {last} -> {epoch}")
+                else:
+                    self._epoch_seen[device_name] = epoch
         for backend in (list(pod.backends.values())
                         + list(pod.storage_backends.values())):
             self._checked("no-stale-writes")
@@ -375,7 +381,28 @@ class InvariantChecker:
                     f"parked behind a full ring",
                 )
 
-        allocator = pod.allocator
+        for group in pod.groups:
+            self._finish_control_plane(group.allocator)
+
+        if pod.flows.enabled:
+            self._checked("flow-conservation")
+            bad = pod.flows.check_conservation()
+            if bad:
+                self.violate("flow-conservation",
+                             f"{len(bad)} records violate telescoping")
+
+        if self._suppressed:
+            self.violations.append(Violation(
+                pod.sim.now, "meta",
+                f"{self._suppressed} further violations suppressed"))
+        return InvariantVerdict(ok=not self.violations,
+                                violations=list(self.violations),
+                                checks=dict(self.checks))
+
+    def _finish_control_plane(self, allocator) -> None:
+        """End-of-run checks of one pool group's allocator, against that
+        group's own leader and Raft nodes (groups never share a log, so
+        their applied indices are unrelated)."""
         for device in allocator.devices.values():
             self._checked("allocator-accounting")
             if device.failed and allocator.leases.leases_on(device.name):
@@ -397,51 +424,39 @@ class InvariantChecker:
                 self.violate("failover-exactly-once",
                              f"{nic}: failover applied {count} times")
 
-        if allocator.replicated:
-            leader = allocator.leader_node()
-            self._checked("control-quiesce")
-            if leader is not None and allocator.pending_commands:
+        if not allocator.replicated:
+            return
+        leader = allocator.leader_node()
+        self._checked("control-quiesce")
+        if leader is None:
+            return
+        if allocator.pending_commands:
+            self.violate(
+                "control-quiesce",
+                f"{allocator.pending_commands} commands still pending "
+                f"with a live leader",
+            )
+            return
+        # Failovers == failed devices, once everything committed.
+        for name, device in allocator.devices.items():
+            if device.failed:
+                self._checked("failover-exactly-once")
+                if allocator.failover_log.get(name, 0) != 1:
+                    self.violate(
+                        "failover-exactly-once",
+                        f"{name}: failed but failover ran "
+                        f"{allocator.failover_log.get(name, 0)} times",
+                    )
+        canonical = allocator.state.signature()
+        for node in self.pod.raft_nodes:
+            replica = allocator.replicas.get(node.node_id)
+            if (replica is None or not node.alive
+                    or node.last_applied != leader.last_applied):
+                continue   # another group's, crashed, or still catching up
+            self._checked("replica-convergence")
+            if replica.state.signature() != canonical:
                 self.violate(
-                    "control-quiesce",
-                    f"{allocator.pending_commands} commands still pending "
-                    f"with a live leader",
+                    "replica-convergence",
+                    f"{node.node_id}: replica state diverges from "
+                    f"the canonical allocator state",
                 )
-            if leader is not None and not allocator.pending_commands:
-                # Failovers == failed devices, once everything committed.
-                for name, device in allocator.devices.items():
-                    if device.failed:
-                        self._checked("failover-exactly-once")
-                        if allocator.failover_log.get(name, 0) != 1:
-                            self.violate(
-                                "failover-exactly-once",
-                                f"{name}: failed but failover ran "
-                                f"{allocator.failover_log.get(name, 0)} times",
-                            )
-                canonical = allocator.state.signature()
-                for node in pod.raft_nodes:
-                    if (not node.alive
-                            or node.last_applied != leader.last_applied):
-                        continue   # crashed or still catching up
-                    self._checked("replica-convergence")
-                    sig = allocator.replica_signature(node.node_id)
-                    if sig is not None and sig != canonical:
-                        self.violate(
-                            "replica-convergence",
-                            f"{node.node_id}: replica state diverges from "
-                            f"the canonical allocator state",
-                        )
-
-        if pod.flows.enabled:
-            self._checked("flow-conservation")
-            bad = pod.flows.check_conservation()
-            if bad:
-                self.violate("flow-conservation",
-                             f"{len(bad)} records violate telescoping")
-
-        if self._suppressed:
-            self.violations.append(Violation(
-                pod.sim.now, "meta",
-                f"{self._suppressed} further violations suppressed"))
-        return InvariantVerdict(ok=not self.violations,
-                                violations=list(self.violations),
-                                checks=dict(self.checks))

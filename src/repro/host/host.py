@@ -58,6 +58,8 @@ class Host:
         self.index = index
         self.config = config or OasisConfig()
         self.devices: List = []
+        #: the pod's pool group this host is attached to (set by the pod)
+        self.group = None
 
         cache = HostCache(shared_pool, name, timings=shared_pool.timings)
         self.shared = MemDomain(shared_pool, cache, f"{name}-cxl", is_shared=True)

@@ -15,8 +15,6 @@ and probe instant byte-replayable under a fixed seed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
 CLOSED = "closed"
@@ -89,12 +87,6 @@ class CircuitBreaker:
         if self.rng is not None and self.probe_jitter_s > 0:
             jitter = float(self.rng.uniform(0.0, self.probe_jitter_s))
         self.open_until = now + self.open_s + jitter
-
-    def probe_eta(self, now: float) -> Optional[float]:
-        """Seconds until the next half-open probe (None unless open)."""
-        if self.state != OPEN:
-            return None
-        return max(0.0, self.open_until - now)
 
     def __repr__(self) -> str:
         return (f"CircuitBreaker({self.name!r}, state={self.state}, "

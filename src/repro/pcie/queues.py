@@ -93,13 +93,6 @@ class DescriptorRing:
         self._entries.append(entry)
         self.posted += 1
 
-    def try_post(self, entry: Any) -> bool:
-        try:
-            self.post(entry)
-        except DeviceError:
-            return False
-        return True
-
     def pop(self) -> Any:
         if not self._entries:
             raise DeviceError(f"{self.name} empty")

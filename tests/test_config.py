@@ -60,7 +60,6 @@ class TestDefaults:
         assert dp.net_message_bytes == 16
         assert dp.storage_message_bytes == 64
         assert dp.prefetch_depth == 16
-        assert dp.counter_batch_divisor == 2
 
 
 class TestValidation:
@@ -111,7 +110,7 @@ class TestValidation:
 
     def test_rto_bounds(self):
         with pytest.raises(ConfigError):
-            replace(TransportConfig(), min_rto_ms=100.0, max_rto_ms=50.0).validate()
+            replace(TransportConfig(), initial_rto_ms=100.0, max_rto_ms=50.0).validate()
 
     def test_rto_backoff_at_least_one(self):
         with pytest.raises(ConfigError):

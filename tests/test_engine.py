@@ -382,6 +382,9 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
         (re.compile(r"\bSignal\b|\bProcess\b|SimQueue|\.spawn\(|_WorkDoorbell"
                     r"|\.work\b"), ()),
         (re.compile(r"\byield\b"), ("mem/cxl.py", "core/pod.py")),
+        # One pod shape (DESIGN §3f): no merged allocator view, no swapping
+        # of self.pool, no per-topology construction hook.
+        (re.compile(r"_Merged|_in_group|_build_allocator|_host_group"), ()),
     )
     assert [f"{path}:{n}: {line.strip()}"
             for path in sorted(src.rglob("*.py"))
@@ -389,6 +392,17 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
             for pattern, owners in fences
             if pattern.search(line)
             and not path.relative_to(src).as_posix().startswith(owners)] == []
+    # ... the pod's topology methods exist once (no subclass re-defines them)
+    pod_py = (src / "core" / "pod.py").read_text()
+    for name in ("add_host", "add_nic", "add_ssd", "_wire", "add_block_device"):
+        assert len(re.findall(rf"^\s+def {name}\(", pod_py, re.M)) == 1, name
+    # ... and neither the fault layer nor the metrics bindings ask what kind
+    # of allocator they were handed: they walk pod.groups.
+    typed = re.compile(r"(isinstance|hasattr)\([^)]*alloc", re.I)
+    assert [f"{path.name}:{n}" for path in
+            (*sorted((src / "faults").glob("*.py")), src / "obs" / "bindings.py")
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if typed.search(line)] == []
 
 
 class TestEchoCallCount:

@@ -100,7 +100,7 @@ class TestReliableSocket:
 
     def test_loss_triggers_retransmit(self, sim, pair):
         a, b = pair
-        config = TransportConfig(initial_rto_ms=10.0, min_rto_ms=10.0)
+        config = TransportConfig(initial_rto_ms=10.0)
         rs_a = ReliableSocket(sim, a, port=10, config=config)
         rs_b = ReliableSocket(sim, b, port=20, config=config)
         got = []
@@ -117,7 +117,7 @@ class TestReliableSocket:
 
     def test_retransmit_backoff(self, sim, pair):
         a, b = pair
-        config = TransportConfig(initial_rto_ms=10.0, min_rto_ms=10.0,
+        config = TransportConfig(initial_rto_ms=10.0,
                                  rto_backoff=2.0, max_rto_ms=1000.0)
         rs_a = ReliableSocket(sim, a, port=10, config=config)
         ReliableSocket(sim, b, port=20, config=config)
@@ -129,7 +129,7 @@ class TestReliableSocket:
 
     def test_gives_up_after_max_retries(self, sim, pair):
         a, b = pair
-        config = TransportConfig(initial_rto_ms=1.0, min_rto_ms=1.0,
+        config = TransportConfig(initial_rto_ms=1.0,
                                  rto_backoff=1.0, max_retries=3)
         rs_a = ReliableSocket(sim, a, port=10, config=config)
         gave_up = []
@@ -143,7 +143,7 @@ class TestReliableSocket:
     def test_duplicate_suppression(self, sim, pair):
         """A late original + a retransmit must deliver exactly once."""
         a, b = pair
-        config = TransportConfig(initial_rto_ms=1.0, min_rto_ms=1.0)
+        config = TransportConfig(initial_rto_ms=1.0)
         rs_a = ReliableSocket(sim, a, port=10, config=config)
         rs_b = ReliableSocket(sim, b, port=20, config=config)
         got = []

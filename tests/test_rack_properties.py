@@ -3,7 +3,7 @@ control plane.
 
 Each example draws a rack shape (hosts, pools, port limit) and a random
 interleaving of place / release / fail operations, drives them through the
-:class:`~repro.core.allocator.ShardedAllocator` facade in simulated time,
+:class:`~repro.core.allocator.ShardedAllocator` router in simulated time,
 and asserts the PR-8 structural invariants:
 
 * **allocator accounting** -- shards partition the device and assignment
@@ -18,7 +18,7 @@ and asserts the PR-8 structural invariants:
 * **port limit** -- placement never puts more than ``port_limit`` distinct
   hosts on one multi-headed device;
 * **determinism** -- the same topology and schedule replayed twice lands on
-  the identical merged state signature and event count.
+  the identical rack-wide state signature and event count.
 
 ``CHAOS_MAX_EXAMPLES`` scales the search effort (raised in the nightly
 chaos sweep).
@@ -72,7 +72,7 @@ def drive(pod, ops, allow_failures=True):
     """Schedule the drawn ops 2 ms apart; ips map to stable hosts."""
     alloc = pod.allocator
     placed = set()
-    device_names = sorted(alloc.devices)
+    device_names = sorted(n for s in alloc.shards.values() for n in s.devices)
     rejected = [0]
 
     def _do(kind, idx):
@@ -114,9 +114,10 @@ def check_invariants(pod):
 
     # Single valid holder across the whole rack.
     holders = {}
-    for (ip, dev), lease in alloc.leases._by_key.items():
-        if dev in alloc.devices and lease.valid(now):
-            holders[ip] = holders.get(ip, 0) + 1
+    for shard in alloc.shards.values():
+        for (ip, dev), lease in shard.leases._by_key.items():
+            if dev in shard.devices and lease.valid(now):
+                holders[ip] = holders.get(ip, 0) + 1
     assert all(count == 1 for count in holders.values()), holders
 
     for shard in alloc.shards.values():
@@ -138,8 +139,9 @@ def check_invariants(pod):
             assert lease is not None and lease.valid(now)
 
     # Exactly-once failovers, no matter how many duplicate reports landed.
-    for nic, count in alloc.failover_log.items():
-        assert count == 1, f"{nic}: failover applied {count} times"
+    for shard in alloc.shards.values():
+        for nic, count in shard.failover_log.items():
+            assert count == 1, f"{nic}: failover applied {count} times"
 
 
 class TestRackAccounting:
@@ -183,7 +185,7 @@ class TestRackAccounting:
         for _ in range(2):
             pod = build_rack(hosts, min(pools, hosts), port_limit)
             drive(pod, ops)
-            outcomes.append((pod.allocator.state.signature(),
+            outcomes.append((pod.allocator.signature(),
                              pod.sim.processed_events))
             pod.stop()
         assert outcomes[0] == outcomes[1]

@@ -205,13 +205,14 @@ def _rack_churn_outcome(batch_window_ms: float) -> tuple:
         pod.sim.schedule(0.06 + 0.002 * k, alloc.release_instance, ip, 0.25)
 
     def _fail_first_device():
-        device = alloc.assignments.get(ips[1])
-        if device is not None:
-            alloc.on_failure_report(device)
+        for shard in alloc.shards.values():
+            device = shard.assignments.get(ips[1])
+            if device is not None:
+                alloc.on_failure_report(device)
 
     pod.sim.schedule(0.12, _fail_first_device)
     pod.run(0.8)
-    outcome = (alloc.state.signature(), alloc.convergence_ok(),
+    outcome = (alloc.signature(), alloc.convergence_ok(),
                alloc.batches_proposed, alloc.pending_commands)
     pod.stop()
     return outcome

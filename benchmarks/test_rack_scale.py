@@ -5,7 +5,7 @@ echo workload on **every** host of the ROADMAP's 32-host / 4-pool / ~100
 device rack while 256 place/release pairs churn through the sharded,
 batch-committed control plane, and measure
 
-* ``events_per_sec`` -- the event kernel's wall-clock throughput with the
+* ``wall_per_sim_sec`` -- wall-clock seconds per simulated second with the
   whole rack hot (the PR-6 sim-speed budget at 16x the host count);
 * ``commit_p50_ms`` / ``commit_p99_ms`` -- decide-to-leader-applied latency
   of replicated control commands under group commit (sim time, so the
@@ -13,7 +13,7 @@ batch-committed control plane, and measure
 * ``converged`` -- every Raft replica of every pool shard matches its
   shard's canonical state signature at the end of the run.
 
-The committed floor in ``baseline_rack_scale.json`` is what CI enforces via
+The committed ceiling in ``baseline_rack_scale.json`` is what CI enforces via
 ``tools/check_bench_regression.py``; the assertions here are looser sanity
 bounds so local runs on slow machines don't flap.
 """
@@ -49,6 +49,6 @@ def test_rack_scale_throughput(record_result):
     # ceiling is exact, not a tolerance band.
     assert result["commit_p99_ms"] <= baseline["commit_p99_ms_ceiling"]
 
-    # Loose local sanity floor; the calibrated regression gate runs in CI
-    # via tools/check_bench_regression.py against the committed floor.
-    assert result["events_per_sec"] > 0.25 * baseline["events_per_sec"]
+    # Loose local sanity ceiling; the calibrated regression gate runs in CI
+    # via tools/check_bench_regression.py against the committed ceiling.
+    assert result["wall_per_sim_sec"] < 4 * baseline["wall_per_sim_sec"]

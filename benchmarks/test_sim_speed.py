@@ -1,13 +1,15 @@
 """Benchmark: raw event-kernel throughput on the canonical fig10 echo cell.
 
-Headline metrics for the simulator itself (not a paper figure): **sim
-events per wall-clock second** and **wall-clock seconds per simulated
-second**, measured over the same seeded echo run the replay suite pins
-byte-identical (256 B packets, 20 kpps Poisson, seed 17).  The run window
-is timed alone -- pod construction and report scraping are excluded -- so
-the number tracks the dispatch loop and datapath hot path, nothing else.
+Headline metric for the simulator itself (not a paper figure):
+**wall-clock seconds per simulated second**, measured over the same seeded
+echo run the replay suite pins byte-identical (256 B packets, 20 kpps
+Poisson, seed 17); events per wall-clock second is recorded beside it but
+gates nothing (it falls when a change removes events at equal wall time).
+The run window is timed alone -- pod construction and report scraping are
+excluded -- so the number tracks the dispatch loop and datapath hot path,
+nothing else.
 
-The committed floor in ``baseline_sim_speed.json`` is what CI enforces
+The committed ceiling in ``baseline_sim_speed.json`` is what CI enforces
 (>20% regression fails the PR); the assertion here is a looser sanity
 bound so local runs on slow machines don't flap.
 
@@ -61,8 +63,8 @@ def _measure(reps: int = 3) -> dict:
 
 def test_sim_event_throughput(record_result):
     measured = _measure()
-    # The event count is part of the replay contract: same seed, same
-    # schedule, same number of dispatched events -- on every machine.
+    # The event count is the schedule version: same seed, same schedule,
+    # same number of dispatched events -- on every machine.
     baseline = json.loads(BASELINE_PATH.read_text())
     assert measured["events"] == baseline["events"]
 
@@ -73,6 +75,6 @@ def test_sim_event_throughput(record_result):
         "speedup_vs_pr5_kernel_median": baseline["speedup_vs_pr5_kernel"],
     })
 
-    # Loose local sanity floor; the calibrated >20%-regression gate runs in
-    # CI via tools/check_bench_regression.py against the committed floor.
-    assert measured["events_per_sec"] > 0.25 * baseline["events_per_sec"]
+    # Loose local sanity ceiling; the calibrated >20%-regression gate runs in
+    # CI via tools/check_bench_regression.py against the committed ceiling.
+    assert measured["wall_per_sim_sec"] < 4 * baseline["wall_per_sim_sec"]

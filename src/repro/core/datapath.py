@@ -122,6 +122,15 @@ class DoorbellChannel(TracerBinding):
         return len(self._visible_at)
 
     @property
+    def unrung(self) -> int:
+        """Messages the receiver could drain now with no doorbell ring on
+        its way: 0 unless a ring was forgotten (``Driver.stranded``)."""
+        if self._fire_scheduled_for is not None:
+            return 0
+        now = self.sim.now
+        return sum(1 for visible_at in self._visible_at if visible_at <= now)
+
+    @property
     def occupancy_cached(self) -> float:
         """Ring occupancy in [0, 1] as the sender's cached view sees it.
 
@@ -175,9 +184,17 @@ class DoorbellChannel(TracerBinding):
             cost += self.receiver.force_publish_counter()
         if visible:
             head = visible[0]
-            fired_for = self._fire_scheduled_for
-            if fired_for is None or fired_for > head + 1e-12:
-                self._schedule_fire(head)
+            if head <= now:
+                # Already-visible messages left behind (the design-④ poll
+                # tripped on a stale prefetched line, or the limit): ring
+                # the receiver directly -- its pass is on the stack, so this
+                # latches the retry.
+                if self._wake is not None:
+                    self._wake()
+            else:
+                fired_for = self._fire_scheduled_for
+                if fired_for is None or fired_for > head + 1e-12:
+                    self._schedule_fire(head)
         return payloads, cost
 
     # -- sender side ---------------------------------------------------------------
@@ -233,8 +250,7 @@ class DoorbellChannel(TracerBinding):
                 self._fire_scheduled_for <= when + 1e-12:
             return
         self._fire_scheduled_for = when
-        now = self.sim.now
-        self.sim.call_after(when - now if when > now else 0.0, self._fire)
+        self.sim.call_after(when - self.sim.now, self._fire)
 
     def _fire(self) -> None:
         self._fire_scheduled_for = None
@@ -274,6 +290,12 @@ class LocalChannel(TracerBinding):
         """Messages queued but not yet drained (flow depth annotation)."""
         return len(self._queue)
 
+    @property
+    def unrung(self) -> int:
+        """Entries queued with no doorbell ring on its way (see
+        :attr:`DoorbellChannel.unrung`)."""
+        return 0 if self._notify_pending else len(self._queue)
+
     def bind(self, wake: Callable[[], None]) -> None:
         self._wake = wake
 
@@ -281,6 +303,8 @@ class LocalChannel(TracerBinding):
         out = []
         while self._queue and len(out) < limit:
             out.append(self._queue.popleft())
+        if self._queue and self._wake is not None:
+            self._wake()    # the limit left entries behind: ring for them
         return out, 25.0 * len(out)  # ~25 ns per local ring entry
 
     def send(self, payload: bytes) -> float:

@@ -7,11 +7,7 @@ rest lives here, once:
 
 * :class:`Link` -- one peer driver, a channel endpoint each way, attached
   with :meth:`Driver.connect`;
-* the event loop -- a driver sleeps on a doorbell, then drains all of its
-  work sources, charging the accumulated per-item CPU costs as virtual time
-  before sleeping again.  Event counts stay proportional to work done (the
-  polling loop itself costs no simulation events while idle), which is what
-  makes 10-second failover experiments tractable;
+* the loop -- :meth:`Driver.kick` and :meth:`Driver._pass`, below;
 * :meth:`Driver._drain_links` -- the link-drain loop with its no-op guard,
   delivering each link's payloads to the driver's ``_on_messages`` hook;
 * :meth:`Driver._send` -- the send path and the one ring-full rule: what
@@ -20,17 +16,22 @@ rest lives here, once:
 * :meth:`Driver._fenced` (backends) and ``start_monitors`` /
   ``stop_monitors`` -- the epoch-fence check and the periodic report.
 
-The loop is a flat callback state machine.  A parked driver is woken by one
-zero-delay event per doorbell ring (:meth:`Driver.kick`, the plain callable
-each RX channel is handed by :meth:`Driver.connect`), each productive drain
-pass schedules one timer for its CPU cost, and rings that arrive while the
-driver is processing latch exactly one further wakeup.  Two events per wake
-carry no work of their own -- the zero-delay ``_wake_cb`` hop between the
-channel's ``_fire`` and the first drain, and the trailing empty pass that
-parks the driver (plus one ``_park`` event per :meth:`Driver.start`).  They
-are part of schedule version ``baseline_sim_speed.json["events"] == 32,139``,
-not of any observable contract, and are the first candidates of ROADMAP
-item 1(b).
+The loop costs kernel events in proportion to work, not to polling
+(schedule version 2, DESIGN §3e).  A *pass* drains every work source once
+and returns the CPU ns it cost.  A doorbell ring (:meth:`Driver.kick`, the
+plain callable :meth:`Driver.connect` hands each RX channel) on a parked,
+idle driver runs the pass before ``kick`` returns.  A productive pass arms
+no timer for its cost: it records ``_busy_until = now + cost`` and parks at
+once.  A ring inside that horizon posts the one timer to its end; rings
+while a pass is on the stack or that timer is pending latch exactly one
+follow-up pass; a pass arms the timer itself only when something is known
+to be waiting (a latched ring, a non-empty backlog).  Hence **every work
+source rings**: whoever puts work where a pass would find it -- a device
+queue, a ring slot, a batch limit that left items behind -- mutates first
+and calls ``kick`` last (:meth:`Driver.stranded` checks nobody forgot).
+The pass that found nothing once the cost had elapsed is not run; what it
+did for the model -- publish, uncharged, the consumed counters a now-idle
+driver owes -- the next ring settles, *as of* ``_busy_until``.
 """
 
 from __future__ import annotations
@@ -54,15 +55,13 @@ class Link:
     name: str        # peer identifier: device name at a frontend, host name at a backend
     tx: object       # channel endpoint: this driver -> peer
     rx: object       # channel endpoint: peer -> this driver
-    #: messages for this peer waiting in the owning driver's backlog
-    parked: int = field(default=0, init=False)
+    parked: int = field(default=0, init=False)   # its messages in our backlog
 
 
 class Driver(FlowBinding):
     """Base class for frontend/backend drivers (one dedicated core each)."""
 
-    #: the driver's :class:`~repro.overload.stage.AdmissionStage`; None is
-    #: the unarmed datapath
+    #: the :class:`~repro.overload.stage.AdmissionStage`; None is unarmed
     _stage = None
     #: allocator client (set by the pod): telemetry, failure reports, resync
     control = None
@@ -88,12 +87,13 @@ class Driver(FlowBinding):
         self.config = config or OasisConfig()
         self.running = False
         self.busy_ns = 0.0
-        self.wakeups = 0
-        self._parked = False   # parked on the doorbell; the next ring wakes
-        self._kicked = False   # rung while not parked: one wakeup latched
+        self.wakeups = 0       # passes begun from the parked, idle state
+        self._parked = False   # idle on the doorbell: the next ring runs a pass
+        self._kicked = False   # rung while not parked: one follow-up pass latched
+        self._busy_until = 0.0   # the core is charged up to here (the horizon)
         self._links: Dict[str, Link] = {}
         # Per-link drain tuples (link, rx, counter_view, queue_view, timed),
-        # rebuilt on connect: the drain loop runs once per wakeup and these
+        # rebuilt on connect: the drain loop runs once per pass and these
         # four attribute chains are invariant for a link's lifetime.
         self._views: list = []
         self._backlog: deque = deque()   # (link, payload) a full ring refused
@@ -105,10 +105,8 @@ class Driver(FlowBinding):
         """Attach a peer; its RX channel rings this driver's doorbell."""
         self._links[link.name] = link
         link.rx.bind(self.kick)
-        self._views = [
-            (lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view, lk.rx.timed)
-            for lk in self._links.values()
-        ]
+        self._views = [(lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view,
+                        lk.rx.timed) for lk in self._links.values()]
 
     def link(self, name: str) -> Link:
         return self._links[name]
@@ -119,69 +117,92 @@ class Driver(FlowBinding):
         if self.running:
             return
         self.running = True
-        # The driver parks one zero-delay event after start() rather than
-        # inside it: that event is part of the pinned schedule version (see
-        # the module docstring), a candidate of ROADMAP item 1(b).
-        self.sim.call_after(0.0, self._park)
+        self._parked = True
+        if self._kicked:       # rung before start(), or while stopped
+            self.kick()
 
     def stop(self) -> None:
+        """Rings latch from here on; nothing is posted."""
         self.running = False
-        self.kick()
+        self._parked = False
 
     def kick(self) -> None:
-        """Ring this driver's doorbell: one wakeup event when parked, one
-        latched wakeup (however many rings) while it is busy."""
-        if self._parked:
-            self._parked = False
-            self.sim.call_after(0.0, self._wake_cb)
-        else:
+        """Ring this driver's doorbell.  Parked and idle, the pass runs now,
+        on the caller's stack; parked inside the busy horizon, one timer is
+        posted to its end; otherwise (a pass on the stack, that timer
+        pending, stopped) however many rings latch one follow-up pass."""
+        if not self._parked:
             self._kicked = True
+            return
+        wait = self._busy_until - self.sim.now
+        if wait > 0.0:
+            self._parked = False
+            self.sim.call_after(wait, self._pass)
+        else:
+            self.wakeups += 1
+            self._settle()
+            self._pass()
 
-    def _park(self) -> None:
-        """Go idle, or consume a wakeup latched while we were busy."""
+    def _pass(self) -> None:
+        """Drain every work source, charge the CPU cost to the horizon and
+        park -- or, when something is known to be waiting, go again: at the
+        horizon after a productive pass, at once after one that handled
+        nothing (its cost counts as busy but takes no virtual time).  Idle
+        polling is not simulated; Table 3 accounts its traffic analytically."""
         if not self.running:
             return
-        if self._kicked:
+        self._parked = False
+        while True:
             self._kicked = False
-            self.sim.call_after(0.0, self._wake_cb)
-        else:
-            self._parked = True
+            items, cost_ns = self._process()
+            if self._backlog:
+                sent, retry_ns = self._flush_backlog()
+                items += sent
+                cost_ns += retry_ns
+            if cost_ns > 0.0:
+                self.busy_ns += cost_ns
+                if items > 0:
+                    self._busy_until = self.sim.now + cost_ns * NSEC
+                    if self._kicked or self._backlog:
+                        self.sim.call_after(cost_ns * NSEC, self._pass)
+                    else:
+                        self._parked = True
+                    return
+            if not self._kicked:
+                self._parked = True
+                return
 
-    def _wake_cb(self) -> None:
-        if not self.running:
-            return
-        self.wakeups += 1
-        self._drain_cb()
+    def _settle(self) -> None:
+        """Publish, uncharged, the consumed counters this driver owed when
+        it went idle at ``_busy_until`` -- what the elided pass at that
+        instant would have done: only links with nothing visible by then."""
+        idle_at = self._busy_until + 1e-12
+        cost = 0.0
+        for _link, _rx, cv, qv, _timed in self._views:
+            if cv._consumed_since_update and (not qv or qv[0] > idle_at):
+                cost += cv._publish_counter()
+        self.busy_ns += cost
 
-    def _drain_cb(self) -> None:
-        # Keep draining until a pass handles no items, charging CPU time
-        # between passes so arrivals during processing are not starved.
-        # Idle busy-polling itself is *not* simulated event-by-event --
-        # its (tiny, constant) CXL traffic is accounted analytically by
-        # the Table 3 experiment.
-        if not self.running:
-            return
-        items, cost_ns = self._process()
-        if self._backlog:
-            sent, retry_ns = self._flush_backlog()
-            items += sent
-            cost_ns += retry_ns
-        if cost_ns > 0.0:
-            self.busy_ns += cost_ns
-        if items > 0:
-            self.sim.call_after(cost_ns * NSEC, self._drain_cb)
-        else:
-            self._park()
+    def _queued(self) -> int:
+        """Items in the driver's own queues that a pass would take."""
+        return 0
+
+    def stranded(self) -> int:
+        """Items a pass would find although the driver is parked and no ring
+        (or backlog retry) is on its way: 0 unless a work source forgot to
+        ring -- queued items, visible messages, parked sends."""
+        if not self._parked:
+            return 0
+        return (self._queued() + sum(view[1].unrung for view in self._views)
+                + (0 if self._rekick_armed else len(self._backlog)))
 
     # -- receive: the one link-drain loop ----------------------------------------
 
     def _drain_links(self) -> tuple:
-        """Hand every link's visible messages to :meth:`_on_messages`.
-
-        Returns ``(messages, cost_ns)``.  The cost is one running total that
+        """Hand every link's visible messages to :meth:`_on_messages`;
+        returns ``(messages, cost_ns)``.  The cost is one running total that
         the drain and handler costs are added to one by one, in arrival
-        order (the float grouping of that sum is part of replay identity).
-        """
+        order (the float grouping of that sum is part of replay identity)."""
         items = 0
         cost = 0.0
         now_eps = self.sim.now + 1e-12
@@ -202,22 +223,18 @@ class Driver(FlowBinding):
         raise NotImplementedError
 
     #: ``_process() -> (items_handled, cpu_ns)`` drains a driver's work
-    #: sources; a driver with device queues overrides it, the default has no
-    #: work source but its links.
+    #: sources: its links, plus the device queues of a driver that overrides it
     _process = _drain_links
 
     # -- send: the one ring-full rule ----------------------------------------------
 
     def _send(self, link: Link, payloads: list) -> float:
         """Send packed messages to ``link``'s peer (one flush, one
-        doorbell); returns the sender CPU ns.
-
-        Nothing is lost on a full ring: what did not fit -- or would
-        overtake messages of the same link already waiting -- is parked on
-        the driver's backlog in order, and one timer re-kicks the driver
-        after ``RING_FULL_BACKOFF_S`` to retry (the real ring backpressures
-        the polling loop the same way).
-        """
+        doorbell); returns the sender CPU ns.  Nothing is lost on a full
+        ring: what did not fit -- or would overtake messages of the same
+        link already waiting -- is parked on the driver's backlog in order,
+        and one timer re-kicks the driver after ``RING_FULL_BACKOFF_S`` (the
+        real ring backpressures the polling loop the same way)."""
         cost = 0.0
         if not link.parked:
             try:
@@ -265,9 +282,8 @@ class Driver(FlowBinding):
     # -- backends: epoch fencing (§3.3.3) --------------------------------------------
 
     def _fenced(self, device: str, message) -> bool:
-        """True when ``message`` comes from a stale-epoch writer and must be
-        rejected before it touches ``device``; counts either outcome in the
-        backend's ``fence_rejects`` / ``stale_accepted``."""
+        """True when ``message`` is a stale-epoch writer's and must not touch
+        ``device``; counts it in ``fence_rejects`` / ``stale_accepted``."""
         if self.epochs is None or self.epochs.check(
                 device, message.instance_ip, message.epoch):
             return False

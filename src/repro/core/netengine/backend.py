@@ -169,6 +169,10 @@ class NetBackend(Driver, TracerBinding):
             cost += c
         return items, cost
 
+    def _queued(self) -> int:
+        # (_tx_pending waits for the ring of a TX completion, not for a pass.)
+        return len(self._tx_comps) + len(self._rx_comps)
+
     def _on_messages(self, link: Link, payloads: list, cost: float) -> float:
         unpack = NetMessage.unpack
         for raw in payloads:

@@ -257,6 +257,10 @@ class NetFrontend(Driver):
         drained, drain_cost = self._drain_links()
         return items + drained, cost + drain_cost
 
+    def _queued(self) -> int:
+        return len(self._tx_queue if self._stage is None
+                   else self._stage.queue)
+
     def _on_messages(self, link: BackendLink, payloads: list,
                      cost: float) -> float:
         unpack = NetMessage.unpack
@@ -316,6 +320,8 @@ class NetFrontend(Driver):
             per_link.setdefault(record.primary.name, []).append(message.pack())
             cost += self.TX_ITEM_NS
             count += 1
+        if count == batch:
+            self.kick()     # stopped at the limit: ring for what is left
         for link_name, payloads in per_link.items():
             cost += self._send(self._links[link_name], payloads)
             self.tx_forwarded += len(payloads)

@@ -130,6 +130,8 @@ class CXLPod:
         # {tenant: TenantSpec}) pair every driver's stage is built from.
         self.brownout = None
         self._stage_spec = None
+        #: what ``stranded_work()`` found when the pod was stopped
+        self.stranded: List[str] = []
         self._load_sources: list = []
 
         # Topology: one pool group; ``pool``/``regions``/``allocator`` name
@@ -746,7 +748,18 @@ class CXLPod:
                     merged[category] = merged.get(category, 0) + nbytes
         return merged
 
+    def stranded_work(self) -> List[str]:
+        """Work a parked driver's next pass would find although no ring is
+        on its way, one line per driver -- empty at every instant unless a
+        work source forgot to ring (DESIGN §3e); the invariant checker
+        reports it as ``no-stranded-work``."""
+        found = ((driver.name, driver.stranded())
+                 for driver in self._all_drivers())
+        return [f"{name}: {n} items a pass would find, no ring pending"
+                for name, n in found if n]
+
     def stop(self) -> None:
+        self.stranded = self.stranded_work()    # judged while drivers still poll
         for driver in self._all_drivers():
             driver.stop()
             driver.stop_monitors()

@@ -83,6 +83,9 @@ class StorageBackend(Driver):
             cost += c
         return items, cost
 
+    def _queued(self) -> int:
+        return len(self._completions)
+
     def _on_messages(self, link: Link, payloads: list, cost: float) -> float:
         unpack = StorageMessage.unpack
         for raw in payloads:

@@ -9,8 +9,9 @@ sharded, batch-committed control plane while the datapath is under load.
 
 Headline numbers (dumped to ``BENCH_pr8.json`` with ``--out``):
 
-* ``events_per_sec`` / ``wall_per_sim_sec`` -- the PR 6 sim-speed budget at
-  rack scale, gated by ``tools/check_bench_regression.py``;
+* ``wall_per_sim_sec`` -- the PR 6 sim-speed budget at rack scale, gated by
+  ``tools/check_bench_regression.py`` (``events_per_sec`` is recorded beside
+  it and gates nothing: it falls when a change removes events);
 * ``commit_p50_ms`` / ``commit_p99_ms`` -- decide-to-leader-applied latency
   of replicated control commands under group commit;
 * ``control_commits_per_sec`` -- control-plane decision throughput;
@@ -226,9 +227,9 @@ def main_rack(argv=None) -> int:
         print(f"  echo     {result['echo_replies']} replies, "
               f"RTT p50 {result['rtt_p50_us']:.2f} us, "
               f"p99 {result['rtt_p99_us']:.2f} us")
-        print(f"  kernel   {result['events_per_sec']:,.0f} events/s over "
-              f"{result['events']:,} events "
-              f"({result['wall_per_sim_sec']:.2f} wall-s per sim-s)")
+        print(f"  kernel   {result['wall_per_sim_sec']:.2f} wall-s per sim-s "
+              f"over {result['events']:,} events "
+              f"({result['events_per_sec']:,.0f} events/s)")
         print(f"  control  {result['commits']} replicated commits in "
               f"{result['batches_proposed']} batches, "
               f"p50 {result['commit_p50_ms']:.3f} ms, "
@@ -259,7 +260,8 @@ def main_rack(argv=None) -> int:
 def main() -> dict:
     """Experiment-runner entry: a CI-sized slice of the default rack."""
     result = run_rack(hosts=8, pools=2, churn=64)
-    print(f"8-host rack slice: {result['events_per_sec']:,.0f} events/s, "
+    print(f"8-host rack slice: {result['wall_per_sim_sec']:.1f} wall-s per "
+          f"sim-s over {result['events']:,} events, "
           f"commit p99 {result['commit_p99_ms']:.3f} ms, "
           f"converged={result['converged']}")
     return result

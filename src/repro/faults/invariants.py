@@ -21,6 +21,9 @@ run and at the end, the properties that must survive *any* fault schedule:
   leases remain on failed devices, assignments point at healthy devices;
 * **flow conservation** -- every completed flow record telescopes (segment
   durations sum to the end-to-end latency) even when requests were retried;
+* **no stranded work** -- no driver sits parked while a pass would find
+  work (a queued completion, a visible message, an unarmed backlog) and no
+  doorbell ring is on its way: every work source rings;
 * **control plane** -- at most one valid NIC lease per instance at any time,
   per-device fencing epochs only ever advance, no backend accepts a
   stale-epoch post, every failed device fails over exactly once (even across
@@ -275,6 +278,11 @@ class InvariantChecker:
                     f"posts",
                 )
                 self._stale_seen[backend.name] = current
+        # No driver sits parked on work its next pass would find: every
+        # work source rings (not counted in ``checks``: those are printed,
+        # and pinned, in the chaos report).
+        for detail in pod.stranded_work():
+            self.violate("no-stranded-work", detail)
         self._check_shed_conservation()
         if pod.flows.enabled:
             records = pod.flows.records
@@ -380,6 +388,10 @@ class InvariantChecker:
                     f"{driver.name}: {len(driver._backlog)} messages still "
                     f"parked behind a full ring",
                 )
+
+        # ... nor stranded at a driver that was parked when the pod stopped.
+        for detail in pod.stranded:
+            self.violate("no-stranded-work", detail)
 
         for group in pod.groups:
             self._finish_control_plane(group.allocator)

@@ -8,7 +8,8 @@ import pytest
 import repro.core
 from repro.config import OasisConfig
 from repro.core.arp import ArpRegistry
-from repro.core.engine import Driver
+from repro.core.datapath import LocalChannel
+from repro.core.engine import Driver, Link
 from repro.core.pod import CXLPod
 from repro.experiments.common import build_echo_pod
 from repro.net.endpoint import ExternalEndpoint
@@ -26,10 +27,18 @@ class CountingDriver(Driver):
         super().__init__(sim, "counting")
         self.queue = []
         self.processed = []
-        self.passes = 0
+        self.pass_times = []
+        self.rings_in_pass = 0      # doorbell rings the next pass receives
+
+    @property
+    def passes(self):
+        return len(self.pass_times)
 
     def _process(self):
-        self.passes += 1
+        self.pass_times.append(self.sim.now)
+        rings, self.rings_in_pass = self.rings_in_pass, 0
+        for _ in range(rings):
+            self.kick()
         if not self.queue:
             return 0, 10.0   # idle-pass cost, no items
         items = list(self.queue)
@@ -57,15 +66,26 @@ class TestDriverLoop:
         assert driver.processed == ["early"]
 
     def test_work_during_processing_drained_same_wake(self, sim):
+        """Work *plus its ring* that lands while the driver is still charged
+        for the previous pass is drained at the horizon, by the same wakeup
+        (work with no ring would sit there: every work source rings)."""
         driver = CountingDriver(sim)
         driver.start()
         driver.queue.append("first")
         driver.kick()
+        assert driver.processed == ["first"]
+        horizon = driver._busy_until
+        assert horizon == pytest.approx(100e-9)
 
-        # Inject more work while the driver sleeps off its processing cost.
-        sim.schedule(50e-9, driver.queue.append, "second")
+        def arrive():
+            driver.queue.append("second")
+            driver.kick()
+
+        sim.schedule(50e-9, arrive)
         sim.run(until=1e-3)
         assert driver.processed == ["first", "second"]
+        assert driver.pass_times == [0.0, horizon]
+        assert driver.wakeups == 1
 
     def test_busy_time_accounted(self, sim):
         driver = CountingDriver(sim)
@@ -104,52 +124,78 @@ class TestDriverLoop:
 
 class TestDoorbell:
     """The doorbell contract on the one callable every channel is handed,
-    ``Driver.kick``: a ring is a wakeup, never a count and never a payload."""
+    ``Driver.kick``, stated in passes: a ring is a request for one pass,
+    never a count and never a payload."""
 
     @pytest.mark.parametrize("state, rings", [
         ("parked", 1), ("parked", 3), ("busy", 1), ("busy", 4), ("stopped", 2)])
     def test_kick_is_one_wakeup_per_park(self, sim, state, rings):
         driver = CountingDriver(sim)
-        woken = []
-        wake_cb = driver._wake_cb
-        driver._wake_cb = lambda: (woken.append(sim.now), wake_cb())
-        driver.start()
-        sim.run(until=1 * USEC)
+        driver.start()                       # parks inline: nothing is posted
         assert driver._parked and sim.pending == 0
 
         if state == "parked":
-            for _ in range(rings):
-                driver.kick()
-            # The first ring unparks: exactly one _wake_cb event.  The driver
-            # is busy from then on, so any further rings latch one more wake.
-            assert sim.pending == 1
-            sim.run(until=1e-3)
-            assert len(woken) == driver.passes == min(rings, 2)
-        elif state == "busy":
+            # Parked and idle: the pass runs before kick() returns, on no
+            # event.  It was productive, so the driver is charged up to
+            # _busy_until; further rings land inside that horizon and share
+            # exactly one timer, due at its end.
             driver.queue.append("a")
             driver.kick()
-            sim.run(max_events=1)            # woken, first pass done, cost timer armed
-            assert driver.processed == ["a"] and not driver._parked
-            for _ in range(rings):
+            assert driver.processed == ["a"] and sim.pending == 0
+            horizon = driver._busy_until
+            for _ in range(rings - 1):
                 driver.kick()
-            assert sim.pending == 1          # still only the cost timer: latched
+            assert sim.pending == min(rings - 1, 1)
             sim.run(until=1e-3)
-            assert len(woken) == 2           # exactly one latched wake for k rings
-            assert driver.passes == 3        # productive, trailing empty, latched
+            assert driver.pass_times == [0.0, horizon][:min(rings, 2)]
+            assert driver.wakeups == 1
+        elif state == "busy":
+            # k rings while the pass is on the stack latch one follow-up
+            # pass, at the horizon (the pass was productive).
+            driver.queue.append("a")
+            driver.rings_in_pass = rings
+            driver.kick()
+            assert driver.processed == ["a"] and not driver._parked
+            assert sim.pending == 1
+            sim.run(until=1e-3)
+            assert driver.pass_times == [0.0, driver._busy_until]
+            assert driver.wakeups == 1
         else:
             driver.stop()
-            sim.run(until=2 * USEC)
-            woken.clear()
+            assert sim.pending == 0          # stop() posts nothing
             driver.queue.append("late")
             for _ in range(rings):
                 driver.kick()
             sim.run(until=1e-3)
-            assert woken == [] and driver.passes == 0 and driver.processed == []
-        # Consumed means gone: nothing queued and no latch left to re-deliver
-        # (a stopped driver never parks again, so its latch is never read).
+            assert driver.passes == 0 and driver.processed == []
+            assert sim.pending == 0
+            return
+        # Consumed means gone: nothing queued and no latch left to re-deliver.
         assert sim.pending == 0
-        if state != "stopped":
-            assert driver._parked and not driver._kicked
+        assert driver._parked and not driver._kicked
+        passes = driver.passes
+        sim.run(until=2e-3)
+        assert driver.passes == passes
+
+    def test_unproductive_pass_with_a_latched_ring_goes_again_at_once(self, sim):
+        """A pass that handled nothing takes no virtual time, so the ring
+        it latched (the channel's stale-prefetch retry) is served by a
+        second pass at the same instant, still on the caller's stack."""
+        driver = CountingDriver(sim)
+        driver.start()
+        driver.rings_in_pass = 2
+        driver.kick()
+        assert driver.pass_times == [0.0, 0.0]
+        assert driver._parked and not driver._kicked and sim.pending == 0
+
+    def test_stopped_latch_is_delivered_by_restart(self, sim):
+        driver = CountingDriver(sim)
+        driver.start()
+        driver.stop()
+        driver.queue.append("held")
+        driver.kick()
+        driver.start()
+        assert driver.processed == ["held"] and sim.pending == 0
 
 
 class TestArpRegistry:
@@ -337,6 +383,7 @@ class TestBackpressure:
         assert not sender._backlog and not peer._backlog
         assert all(link.parked == 0 for link in sender._links.values())
         assert drained()
+        assert pod.stranded_work() == []
         pod.stop()
 
     def test_no_stuck_requests_sees_every_drivers_backlog(self):
@@ -355,7 +402,107 @@ class TestBackpressure:
                  if v.invariant == "no-stuck-requests"]
         assert f"{sender.name}: {BURST - SLOTS} messages still parked " \
                f"behind a full ring" in stuck
+        # ... but not stranded: the sender's retry timer is armed, and a
+        # stopped peer is not parked.
+        assert pod.stranded_work() == []
         pod.stop()
+
+
+# -- every work source rings (the loop runs no pass on spec) ---------------------
+
+
+class _Collector(Driver):
+    """One link in, payloads kept in arrival order, 50 ns per message."""
+
+    def __init__(self, sim, rx):
+        super().__init__(sim, "collector")
+        self.got = []
+        self.batches = []
+        self.connect(Link("peer", tx=None, rx=rx))
+
+    def _on_messages(self, link, payloads, cost):
+        self.got.extend(payloads)
+        self.batches.append(len(payloads))
+        return cost + 50.0 * len(payloads)
+
+
+class TestEveryWorkSourceRings:
+    """A pass that stops at a batch limit latches its own follow-up, and a
+    work source that forgets its ring is reported, not served by luck."""
+
+    def test_local_channel_drain_limit_rings_for_the_rest(self, sim):
+        channel = LocalChannel(sim, "ipc")
+        driver = _Collector(sim, channel)
+        driver.start()
+        sent = [bytes([k % 251]) * 8 for k in range(300)]
+        channel.send_many(list(sent))            # one notify for all 300
+        sim.run(until=1e-3)
+        assert driver.got == sent
+        assert driver.batches == [256, 44]       # drain(limit=256), then the rest
+        assert driver.wakeups == 1 and driver.stranded() == 0
+        assert sim.pending == 0
+
+    def test_tx_burst_past_the_batch_limit_needs_no_further_ring(self):
+        pod, inst, client, _nic = build_echo_pod("oasis", remote=True)
+        frontend = pod.frontends[inst.host.name]
+        got, batches, on_horizon = [], [], []
+        client.add_handler(lambda frame: got.append(frame.seq))
+        process_tx = frontend._process_tx
+
+        def counted():
+            on_horizon.append(pod.sim.now == frontend._busy_until)
+            count, cost = process_tx()
+            batches.append(count)
+            return count, cost
+
+        frontend._process_tx = counted
+        pod.run(1e-3)
+        backend = pod.backends[_nic.name]
+        backend.stop()                           # no completion will ring back
+        frontend.stop()
+        sock = UdpSocket(pod.sim, inst, port=7)
+        for seq in range(200):
+            sock.sendto(b"x", CLIENT_IP, 99, seq=seq)
+        pod.run(1e-3)
+        assert len(frontend._tx_queue) == 200
+        frontend.start()                         # resumes on the latch: the
+        pod.run(1e-3)                            # last ring it will get
+        assert batches == [64, 64, 64, 8]        # _process_tx(batch=64)
+        # Each follow-up begins where the previous pass's charge ends.
+        assert on_horizon == [False, True, True, True]
+        assert frontend.tx_forwarded == 200 and got == []
+        backend.start()
+        pod.run(5e-3)
+        assert got == list(range(200))
+        assert pod.stranded_work() == []
+        pod.stop()
+        assert pod.stranded == []
+
+    @pytest.mark.parametrize("forget", ["completion", "message", "backlog"])
+    def test_a_forgotten_ring_is_reported(self, forget):
+        pod, inst, device, client = _tiny_ring_pod()
+        checker = pod.check_invariants()
+        pod.run(1e-3)
+        backend = pod.storage_backends[device.backend_name]
+        if forget == "completion":
+            backend._completions.append(object())        # no kick()
+        elif forget == "message":
+            link = pod.storage_frontends["h1"].link(device.backend_name)
+            link.tx._wake = None                         # the doorbell is cut
+            device.read(0, 1, lambda status, data: None)
+            pod.run(1e-4)
+        else:
+            link = next(iter(backend._links.values()))
+            backend._backlog.append((link, b"\0" * 64))  # no _arm_rekick()
+        expect = [f"{backend.name}: 1 items a pass would find, no ring pending"]
+        assert backend.stranded() == 1
+        assert pod.stranded_work() == expect
+        checker.check_now()
+        pod.stop()
+        assert pod.stranded == expect
+        stranded = [v.detail for v in checker.finish().violations
+                    if v.invariant == "no-stranded-work"]
+        assert stranded == 2 * expect       # seen live, and again at stop
 
 
 # -- guards that keep it one loop, one send path, one event post ---------------
@@ -385,6 +532,9 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
         # One pod shape (DESIGN §3f): no merged allocator view, no swapping
         # of self.pool, no per-topology construction hook.
         (re.compile(r"_Merged|_in_group|_build_allocator|_host_group"), ()),
+        # One work-proportional loop (DESIGN §3e): the wake hop, the park
+        # event and the per-pass cost timer stay deleted.
+        (re.compile(r"\b_wake_cb\b|\b_park\b|\b_drain_cb\b"), ()),
     )
     assert [f"{path}:{n}: {line.strip()}"
             for path in sorted(src.rglob("*.py"))
@@ -392,6 +542,13 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
             for pattern, owners in fences
             if pattern.search(line)
             and not path.relative_to(src).as_posix().startswith(owners)] == []
+    # ... neither the loop nor the channels post an event to themselves at
+    # the current instant: a ring on an idle driver runs the pass, a ring on
+    # a busy one waits for the horizon (every delay left is positive).
+    zero_delay = re.compile(r"(call_after|call_at|schedule|\.at)\(\s*0(\.0*)?\s*[,)]")
+    assert [f"{name}:{n}" for name in ("core/engine.py", "core/datapath.py")
+            for n, line in enumerate((src / name).read_text().splitlines(), 1)
+            if zero_delay.search(line)] == []
     # ... the pod's topology methods exist once (no subclass re-defines them)
     pod_py = (src / "core" / "pod.py").read_text()
     for name in ("add_host", "add_nic", "add_ssd", "_wire", "add_block_device"):
@@ -411,13 +568,13 @@ class TestEchoCallCount:
     ``sys.setprofile`` -- deterministic on any box, so a per-pass call that
     grows back is caught without a wall-clock threshold.
 
-    145.0 with the shared loop (per echo: 16 ``_drain_links``, one
-    ``_on_messages`` per non-empty drain, 4 ``_send``, 1 ``_fenced``);
-    the parent, with the loop inlined into four ``_process`` bodies, made
-    125.5 here and 25 fewer ``sim.call_after`` calls in ``repro/sim``.
+    102.0 (per echo: 9 ``kick``, 7 ``_pass``, 9 ``_drain_links``, 6.5
+    ``_settle``, 4 ``_on_messages``, 4 ``_send``, 1 ``_fenced``): nine
+    passes deliver an echo's four messages.  Lower the ceiling when the
+    count falls; never raise it without a ``perf/compare.py`` row.
     """
 
-    CALLS_PER_ECHO_CEILING = 152          # measured 145.0, +5 %
+    CALLS_PER_ECHO_CEILING = 107          # measured 102.0, +5 %
 
     def test_core_calls_per_echo(self):
         pod, _inst, client, _nic = build_echo_pod("oasis", remote=True)

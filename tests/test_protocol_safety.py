@@ -127,7 +127,7 @@ class TestEventBudget:
         pod.run(0.15)
         pod.stop()
         events_per_packet = pod.sim.processed_events / ec.stats.received
-        assert events_per_packet < 40
+        assert events_per_packet < 18
 
     def test_idle_pod_consumes_almost_no_events(self):
         pod = CXLPod(mode="oasis")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI gate: fail the PR when sim events/sec regresses >20% vs the baseline.
+"""CI gate: fail the PR when wall-s per sim-s regresses >20% vs the baseline.
 
 Usage::
 
@@ -13,10 +13,12 @@ into the benchmark dump and compares it against the committed baseline:
   seeded run is part of the replay contract and machine-independent; any
   drift means the kernel's event schedule changed and the replay suite's
   byte-identity claim needs re-verification before the baseline moves;
-* ``events_per_sec`` must stay above ``(1 - tolerance)`` of the baseline
-  floor (default tolerance 20%).  The floor is calibrated for the slowest
-  healthy CI runner (see the note inside the baseline file), so a trip
-  means a real slowdown, not machine jitter.
+* ``wall_per_sim_sec`` must stay below ``1 / (1 - tolerance)`` of the
+  baseline ceiling (default tolerance 20%).  The ceiling is calibrated for
+  the slowest healthy CI runner (see the note inside the baseline file), so
+  a trip means a real slowdown, not machine jitter.  The gate is phrased in
+  wall time per simulated second, not events per second: a change that
+  removes events at equal wall time would read as a slowdown in the latter.
 
 When the dump also carries a ``fleet_overhead`` entry (recorded by
 ``benchmarks/test_fleet_overhead.py``), its ``disabled_regression`` -- the
@@ -27,8 +29,8 @@ observability stack is opt-in and must be free when not opted into.
 When the dump carries a ``rack_scale`` entry (recorded by
 ``benchmarks/test_rack_scale.py`` or ``python -m repro rack --out``), it is
 gated against ``benchmarks/baseline_rack_scale.json``: the 32-host rack's
-``events_per_sec`` must stay above ``(1 - tolerance)`` of the committed
-floor, the group-commit ``commit_p99_ms`` (simulated time, so exact on any
+``wall_per_sim_sec`` must stay below ``1 / (1 - tolerance)`` of the committed
+ceiling, the group-commit ``commit_p99_ms`` (simulated time, so exact on any
 machine) must stay under the ceiling, and the control plane must have
 converged with an empty proposal queue.
 
@@ -101,8 +103,8 @@ def main(argv=None) -> int:
     parser.add_argument("--serve-baseline", type=Path,
                         default=DEFAULT_SERVE_BASELINE)
     parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed fractional events/sec drop "
-                             "(default 0.2 == 20%%)")
+                        help="allowed fractional slowdown in wall-s per "
+                             "sim-s (default 0.2 == 20%%)")
     parser.add_argument("--fleet-tolerance", type=float, default=0.02,
                         help="allowed wall-clock cost of the never-enabled "
                              "fleet-health pipeline (default 0.02 == 2%%)")
@@ -142,23 +144,19 @@ def _gate(args, results, baseline, speed) -> int:
             "(the seeded event schedule moved; re-verify replay identity "
             "before updating the baseline)")
 
-    events_per_sec = float(_require(speed, "events_per_sec",
-                                    "the sim_speed results"))
-    baseline_eps = float(_require(baseline, "events_per_sec",
-                                  str(args.baseline)))
-    floor = baseline_eps * (1.0 - args.tolerance)
-    if events_per_sec < floor:
-        failures.append(
-            f"events/sec regressed: {events_per_sec:,.0f} < "
-            f"{floor:,.0f} ({(1.0 - args.tolerance) * 100:.0f}% of the "
-            f"{baseline_eps:,.0f} baseline floor)")
-
     wall = float(_require(speed, "wall_per_sim_sec", "the sim_speed results"))
-    print(f"sim speed: {events_per_sec:,.0f} events/s over {events:,} "
-          f"events ({wall:.2f} wall-s per sim-s)")
-    print(f"baseline:  {baseline_eps:,.0f} events/s "
-          f"floor, tolerance {args.tolerance * 100:.0f}% -> gate at "
-          f"{floor:,.0f}")
+    baseline_wall = float(_require(baseline, "wall_per_sim_sec",
+                                   str(args.baseline)))
+    ceiling = baseline_wall / (1.0 - args.tolerance)
+    if wall > ceiling:
+        failures.append(
+            f"wall-s per sim-s regressed: {wall:.2f} > {ceiling:.2f} "
+            f"(1/{1.0 - args.tolerance:.2f} of the {baseline_wall:.2f} "
+            "baseline ceiling)")
+
+    print(f"sim speed: {wall:.2f} wall-s per sim-s over {events:,} events")
+    print(f"baseline:  {baseline_wall:.2f} wall-s per sim-s ceiling, "
+          f"tolerance {args.tolerance * 100:.0f}% -> gate at {ceiling:.2f}")
 
     fleet = results.get("results", {}).get("fleet_overhead")
     if fleet is not None:
@@ -182,25 +180,24 @@ def _gate(args, results, baseline, speed) -> int:
                   f"{exc}", file=sys.stderr)
             return 2
         rack_src = "the rack_scale results"
-        rack_eps = float(_require(rack, "events_per_sec", rack_src))
-        rack_baseline_eps = float(_require(rack_baseline, "events_per_sec",
-                                           str(args.rack_baseline)))
-        rack_floor = rack_baseline_eps * (1.0 - args.tolerance)
+        rack_wall = float(_require(rack, "wall_per_sim_sec", rack_src))
+        rack_baseline_wall = float(_require(rack_baseline, "wall_per_sim_sec",
+                                            str(args.rack_baseline)))
+        rack_ceiling = rack_baseline_wall / (1.0 - args.tolerance)
         p99 = float(_require(rack, "commit_p99_ms", rack_src))
         ceiling = float(_require(rack_baseline, "commit_p99_ms_ceiling",
                                  str(args.rack_baseline)))
         converged = _require(rack, "converged", rack_src)
         pending = int(_require(rack, "pending_after", rack_src))
         print(f"rack scale: {_require(rack, 'hosts', rack_src)} hosts, "
-              f"{rack_eps:,.0f} events/s "
-              f"(gate at {rack_floor:,.0f}), commit p99 {p99:.3f} ms "
+              f"{rack_wall:.1f} wall-s per sim-s "
+              f"(gate at {rack_ceiling:.1f}), commit p99 {p99:.3f} ms "
               f"(ceiling {ceiling:.3f}), converged={converged}")
-        if rack_eps < rack_floor:
+        if rack_wall > rack_ceiling:
             failures.append(
-                f"rack events/sec regressed: {rack_eps:,.0f} < "
-                f"{rack_floor:,.0f} ({(1.0 - args.tolerance) * 100:.0f}% of "
-                f"the {rack_baseline_eps:,.0f} "
-                "baseline floor)")
+                f"rack wall-s per sim-s regressed: {rack_wall:.1f} > "
+                f"{rack_ceiling:.1f} (1/{1.0 - args.tolerance:.2f} of the "
+                f"{rack_baseline_wall:.1f} baseline ceiling)")
         if p99 > ceiling:
             failures.append(
                 f"rack commit p99 regressed: {p99:.3f} ms > "

@@ -14,7 +14,8 @@ whole control plane is a deterministic command stream.  Two command classes:
 
 - **Admission ops** (place, release, migrate, re-acquire, lease expiry) are
   applied synchronously at decide time -- the service is the sequencer --
-  and replicated asynchronously through Raft, deduplicated by command ID.
+  and replicated asynchronously through Raft, deduplicated by command ID
+  (an integer from that sequencer; the dedup window is DESIGN §3b).
 - **Recovery ops** (failover) are *commit-gated*: proposed through Raft and
   executed only when a leader applies the committed entry.  If the leader
   crashes mid-failover, the command stays queued, is re-proposed to the new
@@ -76,9 +77,8 @@ class PodAllocator:
         # Replication: a Raft cluster with one replica state machine per node.
         self._raft_nodes: list = []
         self.replicas: Dict[str, AllocatorStateMachine] = {}
-        self._pending: Dict[str, dict] = {}    # cid -> command awaiting commit
-        self._proposed_at: Dict[str, float] = {}
-        self._effected: set = set()            # cids whose side effects ran
+        self._pending: Dict[int, dict] = {}    # cid -> command awaiting commit
+        self._proposed_at: Dict[int, float] = {}
         self._retry_task = None
         self._epoch_seq: Dict[str, int] = {}
         self._cid_seq = 0
@@ -89,11 +89,10 @@ class PodAllocator:
         # window ride a single Raft entry.  Off (window 0) by default.
         self._batch_buf: list = []
         self._batch_timer_armed = False
-        self._batch_seq = 0
         self.batches_proposed = 0
         # Decide -> leader-applied latency samples (seconds), for the rack
         # benchmark; bounded so long runs cannot grow without limit.
-        self._decided_at: Dict[str, float] = {}
+        self._decided_at: Dict[int, float] = {}
         self.commit_latencies: list = []
         self._commit_latency_cap = 200_000
 
@@ -170,6 +169,8 @@ class PodAllocator:
             replica = AllocatorStateMachine(ControlState.restore(snap))
             self.replicas[node.node_id] = replica
             node.apply_cb = self._make_apply_cb(node, replica)
+            node.snapshot_cb = lambda replica=replica: replica.state.snapshot()
+            node.restore_cb = replica.restore
         self._start_commit_retry()
 
     def _make_apply_cb(self, node, replica):
@@ -224,10 +225,6 @@ class PodAllocator:
 
     # -- command plumbing ----------------------------------------------------------
 
-    def _next_cid(self) -> str:
-        self._cid_seq += 1
-        return f"c{self._cid_seq:06d}"
-
     def _next_epoch(self, device: str) -> int:
         nxt = max(self._epoch_seq.get(device, 0),
                   self.epochs.device_epoch.get(device, 0)) + 1
@@ -236,7 +233,8 @@ class PodAllocator:
 
     def _stamp(self, command: dict) -> dict:
         command = dict(command)
-        command["cid"] = self._next_cid()
+        self._cid_seq += 1
+        command["cid"] = self._cid_seq
         command["now"] = self.sim.now
         return command
 
@@ -244,40 +242,28 @@ class PodAllocator:
         """Canonical apply: mutate state once, run side effects once."""
         if command.get("op") == "batch":
             # Group-commit entry: apply + effect each sub-command in decide
-            # order, exactly once per batch cid (duplicate log entries of the
-            # same batch are skipped wholesale; re-batched duplicates of a
-            # sub-command dedup on the sub-command's own cid below).
-            bcid = command.get("cid")
-            if bcid is not None and bcid in self._effected:
-                return
-            if bcid is not None:
-                self._effected.add(bcid)
-            for sub in command.get("cmds", []):
+            # order; a sub-command that rode an earlier entry too dedups on
+            # its own cid below.
+            self.state.advance_mark(command["lwm"])
+            for sub in command["cmds"]:
                 self._service_apply(sub)
             return
+        if self.machine.apply(command):
+            self._execute_effects(command)
         cid = command.get("cid")
-        if cid is None or cid not in self._effected:
-            if self.machine.apply(command):
-                if cid is not None:
-                    self._effected.add(cid)
-                self._execute_effects(command)
-        if cid is not None:
-            if cid in self._pending:
-                decided = self._decided_at.pop(cid, None)
-                if (decided is not None
-                        and len(self.commit_latencies) < self._commit_latency_cap):
-                    self.commit_latencies.append(self.sim.now - decided)
-            self._pending.pop(cid, None)
+        if cid in self._pending:
+            decided = self._decided_at.pop(cid, None)
+            if (decided is not None
+                    and len(self.commit_latencies) < self._commit_latency_cap):
+                self.commit_latencies.append(self.sim.now - decided)
+            del self._pending[cid]
             self._proposed_at.pop(cid, None)
 
     def _decide_commit(self, command: dict) -> dict:
         """Admission ops: apply at decide time, replicate asynchronously."""
         command = self._stamp(command)
         self._service_apply(command)
-        if self.replicated:
-            self._pending[command["cid"]] = command
-            self._decided_at[command["cid"]] = self.sim.now
-            self._replicate(command)
+        self._await_commit(command)
         return command
 
     def _commit(self, command: dict) -> dict:
@@ -285,17 +271,26 @@ class PodAllocator:
         command = self._stamp(command)
         if not self.replicated:
             self._service_apply(command)
-            return command
-        self._pending[command["cid"]] = command
-        self._decided_at[command["cid"]] = self.sim.now
-        self._replicate(command)
+        self._await_commit(command)
         return command
+
+    def _await_commit(self, command: dict) -> None:
+        cid = command["cid"]
+        if not self.replicated:
+            # Nothing can propose this cid again: the window stays empty.
+            self.state.advance_mark(cid + 1)
+            return
+        self._pending[cid] = command
+        self._decided_at[cid] = self.sim.now
+        self._replicate(command)
 
     def _replicate(self, command: dict) -> None:
         """Hand a pending command to Raft: direct, or via the batch buffer."""
         window_ms = self.config.failover.commit_batch_window_ms
         if window_ms <= 0:
-            self._try_propose(command)
+            leader = self.leader_node()
+            if leader is not None:
+                self._propose(leader, [command])
             return
         self._batch_buf.append(command)
         if len(self._batch_buf) >= self.config.failover.commit_batch_max:
@@ -324,22 +319,25 @@ class PodAllocator:
             # the commands are already in _pending with no proposal stamp, so
             # the commit-retry task re-batches them after the next election.
             return
-        self._propose_batch(leader, cmds)
+        self._propose(leader, cmds)
 
-    def _propose_batch(self, leader, cmds: list) -> None:
-        self._batch_seq += 1
-        leader.propose({"op": "batch", "cid": f"b{self._batch_seq:06d}",
-                        "cmds": list(cmds)})
-        self.batches_proposed += 1
-        now = self.sim.now
+    def _propose(self, leader, cmds: list) -> None:
+        """Hand pending ``cmds`` to ``leader``: one ``batch`` entry under group
+        commit, else an entry each.  Every entry carries the low-water mark,
+        the smallest cid still pending.  It only grows (new cids are larger,
+        ``_pending`` only loses members), and no cid below it can reach a log
+        again, so a machine that has applied the entry may forget them."""
+        if self.config.failover.commit_batch_window_ms > 0:
+            entries = [{"op": "batch", "cmds": list(cmds)}]
+            self.batches_proposed += 1
+        else:
+            entries = [dict(cmd) for cmd in cmds]
+        mark, now = min(self._pending), self.sim.now
         for cmd in cmds:
             self._proposed_at[cmd["cid"]] = now
-
-    def _try_propose(self, command: dict) -> None:
-        leader = self.leader_node()
-        if leader is not None:
-            leader.propose(command)
-            self._proposed_at[command["cid"]] = self.sim.now
+        for entry in entries:
+            entry["lwm"] = mark
+            leader.propose(entry)
 
     def _start_commit_retry(self) -> None:
         if self._retry_task is not None:
@@ -361,17 +359,22 @@ class PodAllocator:
                >= interval * 0.99]
         if not due:
             return
-        if self.config.failover.commit_batch_window_ms > 0:
-            # Group commit: the whole overdue backlog rides one entry.
-            self._propose_batch(leader, [self._pending[cid] for cid in due])
-        else:
-            for cid in due:
-                leader.propose(self._pending[cid])
-                self._proposed_at[cid] = self.sim.now
+        # (under group commit the whole overdue backlog rides one entry)
+        self._propose(leader, [self._pending[cid] for cid in due])
 
     def replica_signature(self, node_id: str):
         replica = self.replicas.get(node_id)
         return None if replica is None else replica.state.signature()
+
+    def retained(self) -> Dict[str, int]:
+        """History still held (DESIGN §3b): the longest node log and the
+        widest dedup window.  Both stay constant however long the pod runs."""
+        machines = (self.machine, *self.replicas.values())
+        return {
+            "log_entries": max((len(node.log) for node in self._raft_nodes),
+                               default=0),
+            "dedup_window": max(len(m.state.applied_cids) for m in machines),
+        }
 
     # -- placement --------------------------------------------------------------------
 

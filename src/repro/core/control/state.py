@@ -8,7 +8,11 @@ sequence, same state -- on the canonical (service-side) machine and on one
 replica machine per Raft node, so a replica that crashes and rejoins (or a
 follower promoted after a leader crash) converges to the same allocator
 state.  Application is deduplicated by ``cid``: re-proposed commands and
-duplicate log entries are harmless.
+duplicate log entries are harmless.  The dedup memory is a window, not a
+history: every proposal carries the proposer's low-water mark (``lwm``, the
+smallest integer cid still awaiting commit), anything below the highest mark
+a machine has applied is a duplicate by definition, and only the applied
+cids at or above it are remembered (Raft dissertation §6.3; DESIGN §3b).
 
 State mutation happens on every replica; external side effects (frontend
 notification, MAC borrowing, epoch publication) are the allocator
@@ -51,7 +55,11 @@ class ControlState:
     #: Instances whose device failed with no backup available: ip -> (host,
     #: demand).  Re-placed when capacity appears (§ graceful degradation).
     parked: Dict[int, Tuple[Optional[str], float]] = field(default_factory=dict)
-    applied_cids: Set[str] = field(default_factory=set)
+    #: Dedup window: the applied cids at or above ``applied_mark``; every cid
+    #: below the mark was applied here and cannot be proposed again.  Not in
+    #: :meth:`signature`: the canonical machine applies before it sees marks.
+    applied_cids: Set[int] = field(default_factory=set)
+    applied_mark: int = 0
     failovers_executed: int = 0
     migrations_executed: int = 0
     lease_expirations: int = 0
@@ -63,6 +71,13 @@ class ControlState:
 
     def __post_init__(self):
         self.leases = LeaseTable(self.lease_ttl_s)
+
+    def advance_mark(self, mark: int) -> None:
+        """Raise the low-water mark and forget the cids that fell below it
+        (cids are consecutive, so the total work is one step per cid)."""
+        if mark > self.applied_mark:
+            self.applied_cids.difference_update(range(self.applied_mark, mark))
+            self.applied_mark = mark
 
     # -- convergence ---------------------------------------------------------------
 
@@ -119,6 +134,7 @@ class ControlState:
             "parked": [[ip, host, demand]
                        for ip, (host, demand) in sorted(self.parked.items())],
             "applied_cids": sorted(self.applied_cids),
+            "applied_mark": self.applied_mark,
             "failovers_executed": self.failovers_executed,
             "migrations_executed": self.migrations_executed,
             "lease_expirations": self.lease_expirations,
@@ -159,6 +175,7 @@ class ControlState:
         state.parked = {ip: (host, demand)
                         for ip, host, demand in snap["parked"]}
         state.applied_cids = set(snap["applied_cids"])
+        state.applied_mark = snap["applied_mark"]
         state.failovers_executed = snap["failovers_executed"]
         state.migrations_executed = snap["migrations_executed"]
         state.lease_expirations = snap.get("lease_expirations", 0)
@@ -180,17 +197,30 @@ class AllocatorStateMachine:
 
     def apply(self, command: dict) -> bool:
         """Apply ``command``; returns False for duplicates and unknown ops."""
+        state = self.state
+        mark = command.get("lwm")
+        if mark is not None:
+            state.advance_mark(mark)
         cid = command.get("cid")
-        if cid is not None and cid in self.state.applied_cids:
+        if cid is not None and (cid < state.applied_mark
+                                or cid in state.applied_cids):
             return False
-        handler = getattr(self, "_op_" + command.get("op", "?").replace(
-            "-", "_"), None)
+        handler = self._OPS.get(command.get("op"))
         if handler is None:
             return False
-        handler(command)
+        handler(self, command)
         if cid is not None:
-            self.state.applied_cids.add(cid)
+            state.applied_cids.add(cid)
         return True
+
+    def restore(self, snap: dict) -> None:
+        """Replace the state with a snapshot's.  Devices register outside the
+        log, so one newer than the snapshot (which no entry the snapshot
+        covers can have touched) carries over from the state it replaces."""
+        old, self.state = self.state, ControlState.restore(snap)
+        for table in ("devices", "storage_devices"):
+            for name, device in getattr(old, table).items():
+                getattr(self.state, table).setdefault(name, device)
 
     # -- helpers ----------------------------------------------------------------
 
@@ -249,6 +279,8 @@ class AllocatorStateMachine:
         state.backup_assignments.pop(ip, None)
         state.demands.pop(ip, None)
         state.parked.pop(ip, None)
+        if ip not in state.storage_assignments:
+            state.hosts.pop(ip, None)
         device = state.devices.get(nic)
         if device is not None:
             device.allocated -= demand
@@ -261,6 +293,8 @@ class AllocatorStateMachine:
         demand = cmd.get("demand", state.storage_demands.get(ip, 0.0))
         state.storage_assignments.pop(ip, None)
         state.storage_demands.pop(ip, None)
+        if ip not in state.assignments and ip not in state.parked:
+            state.hosts.pop(ip, None)
         device = state.storage_devices.get(ssd)
         if device is not None:
             device.allocated -= demand
@@ -364,3 +398,8 @@ class AllocatorStateMachine:
             # Storage has no failover path: the assignment (and its capacity
             # reservation) stays; the instance must re-acquire a fresh epoch
             # before its posts are accepted again.
+
+    #: op -> handler (``place-storage`` is ``_op_place_storage``), built once.
+    _OPS = {name[4:].replace("_", "-"): handler
+            for name, handler in vars().items()
+            if name.startswith("_op_")}

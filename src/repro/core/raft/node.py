@@ -3,9 +3,9 @@
 The pod-wide allocator replicates its state machine with Raft (§3.5).  This
 is a complete single-decree-free implementation: randomized election
 timeouts, leader election with the up-to-date check, log replication with
-conflict truncation, commitment only of current-term entries, and state
-machine application callbacks.  Messages travel over a pluggable transport
-(see :mod:`repro.core.raft.rpc`).
+conflict truncation, commitment only of current-term entries, state machine
+application callbacks, and log compaction with snapshot install (§7).
+Messages travel over a pluggable transport (see :mod:`repro.core.raft.rpc`).
 """
 
 from __future__ import annotations
@@ -18,11 +18,17 @@ from ...obs.trace import NULL_TRACER
 from ...sim.core import MSEC, Simulator
 from .log import LogEntry, RaftLog
 
-__all__ = ["RaftNode", "FOLLOWER", "CANDIDATE", "LEADER"]
+__all__ = ["RaftNode", "FOLLOWER", "CANDIDATE", "LEADER", "COMPACT_AFTER"]
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
 LEADER = "leader"
+
+#: Applied entries a node lets pile up past its log base before it snapshots
+#: the state machine and drops them: enough to amortise an O(live state)
+#: snapshot (a few hundred device and lease rows) to about a row per entry,
+#: few enough that a node never retains over ~0.3 MiB of applied commands.
+COMPACT_AFTER = 256
 
 
 class RaftNode:
@@ -37,6 +43,8 @@ class RaftNode:
         peers: List[str],
         transport,
         apply_cb: Optional[Callable[[int, Any], None]] = None,
+        snapshot_cb: Optional[Callable[[], Any]] = None,
+        restore_cb: Optional[Callable[[Any], None]] = None,
         election_timeout_ms: tuple = (150.0, 300.0),
         heartbeat_ms: float = 50.0,
         rng: Optional[np.random.Generator] = None,
@@ -46,6 +54,10 @@ class RaftNode:
         self.peers = [p for p in peers if p != node_id]
         self.transport = transport
         self.apply_cb = apply_cb
+        # The state machine's half of compaction: its JSON-able state as of
+        # ``last_applied``, and back.  A node without them keeps its whole log.
+        self.snapshot_cb = snapshot_cb
+        self.restore_cb = restore_cb
         self.election_timeout_ms = election_timeout_ms
         self.heartbeat_ms = heartbeat_ms
         self.rng = rng if rng is not None else np.random.default_rng(hash(node_id) & 0xFFFF)
@@ -54,6 +66,7 @@ class RaftNode:
         self.current_term = 0
         self.voted_for: Optional[str] = None
         self.log = RaftLog()
+        self.snapshot: Any = None     # state machine as of log.base_index
         self.commit_index = 0
         self.last_applied = 0
         self.leader_id: Optional[str] = None
@@ -193,6 +206,7 @@ class RaftNode:
             "request_vote_reply": self._on_request_vote_reply,
             "append_entries": self._on_append_entries,
             "append_entries_reply": self._on_append_entries_reply,
+            "install_snapshot": self._on_install_snapshot,
         }.get(message.get("type"))
         if handler is not None:
             handler(src, message)
@@ -232,6 +246,18 @@ class RaftNode:
 
     def _send_append(self, peer: str) -> None:
         prev_index = self.next_index.get(peer, self.log.last_index + 1) - 1
+        if prev_index < self.log.base_index:
+            # What this peer needs next is compacted away: the snapshot goes
+            # in place of this append (one message for one, same reply).
+            self._send(peer, {
+                "type": "install_snapshot",
+                "term": self.current_term,
+                "leader": self.node_id,
+                "last_index": self.log.base_index,
+                "last_term": self.log.base_term,
+                "snapshot": self.snapshot,
+            })
+            return
         entries = self.log.entries_from(prev_index + 1)
         self._send(peer, {
             "type": "append_entries",
@@ -243,29 +269,52 @@ class RaftNode:
             "leader_commit": self.commit_index,
         })
 
-    def _on_append_entries(self, src: str, m: dict) -> None:
-        success = False
-        match = 0
-        if m["term"] >= self.current_term:
-            self.leader_id = m["leader"]
-            if self.state != FOLLOWER:
-                self._step_down()
-            else:
-                self._reset_election_timer()
-            if self.log.matches(m["prev_index"], m["prev_term"]):
-                entries = [LogEntry(t, c) for t, c in m["entries"]]
-                self.log.merge(m["prev_index"], entries)
-                success = True
-                match = m["prev_index"] + len(entries)
-                if m["leader_commit"] > self.commit_index:
-                    self.commit_index = min(m["leader_commit"], self.log.last_index)
-                    self._apply()
-        self._send(src, {
+    def _follow(self, leader: str) -> None:
+        self.leader_id = leader
+        if self.state != FOLLOWER:
+            self._step_down()
+        else:
+            self._reset_election_timer()
+
+    def _reply_append(self, dst: str, success: bool, match: int) -> None:
+        self._send(dst, {
             "type": "append_entries_reply",
             "term": self.current_term,
             "success": success,
             "match_index": match,
         })
+
+    def _on_append_entries(self, src: str, m: dict) -> None:
+        success = False
+        match = 0
+        if m["term"] >= self.current_term:
+            self._follow(m["leader"])
+            # Entries at or below our base are committed, hence the same on
+            # any leader we would accept: skip them rather than ask the log.
+            skip = max(0, self.log.base_index - m["prev_index"])
+            if skip or self.log.matches(m["prev_index"], m["prev_term"]):
+                entries = [LogEntry(t, c) for t, c in m["entries"][skip:]]
+                self.log.merge(m["prev_index"] + skip, entries)
+                success = True
+                match = m["prev_index"] + len(m["entries"])
+                if m["leader_commit"] > self.commit_index:
+                    self.commit_index = min(m["leader_commit"], self.log.last_index)
+                    self._apply()
+        self._reply_append(src, success, match)
+
+    def _on_install_snapshot(self, src: str, m: dict) -> None:
+        """Adopt the leader's snapshot unless we have applied past it."""
+        success = m["term"] >= self.current_term
+        if success:
+            self._follow(m["leader"])
+            index = m["last_index"]
+            if index > self.last_applied:
+                if self.restore_cb is not None:
+                    self.restore_cb(m["snapshot"])
+                self.snapshot = m["snapshot"]
+                self.log.install(index, m["last_term"])
+                self.commit_index = self.last_applied = index
+        self._reply_append(src, success, m["last_index"] if success else 0)
 
     def _on_append_entries_reply(self, src: str, m: dict) -> None:
         if self.state != LEADER or m["term"] < self.current_term:
@@ -298,3 +347,7 @@ class RaftNode:
             entry = self.log.entry(self.last_applied)
             if self.apply_cb is not None:
                 self.apply_cb(self.last_applied, entry.command)
+        if (self.snapshot_cb is not None
+                and self.last_applied - self.log.base_index >= COMPACT_AFTER):
+            self.snapshot = self.snapshot_cb()
+            self.log.compact(self.last_applied)

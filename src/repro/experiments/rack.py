@@ -164,6 +164,9 @@ def run_rack(
         "churn_released": churn_stats["released"],
         "pending_after": pod.allocator.pending_commands,
         "converged": converged,
+        # per shard; history kept again shows here first (DESIGN §3b)
+        "retained": {group.name: group.allocator.retained()
+                     for group in pod.groups},
     }
     if checker is not None:
         result["verdict"] = checker.finish()
@@ -229,7 +232,10 @@ def main_rack(argv=None) -> int:
               f"p99 {result['rtt_p99_us']:.2f} us")
         print(f"  kernel   {result['wall_per_sim_sec']:.2f} wall-s per sim-s "
               f"over {result['events']:,} events "
-              f"({result['events_per_sec']:,.0f} events/s)")
+              f"({result['events_per_sec']:,.0f} events/s); retained "
+              "log/dedup " + " ".join(
+                  f"{name}={kept['log_entries']}/{kept['dedup_window']}"
+                  for name, kept in result["retained"].items()))
         print(f"  control  {result['commits']} replicated commits in "
               f"{result['batches_proposed']} batches, "
               f"p50 {result['commit_p50_ms']:.3f} ms, "

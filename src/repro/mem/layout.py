@@ -7,8 +7,9 @@ needs:
 
 * :class:`RegionAllocator` -- first-fit free-list allocator with coalescing,
   used to hand out large regions and variable-size TX buffers;
-* :class:`FixedPool` -- an O(1) free-stack of fixed-size buffers, used for
-  RX buffers that the backend driver posts to the NIC and recycles.
+* :class:`FixedPool` -- O(1) fixed-size buffers (a bump index plus a stack
+  of recycled ones), used for RX buffers that the backend driver posts to
+  the NIC and recycles.
 """
 
 from __future__ import annotations
@@ -122,34 +123,41 @@ class RegionAllocator:
 
 
 class FixedPool:
-    """Fixed-size buffer pool (RX buffers): O(1) alloc/free, full recycling."""
+    """Fixed-size buffer pool (RX buffers): O(1) alloc/free, full recycling.
+    Never-used buffers come from a bump index and only recycled ones are
+    listed, so a 4 GB area costs what its ring posts, not an int per buffer."""
 
     def __init__(self, region: Region, buffer_size: int):
         if buffer_size <= 0 or buffer_size % CACHE_LINE:
             raise MemoryFault("buffer_size must be a positive multiple of 64")
         self.region = region
         self.buffer_size = buffer_size
-        base = align_up(region.base, CACHE_LINE)
-        count = (region.end - base) // buffer_size
+        self._base = align_up(region.base, CACHE_LINE)
+        count = (region.end - self._base) // buffer_size
         if count <= 0:
             raise MemoryFault("region too small for even one buffer")
-        self._free: List[int] = [base + i * buffer_size for i in range(count)][::-1]
+        self._fresh = 0                 # buffers below this index were used
+        self._free: List[int] = []      # recycled buffers, reused LIFO
         self._outstanding: set[int] = set()
         self.capacity = count
 
     @property
     def available(self) -> int:
-        return len(self._free)
+        return len(self._free) + self.capacity - self._fresh
 
     @property
     def outstanding(self) -> int:
         return len(self._outstanding)
 
     def alloc(self) -> Optional[int]:
-        """Pop a free buffer address, or None when exhausted."""
-        if not self._free:
+        """A recycled buffer, else the next fresh one, or None when exhausted."""
+        if self._free:
+            addr = self._free.pop()
+        elif self._fresh < self.capacity:
+            addr = self._base + self._fresh * self.buffer_size
+            self._fresh += 1
+        else:
             return None
-        addr = self._free.pop()
         self._outstanding.add(addr)
         return addr
 

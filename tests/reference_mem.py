@@ -9,6 +9,10 @@ lock-step with it.  It follows the same contract as the production model:
 bounds are validated up front, zero-length loads and stores are free, and the
 pool size is a whole number of lines.  Correctness over speed -- do not
 optimise this file.
+
+``ReferenceFixedPool`` (PR 22) is the same idea for ``mem/layout.py``: the
+free stack built eagerly, one boxed int per buffer the area could ever hand
+out, which the production pool replaced with a bump index.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.errors import MemoryFault
 from repro.mem.cache import CacheStats
 from repro.mem.cxl import LinkStats
 
-__all__ = ["ReferencePool", "ReferenceCache"]
+__all__ = ["ReferencePool", "ReferenceCache", "ReferenceFixedPool"]
 
 
 def _lines(addr: int, size: int) -> range:
@@ -336,3 +340,32 @@ class ReferenceCache:
                 self.stats.dma_read_snoop_hits += 1
                 cost += self.timings.clwb_ns
         return cost
+
+
+class ReferenceFixedPool:
+    def __init__(self, region, buffer_size: int):
+        base = (region.base + CACHE_LINE - 1) // CACHE_LINE * CACHE_LINE
+        self.capacity = (region.end - base) // buffer_size
+        self._free = [base + i * buffer_size for i in range(self.capacity)][::-1]
+        self._outstanding: set = set()
+
+    @property
+    def available(self) -> int:
+        return len(self._free)
+
+    @property
+    def outstanding(self) -> int:
+        return len(self._outstanding)
+
+    def alloc(self) -> Optional[int]:
+        if not self._free:
+            return None
+        addr = self._free.pop()
+        self._outstanding.add(addr)
+        return addr
+
+    def free(self, addr: int) -> None:
+        if addr not in self._outstanding:
+            raise MemoryFault(f"recycling unknown or double-freed buffer {addr:#x}")
+        self._outstanding.remove(addr)
+        self._free.append(addr)

@@ -13,7 +13,12 @@ Covers the three pillars of the crash-recoverable allocator:
   silently reuse) its lease.
 """
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.core.control import (AllocatorStateMachine, ControlState,
                                 EpochTable, NotificationBus)
 from repro.core.netengine.messages import OP_TX, OP_TX_FENCED, NetMessage
 from repro.core.pod import CXLPod, RackBuilder
+from repro.core.raft.node import COMPACT_AFTER
 from repro.core.storage.messages import (SOP_WRITE, STATUS_FENCED,
                                          StorageMessage)
 from repro.net.packet import make_ip
@@ -30,6 +36,58 @@ from repro.workloads.echo import EchoClient, EchoServer
 
 SERVER_IP = make_ip(10, 0, 0, 1)
 CLIENT_IP = make_ip(10, 0, 9, 1)
+
+# The nightly job's 300 buys the full 60-simulated-second soak.
+SOAK_SIM_S = 60.0 * min(1.0, int(os.environ.get("CHAOS_MAX_EXAMPLES", "25")) / 300)
+
+# Run in a child so ``ru_maxrss`` (a high-water mark) is the soak's own: 1000
+# place/release pairs per simulated second over the 8-host / 2-pool rack with
+# Raft x3 and group commit, peak RSS read at half time and at the end.
+_SOAK_CHILD = """
+import json, resource, sys
+from dataclasses import replace
+from repro.config import OasisConfig
+from repro.core.pod import RackBuilder
+from repro.net.packet import make_ip
+
+sim_s = float(sys.argv[1])
+base = OasisConfig()
+pod = RackBuilder(hosts=8, pools=2, nics_per_host=2, ssds_per_host=0,
+                  config=base.with_(seed=11, failover=replace(
+                      base.failover, commit_batch_window_ms=0.2))).build()
+pod.enable_raft(replicas=3)
+pod.run(0.25)
+alloc, sim = pod.allocator, pod.sim
+already = len(alloc.commit_latencies)
+state = {"issued": 0, "end": sim.now + sim_s}
+
+def release(ip):
+    alloc.release_instance(ip, 0.2)
+    state["issued"] += 1
+
+def place(j):
+    if sim.now >= state["end"]:
+        return
+    ip = make_ip(10, 4 + (j >> 16), (j >> 8) & 0xFF, j & 0xFF)
+    alloc.place_instance(ip, pod.hosts[j % 8].name, 0.2)
+    state["issued"] += 1
+    sim.schedule(0.0006, release, ip)
+    sim.schedule(0.001, place, j + 1)
+
+def peak_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+sim.schedule(0.0, place, 0)
+pod.run(sim_s / 2)
+half = peak_mib()
+pod.run(sim_s / 2 + 0.1)
+print(json.dumps({
+    "half_mib": half, "end_mib": peak_mib(), "issued": state["issued"],
+    "committed": len(alloc.commit_latencies) - already,
+    "pending": alloc.pending_commands, "converged": alloc.convergence_ok(),
+    "retained": {name: shard.retained()
+                 for name, shard in alloc.shards.items()}}))
+"""
 
 
 class TestEpochTable:
@@ -107,7 +165,7 @@ class TestMessageEpochs:
 
 
 class TestStateMachine:
-    def _place(self, cid="c1", ip=SERVER_IP):
+    def _place(self, cid=1, ip=SERVER_IP):
         return {"op": "place", "cid": cid, "ip": ip, "host": "h0",
                 "nic": "nic0", "backup": None, "demand": 1.0, "epoch": 1,
                 "now": 0.0}
@@ -126,8 +184,8 @@ class TestStateMachine:
 
     def test_distinct_cids_apply_independently(self):
         machine = AllocatorStateMachine(self._state())
-        assert machine.apply(self._place("c1", make_ip(10, 0, 0, 1)))
-        assert machine.apply(self._place("c2", make_ip(10, 0, 0, 2)))
+        assert machine.apply(self._place(1, make_ip(10, 0, 0, 1)))
+        assert machine.apply(self._place(2, make_ip(10, 0, 0, 2)))
         assert machine.state.devices["nic0"].allocated == 2.0
 
     def test_snapshot_restore_preserves_signature(self):
@@ -137,7 +195,7 @@ class TestStateMachine:
         restored = ControlState.restore(snap)
         assert restored.signature() == machine.state.signature()
         assert restored.assignments[SERVER_IP] == "nic0"
-        assert "c1" in restored.applied_cids
+        assert 1 in restored.applied_cids
 
     def test_restored_replica_rejects_replayed_cid(self):
         machine = AllocatorStateMachine(self._state())
@@ -468,4 +526,173 @@ class TestShardedFailover:
             {dev0: 1}, {dev1: 1}]
         assert s1.assignments[ip1] != dev1          # moved to the backup
         assert s0.assignments.get(ip0) != dev0      # moved (or parked)
+        pod.stop()
+
+
+class TestBoundedHistory:
+    """What the control plane retains is live state plus a constant window
+    (DESIGN §3b): the same sizes after N and after 2N commands."""
+
+    @staticmethod
+    def _rack():
+        pod = TestShardedFailover._rack(batch_window_ms=0.2)
+        return pod, pod.allocator, pod.allocator.shards["pool0"]
+
+    @staticmethod
+    def _churn(pod, rounds, start=0):
+        """``rounds`` place/release pairs on pool0, one batch entry each."""
+        for j in range(start, start + rounds):
+            ip = make_ip(10, 4, j >> 8, j & 0xFF)
+            pod.allocator.place_instance(ip, pod.hosts[j % 4].name, 0.2)
+            pod.allocator.release_instance(ip, 0.2)
+            pod.run(0.0005)      # past the 0.2 ms window: flush and commit
+        pod.run(0.06)            # a heartbeat tells followers the last commit
+
+    @staticmethod
+    def _retained(shard):
+        machines = (shard.machine, *shard.replicas.values())
+        return {
+            "log": [len(node.log._entries) for node in shard._raft_nodes],
+            "dedup": [len(m.state.applied_cids) for m in machines],
+            "hosts": [len(m.state.hosts) for m in machines],
+            "decided_at": len(shard._decided_at),
+            "proposed_at": len(shard._proposed_at),
+            "pending": len(shard._pending),
+        }
+
+    def test_retained_sizes_are_equal_at_n_and_2n(self):
+        pod, alloc, shard = self._rack()
+        # A whole number of compaction periods, so the log's sawtooth is
+        # sampled at the same phase both times.
+        n = 2 * COMPACT_AFTER
+        self._churn(pod, n)
+        at_n = self._retained(shard)
+        self._churn(pod, n, start=n)
+        at_2n = self._retained(shard)
+        assert at_2n == at_n
+        assert max(at_2n["log"]) < COMPACT_AFTER
+        assert max(at_2n["dedup"]) <= 2 and max(at_2n["hosts"]) == 0
+        assert shard.retained() == {"log_entries": max(at_2n["log"]),
+                                    "dedup_window": max(at_2n["dedup"])}
+        assert all(node.log.last_index == 2 * n for node in shard._raft_nodes)
+        assert alloc.convergence_ok() and alloc.pending_commands == 0
+        assert len(alloc.commit_latencies) == 2 * 2 * n     # commits == issued
+        assert shard.batches_proposed == 2 * n
+        # Mid-period the log holds exactly what was applied since the base.
+        self._churn(pod, 100, start=2 * n)
+        assert self._retained(shard)["log"] == [100, 100, 100]
+        pod.stop()
+
+    def test_soak_peak_rss_is_flat_over_the_second_half(self):
+        """ROADMAP item 5(v) for the control plane.  What still grows per
+        command is the harness-side ``commit_latencies`` sample list (32 B a
+        command up to its 200,000 cap: under 2 MiB over the full soak's
+        second half); the parent grew ~1.2 KB per command."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", _SOAK_CHILD, str(SOAK_SIM_S)], env=env,
+            check=True, capture_output=True, text=True, timeout=1800).stdout
+        soak = json.loads(out.splitlines()[-1])
+        assert soak["issued"] >= 1990 * SOAK_SIM_S
+        assert soak["committed"] == soak["issued"] and soak["pending"] == 0
+        assert soak["converged"]
+        for retained in soak["retained"].values():
+            assert retained["log_entries"] <= COMPACT_AFTER
+            assert retained["dedup_window"] <= 4
+        assert soak["end_mib"] - soak["half_mib"] < 5.0
+
+    def test_replica_down_across_a_compaction_rejoins_by_snapshot(self):
+        """The allocator's replica machine (not just the log) is rebuilt
+        from the leader's snapshot, and nothing is applied twice."""
+        pod, alloc, shard = self._rack()
+        down = next(n for n in shard._raft_nodes if not n.is_leader)
+        down.crash()
+        self._churn(pod, COMPACT_AFTER + 30)
+        keep = make_ip(10, 5, 0, 1)
+        alloc.place_instance(keep, pod.hosts[1].name, 0.2)
+        # A device registered after the leader's snapshot was taken (devices
+        # register outside the log) must survive the install.
+        late = pod.add_nic(pod.hosts[0])
+        shard.place_pinned(make_ip(10, 5, 0, 2), "h0", late.name, 0.2)
+        pod.run(0.01)
+        leader = shard.leader_node()
+        assert leader.log.base_index > down.last_applied
+        assert late.name not in [row[0] for row in leader.snapshot["devices"]]
+        before = shard.replicas[down.node_id].state
+        down.restart()
+        pod.run(0.5)
+        replica = shard.replicas[down.node_id].state
+        assert replica is not before                 # restored, not replayed
+        assert down.last_applied == leader.last_applied
+        assert down.log.base_index >= leader.log.base_index
+        assert alloc.convergence_ok() and alloc.pending_commands == 0
+        assert replica.assignments == shard.state.assignments
+        assert keep in replica.assignments and replica.hosts[keep] == "h1"
+        assert replica.devices[late.name].allocated == pytest.approx(0.2)
+        # ... and it can lead from there: the next command commits.
+        leader.crash()
+        pod.run(0.6)
+        alloc.release_instance(keep, 0.2)
+        pod.run(0.5)
+        assert alloc.pending_commands == 0
+        assert keep not in shard.state.assignments
+        assert shard.leader_node() is not leader
+        for node in shard._raft_nodes:
+            if node.alive:
+                assert (shard.replica_signature(node.node_id)
+                        == shard.state.signature())
+        pod.stop()
+
+    def test_reproposal_order_and_dedup_across_the_million_boundary(self):
+        """cids are integers: 1,000,000 sorts after 999,999 (as "c1000000"
+        it sorted before "c999999"), so orphaned commands are re-proposed in
+        decide order, and a duplicate log entry is still dropped."""
+        pod, inst, client, nic0, nic1 = build_failover_pod(raft_replicas=3)
+        pod.run(0.2)
+        alloc = pod.allocator
+        alloc._cid_seq = 999_998
+        alloc.leader_node().crash()
+        ips = [make_ip(10, 6, 0, k) for k in (1, 2, 3)]
+        for ip in ips:       # decided, but there is nobody to propose to
+            alloc.place_pinned(ip, "h1", nic0.name, 1.0)
+        assert sorted(alloc._pending) == [999_999, 1_000_000, 1_000_001]
+        pod.run(0.7)         # re-election, then the retry loop
+        assert alloc.pending_commands == 0
+        leader = alloc.leader_node()
+        entries = [leader.log.entry(i).command
+                   for i in range(leader.log.first_index,
+                                  leader.log.last_index + 1)]
+        orphans = [c for c in entries if c.get("cid", 0) >= 999_999]
+        assert [c["cid"] for c in orphans] == [999_999, 1_000_000, 1_000_001]
+        assert [c["lwm"] for c in orphans] == [999_999] * 3   # one retry tick
+        allocated = alloc.devices[nic0.name].allocated
+
+        def converged():
+            for node in pod.raft_nodes:
+                if node.alive:
+                    assert node.last_applied == leader.last_applied
+                    assert (alloc.replica_signature(node.node_id)
+                            == alloc.state.signature())
+            return alloc.devices[nic0.name].allocated
+
+        for command in orphans:     # the same entries land a second time:
+            leader.propose(dict(command))       # duplicates inside the window
+        pod.run(0.1)
+        assert converged() == allocated
+        assert alloc.state.applied_mark == 999_999
+        assert alloc.state.applied_cids == {999_999, 1_000_000, 1_000_001}
+        # The next proposal's mark closes the window over them ...
+        alloc.place_pinned(make_ip(10, 6, 0, 4), "h1", nic0.name, 1.0)
+        pod.run(0.1)
+        machines = (alloc.machine, *(alloc.replicas[n.node_id]
+                                     for n in pod.raft_nodes if n.alive))
+        for machine in machines:
+            assert machine.state.applied_mark == 1_000_002
+            assert machine.state.applied_cids == {1_000_002}
+        # ... and a cid below the mark is a duplicate without being stored.
+        leader.propose(dict(orphans[1]))
+        pod.run(0.1)
+        assert converged() == allocated + 1.0
         pod.stop()

@@ -16,7 +16,7 @@ import math
 import os
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -24,8 +24,9 @@ from repro.config import CACHE_LINE, CacheTimings, CXLConfig
 from repro.errors import MemoryFault
 from repro.mem.cache import HostCache
 from repro.mem.cxl import CXLMemoryPool
+from repro.mem.layout import FixedPool, Region
 
-from .reference_mem import ReferenceCache, ReferencePool
+from .reference_mem import ReferenceCache, ReferenceFixedPool, ReferencePool
 
 MAX_EXAMPLES = int(os.environ.get("CHAOS_MAX_EXAMPLES", "40"))
 
@@ -240,6 +241,51 @@ class TestPageRunHelpers:
         for i in range(64):
             want = src[i * 64:(i + 1) * 64] if i in bits else bytes(64)
             assert dst[i * 64:(i + 1) * 64] == want
+
+
+class TestFixedPoolAgainstEagerList:
+    """The bump-index pool hands out the eager free stack's address sequence."""
+
+    # alloc, or free of: the k-th oldest live buffer, an address never handed
+    # out (unknown buffer), or the one freed last (double free).
+    steps = st.lists(st.one_of(
+        st.just(("alloc", 0)),
+        st.tuples(st.sampled_from(("free", "free-unknown", "free-again")),
+                  st.integers(0, 40))), max_size=80)
+
+    @given(steps=steps, base=st.sampled_from((0, 64, 100)),
+           buffers=st.integers(1, 12))
+    @settings(max_examples=MAX_EXAMPLES * 5, deadline=None)
+    def test_same_addresses_counts_and_faults(self, steps, base, buffers):
+        region = Region(base, buffers * 128 + 90)
+        pools = FixedPool(region, 128), ReferenceFixedPool(region, 128)
+        assert pools[0].capacity == pools[1].capacity
+        live, last_freed = [], None
+        for op, k in steps:
+            if op == "alloc":
+                addrs = [pool.alloc() for pool in pools]
+                assert addrs[0] == addrs[1]
+                # exhausted exactly when every buffer is out
+                assert (addrs[0] is None) == (len(live) == pools[0].capacity)
+                if addrs[0] is not None:
+                    live.append(addrs[0])
+            else:
+                if op == "free" and live:
+                    addr = last_freed = live.pop(k % len(live))
+                elif op == "free-again" and last_freed not in (None, *live):
+                    addr = last_freed
+                else:
+                    addr = region.end + 64 * k
+                faults = []
+                for pool in pools:
+                    try:
+                        pool.free(addr)
+                        faults.append(None)
+                    except MemoryFault as exc:
+                        faults.append(str(exc))
+                assert faults[0] == faults[1]
+            assert pools[0].available == pools[1].available
+            assert pools[0].outstanding == pools[1].outstanding == len(live)
 
 
 def test_mem_privates_stay_inside_mem():

@@ -178,23 +178,54 @@ class TestFrameProperties:
 
 
 class TestRaftLogProperties:
+    # Every property holds over a compacted prefix too: the log starts at a
+    # drawn (base index, term 1) and is read from ``first_index``.
+    bases = st.integers(0, 40)
+
+    @staticmethod
+    def _entries(log):
+        return [log.entry(i) for i in range(log.first_index, log.last_index + 1)]
+
     @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 100)),
-                    min_size=1, max_size=30))
+                    min_size=1, max_size=30), bases)
     @slow
-    def test_merge_idempotent(self, raw_entries):
+    def test_merge_idempotent(self, raw_entries, base):
         entries = [LogEntry(t, c) for t, c in
                    sorted(raw_entries, key=lambda e: e[0])]
-        log1 = RaftLog()
-        log1.merge(0, entries)
-        snapshot = [log1.entry(i) for i in range(1, log1.last_index + 1)]
-        log1.merge(0, entries)
-        assert [log1.entry(i) for i in range(1, log1.last_index + 1)] == snapshot
+        log1 = RaftLog(base, 1)
+        log1.merge(base, entries)
+        snapshot = self._entries(log1)
+        assert snapshot == entries
+        log1.merge(base, entries)
+        assert self._entries(log1) == snapshot
+        assert log1.last_index == base + len(entries)
 
-    @given(st.lists(st.integers(1, 5), min_size=2, max_size=20))
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=20), bases)
     @slow
-    def test_terms_monotonic_after_sorted_merge(self, terms):
+    def test_terms_monotonic_after_sorted_merge(self, terms, base):
         entries = [LogEntry(t, i) for i, t in enumerate(sorted(terms))]
-        log = RaftLog()
-        log.merge(0, entries)
-        observed = [log.term_at(i) for i in range(1, log.last_index + 1)]
+        log = RaftLog(base, 1)
+        log.merge(base, entries)
+        observed = [log.term_at(i)
+                    for i in range(log.base_index, log.last_index + 1)]
         assert observed == sorted(observed)
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=20), bases,
+           st.data())
+    @slow
+    def test_compaction_changes_no_answer_above_the_cut(self, terms, base, data):
+        log = RaftLog(base, 1)
+        log.merge(base, [LogEntry(t, i) for i, t in enumerate(sorted(terms))])
+        cut = data.draw(st.integers(log.first_index, log.last_index))
+        last = log.last_index, log.last_term
+        above = {i: log.term_at(i) for i in range(cut, log.last_index + 1)}
+        kept = [log.entry(i) for i in range(cut + 1, log.last_index + 1)]
+        log.compact(cut)
+        assert (log.last_index, log.last_term) == last
+        assert {i: log.term_at(i) for i in above} == above
+        assert self._entries(log) == kept
+        assert all(log.matches(i, t) for i, t in above.items())
+        with pytest.raises(IndexError):
+            log.term_at(cut - 1)
+
+

@@ -105,8 +105,8 @@ class TestChannelRpcTransport:
 
 
 class TestRaftOverChannels:
-    def test_election_and_commit_over_real_channels(self, sim):
-        """§3.5: the allocator's Raft RPCs ride Oasis message channels."""
+    @staticmethod
+    def _cluster(sim):
         pool = CXLMemoryPool(size=64 << 20)
         regions = SharedRegions(pool)
         transport = ChannelRpcTransport(sim)
@@ -122,16 +122,18 @@ class TestRaftOverChannels:
                 channel = DoorbellChannel(sim, layout, caches[src], caches[dst],
                                           f"{src}-{dst}", hop_us=1.0)
                 transport.add_channel(src, dst, channel)
+        nodes = [RaftNode(sim, node_id, ids, transport,
+                          rng=np.random.default_rng(k))
+                 for k, node_id in enumerate(ids)]
+        return transport, nodes
 
-        applied = {i: [] for i in ids}
-        nodes = []
-        for k, node_id in enumerate(ids):
-            node = RaftNode(
-                sim, node_id, ids, transport,
-                apply_cb=lambda idx, cmd, n=node_id: applied[n].append(cmd),
-                rng=np.random.default_rng(k),
-            )
-            nodes.append(node)
+    def test_election_and_commit_over_real_channels(self, sim):
+        """§3.5: the allocator's Raft RPCs ride Oasis message channels."""
+        _, nodes = self._cluster(sim)
+        applied = {node.node_id: [] for node in nodes}
+        for node in nodes:
+            node.apply_cb = (lambda idx, cmd, n=node.node_id:
+                             applied[n].append(cmd))
             node.start()
         sim.run(until=2.0)
         leaders = [n for n in nodes if n.is_leader]
@@ -140,3 +142,54 @@ class TestRaftOverChannels:
         sim.run(until=3.0)
         for commands in applied.values():
             assert commands == [{"op": "failover", "nic": "nic0"}]
+
+    def test_install_snapshot_survives_fragmenting(self, sim, monkeypatch):
+        """A replica that was down while the leader compacted is reseeded by
+        one ``install_snapshot`` carried as JSON in 64 B fragments: the real
+        ``ControlState`` snapshot (devices, leases, dedup window and mark)
+        comes out the far side able to rebuild an identical machine."""
+        from repro.core.allocator.policy import DeviceState
+        from repro.core.control import AllocatorStateMachine, ControlState
+
+        monkeypatch.setattr("repro.core.raft.node.COMPACT_AFTER", 16)
+        transport, nodes = self._cluster(sim)
+        machines = {}
+        for node in nodes:
+            state = ControlState(lease_ttl_s=1.0)
+            state.devices["nic0"] = DeviceState("nic0", host="h0",
+                                                capacity=100.0)
+            machine = machines[node.node_id] = AllocatorStateMachine(state)
+            node.apply_cb = lambda idx, cmd, m=machine: m.apply(cmd)
+            node.snapshot_cb = lambda m=machine: m.state.snapshot()
+            node.restore_cb = machine.restore
+            node.start()
+        sim.run(until=2.0)
+        leader = next(n for n in nodes if n.is_leader)
+        down = next(n for n in nodes if not n.is_leader)
+        down.crash()
+        for cid in range(1, 41):
+            ip = 0x0A000000 + (cid + 1) // 2
+            if cid % 2:         # place, then release all but the last few
+                cmd = {"op": "place", "ip": ip, "host": "h0", "nic": "nic0",
+                       "backup": None, "demand": 0.5, "epoch": cid}
+            elif cid <= 34:
+                cmd = {"op": "release", "ip": ip, "nic": "nic0",
+                       "demand": 0.5, "revoke_epoch": cid}
+            else:
+                continue
+            leader.propose({**cmd, "cid": cid, "lwm": cid, "now": sim.now})
+            sim.run(until=sim.now + 1e-3)
+        assert leader.log.base_index >= 16 > down.last_applied
+        sent_before = transport.messages_sent
+        down.restart()
+        sim.run(until=sim.now + 1.0)
+        assert transport.messages_sent > sent_before
+        assert down.log.base_index >= 16        # came from the snapshot
+        assert down.last_applied == leader.last_applied
+        want = machines[leader.node_id].state
+        got = machines[down.node_id].state
+        assert got.signature() == want.signature()
+        assert len(got.assignments) == 3 and got.hosts == want.hosts
+        assert (got.applied_mark, got.applied_cids) == (
+            want.applied_mark, want.applied_cids)
+        assert got.devices["nic0"].allocated == pytest.approx(1.5)

@@ -73,7 +73,8 @@ class TestSoak:
         assert pod.allocator.failovers_executed == 1
         leader = pod.raft_nodes[0]
         commands = [leader.log.entry(i).command
-                    for i in range(1, leader.commit_index + 1)]
+                    for i in range(leader.log.first_index,
+                                   leader.commit_index + 1)]
         assert any(c.get("op") == "failover" for c in commands)
 
     def test_affected_instance_moved_to_backup(self, soak_result):

@@ -615,9 +615,10 @@ class PodAllocator:
         info = self.machine.last_failover or {"backup": None, "moved": []}
         self._failover_inflight.discard(nic_name)
         backup_name = info.get("backup")
+        moved = info["moved"]    # (ip, epoch) pairs the apply really moved
         revoke_epoch = cmd.get("revoke_epoch", 0)
         self.epochs.publish_device(nic_name, revoke_epoch)
-        for ip, _epoch in cmd.get("moved", []):
+        for ip, _epoch in moved:
             self.epochs.publish_revoke(nic_name, ip, revoke_epoch)
         self.tracer.end("failover.process", key=nic_name, backup=backup_name)
         if backup_name is None:
@@ -627,7 +628,7 @@ class PodAllocator:
             self.failover_no_backup += 1
             self.tracer.instant("failover.no_backup", category="failover",
                                 track="failover", nic=nic_name,
-                                parked=len(info.get("moved", [])))
+                                parked=len(moved))
             for host, frontend in self.frontends.items():
                 self.notify.send(host, cfg.notify_frontend_ms * MSEC,
                                  frontend.fail_over, nic_name, None, {})
@@ -642,12 +643,12 @@ class PodAllocator:
         reroute_ms = max(cfg.notify_frontend_ms, cfg.mac_borrow_ms)
         self.sim.schedule(reroute_ms * MSEC, self.tracer.end,
                           "failover.reroute", nic_name)
-        epoch_map = {ip: epoch for ip, epoch in cmd.get("moved", [])}
-        for ip, epoch in cmd.get("moved", []):
+        epoch_map = dict(moved)
+        for ip, epoch in moved:
             self.epochs.publish_grant(backup_name, ip, epoch)
         backup_backend = self.backends.get(backup_name)
         if backup_backend is not None:
-            for ip in info.get("moved", []):
+            for ip in epoch_map:
                 host = self.state.hosts.get(ip)
                 if host is not None:
                     backup_backend.register_instance(ip, host)

@@ -334,8 +334,11 @@ class AllocatorStateMachine:
         state.failover_log[nic] = state.failover_log.get(nic, 0) + 1
         self._note_epoch(nic, cmd.get("revoke_epoch", 0))
         state.leases.revoke_device(nic)
+        # Decided against the map as it stood then: an instance that migrated
+        # or was released while the entry waited for a leader stays put.
         moved: List[Tuple[int, int]] = [
             (ip, epoch) for ip, epoch in cmd.get("moved", [])
+            if state.assignments.get(ip) == nic
         ]
         backup_name = cmd.get("backup")
         backup = state.devices.get(backup_name) if backup_name else None
@@ -350,8 +353,7 @@ class AllocatorStateMachine:
                 state.parked[ip] = (state.hosts.get(ip),
                                     state.demands.get(ip, 0.0))
             device.allocated = 0.0
-            self.last_failover = {"nic": nic, "backup": None,
-                                  "moved": [ip for ip, _ in moved]}
+            self.last_failover = {"nic": nic, "backup": None, "moved": moved}
             return
         for ip, epoch in moved:
             self._force_grant(ip, backup_name, now, epoch)
@@ -362,8 +364,7 @@ class AllocatorStateMachine:
         backup.allocated += device.allocated
         device.allocated = 0.0
         state.failovers_executed += 1
-        self.last_failover = {"nic": nic, "backup": backup_name,
-                              "moved": [ip for ip, _ in moved]}
+        self.last_failover = {"nic": nic, "backup": backup_name, "moved": moved}
 
     # -- group commit -----------------------------------------------------------
 

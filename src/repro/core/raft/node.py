@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ...obs.trace import NULL_TRACER
-from ...sim.core import MSEC, Simulator
+from ...sim.core import MSEC, Simulator, Timer
 from .log import LogEntry, RaftLog
 
 __all__ = ["RaftNode", "FOLLOWER", "CANDIDATE", "LEADER", "COMPACT_AFTER"]
@@ -73,8 +73,9 @@ class RaftNode:
         self._votes: set = set()
         self.next_index: Dict[str, int] = {}
         self.match_index: Dict[str, int] = {}
-        self._election_timer = None
-        self._heartbeat_timer = None
+        # Lazy (DESIGN §3b): an append moves the deadline, not a queue entry.
+        self._election_timer = Timer(sim, self._on_election_timeout)
+        self._heartbeat_timer = Timer(sim, self._on_heartbeat)
         self.alive = True
 
         transport.register(node_id, self._on_message)
@@ -87,7 +88,8 @@ class RaftNode:
     def crash(self) -> None:
         """Stop participating (volatile state survives for restart tests)."""
         self.alive = False
-        self._cancel_timers()
+        self._election_timer.clear()
+        self._heartbeat_timer.clear()
 
     def restart(self) -> None:
         self.alive = True
@@ -95,42 +97,22 @@ class RaftNode:
         self.leader_id = None
         self._reset_election_timer()
 
-    def _cancel_timers(self) -> None:
-        for timer in (self._election_timer, self._heartbeat_timer):
-            if timer is not None:
-                timer.cancel()
-        self._election_timer = None
-        self._heartbeat_timer = None
-
     # -- timers ------------------------------------------------------------------
 
     def _reset_election_timer(self) -> None:
-        if self._election_timer is not None:
-            self._election_timer.cancel()
         lo, hi = self.election_timeout_ms
-        timeout = float(self.rng.uniform(lo, hi)) * MSEC
-        self._election_timer = self.sim.schedule(timeout, self._on_election_timeout)
+        self._election_timer.set(float(self.rng.uniform(lo, hi)) * MSEC)
 
     def _on_election_timeout(self) -> None:
         if not self.alive or self.state == LEADER:
             return
         self._start_election()
 
-    def _start_heartbeats(self) -> None:
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-        self._broadcast_append()
-        self._heartbeat_timer = self.sim.schedule(
-            self.heartbeat_ms * MSEC, self._on_heartbeat
-        )
-
     def _on_heartbeat(self) -> None:
         if not self.alive or self.state != LEADER:
             return
         self._broadcast_append()
-        self._heartbeat_timer = self.sim.schedule(
-            self.heartbeat_ms * MSEC, self._on_heartbeat
-        )
+        self._heartbeat_timer.set(self.heartbeat_ms * MSEC)
 
     # -- elections ----------------------------------------------------------------
 
@@ -167,9 +149,8 @@ class RaftNode:
         for peer in self.peers:
             self.next_index[peer] = self.log.last_index + 1
             self.match_index[peer] = 0
-        if self._election_timer is not None:
-            self._election_timer.cancel()
-        self._start_heartbeats()
+        self._election_timer.clear()
+        self._on_heartbeat()
 
     # -- client interface ---------------------------------------------------------------
 
@@ -214,9 +195,7 @@ class RaftNode:
     def _step_down(self) -> None:
         if self.state != FOLLOWER:
             self.state = FOLLOWER
-            if self._heartbeat_timer is not None:
-                self._heartbeat_timer.cancel()
-                self._heartbeat_timer = None
+            self._heartbeat_timer.clear()
         self._reset_election_timer()
 
     def _on_request_vote(self, src: str, m: dict) -> None:

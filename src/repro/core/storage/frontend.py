@@ -11,7 +11,8 @@ never read stale.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ...config import OasisConfig
 from ...errors import AllocationError
@@ -19,7 +20,7 @@ from ...host.host import Host, MemDomain
 from ...mem.layout import Region, RegionAllocator
 from ...overload.stage import StageView
 from ...pcie.ssd import NVME_STATUS_FAILED, NVME_STATUS_MEDIA
-from ...sim.core import MSEC, NSEC, USEC, Simulator
+from ...sim.core import MSEC, NSEC, USEC, Simulator, Timer
 from ..engine import Driver, Link
 from .messages import (SOP_COMPLETION, SOP_READ, SOP_WRITE, STATUS_FENCED,
                        StorageMessage)
@@ -117,6 +118,11 @@ class StorageFrontend(Driver):
         self.retries = 0
         self.timeouts = 0
         self.giveups = 0
+        # Per-attempt deadlines (deadline, cid, state, attempt).  The timeout
+        # is one constant, so arming order is deadline order and one timer,
+        # armed for the head, serves them all.
+        self._deadlines: Deque[Tuple[float, int, dict, int]] = deque()
+        self._deadline_timer = Timer(sim, self._on_deadline)
         # Fencing (§3.3.3): per-(backend, instance) epoch stamps put on the
         # wire, refreshed through the allocator after a FENCED rejection.
         self._stamps: Dict[Tuple[str, int], int] = {}
@@ -182,7 +188,7 @@ class StorageFrontend(Driver):
                 state["launched"] = True
                 stage.launched += 1
                 self._enqueue(state["backend"], message)
-                self._arm_timeout(cid)
+                self._arm_timeout(cid, state)
         finally:
             self._pumping = False
 
@@ -254,7 +260,7 @@ class StorageFrontend(Driver):
         backend = device.backend_name
         ip = device.instance.ip if device.instance else 0
         self.submitted += 1
-        self._pending[cid] = {
+        state = self._pending[cid] = {
             "op": op, "region": region, "callback": callback,
             "nbytes": nbytes, "backend": backend,
             "lba": lba, "nlb": nlb, "ip": ip, "retries": 0, "attempt": 0,
@@ -266,7 +272,7 @@ class StorageFrontend(Driver):
         stage = self._stage
         if stage is None:
             self.sim.schedule(delay, self._enqueue, backend, message)
-            self._arm_timeout(cid)
+            self._arm_timeout(cid, state)
         else:
             # Fresh traffic funds the retry budget; launch goes through the
             # admission stage (the timeout is armed at launch, not here).
@@ -294,24 +300,35 @@ class StorageFrontend(Driver):
 
     # -- fault tolerance: per-attempt deadlines and retries ------------------------
 
-    def _arm_timeout(self, cid: int) -> None:
+    def _arm_timeout(self, cid: int, state: dict) -> None:
         """Start (or restart) the per-attempt deadline for ``cid``."""
-        state = self._pending.get(cid)
-        if state is None:
-            return
         state["attempt"] += 1
-        self.sim.schedule(self.config.retry.storage_timeout_ms * MSEC,
-                          self._on_timeout, cid, state["attempt"])
+        deadline = self.sim.now + self.config.retry.storage_timeout_ms * MSEC
+        self._deadlines.append((deadline, cid, state, state["attempt"]))
+        if len(self._deadlines) == 1:
+            self._deadline_timer.set_at(deadline)
 
-    def _on_timeout(self, cid: int, attempt: int) -> None:
-        state = self._pending.get(cid)
-        if state is None or state["attempt"] != attempt:
-            return   # completed, or already retried: the deadline is stale
-        self.timeouts += 1
-        stage = self._stage
-        if stage is not None:
-            stage.breaker(state["backend"]).record_failure(self.sim.now)
-        self._retry_or_give_up(cid, state, STATUS_TIMEOUT, budgeted=True)
+    def _on_deadline(self) -> None:
+        """Time out every live attempt that has expired, in arming order, and
+        re-arm for the first that has not.  A completion does not touch the
+        queue; its entry goes stale (this state object -- not whatever reuses
+        its cid -- is retired, or on a later attempt) and is skipped here."""
+        deadlines = self._deadlines
+        now = self.sim.now
+        while deadlines:
+            deadline, cid, state, attempt = deadlines[0]
+            live = (state["attempt"] == attempt
+                    and self._pending.get(cid) is state)
+            if live and deadline > now:
+                self._deadline_timer.set_at(deadline)
+                return
+            deadlines.popleft()
+            if live:
+                self.timeouts += 1
+                if self._stage is not None:
+                    self._stage.breaker(state["backend"]).record_failure(now)
+                self._retry_or_give_up(cid, state, STATUS_TIMEOUT,
+                                       budgeted=True)
 
     def _retry_or_give_up(self, cid: int, state: dict, status: int,
                           budgeted: bool) -> None:
@@ -363,7 +380,7 @@ class StorageFrontend(Driver):
                                  epoch=self._stamp_for(state["backend"],
                                                        state["ip"]))
         self._enqueue(state["backend"], message)
-        self._arm_timeout(cid)
+        self._arm_timeout(cid, state)
 
     def _handle_completion(self, message: StorageMessage) -> float:
         state = self._pending.get(message.cid)

@@ -124,6 +124,7 @@ def run_rack(
     pod.run(duration_s + 0.005)
     wall = time.perf_counter() - t0
     events = pod.sim.processed_events - before
+    queued, tombstones = pod.sim.pending, pod.sim.tombstones
 
     # Settle: let the last group-commit windows flush and replicate.
     pod.run(0.1)
@@ -146,6 +147,8 @@ def run_rack(
         "rate_pps": rate_pps,
         "packet_size": packet_size,
         "events": int(events),
+        "queued": queued,           # live entries as the window closes
+        "tombstones": tombstones,
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "wall_per_sim_sec": wall / duration_s,
@@ -232,7 +235,9 @@ def main_rack(argv=None) -> int:
               f"p99 {result['rtt_p99_us']:.2f} us")
         print(f"  kernel   {result['wall_per_sim_sec']:.2f} wall-s per sim-s "
               f"over {result['events']:,} events "
-              f"({result['events_per_sec']:,.0f} events/s); retained "
+              f"({result['events_per_sec']:,.0f} events/s), "
+              f"queued {result['queued']} tombstones {result['tombstones']}"
+              "; retained "
               "log/dedup " + " ".join(
                   f"{name}={kept['log_entries']}/{kept['dedup_window']}"
                   for name, kept in result["retained"].items()))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from ..config import TransportConfig
-from ..sim.core import MSEC, Simulator
+from ..sim.core import MSEC, Simulator, Timer
 from .packet import PROTO_TCP, PROTO_UDP, Frame
 
 __all__ = ["UdpSocket", "ReliableSocket", "FLAG_ACK"]
@@ -144,7 +144,7 @@ class ReliableSocket:
             "frame": frame,
             "retries": 0,
             "rto_ms": self.config.initial_rto_ms,
-            "timer": None,
+            "timer": Timer(self.sim, self._on_timeout, seq),
         }
         self._unacked[seq] = state
         self._transmit(seq)
@@ -166,7 +166,7 @@ class ReliableSocket:
         )
         self.sent += 1
         self.endpoint.send_frame(resend)
-        state["timer"] = self.sim.schedule(state["rto_ms"] * MSEC, self._on_timeout, seq)
+        state["timer"].set(state["rto_ms"] * MSEC)
 
     def _on_timeout(self, seq: int) -> None:
         state = self._unacked.get(seq)
@@ -195,8 +195,8 @@ class ReliableSocket:
             return
         if frame.flags & FLAG_ACK:
             state = self._unacked.pop(frame.ack, None)
-            if state is not None and state["timer"] is not None:
-                state["timer"].cancel()
+            if state is not None:
+                state["timer"].clear()
             return
         # Data: ack it, deduplicate, deliver.
         ack = frame.reply_template(payload=b"", flags=FLAG_ACK, ack=frame.seq,

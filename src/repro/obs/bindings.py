@@ -57,11 +57,11 @@ def _reader(series, source, rows, **labels):
 def bind_sim(series, sim):
     """Export the event kernel's own health gauges.
 
-    ``sim_pending_events`` counts *live* (non-tombstoned) queue entries --
-    a steady climb under constant load is the signature of a leaked timer
-    (one re-armed without cancelling its predecessor).  Both event gauges
-    are exact at every scrape, including the scraper's own ticks inside one
-    ``run()``.  Not bound by the pod by default: scraping it into reports
+    ``sim_pending_events`` counts *live* (non-tombstoned) queue entries:
+    work in flight plus one per periodic task and armed ``Timer`` (deadlines
+    are lazy, DESIGN §3e), so a climb under constant load is a leak.  Both
+    event gauges are exact at every scrape, including the scraper's own
+    ticks inside one ``run()``.  Not bound by the pod by default: scraping it
     would perturb the byte-identical seeded snapshots the replay suite pins.
     """
     return _reader(series, sim, (

@@ -115,12 +115,20 @@ class SimNIC(PCIeDevice, TracerBinding, FlowBinding):
         self._kick_tx()
 
     def _kick_tx(self) -> None:
+        """The TX side's one idle/busy decision.  A doorbell is an MMIO write,
+        not a latency: an idle serialiser starts the head WQE on the caller's
+        stack, a busy one when it frees.  A step that would *complete* the
+        WQE (abort armed, NIC failed) takes a zero-delay hop: a completion is
+        never delivered inside ``post_tx`` (DESIGN §3e)."""
         if self._tx_scheduled or self.tx_ring.empty:
             return
-        self._tx_scheduled = True
         now = self.sim.now
         busy = self._tx_busy_until
-        self.sim.call_at(busy if busy > now else now, self._tx_process_one)
+        if busy <= now and not self._abort_tx_next and not self.failed:
+            self._tx_process_one()
+        else:
+            self._tx_scheduled = True
+            self.sim.call_after(max(busy - now, 0.0), self._tx_process_one)
 
     def inject_dma_abort(self, count: int = 1) -> None:
         """Arm a mid-transfer fault: the next ``count`` TX descriptors abort
@@ -173,13 +181,8 @@ class SimNIC(PCIeDevice, TracerBinding, FlowBinding):
             self._trace.span("nic.tx", sim.now, dma_s + serialize_s,
                              category="dma", track=self.name,
                              bytes=wire_size)
-        sim.call_at(done, self._tx_emit, frame, desc)
-        self._kick_tx_at(done)
-
-    def _kick_tx_at(self, when: float) -> None:
-        if not self._tx_scheduled and not self.tx_ring.empty:
-            self._tx_scheduled = True
-            self.sim.call_at(when, self._tx_process_one)
+        sim.call_after(done - sim.now, self._tx_emit, frame, desc)
+        self._kick_tx()
 
     def _tx_emit(self, frame: Frame, desc: TxDescriptor) -> None:
         if self.link_up and self.port is not None:
@@ -260,7 +263,7 @@ class SimNIC(PCIeDevice, TracerBinding, FlowBinding):
                              bytes=wire_size)
         completion = Completion(descriptor=desc, status=0, length=len(data),
                                 tag=tag, timestamp=done)
-        sim.call_at(done, self._deliver_rx, completion)
+        sim.call_after(done - sim.now, self._deliver_rx, completion)
 
     def _deliver_rx(self, completion: Completion) -> None:
         if self.on_rx is not None:

@@ -73,13 +73,22 @@ class SimSSD(PCIeDevice, TracerBinding, FlowBinding):
     # -- submission ------------------------------------------------------------
 
     def submit(self, cmd: NVMeCommand) -> None:
-        """Ring the SQ doorbell with one command."""
+        """Ring the SQ doorbell: an MMIO write, not a latency, so an idle
+        drive starts the command before ``submit`` returns.  A completion is
+        never delivered on the submitter's stack (DESIGN §3e): a command that
+        completes at once (bad LBA range), and any behind it, take a hop."""
         self._check_alive()
         if cmd.opcode not in (NVME_OP_READ, NVME_OP_WRITE):
             raise DeviceError(f"unknown NVMe opcode {cmd.opcode:#x}")
         self.sq.post(cmd)
         self._pending += 1
-        self.sim.call_after(0.0, self._process_one)
+        if len(self.sq) == 1 and self._in_range(cmd):
+            self._start(self.sq.pop())
+        else:
+            self.sim.call_after(0.0, self._process_one)
+
+    def _in_range(self, cmd: NVMeCommand) -> bool:
+        return 0 < cmd.nlb and 0 <= cmd.slba <= self.num_blocks - cmd.nlb
 
     def _process_one(self) -> None:
         if self.sq.empty:
@@ -87,10 +96,13 @@ class SimSSD(PCIeDevice, TracerBinding, FlowBinding):
         cmd: NVMeCommand = self.sq.pop()
         if self.failed:
             self._complete(cmd, NVME_STATUS_FAILED, 0.0)
-            return
-        if cmd.nlb <= 0 or cmd.slba < 0 or cmd.slba + cmd.nlb > self.num_blocks:
+        elif not self._in_range(cmd):
             self._complete(cmd, NVME_STATUS_LBA_RANGE, 0.0)
-            return
+        else:
+            self._start(cmd)
+
+    def _start(self, cmd: NVMeCommand) -> None:
+        """A valid command on a live drive: book the media, post its latency."""
         if self._flows is not None:
             self._flows.mark(cmd.addr, "ssd.media", len(self.sq))
         config = self.config
@@ -116,7 +128,7 @@ class SimSSD(PCIeDevice, TracerBinding, FlowBinding):
         if self._media_error_next > 0:
             self._media_error_next -= 1
             media_fault = True
-        self.sim.call_at(done, self._execute, cmd, nbytes, media_fault)
+        self.sim.call_after(done - now, self._execute, cmd, nbytes, media_fault)
 
     def _execute(self, cmd: NVMeCommand, nbytes: int,
                  media_fault: bool = False) -> None:

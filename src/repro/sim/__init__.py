@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate."""
 
-from .core import MSEC, NSEC, SEC, USEC, Event, SimulationError, Simulator
+from .core import MSEC, NSEC, SEC, USEC, Event, SimulationError, Simulator, Timer
 from .rng import RngFactory, derive_seed
 
 __all__ = [
@@ -11,6 +11,7 @@ __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
+    "Timer",
     "RngFactory",
     "derive_seed",
 ]

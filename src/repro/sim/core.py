@@ -29,14 +29,15 @@ minimum across all three, so the split is invisible to callers:
 * a **far heap** for everything else -- packet arrivals, device latencies,
   periodic telemetry.
 
-Fire-and-forget callbacks scheduled through :meth:`Simulator.call_after` /
-:meth:`Simulator.call_at` draw from a small free list and are recycled after
-firing, so the steady-state event flow allocates no Event objects; events
-returned by :meth:`Simulator.schedule` escape to callers (who may hold and
-cancel them later) and are never recycled.
+Fire-and-forget callbacks scheduled through :meth:`Simulator.call_after`
+draw from a small free list and are recycled after firing, so the
+steady-state event flow allocates no Event objects; events returned by
+:meth:`Simulator.schedule` escape to callers (who may hold and cancel them
+later) and are never recycled.
 
 Cancellation tombstones the queue entry in O(1); the simulator counts the
 tombstones still queued so :attr:`Simulator.pending` does not over-count.
+A deadline that is mostly moved or cleared is a :class:`Timer` instead.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
+    "Timer",
 ]
 
 
@@ -133,9 +135,12 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
-        event = Event(self, self.now + delay, fn, args)
+        return self._push(Event(self, self.now + delay, fn, args), delay)
+
+    def _push(self, event: Event, delay: float) -> Event:
+        """Queue ``event``, whose time is set and is ``delay`` from now."""
         seq = next(self._seq)
-        if delay == 0.0:
+        if delay <= 0.0:
             event._seqno = seq
             self._now_q.append(event)
         elif delay < _NEAR_WINDOW:
@@ -177,10 +182,6 @@ class Simulator:
         else:
             heapq.heappush(self._far, (t, seq, event))
 
-    def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`at`; see :meth:`call_after`."""
-        self.call_after(time - self.now, fn, *args)
-
     # -- running ----------------------------------------------------------
 
     @property
@@ -190,6 +191,11 @@ class Simulator:
         inside a callback (whose own event is already off the queue)."""
         return (len(self._now_q) + len(self._near) + len(self._far)
                 - self._tombstones)
+
+    @property
+    def tombstones(self) -> int:
+        """Cancelled entries still queued (each leaves when its time comes)."""
+        return self._tombstones
 
     @property
     def processed_events(self) -> int:
@@ -301,6 +307,60 @@ class Simulator:
     ) -> "PeriodicTask":
         """Run ``fn(*args)`` every ``interval`` seconds until cancelled."""
         return PeriodicTask(self, interval, fn, args, start_after, jitter, rng)
+
+
+class Timer:
+    """A re-armable one-shot deadline (DESIGN §3e): ``fn(*args)`` runs when it
+    expires, with the timer already idle.  It keeps **at most one** queued
+    entry: a deadline at or after that entry's time is only recorded (the
+    entry, coming due early, re-posts itself for the remainder), an earlier
+    one costs a tombstone and a push, :meth:`clear` is O(1).  An expiry fires
+    at exactly ``t_set + delay``, the float ``schedule(delay, fn)`` fires at:
+    entries are posted at the absolute deadline, not ``now + (t - now)``.
+    """
+
+    __slots__ = ("_sim", "_fn", "_args", "deadline", "_entry")
+
+    def __init__(self, sim: Simulator, fn: Callable[..., Any], *args: Any):
+        self._sim = sim
+        self._fn = fn
+        self._args = args
+        self.deadline: Optional[float] = None     # absolute; read-only
+        self._entry: Optional[Event] = None       # the one queued entry
+
+    def set(self, delay: float) -> None:
+        """(Re)arm the timer to expire ``delay`` seconds from now."""
+        self.set_at(self._sim.now + delay)
+
+    def set_at(self, deadline: float) -> None:
+        """(Re)arm the timer to expire at absolute time ``deadline``."""
+        if deadline < self._sim.now:
+            raise SimulationError(f"cannot set a timer to {deadline} s, in the past")
+        self.deadline = deadline
+        entry = self._entry
+        if entry is not None:
+            if entry.time <= deadline:
+                return
+            entry.cancel()
+        self._post()
+
+    def clear(self) -> None:
+        """Disarm the timer; a no-op on an idle one."""
+        if self._entry is not None:
+            self._entry.cancel()
+        self._entry = self.deadline = None
+
+    def _post(self) -> None:
+        sim, deadline = self._sim, self.deadline
+        self._entry = sim._push(Event(sim, deadline, self._tick, ()),
+                                deadline - sim.now)
+
+    def _tick(self) -> None:
+        if self.deadline > self._sim.now:
+            self._post()
+            return
+        self._entry = self.deadline = None
+        self._fn(*self._args)
 
 
 class PeriodicTask:

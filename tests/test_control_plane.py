@@ -204,6 +204,34 @@ class TestStateMachine:
             ControlState.restore(machine.state.snapshot()))
         assert not replica.apply(self._place())   # already in the snapshot
 
+    def test_failover_moves_only_what_is_still_on_the_failed_nic(self):
+        """The ``moved`` list is fixed at decide time and the entry may wait
+        for a leader: an instance that migrated away or was released in
+        between is not dragged to the backup (nor resurrected on it)."""
+        from repro.core.allocator.policy import DeviceState
+        machine = AllocatorStateMachine(self._state())
+        state = machine.state
+        for name in ("nic1", "nic2"):
+            state.devices[name] = DeviceState(name, host="h1", capacity=100.0)
+        stay, migrated, released = (make_ip(10, 0, 0, i) for i in (1, 2, 3))
+        for cid, ip in enumerate((stay, migrated, released), 1):
+            machine.apply(self._place(cid, ip))
+        machine.apply({"op": "migrate", "cid": 4, "ip": migrated,
+                       "old": "nic0", "new": "nic1", "demand": 1.0,
+                       "grant_epoch": 1, "revoke_epoch": 2, "now": 0.0})
+        machine.apply({"op": "release", "cid": 5, "ip": released,
+                       "nic": "nic0", "revoke_epoch": 3, "now": 0.0})
+        machine.apply({"op": "failover", "cid": 6, "nic": "nic0",
+                       "backup": "nic2", "revoke_epoch": 4, "now": 0.0,
+                       "moved": [[stay, 1], [migrated, 2], [released, 3]]})
+        assert state.assignments == {stay: "nic2", migrated: "nic1"}
+        assert machine.last_failover["moved"] == [(stay, 1)]
+        assert state.leases.get(migrated, "nic1").valid(0.0)
+        assert state.leases.get(migrated, "nic2") is None
+        assert state.leases.get(released, "nic2") is None
+        assert state.devices["nic1"].allocated == 1.0
+        assert state.devices["nic2"].allocated == 1.0
+
 
 class TestNotificationBus:
     def test_extra_delay_applied_per_host(self):

@@ -535,6 +535,8 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
         # One work-proportional loop (DESIGN §3e): the wake hop, the park
         # event and the per-pass cost timer stay deleted.
         (re.compile(r"\b_wake_cb\b|\b_park\b|\b_drain_cb\b"), ()),
+        # One idle/busy decision per device doorbell (schedule version 3).
+        (re.compile(r"_kick_tx_at"), ()),
     )
     assert [f"{path}:{n}: {line.strip()}"
             for path in sorted(src.rglob("*.py"))
@@ -545,10 +547,22 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
     # ... neither the loop nor the channels post an event to themselves at
     # the current instant: a ring on an idle driver runs the pass, a ring on
     # a busy one waits for the horizon (every delay left is positive).
-    zero_delay = re.compile(r"(call_after|call_at|schedule|\.at)\(\s*0(\.0*)?\s*[,)]")
+    zero_delay = re.compile(r"(call_after|schedule|\.at)\(\s*0(\.0*)?\s*[,)]")
     assert [f"{name}:{n}" for name in ("core/engine.py", "core/datapath.py")
             for n, line in enumerate((src / name).read_text().splitlines(), 1)
             if zero_delay.search(line)] == []
+    # ... no event without work (schedule version 3): deadlines on request
+    # paths are lazy Timers.  The storage engine posts no per-request
+    # timeout (its one deadline callback is only ever handed to a Timer), and
+    # neither the Raft node nor the reliable socket cancels and re-posts.
+    lazy = [*sorted((src / "core" / "storage").glob("*.py")),
+            src / "core" / "raft" / "node.py", src / "net" / "transport.py"]
+    handler = re.compile(r"_on_(timeout|deadline)\b")
+    handed_to_a_timer = re.compile(r"def _on_|\bTimer\(")
+    assert [f"{path.name}:{n}: {line.strip()}" for path in lazy
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if ".cancel()" in line
+            or handler.search(line) and not handed_to_a_timer.search(line)] == []
     # ... the pod's topology methods exist once (no subclass re-defines them)
     pod_py = (src / "core" / "pod.py").read_text()
     for name in ("add_host", "add_nic", "add_ssd", "_wire", "add_block_device"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.core import MSEC, SimulationError
+from repro.sim.core import MSEC, SimulationError, Timer
 
 
 class TestScheduling:
@@ -99,6 +99,111 @@ class TestScheduling:
         sim.schedule(0.0, rearm)
         with pytest.raises(SimulationError):
             sim.run_all(limit=1000)
+
+
+class TestTimer:
+    """The lazy one-shot: at most one queued entry, later deadlines are free,
+    an expiry lands on the float ``schedule`` would have fired at."""
+
+    @staticmethod
+    def _timer(sim):
+        fired = []
+        return Timer(sim, lambda: fired.append(sim.now)), fired
+
+    def test_expires_at_the_float_schedule_fires_at(self, sim):
+        timer, fired = self._timer(sim)
+        reference = []
+        sim.run(until=0.1 + 0.2)            # a `now` that is not exact
+        sim.schedule(25 * MSEC, lambda: reference.append(sim.now))
+        timer.set(25 * MSEC)
+        assert timer.deadline == sim.now + 25 * MSEC and sim.pending == 2
+        sim.run_all()
+        assert fired == reference == [(0.1 + 0.2) + 25 * MSEC]
+        assert timer.deadline is None and sim.pending == 0
+        assert sim.processed_events == 2
+
+    def test_set_later_touches_no_queue_and_reposts_once(self, sim):
+        timer, fired = self._timer(sim)
+        timer.set(10 * MSEC)
+        targets = []
+        for k in range(1, 6):               # five moves, each further out
+            sim.run(until=k * MSEC)
+            timer.set(10 * MSEC)
+            targets.append(sim.now + 10 * MSEC)
+            assert sim.pending == 1 and sim._tombstones == 0
+        assert sim.processed_events == 0
+        sim.run(until=10 * MSEC)            # the queued entry comes due early
+        assert fired == [] and sim.processed_events == 1 and sim.pending == 1
+        sim.run_all()                       # ... and its re-post expires
+        assert fired == [targets[-1]]
+        assert sim.processed_events == 2 and sim.pending == 0
+
+    def test_set_earlier_replaces_the_entry(self, sim):
+        timer, fired = self._timer(sim)
+        timer.set(10 * MSEC)
+        timer.set(2 * MSEC)
+        assert sim.pending == 1 and sim._tombstones == 1
+        sim.run_all()
+        assert fired == [2 * MSEC]
+        assert sim.processed_events == 1 and sim._tombstones == 0
+
+    def test_clear_leaves_pending_at_once_and_nothing_fires(self, sim):
+        timer, fired = self._timer(sim)
+        timer.clear()                       # idle: a no-op
+        timer.set(5 * MSEC)
+        timer.clear()
+        assert timer.deadline is None and sim.pending == 0
+        timer.clear()
+        assert sim._tombstones == 1
+        sim.run_all()
+        assert fired == [] and sim.processed_events == 0
+
+    def test_set_after_clear_and_after_firing(self, sim):
+        timer, fired = self._timer(sim)
+        timer.set(5 * MSEC)
+        timer.clear()
+        timer.set(7 * MSEC)
+        assert sim.pending == 1
+        sim.run_all()
+        timer.set(1 * MSEC)                 # re-arm an expired timer
+        assert sim.pending == 1
+        sim.run_all()
+        assert fired == [7 * MSEC, 7 * MSEC + 1 * MSEC]
+        assert sim.processed_events == 2
+
+    def test_set_from_inside_its_own_callback(self, sim):
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            if len(fired) < 3:
+                timer.set(1 * MSEC)
+                assert sim.pending == 1
+
+        timer = Timer(sim, tick)
+        timer.set(1 * MSEC)
+        sim.run_all()
+        assert len(fired) == 3 and fired[0] == 1 * MSEC
+        assert sim.processed_events == 3 and sim.pending == 0
+
+    def test_zero_delay_and_same_instant_order(self, sim):
+        order = []
+        first = Timer(sim, order.append, "first")
+        second = Timer(sim, order.append, "second")
+        first.set(0.0)
+        sim.schedule(0.0, order.append, "event")
+        second.set(0.0)
+        sim.run_all()
+        assert order == ["first", "event", "second"]
+
+    def test_past_deadline_rejected(self, sim):
+        timer, _ = self._timer(sim)
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            timer.set(-1e-9)
+        with pytest.raises(SimulationError):
+            timer.set_at(0.5)
+        assert sim.pending == 0
 
 
 class TestPeriodicTask:

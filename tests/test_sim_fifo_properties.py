@@ -1,8 +1,8 @@
 """Property tests: the tiered event queue is one totally-ordered queue.
 
 The scheduler splits events across a now-queue and two heaps (near/far) by
-delay, and four scheduling APIs (``schedule``, ``at``, ``call_after``,
-``call_at``) feed it.  Hypothesis drives random mixes of API, delay and
+delay, and four ways to post (``schedule``, ``at``, ``call_after``, a
+one-shot ``Timer``) feed it.  Hypothesis drives random mixes of API, delay and
 nesting and asserts the one ordering contract every driver and channel in
 the reproduction depends on:
 
@@ -26,7 +26,7 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import Simulator
+from repro.sim.core import Simulator, Timer
 
 MAX_EXAMPLES = int(os.environ.get("CHAOS_MAX_EXAMPLES", "50"))
 
@@ -39,7 +39,7 @@ FIFO_SETTINGS = settings(max_examples=MAX_EXAMPLES, deadline=None,
 DELAYS = st.sampled_from([0.0, 0.0, 0.0, 1e-9, 1e-9, 5e-7, 1e-6, 1e-6,
                           3.9e-6, 4e-6, 1e-5, 1e-3])
 
-APIS = st.sampled_from(["schedule", "at", "call_after", "call_at"])
+APIS = st.sampled_from(["schedule", "at", "call_after", "timer"])
 
 
 def _issue(sim: Simulator, api: str, delay: float, fn):
@@ -50,7 +50,7 @@ def _issue(sim: Simulator, api: str, delay: float, fn):
         return sim.at(sim.now + delay, fn)
     if api == "call_after":
         return sim.call_after(delay, fn)
-    return sim.call_at(sim.now + delay, fn)
+    return Timer(sim, fn).set(delay)
 
 
 class TestSameTimestampFifo:

@@ -27,8 +27,11 @@ def main():
     pod.add_nic(storage_host)
     ssd = pod.add_ssd(storage_host)
     instance = pod.add_instance(compute_host, ip=SERVER_IP)
-    device = pod.add_block_device(instance, ssd)
-    print(f"instance on {compute_host.name} -> {ssd.name} on "
+    # No drive named: the allocator places the instance through the same
+    # entry point as its NIC -- place_instance(ip, host, demand, kind="ssd").
+    device = pod.add_block_device(instance)
+    assert pod.allocator.tables["ssd"].assignments[SERVER_IP] == ssd.name
+    print(f"instance on {compute_host.name} -> {device.backend_name} on "
           f"{storage_host.name} (remote block device)\n")
 
     # Write a log of 16 records.
@@ -85,6 +88,10 @@ def main():
           f"{outcome['status']:#x} after "
           f"{(outcome['at'] - failed_at) * 1e3:.1f} ms "
           f"(I/O error surfaced to the guest, §3.4)")
+    # The reservation outlives the dead drive (the data is on it) until the
+    # instance gives it up, again through the NICs' entry point.
+    pod.allocator.release_instance(SERVER_IP, instance.spec.ssd_tb, kind="ssd")
+    assert SERVER_IP not in pod.allocator.tables["ssd"].assignments
     pod.stop()
 
 

@@ -8,6 +8,11 @@ instances to the backup NIC, notifies every involved frontend driver and
 triggers MAC borrowing at the backup backend -- the sequence whose end-to-end
 latency is the ~38 ms interruption of Figure 13.
 
+NICs and SSDs are two kinds of one thing here: a placement is
+``place_instance(ip, host, demand, kind)``, a command names a ``device`` and
+the state machine finds its kind's table; what differs between kinds is
+whether an instance can move to another device (``policy.MOVABLE``).
+
 State lives in a :class:`~repro.core.control.state.ControlState` applied
 through an :class:`~repro.core.control.state.AllocatorStateMachine`, so the
 whole control plane is a deterministic command stream.  Two command classes:
@@ -38,8 +43,8 @@ from ...obs.trace import NULL_TRACER
 from ...sim.core import MSEC, Simulator, USEC
 from ..control import (AllocatorStateMachine, ControlState, EpochTable,
                        NotificationBus)
-from ..control.state import copy_device
-from .policy import DeviceState, PlacementPolicy
+from ..control.state import DeviceTable, copy_device
+from .policy import MOVABLE, DeviceState, PlacementPolicy
 from .telemetry import TelemetryStore
 
 __all__ = ["PodAllocator", "AllocatorClient"]
@@ -64,16 +69,15 @@ class PodAllocator:
         self.machine = AllocatorStateMachine(self.state)
         self.epochs = EpochTable()
         self.notify = NotificationBus(sim)
-        self.backends: Dict[str, object] = {}     # nic name -> backend driver
-        self.frontends: Dict[str, object] = {}    # host name -> frontend driver
-        self.storage_frontends: Dict[str, object] = {}
-        self.nic_macs: Dict[str, int] = {}
+        self.backends: Dict[str, object] = {}     # device name -> backend driver
+        #: kind -> host name -> that kind's frontend driver on the host
+        self.frontends: Dict[str, Dict[str, object]] = {
+            kind: {} for kind in MOVABLE}
         self.telemetry_store = TelemetryStore(cfg.telemetry_interval_ms * MSEC,
                                               cfg.host_failure_missed_telemetry)
         self.on_failover: Optional[Callable[[str, Optional[str]], None]] = None
         self._host_check_task = None
         self._lease_sweep_task = None
-        self.storage_backends: Dict[str, object] = {}
         # Replication: a Raft cluster with one replica state machine per node.
         self._raft_nodes: list = []
         self.replicas: Dict[str, AllocatorStateMachine] = {}
@@ -99,32 +103,24 @@ class PodAllocator:
     # -- replicated-state views ----------------------------------------------------
 
     @property
-    def devices(self) -> Dict[str, DeviceState]:
-        return self.state.devices
+    def tables(self) -> Dict[str, DeviceTable]:
+        return self.state.tables
 
     @property
-    def storage_devices(self) -> Dict[str, DeviceState]:
-        return self.state.storage_devices
+    def devices(self) -> Dict[str, DeviceState]:
+        return self.state.tables["nic"].devices
+
+    @property
+    def assignments(self) -> Dict[int, str]:
+        return self.state.tables["nic"].assignments
+
+    @property
+    def parked(self) -> Dict[int, tuple]:
+        return self.state.tables["nic"].parked
 
     @property
     def leases(self):
         return self.state.leases
-
-    @property
-    def assignments(self) -> Dict[int, str]:
-        return self.state.assignments
-
-    @property
-    def backup_assignments(self) -> Dict[int, str]:
-        return self.state.backup_assignments
-
-    @property
-    def storage_assignments(self) -> Dict[int, str]:
-        return self.state.storage_assignments
-
-    @property
-    def parked(self) -> Dict[int, tuple]:
-        return self.state.parked
 
     @property
     def failovers_executed(self) -> int:
@@ -180,26 +176,23 @@ class PodAllocator:
                 self._service_apply(command)
         return _apply
 
-    def register_backend(self, backend, capacity_gbps: float,
+    def register_backend(self, backend, capacity: float, kind: str = "nic",
                          is_backup: bool = False) -> None:
-        nic = backend.nic
-        device = DeviceState(
-            name=nic.name, host=backend.host.name, capacity=capacity_gbps,
-            is_backup=is_backup,
-        )
-        self.devices[nic.name] = device
+        """Pool ``backend``'s device (``capacity`` in Gbps for a NIC, TB for
+        an SSD).  Raises :class:`ConfigError` on a name any kind holds."""
+        name = backend.device_name
+        device = DeviceState(name=name, host=backend.host.name,
+                             capacity=capacity, is_backup=is_backup, kind=kind)
+        self.state.add_device(device)
         for replica in self.replicas.values():
-            replica.state.devices[nic.name] = copy_device(device)
-        self.backends[nic.name] = backend
-        self.nic_macs[nic.name] = nic.mac
-        if self.state.parked:
+            replica.state.add_device(copy_device(device))
+        self.backends[name] = backend
+        if self.state.tables[kind].parked:
             self.sim.schedule(0.0, self._retry_parked)
 
-    def register_frontend(self, host_name: str, frontend) -> None:
-        self.frontends[host_name] = frontend
-
-    def register_storage_frontend(self, host_name: str, frontend) -> None:
-        self.storage_frontends[host_name] = frontend
+    def register_frontend(self, host_name: str, frontend,
+                          kind: str = "nic") -> None:
+        self.frontends[kind][host_name] = frontend
 
     def start_host_monitor(self) -> None:
         """Infer host failures from missing telemetry records (§3.5)."""
@@ -378,121 +371,71 @@ class PodAllocator:
 
     # -- placement --------------------------------------------------------------------
 
-    def _device_heads(self, storage: bool = False) -> Optional[Dict[str, set]]:
+    def _device_heads(self, table: DeviceTable) -> Optional[Dict[str, set]]:
         """Hosts currently attached per device (the multi-headed-device port
         map).  Only materialised when the policy enforces a port limit."""
         if self.policy.port_limit is None:
             return None
-        table = (self.state.storage_assignments if storage
-                 else self.state.assignments)
         heads: Dict[str, set] = {}
-        for ip, device in table.items():
-            host = self.state.hosts.get(ip)
+        for ip, device in table.assignments.items():
+            host = table.hosts.get(ip)
             if host is not None:
                 heads.setdefault(device, set()).add(host)
         return heads
 
-    def choose_backup_name(self, exclude: str) -> Optional[str]:
-        """Pick a backup device name for a pinned placement (pod helper)."""
-        backup = self.policy.choose_backup(self.devices, exclude=exclude)
-        return backup.name if backup else None
+    def place_instance(self, ip: int, host_name: str, demand: float,
+                       kind: str = "nic", device: Optional[str] = None) -> tuple:
+        """Grant ``ip`` a device of ``kind`` (demand in Gbps for a NIC, TB
+        for an SSD): the operator-chosen ``device``, else the policy's pick.
+        A movable kind also gets a backup.  Returns (device, backup) names;
+        the minted epoch is ``epochs.entry(device, ip)``."""
+        return self._grant("place", ip, host_name, demand,
+                           self.state.tables[kind], device)
 
-    def place_instance(self, ip: int, host_name: str, nic_demand_gbps: float) -> tuple:
-        """Allocate a (primary, backup) NIC pair for a new instance."""
-        device = self.policy.choose(self.devices, host_name, nic_demand_gbps,
-                                    heads=self._device_heads())
-        backup = self.policy.choose_backup(self.devices, exclude=device.name)
+    def _grant(self, op: str, ip: int, host_name: str, demand: float,
+               table: DeviceTable, device: Optional[str]) -> tuple:
+        if device is None:
+            device = self.policy.choose(table.devices, host_name, demand,
+                                        heads=self._device_heads(table)).name
+        elif device not in table.devices:
+            raise AllocationError(f"no pooled {table.kind} is named {device!r}")
+        backup = (self.policy.choose_backup(table.devices, exclude=device)
+                  if table.movable else None)
+        backup_name = backup.name if backup else None
         self._decide_commit({
-            "op": "place", "ip": ip, "host": host_name, "nic": device.name,
-            "backup": backup.name if backup else None,
-            "demand": nic_demand_gbps, "epoch": self._next_epoch(device.name),
+            "op": op, "ip": ip, "host": host_name, "device": device,
+            "backup": backup_name, "demand": demand,
+            "epoch": self._next_epoch(device),
         })
-        return device.name, backup.name if backup else None
+        return device, backup_name
 
-    def place_pinned(self, ip: int, host_name: str, nic_name: str,
-                     nic_demand_gbps: float = 0.0,
-                     backup: Optional[str] = None) -> int:
-        """Grant ``ip`` on an operator-chosen NIC; returns the minted epoch."""
-        epoch = self._next_epoch(nic_name)
-        self._decide_commit({
-            "op": "place", "ip": ip, "host": host_name, "nic": nic_name,
-            "backup": backup, "demand": nic_demand_gbps, "epoch": epoch,
-        })
-        return epoch
-
-    # -- storage placement (§3.4) -----------------------------------------------
-
-    def register_storage_backend(self, backend, capacity_tb: float) -> None:
-        ssd = backend.ssd
-        device = DeviceState(
-            name=ssd.name, host=backend.host.name, capacity=capacity_tb,
-        )
-        self.storage_devices[ssd.name] = device
-        for replica in self.replicas.values():
-            replica.state.storage_devices[ssd.name] = copy_device(device)
-        self.storage_backends[ssd.name] = backend
-
-    def place_storage(self, ip: int, host_name: str, ssd_demand_tb: float) -> str:
-        """Allocate an SSD for a new instance; returns the device name."""
-        device = self.policy.choose(self.storage_devices, host_name,
-                                    ssd_demand_tb,
-                                    heads=self._device_heads(storage=True))
-        self._decide_commit({
-            "op": "place-storage", "ip": ip, "host": host_name,
-            "ssd": device.name, "demand": ssd_demand_tb,
-            "epoch": self._next_epoch(device.name),
-        })
-        return device.name
-
-    def place_pinned_storage(self, ip: int, host_name: str, ssd_name: str,
-                             ssd_demand_tb: float = 0.0) -> int:
-        """Grant ``ip`` on an operator-chosen SSD; returns the minted epoch."""
-        epoch = self._next_epoch(ssd_name)
-        self._decide_commit({
-            "op": "place-storage", "ip": ip, "host": host_name,
-            "ssd": ssd_name, "demand": ssd_demand_tb, "epoch": epoch,
-        })
-        return epoch
-
-    def release_storage(self, ip: int, ssd_demand_tb: float) -> None:
-        ssd = self.storage_assignments.get(ip)
-        if ssd is not None:
-            self._decide_commit({
-                "op": "release-storage", "ip": ip, "ssd": ssd,
-                "demand": ssd_demand_tb,
-                "revoke_epoch": self._next_epoch(ssd),
-            })
-
-    def on_storage_telemetry(self, record: dict) -> None:
-        self.telemetry_store.ingest(record)
-        device = self.storage_devices.get(record["nic"])
+    def release_instance(self, ip: int, demand: float,
+                         kind: str = "nic") -> None:
+        device = self.state.tables[kind].assignments.get(ip)
         if device is not None:
-            device.measured_load = record.get("tx_bw", 0.0) + record.get("rx_bw", 0.0)
-
-    def release_instance(self, ip: int, nic_demand_gbps: float) -> None:
-        nic = self.assignments.get(ip)
-        if nic is not None:
             self._decide_commit({
-                "op": "release", "ip": ip, "nic": nic,
-                "demand": nic_demand_gbps,
-                "revoke_epoch": self._next_epoch(nic),
+                "op": "release", "ip": ip, "device": device,
+                "demand": demand,
+                "revoke_epoch": self._next_epoch(device),
             })
 
     # -- telemetry ----------------------------------------------------------------------
 
     def on_telemetry(self, record: dict) -> None:
         self.telemetry_store.ingest(record)
-        device = self.devices.get(record["nic"])
-        if device is not None:
+        table = self.state.table_of.get(record["device"])
+        if table is not None:
+            device = table.devices[record["device"]]
             device.measured_load = record.get("tx_bw", 0.0) + record.get("rx_bw", 0.0)
+            device.link_up = record.get("link_up", True)
 
     def on_frontend_telemetry(self, record: dict) -> None:
         """Frontends renew their instances' leases; device backends cannot
         vouch for the writers, only for themselves."""
         now = self.sim.now
         for ip in record.get("ips", []):
-            for table in (self.assignments, self.storage_assignments):
-                device = table.get(ip)
+            for table in self.state.tables.values():
+                device = table.assignments.get(ip)
                 if device is None:
                     continue
                 lease = self.state.leases.get(ip, device)
@@ -501,43 +444,47 @@ class PodAllocator:
 
     def _check_hosts(self) -> None:
         for host in self.telemetry_store.dead_hosts(self.sim.now):
-            for device in list(self.devices.values()):
-                if device.host == host and not device.failed:
-                    self.on_failure_report(device.name)
+            for table in self.state.tables.values():
+                for device in list(table.devices.values()):
+                    if device.host != host:
+                        continue
+                    device.link_up = False
+                    if not device.failed:
+                        self.on_failure_report(device.name)
             # Avoid re-triggering every tick.
             self.telemetry_store.mark_seen(host, self.sim.now)
 
     # -- failure management (§3.3.3) --------------------------------------------------------
 
-    def on_failure_report(self, nic_name: str) -> None:
-        """A backend reported its NIC down (or a host went silent)."""
-        device = self.devices.get(nic_name)
-        if device is None:
+    def on_failure_report(self, name: str) -> None:
+        """A backend reported its device down (or a host went silent).  Only
+        a movable kind fails over; for the rest ``link_up`` already keeps
+        new placements away."""
+        table = self.state.table_of.get(name)
+        if table is None or not table.movable:
             return
-        if device.failed or nic_name in self._failover_inflight:
+        device = table.devices[name]
+        if device.failed or name in self._failover_inflight:
             self.duplicate_reports += 1
             return
         device.failed = True
-        self._failover_inflight.add(nic_name)
+        self._failover_inflight.add(name)
         # Close the backend's report span (no-op for the silent-host path,
         # which never opened one) and open the allocator-processing span.
-        self.tracer.end("failover.report", key=nic_name)
-        self.tracer.begin("failover.process", key=nic_name,
-                          category="failover", track="failover", nic=nic_name)
+        self.tracer.end("failover.report", key=name)
+        self.tracer.begin("failover.process", key=name,
+                          category="failover", track="failover", nic=name)
         processing = self.config.failover.allocator_processing_ms * MSEC
-        self.sim.schedule(processing, self._commit_failover, nic_name)
+        self.sim.schedule(processing, self._commit_failover, name, table)
 
-    def _commit_failover(self, nic_name: str) -> None:
-        device = self.devices.get(nic_name)
-        if device is None:
-            return
-        backup = self.policy.choose_backup(self.devices, exclude=nic_name)
-        moved_ips = sorted(ip for ip, nic in self.assignments.items()
-                           if nic == nic_name)
+    def _commit_failover(self, name: str, table: DeviceTable) -> None:
+        backup = self.policy.choose_backup(table.devices, exclude=name)
+        moved_ips = sorted(ip for ip, device in table.assignments.items()
+                           if device == name)
         self._commit({
-            "op": "failover", "nic": nic_name,
+            "op": "failover", "device": name,
             "backup": backup.name if backup else None,
-            "revoke_epoch": self._next_epoch(nic_name),
+            "revoke_epoch": self._next_epoch(name),
             "moved": [[ip, self._next_epoch(backup.name) if backup else 0]
                       for ip in moved_ips],
         })
@@ -545,57 +492,43 @@ class PodAllocator:
     # -- side effects (leader-only, exactly once per cid) ---------------------------
 
     def _execute_effects(self, command: dict) -> None:
-        op = command.get("op", "")
-        handler = getattr(self, "_effects_" + op.replace("-", "_"), None)
+        handler = getattr(self, "_effects_" + command.get("op", ""), None)
         if handler is not None:
             handler(command)
 
     def _effects_place(self, cmd: dict) -> None:
-        self.epochs.publish_grant(cmd["nic"], cmd["ip"], cmd.get("epoch", 0))
-        self.tracer.instant("alloc.place", category="allocator",
-                            track="allocator", ip=cmd["ip"], nic=cmd["nic"],
-                            backup=cmd.get("backup"))
+        self.epochs.publish_grant(cmd["device"], cmd["ip"], cmd.get("epoch", 0))
+        if self.state.table_of[cmd["device"]].movable:
+            self.tracer.instant("alloc.place", category="allocator",
+                                track="allocator", ip=cmd["ip"],
+                                nic=cmd["device"], backup=cmd.get("backup"))
 
     def _effects_reacquire(self, cmd: dict) -> None:
         cfg = self.config.failover
-        self.epochs.publish_grant(cmd["nic"], cmd["ip"], cmd.get("epoch", 0))
-        host = cmd.get("host")
-        backend = self.backends.get(cmd["nic"])
-        if backend is not None and host is not None:
-            backend.register_instance(cmd["ip"], host)
-        frontend = self.frontends.get(host)
+        ip, device, host = cmd["ip"], cmd["device"], cmd.get("host")
+        table = self.state.table_of[device]
+        self.epochs.publish_grant(device, ip, cmd.get("epoch", 0))
+        backend = self.backends.get(device)
+        if table.movable and backend is not None and host is not None:
+            # The instance may be new to this device.
+            backend.register_instance(ip, host)
+        frontend = self.frontends[table.kind].get(host)
         if frontend is not None:
             self.notify.send(host, cfg.notify_frontend_ms * MSEC,
-                             frontend.sync_instance, cmd["ip"], cmd["nic"],
+                             frontend.sync_instance, ip, device,
                              cmd.get("epoch", 0))
-        self.tracer.instant("failover.reacquire", category="failover",
-                            track="failover", ip=cmd["ip"], nic=cmd["nic"])
-
-    def _effects_place_storage(self, cmd: dict) -> None:
-        self.epochs.publish_grant(cmd["ssd"], cmd["ip"], cmd.get("epoch", 0))
-
-    def _effects_reacquire_storage(self, cmd: dict) -> None:
-        cfg = self.config.failover
-        self.epochs.publish_grant(cmd["ssd"], cmd["ip"], cmd.get("epoch", 0))
-        host = cmd.get("host")
-        frontend = self.storage_frontends.get(host)
-        if frontend is not None:
-            self.notify.send(host, cfg.notify_frontend_ms * MSEC,
-                             frontend.set_stamp, cmd["ssd"], cmd["ip"],
-                             cmd.get("epoch", 0))
+        if table.movable:
+            self.tracer.instant("failover.reacquire", category="failover",
+                                track="failover", ip=ip, nic=device)
 
     def _effects_release(self, cmd: dict) -> None:
-        self.epochs.publish_revoke(cmd["nic"], cmd["ip"],
-                                   cmd.get("revoke_epoch", 0))
-
-    def _effects_release_storage(self, cmd: dict) -> None:
-        self.epochs.publish_revoke(cmd["ssd"], cmd["ip"],
+        self.epochs.publish_revoke(cmd["device"], cmd["ip"],
                                    cmd.get("revoke_epoch", 0))
 
     def _effects_migrate(self, cmd: dict) -> None:
         ip, old, new = cmd["ip"], cmd["old"], cmd["new"]
         backend = self.backends.get(new)
-        frontend = self.frontends.get(cmd.get("host"))
+        frontend = self.frontends["nic"].get(cmd.get("host"))
         self.epochs.publish_grant(new, ip, cmd.get("grant_epoch", 0))
         if backend is not None and frontend is not None:
             backend.register_instance(ip, frontend.host.name)
@@ -611,7 +544,9 @@ class PodAllocator:
 
     def _effects_failover(self, cmd: dict) -> None:
         cfg = self.config.failover
-        nic_name = cmd["nic"]
+        nic_name = cmd["device"]
+        # Only NICs fail over.
+        frontends, hosts = self.frontends["nic"], self.state.tables["nic"].hosts
         info = self.machine.last_failover or {"backup": None, "moved": []}
         self._failover_inflight.discard(nic_name)
         backup_name = info.get("backup")
@@ -629,7 +564,7 @@ class PodAllocator:
             self.tracer.instant("failover.no_backup", category="failover",
                                 track="failover", nic=nic_name,
                                 parked=len(moved))
-            for host, frontend in self.frontends.items():
+            for host, frontend in frontends.items():
                 self.notify.send(host, cfg.notify_frontend_ms * MSEC,
                                  frontend.fail_over, nic_name, None, {})
             if self.on_failover is not None:
@@ -649,27 +584,27 @@ class PodAllocator:
         backup_backend = self.backends.get(backup_name)
         if backup_backend is not None:
             for ip in epoch_map:
-                host = self.state.hosts.get(ip)
+                host = hosts.get(ip)
                 if host is not None:
                     backup_backend.register_instance(ip, host)
         # Notify every frontend using the failed NIC; they atomically reroute
         # TX traffic (buffers are already in shared CXL memory) to the
         # replacement we picked, adopting the new fencing epochs.
-        for host, frontend in self.frontends.items():
+        for host, frontend in frontends.items():
             self.notify.send(host, cfg.notify_frontend_ms * MSEC,
                              frontend.fail_over, nic_name, backup_name,
                              epoch_map)
         # The backup NIC borrows the failed NIC's MAC so the switch reroutes
         # RX packets without application involvement.
-        failed_mac = self.nic_macs.get(nic_name)
-        if backup_backend is not None and failed_mac is not None:
+        failed_backend = self.backends.get(nic_name)
+        if backup_backend is not None and failed_backend is not None:
             self.sim.schedule(cfg.mac_borrow_ms * MSEC,
-                              backup_backend.borrow_mac, failed_mac)
+                              backup_backend.borrow_mac, failed_backend.nic.mac)
         if self.on_failover is not None:
             self.on_failover(nic_name, backup_name)
 
     def _effects_expire(self, cmd: dict) -> None:
-        for ip, device, revoke_epoch, _kind in cmd.get("entries", []):
+        for ip, device, revoke_epoch in cmd.get("entries", []):
             self.epochs.publish_revoke(device, ip, revoke_epoch)
             self.tracer.instant("lease.expire", category="allocator",
                                 track="allocator", ip=ip, device=device)
@@ -677,91 +612,58 @@ class PodAllocator:
     # -- lease lifecycle ----------------------------------------------------------
 
     def _sweep_leases(self) -> None:
-        now = self.sim.now
-        entries = []
-        for lease in self.state.leases.expired(now):
-            device = lease.device
-            if device in self.devices:
-                kind = "nic"
-            elif device in self.storage_devices:
-                kind = "ssd"
-            else:
-                continue
-            entries.append([lease.instance_ip, device,
-                            self._next_epoch(device), kind])
+        entries = [[lease.instance_ip, lease.device,
+                    self._next_epoch(lease.device)]
+                   for lease in self.state.leases.expired(self.sim.now)
+                   if lease.device in self.state.table_of]
         if entries:
             entries.sort()
             self._decide_commit({"op": "expire", "entries": entries})
-        if self.state.parked:
-            self._retry_parked()
+        self._retry_parked()
 
     def _retry_parked(self) -> None:
-        for ip, (host, demand) in sorted(self.state.parked.items()):
-            self._reacquire(ip, host)
+        for table in self.state.tables.values():
+            for ip, (host, _demand) in sorted(table.parked.items()):
+                self._reacquire(ip, host, table)
 
-    def _reacquire(self, ip: int, host_name: Optional[str]) -> bool:
-        entry = self.state.parked.get(ip)
-        demand = entry[1] if entry is not None else self.state.demands.get(ip, 0.0)
+    def _reacquire(self, ip: int, host_name: Optional[str],
+                   table: DeviceTable) -> None:
+        """Grant ``ip`` a fresh epoch: on whatever the policy picks now if
+        its kind can move, else on the device that holds its data."""
+        entry = table.parked.get(ip)
+        demand = entry[1] if entry is not None else table.demands.get(ip, 0.0)
         host = (entry[0] if entry is not None and entry[0] else host_name) or ""
+        device = None if table.movable else table.assignments[ip]
         try:
-            device = self.policy.choose(self.devices, host, demand,
-                                        heads=self._device_heads())
+            self._grant("reacquire", ip, host, demand, table, device)
         except AllocationError:
-            return False
-        backup = self.policy.choose_backup(self.devices, exclude=device.name)
-        self._decide_commit({
-            "op": "reacquire", "ip": ip, "host": host, "nic": device.name,
-            "backup": backup.name if backup else None, "demand": demand,
-            "epoch": self._next_epoch(device.name),
-        })
-        return True
+            pass    # nowhere to go yet: stays parked for the next retry
 
-    def resync_instance(self, ip: int, host_name: str) -> None:
+    def resync(self, ip: int, host_name: str, kind: str = "nic") -> None:
         """A fenced frontend asked where instance ``ip`` lives now."""
         cfg = self.config.failover
-        now = self.sim.now
-        nic = self.assignments.get(ip)
-        if nic is not None and not self.devices[nic].failed:
-            lease = self.state.leases.get(ip, nic)
-            if lease is not None and lease.valid(now):
+        table = self.state.tables[kind]
+        device = table.assignments.get(ip)
+        if device is not None and not table.devices[device].failed:
+            lease = self.state.leases.get(ip, device)
+            if lease is not None and lease.valid(self.sim.now):
                 # The frontend just missed a notification: resend it.
-                frontend = self.frontends.get(host_name)
+                frontend = self.frontends[kind].get(host_name)
                 if frontend is not None:
-                    epoch = self.epochs.entry(nic, ip) or lease.epoch
+                    epoch = self.epochs.entry(device, ip) or lease.epoch
                     self.notify.send(host_name, cfg.notify_frontend_ms * MSEC,
-                                     frontend.sync_instance, ip, nic, epoch)
+                                     frontend.sync_instance, ip, device, epoch)
                 return
-            # Expired under the frontend: revoke, then re-acquire fresh --
-            # never silently reuse a dead lease.
-            self._decide_commit({"op": "expire", "entries": [
-                [ip, nic, self._next_epoch(nic), "nic"]]})
-            self._reacquire(ip, host_name)
-            return
-        if nic is None or ip in self.state.parked:
-            self._reacquire(ip, host_name)
+            if table.movable:
+                # Expired under the frontend: revoke, then re-acquire fresh
+                # -- never silently reuse a dead lease.
+                self._decide_commit({"op": "expire", "entries": [
+                    [ip, device, self._next_epoch(device)]]})
+            self._reacquire(ip, host_name, table)
+        elif table.movable and (device is None or ip in table.parked):
+            self._reacquire(ip, host_name, table)
         # Otherwise the device failed but its failover has not applied yet;
         # the failover (or a later resync) will re-home the instance.
-
-    def resync_storage(self, ip: int, host_name: str) -> None:
-        """A fenced storage frontend asked for a fresh grant."""
-        cfg = self.config.failover
-        now = self.sim.now
-        ssd = self.storage_assignments.get(ip)
-        if ssd is None:
-            return
-        lease = self.state.leases.get(ip, ssd)
-        if lease is not None and lease.valid(now):
-            frontend = self.storage_frontends.get(host_name)
-            if frontend is not None:
-                epoch = self.epochs.entry(ssd, ip) or lease.epoch
-                self.notify.send(host_name, cfg.notify_frontend_ms * MSEC,
-                                 frontend.set_stamp, ssd, ip, epoch)
-            return
-        self._decide_commit({
-            "op": "reacquire-storage", "ip": ip, "host": host_name,
-            "ssd": ssd, "demand": self.state.storage_demands.get(ip, 0.0),
-            "epoch": self._next_epoch(ssd),
-        })
 
     # -- load balancing (§3.3.4) ------------------------------------------------------------------
 
@@ -778,61 +680,34 @@ class PodAllocator:
             "grant_epoch": self._next_epoch(new_nic),
         })
 
-    def rebalance_once(self, demand_gbps: float = 0.0) -> Optional[tuple]:
-        """Move one instance from the most- to the least-loaded NIC."""
-        candidates = [d for d in self.devices.values()
-                      if not d.failed and not d.is_backup]
-        if len(candidates) < 2:
-            return None
-        hottest = max(candidates, key=lambda d: d.measured_load)
-        coldest = min(candidates, key=lambda d: d.measured_load)
-        if hottest.name == coldest.name:
-            return None
-        victims = [ip for ip, nic in self.assignments.items()
-                   if nic == hottest.name]
-        if not victims:
-            return None
-        ip = victims[0]
-        self.migrate(ip, coldest.name, demand_gbps)
-        return ip, hottest.name, coldest.name
-
     def _frontend_of(self, ip: int):
-        for frontend in self.frontends.values():
+        for frontend in self.frontends["nic"].values():
             if ip in frontend._records:
                 return frontend
         raise AllocationError(f"no frontend knows instance {ip}")
 
 
 class AllocatorClient:
-    """Driver-side stub: models the channel hop to the allocator (§3.2.2).
-
-    ``storage=True`` routes telemetry to the storage-device table.
-    """
+    """Driver-side stub: models the channel hop to the allocator (§3.2.2)."""
 
     def __init__(self, sim: Simulator, allocator: PodAllocator,
-                 latency_us: float = 5.0, storage: bool = False):
+                 latency_us: float = 5.0):
         self.sim = sim
         self.allocator = allocator
         self.latency_s = latency_us * USEC
-        self.storage = storage
 
     def report_failure(self, backend) -> None:
         self.sim.schedule(self.latency_s, self.allocator.on_failure_report,
-                          backend.nic.name)
+                          backend.device_name)
 
     def telemetry(self, backend, record: dict) -> None:
-        target = (self.allocator.on_storage_telemetry if self.storage
-                  else self.allocator.on_telemetry)
-        self.sim.schedule(self.latency_s, target, record)
+        self.sim.schedule(self.latency_s, self.allocator.on_telemetry, record)
 
     def frontend_telemetry(self, record: dict) -> None:
         self.sim.schedule(self.latency_s, self.allocator.on_frontend_telemetry,
                           record)
 
-    def request_resync(self, ip: int, host_name: str) -> None:
-        self.sim.schedule(self.latency_s, self.allocator.resync_instance,
-                          ip, host_name)
-
-    def request_storage_resync(self, ip: int, host_name: str) -> None:
-        self.sim.schedule(self.latency_s, self.allocator.resync_storage,
-                          ip, host_name)
+    def request_resync(self, ip: int, host_name: str,
+                       kind: str = "nic") -> None:
+        self.sim.schedule(self.latency_s, self.allocator.resync,
+                          ip, host_name, kind)

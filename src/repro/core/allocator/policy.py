@@ -15,7 +15,16 @@ from typing import Dict, List, Optional
 
 from ...errors import AllocationError
 
-__all__ = ["DeviceState", "PlacementPolicy"]
+__all__ = ["DeviceState", "MOVABLE", "PlacementPolicy"]
+
+#: The device kinds, in table order, and the one fact the control plane
+#: knows about a kind: can an instance move to another device of it?  NICs
+#: are interchangeable, so a NIC placement carries a backup, a failed NIC
+#: fails over and an instance whose NIC lease expired is parked until it is
+#: placed again.  An SSD holds the instance's data: no backup, no failover,
+#: the assignment outlives an expired lease and a re-grant is on the same
+#: drive.
+MOVABLE = {"nic": True, "ssd": False}
 
 
 @dataclass
@@ -29,6 +38,11 @@ class DeviceState:
     is_backup: bool = False
     failed: bool = False
     measured_load: float = 0.0    # refreshed from telemetry
+    kind: str = "nic"
+    #: Link health from the device's latest telemetry record (or its host
+    #: going silent).  Like ``measured_load`` it is never replicated; it only
+    #: keeps *new* placements off the device.
+    link_up: bool = True
 
     @property
     def free(self) -> float:
@@ -59,7 +73,7 @@ class PlacementPolicy:
         return device.allocated + demand <= limit
 
     def _eligible(self, device: DeviceState, host: str) -> bool:
-        if device.failed:
+        if device.failed or not device.link_up:
             return False
         if device.is_backup and device.host != host:
             return False  # backups serve only node-local instances

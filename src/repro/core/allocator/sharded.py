@@ -14,8 +14,8 @@ group's allocator directly, and the invariant checker and fault injector
 walk ``pod.groups``.  What is left for :class:`ShardedAllocator` is what a
 caller that holds only a host name, an instance ip or a device name needs:
 
-* routing -- ``place_instance`` by host, ``release_*`` by the shard holding
-  the assignment, ``on_failure_report`` by device;
+* routing -- ``place_instance`` by host, ``release_instance`` by the shard
+  holding the assignment, ``on_failure_report`` by device;
 * the start/stop fan-out;
 * the rack-wide roll-ups the rack experiment and the benchmark read:
   ``commit_latencies``, ``batches_proposed``, ``pending_commands``,
@@ -43,28 +43,25 @@ class ShardedAllocator:
 
     def _shard_of_ip(self, ip: int) -> Optional[PodAllocator]:
         for shard in self.shards.values():
-            if (ip in shard.state.assignments or ip in shard.state.parked
-                    or ip in shard.state.storage_assignments):
-                return shard
+            for table in shard.state.tables.values():
+                if ip in table.assignments or ip in table.parked:
+                    return shard
         return None
 
-    def place_instance(self, ip: int, host_name: str,
-                       nic_demand_gbps: float) -> tuple:
+    def place_instance(self, ip: int, host_name: str, demand: float,
+                       kind: str = "nic", device: Optional[str] = None) -> tuple:
         # A host registers its frontend with its own group's allocator.
         for shard in self.shards.values():
-            if host_name in shard.frontends:
-                return shard.place_instance(ip, host_name, nic_demand_gbps)
+            if host_name in shard.frontends["nic"]:
+                return shard.place_instance(ip, host_name, demand, kind,
+                                            device)
         raise KeyError(f"no pool group holds host {host_name!r}")
 
-    def release_instance(self, ip: int, nic_demand_gbps: float) -> None:
+    def release_instance(self, ip: int, demand: float,
+                         kind: str = "nic") -> None:
         shard = self._shard_of_ip(ip)
         if shard is not None:
-            shard.release_instance(ip, nic_demand_gbps)
-
-    def release_storage(self, ip: int, ssd_demand_tb: float) -> None:
-        shard = self._shard_of_ip(ip)
-        if shard is not None:
-            shard.release_storage(ip, ssd_demand_tb)
+            shard.release_instance(ip, demand, kind)
 
     def on_failure_report(self, nic_name: str) -> None:
         for shard in self.shards.values():

@@ -20,21 +20,21 @@ class TelemetryStore:
     def __init__(self, interval_s: float, missed_threshold: int = 3):
         self.interval_s = interval_s
         self.missed_threshold = missed_threshold
-        self._latest: Dict[str, dict] = {}       # nic name -> record
+        self._latest: Dict[str, dict] = {}       # device name -> record
         self._host_last_seen: Dict[str, float] = {}
         self.records_ingested = 0
 
     def ingest(self, record: dict) -> None:
-        self._latest[record["nic"]] = record
+        self._latest[record["device"]] = record
         self._host_last_seen[record["host"]] = record["time"]
         self.records_ingested += 1
 
-    def latest(self, nic: str) -> Optional[dict]:
-        return self._latest.get(nic)
+    def latest(self, device: str) -> Optional[dict]:
+        return self._latest.get(device)
 
-    def load_of(self, nic: str) -> float:
+    def load_of(self, device: str) -> float:
         """Most recent tx+rx bandwidth in bytes/s (0 if never reported)."""
-        record = self._latest.get(nic)
+        record = self._latest.get(device)
         if record is None:
             return 0.0
         return record.get("tx_bw", 0.0) + record.get("rx_bw", 0.0)

@@ -24,18 +24,51 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ...errors import ConfigError
 from ..allocator.leases import Lease, LeaseTable
-from ..allocator.policy import DeviceState
+from ..allocator.policy import MOVABLE, DeviceState
 
-__all__ = ["ControlState", "AllocatorStateMachine", "copy_device"]
+__all__ = ["ControlState", "DeviceTable", "AllocatorStateMachine",
+           "copy_device"]
 
 
 def copy_device(device: DeviceState) -> DeviceState:
     clone = DeviceState(name=device.name, host=device.host,
-                        capacity=device.capacity, is_backup=device.is_backup)
+                        capacity=device.capacity, is_backup=device.is_backup,
+                        kind=device.kind)
     clone.allocated = device.allocated
     clone.failed = device.failed
     return clone
+
+
+@dataclass
+class DeviceTable:
+    """The replicated state of one device kind."""
+
+    kind: str
+    movable: bool
+    devices: Dict[str, DeviceState] = field(default_factory=dict)
+    assignments: Dict[int, str] = field(default_factory=dict)   # ip -> device
+    backups: Dict[int, str] = field(default_factory=dict)
+    demands: Dict[int, float] = field(default_factory=dict)
+    hosts: Dict[int, str] = field(default_factory=dict)         # ip -> host name
+    #: Instances that lost their device with nowhere to go: ip -> (host,
+    #: demand).  Re-placed when capacity appears (§ graceful degradation);
+    #: only a movable kind ever parks.
+    parked: Dict[int, Tuple[Optional[str], float]] = field(default_factory=dict)
+
+    def snapshot(self) -> dict:
+        return {
+            "devices": [[d.name, d.host, d.capacity, d.allocated,
+                         d.is_backup, d.failed]
+                        for d in self.devices.values()],
+            "assignments": sorted(self.assignments.items()),
+            "backups": sorted(self.backups.items()),
+            "demands": sorted(self.demands.items()),
+            "hosts": sorted(self.hosts.items()),
+            "parked": [[ip, host, demand]
+                       for ip, (host, demand) in sorted(self.parked.items())],
+        }
 
 
 @dataclass
@@ -43,18 +76,12 @@ class ControlState:
     """Everything the allocator must not lose across a crash."""
 
     lease_ttl_s: float
-    devices: Dict[str, DeviceState] = field(default_factory=dict)
-    storage_devices: Dict[str, DeviceState] = field(default_factory=dict)
+    #: One table per device kind.  A command names a device, never a kind:
+    #: names are unique across kinds, ``table_of`` maps each to its table.
+    tables: Dict[str, DeviceTable] = field(default_factory=lambda: {
+        kind: DeviceTable(kind, movable) for kind, movable in MOVABLE.items()})
+    table_of: Dict[str, DeviceTable] = field(default_factory=dict)
     leases: LeaseTable = field(init=False)
-    assignments: Dict[int, str] = field(default_factory=dict)
-    backup_assignments: Dict[int, str] = field(default_factory=dict)
-    storage_assignments: Dict[int, str] = field(default_factory=dict)
-    demands: Dict[int, float] = field(default_factory=dict)
-    storage_demands: Dict[int, float] = field(default_factory=dict)
-    hosts: Dict[int, str] = field(default_factory=dict)   # ip -> host name
-    #: Instances whose device failed with no backup available: ip -> (host,
-    #: demand).  Re-placed when capacity appears (§ graceful degradation).
-    parked: Dict[int, Tuple[Optional[str], float]] = field(default_factory=dict)
     #: Dedup window: the applied cids at or above ``applied_mark``; every cid
     #: below the mark was applied here and cannot be proposed again.  Not in
     #: :meth:`signature`: the canonical machine applies before it sees marks.
@@ -72,6 +99,17 @@ class ControlState:
     def __post_init__(self):
         self.leases = LeaseTable(self.lease_ttl_s)
 
+    def add_device(self, device: DeviceState) -> None:
+        """Register ``device`` in its kind's table.  Leases, epochs and
+        telemetry are keyed by the bare name, so it must be new to every
+        kind."""
+        if device.name in self.table_of:
+            raise ConfigError(f"device name {device.name!r} is already "
+                              f"registered")
+        table = self.tables[device.kind]
+        table.devices[device.name] = device
+        self.table_of[device.name] = table
+
     def advance_mark(self, mark: int) -> None:
         """Raise the low-water mark and forget the cids that fell below it
         (cids are consecutive, so the total work is one step per cid)."""
@@ -86,25 +124,22 @@ class ControlState:
 
         Deliberately excludes wall-clock-dependent fields that legitimately
         differ between the canonical machine and replicas (lease expiry
-        times renewed by frontend telemetry, measured load from telemetry).
+        times renewed by frontend telemetry, measured load and link health
+        from telemetry).
         """
         leases = tuple(sorted(
             (ip, dev, lease.epoch, lease.revoked)
             for (ip, dev), lease in self.leases._by_key.items()
         ))
-        devices = tuple(sorted(
-            (d.name, d.failed, d.is_backup, round(d.allocated, 6))
-            for d in self.devices.values()
-        ))
-        storage = tuple(sorted(
-            (d.name, d.failed, round(d.allocated, 6))
-            for d in self.storage_devices.values()
-        ))
+        tables = tuple(
+            (kind,
+             tuple(sorted((d.name, d.failed, d.is_backup, round(d.allocated, 6))
+                          for d in table.devices.values())),
+             tuple(sorted(table.assignments.items())),
+             tuple(sorted(table.parked.items())))
+            for kind, table in self.tables.items())
         return (
-            devices, storage, leases,
-            tuple(sorted(self.assignments.items())),
-            tuple(sorted(self.storage_assignments.items())),
-            tuple(sorted(self.parked.items())),
+            tables, leases,
             self.failovers_executed, self.migrations_executed,
             tuple(sorted(self.failover_log.items())),
             tuple(sorted(self.epochs_seen.items())),
@@ -116,23 +151,11 @@ class ControlState:
         """A JSON-able snapshot; :meth:`restore` rebuilds an identical state."""
         return {
             "lease_ttl_s": self.lease_ttl_s,
-            "devices": [[d.name, d.host, d.capacity, d.allocated,
-                         d.is_backup, d.failed]
-                        for d in self.devices.values()],
-            "storage_devices": [[d.name, d.host, d.capacity, d.allocated,
-                                 d.is_backup, d.failed]
-                                for d in self.storage_devices.values()],
+            "tables": {kind: table.snapshot()
+                       for kind, table in self.tables.items()},
             "leases": [[ip, dev, lease.granted_at, lease.expires_at,
                         lease.epoch, lease.revoked]
                        for (ip, dev), lease in self.leases._by_key.items()],
-            "assignments": sorted(self.assignments.items()),
-            "backup_assignments": sorted(self.backup_assignments.items()),
-            "storage_assignments": sorted(self.storage_assignments.items()),
-            "demands": sorted(self.demands.items()),
-            "storage_demands": sorted(self.storage_demands.items()),
-            "hosts": sorted(self.hosts.items()),
-            "parked": [[ip, host, demand]
-                       for ip, (host, demand) in sorted(self.parked.items())],
             "applied_cids": sorted(self.applied_cids),
             "applied_mark": self.applied_mark,
             "failovers_executed": self.failovers_executed,
@@ -145,35 +168,26 @@ class ControlState:
     @classmethod
     def restore(cls, snap: dict) -> "ControlState":
         state = cls(lease_ttl_s=snap["lease_ttl_s"])
-        for name, host, capacity, allocated, is_backup, failed in snap["devices"]:
-            device = DeviceState(name=name, host=host, capacity=capacity,
-                                 is_backup=is_backup)
-            device.allocated = allocated
-            device.failed = failed
-            state.devices[name] = device
-        for name, host, capacity, allocated, is_backup, failed in \
-                snap["storage_devices"]:
-            device = DeviceState(name=name, host=host, capacity=capacity,
-                                 is_backup=is_backup)
-            device.allocated = allocated
-            device.failed = failed
-            state.storage_devices[name] = device
+        for kind, rows in snap["tables"].items():
+            table = state.tables[kind]
+            for name, host, capacity, allocated, is_backup, failed in \
+                    rows["devices"]:
+                device = DeviceState(name=name, host=host, capacity=capacity,
+                                     is_backup=is_backup, kind=kind)
+                device.allocated = allocated
+                device.failed = failed
+                state.add_device(device)
+            table.assignments.update(rows["assignments"])
+            table.backups.update(rows["backups"])
+            table.demands.update(rows["demands"])
+            table.hosts.update(rows["hosts"])
+            table.parked.update((ip, (host, demand))
+                                for ip, host, demand in rows["parked"])
         for ip, dev, granted_at, expires_at, epoch, revoked in snap["leases"]:
             lease = Lease(ip, dev, granted_at, state.lease_ttl_s, epoch=epoch)
             lease.expires_at = expires_at
             lease.revoked = revoked
             state.leases._by_key[(ip, dev)] = lease
-        state.assignments = dict((ip, d) for ip, d in snap["assignments"])
-        state.backup_assignments = dict(
-            (ip, d) for ip, d in snap["backup_assignments"])
-        state.storage_assignments = dict(
-            (ip, d) for ip, d in snap["storage_assignments"])
-        state.demands = dict((ip, d) for ip, d in snap["demands"])
-        state.storage_demands = dict(
-            (ip, d) for ip, d in snap["storage_demands"])
-        state.hosts = dict((ip, h) for ip, h in snap["hosts"])
-        state.parked = {ip: (host, demand)
-                        for ip, host, demand in snap["parked"]}
         state.applied_cids = set(snap["applied_cids"])
         state.applied_mark = snap["applied_mark"]
         state.failovers_executed = snap["failovers_executed"]
@@ -186,7 +200,11 @@ class ControlState:
 
 
 class AllocatorStateMachine:
-    """Applies commands to a :class:`ControlState`, exactly once per ``cid``."""
+    """Applies commands to a :class:`ControlState`, exactly once per ``cid``.
+
+    A command names its ``device``; the kind is the table that holds it.  A
+    command on a device no table holds changes nothing (the decide path
+    refuses to build one)."""
 
     def __init__(self, state: ControlState):
         self.state = state
@@ -218,9 +236,10 @@ class AllocatorStateMachine:
         log, so one newer than the snapshot (which no entry the snapshot
         covers can have touched) carries over from the state it replaces."""
         old, self.state = self.state, ControlState.restore(snap)
-        for table in ("devices", "storage_devices"):
-            for name, device in getattr(old, table).items():
-                getattr(self.state, table).setdefault(name, device)
+        for table in old.tables.values():
+            for name, device in table.devices.items():
+                if name not in self.state.table_of:
+                    self.state.add_device(device)
 
     # -- helpers ----------------------------------------------------------------
 
@@ -239,83 +258,57 @@ class AllocatorStateMachine:
 
     def _op_place(self, cmd: dict) -> None:
         state = self.state
-        nic, ip = cmd["nic"], cmd["ip"]
+        name, ip = cmd["device"], cmd["ip"]
+        table = state.table_of.get(name)
+        if table is None:
+            return
         demand = cmd.get("demand", 0.0)
-        device = state.devices.get(nic)
         # Re-acquisition on the same device keeps its existing accounting.
-        if device is not None and state.assignments.get(ip) != nic:
-            device.allocated += demand
-        state.assignments[ip] = nic
-        state.demands[ip] = demand
-        state.hosts[ip] = cmd.get("host")
+        if table.assignments.get(ip) != name:
+            table.devices[name].allocated += demand
+        table.assignments[ip] = name
+        table.demands[ip] = demand
+        table.hosts[ip] = cmd.get("host")
         if cmd.get("backup"):
-            state.backup_assignments[ip] = cmd["backup"]
-        self._force_grant(ip, nic, cmd["now"], cmd.get("epoch", 0))
-        self._note_epoch(nic, cmd.get("epoch", 0))
-        state.parked.pop(ip, None)
+            table.backups[ip] = cmd["backup"]
+        self._force_grant(ip, name, cmd["now"], cmd.get("epoch", 0))
+        self._note_epoch(name, cmd.get("epoch", 0))
+        table.parked.pop(ip, None)
 
     _op_reacquire = _op_place
 
-    def _op_place_storage(self, cmd: dict) -> None:
-        state = self.state
-        ssd, ip = cmd["ssd"], cmd["ip"]
-        demand = cmd.get("demand", 0.0)
-        device = state.storage_devices.get(ssd)
-        if device is not None and state.storage_assignments.get(ip) != ssd:
-            device.allocated += demand
-        state.storage_assignments[ip] = ssd
-        state.storage_demands[ip] = demand
-        state.hosts.setdefault(ip, cmd.get("host"))
-        self._force_grant(ip, ssd, cmd["now"], cmd.get("epoch", 0))
-        self._note_epoch(ssd, cmd.get("epoch", 0))
-
-    _op_reacquire_storage = _op_place_storage
-
     def _op_release(self, cmd: dict) -> None:
         state = self.state
-        nic, ip = cmd["nic"], cmd["ip"]
-        demand = cmd.get("demand", state.demands.get(ip, 0.0))
-        state.assignments.pop(ip, None)
-        state.backup_assignments.pop(ip, None)
-        state.demands.pop(ip, None)
-        state.parked.pop(ip, None)
-        if ip not in state.storage_assignments:
-            state.hosts.pop(ip, None)
-        device = state.devices.get(nic)
-        if device is not None:
-            device.allocated -= demand
-        state.leases.revoke(ip, nic)
-        self._note_epoch(nic, cmd.get("revoke_epoch", 0))
-
-    def _op_release_storage(self, cmd: dict) -> None:
-        state = self.state
-        ssd, ip = cmd["ssd"], cmd["ip"]
-        demand = cmd.get("demand", state.storage_demands.get(ip, 0.0))
-        state.storage_assignments.pop(ip, None)
-        state.storage_demands.pop(ip, None)
-        if ip not in state.assignments and ip not in state.parked:
-            state.hosts.pop(ip, None)
-        device = state.storage_devices.get(ssd)
-        if device is not None:
-            device.allocated -= demand
-        state.leases.revoke(ip, ssd)
-        self._note_epoch(ssd, cmd.get("revoke_epoch", 0))
+        name, ip = cmd["device"], cmd["ip"]
+        table = state.table_of.get(name)
+        if table is None:
+            return
+        demand = cmd.get("demand", table.demands.get(ip, 0.0))
+        table.assignments.pop(ip, None)
+        table.backups.pop(ip, None)
+        table.demands.pop(ip, None)
+        table.hosts.pop(ip, None)
+        table.parked.pop(ip, None)
+        table.devices[name].allocated -= demand
+        state.leases.revoke(ip, name)
+        self._note_epoch(name, cmd.get("revoke_epoch", 0))
 
     # -- migration --------------------------------------------------------------
 
     def _op_migrate(self, cmd: dict) -> None:
         state = self.state
         ip, old, new = cmd["ip"], cmd["old"], cmd["new"]
+        table = state.table_of.get(new)
+        if table is None:
+            return
         demand = cmd.get("demand", 0.0)
         state.leases.revoke(ip, old)
         self._force_grant(ip, new, cmd["now"], cmd.get("grant_epoch", 0))
-        state.assignments[ip] = new
-        old_device = state.devices.get(old)
+        table.assignments[ip] = new
+        old_device = table.devices.get(old)
         if old_device is not None:
             old_device.allocated -= demand
-        new_device = state.devices.get(new)
-        if new_device is not None:
-            new_device.allocated += demand
+        table.devices[new].allocated += demand
         state.migrations_executed += 1
         self._note_epoch(old, cmd.get("revoke_epoch", 0))
         self._note_epoch(new, cmd.get("grant_epoch", 0))
@@ -324,24 +317,25 @@ class AllocatorStateMachine:
 
     def _op_failover(self, cmd: dict) -> None:
         state = self.state
-        nic = cmd["nic"]
+        name = cmd["device"]
         now = cmd["now"]
-        device = state.devices.get(nic)
-        if device is None:
+        table = state.table_of.get(name)
+        if table is None:
             self.last_failover = None
             return
+        device = table.devices[name]
         device.failed = True
-        state.failover_log[nic] = state.failover_log.get(nic, 0) + 1
-        self._note_epoch(nic, cmd.get("revoke_epoch", 0))
-        state.leases.revoke_device(nic)
+        state.failover_log[name] = state.failover_log.get(name, 0) + 1
+        self._note_epoch(name, cmd.get("revoke_epoch", 0))
+        state.leases.revoke_device(name)
         # Decided against the map as it stood then: an instance that migrated
         # or was released while the entry waited for a leader stays put.
         moved: List[Tuple[int, int]] = [
             (ip, epoch) for ip, epoch in cmd.get("moved", [])
-            if state.assignments.get(ip) == nic
+            if table.assignments.get(ip) == name
         ]
         backup_name = cmd.get("backup")
-        backup = state.devices.get(backup_name) if backup_name else None
+        backup = table.devices.get(backup_name) if backup_name else None
         if backup is not None and backup.failed:
             # The chosen backup died between decide and apply (double
             # failure): fall back to parking, never grant on a dead device.
@@ -349,22 +343,24 @@ class AllocatorStateMachine:
             backup_name = None
         if backup is None:
             for ip, _epoch in moved:
-                state.assignments.pop(ip, None)
-                state.parked[ip] = (state.hosts.get(ip),
-                                    state.demands.get(ip, 0.0))
+                table.assignments.pop(ip, None)
+                table.parked[ip] = (table.hosts.get(ip),
+                                    table.demands.get(ip, 0.0))
             device.allocated = 0.0
-            self.last_failover = {"nic": nic, "backup": None, "moved": moved}
+            self.last_failover = {"device": name, "backup": None,
+                                  "moved": moved}
             return
         for ip, epoch in moved:
             self._force_grant(ip, backup_name, now, epoch)
-            state.assignments[ip] = backup_name
-            if state.backup_assignments.get(ip) == backup_name:
-                state.backup_assignments.pop(ip, None)
+            table.assignments[ip] = backup_name
+            if table.backups.get(ip) == backup_name:
+                table.backups.pop(ip, None)
             self._note_epoch(backup_name, epoch)
         backup.allocated += device.allocated
         device.allocated = 0.0
         state.failovers_executed += 1
-        self.last_failover = {"nic": nic, "backup": backup_name, "moved": moved}
+        self.last_failover = {"device": name, "backup": backup_name,
+                              "moved": moved}
 
     # -- group commit -----------------------------------------------------------
 
@@ -381,26 +377,25 @@ class AllocatorStateMachine:
 
     def _op_expire(self, cmd: dict) -> None:
         state = self.state
-        for ip, dev, revoke_epoch, kind in cmd.get("entries", []):
+        for ip, dev, revoke_epoch in cmd.get("entries", []):
             lease = state.leases.get(ip, dev)
             if lease is None:
                 continue
             state.leases.revoke(ip, dev)
             state.lease_expirations += 1
             self._note_epoch(dev, revoke_epoch)
-            if kind == "nic":
-                if state.assignments.get(ip) == dev:
-                    state.assignments.pop(ip, None)
-                    state.parked[ip] = (state.hosts.get(ip),
-                                        state.demands.get(ip, 0.0))
-                device = state.devices.get(dev)
-                if device is not None:
-                    device.allocated -= state.demands.get(ip, 0.0)
-            # Storage has no failover path: the assignment (and its capacity
-            # reservation) stays; the instance must re-acquire a fresh epoch
-            # before its posts are accepted again.
+            table = state.table_of.get(dev)
+            if table is None or not table.movable:
+                # The instance cannot go elsewhere: the assignment (and its
+                # capacity reservation) stays; it must re-acquire a fresh
+                # epoch before its posts are accepted again.
+                continue
+            if table.assignments.get(ip) == dev:
+                table.assignments.pop(ip, None)
+                table.parked[ip] = (table.hosts.get(ip),
+                                    table.demands.get(ip, 0.0))
+            table.devices[dev].allocated -= table.demands.get(ip, 0.0)
 
-    #: op -> handler (``place-storage`` is ``_op_place_storage``), built once.
-    _OPS = {name[4:].replace("_", "-"): handler
-            for name, handler in vars().items()
+    #: op -> handler, built once.
+    _OPS = {name[4:]: handler for name, handler in vars().items()
             if name.startswith("_op_")}

@@ -386,7 +386,7 @@ class NetBackend(Driver, TracerBinding):
         self.control.telemetry(
             backend=self,
             record={
-                "nic": self.nic.name,
+                "device": self.nic.name,
                 "host": self.host.name,
                 "link_up": self.nic.link_up,
                 "tx_bw": tx_delta / interval,

@@ -254,7 +254,7 @@ class CXLPod:
         default_name = (f"nic-{host.name}" if device_index == 0
                         else f"nic-{host.name}-{device_index}")
         nic = SimNIC(self.sim, host, mac, self.config.nic,
-                     name=name or default_name)
+                     name=self._new_device_name(name or default_name))
         nic.connect(self.switch.new_port())
         self.nics[nic.name] = nic
 
@@ -291,6 +291,13 @@ class CXLPod:
             # Baseline modes: only the colocated frontend talks to this NIC.
             self._wire(self.frontends[host.name], backend)
         return nic
+
+    def _new_device_name(self, name: str) -> str:
+        """Leases, fencing epochs and telemetry are keyed by the bare device
+        name: a second device of either kind may not reuse one."""
+        if name in self.nics or name in self.storage_backends:
+            raise ConfigError(f"device name {name!r} is already in use")
+        return name
 
     def _channel_pair(self, name: str, host_a: Host, host_b: Host,
                       message_bytes: int) -> ChannelPair:
@@ -347,14 +354,9 @@ class CXLPod:
 
         if nic is not None:
             self._same_group(host, nic)
-            primary_name = nic.name
-            backup_name = allocator.choose_backup_name(nic.name)
-            allocator.place_pinned(ip, host.name, primary_name,
-                                   spec.nic_gbps, backup=backup_name)
-        else:
-            primary_name, backup_name = allocator.place_instance(
-                ip, host.name, spec.nic_gbps
-            )
+        primary_name, backup_name = allocator.place_instance(
+            ip, host.name, spec.nic_gbps,
+            device=nic.name if nic is not None else None)
         epoch = allocator.epochs.entry(primary_name, ip) or 0
 
         primary_backend = self.backends[primary_name]
@@ -384,20 +386,20 @@ class CXLPod:
         from .storage.backend import StorageBackend
 
         ssd = SimSSD(self.sim, host, self.config.ssd,
-                     name=name or f"ssd-{host.name}-{len(host.devices)}")
+                     name=self._new_device_name(
+                         name or f"ssd-{host.name}-{len(host.devices)}"))
         backend = StorageBackend(self.sim, host, ssd, self.config)
         self.storage_backends[ssd.name] = backend
         allocator = host.group.allocator
-        backend.control = AllocatorClient(self.sim, allocator, storage=True)
+        backend.control = AllocatorClient(self.sim, allocator)
         backend.epochs = allocator.epochs
         self._bind_tracer(ssd)
         self._bind_flows(ssd)
         self._bind_flows(backend)
         bindings.bind_ssd(self.metrics, ssd)
         bindings.bind_driver(self.metrics, backend)
-        allocator.register_storage_backend(
-            backend, self.config.ssd.capacity_bytes / 1e12
-        )
+        allocator.register_backend(
+            backend, self.config.ssd.capacity_bytes / 1e12, kind="ssd")
         backend.start()
         backend.start_monitors()
         return ssd
@@ -422,7 +424,7 @@ class CXLPod:
             bindings.bind_driver(self.metrics, frontend)
             self._arm(frontend)
             self.storage_frontends[host.name] = frontend
-            group.allocator.register_storage_frontend(host.name, frontend)
+            group.allocator.register_frontend(host.name, frontend, kind="ssd")
         return frontend
 
     def add_block_device(self, instance: Instance, ssd=None):
@@ -432,20 +434,15 @@ class CXLPod:
         (host-local SSD first, then the least-loaded drive in the pod, §3.5).
         """
         allocator = instance.host.group.allocator
-        if ssd is None:
-            name = allocator.place_storage(
-                instance.ip, instance.host.name, instance.spec.ssd_tb
-            )
-            ssd = self.storage_backends[name].ssd
-        else:
+        if ssd is not None:
             self._same_group(instance.host, ssd)
-            allocator.place_pinned_storage(
-                instance.ip, instance.host.name, ssd.name,
-                instance.spec.ssd_tb
-            )
-        epoch = allocator.epochs.entry(ssd.name, instance.ip) or 0
+        name, _backup = allocator.place_instance(
+            instance.ip, instance.host.name, instance.spec.ssd_tb,
+            kind="ssd", device=ssd.name if ssd is not None else None)
+        ssd = self.storage_backends[name].ssd
+        epoch = allocator.epochs.entry(name, instance.ip) or 0
         frontend = self._storage_frontend(instance.host)
-        frontend.set_stamp(ssd.name, instance.ip, epoch)
+        frontend.sync_instance(instance.ip, name, epoch)
         if ssd.name not in frontend._links:
             pair = self._channel_pair(
                 f"st-{instance.host.name}-{ssd.name}",

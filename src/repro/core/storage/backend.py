@@ -148,7 +148,7 @@ class StorageBackend(Driver):
         self._last_read_bytes = self.ssd.read_bytes
         self._last_write_bytes = self.ssd.write_bytes
         self.control.telemetry(self, {
-            "nic": self.ssd.name,       # telemetry store keys by device name
+            "device": self.ssd.name,
             "host": self.host.name,
             "link_up": not self.ssd.failed,
             "tx_bw": write_delta / interval,

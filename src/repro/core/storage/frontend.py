@@ -199,11 +199,11 @@ class StorageFrontend(Driver):
 
     # -- fencing epochs (§3.3.3) --------------------------------------------------
 
-    def set_stamp(self, backend_name: str, ip: int, epoch: int) -> None:
-        """Adopt a fresh fencing epoch for (backend, instance)."""
-        self._stamps[(backend_name, ip)] = epoch
-        if (backend_name, ip) in self._resync_inflight:
-            self._resync_inflight.discard((backend_name, ip))
+    def sync_instance(self, ip: int, device_name: str, epoch: int) -> None:
+        """Allocator push: adopt a fresh fencing epoch for (device, instance)."""
+        self._stamps[(device_name, ip)] = epoch
+        if (device_name, ip) in self._resync_inflight:
+            self._resync_inflight.discard((device_name, ip))
             self.resyncs += 1
 
     def _stamp_for(self, backend_name: str, ip: int) -> int:
@@ -213,7 +213,7 @@ class StorageFrontend(Driver):
         if (backend_name, ip) in self._resync_inflight or self.control is None:
             return
         self._resync_inflight.add((backend_name, ip))
-        self.control.request_storage_resync(ip, self.host.name)
+        self.control.request_resync(ip, self.host.name, "ssd")
 
     # -- submission (instance context) ------------------------------------------
 

@@ -237,24 +237,27 @@ class InvariantChecker:
         # Control plane: walk every pool group's own allocator (device
         # names and instance ips are unique across groups).
         now = pod.sim.now
-        holders: Dict[int, int] = {}
+        holders: Dict[tuple, int] = {}     # (ip, kind) -> valid leases
         for group in pod.groups:
-            allocator = group.allocator
-            for device in allocator.devices.values():
-                self._checked("allocator-accounting")
-                if device.allocated < -1e-9:
-                    self.violate(
-                        "allocator-accounting",
-                        f"{device.name}: allocated {device.allocated} < 0")
-            for (ip, dev), lease in allocator.leases._by_key.items():
-                if dev in allocator.devices and lease.valid(now):
-                    holders[ip] = holders.get(ip, 0) + 1
+            state = group.allocator.state
+            for table in state.tables.values():
+                for device in table.devices.values():
+                    self._checked("allocator-accounting")
+                    if device.allocated < -1e-9:
+                        self.violate(
+                            "allocator-accounting",
+                            f"{device.name}: allocated {device.allocated} < 0")
+            for (ip, dev), lease in state.leases._by_key.items():
+                table = state.table_of.get(dev)
+                if table is not None and lease.valid(now):
+                    key = (ip, table.kind)
+                    holders[key] = holders.get(key, 0) + 1
         self._checked("single-valid-holder")
-        for ip, count in holders.items():
+        for (ip, kind), count in holders.items():
             if count > 1:
                 self.violate(
                     "single-valid-holder",
-                    f"instance {ip:#x} holds {count} valid NIC leases",
+                    f"instance {ip:#x} holds {count} valid {kind} leases",
                 )
         self._checked("monotone-epochs")
         for group in pod.groups:
@@ -415,18 +418,19 @@ class InvariantChecker:
         """End-of-run checks of one pool group's allocator, against that
         group's own leader and Raft nodes (groups never share a log, so
         their applied indices are unrelated)."""
-        for device in allocator.devices.values():
-            self._checked("allocator-accounting")
-            if device.failed and allocator.leases.leases_on(device.name):
-                self.violate("allocator-accounting",
-                             f"{device.name}: failed but still leased")
-        for ip, name in allocator.assignments.items():
-            self._checked("allocator-accounting")
-            device = allocator.devices.get(name)
-            if device is None or device.failed:
-                self.violate("allocator-accounting",
-                             f"instance {ip:#x} assigned to failed/unknown "
-                             f"device {name}")
+        for table in allocator.tables.values():
+            for device in table.devices.values():
+                self._checked("allocator-accounting")
+                if device.failed and allocator.leases.leases_on(device.name):
+                    self.violate("allocator-accounting",
+                                 f"{device.name}: failed but still leased")
+            for ip, name in table.assignments.items():
+                self._checked("allocator-accounting")
+                device = table.devices.get(name)
+                if device is None or device.failed:
+                    self.violate("allocator-accounting",
+                                 f"instance {ip:#x} assigned to "
+                                 f"failed/unknown device {name}")
 
         # Exactly-once recovery: every failover command applied exactly once
         # per device, no matter how many leaders proposed it.
@@ -450,8 +454,8 @@ class InvariantChecker:
             )
             return
         # Failovers == failed devices, once everything committed.
-        for name, device in allocator.devices.items():
-            if device.failed:
+        for name, table in allocator.state.table_of.items():
+            if table.devices[name].failed:
                 self._checked("failover-exactly-once")
                 if allocator.failover_log.get(name, 0) != 1:
                     self.violate(

@@ -257,9 +257,8 @@ def bind_allocator(series, allocator):
 
     def read(vector):
         counters(vector)
-        for kind, devices in (("nic", allocator.devices),
-                              ("ssd", allocator.storage_devices)):
-            for device in devices.values():
+        for kind, table in allocator.tables.items():
+            for device in table.devices.values():
                 key = (device.name, kind)
                 vector[allocated[key]] += device.allocated
                 vector[capacity[key]] += device.capacity

@@ -390,7 +390,7 @@ def bind_allocator(registry, allocator) -> None:
             yield _sample("allocator_device_failed",
                           1.0 if device.failed else 0.0,
                           device=device.name, kind="nic")
-        for device in allocator.storage_devices.values():
+        for device in allocator.tables["ssd"].devices.values():
             yield _sample("allocator_device_allocated", device.allocated,
                           device=device.name, kind="ssd")
             yield _sample("allocator_device_capacity", device.capacity,

@@ -95,7 +95,7 @@ class TestLeases:
 
 class TestTelemetryStore:
     def _record(self, nic="nic0", host="h0", t=0.0, bw=1e9):
-        return {"nic": nic, "host": host, "time": t, "tx_bw": bw, "rx_bw": 0.0}
+        return {"device": nic, "host": host, "time": t, "tx_bw": bw, "rx_bw": 0.0}
 
     def test_latest_and_load(self):
         store = TelemetryStore(interval_s=0.1)

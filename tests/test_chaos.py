@@ -75,7 +75,7 @@ def apply_control_plane_fault(pod, hosts, nics, op, arg):
         allocator.notify.delay_extra(host.name, 0.05)
         pod.sim.schedule(0.1, allocator.notify.clear_delay, host.name)
     elif op == "renew":
-        ips = [ip for ip, host in allocator.state.hosts.items()
+        ips = [ip for ip, host in allocator.tables["nic"].hosts.items()
                if host == hosts[arg].name]
         allocator.on_frontend_telemetry(
             {"host": hosts[arg].name, "ips": ips, "time": pod.sim.now})
@@ -86,6 +86,21 @@ def apply_control_plane_fault(pod, hosts, nics, op, arg):
         # legitimate failover); keep one healthy device as a target.
         if allocator.devices[nic.name].failed or len(healthy) > 1:
             allocator.on_failure_report(nic.name)
+
+
+def rebalance(pod):
+    """Migrate one instance from the hottest to the coldest healthy NIC."""
+    allocator = pod.allocator
+    nics = [d for d in allocator.devices.values()
+            if not d.failed and not d.is_backup]
+    if len(nics) < 2:
+        return
+    hottest = max(nics, key=lambda d: d.measured_load)
+    coldest = min(nics, key=lambda d: d.measured_load)
+    victims = [ip for ip, nic in allocator.assignments.items()
+               if nic == hottest.name]
+    if victims and hottest is not coldest:
+        allocator.migrate(victims[0], coldest.name)
 
 
 def settle(pod, rounds=12):
@@ -188,7 +203,7 @@ class TestControlPlaneChaos:
                     if pod.allocator.assignments.get(ip) != target:
                         pod.allocator.migrate(ip, target)
             elif op == "rebalance":
-                pod.allocator.rebalance_once()
+                rebalance(pod)
             elif op in ("link_spike", "wb_loss", "ssd_media", "switch_drop"):
                 apply_data_plane_fault(pod, hosts, ssd, op, arg)
             elif op == "overload_surge":
@@ -247,7 +262,7 @@ class TestControlPlaneChaos:
             elif op == "advance":
                 pod.run(arg * 0.01)
             elif op == "rebalance":
-                pod.allocator.rebalance_once()
+                rebalance(pod)
         pod.run(0.3)
         settle(pod)   # drain any commit-gated failover before measuring
         assert_shed_conservation(pod)

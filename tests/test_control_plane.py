@@ -30,6 +30,7 @@ from repro.core.pod import CXLPod, RackBuilder
 from repro.core.raft.node import COMPACT_AFTER
 from repro.core.storage.messages import (SOP_WRITE, STATUS_FENCED,
                                          StorageMessage)
+from repro.errors import AllocationError, ConfigError
 from repro.net.packet import make_ip
 from repro.sim.core import Simulator
 from repro.workloads.echo import EchoClient, EchoServer
@@ -167,26 +168,26 @@ class TestMessageEpochs:
 class TestStateMachine:
     def _place(self, cid=1, ip=SERVER_IP):
         return {"op": "place", "cid": cid, "ip": ip, "host": "h0",
-                "nic": "nic0", "backup": None, "demand": 1.0, "epoch": 1,
+                "device": "nic0", "backup": None, "demand": 1.0, "epoch": 1,
                 "now": 0.0}
 
     def _state(self):
         state = ControlState(lease_ttl_s=1.0)
         from repro.core.allocator.policy import DeviceState
-        state.devices["nic0"] = DeviceState("nic0", host="h0", capacity=100.0)
+        state.add_device(DeviceState("nic0", host="h0", capacity=100.0))
         return state
 
     def test_command_id_dedup(self):
         machine = AllocatorStateMachine(self._state())
         assert machine.apply(self._place())
         assert not machine.apply(self._place())   # replayed log entry
-        assert machine.state.devices["nic0"].allocated == 1.0
+        assert machine.state.tables["nic"].devices["nic0"].allocated == 1.0
 
     def test_distinct_cids_apply_independently(self):
         machine = AllocatorStateMachine(self._state())
         assert machine.apply(self._place(1, make_ip(10, 0, 0, 1)))
         assert machine.apply(self._place(2, make_ip(10, 0, 0, 2)))
-        assert machine.state.devices["nic0"].allocated == 2.0
+        assert machine.state.tables["nic"].devices["nic0"].allocated == 2.0
 
     def test_snapshot_restore_preserves_signature(self):
         machine = AllocatorStateMachine(self._state())
@@ -194,7 +195,7 @@ class TestStateMachine:
         snap = machine.state.snapshot()
         restored = ControlState.restore(snap)
         assert restored.signature() == machine.state.signature()
-        assert restored.assignments[SERVER_IP] == "nic0"
+        assert restored.tables["nic"].assignments[SERVER_IP] == "nic0"
         assert 1 in restored.applied_cids
 
     def test_restored_replica_rejects_replayed_cid(self):
@@ -212,7 +213,7 @@ class TestStateMachine:
         machine = AllocatorStateMachine(self._state())
         state = machine.state
         for name in ("nic1", "nic2"):
-            state.devices[name] = DeviceState(name, host="h1", capacity=100.0)
+            state.add_device(DeviceState(name, host="h1", capacity=100.0))
         stay, migrated, released = (make_ip(10, 0, 0, i) for i in (1, 2, 3))
         for cid, ip in enumerate((stay, migrated, released), 1):
             machine.apply(self._place(cid, ip))
@@ -220,17 +221,18 @@ class TestStateMachine:
                        "old": "nic0", "new": "nic1", "demand": 1.0,
                        "grant_epoch": 1, "revoke_epoch": 2, "now": 0.0})
         machine.apply({"op": "release", "cid": 5, "ip": released,
-                       "nic": "nic0", "revoke_epoch": 3, "now": 0.0})
-        machine.apply({"op": "failover", "cid": 6, "nic": "nic0",
+                       "device": "nic0", "revoke_epoch": 3, "now": 0.0})
+        machine.apply({"op": "failover", "cid": 6, "device": "nic0",
                        "backup": "nic2", "revoke_epoch": 4, "now": 0.0,
                        "moved": [[stay, 1], [migrated, 2], [released, 3]]})
-        assert state.assignments == {stay: "nic2", migrated: "nic1"}
+        nics = state.tables["nic"]
+        assert nics.assignments == {stay: "nic2", migrated: "nic1"}
         assert machine.last_failover["moved"] == [(stay, 1)]
         assert state.leases.get(migrated, "nic1").valid(0.0)
         assert state.leases.get(migrated, "nic2") is None
         assert state.leases.get(released, "nic2") is None
-        assert state.devices["nic1"].allocated == 1.0
-        assert state.devices["nic2"].allocated == 1.0
+        assert nics.devices["nic1"].allocated == 1.0
+        assert nics.devices["nic2"].allocated == 1.0
 
 
 class TestNotificationBus:
@@ -473,7 +475,7 @@ class TestLeaseLifecycle:
         allocator = pod.allocator
         old = allocator.leases.get(SERVER_IP, nic0.name)
         assert old is not None and not old.valid(pod.sim.now)
-        allocator.resync_instance(SERVER_IP, "h1")
+        allocator.resync(SERVER_IP, "h1")
         pod.run(0.1)
         nic = allocator.assignments[SERVER_IP]
         fresh = allocator.leases.get(SERVER_IP, nic)
@@ -582,7 +584,7 @@ class TestBoundedHistory:
         return {
             "log": [len(node.log._entries) for node in shard._raft_nodes],
             "dedup": [len(m.state.applied_cids) for m in machines],
-            "hosts": [len(m.state.hosts) for m in machines],
+            "hosts": [len(m.state.tables["nic"].hosts) for m in machines],
             "decided_at": len(shard._decided_at),
             "proposed_at": len(shard._proposed_at),
             "pending": len(shard._pending),
@@ -643,11 +645,12 @@ class TestBoundedHistory:
         # A device registered after the leader's snapshot was taken (devices
         # register outside the log) must survive the install.
         late = pod.add_nic(pod.hosts[0])
-        shard.place_pinned(make_ip(10, 5, 0, 2), "h0", late.name, 0.2)
+        shard.place_instance(make_ip(10, 5, 0, 2), "h0", 0.2, device=late.name)
         pod.run(0.01)
         leader = shard.leader_node()
         assert leader.log.base_index > down.last_applied
-        assert late.name not in [row[0] for row in leader.snapshot["devices"]]
+        assert late.name not in [
+            row[0] for row in leader.snapshot["tables"]["nic"]["devices"]]
         before = shard.replicas[down.node_id].state
         down.restart()
         pod.run(0.5)
@@ -656,16 +659,17 @@ class TestBoundedHistory:
         assert down.last_applied == leader.last_applied
         assert down.log.base_index >= leader.log.base_index
         assert alloc.convergence_ok() and alloc.pending_commands == 0
-        assert replica.assignments == shard.state.assignments
-        assert keep in replica.assignments and replica.hosts[keep] == "h1"
-        assert replica.devices[late.name].allocated == pytest.approx(0.2)
+        nics = replica.tables["nic"]
+        assert nics.assignments == shard.assignments
+        assert keep in nics.assignments and nics.hosts[keep] == "h1"
+        assert nics.devices[late.name].allocated == pytest.approx(0.2)
         # ... and it can lead from there: the next command commits.
         leader.crash()
         pod.run(0.6)
         alloc.release_instance(keep, 0.2)
         pod.run(0.5)
         assert alloc.pending_commands == 0
-        assert keep not in shard.state.assignments
+        assert keep not in shard.assignments
         assert shard.leader_node() is not leader
         for node in shard._raft_nodes:
             if node.alive:
@@ -684,7 +688,7 @@ class TestBoundedHistory:
         alloc.leader_node().crash()
         ips = [make_ip(10, 6, 0, k) for k in (1, 2, 3)]
         for ip in ips:       # decided, but there is nobody to propose to
-            alloc.place_pinned(ip, "h1", nic0.name, 1.0)
+            alloc.place_instance(ip, "h1", 1.0, device=nic0.name)
         assert sorted(alloc._pending) == [999_999, 1_000_000, 1_000_001]
         pod.run(0.7)         # re-election, then the retry loop
         assert alloc.pending_commands == 0
@@ -712,7 +716,7 @@ class TestBoundedHistory:
         assert alloc.state.applied_mark == 999_999
         assert alloc.state.applied_cids == {999_999, 1_000_000, 1_000_001}
         # The next proposal's mark closes the window over them ...
-        alloc.place_pinned(make_ip(10, 6, 0, 4), "h1", nic0.name, 1.0)
+        alloc.place_instance(make_ip(10, 6, 0, 4), "h1", 1.0, device=nic0.name)
         pod.run(0.1)
         machines = (alloc.machine, *(alloc.replicas[n.node_id]
                                      for n in pod.raft_nodes if n.alive))
@@ -723,4 +727,151 @@ class TestBoundedHistory:
         leader.propose(dict(orphans[1]))
         pod.run(0.1)
         assert converged() == allocated + 1.0
+        pod.stop()
+
+
+class TestOneDeviceTable:
+    """PR 24: the control plane places *a device of a kind*.  Both bugs
+    below ran to completion at the parent, where every device-class fact was
+    held twice and only the NIC copy of a path was ever exercised."""
+
+    def test_a_device_name_registers_once_across_kinds(self):
+        """At the parent ``add_ssd(name="dev0")`` beside a NIC ``dev0`` was
+        accepted: one lease ``(ip, "dev0")`` and one epoch sequence for
+        both, and the storage release revoked the instance's NIC grant."""
+        pod = CXLPod(mode="oasis")
+        h0, h1 = pod.add_host(), pod.add_host()
+        nic = pod.add_nic(h0, name="dev0")
+        with pytest.raises(ConfigError, match="dev0"):
+            pod.add_ssd(h1, name="dev0")
+        with pytest.raises(ConfigError, match="dev0"):
+            pod.add_nic(h1, name="dev0")      # was: silently replaced nic
+        ssd = pod.add_ssd(h1, name="disk0")
+        with pytest.raises(ConfigError, match="disk0"):
+            pod.add_nic(h1, name="disk0")
+        assert pod.nics == {"dev0": nic} and list(pod.storage_backends) == [
+            "disk0"]
+        assert h1.devices == [ssd]            # a refused device left no trace
+        allocator = pod.allocator
+        assert list(allocator.state.table_of) == ["dev0", "disk0"]
+        # ... and so the sequence of the bug report ends as it should:
+        inst = pod.add_instance(h0, ip=SERVER_IP)
+        pod.add_block_device(inst)
+        allocator.release_instance(SERVER_IP, inst.spec.ssd_tb, kind="ssd")
+        assert allocator.assignments[SERVER_IP] == "dev0"
+        assert allocator.epochs.entry("dev0", SERVER_IP) is not None
+        assert allocator.leases.get(SERVER_IP, "dev0").valid(pod.sim.now)
+        # An allocator wired by hand is held to the same rule.
+        with pytest.raises(ConfigError, match="dev0"):
+            allocator.register_backend(pod.backends["dev0"], 4.0, kind="ssd")
+        pod.stop()
+
+    @staticmethod
+    def _two_drive_pod():
+        pod = CXLPod(mode="oasis")
+        h0, h1 = pod.add_host(), pod.add_host()
+        pod.add_nic(h0)
+        return pod, h0, h1, pod.add_ssd(h0), pod.add_ssd(h1)
+
+    def test_link_down_ssd_takes_no_new_placement(self):
+        """At the parent only the NIC ingest looked at health: five records
+        saying ``link_up: False`` later, the dead, host-local drive was still
+        handed to a new instance."""
+        pod, h0, h1, dead, healthy = self._two_drive_pod()
+        signature = pod.allocator.state.signature()
+        dead.fail()
+        pod.run(0.55)                         # five 100 ms telemetry records
+        drives = pod.allocator.tables["ssd"].devices
+        assert not drives[dead.name].link_up and drives[healthy.name].link_up
+        # Telemetry-derived, like measured_load: nothing replicated moved.
+        assert not drives[dead.name].failed
+        assert pod.allocator.state.signature() == signature
+        first = pod.add_instance(h0, ip=SERVER_IP)
+        device = pod.add_block_device(first)
+        assert device.backend_name == healthy.name    # not the local one
+        healthy.fail()
+        pod.run(0.2)
+        second = pod.add_instance(h0, ip=make_ip(10, 0, 0, 2))
+        with pytest.raises(AllocationError):
+            pod.add_block_device(second)      # was: a grant on a dead drive
+        # Not a new placement: the holder of a drive re-acquires it.
+        pod.allocator.resync(SERVER_IP, h0.name, kind="ssd")
+        assert pod.allocator.tables["ssd"].assignments[SERVER_IP] == healthy.name
+        dead.restore()
+        pod.run(0.2)                          # the next record says link up
+        assert pod.add_block_device(second).backend_name == dead.name
+        pod.stop()
+
+    def test_silent_host_takes_no_new_placement_of_any_kind(self):
+        pod, h0, h1, silent, healthy = self._two_drive_pod()
+        pod.allocator.start_host_monitor()
+        pod.run(0.25)
+        for backend in (*pod.backends.values(), pod.storage_backends[silent.name]):
+            backend.stop_monitors()           # h0 stops reporting
+        pod.run(0.6)                          # > 3 missed records
+        allocator = pod.allocator
+        assert not allocator.tables["ssd"].devices[silent.name].link_up
+        assert not allocator.tables["ssd"].devices[silent.name].failed
+        assert allocator.devices["nic-h0"].failed    # NICs still fail over
+        name, _backup = allocator.place_instance(SERVER_IP, h0.name, 0.5,
+                                                 kind="ssd")
+        assert name == healthy.name
+        pod.stop()
+
+    def test_ssd_commands_through_raft_leader_crash_and_snapshot_install(self):
+        """place / release / reacquire on SSDs through a 3-node cluster with
+        group commit on: a follower is down across a compaction and is
+        reseeded by snapshot, then the leader crashes and the reseeded
+        replica helps elect and commit.  (At the parent the ``-storage`` ops
+        met Raft only inside the two chaos plans.)"""
+        base = OasisConfig()
+        config = base.with_(seed=11, failover=replace(
+            base.failover, commit_batch_window_ms=0.2, lease_ttl_ms=150.0))
+        pod = RackBuilder(hosts=8, pools=2, config=config).build()
+        pod.enable_raft(replicas=3)
+        pod.run(0.25)
+        alloc, shard = pod.allocator, pod.allocator.shards["pool0"]
+        down = next(n for n in shard._raft_nodes if not n.is_leader)
+        down.crash()
+        for j in range(COMPACT_AFTER + 30):   # one batch entry per command pair
+            ip = make_ip(10, 7, j >> 8, j & 0xFF)
+            alloc.place_instance(ip, pod.hosts[j % 4].name, 0.5, kind="ssd")
+            alloc.release_instance(ip, 0.5, kind="ssd")
+            pod.run(0.0005)
+        keep = make_ip(10, 8, 0, 1)
+        drive, backup = alloc.place_instance(keep, "h1", 0.5, kind="ssd")
+        assert drive == "ssd-h1-2" and backup is None     # local, no backup
+        pod.run(0.01)
+        leader = shard.leader_node()
+        assert leader.log.base_index > down.last_applied
+        before = shard.replicas[down.node_id].state
+        down.restart()
+        pod.run(0.5)
+        replica = shard.replicas[down.node_id].state
+        assert replica is not before                  # installed, not replayed
+        assert replica.tables["ssd"].assignments == {keep: drive}
+        assert replica.tables["ssd"].demands == {keep: 0.5}
+        leader.crash()
+        pod.run(0.6)                                  # the other two elect
+        assert shard.leader_node() not in (None, leader)
+        # The lease (150 ms, nobody renews it) is long dead: a fenced
+        # frontend's resync re-grants the same drive under a fresh epoch.
+        old = shard.leases.get(keep, drive)
+        assert not old.valid(pod.sim.now)
+        shard.resync(keep, "h1", kind="ssd")
+        fresh = shard.leases.get(keep, drive)
+        assert fresh.valid(pod.sim.now) and fresh.epoch > old.epoch
+        assert shard.tables["ssd"].devices[drive].allocated == pytest.approx(0.5)
+        gone = make_ip(10, 8, 0, 2)
+        alloc.place_instance(gone, "h2", 0.25, kind="ssd", device="ssd-h3-2")
+        alloc.release_instance(gone, 0.25, kind="ssd")
+        pod.run(0.1)
+        leader.restart()
+        pod.run(0.5)
+        assert alloc.pending_commands == 0 and alloc.convergence_ok()
+        for machine in shard.replicas.values():
+            drives = machine.state.tables["ssd"]
+            assert drives.assignments == {keep: drive}
+            assert machine.state.leases.get(keep, drive).epoch == fresh.epoch
+            assert drives.devices["ssd-h3-2"].allocated == pytest.approx(0.0)
         pod.stop()

@@ -1,5 +1,6 @@
 """Tests for the driver event-loop framework and ARP/endpoint pieces."""
 
+import os
 import sys
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from repro.config import OasisConfig
 from repro.core.arp import ArpRegistry
 from repro.core.datapath import LocalChannel
 from repro.core.engine import Driver, Link
-from repro.core.pod import CXLPod
+from repro.core.pod import CXLPod, RackBuilder
 from repro.experiments.common import build_echo_pod
 from repro.net.endpoint import ExternalEndpoint
 from repro.net.packet import BROADCAST_MAC, Frame, make_ip, make_mac
@@ -574,6 +575,18 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
             (*sorted((src / "faults").glob("*.py")), src / "obs" / "bindings.py")
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if typed.search(line)] == []
+    # ... one device table (DESIGN §3d): the control plane, its checker and
+    # its bindings hold no storage twin of a table, an op or an entry point.
+    twin = re.compile(
+        r"storage_assignments|storage_devices|storage_demands|place-storage"
+        r"|release-storage|reacquire-storage|_storage_backend"
+        r"|on_storage_telemetry|resync_storage|storage=True")
+    assert [f"{path.name}:{n}: {line.strip()}" for path in
+            (*sorted((src / "core" / "allocator").glob("*.py")),
+             *sorted((src / "core" / "control").glob("*.py")),
+             *sorted((src / "faults").glob("*.py")), src / "obs" / "bindings.py")
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if twin.search(line)] == []
 
 
 class TestEchoCallCount:
@@ -613,3 +626,54 @@ class TestEchoCallCount:
         pod.stop()
         assert echoes == 200
         assert 0 < calls[0] / echoes <= self.CALLS_PER_ECHO_CEILING
+
+
+class TestControlCallCount:
+    """The same kind of guard for the control plane: Python calls inside
+    ``repro/core/allocator`` + ``repro/core/control`` per place/release pair
+    on the 8-host, 2-pool rack with Raft x3 and group commit -- the decide,
+    one canonical apply and three replica applies of two commands.
+
+    106.65 at PR 23 (per pair: 11.7 ``apply``, 8 ``revoke``, 8
+    ``_note_epoch``, 4 each ``_op_place`` / ``_op_release`` / ``grant``, one
+    ``choose`` over the shard's NICs); 104.65 since PR 24, whose one device
+    table looks a command's kind up in a dict instead of hopping through a
+    property per table.  Never raise the ceiling without a
+    ``perf/compare.py`` row.
+    """
+
+    CALLS_PER_PAIR_CEILING = 106.65       # the parent's measured value
+    PAIRS = 200
+
+    def test_control_calls_per_place_release_pair(self):
+        base = OasisConfig()
+        pod = RackBuilder(hosts=8, pools=2, config=base.with_(
+            failover=replace(base.failover, commit_batch_window_ms=0.2))).build()
+        pod.enable_raft(replicas=3)
+        pod.run(0.12)                          # every shard has a leader
+        allocator = pod.allocator
+        owned = tuple(os.path.join(repro.core.__path__[0], layer)
+                      for layer in ("allocator", "control"))
+        calls = [0]
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                calls[0] += frame.f_code.co_filename.startswith(owned)
+
+        def pair(j):
+            ip = make_ip(10, 9, j >> 8, j & 0xFF)
+            allocator.place_instance(ip, pod.hosts[j % 8].name, 0.2)
+            pod.sim.schedule(0.0006, allocator.release_instance, ip, 0.2)
+
+        for j in range(self.PAIRS):
+            pod.sim.schedule(j * 0.0001, pair, j)
+        sys.setprofile(profile)
+        try:
+            pod.run(self.PAIRS * 0.0001 + 0.01)
+        finally:
+            sys.setprofile(None)
+        pod.run(0.1)                           # followers catch up
+        pod.stop()
+        assert allocator.pending_commands == 0 and allocator.convergence_ok()
+        assert 0 < calls[0] / self.PAIRS <= self.CALLS_PER_PAIR_CEILING
+

@@ -62,7 +62,7 @@ class TestPerGroupChecker:
     def test_tampered_pool1_replica_is_reported(self, seed):
         pod, checker = replicated_rack(seed)
         replica = pod.allocator.shards["pool1"].replicas["alloc-pool1-2"]
-        replica.state.assignments[make_ip(10, 5, 9, 9)] = "nic-h4"
+        replica.state.tables["nic"].assignments[make_ip(10, 5, 9, 9)] = "nic-h4"
         verdict = checker.finish()
         pod.stop()
         assert [v.invariant for v in verdict.violations] == [

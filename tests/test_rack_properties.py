@@ -168,7 +168,7 @@ class TestRackAccounting:
         for shard in pod.allocator.shards.values():
             heads = {}
             for ip, dev in shard.assignments.items():
-                host = shard.state.hosts.get(ip)
+                host = shard.tables["nic"].hosts.get(ip)
                 heads.setdefault(dev, set()).add(host)
             for dev, hosts_on in heads.items():
                 assert len(hosts_on) <= port_limit, (

@@ -138,10 +138,10 @@ class TestRaftOverChannels:
         sim.run(until=2.0)
         leaders = [n for n in nodes if n.is_leader]
         assert len(leaders) == 1
-        leaders[0].propose({"op": "failover", "nic": "nic0"})
+        leaders[0].propose({"op": "failover", "device": "nic0"})
         sim.run(until=3.0)
         for commands in applied.values():
-            assert commands == [{"op": "failover", "nic": "nic0"}]
+            assert commands == [{"op": "failover", "device": "nic0"}]
 
     def test_install_snapshot_survives_fragmenting(self, sim, monkeypatch):
         """A replica that was down while the leader compacted is reseeded by
@@ -156,8 +156,7 @@ class TestRaftOverChannels:
         machines = {}
         for node in nodes:
             state = ControlState(lease_ttl_s=1.0)
-            state.devices["nic0"] = DeviceState("nic0", host="h0",
-                                                capacity=100.0)
+            state.add_device(DeviceState("nic0", host="h0", capacity=100.0))
             machine = machines[node.node_id] = AllocatorStateMachine(state)
             node.apply_cb = lambda idx, cmd, m=machine: m.apply(cmd)
             node.snapshot_cb = lambda m=machine: m.state.snapshot()
@@ -170,10 +169,10 @@ class TestRaftOverChannels:
         for cid in range(1, 41):
             ip = 0x0A000000 + (cid + 1) // 2
             if cid % 2:         # place, then release all but the last few
-                cmd = {"op": "place", "ip": ip, "host": "h0", "nic": "nic0",
+                cmd = {"op": "place", "ip": ip, "host": "h0", "device": "nic0",
                        "backup": None, "demand": 0.5, "epoch": cid}
             elif cid <= 34:
-                cmd = {"op": "release", "ip": ip, "nic": "nic0",
+                cmd = {"op": "release", "ip": ip, "device": "nic0",
                        "demand": 0.5, "revoke_epoch": cid}
             else:
                 continue
@@ -189,7 +188,9 @@ class TestRaftOverChannels:
         want = machines[leader.node_id].state
         got = machines[down.node_id].state
         assert got.signature() == want.signature()
-        assert len(got.assignments) == 3 and got.hosts == want.hosts
+        nics = got.tables["nic"]
+        assert len(nics.assignments) == 3
+        assert nics.hosts == want.tables["nic"].hosts
         assert (got.applied_mark, got.applied_cids) == (
             want.applied_mark, want.applied_cids)
-        assert got.devices["nic0"].allocated == pytest.approx(1.5)
+        assert nics.devices["nic0"].allocated == pytest.approx(1.5)

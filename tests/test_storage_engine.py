@@ -190,7 +190,7 @@ class TestStoragePlacement:
         inst = pod.add_instance(h1, ip=IP)
         device = pod.add_block_device(inst)     # allocator places
         assert device.backend_name == ssd1.name
-        assert pod.allocator.storage_assignments[IP] == ssd1.name
+        assert pod.allocator.tables["ssd"].assignments[IP] == ssd1.name
 
     def test_allocator_falls_back_to_remote(self):
         pod = CXLPod(mode="oasis")
@@ -215,7 +215,7 @@ class TestStoragePlacement:
         pod.run(0.35)   # a few 100 ms telemetry ticks
         record = pod.allocator.telemetry_store.latest(ssd.name)
         assert record is not None
-        assert pod.allocator.storage_devices[ssd.name].measured_load >= 0
+        assert pod.allocator.tables["ssd"].devices[ssd.name].measured_load >= 0
 
     def test_release_storage_returns_capacity(self):
         pod = CXLPod(mode="oasis")
@@ -224,9 +224,9 @@ class TestStoragePlacement:
         ssd = pod.add_ssd(h0)
         inst = pod.add_instance(h0, ip=IP)
         pod.add_block_device(inst)
-        before = pod.allocator.storage_devices[ssd.name].allocated
-        pod.allocator.release_storage(IP, inst.spec.ssd_tb)
-        after = pod.allocator.storage_devices[ssd.name].allocated
+        before = pod.allocator.tables["ssd"].devices[ssd.name].allocated
+        pod.allocator.release_instance(IP, inst.spec.ssd_tb, kind="ssd")
+        after = pod.allocator.tables["ssd"].devices[ssd.name].allocated
         assert after < before
 
 

@@ -159,10 +159,9 @@ class DatapathConfig:
     prefetch_depth: int = 16            # PREFETCHT0 look-ahead (best in Fig 6)
     tx_region_bytes: int = 4 << 30      # per-host frontend TX region (paper: 4 GB)
     instance_tx_area_bytes: int = 64 << 20  # per-instance TX buffer area (64 MB)
-    # Per-NIC RX buffer area.  The paper uses 4 GB; the simulation enumerates
-    # individual RX buffers, so the default is scaled to 16 MB (8192 x 2 KB
-    # buffers, 8x the RX ring depth) which is behaviourally equivalent as
-    # long as buffers are recycled faster than they are consumed.
+    # Per-NIC RX buffer area.  The paper uses 4 GB; 16 MB (8192 x 2 KB
+    # buffers, 8x the RX ring depth) behaves the same as long as buffers are
+    # recycled faster than they are consumed.
     rx_region_bytes: int = 16 << 20
     rx_buffer_bytes: int = 2048         # one RX buffer (fits a 1500 B frame)
     ipc_hop_us: float = 0.45            # instance <-> frontend IPC hop (local DDR)

@@ -26,7 +26,7 @@ from ...net.packet import BROADCAST_MAC, Frame
 from ...obs.trace import TracerBinding
 from ...overload.stage import StageView
 from ...pcie.nic import TX_STATUS_DMA_ABORT, SimNIC
-from ...pcie.queues import Completion, RxDescriptor, TxDescriptor
+from ...pcie.queues import Completion, TxDescriptor
 from ...sim.core import MSEC, Simulator
 from ..engine import Driver, Link
 from .messages import (OP_RX, OP_RX_COMP, OP_TX, OP_TX_COMP, OP_TX_FENCED,
@@ -87,6 +87,8 @@ class NetBackend(Driver, TracerBinding):
         nic.on_tx_complete = self._on_nic_tx_comp
         nic.on_rx = self._on_nic_rx
         nic.on_link_change(self._on_link_change)
+        nic.rx_ring.capacity = self.rx_pool.buffer_size
+        nic.rx_ring.local = not rx_domain.is_shared
         self._fill_rx_ring()
 
     # -- wiring --------------------------------------------------------------------
@@ -126,14 +128,12 @@ class NetBackend(Driver, TracerBinding):
     # -- RX ring management ---------------------------------------------------------------
 
     def _fill_rx_ring(self) -> None:
-        while not self.nic.rx_ring.full:
-            addr = self.rx_pool.alloc()
-            if addr is None:
+        ring = self.nic.rx_ring
+        while len(ring) < ring.depth:
+            buffers = self.rx_pool.alloc_run(ring.depth - len(ring))
+            if buffers is None:
                 break
-            self.nic.post_rx(
-                RxDescriptor(addr=addr, capacity=self.rx_pool.buffer_size,
-                             local=not self.rx_domain.is_shared)
-            )
+            ring.post(buffers)
 
     # -- NIC callbacks (interrupt-less completion queues) -----------------------------------
 

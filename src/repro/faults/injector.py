@@ -147,22 +147,27 @@ class FaultInjector:
 
     # CXL link ---------------------------------------------------------------
 
+    def _link_fault(self, spec, detail: str, derate: float, extra_s: float = 0.0) -> None:
+        """Degrade the target's link on its own group's pool, or every pool's links."""
+        target = None if spec.target is None else self._host(spec.target)
+        host = target.name if target else None
+        pools = [target.group.pool] if target else [g.pool for g in self.pod.groups]
+        for pool in pools:
+            pool.set_link_fault(host, derate=derate, extra_s=extra_s)
+        self._record("inject", spec.kind, host or "*", detail)
+        self._schedule_recovery(spec, self._recover_link, spec.kind, host, pools)
+
     def _apply_cxl_latency_spike(self, spec) -> None:
-        host = self._host(spec.target).name if spec.target is not None else None
         extra_us = float(spec.params.get("extra_us", 2.0))
-        self.pod.pool.set_link_fault(host, derate=1.0, extra_s=extra_us * 1e-6)
-        self._record("inject", spec.kind, host or "*", f"+{extra_us}us")
-        self._schedule_recovery(spec, self._recover_link, spec.kind, host)
+        self._link_fault(spec, f"+{extra_us}us", 1.0, extra_us * 1e-6)
 
     def _apply_cxl_throttle(self, spec) -> None:
-        host = self._host(spec.target).name if spec.target is not None else None
         factor = float(spec.params.get("factor", 8.0))
-        self.pod.pool.set_link_fault(host, derate=factor)
-        self._record("inject", spec.kind, host or "*", f"x{factor}")
-        self._schedule_recovery(spec, self._recover_link, spec.kind, host)
+        self._link_fault(spec, f"x{factor}", factor)
 
-    def _recover_link(self, kind: str, host: Optional[str]) -> None:
-        self.pod.pool.clear_link_fault(host)
+    def _recover_link(self, kind: str, host: Optional[str], pools) -> None:
+        for pool in pools:
+            pool.clear_link_fault(host)
         self._record("recover", kind, host or "*")
 
     # Cache ------------------------------------------------------------------

@@ -124,8 +124,8 @@ class RegionAllocator:
 
 class FixedPool:
     """Fixed-size buffer pool (RX buffers): O(1) alloc/free, full recycling.
-    Never-used buffers come from a bump index and only recycled ones are
-    listed, so a 4 GB area costs what its ring posts, not an int per buffer."""
+    Never-used buffers come from a bump index (singly or as one ``range``
+    run) and only recycled ones are listed, so an area costs what came back."""
 
     def __init__(self, region: Region, buffer_size: int):
         if buffer_size <= 0 or buffer_size % CACHE_LINE:
@@ -137,8 +137,7 @@ class FixedPool:
         if count <= 0:
             raise MemoryFault("region too small for even one buffer")
         self._fresh = 0                 # buffers below this index were used
-        self._free: List[int] = []      # recycled buffers, reused LIFO
-        self._outstanding: set[int] = set()
+        self._free: Dict[int, None] = {}   # recycled buffers, reused LIFO
         self.capacity = count
 
     @property
@@ -147,22 +146,27 @@ class FixedPool:
 
     @property
     def outstanding(self) -> int:
-        return len(self._outstanding)
+        return self._fresh - len(self._free)
 
     def alloc(self) -> Optional[int]:
         """A recycled buffer, else the next fresh one, or None when exhausted."""
-        if self._free:
-            addr = self._free.pop()
-        elif self._fresh < self.capacity:
-            addr = self._base + self._fresh * self.buffer_size
-            self._fresh += 1
-        else:
+        buffers = self.alloc_run(1)
+        return buffers[0] if type(buffers) is range else buffers
+
+    def alloc_run(self, limit: int) -> int | range | None:
+        """Up to ``limit`` buffers in :meth:`alloc`'s order, in O(1): the last
+        recycled one (an int), else a ``range`` of never-used ones, else None."""
+        if self._free and limit > 0:
+            return self._free.popitem()[0]
+        n = min(limit, self.capacity - self._fresh)
+        if n <= 0:
             return None
-        self._outstanding.add(addr)
-        return addr
+        start = self._base + self._fresh * self.buffer_size
+        self._fresh += n
+        return range(start, start + n * self.buffer_size, self.buffer_size)
 
     def free(self, addr: int) -> None:
-        if addr not in self._outstanding:
+        index, misaligned = divmod(addr - self._base, self.buffer_size)
+        if misaligned or not 0 <= index < self._fresh or addr in self._free:
             raise MemoryFault(f"recycling unknown or double-freed buffer {addr:#x}")
-        self._outstanding.remove(addr)
-        self._free.append(addr)
+        self._free[addr] = None

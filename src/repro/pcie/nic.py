@@ -6,7 +6,7 @@ Operating flow mirrors the mlx5/DPDK model the paper builds on (§3.3.1):
   memory; the NIC DMA-reads the buffer (bypassing CPU caches), serialises the
   frame at line rate and hands it to its switch port, then raises a TX
   completion carrying the driver's cookie.
-* RX: the driver posts RX descriptors pointing into the per-NIC RX buffer
+* RX: the driver posts RX buffers (runs of addresses) in the per-NIC RX buffer
   area; on frame arrival the NIC matches the destination IP against its flow
   table (flow tagging, rte_flow-style), DMA-writes the frame into the next
   posted buffer and raises an RX completion with the matched tag (or ``None``
@@ -32,7 +32,7 @@ from ..obs.flow import FlowBinding
 from ..obs.trace import TracerBinding
 from ..sim.core import Simulator
 from .device import PCIeDevice
-from .queues import Completion, DescriptorRing, RxDescriptor, TxDescriptor
+from .queues import Completion, DescriptorRing, RxDescriptor, RxRing, TxDescriptor
 
 __all__ = ["SimNIC", "TX_STATUS_OK", "TX_STATUS_LINK_ERROR", "TX_STATUS_DMA_ABORT"]
 
@@ -56,7 +56,7 @@ class SimNIC(PCIeDevice, TracerBinding, FlowBinding):
         self.mac = mac
         self.config = config or NICConfig()
         self.tx_ring = DescriptorRing(self.config.tx_queue_depth, f"{self.name}-txq")
-        self.rx_ring = DescriptorRing(self.config.rx_queue_depth, f"{self.name}-rxq")
+        self.rx_ring = RxRing(self.config.rx_queue_depth, f"{self.name}-rxq")
         self.flow_table: Dict[int, int] = {}
         self._next_tag = 1
         self.port: Optional[SwitchPort] = None
@@ -221,23 +221,21 @@ class SimNIC(PCIeDevice, TracerBinding, FlowBinding):
 
     # -- RX path -------------------------------------------------------------------------
 
-    def post_rx(self, descriptor: RxDescriptor) -> None:
-        self.rx_ring.post(descriptor)
-
     def _on_wire_rx(self, frame: Frame) -> None:
         if self.failed:
             self.rx_dropped_down += 1
             return
-        if self.rx_ring.empty:
+        ring = self.rx_ring
+        if not ring:
             self.rx_dropped_no_buffer += 1
             return
-        desc: RxDescriptor = self.rx_ring.pop()
         data = frame.pack()
-        if len(data) > desc.capacity:
+        if len(data) > ring.capacity:      # checked before the buffer is taken
             raise DeviceError(
                 f"{self.name}: frame of {len(data)} B exceeds RX buffer "
-                f"capacity {desc.capacity} B"
+                f"capacity {ring.capacity} B"
             )
+        desc = RxDescriptor(ring.pop(), ring.capacity, ring.local)
         tag = self.flow_table.get(frame.dst_ip)
         if frame.meta:
             flow = frame.meta.get("flow")

@@ -14,7 +14,7 @@ from typing import Any, Deque, Optional
 
 from ..errors import DeviceError
 
-__all__ = ["TxDescriptor", "RxDescriptor", "NVMeCommand", "Completion", "DescriptorRing"]
+__all__ = ["TxDescriptor", "RxDescriptor", "NVMeCommand", "Completion", "DescriptorRing", "RxRing"]
 
 
 @dataclass
@@ -31,7 +31,7 @@ class TxDescriptor:
 
 @dataclass
 class RxDescriptor:
-    """A posted receive buffer in the per-NIC RX area."""
+    """An RX buffer a frame landed in (made by the NIC as it pops the buffer)."""
 
     addr: int
     capacity: int
@@ -102,3 +102,37 @@ class DescriptorRing:
         entries = list(self._entries)
         self._entries.clear()
         return entries
+
+
+class RxRing:
+    """The NIC's RX ring of posted buffer addresses, oldest first: a run of
+    never-used buffers is one ``range`` entry, a recycled one an int; ``len``
+    counts buffers.  ``capacity`` and ``local`` are set by the owning driver."""
+
+    def __init__(self, depth: int, name: str = "rxq"):
+        self.depth = depth
+        self.name = name
+        self.capacity = 0           # bytes per buffer
+        self.local = False          # buffers in host-local DDR (baseline mode)
+        self._entries: Deque[Any] = deque()
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def post(self, buffers) -> None:
+        n = len(buffers) if type(buffers) is range else 1
+        if self._count + n > self.depth:
+            raise DeviceError(f"{self.name} full ({self.depth} entries)")
+        self._entries.append(buffers)
+        self._count += n
+
+    def pop(self) -> int:
+        """The oldest posted buffer's address (IndexError when empty)."""
+        head = self._entries.popleft()
+        self._count -= 1
+        if type(head) is not range:
+            return head
+        if len(head) > 1:
+            self._entries.appendleft(head[1:])
+        return head[0]

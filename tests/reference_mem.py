@@ -13,6 +13,10 @@ optimise this file.
 ``ReferenceFixedPool`` (PR 22) is the same idea for ``mem/layout.py``: the
 free stack built eagerly, one boxed int per buffer the area could ever hand
 out, which the production pool replaced with a bump index.
+``ReferenceRxPath`` keeps the RX posting that sat on top of it: the
+backend's eager fill, one ``RxDescriptor`` per posted buffer in a
+``DescriptorRing``, and the NIC's pop, which production replaced with runs of
+addresses and a descriptor made only for a buffer a frame lands in.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from repro.config import CACHE_LINE, CacheTimings, CXLConfig
 from repro.errors import MemoryFault
 from repro.mem.cache import CacheStats
 from repro.mem.cxl import LinkStats
+from repro.pcie.queues import DescriptorRing, RxDescriptor
 
-__all__ = ["ReferencePool", "ReferenceCache", "ReferenceFixedPool"]
+__all__ = ["ReferencePool", "ReferenceCache", "ReferenceFixedPool", "ReferenceRxPath"]
 
 
 def _lines(addr: int, size: int) -> range:
@@ -344,6 +349,7 @@ class ReferenceCache:
 
 class ReferenceFixedPool:
     def __init__(self, region, buffer_size: int):
+        self.buffer_size = buffer_size
         base = (region.base + CACHE_LINE - 1) // CACHE_LINE * CACHE_LINE
         self.capacity = (region.end - base) // buffer_size
         self._free = [base + i * buffer_size for i in range(self.capacity)][::-1]
@@ -369,3 +375,44 @@ class ReferenceFixedPool:
             raise MemoryFault(f"recycling unknown or double-freed buffer {addr:#x}")
         self._outstanding.remove(addr)
         self._free.append(addr)
+
+
+class ReferenceRxPath:
+    """One NIC's RX side as the eager model posted it: the backend fills the
+    ring with a descriptor per buffer, the NIC pops one per arriving frame."""
+
+    def __init__(self, region, buffer_size: int, depth: int, local: bool):
+        self.pool = ReferenceFixedPool(region, buffer_size)
+        self.ring = DescriptorRing(depth, "ref-rxq")
+        self.local = local
+        self.failed = False
+        self.rx_dropped_down = 0
+        self.rx_dropped_no_buffer = 0
+        self.fill()
+
+    def fill(self) -> None:
+        """``NetBackend._fill_rx_ring`` as it was before buffers were runs."""
+        while not self.ring.full:
+            addr = self.pool.alloc()
+            if addr is None:
+                break
+            self.ring.post(RxDescriptor(addr=addr, capacity=self.pool.buffer_size,
+                                        local=self.local))
+
+    def arrive(self) -> Optional[RxDescriptor]:
+        """A frame reaches the NIC: the buffer it lands in, or None (dropped)."""
+        if self.failed:
+            self.rx_dropped_down += 1
+            return None
+        if self.ring.empty:
+            self.rx_dropped_no_buffer += 1
+            return None
+        return self.ring.pop()
+
+    def recycle(self, addr: int) -> None:
+        """The buffer came back (consumed by a frontend or dropped)."""
+        self.pool.free(addr)
+        self.fill()
+
+    def posted(self) -> list:
+        return [desc.addr for desc in self.ring._entries]

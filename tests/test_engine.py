@@ -587,6 +587,14 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
              *sorted((src / "faults").glob("*.py")), src / "obs" / "bindings.py")
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if twin.search(line)] == []
+    # ... RX buffers are posted as runs (DESIGN §3h): the backend builds no
+    # descriptor (the NIC makes one per frame) and the pool keeps no
+    # per-buffer set of what is out.
+    assert [f"{path.name}:{n}" for path in
+            sorted((src / "core" / "netengine").glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if "RxDescriptor(" in line] == []
+    assert "_outstanding" not in (src / "mem" / "layout.py").read_text()
 
 
 class TestEchoCallCount:

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.config import OasisConfig
-from repro.core.pod import CXLPod
+from repro.core.pod import CXLPod, RackBuilder
 from repro.errors import ConfigError
 from repro.faults import (FAULT_KINDS, FaultPlan, FaultSpec, InvariantChecker)
 from repro.faults.chaos import DEFAULT_PLAN, run_chaos
@@ -279,3 +279,22 @@ class TestInjectorLinkFaults:
             pytest.approx(base + 5e-6)
         assert pod.pool.transfer_time_s(4096, host="h1") == pytest.approx(base)
         pod.stop()
+
+    @pytest.mark.parametrize("target", ["h5", None])
+    def test_spike_reaches_a_host_outside_group_zero(self, target):
+        """A host's CXL link is on its own group's pool: a spike aimed at a
+        pool1 host, or at every link, delays that host's DMA by ``extra_us``
+        and its recovery takes the delay away again."""
+        pod = RackBuilder(hosts=8, pools=2).build()
+        host = pod.hosts[5]
+        assert host.group is pod.groups[1]
+        pod.inject_faults(FaultPlan([FaultSpec(
+            kind="cxl.latency_spike", target=target, at=0.01, duration=0.02,
+            params={"extra_us": 5.0})]))
+        delays = []
+        for until in (0.005, 0.015, 0.04):     # before, during, after
+            pod.run(until - pod.sim.now)
+            delays.append(host.link_transfer_delay(4096, direction="read"))
+        pod.stop()
+        base = 4096 / pod.config.cxl.link_bytes_per_sec
+        assert delays == pytest.approx([base, base + 5e-6, base])

@@ -6,6 +6,7 @@ from repro.config import NICConfig, OasisConfig
 from repro.errors import DeviceError, DeviceFailedError
 from repro.host.host import Host
 from repro.mem.cxl import CXLMemoryPool
+from repro.mem.layout import FixedPool, Region
 from repro.net.packet import Frame, make_ip, make_mac
 from repro.net.switch import LearningSwitch
 from repro.pcie.nic import SimNIC
@@ -105,7 +106,8 @@ class TestRx:
         pool, host, switch, nic, peer_port, _ = rig
         comps = []
         nic.on_rx = comps.append
-        nic.post_rx(RxDescriptor(addr=4096, capacity=2048))
+        nic.rx_ring.capacity = 2048
+        nic.rx_ring.post(4096)
         if tag_ip is not None:
             nic.add_flow_tag(tag_ip)
         return pool, nic, peer_port, comps
@@ -151,10 +153,31 @@ class TestRx:
 
     def test_oversized_frame_rejected(self, sim, rig):
         pool, host, switch, nic, peer_port, _ = rig
-        nic.post_rx(RxDescriptor(addr=4096, capacity=64))
+        rx_pool = FixedPool(Region(4096, 4 * 64), 64)
+        nic.rx_ring.capacity = rx_pool.buffer_size
+        nic.rx_ring.post(rx_pool.alloc_run(2))
+        nic.rx_ring.post(rx_pool.alloc())
+        counts = len(nic.rx_ring), rx_pool.available, rx_pool.outstanding
+        assert counts == (3, 1, 3)
         with pytest.raises(DeviceError):
             nic._on_wire_rx(Frame(dst_mac=nic.mac, src_mac=make_mac(9),
                                   payload=b"z" * 200))
+        # The check comes before the pop: the ring keeps its buffer and the
+        # pool's books do not move.
+        assert (len(nic.rx_ring), rx_pool.available, rx_pool.outstanding) == counts
+        assert [nic.rx_ring.pop() for _ in range(3)] == [4096, 4160, 4224]
+
+    def test_rx_descriptor_made_at_pop_from_ring_level_fields(self, sim, rig):
+        pool, nic, peer_port, comps = self._rx_setup(sim, rig)
+        nic.rx_ring.local = True
+        nic.rx_ring.post(range(8192, 8192 + 3 * 2048, 2048))
+        assert len(nic.rx_ring) == 4
+        for _ in range(3):
+            peer_port.receive(Frame(dst_mac=nic.mac, src_mac=make_mac(9)))
+        sim.run_all()
+        assert [c.descriptor for c in comps] == [
+            RxDescriptor(addr, 2048, True) for addr in (4096, 8192, 10240)]
+        assert len(nic.rx_ring) == 1
 
 
 class TestFlowTable:

@@ -30,7 +30,7 @@ def _echo_received(fencing: bool, rate_pps: float = 20000.0) -> int:
     return echo.stats.received
 
 
-def test_fencing_throughput_overhead(benchmark, record_result):
+def test_fencing_throughput_overhead(benchmark):
     def run():
         on = _echo_received(fencing=True)
         off = _echo_received(fencing=False)
@@ -44,7 +44,3 @@ def test_fencing_throughput_overhead(benchmark, record_result):
     # The fencing check is one dictionary lookup on the backend CPU; it
     # must cost <2% of throughput (in the model: nothing at all).
     assert on >= 0.98 * off
-    record_result("fencing_overhead", {
-        "received_fenced": on, "received_unfenced": off,
-        "ratio": on / off if off else None,
-    })

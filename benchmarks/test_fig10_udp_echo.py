@@ -1,20 +1,12 @@
 """Benchmark: Figure 10 -- UDP echo overhead, 75 B vs 1500 B packets.
 
-Paper: +4-7 us regardless of packet size.  Also measures the wall-clock cost
-of the flow-tracing instrumentation when it is disabled (the default): the
-echo cell must simulate at most 2% slower than an identical cell whose client
-is not wired to the pod's flow registry at all.
+Paper: +4-7 us regardless of packet size.
 """
 
-import os
-import time
-
 from repro.experiments import fig10
-from repro.experiments.common import SERVER_IP, build_echo_pod
-from repro.workloads.echo import EchoClient
 
 
-def test_fig10_udp_echo(benchmark, record_result):
+def test_fig10_udp_echo(benchmark):
     results = benchmark.pedantic(fig10.main, rounds=1, iterations=1)
     deltas = []
     for size in (75, 1500):
@@ -22,53 +14,3 @@ def test_fig10_udp_echo(benchmark, record_result):
         deltas.append(cell["oasis"]["p50"] - cell["baseline"]["p50"])
     assert all(1.5 <= d <= 10.0 for d in deltas)
     assert abs(deltas[0] - deltas[1]) < 2.5   # size-independent
-    duration_s = 0.2 * float(os.environ["OASIS_SCALE"])
-    record_result("fig10", {
-        "delta_p50_us_75B": deltas[0],
-        "delta_p50_us_1500B": deltas[1],
-        "oasis_p50_us_75B": results[75]["low"]["oasis"]["p50"],
-        "throughput_pps_75B_low": (
-            results[75]["low"]["oasis"]["count"] / duration_s),
-    })
-
-
-def _echo_wallclock(wire_flows: bool, duration_s: float = 0.05,
-                    rate_pps: float = 20_000.0, reps: int = 5) -> dict:
-    """Best-of-``reps`` wall-clock time for one oasis echo cell.
-
-    ``wire_flows=True`` passes the pod's (disabled) flow registry to the
-    client, exactly as ``fig10.run_echo`` now does; ``False`` leaves the
-    client on the null registry -- the pre-flow-tracing configuration.
-    """
-    best = float("inf")
-    completed = 0
-    for _ in range(reps):
-        pod, inst, client_ep, _ = build_echo_pod("oasis", remote=True)
-        kwargs = {"flows": pod.flows} if wire_flows else {}
-        client = EchoClient(pod.sim, client_ep, SERVER_IP,
-                            packet_size=75, rate_pps=rate_pps,
-                            metrics=pod.metrics, **kwargs)
-        client.start(duration_s)
-        t0 = time.perf_counter()
-        pod.run(duration_s + 0.02)
-        best = min(best, time.perf_counter() - t0)
-        pod.stop()
-        completed = int(pod.metrics.value("echo_rtt_us_count",
-                                          client=client.name))
-    return {"wall_s": best, "completed": completed}
-
-
-def test_fig10_flow_tracing_disabled_overhead(record_result):
-    """Disabled flow tracing costs < 2% of echo simulation throughput."""
-    control = _echo_wallclock(wire_flows=False)
-    wired = _echo_wallclock(wire_flows=True)
-    assert wired["completed"] == control["completed"]
-    control_tput = control["completed"] / control["wall_s"]
-    wired_tput = wired["completed"] / wired["wall_s"]
-    regression = 1.0 - wired_tput / control_tput
-    record_result("fig10_flow_overhead", {
-        "control_echoes_per_wall_s": control_tput,
-        "flows_disabled_echoes_per_wall_s": wired_tput,
-        "regression": regression,
-    })
-    assert regression < 0.02

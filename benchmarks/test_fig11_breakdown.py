@@ -8,7 +8,7 @@ the differenced breakdown against per-stage decomposition of the same RTTs.
 from repro.experiments import fig11
 
 
-def test_fig11_breakdown(benchmark, record_result):
+def test_fig11_breakdown(benchmark):
     results = benchmark.pedantic(fig11.main, rounds=1, iterations=1)
     for size in (75, 1500):
         cell = results[size]["low"]
@@ -16,14 +16,3 @@ def test_fig11_breakdown(benchmark, record_result):
         messaging = cell["oasis"]["p50"] - cell["local-cxl-buffers"]["p50"]
         assert buffers < 1.5
         assert messaging > buffers
-    derived = results["attribution"]["derived"]
-    cell = results[75]["low"]
-    record_result("fig11", {
-        "buffer_cost_us": (cell["local-cxl-buffers"]["p50"]
-                           - cell["local"]["p50"]),
-        "messaging_cost_us": (cell["oasis"]["p50"]
-                              - cell["local-cxl-buffers"]["p50"]),
-        "flow_messaging_cost_us": derived["messaging_cost_us"],
-        "flow_channel_stage_delta_us": derived["channel_stage_delta_us"],
-        "channel_share_of_messaging": derived["channel_share_of_messaging"],
-    })

@@ -2,7 +2,7 @@
 
 Headline metrics for the overload-robustness PR (not a paper figure): drive
 the open-loop block client through a 1.5x-capacity surge against a pooled
-SSD and record the full ``python -m repro overload`` sweep -- per-bin
+SSD and run the full ``python -m repro overload`` sweep -- per-bin
 goodput/latency curves for both runs plus
 
 * ``recovery_on``  -- post-surge goodput as a fraction of pre-surge goodput
@@ -13,32 +13,17 @@ goodput/latency curves for both runs plus
   device capacity (the protected pod keeps the device busy with useful
   work while shedding the excess).
 
-All three are ratios of simulated-time quantities, so they are machine
-independent and gated exactly (no tolerance band) by
-``tools/check_bench_regression.py`` against ``baseline_overload.json``.
-The assertions here are the same bounds, kept loose enough to hold at any
-``OASIS_SCALE``.
+All three are ratios of simulated-time quantities; the thresholds and the
+``ok`` verdict live in :mod:`repro.experiments.overload`.
 """
-
-import json
-from pathlib import Path
 
 from repro.experiments.overload import run_overload
 
-BASELINE_PATH = Path(__file__).resolve().parent / "baseline_overload.json"
 
-
-def test_overload_recovery(record_result):
+def test_overload_recovery():
     result = run_overload()
-    baseline = json.loads(BASELINE_PATH.read_text())
-
-    record_result("overload", result)
 
     assert result["ok"]
-    assert result["recovery_on"] >= baseline["recovery_on_floor"]
-    assert result["recovery_off"] <= baseline["recovery_off_ceiling"]
-    assert (result["surge_goodput_frac_on"]
-            >= baseline["surge_goodput_frac_floor"])
     # The off-run really was an overload (not a tuned-down workload): the
     # surge pushed offered load past device capacity.
     assert result["surge_rate_iops"] > result["capacity_iops"]

@@ -4,7 +4,7 @@ Headline metrics for the serving PR (not a paper figure): run the full
 ``python -m repro serve`` scenario -- a latency-sensitive memcached-like
 tenant, a diurnal web tenant and a bursty background tenant sharing one
 derated SSD through per-tenant weighted-fair queueing, with the background
-tenant surging to 8x its share -- and record
+tenant surging to 8x its share -- and check
 
 * ``p99_ratio``      -- the victim (mc) tenant's surge-window P99 in the
   mix as a multiple of its solo-run P99 (same seed, same RNG substreams);
@@ -13,34 +13,17 @@ tenant surging to 8x its share -- and record
 * per-tenant goodput/shed/SLO-burn ledgers plus the WFQ and invariant
   verdicts from both runs.
 
-Both headline numbers are ratios of simulated-time quantities, so they are
-machine independent and gated exactly (no tolerance band) by
-``tools/check_bench_regression.py`` against ``baseline_serve.json``.  The
-assertions here are the same bounds, kept loose enough to hold at any
-``OASIS_SCALE``.
+Both headline numbers are ratios of simulated-time quantities; the
+thresholds and the ``ok`` verdict live in :mod:`repro.experiments.serve`.
 """
-
-import json
-from pathlib import Path
 
 from repro.experiments.serve import run_serve
 
-BASELINE_PATH = Path(__file__).resolve().parent / "baseline_serve.json"
 
-
-def test_serve_isolation(record_result):
+def test_serve_isolation():
     result = run_serve()
-    baseline = json.loads(BASELINE_PATH.read_text())
-
-    record_result("serve", result)
 
     assert result["ok"]
-    assert result["p99_ratio"] <= baseline["p99_ratio_ceiling"]
-    assert result["min_share_frac"] >= baseline["share_frac_floor"]
-    # Both runs kept their books: per-tenant conservation and the shed/retry
-    # invariants held for the whole run.
-    assert result["solo"]["invariants_ok"]
-    assert result["mix"]["invariants_ok"]
     # The scenario really exercised isolation: the noisy neighbour shed
     # traffic while the victim tenants shed nothing.
     lanes = result["mix"]["frontend_tenants"]

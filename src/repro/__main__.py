@@ -48,8 +48,8 @@ def main(argv=None) -> int:
         print("       python -m repro top [--once] [--json] [--hosts N]")
         print("       python -m repro rack [--hosts N] [--pools M] [--json]")
         print("       python -m repro chaos [--seed N] [--plan plan.json]")
-        print("       python -m repro overload [--check] [--json] [--out BENCH_pr10.json]")
-        print("       python -m repro serve [--check] [--json] [--out BENCH_pr10.json]\n")
+        print("       python -m repro overload [--check] [--json]")
+        print("       python -m repro serve [--check] [--json]\n")
         print("experiments:")
         for name, (title, _) in by_name.items():
             print(f"  {name:<8} {title}")

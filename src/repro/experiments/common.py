@@ -9,15 +9,15 @@ regenerate the paper's statistics.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
-import numpy as np
-
 from ..config import OasisConfig
 from ..core.pod import CXLPod
+from ..errors import ConfigError
 from ..net.packet import make_ip
-from ..workloads.echo import EchoClient, EchoServer
+from ..workloads.echo import EchoServer
 
 __all__ = ["scale", "build_echo_pod", "SERVER_IP", "CLIENT_IP"]
 
@@ -27,10 +27,15 @@ CLIENT_IP = make_ip(10, 0, 9, 1)
 
 def scale(default: float = 1.0) -> float:
     """Experiment scale factor from the OASIS_SCALE environment variable."""
+    raw = os.environ.get("OASIS_SCALE", default)
     try:
-        return float(os.environ.get("OASIS_SCALE", default))
+        value = float(raw)
     except ValueError:
-        return default
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ConfigError(f"OASIS_SCALE must be a finite number > 0, "
+                          f"got {raw!r}")
+    return value
 
 
 def build_echo_pod(mode: str, remote: bool = True,

@@ -21,11 +21,12 @@ Two runs from the same seed differ in exactly one bit: whether the pod armed
   -- goodput tracks capacity through the surge and *recovers* to the
   pre-surge level once it passes.
 
-Headline (dumped to ``BENCH_pr9.json`` with ``--out`` and gated in CI):
-``recovery_on`` (post-surge goodput / pre-surge goodput, budgets on) must
-stay >= 0.90 while ``recovery_off`` stays < 0.50.  Same seed => byte
-identical JSON (shed/trip/probe sequences included), pinned by the replay
-tests.
+Verdict (``ok``; ``--check`` exits 1 without it): ``recovery_on``
+(post-surge / pre-surge goodput, budgets on) >= ``RECOVERY_ON_FLOOR``,
+``recovery_off`` < ``RECOVERY_OFF_CEILING`` and ``surge_goodput_frac_on``
+(surge goodput / capacity) >= ``SURGE_GOODPUT_FRAC_FLOOR``; simulated-time
+ratios, so exact on any machine.  Same seed => byte identical JSON
+(shed/trip/probe sequences included), pinned by the replay tests.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ __all__ = ["run_overload", "main_overload", "main"]
 #: so device capacity is ~9.8k IOPS -- small enough that a CI-sized run can
 #: push 1.5x past it.
 SSD_BANDWIDTH_GBPS = 0.04
+
+RECOVERY_ON_FLOOR = 0.90
+RECOVERY_OFF_CEILING = 0.50
+SURGE_GOODPUT_FRAC_FLOOR = 0.85
 
 
 def _capacity_iops(config) -> float:
@@ -158,6 +163,7 @@ def run_overload(
     surge_rate = surge_util * capacity
     on = _one_run(seed, True, base_rate, surge_rate, pre_s, surge_s, post_s)
     off = _one_run(seed, False, base_rate, surge_rate, pre_s, surge_s, post_s)
+    surge_frac = round(on["goodput_surge_iops"] / capacity, 6)
     return {
         "seed": seed,
         "capacity_iops": round(capacity, 3),
@@ -170,10 +176,10 @@ def run_overload(
         "off": off,
         "recovery_on": on["recovery_ratio"],
         "recovery_off": off["recovery_ratio"],
-        "surge_goodput_frac_on": round(
-            on["goodput_surge_iops"] / capacity, 6),
-        "ok": (on["recovery_ratio"] >= 0.90
-               and off["recovery_ratio"] < 0.50),
+        "surge_goodput_frac_on": surge_frac,
+        "ok": (on["recovery_ratio"] >= RECOVERY_ON_FLOOR
+               and off["recovery_ratio"] < RECOVERY_OFF_CEILING
+               and surge_frac >= SURGE_GOODPUT_FRAC_FLOOR),
     }
 
 
@@ -196,8 +202,11 @@ def _render(result: dict) -> None:
               f"trips={fe['breaker_trips']} giveups={fe['giveups']}")
     verdict = "PASS" if result["ok"] else "FAIL"
     print(f"  verdict  {verdict}: recovery_on={result['recovery_on']:.2f} "
-          f"(need >= 0.90), recovery_off={result['recovery_off']:.2f} "
-          f"(need < 0.50)")
+          f"(need >= {RECOVERY_ON_FLOOR:.2f}), "
+          f"recovery_off={result['recovery_off']:.2f} "
+          f"(need < {RECOVERY_OFF_CEILING:.2f}), "
+          f"surge_goodput_frac_on={result['surge_goodput_frac_on']:.2f} "
+          f"(need >= {SURGE_GOODPUT_FRAC_FLOOR:.2f})")
 
 
 def main_overload(argv=None) -> int:
@@ -216,13 +225,13 @@ def main_overload(argv=None) -> int:
                              "capacity (default 1.5)")
     parser.add_argument("--json", action="store_true",
                         help="print the machine-readable result")
-    parser.add_argument("--out", type=str, default=None,
-                        help="also write a BENCH-style dump "
-                             "(e.g. BENCH_pr9.json)")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless budgets-on recovers >= 90% of "
-                             "pre-surge goodput and budgets-off stays "
-                             "collapsed (< 50%)")
+                        help="exit 1 unless budgets-on recovers >= "
+                             f"{RECOVERY_ON_FLOOR:.2f}x pre-surge goodput "
+                             "with surge goodput >= "
+                             f"{SURGE_GOODPUT_FRAC_FLOOR:.2f}x capacity, and "
+                             "budgets-off stays collapsed (< "
+                             f"{RECOVERY_OFF_CEILING:.2f}x)")
     args = parser.parse_args(argv)
 
     result = run_overload(seed=args.seed, base_util=args.base_util,
@@ -231,12 +240,6 @@ def main_overload(argv=None) -> int:
         print(json.dumps(result, indent=1, sort_keys=True))
     else:
         _render(result)
-    if args.out:
-        payload = {"results": {"overload": result}}
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"overload results written to {args.out}")
     if args.check and not result["ok"]:
         print("overload: FAIL -- see verdict above", flush=True)
         return 1

@@ -7,18 +7,19 @@ instance pinned to a *different* host's NIC inside its pool, so all traffic
 crosses the pool -- and drives a synthetic place/release churn through the
 sharded, batch-committed control plane while the datapath is under load.
 
-Headline numbers (dumped to ``BENCH_pr8.json`` with ``--out``):
+Headline numbers:
 
-* ``wall_per_sim_sec`` -- the PR 6 sim-speed budget at rack scale, gated by
-  ``tools/check_bench_regression.py`` (``events_per_sec`` is recorded beside
-  it and gates nothing: it falls when a change removes events);
+* ``wall_per_sim_sec`` -- wall-clock seconds per simulated second at rack
+  scale (``events_per_sec`` beside it falls when a change removes events);
 * ``commit_p50_ms`` / ``commit_p99_ms`` -- decide-to-leader-applied latency
   of replicated control commands under group commit;
 * ``control_commits_per_sec`` -- control-plane decision throughput;
 * ``converged`` -- every Raft replica of every shard matches its shard's
   canonical state at the end of the run.
 
-``--check`` also installs the chaos invariant probes
+``--check`` exits 1 unless the shards converged, the proposal queue drained
+and ``commit_p99_ms`` <= ``COMMIT_P99_CEILING_MS`` (simulated time, exact on
+any machine).  It also installs the chaos invariant probes
 (:meth:`~repro.core.pod.CXLPod.check_invariants`, no periodic task, so the
 event count does not move) and fails on a violated verdict: the per-group
 control-plane checks of DESIGN §3f run against every pool group here.
@@ -40,6 +41,9 @@ from ..workloads.echo import EchoClient, EchoServer
 from .common import scale
 
 __all__ = ["run_rack", "main_rack", "main"]
+
+#: 0.2 ms group-commit window plus replication transport.
+COMMIT_P99_CEILING_MS = 0.5
 
 
 def run_rack(
@@ -206,13 +210,11 @@ def main_rack(argv=None) -> int:
                         help="Raft replicas per pool shard (0 disables Raft)")
     parser.add_argument("--json", action="store_true",
                         help="print the machine-readable result")
-    parser.add_argument("--out", type=str, default=None,
-                        help="also write a BENCH-style dump "
-                             "(e.g. BENCH_pr8.json)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless replicas converged, the "
-                             "command queue drained and the invariant "
-                             "checker's verdict is OK")
+                             "command queue drained, commit p99 stayed "
+                             f"within {COMMIT_P99_CEILING_MS} ms and the "
+                             "invariant checker's verdict is OK")
     args = parser.parse_args(argv)
 
     result = run_rack(
@@ -252,15 +254,13 @@ def main_rack(argv=None) -> int:
               f"pending={result['pending_after']}")
         if verdict is not None:
             print(f"  {verdict.render().splitlines()[0]}")
-    if args.out:
-        payload = {"results": {"rack_scale": result}}
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"rack results written to {args.out}")
     if args.check and not (result["converged"]
                            and result["pending_after"] == 0):
         print("rack: FAIL -- control plane did not converge", flush=True)
+        return 1
+    if args.check and result["commit_p99_ms"] > COMMIT_P99_CEILING_MS:
+        print(f"rack: FAIL -- commit p99 {result['commit_p99_ms']:.3f} ms "
+              f"above the {COMMIT_P99_CEILING_MS} ms ceiling", flush=True)
         return 1
     if verdict is not None and not verdict.ok:
         print(f"rack: FAIL -- {verdict.render()}", flush=True)

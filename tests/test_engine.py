@@ -595,6 +595,17 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if "RxDescriptor(" in line] == []
     assert "_outstanding" not in (src / "mem" / "layout.py").read_text()
+    # ... and one verdict per scenario: each threshold lives in its scenario
+    # module, with no second benchmark pipeline (dump, checker, baselines).
+    root = src.parents[1]
+    assert not (root / "tools" / "check_bench_regression.py").exists()
+    assert sorted((root / "benchmarks").glob("baseline_*.json")) == []
+    dump = re.compile(r"BENCH_pr|record_result|OASIS_BENCH_RESULTS")
+    assert [f"{path.relative_to(root)}:{n}" for path in
+            (*sorted(src.rglob("*.py")),
+             *sorted((root / "benchmarks").rglob("*.py")))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if dump.search(line)] == []
 
 
 class TestEchoCallCount:
@@ -634,6 +645,59 @@ class TestEchoCallCount:
         pod.stop()
         assert echoes == 200
         assert 0 < calls[0] / echoes <= self.CALLS_PER_ECHO_CEILING
+
+
+class TestUnconfiguredCostsNothing:
+    """An overlay the pod carries but nobody enabled does no work: a fleet
+    pipeline built and subscribed with the scraper never started, or a
+    client wired to the pod's disabled flow registry, runs exactly the
+    Python calls (inside ``repro``), kernel events and echoes of a pristine
+    cell (60,093 / 2,700 / 200 over the window), and leaves the same number
+    of entries queued in the kernel (a task it armed shows there before it
+    fires).  Counted, not timed: the wall-clock ratios this replaces flaked
+    on a loaded box."""
+
+    @staticmethod
+    def _window(overlay):
+        pod, _inst, client, _nic = build_echo_pod("oasis", remote=True)
+        kwargs = {}
+        if overlay == "fleet":
+            from repro.obs.fleet import FleetHealth
+
+            fleet = FleetHealth(
+                nic_bytes_per_sec=pod.config.nic.bytes_per_sec,
+                ssd_bytes_per_sec=pod.config.ssd.bytes_per_sec,
+                link_bytes_per_sec=pod.config.cxl.link_bytes_per_sec)
+            pod.scraper.subscribe(fleet.ingest)
+        elif overlay == "flows":
+            kwargs["flows"] = pod.flows
+        echo = EchoClient(pod.sim, client, SERVER_IP, packet_size=75,
+                          rate_pps=20_000, metrics=pod.metrics, **kwargs)
+        echo.start(1.0)
+        pod.run(0.005)                         # warm
+        calls = [0]
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                calls[0] += frame.f_code.co_filename.startswith(
+                    repro.__path__[0])
+
+        events, echoes = pod.sim.processed_events, echo.stats.received
+        sys.setprofile(profile)
+        try:
+            pod.run(0.010)
+        finally:
+            sys.setprofile(None)
+        cost = (calls[0], pod.sim.processed_events - events,
+                echo.stats.received - echoes, pod.sim.pending)
+        pod.stop()
+        return cost
+
+    def test_disabled_fleet_and_flows_match_a_pristine_cell(self):
+        pristine = self._window(None)
+        assert pristine[2] == 200
+        assert self._window("fleet") == pristine
+        assert self._window("flows") == pristine
 
 
 class TestControlCallCount:

@@ -178,14 +178,32 @@ class TestTable1:
 
 class TestExperimentPlumbing:
     def test_scale_env_parsing(self, monkeypatch):
+        from repro.errors import ConfigError
         from repro.experiments.common import scale
 
         monkeypatch.setenv("OASIS_SCALE", "0.25")
         assert scale() == 0.25
-        monkeypatch.setenv("OASIS_SCALE", "garbage")
-        assert scale(2.0) == 2.0
+        # A malformed value fails loudly instead of silently running at the
+        # default (a "quick" OASIS_SCALE=0,1 pass would run at full scale).
+        for bad in ("garbage", "0,1", "-1", "0", "nan", "inf", ""):
+            monkeypatch.setenv("OASIS_SCALE", bad)
+            with pytest.raises(ConfigError, match=f"OASIS_SCALE.*'{bad}'"):
+                scale(2.0)
         monkeypatch.delenv("OASIS_SCALE")
         assert scale() == 1.0
+        assert scale(2.0) == 2.0
+
+    @pytest.mark.parametrize("scenario,threshold", [
+        ("overload", "0.85"), ("serve", "1.5"), ("rack", "0.5 ms")])
+    def test_scenario_help_states_its_thresholds(self, scenario, threshold,
+                                                 capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main([scenario, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        assert threshold in text and "--out" not in text
 
     def test_build_echo_pod_variants(self):
         from repro.experiments.common import build_echo_pod

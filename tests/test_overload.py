@@ -27,7 +27,10 @@ import pytest
 from repro.config import OasisConfig
 from repro.core.pod import CXLPod
 from repro.experiments.common import SERVER_IP, build_echo_pod
-from repro.experiments.overload import run_overload
+from repro.experiments.overload import (RECOVERY_OFF_CEILING,
+                                        RECOVERY_ON_FLOOR,
+                                        SURGE_GOODPUT_FRAC_FLOOR,
+                                        run_overload)
 from repro.faults import FaultPlan
 from repro.net.packet import Frame, make_ip
 from repro.workloads.echo import EchoClient
@@ -68,6 +71,12 @@ class TestOverloadSweep:
     def test_budgets_off_stays_collapsed(self, sweep):
         assert sweep["recovery_off"] < 0.50
         assert sweep["ok"]
+
+    def test_verdict_is_the_conjunction_of_the_module_thresholds(self, sweep):
+        assert sweep["ok"] == (
+            sweep["recovery_on"] >= RECOVERY_ON_FLOOR
+            and sweep["recovery_off"] < RECOVERY_OFF_CEILING
+            and sweep["surge_goodput_frac_on"] >= SURGE_GOODPUT_FRAC_FLOOR)
 
     def test_off_run_is_a_retry_storm(self, sweep):
         off = sweep["off"]["frontend"]

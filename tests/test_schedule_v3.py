@@ -46,6 +46,33 @@ def _storage_cell():
     return pod, ssd, device, pod.storage_frontends[h1.name]
 
 
+# -- the schedule version -----------------------------------------------------
+
+
+#: Events the seeded fig10 echo dispatches: the schedule version's pin.  Same
+#: seed, same schedule, same count on every machine; it moves only with a
+#: change to when something posts an event.  32,139 under version 1, 14,796
+#: under version 2 (the work-proportional driver loop), 13,781 under version
+#: 3 (lazy deadlines, inline device doorbells).
+SCHEDULE_V3_EVENTS = 13_781
+
+
+def test_seeded_fig10_echo_dispatches_the_pinned_event_count():
+    """256 B at 20 kpps Poisson, seed 17, flows wired: 0.05 s of load and a
+    0.07 s run (the tail drains in-flight frames)."""
+    pod, _inst, client, _nic = build_echo_pod(
+        "oasis", remote=True, config=OasisConfig().with_(seed=17))
+    echo = EchoClient(pod.sim, client, SERVER_IP, packet_size=256,
+                      rate_pps=20_000.0, rng=pod.rng.get("echo-client"),
+                      poisson=True, metrics=pod.metrics, flows=pod.flows)
+    before = pod.sim.processed_events
+    echo.start(0.05)
+    pod.run(0.07)
+    events = pod.sim.processed_events - before
+    pod.stop()
+    assert events == SCHEDULE_V3_EVENTS
+
+
 # -- (i) events per request on quiet cells -----------------------------------
 
 

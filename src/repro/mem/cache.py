@@ -44,8 +44,7 @@ from typing import Optional, Tuple
 
 from ..config import CACHE_LINE, CacheTimings
 from ..errors import MemoryFault
-from .cxl import (BIT, PAGE_SIZE, SPAN, ZERO_PAGE, CXLMemoryPool, Page, copy_lines,
-                  mask_bits)
+from .cxl import BELOW, BIT, SPAN, CXLMemoryPool, Page, copy_lines, mask_bits
 
 __all__ = ["HostCache", "CacheStats"]
 
@@ -167,13 +166,14 @@ class HostCache:
             dst = page.reach(hi + 1)
         if fetch:
             src = self.pool._pages.get(pidx)
-            src = ZERO_PAGE if src is None else src.data
-            if len(src) < end:                  # beyond the pool page's written extent
-                src = src.ljust(PAGE_SIZE, b"\x00")
-            if fetch == SPAN[lo][hi]:
-                dst[lo << 6:end] = src[lo << 6:end]
+            if src is None:
+                copy_lines(dst, b"", fetch, 0)
+            elif fetch == SPAN[lo][hi] and src.present & fetch == fetch:
+                # The run was all written: one slice of the packed pool page.
+                rank = (src.present & BELOW[lo]).bit_count() << 6
+                dst[lo << 6:end] = src.data[rank:rank + end - (lo << 6)]
             else:
-                copy_lines(dst, src, fetch)
+                copy_lines(dst, src.data, fetch, src.present)
             rd = self._rd
             if rd is None:
                 rd = self._link_tables()[0]
@@ -215,19 +215,29 @@ class HostCache:
         """
         page.dirty ^= mask
         if not posted or (self._wb_fault is None and self.writeback_hook is None):
-            # pool._page_for_write(pidx, mask), inlined: every CLWB of a ring
-            # line or a counter comes through here.
+            # The pool's run write (see dma_write), inlined: every CLWB of a
+            # ring line or a counter comes through here.  A run replaces its
+            # present lines in the packed pool page and inserts the others;
+            # runs go highest first, so the rank of a lower one still holds.
             pool_pages = self.pool._pages
             dst = pool_pages.get(pidx)
             if dst is None:
                 dst = pool_pages[pidx] = Page()
-            dst.present |= mask
-            end = (hi + 1) << 6
-            dst = dst.data if len(dst.data) >= end else dst.reach(hi + 1)
+            present = dst.present
             if mask == SPAN[lo][hi]:
-                dst[lo << 6:end] = page.data[lo << 6:end]
+                rank = (present & BELOW[lo]).bit_count() << 6
+                dst.data[rank:rank + ((present & mask).bit_count() << 6)] = \
+                    page.data[lo << 6:(hi + 1) << 6]
             else:
-                copy_lines(dst, page.data, mask)
+                run = mask
+                while run:
+                    top = run.bit_length()              # the run is [low, top)
+                    low = (run ^ BELOW[top]).bit_length()
+                    rank = (present & BELOW[low]).bit_count() << 6
+                    old = (present & SPAN[low][top - 1]).bit_count() << 6
+                    dst.data[rank:rank + old] = page.data[low << 6:top << 6]
+                    run &= BELOW[low]
+            dst.present = present | mask
             wr = self._wr
             if wr is None:
                 wr = self._link_tables()[1]

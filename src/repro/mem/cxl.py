@@ -6,16 +6,19 @@ The pool is a flat, byte-addressable store shared by every host in the pod
 *not* cache-coherent across hosts), while PCIe devices DMA straight to the
 pool through :meth:`CXLMemoryPool.dma_read` / :meth:`dma_write`.
 
-Storage is sparse and page-granular: a dict of 4 KiB ``bytearray`` pages, each
-with a 64-bit mask of the lines ever written, so a 256 GB pool costs memory
-only for the pages actually touched and a 4 KiB buffer moves as one slice copy
-(DESIGN §3h).  Every transfer is accounted per host link and per
-*category* ("payload", "message", "counter", ...), which is what regenerates
-Table 3's bandwidth breakdown.
+Storage is sparse twice over (DESIGN §3h).  Only touched 4 KiB pages exist,
+and a page keeps a 64-bit mask of the lines ever written and *only those
+lines*, packed in line order: line ``b`` sits at ``(present & BELOW[b])
+.bit_count() << 6`` of its ``data``.  So a 256 GB pool costs 64 B per line
+ever written -- a 2 KiB packet buffer holding a 256 B frame costs 256 B --
+and a run of written lines still moves as one slice copy.  Every transfer is
+accounted per host link and per *category* ("payload", "message", "counter",
+...), which is what regenerates Table 3's bandwidth breakdown.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -28,17 +31,17 @@ __all__ = ["CXLMemoryPool", "LinkStats", "line_index", "line_base", "lines_spann
 # loops here and in cache.py spell that geometry as literals: a byte offset
 # ``>> 6`` is a line number, ``>> 12`` a page number, ``& 4095`` page-relative.
 PAGE_SIZE = 4096
-ZERO_PAGE = bytes(PAGE_SIZE)
 assert CACHE_LINE == 64
 
 
 # Masks are looked up, not shifted into being: a 64-bit shift allocates a fresh
 # multi-digit int on every access.  SPAN[lo][hi] selects lines lo..hi of a
-# page, BIT[lo] line lo alone, _BELOW[n] lines 0..n-1.
+# page, BIT[lo] line lo alone, BELOW[n] lines 0..n-1 (so the rank of line n in
+# a packed pool page is ``(present & BELOW[n]).bit_count()``).
 SPAN = tuple(tuple((2 << hi) - (1 << lo) if hi >= lo else 0 for hi in range(64))
              for lo in range(64))
 BIT = tuple(1 << lo for lo in range(64))
-_BELOW = tuple((1 << n) - 1 for n in range(65))
+BELOW = tuple((1 << n) - 1 for n in range(65))
 
 
 def mask_bits(mask: int) -> Iterator[int]:
@@ -49,27 +52,41 @@ def mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def copy_lines(dst: bytearray, src, mask: int) -> None:
-    """Copy the 64 B lines selected by ``mask`` from page ``src`` to page
-    ``dst``: one slice per contiguous run.  (Callers that know ``mask`` is the
-    single run ``SPAN[lo][hi]`` copy that slice themselves.)"""
+def copy_lines(dst: bytearray, src, mask: int, present: int) -> None:
+    """Copy the 64 B lines selected by ``mask`` of a pool page into the dense
+    page ``dst``: one slice per contiguous run.  ``src`` holds the page's
+    ``present`` lines packed in line order; a line of ``mask`` that is not
+    present is copied as zeros.  (Callers that know ``mask`` is the single
+    present run ``SPAN[lo][hi]`` copy that slice themselves.)"""
+    absent = mask & ~present
+    while absent:
+        top = absent.bit_length()                       # the run is [low, top)
+        low = (absent ^ BELOW[top]).bit_length()
+        dst[low << 6:top << 6] = bytes((top - low) << 6)
+        absent &= BELOW[low]
+    mask &= present
     while mask:
-        top = mask.bit_length()                         # the run is [low, top)
-        low = (mask ^ _BELOW[top]).bit_length()
-        dst[low << 6:top << 6] = src[low << 6:top << 6]
-        mask &= _BELOW[low]
+        top = mask.bit_length()
+        low = (mask ^ BELOW[top]).bit_length()
+        rank = (present & BELOW[low]).bit_count() << 6
+        dst[low << 6:top << 6] = src[rank:rank + ((top - low) << 6)]
+        mask &= BELOW[low]
 
 
 class Page:
     """One touched 4 KiB page: its bytes and two 64-bit line masks.
 
     In a host cache ``present`` marks the cached lines and ``dirty`` (always
-    a subset) those not yet written back; bytes of absent lines are garbage.
-    In the pool ``present`` marks the lines ever written and ``dirty`` stays
-    zero.  ``data`` reaches only as far as the highest line ever held (in the
-    pool the rest of the page reads as zeros): rings of 2 KiB packet buffers
-    holding 256 B frames, and counters alone on their page, would otherwise
-    be mostly resident padding.
+    a subset) those not yet written back.  ``data`` is dense -- line ``b`` at
+    byte ``b << 6`` -- and reaches only as far as the highest line the page
+    has held (:meth:`reach`); bytes of absent lines are garbage.
+
+    In the pool ``present`` marks the lines ever written, ``dirty`` stays
+    zero and ``data`` is packed: it holds exactly the present lines, in line
+    order, line ``b`` at ``(present & BELOW[b]).bit_count() << 6``, so
+    ``len(data) == 64 * present.bit_count()``.  Absent lines read as zeros.
+    Rings of 2 KiB packet buffers holding 256 B frames, and counters alone on
+    their page, would otherwise be mostly resident padding.
     """
 
     __slots__ = ("data", "present", "dirty")
@@ -117,10 +134,6 @@ class LinkStats:
 
     read_bytes: Dict[str, int] = field(default_factory=dict)
     write_bytes: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, direction: str, category: str, nbytes: int) -> None:
-        table = self.read_bytes if direction == "read" else self.write_bytes
-        table[category] = table.get(category, 0) + nbytes
 
     def total(self, direction: Optional[str] = None) -> int:
         total = 0
@@ -192,39 +205,30 @@ class CXLMemoryPool:
         if addr < 0 or size < 0 or addr + size > self.size:
             raise MemoryFault(f"access [{addr}, {addr + size}) outside pool of {self.size} B")
 
-    def _page_for_write(self, pidx: int, mask: int) -> bytearray:
-        """Bytes of page ``pidx``, materialised, with the lines ``mask`` marked written."""
-        page = self._pages.get(pidx)
-        if page is None:
-            page = self._pages[pidx] = Page()
-        page.present |= mask
-        lines = mask.bit_length()
-        return page.data if len(page.data) >= lines << 6 else page.reach(lines)
-
     def read_line(self, index: int) -> bytes:
         """Return the 64 B line at ``index`` (zeros if never written)."""
         self._check(index * CACHE_LINE, CACHE_LINE)
         page = self._pages.get(index >> 6)
-        if page is None:
+        if page is None or not page.present & BIT[index & 63]:
             return bytes(CACHE_LINE)
-        offset = (index & 63) << 6
-        return bytes(page.data[offset:offset + CACHE_LINE]).ljust(CACHE_LINE, b"\x00")
+        rank = (page.present & BELOW[index & 63]).bit_count() << 6
+        return bytes(page.data[rank:rank + CACHE_LINE])
 
     def write_line(self, index: int, data: bytes) -> None:
         if index < 0 or (index + 1) << 6 > self.size:
             self._check(index * CACHE_LINE, CACHE_LINE)
         if len(data) != CACHE_LINE:
             raise MemoryFault(f"line write must be {CACHE_LINE} B, got {len(data)}")
-        # _page_for_write, inlined: the Figure 6 microbench lands every posted
-        # write through here, one call per line.
+        # The Figure 6 microbench lands every posted write through here, one
+        # call per line: the one-line case of dma_write's run, inlined.
         page = self._pages.get(index >> 6)
         if page is None:
             page = self._pages[index >> 6] = Page()
-        page.present |= BIT[index & 63]
-        offset = (index & 63) << 6
-        if len(page.data) < offset + CACHE_LINE:
-            page.reach((index & 63) + 1)
-        page.data[offset:offset + CACHE_LINE] = data
+        present = page.present
+        bit = index & 63
+        rank = (present & BELOW[bit]).bit_count() << 6
+        page.data[rank:rank + CACHE_LINE if present & BIT[bit] else rank] = data
+        page.present = present | BIT[bit]
 
     # -- device (DMA) access: bypasses CPU caches ----------------------------
 
@@ -244,10 +248,18 @@ class CXLMemoryPool:
             off = pos & 4095                        # page-relative [off, stop)
             stop = min(off + left, PAGE_SIZE)
             page = self._pages.get(pos >> 12)
-            chunk = b"" if page is None else page.data[off:stop]
-            chunks.append(chunk)
-            if len(chunk) < stop - off:             # beyond the written extent
-                chunks.append(bytes(stop - off - len(chunk)))
+            lo = off >> 6
+            hi = (stop - 1) >> 6
+            if page is None:
+                chunks.append(bytes(stop - off))
+            elif page.present & SPAN[lo][hi] == SPAN[lo][hi]:
+                # Every line written: they are adjacent in the packed data.
+                start = ((page.present & BELOW[lo]).bit_count() << 6) + (off & 63)
+                chunks.append(page.data[start:start + stop - off])
+            else:
+                dense = bytearray((hi + 1) << 6)
+                copy_lines(dense, page.data, SPAN[lo][hi], page.present)
+                chunks.append(dense[off:stop])
             pos += stop - off
             left -= stop - off
         self._account(host, "read", category,
@@ -261,13 +273,33 @@ class CXLMemoryPool:
         """Device write straight to the pool (no CPU cache involvement)."""
         size = len(data)
         self._check(addr, size)
+        pages = self._pages
         pos = addr
         left = size
         while left > 0:
             off = pos & 4095                        # page-relative [off, stop)
             stop = min(off + left, PAGE_SIZE)
-            self._page_for_write(pos >> 12, SPAN[off >> 6][(stop - 1) >> 6])[off:stop] = (
-                data if stop - off == size else data[size - left:size - left + stop - off])
+            run = data if stop - off == size else data[size - left:size - left + stop - off]
+            page = pages.get(pos >> 12)
+            if page is None:
+                page = pages[pos >> 12] = Page()
+            lo = off >> 6
+            hi = (stop - 1) >> 6
+            present = page.present
+            rank = (present & BELOW[lo]).bit_count() << 6
+            old = (present & SPAN[lo][hi]).bit_count() << 6
+            # A partial first or last line keeps the rest of its old bytes
+            # (zeros if it is new); the last present line of the run is hi.
+            if off & 63:
+                run = (page.data[rank:rank + (off & 63)] if present & BIT[lo]
+                       else bytes(off & 63)) + run
+            if stop & 63:
+                run = run + (page.data[rank + old - 64 + (stop & 63):rank + old]
+                             if present & BIT[hi] else bytes(64 - (stop & 63)))
+            # One memmove overwrites the run's present lines and inserts its
+            # new ones.
+            page.data[rank:rank + old] = run
+            page.present = present | SPAN[lo][hi]
             pos += stop - off
             left -= stop - off
         self._account(host, "write", category,
@@ -279,9 +311,13 @@ class CXLMemoryPool:
     def set_link_fault(self, host: Optional[str] = None, derate: float = 1.0,
                        extra_s: float = 0.0) -> None:
         """Degrade a host's CXL link: divide bandwidth by ``derate`` and add
-        ``extra_s`` to every transfer.  ``host=None`` degrades all links."""
-        if derate < 1.0:
-            raise MemoryFault(f"link derate must be >= 1, got {derate}")
+        ``extra_s`` to every transfer.  ``host=None`` degrades all links.
+        Both are checked before anything changes: a NaN, infinite or
+        negative value is refused, never turned into a delay."""
+        if not (math.isfinite(derate) and derate >= 1.0):
+            raise MemoryFault(f"link derate must be finite and >= 1, got {derate}")
+        if not (math.isfinite(extra_s) and extra_s >= 0.0):
+            raise MemoryFault(f"link extra latency must be finite and >= 0 s, got {extra_s}")
         self._link_faults[host] = (derate, extra_s)
 
     def clear_link_fault(self, host: Optional[str] = None) -> None:
@@ -307,5 +343,12 @@ class CXLMemoryPool:
         """All lines ever written, for debugging/verification."""
         for pidx in sorted(self._pages):
             page = self._pages[pidx]
-            for bit in mask_bits(page.present):
-                yield (pidx << 6) | bit, bytes(page.data[bit << 6:(bit + 1) << 6])
+            for rank, bit in enumerate(mask_bits(page.present)):
+                yield (pidx << 6) | bit, bytes(page.data[rank << 6:(rank + 1) << 6])
+
+    def footprint(self) -> Tuple[int, int]:
+        """``(lines ever written, bytes of page data resident)``; the pages
+        are packed, so the second is 64 times the first."""
+        pages = self._pages.values()
+        return (sum(page.present.bit_count() for page in pages),
+                sum(len(page.data) for page in pages))

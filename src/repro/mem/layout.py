@@ -148,6 +148,11 @@ class FixedPool:
     def outstanding(self) -> int:
         return self._fresh - len(self._free)
 
+    @property
+    def touched(self) -> int:
+        """Distinct buffers ever handed out (the bump index)."""
+        return self._fresh
+
     def alloc(self) -> Optional[int]:
         """A recycled buffer, else the next fresh one, or None when exhausted."""
         buffers = self.alloc_run(1)

@@ -33,6 +33,11 @@ from repro.pcie.queues import DescriptorRing, RxDescriptor
 __all__ = ["ReferencePool", "ReferenceCache", "ReferenceFixedPool", "ReferenceRxPath"]
 
 
+def _record(stats: LinkStats, direction: str, category: str, nbytes: int) -> None:
+    table = stats.read_bytes if direction == "read" else stats.write_bytes
+    table[category] = table.get(category, 0) + nbytes
+
+
 def _lines(addr: int, size: int) -> range:
     if size <= 0:
         return range(0)
@@ -54,7 +59,7 @@ class ReferencePool:
 
     def _account(self, host, direction: str, category: str, nbytes: int) -> None:
         if host is not None:
-            self.stats_for(host).record(direction, category, nbytes)
+            _record(self.stats_for(host), direction, category, nbytes)
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or size < 0 or addr + size > self.size:
@@ -124,7 +129,7 @@ class ReferenceCache:
     # -- internals ----------------------------------------------------------
 
     def _account(self, write: bool, category: str, nbytes: int) -> None:
-        self.pool.stats_for(self.host).record("write" if write else "read", category, nbytes)
+        _record(self.pool.stats_for(self.host), "write" if write else "read", category, nbytes)
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or addr + size > self.pool.size:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import OasisConfig
 from repro.core.pod import CXLPod, RackBuilder
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MemoryFault
 from repro.faults import (FAULT_KINDS, FaultPlan, FaultSpec, InvariantChecker)
 from repro.faults.chaos import DEFAULT_PLAN, run_chaos
 from repro.net.packet import make_ip
@@ -298,3 +298,20 @@ class TestInjectorLinkFaults:
         pod.stop()
         base = 4096 / pod.config.cxl.link_bytes_per_sec
         assert delays == pytest.approx([base, base + 5e-6, base])
+
+    @pytest.mark.parametrize("target", ["h5", None])
+    def test_negative_spike_is_refused_and_no_pool_keeps_it(self, target):
+        """``extra_us: -5`` used to be installed on every targeted pool and
+        reach the kernel as a negative delay.  The pool refuses it at the
+        injection, before any pool changes: no link anywhere is degraded and
+        the injector logs nothing."""
+        pod = RackBuilder(hosts=8, pools=2).build()
+        injector = pod.inject_faults(FaultPlan([FaultSpec(
+            kind="cxl.latency_spike", target=target, at=0.01, duration=0.02,
+            params={"extra_us": -5.0})]))
+        with pytest.raises(MemoryFault, match="extra latency"):
+            pod.run(0.015)
+        assert not any(group.pool.link_fault_active(host.name)
+                       for group in pod.groups for host in pod.hosts)
+        assert injector.events == []
+        pod.stop()

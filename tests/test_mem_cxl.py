@@ -79,6 +79,32 @@ class TestPool:
         lines = dict(small_pool.touched_lines())
         assert 1 in lines
 
+    def test_two_frames_in_one_page_hold_only_their_lines(self, small_pool):
+        """Two 2 KiB RX buffers share a page; a 256 B frame in each is 8
+        written lines, and the page holds 512 B (2,304 when its data
+        reached the highest line written)."""
+        first = bytes(range(256))
+        second = bytes(reversed(range(256)))
+        small_pool.dma_write(0, first)
+        small_pool.dma_write(2048, second)
+        assert small_pool.footprint() == (8, 512)
+        assert small_pool.dma_read(0, 256) == first
+        assert small_pool.dma_read(2048, 256) == second
+        assert small_pool.dma_read(256, 1792) == bytes(1792)
+
+
+class TestLinkFault:
+    @pytest.mark.parametrize("derate, extra_s", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (0.5, 0.0),
+        (1.0, -1e-3), (1.0, float("nan")), (1.0, float("inf"))])
+    def test_impossible_fault_is_refused_before_anything_changes(
+            self, small_pool, derate, extra_s):
+        base = small_pool.transfer_time_s(64)
+        with pytest.raises(MemoryFault):
+            small_pool.set_link_fault("h0", derate=derate, extra_s=extra_s)
+        assert not small_pool.link_fault_active("h0")
+        assert small_pool.transfer_time_s(64, host="h0") == base > 0
+
 
 class TestAccounting:
     def test_dma_accounts_lines_by_default(self, small_pool):

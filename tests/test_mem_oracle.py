@@ -7,7 +7,8 @@ from two hosts -- unaligned, sub-line, page-straddling, pool-end and
 out-of-range ranges; with and without a writeback hook, an armed writeback
 fault and a bounded (LRU) cache.  After every step both must agree on the
 returned bytes, the costs, ``CacheStats``, the per-category link bytes, which
-lines are cached and dirty, and the pool contents.
+lines are cached and dirty, and the pool contents -- and every pool page must
+hold its written lines and nothing more.
 
 ``CHAOS_MAX_EXAMPLES`` scales the search effort (raised in the nightly job).
 """
@@ -205,6 +206,9 @@ class MemoryModels(RuleBasedStateMachine):
         assert self.fault_log[0] == self.fault_log[1]
         new_pool, ref_pool = self.pools
         assert list(new_pool.touched_lines()) == list(ref_pool.touched_lines())
+        # Memory is O(lines written): a pool page holds its written lines only.
+        for page in new_pool._pages.values():
+            assert len(page.data) == CACHE_LINE * page.present.bit_count()
         assert sorted(new_pool.link_stats) == sorted(ref_pool.link_stats)
         for host, stats in new_pool.link_stats.items():
             assert stats.read_bytes == ref_pool.link_stats[host].read_bytes, host
@@ -232,15 +236,22 @@ class TestPageRunHelpers:
         0b1, 0b1011, 1 << 63, (1 << 64) - 1, 0b0110_1100, (1 << 63) | 1,
         0xF0F0_F0F0_0F0F_0F0F, 0x8000_0000_0000_0001 | (0xFF << 20)])
     def test_copy_lines_and_mask_bits(self, mask):
+        """``copy_lines`` unpacks the lines ``mask`` of a page whose
+        ``present`` lines are packed in line order: from a dense page (all
+        present), and from a packed one holding every other line."""
         from repro.mem.cxl import copy_lines, mask_bits
         bits = [i for i in range(64) if mask >> i & 1]
         assert list(mask_bits(mask)) == bits
-        src = bytes((i // 64 + 1) for i in range(4096))
-        dst = bytearray(4096)
-        copy_lines(dst, src, mask)
-        for i in range(64):
-            want = src[i * 64:(i + 1) * 64] if i in bits else bytes(64)
-            assert dst[i * 64:(i + 1) * 64] == want
+        dense = bytes((i // 64 + 1) for i in range(4096))
+        evens = sum(1 << i for i in range(0, 64, 2))
+        packed = b"".join(dense[i * 64:(i + 1) * 64] for i in range(0, 64, 2))
+        for src, present in ((dense, (1 << 64) - 1), (packed, evens)):
+            dst = bytearray(b"\xEE" * 4096)
+            copy_lines(dst, src, mask, present)
+            for i in range(64):
+                line = dense[i * 64:(i + 1) * 64] if present >> i & 1 else bytes(64)
+                want = line if i in bits else b"\xEE" * 64
+                assert dst[i * 64:(i + 1) * 64] == want
 
 
 class TestFixedPoolAgainstEagerList:
@@ -301,3 +312,12 @@ def test_mem_privates_stay_inside_mem():
              and p != Path(__file__).resolve()]
     assert [f"{p}:{n}" for p in files
             for n, line in enumerate(p.read_text().splitlines(), 1) if private.search(line)] == []
+
+
+def test_pool_pages_stay_packed():
+    """The padded pool layout stays deleted: ``CXLMemoryPool`` neither
+    extends a page to a line's offset (``Page.reach``) nor pads a short read
+    (``ljust``) -- a pool page holds its written lines and nothing else."""
+    import inspect
+    source = inspect.getsource(CXLMemoryPool)
+    assert ".reach(" not in source and "ljust(" not in source

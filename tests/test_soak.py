@@ -5,16 +5,27 @@ allocator, the load balancer, network traffic from two external clients and
 block I/O from an instance -- then a NIC failure in the middle.  Asserts
 global invariants at the end: no leaks, no lost state, traffic and I/O kept
 flowing.
+
+A second, long-horizon soak drives the fig10 echo cell's RX ring around many
+laps and checks that the pool's page store stays flat (``TestRxRingSoak``).
 """
+
+import os
 
 import numpy as np
 import pytest
 
+from repro.config import OasisConfig
 from repro.core.allocator.balancer import LoadBalancer
 from repro.core.pod import CXLPod
+from repro.experiments.common import CLIENT_IP, SERVER_IP
 from repro.net.packet import make_ip
 from repro.workloads.blockio import BlockWorkload
 from repro.workloads.echo import EchoClient, EchoServer
+
+# 0.5 simulated seconds is ~10 laps of the server NIC's 1,024-buffer RX ring
+# at 20 kpps; the nightly job's 300 buys 6 s (~120 laps).
+RX_SOAK_SIM_S = 0.5 * max(1, int(os.environ.get("CHAOS_MAX_EXAMPLES", "25")) // 25)
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +121,36 @@ class TestSoak:
     def test_telemetry_kept_flowing(self, soak_result):
         pod, *_ = soak_result
         assert pod.allocator.telemetry_store.records_ingested > 30
+
+
+class TestRxRingSoak:
+    """ROADMAP 7(v), page tables: the fig10 echo cell (seed 17, 256 B,
+    20 kpps Poisson) over ~10 laps of the server NIC's RX ring.  The pool
+    holds 64 B per line ever written; once the ring has lapped, the lines
+    written stop growing (they still grow over the first ~0.3 s, so no
+    equality across laps is asserted); and the NIC recycles its ring rather
+    than walking the RX area."""
+
+    def test_page_store_is_packed_and_flat_across_laps(self):
+        pod = CXLPod(config=OasisConfig().with_(seed=17))
+        h0, h1 = pod.add_host(), pod.add_host()
+        nic0 = pod.add_nic(h0)
+        pod.add_nic(h1, is_backup=True)
+        EchoServer(pod.sim, pod.add_instance(h1, ip=SERVER_IP, nic=nic0))
+        client = EchoClient(pod.sim, pod.add_external_client(ip=CLIENT_IP),
+                            SERVER_IP, packet_size=256, rate_pps=20_000.0,
+                            rng=pod.rng.get("echo-client"), poisson=True)
+        client.start(RX_SOAK_SIM_S)
+        checkpoints = []
+        for until in (0.6 * RX_SOAK_SIM_S, RX_SOAK_SIM_S):
+            pod.run(until - pod.sim.now)
+            checkpoints.append(pod.pool.footprint())
+        rx_pool = pod.backends[nic0.name].rx_pool
+        pod.stop()
+        for lines, resident in checkpoints:
+            assert resident == 64 * lines
+        (lines0, resident0), (lines1, resident1) = checkpoints
+        assert lines1 - lines0 < 0.01 * lines0
+        assert resident1 - resident0 < 0.01 * resident0
+        assert rx_pool.touched <= nic0.rx_ring.depth + 8
+        assert client.stats.received > 0.95 * 20_000 * RX_SOAK_SIM_S

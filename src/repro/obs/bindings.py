@@ -38,19 +38,53 @@ def _bind(declare):
     return bind
 
 
+class _Rows:
+    """``read(vector)`` of one :func:`_reader`.
+
+    ``get(source)`` returns the attribute rows' values in row order -- one C
+    call, shared by every reader of the same paths -- and ``calls`` holds
+    ``(slot, callable)`` for the rest (callable rows, or a lone attribute
+    row: ``attrgetter`` of one path returns a value, not a tuple).  A zero
+    adds nothing, so an idle series keeps the vector's shared ``0.0``;
+    ``!= 0`` rather than truthiness keeps ``None`` raising.
+    """
+
+    __slots__ = ("source", "slots", "get", "calls")
+
+    def __init__(self, source, slots, get, calls):
+        self.source = source
+        self.slots = slots
+        self.get = get
+        self.calls = calls
+
+    def __call__(self, vector):
+        source = self.source
+        if self.slots:
+            for slot, value in zip(self.slots, self.get(source)):
+                if value != 0:
+                    vector[slot] += value
+        for slot, get in self.calls:
+            value = get(source)
+            if value != 0:
+                vector[slot] += value
+
+
 def _reader(series, source, rows, **labels):
     """Intern ``(name, extra labels, attribute), ...`` of ``source``; returns
     ``read(vector)``.  ``attribute`` is a dotted path re-read on every scrape
     (``"stats.hits"`` survives a replaced ``stats``) or a callable of it."""
-    slots = [(series(name, **labels, **extra),
-              attrgetter(get) if isinstance(get, str) else get)
-             for name, extra, get in rows]
-
-    def read(vector):
-        for slot, get in slots:
-            vector[slot] += get(source)
-
-    return read
+    slots, paths, calls = [], [], []
+    for name, extra, get in rows:
+        slot = series(name, **labels, **extra)
+        if isinstance(get, str):
+            slots.append(slot)
+            paths.append(get)
+        else:
+            calls.append((slot, get))
+    if len(paths) == 1:
+        calls.insert(0, (slots.pop(), attrgetter(paths.pop())))
+    get = series.getter(*paths) if paths else None
+    return _Rows(source, tuple(slots), get, tuple(calls))
 
 
 @_bind

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -68,14 +70,17 @@ class SeriesTable:
 
     Slots are handed out in first-sight order and never reused, so a vector
     taken when the table held ``n`` series covers exactly slots ``[0, n)``.
+    A key's label pairs are the table's pooled ``pairs``: one tuple per
+    distinct ``(key, value)``, however many series carry it.
     """
 
-    __slots__ = ("keys", "slots", "families")
+    __slots__ = ("keys", "slots", "families", "pairs")
 
     def __init__(self):
         self.keys: List[SeriesKey] = []               # slot -> key
         self.slots: Dict[SeriesKey, int] = {}
         self.families: Dict[str, List[int]] = {}      # name -> its slots
+        self.pairs: Dict[Tuple[str, str], Tuple[str, str]] = {}
 
     def groups(self, name: str, by: Sequence[str],
                n: int) -> Dict[Tuple[str, ...], List[int]]:
@@ -122,8 +127,10 @@ class Counter(_Instrument):
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (by {amount})")
+        if not 0 <= amount < inf:
+            # NaN fails both comparisons: it would poison every later delta.
+            raise ValueError(
+                f"counter {self.name} takes a finite amount >= 0, not {amount}")
         self.value += amount
 
 
@@ -222,6 +229,10 @@ class Histogram(_Instrument):
         return read
 
 
+#: a histogram's series whose labels are its own (``_bucket`` adds ``le``)
+_DERIVED = ("_count", "_sum")
+
+
 class MetricsSnapshot:
     """A point-in-time view of a registry: ``(table, vector, time)``.
 
@@ -249,8 +260,12 @@ class MetricsSnapshot:
         return self.vector[slot]
 
     def delta_since(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Per-series difference against an earlier snapshot; series absent
-        from ``earlier`` count from zero, as ``LinkStats.delta_since``."""
+        """Per-series difference against an earlier snapshot of the same
+        table; series absent from ``earlier`` count from zero, as
+        ``LinkStats.delta_since``."""
+        if earlier.table is not self.table:
+            # Slot i names a different series in another registry's table.
+            raise ValueError("delta_since needs two snapshots of one registry")
         vector, before = self.vector, earlier.vector
         delta = [now - then for now, then in zip(vector, before)]
         delta.extend(vector[len(before):])
@@ -319,6 +334,14 @@ class _Scope:
         self._registry._producers.setdefault(name, set()).add(self._reader)
         return Family(self, name, label_names)
 
+    def getter(self, *paths: str) -> Callable:
+        """``attrgetter(*paths)``, one per registry for each path tuple."""
+        getters = self._registry._getters
+        get = getters.get(paths)
+        if get is None:
+            get = getters[paths] = attrgetter(*paths)
+        return get
+
 
 class MetricsRegistry:
     """The pod-wide registry: one series table, instruments and readers."""
@@ -329,6 +352,7 @@ class MetricsRegistry:
         self._pending: List[Callable] = []       # declarations not yet run
         self._readers: List[Callable[[list], None]] = []
         self._producers: Dict[str, set] = {}     # name -> readers writing it
+        self._getters: Dict[Tuple[str, ...], Callable] = {}  # Scope.getter
         self._filling: Optional[list] = None     # grows with late interning
 
     # -- instrument creation (get-or-create, idempotent) ----------------------
@@ -337,6 +361,11 @@ class MetricsRegistry:
         key = (name, labels_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
+            other = self._shares_series(cls, *key)
+            if other is not None:
+                raise TypeError(
+                    f"{cls.kind} {name}{dict(key[1])} would write the series "
+                    f"of {other.kind} {other.name}{dict(key[1])}")
             instrument = cls(name, key[1], help=help, **kwargs)
             self._instruments[key] = instrument
             self.register(instrument.declare)
@@ -346,6 +375,22 @@ class MetricsRegistry:
                 f"{instrument.kind}, not {cls.kind}"
             )
         return instrument
+
+    def _shares_series(self, cls, name: str,
+                       labels: LabelsKey) -> Optional[_Instrument]:
+        """The instrument that ``cls(name, labels)`` would collide with
+        through a histogram's ``<h>_count`` / ``<h>_sum`` series."""
+        if cls is Histogram:
+            keys = [(name + suffix, labels) for suffix in _DERIVED]
+        else:
+            keys = [(name[:-len(suffix)], labels) for suffix in _DERIVED
+                    if name.endswith(suffix)]
+        for key in keys:
+            other = self._instruments.get(key)
+            if other is not None and (other.kind == "histogram") != (
+                    cls is Histogram):
+                return other
+        return None
 
     def counter(self, name: str, help: str = "", **labels) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
@@ -378,6 +423,9 @@ class MetricsRegistry:
         table, key = self.table, (name, labels)
         slot = table.slots.get(key)
         if slot is None:
+            pairs = table.pairs
+            key = (name, tuple([pairs.setdefault(pair, pair)
+                                for pair in labels]))
             slot = table.slots[key] = len(table.keys)
             table.keys.append(key)
             table.families.setdefault(name, []).append(slot)

@@ -40,6 +40,21 @@ STATUS_SHED = 0xFC
 #: Statuses worth retrying: the device is still there, the command failed.
 _TRANSIENT_STATUSES = frozenset({NVME_STATUS_MEDIA, NVME_STATUS_FAILED})
 
+#: Field limits of the 64 B storage message: a 64-bit starting LBA and a
+#: 32-bit block count.
+_LBA_LIMIT = 1 << 64
+_NLB_LIMIT = 1 << 32
+
+
+def _check_extent(lba: int, nblocks: int) -> None:
+    """Refuse an extent the storage message cannot carry, before anything
+    is booked.  An LBA past the namespace is the drive's to answer
+    (``NVME_STATUS_LBA_RANGE``), not the frontend's."""
+    if not 0 <= lba < _LBA_LIMIT:
+        raise AllocationError(f"lba {lba} outside the 64-bit LBA field")
+    if not 0 < nblocks < _NLB_LIMIT:
+        raise AllocationError(f"block count {nblocks} outside 1..2**32-1")
+
 
 class VirtualBlockDevice:
     """Instance-facing block device backed by a pooled SSD."""
@@ -223,6 +238,7 @@ class StorageFrontend(Driver):
                      tenant: Optional[str] = None) -> int:
         if len(data) % device.block_size:
             raise AllocationError("write size must be a multiple of block size")
+        _check_extent(lba, len(data) // device.block_size)
         region = self._space.alloc(len(data), "wbuf")
         store_ns = self.domain.cache.store(region.base, data, category="payload")
         store_ns += self.domain.cache.clwb_range(region.base, len(data),
@@ -234,6 +250,7 @@ class StorageFrontend(Driver):
                     callback: Callable[[int, bytes], None], flow=None,
                     background: bool = False,
                     tenant: Optional[str] = None) -> int:
+        _check_extent(lba, nblocks)
         nbytes = nblocks * device.block_size
         region = self._space.alloc(nbytes, "rbuf")
         # The region may have been a recycled write buffer whose (clean)

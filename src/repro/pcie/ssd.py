@@ -2,9 +2,10 @@
 
 The backend driver posts 64 B NVMe commands to the submission queue; the SSD
 DMA-reads (writes) data buffers in shared CXL memory directly -- the backend
-CPU never touches them -- and posts completions.  Blocks are stored sparsely,
-so a 4 TB namespace costs memory only for blocks actually written, while
-reads of unwritten blocks return zeros like a freshly formatted drive.
+CPU never touches them -- and posts completions.  The drive stores non-zero
+blocks; absent blocks read as zeros.  A written all-zero block deallocates its
+LBA (NVMe deallocate with read-zeros), so a 4 TB namespace costs memory only
+for blocks that hold data, and no read can tell that from storing the zeros.
 
 Timing: fixed media latency per op (read 90 us / write 25 us by default,
 Table 1) plus serialisation of the transfer at the drive's bandwidth, with
@@ -13,7 +14,7 @@ commands overlapping up to the configured queue depth.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..config import SSDConfig
 from ..errors import DeviceError
@@ -47,7 +48,8 @@ class SimSSD(PCIeDevice, TracerBinding, FlowBinding):
         super().__init__(sim, host, name)
         self.config = config or SSDConfig()
         self.sq = DescriptorRing(self.config.queue_depth, f"{name}-sq")
-        self._blocks: Dict[int, bytes] = {}
+        self._blocks: Dict[int, bytes] = {}   # no stored block is all zero
+        self._zero = bytes(self.config.block_size)
         self._media_busy_until = 0.0
         self.on_completion: Optional[Callable[[Completion], None]] = None
         self.reads = 0
@@ -62,6 +64,12 @@ class SimSSD(PCIeDevice, TracerBinding, FlowBinding):
     @property
     def num_blocks(self) -> int:
         return self.config.capacity_bytes // self.config.block_size
+
+    def footprint(self) -> Tuple[int, int]:
+        """``(blocks stored, bytes resident)``; only non-zero blocks are
+        stored, so the second is ``block_size`` times the first."""
+        return (len(self._blocks),
+                sum(len(block) for block in self._blocks.values()))
 
     def inject_media_error(self, count: int = 1) -> None:
         """Arm a media fault: the next ``count`` commands fail with
@@ -146,16 +154,20 @@ class SimSSD(PCIeDevice, TracerBinding, FlowBinding):
             self._complete(cmd, NVME_STATUS_MEDIA, 0.0)
             return
         bs = self.config.block_size
+        blocks = self._blocks
+        zero = self._zero
         if cmd.opcode == NVME_OP_WRITE:
             data = self.host.dma_read(cmd.addr, nbytes, category="payload")
             for i in range(cmd.nlb):
-                self._blocks[cmd.slba + i] = data[i * bs:(i + 1) * bs]
+                block = data[i * bs:(i + 1) * bs]
+                if block == zero:
+                    blocks.pop(cmd.slba + i, None)
+                else:
+                    blocks[cmd.slba + i] = block
             self.writes += 1
             self.write_bytes += nbytes
         else:
-            chunks = [
-                self._blocks.get(cmd.slba + i, b"\x00" * bs) for i in range(cmd.nlb)
-            ]
+            chunks = [blocks.get(cmd.slba + i, zero) for i in range(cmd.nlb)]
             self.host.dma_write(cmd.addr, b"".join(chunks), category="payload")
             self.reads += 1
             self.read_bytes += nbytes

@@ -1,6 +1,16 @@
-"""Tests for the simulated NVMe SSD."""
+"""Tests for the simulated NVMe SSD.
+
+``TestMediaOracle`` checks the drive's sparse media against a dense
+reference kept in the test; ``CHAOS_MAX_EXAMPLES`` scales its search effort
+(raised in the nightly chaos CI job).
+"""
+
+import os
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config import SSDConfig
 from repro.errors import DeviceError, DeviceFailedError
@@ -29,6 +39,7 @@ def rig(sim):
 
 
 BS = 4096
+MAX_EXAMPLES = int(os.environ.get("CHAOS_MAX_EXAMPLES", "25"))
 
 
 class TestIO:
@@ -145,3 +156,77 @@ class TestFailure:
         ssd.fail()
         sim.run_all()
         assert comps and comps[-1].status == NVME_STATUS_FAILED
+
+
+# -- media: only non-zero blocks are stored ------------------------------------
+
+def _block(kind, seed):
+    """One block's bytes: all zero, random, or zero but for the first or
+    the last byte (the blocks a zero test most easily gets wrong)."""
+    if kind == "zero":
+        return bytes(BS)
+    if kind == "data":
+        return random.Random(seed).randbytes(BS)
+    block = bytearray(BS)
+    block[0 if kind == "head" else -1] = seed % 255 + 1
+    return bytes(block)
+
+
+LBAS = 16          # a small range, so writes overwrite and reads overlap
+WBUF, RBUF = 0, 8 * BS
+
+Blocks = st.lists(st.tuples(st.sampled_from(["zero", "data", "head", "tail"]),
+                            st.integers(0, 1 << 16)), min_size=1, max_size=4)
+MediaOp = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, LBAS - 1), Blocks),
+    st.tuples(st.just("read"), st.integers(0, 2 * LBAS), st.integers(1, 4)),
+)
+
+
+class TestMediaOracle:
+    def test_zero_write_over_data_deallocates(self, sim, rig):
+        pool, host, ssd, comps = rig
+        pool.dma_write(WBUF, b"\x5A" * BS)
+        ssd.submit(NVMeCommand(NVME_OP_WRITE, slba=3, nlb=1, addr=WBUF))
+        sim.run_all()
+        assert ssd.footprint() == (1, BS)
+        pool.dma_write(WBUF, bytes(BS))
+        ssd.submit(NVMeCommand(NVME_OP_WRITE, slba=3, nlb=1, addr=WBUF))
+        pool.dma_write(RBUF, b"\xFF" * BS)
+        ssd.submit(NVMeCommand(NVME_OP_READ, slba=3, nlb=1, addr=RBUF))
+        sim.run_all()
+        assert [c.status for c in comps] == [NVME_STATUS_OK] * 3
+        assert pool.dma_read(RBUF, BS) == bytes(BS)
+        assert ssd.footprint() == (0, 0)
+
+    @given(st.lists(MediaOp, min_size=1, max_size=30))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_media_matches_dense_reference(self, ops):
+        sim = Simulator()
+        pool = CXLMemoryPool(size=1 << 20)
+        ssd = SimSSD(sim, Host(sim, "h0", pool),
+                     SSDConfig(capacity_bytes=1 << 30), name="ssd0")
+        comps = []
+        ssd.on_completion = comps.append
+        dense = {}   # lba -> the last block written there, zeros included
+        for op, lba, arg in ops:
+            if op == "write":
+                blocks = [_block(kind, seed) for kind, seed in arg]
+                pool.dma_write(WBUF, b"".join(blocks))
+                ssd.submit(NVMeCommand(NVME_OP_WRITE, slba=lba,
+                                       nlb=len(blocks), addr=WBUF))
+                sim.run_all()
+                for i, block in enumerate(blocks):
+                    dense[lba + i] = block
+            else:
+                pool.dma_write(RBUF, b"\xFF" * (arg * BS))
+                ssd.submit(NVMeCommand(NVME_OP_READ, slba=lba, nlb=arg,
+                                       addr=RBUF))
+                sim.run_all()
+                want = b"".join(dense.get(lba + i, bytes(BS))
+                                for i in range(arg))
+                assert pool.dma_read(RBUF, arg * BS) == want
+            assert comps[-1].status == NVME_STATUS_OK
+            k = sum(block != bytes(BS) for block in dense.values())
+            assert ssd.footprint() == (k, k * BS)

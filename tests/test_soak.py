@@ -7,7 +7,10 @@ global invariants at the end: no leaks, no lost state, traffic and I/O kept
 flowing.
 
 A second, long-horizon soak drives the fig10 echo cell's RX ring around many
-laps and checks that the pool's page store stays flat (``TestRxRingSoak``).
+laps and checks that the pool's page store stays flat (``TestRxRingSoak``);
+a third drives the storage_write cell over the drive's address range and
+checks that the drive stores only blocks that hold data
+(``TestStorageSoak``).
 """
 
 import os
@@ -25,7 +28,12 @@ from repro.workloads.echo import EchoClient, EchoServer
 
 # 0.5 simulated seconds is ~10 laps of the server NIC's 1,024-buffer RX ring
 # at 20 kpps; the nightly job's 300 buys 6 s (~120 laps).
-RX_SOAK_SIM_S = 0.5 * max(1, int(os.environ.get("CHAOS_MAX_EXAMPLES", "25")) // 25)
+SOAK_SCALE = max(1, int(os.environ.get("CHAOS_MAX_EXAMPLES", "25")) // 25)
+RX_SOAK_SIM_S = 0.5 * SOAK_SCALE
+# 3 simulated seconds are ~6 laps of storage_write's 4,096-block address
+# range at 8 kIOPS, and the 8,192-slot message rings lap by ~1.5 s, before
+# the first checkpoint; the nightly job's 300 buys 36 s (~70 laps).
+STORAGE_SOAK_SIM_S = 3.0 * SOAK_SCALE
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +162,69 @@ class TestRxRingSoak:
         assert resident1 - resident0 < 0.01 * resident0
         assert rx_pool.touched <= nic0.rx_ring.depth + 8
         assert client.stats.received > 0.95 * 20_000 * RX_SOAK_SIM_S
+
+
+class RandomPayloadDevice:
+    """A block device whose every write carries fresh random bytes."""
+
+    def __init__(self, device, rng):
+        self.device = device
+        self.block_size = device.block_size
+        self.rng = rng
+
+    def write(self, lba, data, callback, flow=None):
+        return self.device.write(lba, self.rng.bytes(len(data)), callback,
+                                 flow=flow)
+
+
+class TestStorageSoak:
+    """ROADMAP 7(v), device media: the storage_write cell (seed 17, 4 KB
+    writes at 8 kIOPS over 4,096 blocks) for a few laps of its address
+    range.  The generator writes zero blocks, which the drive does not
+    store; the pool's lines written stop growing once the message rings
+    have lapped.  With random data over 64 LBAs the drive holds at most
+    those 64 blocks, however long it runs."""
+
+    @staticmethod
+    def _cell(duration, payload_rng=None, address_blocks=4096):
+        pod = CXLPod(config=OasisConfig().with_(seed=17), mode="oasis")
+        h0, h1 = pod.add_host(), pod.add_host()
+        pod.add_nic(h0)
+        ssd = pod.add_ssd(h0)
+        device = pod.add_block_device(pod.add_instance(h1, ip=SERVER_IP), ssd)
+        if payload_rng is not None:
+            device = RandomPayloadDevice(device, payload_rng)
+        workload = BlockWorkload(pod.sim, device, rate_iops=8_000.0,
+                                 read_fraction=0.0, io_blocks=1,
+                                 address_blocks=address_blocks,
+                                 queue_depth=1 << 30,
+                                 rng=pod.rng.get("soak/block"))
+        workload.start(duration)
+        return pod, ssd, workload
+
+    def test_zero_writes_store_nothing_and_pool_is_flat(self):
+        pod, ssd, workload = self._cell(STORAGE_SOAK_SIM_S)
+        checkpoints = []
+        for until in (0.6 * STORAGE_SOAK_SIM_S, STORAGE_SOAK_SIM_S):
+            pod.run(until - pod.sim.now)
+            checkpoints.append((ssd.footprint(), pod.pool.footprint()))
+        pod.stop()
+        assert [drive for drive, _ in checkpoints] == [(0, 0), (0, 0)]
+        (lines0, resident0), (lines1, resident1) = (
+            pool for _, pool in checkpoints)
+        assert lines1 - lines0 < 0.01 * lines0
+        assert resident1 - resident0 < 0.01 * resident0
+        stats = workload.stats
+        assert stats.errors == 0
+        assert stats.submitted > 0.95 * 8_000 * STORAGE_SOAK_SIM_S
+
+    def test_random_writes_hold_at_most_the_range(self):
+        duration = STORAGE_SOAK_SIM_S / 6   # ~60 writes per LBA
+        pod, ssd, workload = self._cell(duration, np.random.default_rng(23),
+                                        address_blocks=64)
+        pod.run(duration)
+        pod.stop()
+        blocks, resident = ssd.footprint()
+        assert 0 < blocks <= 64
+        assert resident == blocks * ssd.config.block_size
+        assert workload.stats.errors == 0

@@ -10,8 +10,9 @@ from repro.core.storage.messages import (
     STORAGE_MESSAGE_SIZE,
     StorageMessage,
 )
-from repro.errors import ChannelError
+from repro.errors import AllocationError, ChannelError
 from repro.net.packet import make_ip
+from repro.pcie.ssd import NVME_STATUS_LBA_RANGE
 
 IP = make_ip(10, 0, 0, 1)
 BS = 4096
@@ -154,6 +155,53 @@ class TestStorageFailure:
             device.write(i, b"x" * BS, lambda s: None)
         pod.run(0.05)
         assert frontend.inflight == 0
+        assert frontend._space.allocated_bytes == 0
+
+
+class TestExtentChecks:
+    """An extent the 64 B message cannot carry (negative or >= 2**64 LBA,
+    zero or >= 2**32 blocks) is refused at submission, before a cid or a
+    buffer is booked, so the pod keeps running; an LBA past the namespace
+    still goes to the drive, which answers ``NVME_STATUS_LBA_RANGE``."""
+
+    REFUSED = [
+        ("write", -1, 1), ("write", 1 << 64, 1), ("write", 0, 0),
+        ("read", -1, 1), ("read", 1 << 64, 1), ("read", 0, 0),
+        ("read", 0, 1 << 32),
+    ]
+
+    @pytest.mark.parametrize("op,lba,nblocks", REFUSED)
+    def test_refused_before_booking(self, op, lba, nblocks):
+        pod, ssd, device = build_storage_pod()
+        frontend = pod.storage_frontends[device.instance.host.name]
+        with pytest.raises(AllocationError):
+            if op == "write":
+                device.write(lba, bytes(nblocks * BS), lambda s: None)
+            else:
+                device.read(lba, nblocks, lambda s, d: None)
+        assert frontend._pending == {}
+        assert frontend._space.allocated_bytes == 0
+        assert frontend.submitted == 0
+        pod.run(0.01)
+        results = {}
+        data = bytes(range(256)) * 16
+        device.write(7, data, lambda s: results.setdefault("w", s))
+        pod.run(0.01)
+        device.read(7, 1, lambda s, d: results.setdefault("r", (s, d)))
+        pod.run(0.01)
+        assert results == {"w": 0, "r": (0, data)}
+
+    def test_past_namespace_is_the_drives_answer(self):
+        pod, ssd, device = build_storage_pod()
+        frontend = pod.storage_frontends[device.instance.host.name]
+        results = {}
+        device.write(ssd.num_blocks, b"x" * BS,
+                     lambda s: results.setdefault("w", s))
+        device.read(ssd.num_blocks - 1, 2,
+                    lambda s, d: results.setdefault("r", s))
+        pod.run(0.01)
+        assert results == {"w": NVME_STATUS_LBA_RANGE,
+                           "r": NVME_STATUS_LBA_RANGE}
         assert frontend._space.allocated_bytes == 0
 
 

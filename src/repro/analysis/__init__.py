@@ -3,7 +3,6 @@
 from .report import fmt, render_series, render_table
 from .stats import (
     bin_bandwidth,
-    percentile,
     summarize_latencies,
     utilization_percentile,
     utilization_series,
@@ -13,7 +12,6 @@ __all__ = [
     "bin_bandwidth",
     "utilization_series",
     "utilization_percentile",
-    "percentile",
     "summarize_latencies",
     "render_table",
     "render_series",

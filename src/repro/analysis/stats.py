@@ -7,7 +7,7 @@ reports tail percentiles (P99, P99.99).  These helpers turn packet
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,7 +15,6 @@ __all__ = [
     "bin_bandwidth",
     "utilization_percentile",
     "utilization_series",
-    "percentile",
     "summarize_latencies",
 ]
 
@@ -47,12 +46,6 @@ def utilization_percentile(times_s, sizes_bytes, duration_s: float,
     series = utilization_series(times_s, sizes_bytes, duration_s,
                                 link_bytes_per_sec, bin_s)
     return float(np.percentile(series, q))
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    if len(values) == 0:
-        return float("nan")
-    return float(np.percentile(np.asarray(values), q))
 
 
 def summarize_latencies(latencies_us: Sequence[float]) -> dict:

@@ -10,13 +10,11 @@ from .designs import (
 )
 from .microbench import ChannelMicrobench, MicrobenchResult, sweep_designs
 from .protocol import ChannelCounters, ChannelReceiver, ChannelSender, TimingHooks
-from .ring import RingLayout, decode_slot, encode_slot
+from .ring import RingLayout
 from .sharded import sharded_saturation
 
 __all__ = [
     "RingLayout",
-    "encode_slot",
-    "decode_slot",
     "ChannelSender",
     "ChannelReceiver",
     "ChannelCounters",

@@ -50,14 +50,6 @@ class MicrobenchResult:
     latency_mean_us: float
     messages: int
 
-    def row(self) -> str:
-        offered = "sat" if np.isinf(self.offered_mops) else f"{self.offered_mops:6.1f}"
-        return (
-            f"{self.design:<22} offered={offered} MOp/s  "
-            f"achieved={self.achieved_mops:6.2f} MOp/s  "
-            f"p50={self.latency_p50_us:5.2f} us  p99={self.latency_p99_us:5.2f} us"
-        )
-
 
 class _PipelineTiming(TimingHooks):
     """Tracks in-flight prefetches; `clock_ns` is advanced by the harness."""

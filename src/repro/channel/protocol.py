@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 from ..config import CACHE_LINE
 from ..errors import ChannelError
 from ..mem.cache import HostCache
-from .ring import RingLayout, decode_slot, encode_slot  # noqa: F401  (re-export)
+from .ring import RingLayout
 
 __all__ = ["ChannelSender", "ChannelReceiver", "TimingHooks", "ChannelCounters"]
 
@@ -175,23 +175,10 @@ class ChannelSender:
         self._dirty_line_addr = None
         return cost
 
-    def send(self, payload: bytes) -> float:
-        """Send and flush immediately; raises if the ring is full."""
-        ok, cost = self.try_send(payload)
-        if not ok:
-            from ..errors import ChannelFullError
-
-            raise ChannelFullError("message ring full")
-        # flush(), inlined: single sends pay it once per message.
-        dirty = self._dirty_line_addr
-        if dirty is None:
-            return cost + 0.0
-        self._dirty_line_addr = None
-        return cost + self.cache.clwb(dirty, self.category)
-
 
 class ChannelReceiver:
-    """Base class for the consuming endpoint; designs override :meth:`poll`."""
+    """Base class for the consuming endpoint; each design defines
+    ``poll() -> (payload or None, cost_ns)``, one poll iteration."""
 
     #: human-readable design name (Figure 6 legend)
     design = "abstract"
@@ -236,9 +223,6 @@ class ChannelReceiver:
         self._timings = cache.timings
 
     # -- common machinery -------------------------------------------------------
-
-    def _line_index(self, seq: int) -> int:
-        return self.layout.slot_line_addr(seq) // CACHE_LINE
 
     def _check_slot(self, seq: int) -> Tuple[Optional[bytes], float]:
         """Load the slot for ``seq``; return (payload, cost) or (None, cost)."""
@@ -333,10 +317,6 @@ class ChannelReceiver:
         self._prefetch_horizon = self.next_seq // self.layout.messages_per_line
 
     # -- the design-specific part --------------------------------------------------
-
-    def poll(self) -> Tuple[Optional[bytes], float]:
-        """One poll iteration: returns ``(payload or None, cost_ns)``."""
-        raise NotImplementedError
 
     def poll_batch(self, limit: int) -> Tuple[list, float]:
         """Poll until empty or ``limit`` messages; used by DES driver loops."""

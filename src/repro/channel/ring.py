@@ -8,7 +8,10 @@ The most significant bit of each message's first byte is the **epoch bit**:
 the sender toggles it on every ring wrap, so the receiver can distinguish a
 fresh message from a leftover of the previous lap without any other shared
 state.  Message payloads must therefore keep their first byte below 0x80
-(all Oasis opcodes do).
+(all Oasis opcodes do).  Lap 0 carries epoch 1, so never-written (zero)
+slots read as old.  The bit is stamped and checked in one place each,
+:meth:`~repro.channel.protocol.ChannelSender.try_send` and
+``ChannelReceiver._check_slot``; this module is only the address geometry.
 """
 
 from __future__ import annotations
@@ -19,26 +22,7 @@ from ..config import CACHE_LINE
 from ..errors import ChannelError
 from ..mem.layout import Region, align_up
 
-__all__ = ["RingLayout", "encode_slot", "decode_slot"]
-
-
-def encode_slot(payload: bytes, epoch: int) -> bytes:
-    """Stamp ``payload`` with ``epoch`` (0 or 1) in the MSB of byte 0."""
-    if not payload:
-        raise ChannelError("empty payload")
-    if payload[0] & 0x80:
-        raise ChannelError("payload first byte must leave the epoch bit clear")
-    if epoch not in (0, 1):
-        raise ChannelError(f"epoch must be 0 or 1, got {epoch}")
-    return bytes([payload[0] | (epoch << 7)]) + payload[1:]
-
-
-def decode_slot(raw: bytes) -> tuple[bytes, int]:
-    """Split a raw slot into ``(payload, epoch)``."""
-    if not raw:
-        raise ChannelError("empty slot")
-    epoch = raw[0] >> 7
-    return bytes([raw[0] & 0x7F]) + raw[1:], epoch
+__all__ = ["RingLayout"]
 
 
 @dataclass(frozen=True)
@@ -80,25 +64,3 @@ class RingLayout:
     def required_bytes(slots: int, message_size: int) -> int:
         """Region size needed: slot array + counter on its own line."""
         return align_up(slots * message_size, CACHE_LINE) + CACHE_LINE
-
-    def slot_addr(self, seq: int) -> int:
-        """Byte address of the slot for message sequence number ``seq``."""
-        return self.region.base + (seq % self.slots) * self.message_size
-
-    def slot_line_addr(self, seq: int) -> int:
-        """Base address of the cache line containing ``seq``'s slot."""
-        return self.slot_addr(seq) & ~(CACHE_LINE - 1)
-
-    def expected_epoch(self, seq: int) -> int:
-        """Epoch bit value a fresh message with sequence ``seq`` carries.
-
-        Lap 0 uses epoch 1 so that never-written (zero-filled) slots decode
-        as *old*; each ring wrap toggles the bit.
-        """
-        return 1 - ((seq // self.slots) & 1)
-
-    def is_line_start(self, seq: int) -> bool:
-        return self.slot_addr(seq) % CACHE_LINE == 0
-
-    def is_line_end(self, seq: int) -> bool:
-        return (self.slot_addr(seq) + self.message_size) % CACHE_LINE == 0

@@ -35,6 +35,7 @@ notification cannot corrupt post-failover state.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Optional
 
 from ...config import OasisConfig
@@ -43,7 +44,7 @@ from ...obs.trace import NULL_TRACER
 from ...sim.core import MSEC, Simulator, USEC
 from ..control import (AllocatorStateMachine, ControlState, EpochTable,
                        NotificationBus)
-from ..control.state import DeviceTable, copy_device
+from ..control.state import DeviceTable
 from .policy import MOVABLE, DeviceState, PlacementPolicy
 from .telemetry import TelemetryStore
 
@@ -115,10 +116,6 @@ class PodAllocator:
         return self.state.tables["nic"].assignments
 
     @property
-    def parked(self) -> Dict[int, tuple]:
-        return self.state.tables["nic"].parked
-
-    @property
     def leases(self):
         return self.state.leases
 
@@ -185,7 +182,7 @@ class PodAllocator:
                              capacity=capacity, is_backup=is_backup, kind=kind)
         self.state.add_device(device)
         for replica in self.replicas.values():
-            replica.state.add_device(copy_device(device))
+            replica.state.add_device(replace(device))
         self.backends[name] = backend
         if self.state.tables[kind].parked:
             self.sim.schedule(0.0, self._retry_parked)

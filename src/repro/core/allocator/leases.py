@@ -89,6 +89,3 @@ class LeaseTable:
 
     def expired(self, now: float) -> List[Lease]:
         return [l for l in self._by_key.values() if not l.valid(now)]
-
-    def __len__(self) -> int:
-        return len(self._by_key)

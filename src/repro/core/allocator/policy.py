@@ -44,10 +44,6 @@ class DeviceState:
     #: keeps *new* placements off the device.
     link_up: bool = True
 
-    @property
-    def free(self) -> float:
-        return self.capacity - self.allocated
-
     def utilization(self) -> float:
         return self.allocated / self.capacity if self.capacity else 0.0
 

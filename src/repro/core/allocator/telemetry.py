@@ -9,7 +9,7 @@ consecutive reports is declared dead and its devices failed over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["TelemetryStore"]
 
@@ -28,22 +28,6 @@ class TelemetryStore:
         self._latest[record["device"]] = record
         self._host_last_seen[record["host"]] = record["time"]
         self.records_ingested += 1
-
-    def latest(self, device: str) -> Optional[dict]:
-        return self._latest.get(device)
-
-    def load_of(self, device: str) -> float:
-        """Most recent tx+rx bandwidth in bytes/s (0 if never reported)."""
-        record = self._latest.get(device)
-        if record is None:
-            return 0.0
-        return record.get("tx_bw", 0.0) + record.get("rx_bw", 0.0)
-
-    def host_alive(self, host: str, now: float) -> bool:
-        last = self._host_last_seen.get(host)
-        if last is None:
-            return True  # never reported: give it the benefit of the doubt
-        return (now - last) <= self.missed_threshold * self.interval_s
 
     def dead_hosts(self, now: float) -> List[str]:
         return [

@@ -37,9 +37,3 @@ class ArpRegistry:
 
     def forget(self, ip: int) -> None:
         self._table.pop(ip, None)
-
-    def __contains__(self, ip: int) -> bool:
-        return ip in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)

@@ -71,9 +71,8 @@ class EpochTable:
         slot = self._slots.get(device)
         if self._pool is None or self._region is None or slot is None:
             return None
-        line = line_index(self._region.base) + slot
-        data = self._pool.read_line(line)
-        return int.from_bytes(data[:8], "little")
+        data = self._pool.dma_read(self._region.base + slot * EPOCH_LINE_BYTES, 8)
+        return int.from_bytes(data, "little")
 
     # -- publication (allocator side) ----------------------------------------------
 
@@ -111,10 +110,6 @@ class EpochTable:
 
     def entry(self, device: str, instance_ip: int) -> Optional[int]:
         return self._entries.get((device, instance_ip))
-
-    def stamp(self, device: str, instance_ip: int) -> int:
-        """The 8-bit stamp a frontend should put on the wire right now."""
-        return self._entries.get((device, instance_ip), 0) & 0xFF
 
     def check(self, device: str, instance_ip: int, stamp: int) -> bool:
         """Would a post stamped ``stamp`` be accepted on ``device``?"""

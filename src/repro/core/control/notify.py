@@ -47,6 +47,3 @@ class NotificationBus:
 
     def drop_next(self, host_name: str, count: int = 1) -> None:
         self._drop[host_name] = self._drop.get(host_name, 0) + count
-
-    def clear_drops(self, host_name: str) -> None:
-        self._drop.pop(host_name, None)

@@ -28,17 +28,7 @@ from ...errors import ConfigError
 from ..allocator.leases import Lease, LeaseTable
 from ..allocator.policy import MOVABLE, DeviceState
 
-__all__ = ["ControlState", "DeviceTable", "AllocatorStateMachine",
-           "copy_device"]
-
-
-def copy_device(device: DeviceState) -> DeviceState:
-    clone = DeviceState(name=device.name, host=device.host,
-                        capacity=device.capacity, is_backup=device.is_backup,
-                        kind=device.kind)
-    clone.allocated = device.allocated
-    clone.failed = device.failed
-    return clone
+__all__ = ["ControlState", "DeviceTable", "AllocatorStateMachine"]
 
 
 @dataclass

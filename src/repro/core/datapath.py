@@ -33,7 +33,12 @@ from ..mem.layout import Region, RegionAllocator
 from ..obs.trace import TracerBinding
 from ..sim.core import Simulator, USEC
 
-__all__ = ["SharedRegions", "DoorbellChannel", "LocalChannel", "ChannelPair"]
+__all__ = ["SharedRegions", "DoorbellChannel", "LocalChannel", "ChannelPair",
+           "CHANNEL_HOP_US"]
+
+#: One CXL channel hop (CLWB flight + busy-poll discovery), in us: the
+#: fig10 calibration every pod's channels use.
+CHANNEL_HOP_US = 2.8
 
 
 class SharedRegions:
@@ -88,7 +93,7 @@ class DoorbellChannel(TracerBinding):
         sender_cache,
         receiver_cache,
         name: str,
-        hop_us: float = 2.8,
+        hop_us: float = CHANNEL_HOP_US,
         prefetch_depth: int = 4,
     ):
         self.sim = sim
@@ -199,12 +204,6 @@ class DoorbellChannel(TracerBinding):
 
     # -- sender side ---------------------------------------------------------------
 
-    def send(self, payload: bytes) -> float:
-        """Send one message and ring the doorbell.  Returns sender cpu ns."""
-        cost = self.sender.send(payload)
-        self._mark_visible(1)
-        return cost
-
     def send_many(self, payloads: List[bytes]) -> float:
         """Send a batch with one flush + one doorbell (driver batching).
 
@@ -307,15 +306,6 @@ class LocalChannel(TracerBinding):
             self._wake()    # the limit left entries behind: ring for them
         return out, 25.0 * len(out)  # ~25 ns per local ring entry
 
-    def send(self, payload: bytes) -> float:
-        self._queue.append(payload)
-        self.sent += 1
-        if self._trace is not None:
-            self._trace.instant("chan.send", category="channel",
-                                track=self.name, count=1)
-        self._notify()
-        return 25.0
-
     def send_many(self, payloads: List[bytes]) -> float:
         self._queue.extend(payloads)
         self.sent += len(payloads)
@@ -355,7 +345,7 @@ class ChannelPair:
         cache_b,
         name: str,
         message_size: int = 16,
-        hop_us: float = 2.8,
+        hop_us: float = CHANNEL_HOP_US,
         slots: Optional[int] = None,
     ) -> "ChannelPair":
         """Allocate both rings in shared memory and wire the caches."""

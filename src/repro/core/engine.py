@@ -9,7 +9,8 @@ rest lives here, once:
   with :meth:`Driver.connect`;
 * the loop -- :meth:`Driver.kick` and :meth:`Driver._pass`, below;
 * :meth:`Driver._drain_links` -- the link-drain loop with its no-op guard,
-  delivering each link's payloads to the driver's ``_on_messages`` hook;
+  delivering each link's payloads to the subclass's ``_on_messages(link,
+  payloads, cost)``, which returns ``cost`` plus the CPU ns it spent;
 * :meth:`Driver._send` -- the send path and the one ring-full rule: what
   does not fit waits on the driver's backlog, per-link FIFO, and one timer
   re-kicks the driver to try again;
@@ -199,7 +200,7 @@ class Driver(FlowBinding):
     # -- receive: the one link-drain loop ----------------------------------------
 
     def _drain_links(self) -> tuple:
-        """Hand every link's visible messages to :meth:`_on_messages`;
+        """Hand every link's visible messages to ``_on_messages``;
         returns ``(messages, cost_ns)``.  The cost is one running total that
         the drain and handler costs are added to one by one, in arrival
         order (the float grouping of that sum is part of replay identity)."""
@@ -216,11 +217,6 @@ class Driver(FlowBinding):
                 items += len(payloads)
                 cost = self._on_messages(link, payloads, cost)
         return items, cost
-
-    def _on_messages(self, link: Link, payloads: list, cost: float) -> float:
-        """Handle ``payloads`` drained from ``link``; return ``cost`` plus
-        the CPU ns spent, added per message."""
-        raise NotImplementedError
 
     #: ``_process() -> (items_handled, cpu_ns)`` drains a driver's work
     #: sources: its links, plus the device queues of a driver that overrides it
@@ -257,7 +253,7 @@ class Driver(FlowBinding):
         for link, payload in backlog:
             if link not in full:
                 try:
-                    cost += link.tx.send(payload)
+                    cost += link.tx.send_many([payload])
                 except ChannelFullError:
                     cost += self.RING_FULL_NS
                     full.add(link)

@@ -113,10 +113,6 @@ class NetBackend(Driver, TracerBinding):
         self.nic.remove_flow_tag(ip)
 
     @property
-    def registered_ips(self) -> set:
-        return set(self._registry)
-
-    @property
     def device_name(self) -> str:
         return self.nic.name
 

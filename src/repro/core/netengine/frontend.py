@@ -67,10 +67,6 @@ class VirtualNIC:
         self.frontend = frontend
         self.instance = instance
 
-    @property
-    def mac(self) -> int:
-        return self.frontend._records[self.instance.ip].current_mac
-
     def transmit(self, frame: Frame) -> None:
         self.frontend._instance_tx(self.instance, frame)
 
@@ -481,10 +477,6 @@ class NetFrontend(Driver):
         handler = getattr(self, "on_unregister", None)
         if handler is not None:
             handler(ip, old_link_name)
-
-    @property
-    def instance_count(self) -> int:
-        return len(self._records)
 
     def record_of(self, ip: int) -> _InstanceRecord:
         return self._records[ip]

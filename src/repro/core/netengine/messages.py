@@ -41,8 +41,8 @@ class NetMessage:
 
     A plain slotted class rather than a dataclass: these are created and
     unpacked once per message hop on the driver cores' hottest loop, where
-    a frozen dataclass pays ``object.__setattr__`` per field.  Value
-    semantics (eq/hash/repr over the five fields) are preserved.
+    a frozen dataclass pays ``object.__setattr__`` per field.  Messages
+    are decoded and consumed, never compared or hashed.
     """
 
     __slots__ = ("opcode", "size", "instance_ip", "buffer_addr", "epoch")
@@ -71,20 +71,3 @@ class NetMessage:
         if message.opcode not in _VALID_OPS:
             raise ChannelError(f"invalid network-engine opcode {message.opcode:#x}")
         return message
-
-    def _key(self) -> tuple:
-        return (self.opcode, self.size, self.instance_ip, self.buffer_addr,
-                self.epoch)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is NetMessage:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"NetMessage(opcode={self.opcode!r}, size={self.size!r}, "
-                f"instance_ip={self.instance_ip!r}, "
-                f"buffer_addr={self.buffer_addr!r}, epoch={self.epoch!r})")

@@ -87,13 +87,11 @@ class CXLPod:
         self,
         config: Optional[OasisConfig] = None,
         mode: str = "oasis",
-        channel_hop_us: float = 2.8,
     ):
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
         self.config = (config or OasisConfig()).validate()
         self.mode = mode
-        self.channel_hop_us = channel_hop_us
         self.sim = Simulator()
         self.rng = RngFactory(self.config.seed)
         self.switch = LearningSwitch(self.sim)
@@ -308,7 +306,7 @@ class CXLPod:
             pair = ChannelPair.over_cxl(
                 self.sim, host_a.group.regions, host_a.shared.cache,
                 host_b.shared.cache, name,
-                message_size=message_bytes, hop_us=self.channel_hop_us,
+                message_size=message_bytes,
                 slots=self.config.datapath.channel_slots,
             )
         else:
@@ -545,9 +543,6 @@ class CXLPod:
     def fail_switch_port(self, nic: SimNIC) -> None:
         """The paper's failure injection: disable the NIC's switch port."""
         nic.port.set_enabled(False)
-
-    def fail_nic(self, nic: SimNIC) -> None:
-        nic.fail()
 
     def inject_faults(self, plan):
         """Arm a :class:`~repro.faults.plan.FaultPlan` against this pod.
@@ -790,12 +785,10 @@ class RackPod(CXLPod):
         config: Optional[OasisConfig] = None,
         pools: int = 1,
         port_limit: Optional[int] = None,
-        channel_hop_us: float = 2.8,
     ):
         if pools < 1:
             raise ConfigError(f"pools must be >= 1, got {pools}")
-        super().__init__(config=config, mode="oasis",
-                         channel_hop_us=channel_hop_us)
+        super().__init__(config=config, mode="oasis")
         for _ in range(1, pools):
             self._add_group()
         for group in self.groups:
@@ -826,7 +819,6 @@ class RackBuilder:
         backup_nics_per_pool: int = 1,
         port_limit: Optional[int] = 4,
         config: Optional[OasisConfig] = None,
-        channel_hop_us: float = 2.8,
     ):
         if hosts < 1:
             raise ConfigError(f"hosts must be >= 1, got {hosts}")
@@ -842,7 +834,6 @@ class RackBuilder:
         self.backup_nics_per_pool = backup_nics_per_pool
         self.port_limit = port_limit
         self.config = config
-        self.channel_hop_us = channel_hop_us
 
     def device_count(self) -> int:
         return (self.hosts * (self.nics_per_host + self.ssds_per_host)
@@ -850,8 +841,7 @@ class RackBuilder:
 
     def build(self) -> RackPod:
         pod = RackPod(config=self.config, pools=self.pools,
-                      port_limit=self.port_limit,
-                      channel_hop_us=self.channel_hop_us)
+                      port_limit=self.port_limit)
         per_pool = (self.hosts + self.pools - 1) // self.pools
         for i in range(self.hosts):
             pod.add_host(pool=min(i // per_pool, self.pools - 1))

@@ -10,13 +10,14 @@ Messages travel over a pluggable transport (see :mod:`repro.core.raft.rpc`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ...obs.trace import NULL_TRACER
 from ...sim.core import MSEC, Simulator, Timer
 from .log import LogEntry, RaftLog
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RaftNode", "FOLLOWER", "CANDIDATE", "LEADER", "COMPACT_AFTER"]
 
@@ -47,7 +48,8 @@ class RaftNode:
         restore_cb: Optional[Callable[[Any], None]] = None,
         election_timeout_ms: tuple = (150.0, 300.0),
         heartbeat_ms: float = 50.0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         self.sim = sim
         self.node_id = node_id
@@ -60,7 +62,7 @@ class RaftNode:
         self.restore_cb = restore_cb
         self.election_timeout_ms = election_timeout_ms
         self.heartbeat_ms = heartbeat_ms
-        self.rng = rng if rng is not None else np.random.default_rng(hash(node_id) & 0xFFFF)
+        self.rng = rng
 
         self.state = FOLLOWER
         self.current_term = 0

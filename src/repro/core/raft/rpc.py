@@ -98,7 +98,7 @@ class ChannelRpcTransport:
                                      len(chunk))
             frag += chunk.ljust(FRAGMENT_PAYLOAD, b"\x00")
             try:
-                channel.send(frag)
+                channel.send_many([frag])
             except ChannelFullError:
                 return  # dropped; Raft retries on its own timers
             self.fragments_sent += 1

@@ -47,8 +47,8 @@ class StorageMessage:
 
     A plain slotted class rather than a dataclass: messages are created and
     unpacked once per hop on the storage drivers' polling loops, where a
-    frozen dataclass pays ``object.__setattr__`` per field.  Value semantics
-    (eq/hash/repr over all ten fields) are preserved.
+    frozen dataclass pays ``object.__setattr__`` per field.  Messages are
+    decoded and consumed, never compared or hashed.
     """
 
     __slots__ = ("opcode", "cid", "slba", "nlb", "buffer_addr", "instance_ip",
@@ -85,24 +85,3 @@ class StorageMessage:
         if message.opcode not in _VALID_OPS:
             raise ChannelError(f"invalid storage opcode {message.opcode:#x}")
         return message
-
-    def _key(self) -> tuple:
-        return (self.opcode, self.cid, self.slba, self.nlb, self.buffer_addr,
-                self.instance_ip, self.status, self.nsid, self.flags,
-                self.epoch)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is StorageMessage:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"StorageMessage(opcode={self.opcode!r}, cid={self.cid!r}, "
-                f"slba={self.slba!r}, nlb={self.nlb!r}, "
-                f"buffer_addr={self.buffer_addr!r}, "
-                f"instance_ip={self.instance_ip!r}, status={self.status!r}, "
-                f"nsid={self.nsid!r}, flags={self.flags!r}, "
-                f"epoch={self.epoch!r})")

@@ -14,8 +14,8 @@ import numpy as np
 
 from ..analysis.report import render_table
 from ..workloads.allocation import generate_allocation_trace
-from ..workloads.stranding import (live_stranding, pooled_stranding,
-                                   schedule_trace, stranded_fractions)
+from ..workloads.stranding import (pooled_stranding, schedule_trace,
+                                   stranded_fractions)
 
 __all__ = ["run", "main"]
 
@@ -29,7 +29,6 @@ def run(
     n_hosts: int = 64,
     pod_sizes: Sequence[int] = (1, 2, 4, 8, 16),
     seed: int = 7,
-    crosscheck: bool = False,
     rack: bool = False,
     port_limit: Optional[int] = 4,
 ) -> dict:
@@ -82,23 +81,6 @@ def run(
                 rack_ssd[-1].stranded_fraction
                 < rack_ssd[0].stranded_fraction),
         }
-    if crosscheck:
-        # Live-vs-offline agreement on one pod spanning every host: the
-        # streaming StrandingGauge replayed over the same timeline must
-        # reproduce the offline integral (the fleet pipeline's contract).
-        results["crosscheck"] = {}
-        for resource, unit, key in (("nic_gbps", NIC_DEVICE_UNIT, "nic"),
-                                    ("ssd_tb", SSD_DEVICE_UNIT, "ssd")):
-            offline = pooled_stranding(
-                trace, n_hosts, (n_hosts,), resource, unit,
-                rng=np.random.default_rng(seed + 3), repeats=1)[0]
-            live = live_stranding(trace, n_hosts, resource, unit)
-            results["crosscheck"][key] = {
-                "offline_devices": offline.devices_needed,
-                "offline_stranded": offline.stranded_fraction,
-                "live_devices": live["devices_needed"],
-                "live_stranded": live["stranded_fraction"],
-            }
     return results
 
 

@@ -39,7 +39,7 @@ from ..core.pod import CXLPod
 from ..workloads.openloop import OpenLoopBlockClient
 from .common import SERVER_IP, scale
 
-__all__ = ["run_overload", "main_overload", "main"]
+__all__ = ["run_overload", "main_overload"]
 
 #: Derated drive for the sweep: 40 MB/s => one 4 KB op serialises ~102.4 us,
 #: so device capacity is ~9.8k IOPS -- small enough that a CI-sized run can
@@ -244,13 +244,6 @@ def main_overload(argv=None) -> int:
         print("overload: FAIL -- see verdict above", flush=True)
         return 1
     return 0
-
-
-def main() -> dict:
-    """Experiment-runner entry: the default sweep, rendered."""
-    result = run_overload()
-    _render(result)
-    return result
 
 
 if __name__ == "__main__":   # pragma: no cover

@@ -40,7 +40,7 @@ from ..net.packet import make_ip
 from ..workloads.echo import EchoClient, EchoServer
 from .common import scale
 
-__all__ = ["run_rack", "main_rack", "main"]
+__all__ = ["run_rack", "main_rack"]
 
 #: 0.2 ms group-commit window plus replication transport.
 COMMIT_P99_CEILING_MS = 0.5
@@ -266,13 +266,3 @@ def main_rack(argv=None) -> int:
         print(f"rack: FAIL -- {verdict.render()}", flush=True)
         return 1
     return 0
-
-
-def main() -> dict:
-    """Experiment-runner entry: a CI-sized slice of the default rack."""
-    result = run_rack(hosts=8, pools=2, churn=64)
-    print(f"8-host rack slice: {result['wall_per_sim_sec']:.1f} wall-s per "
-          f"sim-s over {result['events']:,} events, "
-          f"commit p99 {result['commit_p99_ms']:.3f} ms, "
-          f"converged={result['converged']}")
-    return result

@@ -1,17 +1,12 @@
 """Run every experiment in sequence (``python -m repro.experiments.runner``).
 
 Set ``OASIS_SCALE`` (e.g. 0.2) to shrink simulated durations for a quick
-pass; the default regenerates every table and figure at full scale.  Set
-``OASIS_OUT=<dir>`` to also dump each experiment's machine-readable results
-as JSON (numpy arrays become lists; non-serialisable objects their repr).
+pass; the default regenerates every table and figure at full scale.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from . import fig2, fig3, fig6, fig8, fig9, fig10, fig11, fig12, fig13, fig14
 from . import table1, table2, table3
@@ -35,42 +30,15 @@ ALL_EXPERIMENTS = [
 ]
 
 
-def _jsonable(value):
-    """Best-effort conversion of experiment results to JSON."""
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    if hasattr(value, "__dict__"):
-        return {k: _jsonable(v) for k, v in vars(value).items()
-                if not k.startswith("_")}
-    return repr(value)
-
-
 def main() -> None:
-    out_dir = os.environ.get("OASIS_OUT")
-    if out_dir:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
     for title, module in ALL_EXPERIMENTS:
         print("=" * 72)
         print(title)
         print("=" * 72)
         start = time.time()
-        results = module.main()
+        module.main()
         print(f"[{title}: {time.time() - start:.1f}s]")
         print()
-        if out_dir:
-            name = module.__name__.rsplit(".", 1)[-1]
-            with open(Path(out_dir) / f"{name}.json", "w") as f:
-                json.dump(_jsonable(results), f, indent=1)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from .common import SERVER_IP, scale
 # The same derated drive as the overload sweep: ~9.8k IOPS capacity.
 from .overload import SSD_BANDWIDTH_GBPS, _capacity_iops
 
-__all__ = ["run_serve", "main_serve", "main", "weighted_fair_share"]
+__all__ = ["run_serve", "main_serve", "weighted_fair_share"]
 
 #: Noisy-neighbour surge factor on the ``bg`` tenant.
 SURGE_FACTOR = 8.0
@@ -297,13 +297,6 @@ def main_serve(argv=None) -> int:
         print("serve: FAIL -- see verdict above", flush=True)
         return 1
     return 0
-
-
-def main() -> dict:
-    """Experiment-runner entry: the default mix, rendered."""
-    result = run_serve()
-    _render(result)
-    return result
 
 
 if __name__ == "__main__":   # pragma: no cover

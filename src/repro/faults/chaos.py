@@ -24,8 +24,8 @@ from ..workloads.blockio import BlockWorkload
 from ..workloads.echo import EchoClient, EchoServer
 from .plan import FaultPlan, dump_failure_artifact
 
-__all__ = ["DEFAULT_PLAN", "CONTROL_PLAN", "BUILTIN_PLANS", "run_chaos",
-           "main_chaos"]
+__all__ = ["DEFAULT_PLAN", "CONTROL_PLAN", "EVERY_KIND_PLAN", "BUILTIN_PLANS",
+           "run_chaos", "main_chaos"]
 
 SERVER_IP = make_ip(10, 0, 0, 1)
 CLIENT_IP = make_ip(10, 0, 9, 1)
@@ -76,9 +76,53 @@ CONTROL_PLAN = {
     ],
 }
 
+#: Every injector kind at least once, so each fault arm and the recovery
+#: behind it runs on the chaos pod.  The data path is degraded first (link,
+#: cache, device and fabric faults, a surge, the backup NIC's host crashing
+#: and the SSD failing, each recovered), then the leader crashes and is back
+#: well before the NIC fails over at 0.40: h2's failover notification lags,
+#: h1's is lost (its next post to the old NIC is fenced and it resyncs) and
+#: the failure report is re-delivered.  Then the backup it moved to
+#: hard-fails with no backup left: the instance parks, and the allocator
+#: retries its re-acquire.
+EVERY_KIND_PLAN = {
+    "name": "every-kind",
+    "faults": [
+        {"kind": "cxl.throttle", "window": [0.02, 0.06], "duration": 0.02,
+         "params": {"factor": 4.0}},
+        {"kind": "cache.writeback_loss", "target": "h1",
+         "window": [0.05, 0.10], "params": {"count": 1, "mode": "partial"}},
+        {"kind": "cxl.latency_spike", "target": "h1", "window": [0.08, 0.12],
+         "duration": 0.02, "params": {"extra_us": 1.5}},
+        {"kind": "nic.dma_abort", "target": "nic-h0",
+         "window": [0.05, 0.20], "params": {"count": 2}},
+        {"kind": "ssd.media_error", "window": [0.05, 0.20],
+         "params": {"count": 2}},
+        {"kind": "switch.drop", "window": [0.05, 0.25],
+         "params": {"count": 2}},
+        {"kind": "switch.duplicate", "window": [0.05, 0.25],
+         "params": {"count": 1}},
+        {"kind": "overload.surge", "window": [0.10, 0.20],
+         "duration": 0.08, "params": {"factor": 1.6}},
+        {"kind": "host.crash", "target": "h2", "at": 0.12, "duration": 0.05},
+        {"kind": "ssd.fail", "at": 0.16, "duration": 0.03},
+        {"kind": "raft.leader_crash", "at": 0.20, "duration": 0.05},
+        {"kind": "notify.delay", "target": "h2", "at": 0.39,
+         "duration": 0.10, "params": {"extra_s": 0.05}},
+        {"kind": "switch.port_down", "target": "nic-h0", "at": 0.40,
+         "duration": 0.05},
+        {"kind": "notify.drop", "target": "h1", "at": 0.41,
+         "params": {"count": 1}},
+        {"kind": "report.duplicate", "target": "nic-h0", "at": 0.44,
+         "params": {"count": 2}},
+        {"kind": "nic.fail", "target": "nic-h2", "at": 0.47, "duration": 0.05},
+    ],
+}
+
 BUILTIN_PLANS = {
     "default-chaos": DEFAULT_PLAN,
     "control-failover": CONTROL_PLAN,
+    "every-kind": EVERY_KIND_PLAN,
 }
 
 

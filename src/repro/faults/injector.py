@@ -78,19 +78,6 @@ class FaultInjector:
         self.pod.tracer.instant(f"fault.{kind}", category="fault",
                                 track="injector", target=target, phase=phase)
 
-    def event_signature(self) -> Tuple:
-        """Hashable digest of the full event log (for replay assertions)."""
-        return tuple(event.signature() for event in self.events)
-
-    def summary(self) -> dict:
-        return {
-            "plan": self.plan.name,
-            "events": len(self.events),
-            "injected": dict(sorted(self.injected.items())),
-            "recovered": dict(sorted(self.recovered.items())),
-            "lost_writeback_lines": len(self.lost_writeback_lines),
-        }
-
     # -- target resolution ---------------------------------------------------
 
     def _nic(self, target: Optional[str]):

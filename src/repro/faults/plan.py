@@ -142,9 +142,6 @@ class FaultPlan:
         for spec in self.faults:
             spec.validate()
 
-    def __len__(self) -> int:
-        return len(self.faults)
-
     def resolve(self, rng: RngFactory) -> List[ResolvedFault]:
         """Pin every windowed fault to a concrete time.
 

@@ -111,9 +111,6 @@ class Host:
         domain.pool.dma_write(addr, data, host=self.name, category=category,
                               account_bytes=account_bytes)
 
-    def cxl_transfer_time(self, nbytes: int, local: bool = False) -> float:
-        return self.domain_of(local).transfer_time(nbytes)
-
     def link_transfer_delay(self, nbytes: int, direction: str = "read",
                             local: bool = False) -> float:
         """Queue ``nbytes`` on this host's CXL link; return the total delay
@@ -136,8 +133,3 @@ class Host:
         start = max(self.sim.now, self._link_busy[direction])
         self._link_busy[direction] = start + seconds
 
-    def link_backlog_s(self, direction: str = "read") -> float:
-        return max(0.0, self._link_busy[direction] - self.sim.now)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Host {self.name} devices={[d.name for d in self.devices]}>"

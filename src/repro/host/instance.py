@@ -30,14 +30,6 @@ class ResourceSpec:
     nic_gbps: float = 2.0
     ssd_tb: float = 0.5
 
-    def scaled(self, factor: float) -> "ResourceSpec":
-        return ResourceSpec(
-            cores=self.cores * factor,
-            memory_gb=self.memory_gb * factor,
-            nic_gbps=self.nic_gbps * factor,
-            ssd_tb=self.ssd_tb * factor,
-        )
-
 
 class Instance:
     """A container running on a host, networked through Oasis."""
@@ -65,10 +57,6 @@ class Instance:
     def attach_vnic(self, vnic) -> None:
         self._vnic = vnic
 
-    @property
-    def vnic(self):
-        return self._vnic
-
     # -- packet I/O -----------------------------------------------------------------
 
     def send_frame(self, frame: Frame) -> None:
@@ -93,6 +81,3 @@ class Instance:
         self.rx_frames += 1
         for handler in self._handlers:
             handler(frame)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Instance {self.name} on {self.host.name}>"

@@ -1,7 +1,7 @@
 """CXL memory substrate: shared pool, non-coherent host caches, regions."""
 
 from .cache import CacheStats, HostCache
-from .cxl import CXLMemoryPool, LinkStats, line_base, line_index, lines_spanned
+from .cxl import CXLMemoryPool, LinkStats, line_index, lines_spanned
 from .layout import FixedPool, Region, RegionAllocator, align_up
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "RegionAllocator",
     "FixedPool",
     "align_up",
-    "line_base",
     "line_index",
     "lines_spanned",
 ]

@@ -75,10 +75,6 @@ class CacheStats:
     writebacks_lost: int = 0        # injected fault: posted write vanished
     writebacks_partial: int = 0     # injected fault: only half the line landed
 
-    def reset(self) -> None:
-        for name in self.__dict__:
-            setattr(self, name, 0)
-
 
 class HostCache:
     """One host's view of the shared pool through its (non-coherent) caches."""
@@ -560,7 +556,8 @@ class HostCache:
             return True
         # Partial: the first half of the line lands, the tail is torn off.
         half = CACHE_LINE // 2
-        self.pool.write_line(index, line[:half] + self.pool.read_line(index)[half:])
+        self.pool.write_line(
+            index, line[:half] + self.pool.dma_read((index << 6) + half, half))
         self._account(True, category, CACHE_LINE)
         self.stats.writebacks_partial += 1
         return True
@@ -569,20 +566,13 @@ class HostCache:
         self.stats.fences += 1
         return self.timings.mfence_ns
 
-    def prefetch(self, addr: int, category: str = "message") -> Tuple[bool, float]:
-        """PREFETCHT0.  Returns ``(issued, cost_ns)``.
-
-        A prefetch of a line already present in the cache is ignored by the
-        hardware -- including when the cached copy is stale.  This no-op is
-        the root cause dissected in §3.2.2.
-        """
-        issued, cost = self.prefetch_range(addr, 1, category)
-        return bool(issued), cost
-
     def prefetch_range(self, addr: int, size: int,
                        category: str = "message") -> Tuple[list, float]:
         """One PREFETCHT0 per line of the range.  Returns ``(indices of the
-        lines actually fetched, cost_ns)``; the rest were already cached."""
+        lines actually fetched, cost_ns)``.  A prefetch of a line already
+        present in the cache is ignored by the hardware -- including when
+        the cached copy is stale.  This no-op is the root cause dissected in
+        §3.2.2."""
         pages = self._pages
         lru = self._lru
         off = addr & 4095

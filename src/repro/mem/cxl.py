@@ -25,7 +25,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from ..config import CACHE_LINE, CXLConfig
 from ..errors import MemoryFault
 
-__all__ = ["CXLMemoryPool", "LinkStats", "line_index", "line_base", "lines_spanned"]
+__all__ = ["CXLMemoryPool", "LinkStats", "line_index", "lines_spanned"]
 
 # One page is 64 lines, so per-page line state fits one 64-bit mask word.  The
 # loops here and in cache.py spell that geometry as literals: a byte offset
@@ -107,18 +107,6 @@ def line_index(addr: int) -> int:
     return addr // CACHE_LINE
 
 
-def line_base(addr: int) -> int:
-    """Base byte address of the cache line containing ``addr``.
-
-    Negative addresses are rejected: Python's floor-division/masking would
-    silently return a "valid"-looking line for them, so a sign bug upstream
-    would corrupt an unrelated line instead of faulting.
-    """
-    if addr < 0:
-        raise MemoryFault(f"negative address {addr}")
-    return addr & ~(CACHE_LINE - 1)
-
-
 def lines_spanned(addr: int, size: int) -> range:
     """Indices of every cache line touched by ``[addr, addr+size)``."""
     if addr < 0:
@@ -150,18 +138,6 @@ class LinkStats:
             for category, nbytes in table.items():
                 merged[category] = merged.get(category, 0) + nbytes
         return merged
-
-    def snapshot(self) -> "LinkStats":
-        return LinkStats(dict(self.read_bytes), dict(self.write_bytes))
-
-    def delta_since(self, earlier: "LinkStats") -> "LinkStats":
-        """Counters accumulated since an earlier :meth:`snapshot`."""
-        delta = LinkStats()
-        for category, nbytes in self.read_bytes.items():
-            delta.read_bytes[category] = nbytes - earlier.read_bytes.get(category, 0)
-        for category, nbytes in self.write_bytes.items():
-            delta.write_bytes[category] = nbytes - earlier.write_bytes.get(category, 0)
-        return delta
 
 
 class CXLMemoryPool:
@@ -196,23 +172,11 @@ class CXLMemoryPool:
         table = stats.read_bytes if direction == "read" else stats.write_bytes
         table[category] = table.get(category, 0) + nbytes
 
-    def total_traffic(self) -> int:
-        return sum(stats.total() for stats in self.link_stats.values())
-
     # -- raw line access (used by HostCache and DMA) -------------------------
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or size < 0 or addr + size > self.size:
             raise MemoryFault(f"access [{addr}, {addr + size}) outside pool of {self.size} B")
-
-    def read_line(self, index: int) -> bytes:
-        """Return the 64 B line at ``index`` (zeros if never written)."""
-        self._check(index * CACHE_LINE, CACHE_LINE)
-        page = self._pages.get(index >> 6)
-        if page is None or not page.present & BIT[index & 63]:
-            return bytes(CACHE_LINE)
-        rank = (page.present & BELOW[index & 63]).bit_count() << 6
-        return bytes(page.data[rank:rank + CACHE_LINE])
 
     def write_line(self, index: int, data: bytes) -> None:
         if index < 0 or (index + 1) << 6 > self.size:

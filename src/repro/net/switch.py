@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..sim.core import Simulator, USEC
-from .packet import BROADCAST_MAC, Frame, mac_str
+from .packet import BROADCAST_MAC, Frame
 
 __all__ = ["LearningSwitch", "SwitchPort"]
 
@@ -98,11 +98,6 @@ class SwitchPort:
         for listener in self._link_listeners:
             listener(enabled)
 
-    @property
-    def queue_delay_s(self) -> float:
-        """Current backlog on this port, in seconds of serialization."""
-        return max(0.0, self._busy_until - self.switch.sim.now)
-
 
 class LearningSwitch:
     """Store-and-forward switch with a learned MAC table."""
@@ -177,7 +172,3 @@ class LearningSwitch:
 
     def port_of_mac(self, mac: int) -> Optional[int]:
         return self.mac_table.get(mac)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        table = {mac_str(m): p for m, p in self.mac_table.items()}
-        return f"<LearningSwitch {self.name} ports={len(self.ports)} macs={table}>"

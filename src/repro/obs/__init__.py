@@ -43,7 +43,6 @@ from .fleet import (
 from .flow import NULL_FLOWS, FlowContext, FlowRecord, FlowRegistry, FlowSegment
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
@@ -56,7 +55,6 @@ from . import bindings
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",

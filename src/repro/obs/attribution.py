@@ -63,10 +63,6 @@ class StageStats:
         return self.hist.count
 
     @property
-    def mean_us(self) -> float:
-        return self.hist.mean
-
-    @property
     def mean_depth(self) -> float:
         return self.depth_sum / self.depth_n if self.depth_n else 0.0
 
@@ -186,10 +182,6 @@ class SLOViolation:
     q: float
     limit_us: float
     measured_us: float
-
-    def __str__(self) -> str:
-        return (f"{self.scope}: p{self.q:g} = {self.measured_us:.2f} us "
-                f"exceeds SLO {self.limit_us:.2f} us")
 
 
 @dataclass

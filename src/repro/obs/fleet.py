@@ -142,13 +142,12 @@ class HealthSeries:
     """One entity's streaming gauge: rate/level, peak, EWMA, p50/p99.
 
     Fixed memory: a handful of scalars plus two five-marker sketches.
-    ``observe`` records a level (a utilization fraction, a saturation);
-    ``observe_counter`` differences a cumulative counter into a per-second
-    rate first, the way the scraper's ``rates()`` does, then records it.
+    ``observe`` records a level (a utilization fraction, a saturation, a
+    rate the pipeline differenced from two snapshots).
     """
 
     __slots__ = ("family", "entity", "last", "last_t", "peak", "count",
-                 "ewma", "_p50", "_p99", "_last_counter", "_last_counter_t")
+                 "ewma", "_p50", "_p99")
 
     def __init__(self, family: str, entity: str, ewma_tau_s: float = 0.05):
         self.family = family
@@ -160,8 +159,6 @@ class HealthSeries:
         self.ewma = Ewma(ewma_tau_s)
         self._p50 = P2Quantile(0.50)
         self._p99 = P2Quantile(0.99)
-        self._last_counter: Optional[float] = None
-        self._last_counter_t: Optional[float] = None
 
     def observe(self, t: float, value: float) -> None:
         value = float(value)
@@ -173,14 +170,6 @@ class HealthSeries:
         self.ewma.update(t, value)
         self._p50.observe(value)
         self._p99.observe(value)
-
-    def observe_counter(self, t: float, cumulative: float) -> None:
-        if self._last_counter is not None and t > self._last_counter_t:
-            rate = ((cumulative - self._last_counter)
-                    / (t - self._last_counter_t))
-            self.observe(t, rate)
-        self._last_counter = float(cumulative)
-        self._last_counter_t = t
 
     @property
     def p50(self) -> float:
@@ -210,7 +199,7 @@ class StrandingGauge:
     started at the previous update (whose ``used``/``loaded`` apply to it)
     and opens a new one.  Fed the same usage timeline and loaded mask as
     the offline Figure 2 pipeline, the gauge reproduces its stranded
-    fraction and (via :meth:`devices_needed`) its device count.
+    fraction, and its loaded peak (``peak_used``) gives its device count.
     """
 
     __slots__ = ("_last_t", "_last_used", "_last_provisioned", "_last_loaded",
@@ -259,11 +248,6 @@ class StrandingGauge:
         if self._last_provisioned > 0:
             return 1.0 - self._last_used / self._last_provisioned
         return 0.0
-
-    def devices_needed(self, device_unit: float) -> int:
-        """Minimum whole devices covering the loaded peak (>=1), as Fig 2."""
-        peak = self.peak_used if self.loaded_s > 0 else self.peak_any
-        return max(1, int(math.ceil(peak / device_unit - 1e-9)))
 
 
 # -- alerting -----------------------------------------------------------------
@@ -710,42 +694,6 @@ class HealthView:
                 for (fam, name), series in self.fleet.gauges.items()
                 if fam == family}
 
-    def utilization(self, device: Optional[str] = None):
-        """Latest utilization per device (or one device's level)."""
-        return self._latest("device_util", device)
-
-    def hot_devices(self, threshold: float = 0.8,
-                    smoothed: bool = False) -> List[Tuple[str, float]]:
-        """Devices at/above ``threshold``, hottest first.
-
-        ``smoothed=True`` ranks by the EWMA instead of the raw last sample
-        (what a proactive migration policy should key on).
-        """
-        out = []
-        for (family, entity), series in self.fleet.gauges.items():
-            if family != "device_util":
-                continue
-            value = (series.ewma.value or 0.0) if smoothed else series.last
-            if value >= threshold:
-                out.append((entity, value))
-        out.sort(key=lambda kv: (-kv[1], kv[0]))
-        return out
-
-    # -- pools and links ---------------------------------------------------
-
-    def stranding(self, pool: str = "nic") -> float:
-        """Time-averaged stranded fraction of one pool (Fig 2 definition)."""
-        gauge = self.fleet.stranding_gauges.get(pool)
-        return gauge.stranded_fraction if gauge is not None else 0.0
-
-    def stranding_now(self, pool: str = "nic") -> float:
-        gauge = self.fleet.stranding_gauges.get(pool)
-        return gauge.stranded_now if gauge is not None else 0.0
-
-    def saturation(self, link: Optional[str] = None):
-        """CXL link saturation per host link (or one host's level)."""
-        return self._latest("link_saturation", link)
-
     def queue_saturation(self, device: Optional[str] = None):
         return self._latest("queue_saturation", device)
 
@@ -754,9 +702,6 @@ class HealthView:
     def tenant_slo_burn(self, tenant: Optional[str] = None):
         """EWMA'd fraction of each tenant's completions blowing its SLO."""
         return self._latest("tenant_slo_burn", tenant)
-
-    def tenant_shed_rate(self, tenant: Optional[str] = None):
-        return self._latest("tenant_shed_rate", tenant)
 
     # -- alerts ------------------------------------------------------------
 

@@ -84,9 +84,6 @@ class FlowContext:
             return
         self.marks.append((name, self._registry.sim.now, depth))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FlowContext #{self.flow_id} {self.kind} "
-                f"marks={[m[0] for m in self.marks]}>")
 
 
 @dataclass(frozen=True)
@@ -154,9 +151,6 @@ class FlowRecord:
         """|sum(segments) - total|; zero up to float rounding by design."""
         return abs(sum(s.dur for s in self.segments) - self.total_s)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FlowRecord #{self.flow_id} {self.kind} "
-                f"{self.total_us:.2f}us {len(self.segments)} segments>")
 
 
 class FlowRegistry:
@@ -250,9 +244,6 @@ class FlowRegistry:
             self._stash.popitem(last=False)
             self.stash_evicted += 1
 
-    def peek(self, addr: Any) -> Optional[FlowContext]:
-        return self._stash.get(addr)
-
     def pop(self, addr: Any) -> Optional[FlowContext]:
         return self._stash.pop(addr, None)
 
@@ -263,9 +254,6 @@ class FlowRegistry:
             ctx.stage(stage, depth)
 
     # -- reading -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def top_slowest(self, n: int = 10,
                     kind: Optional[str] = None) -> List[FlowRecord]:
@@ -278,26 +266,12 @@ class FlowRegistry:
         empty; exposed so tests assert it on real workloads)."""
         return [r for r in self.records if r.conservation_error_s() > tol_s]
 
-    def clear(self) -> None:
-        from .attribution import FlowAttribution
-
-        self.records.clear()
-        self._stash.clear()
-        self.dropped_records = 0
-        self.stash_evicted = 0
-        self.started = 0
-        self.completed = 0
-        self.attribution = FlowAttribution()
-
 
 class _NullFlowRegistry(FlowRegistry):
     """A permanently disabled registry usable as a default class attribute."""
 
     def __init__(self):
         super().__init__(sim=None, enabled=False)
-
-    def stash(self, addr, ctx):  # pragma: no cover - never reached when off
-        return None
 
 
 #: shared no-op registry; components default to this until a pod wires one

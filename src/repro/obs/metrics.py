@@ -2,9 +2,9 @@
 
 Every subsystem publishes through one registry, two ways:
 
-* **instruments** -- :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-  objects created through the registry and mutated on the hot path
-  (``inc`` / ``set`` / ``observe`` are an attribute update);
+* **instruments** -- :class:`Counter` / :class:`Histogram` objects created
+  through the registry and mutated on the hot path (``inc`` / ``observe``
+  are an attribute update);
 * **readers** -- bound with :meth:`MetricsRegistry.register` (the
   ``bind_*`` functions of :mod:`repro.obs.bindings`) over counters that live
   elsewhere (``CacheStats``, ``LinkStats``, ...).  Binding is
@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Sample",
     "SeriesTable",
@@ -57,12 +56,6 @@ class Sample:
     name: str
     labels: LabelsKey
     value: float
-
-    def label(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for k, v in self.labels:
-            if k == key:
-                return v
-        return default
 
 
 class SeriesTable:
@@ -132,34 +125,6 @@ class Counter(_Instrument):
             raise ValueError(
                 f"counter {self.name} takes a finite amount >= 0, not {amount}")
         self.value += amount
-
-
-class Gauge(_Instrument):
-    """A point-in-time value; optionally backed by a read callback.
-
-    Callback-backed gauges (``fn``) are evaluated at snapshot time.
-    """
-
-    kind = "gauge"
-    __slots__ = ("_value", "fn")
-
-    def __init__(self, name: str, labels: LabelsKey, help: str = "",
-                 fn: Optional[Callable[[], float]] = None):
-        super().__init__(name, labels, help)
-        self._value = 0.0
-        self.fn = fn
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        if self.fn is not None:
-            return float(self.fn())
-        return self._value
 
 
 #: default histogram bucket bounds (generic latency-ish scale)
@@ -295,9 +260,6 @@ class MetricsSnapshot:
     def values(self) -> Dict[SeriesKey, float]:
         return dict(zip(self.table.keys, self.vector))
 
-    def items(self):
-        return self.values.items()
-
 
 class Family(dict):
     """Slots of a metric family whose members appear at run time, keyed by
@@ -395,13 +357,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", **labels) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(self, name: str, help: str = "",
-              fn: Optional[Callable[[], float]] = None, **labels) -> Gauge:
-        gauge = self._get_or_create(Gauge, name, help, labels)
-        if fn is not None:
-            gauge.fn = fn
-        return gauge
-
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_BUCKETS,
                   keep_raw: bool = True, **labels) -> Histogram:
@@ -459,8 +414,3 @@ class MetricsRegistry:
         """One series' current value, reading only the readers that own it."""
         return MetricsSnapshot(self.table, self._fill(name)).get(
             name, default, **labels)
-
-    def aggregate(self, name: str,
-                  by: Sequence[str] = ()) -> Dict[Tuple[str, ...], float]:
-        return MetricsSnapshot(self.table, self._fill(name)).aggregate(
-            name, by=by)

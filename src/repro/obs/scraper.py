@@ -54,10 +54,6 @@ class TelemetryScraper:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._task is not None
-
     def start(self, period_s: Optional[float] = None) -> "TelemetryScraper":
         """Begin sampling every ``period_s`` (idempotent for one period)."""
         if self._task is not None:
@@ -105,10 +101,6 @@ class TelemetryScraper:
 
     def __len__(self) -> int:
         return len(self.snapshots)
-
-    @property
-    def latest(self) -> Optional[MetricsSnapshot]:
-        return self.snapshots[-1] if self.snapshots else None
 
     def series(self, name: str, **labels) -> Tuple[List[float], List[float]]:
         """The sampled values of one metric over time: ``(times, values)``.

@@ -44,10 +44,6 @@ class TraceEvent:
     track: str = "sim"
     args: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def end(self) -> float:
-        return self.ts + self.dur
-
 
 class Tracer:
     """Records typed events against a simulator clock."""
@@ -123,18 +119,6 @@ class Tracer:
                 if e.kind == "span"
                 and (category is None or e.category == category)
                 and (name is None or e.name == name)]
-
-    def instants(self, category: Optional[str] = None,
-                 name: Optional[str] = None) -> List[TraceEvent]:
-        return [e for e in self.events
-                if e.kind == "instant"
-                and (category is None or e.category == category)
-                and (name is None or e.name == name)]
-
-    def clear(self) -> None:
-        self.events.clear()
-        self._open.clear()
-        self.dropped = 0
 
     # -- export ---------------------------------------------------------------
 

@@ -80,13 +80,6 @@ class AdmissionQueue:
             self._first_above = None    # drained, or healthy again
         return item, shed
 
-    def drain(self) -> List[Any]:
-        """Empty the queue (teardown), returning the abandoned items."""
-        items = [item for _, item in self._q]
-        self._q.clear()
-        self._first_above = None
-        return items
-
     def _overdue(self, now: float) -> bool:
         """Has the head breached ``target_s`` for a full ``interval_s``?"""
         if now - self._q[0][0] < self.target_s:

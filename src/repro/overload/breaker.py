@@ -87,7 +87,3 @@ class CircuitBreaker:
         if self.rng is not None and self.probe_jitter_s > 0:
             jitter = float(self.rng.uniform(0.0, self.probe_jitter_s))
         self.open_until = now + self.open_s + jitter
-
-    def __repr__(self) -> str:
-        return (f"CircuitBreaker({self.name!r}, state={self.state}, "
-                f"trips={self.trips}, rejections={self.rejections})")

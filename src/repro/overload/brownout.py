@@ -95,7 +95,3 @@ class BrownoutController:
     def as_dict(self) -> dict:
         return {"level": self.level, "entries": self.entries,
                 "exits": self.exits, "transitions": self.log_json()}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"BrownoutController(level={self.level}, "
-                f"entries={self.entries}, exits={self.exits})")

@@ -45,7 +45,3 @@ class RetryBudget:
             return True
         self.denied += 1
         return False
-
-    def __repr__(self) -> str:
-        return (f"RetryBudget(tokens={self.tokens:.2f}, ratio={self.ratio}, "
-                f"spent={self.spent}, denied={self.denied})")

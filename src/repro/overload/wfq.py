@@ -221,14 +221,6 @@ class WeightedFairScheduler:
             best.served += 1
             return item, shed
 
-    def drain(self) -> List[Any]:
-        """Empty every lane (teardown), returning the abandoned items."""
-        items = [item for _state, item in self._reserved]
-        self._reserved.clear()
-        for name in sorted(self._tenants):
-            items.extend(self._tenants[name].queue.drain())
-        return items
-
     # -- introspection -----------------------------------------------------
 
     def per_tenant(self) -> Dict[str, dict]:

@@ -103,10 +103,6 @@ class Event:
             self._live = False
             self._sim._tombstones += 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.9f} {getattr(self.fn, '__name__', self.fn)} {state}>"
-
 
 class Simulator:
     """The event loop: a tiered, time-ordered queue of :class:`Event` objects.

@@ -49,11 +49,6 @@ class CXLBandwidthLoad:
             self._task = self.sim.every(self.quantum_s, self._tick,
                                         start_after=0.0)
 
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
-
     def _tick(self) -> None:
         link_bps = self.host.shared.pool.config.link_bytes_per_sec
         fraction = min(1.0, self.effective_gbps * 1e9 / link_bps)

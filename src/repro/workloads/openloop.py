@@ -99,9 +99,6 @@ class OpenLoopStats:
         count = self.goodput[index]
         return self._latency_sum[index] / count if count else 0.0
 
-    def goodput_iops(self, index: int) -> float:
-        return self.goodput[index] / self.bin_s
-
     def window_goodput_iops(self, t0: float, t1: float) -> float:
         """Mean ok-completions/s over the window [t0, t1).
 

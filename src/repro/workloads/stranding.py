@@ -31,7 +31,6 @@ __all__ = [
     "schedule_trace",
     "stranded_fractions",
     "pooled_stranding",
-    "live_stranding",
     "PoolingResult",
     "UsageTimeline",
 ]
@@ -122,46 +121,6 @@ def stranded_fractions(trace: AllocationTrace, n_hosts: int,
         utilization = timeline.usage[:, :, r].sum(axis=1) / (n_hosts * capacity)
         result[resource] = 1.0 - timeline.time_average(utilization, mask)
     return result
-
-
-def live_stranding(trace: AllocationTrace, n_hosts: int, resource: str,
-                   device_unit: float, load_threshold: float = 0.6) -> dict:
-    """Replay a trace's usage timeline through the *live* stranding gauge.
-
-    Feeds the same piecewise-constant pod-wide usage and loaded mask the
-    offline Figure 2 pipeline integrates into
-    :class:`repro.obs.fleet.StrandingGauge`, one update per timeline event
-    -- exactly how ``FleetHealth`` feeds it from scraper ticks.  The
-    returned ``devices_needed``/``stranded_fraction`` must agree with
-    :func:`pooled_stranding` for a single pod of all hosts (the cross-check
-    test pins this to within one device).
-    """
-    from ..obs.fleet import StrandingGauge
-
-    timeline = UsageTimeline.build(trace, n_hosts)
-    mask = timeline.loaded_mask(trace.host_capacity, load_threshold)
-    r = RESOURCES.index(resource)
-    pod_usage = timeline.usage[:, :, r].sum(axis=1)
-
-    # Pass 1: stream the usage once to discover the loaded peak, the way a
-    # live pod sees it (provisioning is irrelevant for peak tracking).
-    probe = StrandingGauge()
-    for t, used, loaded in zip(timeline.times, pod_usage, mask):
-        probe.update(float(t), float(used), 0.0, bool(loaded))
-    devices = probe.devices_needed(device_unit)
-    provisioned = devices * device_unit
-
-    # Pass 2: the steady-state gauge, provisioned at the whole-device count
-    # covering that peak (Figure 2's minimum provisioning).
-    gauge = StrandingGauge()
-    for t, used, loaded in zip(timeline.times, pod_usage, mask):
-        gauge.update(float(t), float(used), provisioned, bool(loaded))
-    return {
-        "resource": resource,
-        "devices_needed": devices,
-        "stranded_fraction": gauge.stranded_fraction,
-        "gauge": gauge,
-    }
 
 
 @dataclass

@@ -27,7 +27,7 @@ byte-identically under a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -79,14 +79,6 @@ class TenantProfile:
         return TenantSpec(weight=self.weight,
                           guarantee_rate=self.guarantee_iops,
                           guarantee_burst=self.guarantee_burst)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantProfile":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown tenant profile keys: {sorted(unknown)}")
-        return cls(**data).validate()
 
 
 class TenantClient(OpenLoopBlockClient):

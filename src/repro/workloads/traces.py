@@ -77,13 +77,6 @@ class PacketTrace:
         return utilization_series(self.times, self.sizes, self.duration_s,
                                   self.params.line_bytes_per_sec, bin_s)
 
-    def scaled(self, factor: float) -> "PacketTrace":
-        """Thin the trace to ``factor`` of its packets (for quick tests)."""
-        if factor >= 1.0:
-            return self
-        keep = np.random.default_rng(0).random(len(self.times)) < factor
-        return PacketTrace(self.times[keep], self.sizes[keep], self.params)
-
     @staticmethod
     def aggregate(traces: List["PacketTrace"]) -> "PacketTrace":
         """Merge several hosts' traces (for aggregated utilization)."""

@@ -306,10 +306,6 @@ class ReferenceCache:
         self.stats.fences += 1
         return self.timings.mfence_ns
 
-    def prefetch(self, addr: int, category: str = "message") -> Tuple[bool, float]:
-        issued, cost = self.prefetch_range(addr, 1, category)
-        return bool(issued), cost
-
     def prefetch_range(self, addr: int, size: int, category: str = "message"):
         if size <= 0:
             return [], 0.0

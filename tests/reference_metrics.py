@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs import bindings
 from repro.obs.bindings import _DRIVER_EXTRA_FIELDS
-from repro.obs.metrics import Counter, Gauge, Histogram, Sample, labels_key
+from repro.obs.metrics import Counter, Histogram, Sample, labels_key
 
 LabelsKey = Tuple[Tuple[str, str], ...]
 
@@ -43,8 +43,8 @@ CHANNEL_OP_FIELDS = (
 
 
 def instrument_samples(instrument) -> Iterable[Sample]:
-    """What ``Counter`` / ``Gauge`` / ``Histogram.samples()`` yielded."""
-    if isinstance(instrument, (Counter, Gauge)):
+    """What ``Counter`` / ``Histogram.samples()`` yielded."""
+    if isinstance(instrument, Counter):
         yield Sample(instrument.name, instrument.labels, instrument.value)
         return
     assert isinstance(instrument, Histogram)
@@ -98,9 +98,6 @@ class ReferenceSnapshot:
 
     def names(self) -> List[str]:
         return sorted({name for name, _ in self.values})
-
-    def items(self):
-        return self.values.items()
 
 
 class ReferenceRegistry:

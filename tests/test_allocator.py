@@ -46,7 +46,7 @@ class TestLeases:
         table.grant(3, "nic1", now=0.0)
         revoked = table.revoke_device("nic0")
         assert sorted(l.instance_ip for l in revoked) == [1, 2]
-        assert len(table) == 1
+        assert len(table._by_key) == 1
 
     def test_renew_device(self):
         table = LeaseTable(ttl_s=1.0)
@@ -85,7 +85,7 @@ class TestLeases:
         for lease in table.expired(now=2.0):
             table.revoke(lease.instance_ip, lease.device)
         assert table.expired(now=2.0) == []
-        assert len(table) == 0
+        assert len(table._by_key) == 0
 
     def test_grant_carries_epoch(self):
         table = LeaseTable(ttl_s=1.0)
@@ -100,18 +100,18 @@ class TestTelemetryStore:
     def test_latest_and_load(self):
         store = TelemetryStore(interval_s=0.1)
         store.ingest(self._record(bw=2e9))
-        assert store.load_of("nic0") == 2e9
-        assert store.load_of("unknown") == 0.0
+        assert store._latest["nic0"]["tx_bw"] == 2e9
+        assert "unknown" not in store._latest
 
     def test_host_alive_within_threshold(self):
         store = TelemetryStore(interval_s=0.1, missed_threshold=3)
         store.ingest(self._record(t=1.0))
-        assert store.host_alive("h0", now=1.25)
-        assert not store.host_alive("h0", now=1.5)
+        assert store.dead_hosts(now=1.25) == []
+        assert store.dead_hosts(now=1.5) == ["h0"]
 
     def test_never_reported_host_assumed_alive(self):
         store = TelemetryStore(interval_s=0.1)
-        assert store.host_alive("mystery", now=100.0)
+        assert "mystery" not in store.dead_hosts(now=100.0)
 
     def test_dead_hosts_listing(self):
         store = TelemetryStore(interval_s=0.1, missed_threshold=3)

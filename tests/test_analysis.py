@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.report import fmt, render_series, render_table
 from repro.analysis.stats import (
     bin_bandwidth,
-    percentile,
     summarize_latencies,
     utilization_percentile,
     utilization_series,
@@ -42,10 +41,6 @@ class TestBinning:
         p100 = utilization_percentile(times, sizes, 1e-4, 12.5e6, 100,
                                       bin_s=1e-5)
         assert p100 == pytest.approx(10.0)
-
-    def test_percentile_helper(self):
-        assert percentile([1, 2, 3], 50) == 2
-        assert np.isnan(percentile([], 50))
 
 
 class TestSummaries:

@@ -20,6 +20,8 @@ from repro.channel.ring import RingLayout
 from repro.mem.cache import HostCache
 from repro.mem.layout import Region
 
+from .reference_ring import send_one
+
 
 def build(small_pool, design, slots=32, counter_batch=1, **kwargs):
     size = RingLayout.required_bytes(slots, 16)
@@ -38,7 +40,7 @@ def pump(sender, receiver, n, max_polls_per_msg=10):
     """Send n messages one at a time; receiver polls until it gets each."""
     got = []
     for i in range(n):
-        sender.send(msg(i))
+        send_one(sender, msg(i))
         for _ in range(max_polls_per_msg):
             payload, _ = receiver.poll()
             if payload is not None:
@@ -104,7 +106,7 @@ class TestStaleness:
         assert len(got) == 16
         # From now on every ring line is stale in the receiver's cache and it
         # never invalidates: new messages are permanently invisible.
-        sender.send(msg(100))
+        send_one(sender, msg(100))
         for _ in range(50):
             payload, _ = receiver.poll()
             assert payload is None

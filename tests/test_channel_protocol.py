@@ -9,6 +9,8 @@ from repro.errors import ChannelError, ChannelFullError
 from repro.mem.cache import HostCache
 from repro.mem.layout import Region
 
+from .reference_ring import send_one
+
 
 def build_channel(small_pool, slots=64, message_size=16, design="invalidate-prefetched",
                   counter_batch=None):
@@ -27,14 +29,14 @@ def msg(i, size=16):
 class TestRoundtrip:
     def test_single_message(self, small_pool):
         sender, receiver = build_channel(small_pool)
-        sender.send(msg(7))
+        send_one(sender, msg(7))
         payload, _ = receiver.poll()
         assert payload == msg(7)
 
     def test_fifo_order(self, small_pool):
         sender, receiver = build_channel(small_pool)
         for i in range(20):
-            sender.send(msg(i))
+            send_one(sender, msg(i))
         got = []
         while True:
             payload, _ = receiver.poll()
@@ -75,12 +77,12 @@ class TestRoundtrip:
     def test_wrong_size_payload_rejected(self, small_pool):
         sender, _ = build_channel(small_pool)
         with pytest.raises(ChannelError):
-            sender.send(b"short")
+            sender.try_send(b"short")
 
     def test_poll_batch(self, small_pool):
         sender, receiver = build_channel(small_pool)
         for i in range(10):
-            sender.send(msg(i))
+            send_one(sender, msg(i))
         payloads, _ = receiver.poll_batch(limit=100)
         assert payloads == [msg(i) for i in range(10)]
 
@@ -91,7 +93,7 @@ class TestRingWrap:
         seq = 0
         for lap in range(5):
             for _ in range(16):
-                sender.send(msg(seq))
+                send_one(sender, msg(seq))
                 # The receiver may need an empty-poll-invalidate cycle to see
                 # a message landing in a line it already has cached.
                 payload = None
@@ -105,7 +107,7 @@ class TestRingWrap:
     def test_epoch_prevents_rereading_old_lap(self, small_pool):
         sender, receiver = build_channel(small_pool, slots=16, counter_batch=1)
         for i in range(16):
-            sender.send(msg(i))
+            send_one(sender, msg(i))
         while receiver.poll()[0] is not None:
             pass
         # Ring content is one lap old everywhere; nothing new to read.
@@ -124,11 +126,18 @@ class TestBackpressure:
         assert sender.counters.full_stalls == 1
 
     def test_send_raises_when_full(self, small_pool):
-        sender, _ = build_channel(small_pool, slots=16)
-        for i in range(16):
-            sender.try_send(msg(i))
-        with pytest.raises(ChannelFullError):
-            sender.send(msg(99))
+        """A send on a full ring (a driver batch, ``send_many``) raises,
+        carrying how many of the batch's messages went out."""
+        from repro.core.datapath import DoorbellChannel
+        from repro.sim.core import Simulator
+
+        layout = RingLayout(Region(0, RingLayout.required_bytes(16, 16)), 16, 16)
+        channel = DoorbellChannel(Simulator(), layout, HostCache(small_pool, "s"),
+                                  HostCache(small_pool, "r"), "ring")
+        with pytest.raises(ChannelFullError) as full:
+            channel.send_many([msg(i) for i in range(17)])
+        assert full.value.sent == 16
+        assert channel.sender.counters.full_stalls == 1
 
     def test_counter_update_unblocks_sender(self, small_pool):
         sender, receiver = build_channel(small_pool, slots=16, counter_batch=8)
@@ -165,7 +174,7 @@ class TestBackpressure:
 
     def test_counter_never_ahead_of_sender(self, small_pool):
         sender, receiver = build_channel(small_pool, slots=16, counter_batch=1)
-        sender.send(msg(0))
+        send_one(sender, msg(0))
         receiver.poll()
         sender.refresh_consumed()
         assert sender._cached_consumed <= sender.next_seq

@@ -1,10 +1,16 @@
-"""Tests for ring layout and the epoch-bit codec."""
+"""Tests for ring layout and the epoch-bit codec (the codec and slot
+arithmetic are the oracle in ``reference_ring.py``)."""
 
 import pytest
 
-from repro.channel.ring import RingLayout, decode_slot, encode_slot
+from repro.channel.protocol import ChannelSender
+from repro.channel.ring import RingLayout
 from repro.errors import ChannelError
+from repro.mem.cache import HostCache
 from repro.mem.layout import Region
+
+from .reference_ring import (decode_slot, encode_slot, expected_epoch,
+                             is_line_end, is_line_start, slot_addr)
 
 
 class TestEpochCodec:
@@ -36,6 +42,20 @@ class TestEpochCodec:
         with pytest.raises(ChannelError):
             decode_slot(b"")
 
+    def test_sender_writes_the_reference_slot_format(self, small_pool):
+        """Over three laps, every slot the real sender leaves in the pool is
+        the reference stamp of its payload with the lap's epoch."""
+        layout = RingLayout(Region(0, RingLayout.required_bytes(16, 16)), 16, 16)
+        sender = ChannelSender(layout, HostCache(small_pool, "sender"))
+        for seq in range(48):
+            payload = bytes([seq % 0x80]) + seq.to_bytes(15, "little")
+            assert sender.try_send(payload)[0]
+            sender.flush()
+            sender._cached_consumed = seq + 1      # a receiver that keeps up
+            raw = small_pool.dma_read(slot_addr(layout, seq), 16)
+            assert raw == encode_slot(payload, expected_epoch(layout, seq))
+            assert decode_slot(raw) == (payload, expected_epoch(layout, seq))
+
 
 class TestRingLayout:
     def _layout(self, slots=64, msg=16):
@@ -51,34 +71,34 @@ class TestRingLayout:
 
     def test_slot_addresses_wrap(self):
         layout = self._layout(slots=64)
-        assert layout.slot_addr(0) == layout.slot_addr(64)
-        assert layout.slot_addr(1) == layout.slot_addr(0) + 16
+        assert slot_addr(layout, 0) == slot_addr(layout, 64)
+        assert slot_addr(layout, 1) == slot_addr(layout, 0) + 16
 
     def test_counter_on_its_own_line(self):
         layout = self._layout(slots=64)
         assert layout.counter_addr % 64 == 0
-        assert layout.counter_addr >= layout.slot_addr(63) + 16
+        assert layout.counter_addr >= slot_addr(layout, 63) + 16
 
     def test_expected_epoch_toggles_per_lap(self):
         layout = self._layout(slots=64)
-        assert layout.expected_epoch(0) == 1     # lap 0: epoch 1
-        assert layout.expected_epoch(63) == 1
-        assert layout.expected_epoch(64) == 0    # lap 1
-        assert layout.expected_epoch(128) == 1   # lap 2
+        assert expected_epoch(layout, 0) == 1     # lap 0: epoch 1
+        assert expected_epoch(layout, 63) == 1
+        assert expected_epoch(layout, 64) == 0    # lap 1
+        assert expected_epoch(layout, 128) == 1   # lap 2
 
     def test_zero_filled_slots_read_as_old(self):
         """Lap 0 expects epoch 1, so untouched (zero) memory is never a
         valid message -- the reason lap 0 starts at epoch 1."""
         layout = self._layout()
         _, epoch = decode_slot(bytes(16))
-        assert epoch != layout.expected_epoch(0)
+        assert epoch != expected_epoch(layout, 0)
 
     def test_line_boundaries(self):
         layout = self._layout()
-        assert layout.is_line_start(0)
-        assert not layout.is_line_start(1)
-        assert layout.is_line_end(3)
-        assert not layout.is_line_end(2)
+        assert is_line_start(layout, 0)
+        assert not is_line_start(layout, 1)
+        assert is_line_end(layout, 3)
+        assert not is_line_end(layout, 2)
 
     def test_line_count(self):
         assert self._layout(slots=64, msg=16).lines == 16

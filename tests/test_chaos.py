@@ -370,3 +370,40 @@ class TestControlFailoverPlan:
                               sort_keys=True)
         assert hashlib.sha256(document.encode()).hexdigest() == (
             "d966c1b9a2d9f07ed8d3739072b4d5192fa34d1f7b37efc6afbe426c1fe00f5c")
+
+
+class TestEveryKindPlan:
+    def test_every_kind_plan_names_every_fault_kind(self):
+        """A data check: a new injector kind cannot skip the CI chaos runs."""
+        from repro.faults import FAULT_KINDS
+        from repro.faults.chaos import BUILTIN_PLANS
+
+        kinds = {fault["kind"] for fault in BUILTIN_PLANS["every-kind"]["faults"]}
+        assert kinds == set(FAULT_KINDS)
+
+    def test_every_kind_injects_and_recovers_each_kind(self):
+        """Each kind leaves an inject record and each kind given a duration
+        a recover record; the verdict is OK and the failover, its dropped
+        notification (fenced, then resynced), its delayed one and the
+        second failure with no backup left all ran."""
+        import json
+
+        from repro.faults.chaos import EVERY_KIND_PLAN, run_chaos
+
+        plan = FaultPlan.from_json(json.dumps(EVERY_KIND_PLAN))
+        result = run_chaos(seed=11, plan=plan, verbose=False)
+        assert result["ok"], result["verdict"].render()
+        events = result["events"]
+        assert {kind for _, kind, _, phase, _ in events if phase == "inject"} \
+            == {spec.kind for spec in plan.faults}
+        assert {kind for _, kind, _, phase, _ in events if phase == "recover"} \
+            == {spec.kind for spec in plan.faults if spec.duration is not None}
+        recovery = result["recovery"]
+        assert recovery["allocator.failovers"] == 1
+        assert recovery["allocator.failover_no_backup"] == 1
+        assert recovery["notify.dropped"] == 1
+        assert recovery["notify.delayed"] == 2
+        assert recovery["fe-h1.resyncs"] >= 1
+        assert sum(v for k, v in recovery.items()
+                   if k.endswith(".stale_accepted")) == 0
+        assert result["injector"].lost_writeback_lines

@@ -97,7 +97,7 @@ class TestEpochTable:
         table.publish_grant("nic0", 7, epoch=3)
         assert table.check("nic0", 7, 3)
         assert not table.check("nic0", 7, 2)   # stale stamp
-        assert table.stamp("nic0", 7) == 3
+        assert table.entry("nic0", 7) == 3
 
     def test_stamp_compares_low_byte_only(self):
         table = EpochTable()
@@ -262,9 +262,7 @@ class TestNotificationBus:
         sim = Simulator()
         bus = NotificationBus(sim)
         bus.delay_extra("h0", 1.0)
-        bus.drop_next("h0", 5)
         bus.clear_delay("h0")
-        bus.clear_drops("h0")
         arrived = []
         bus.send("h0", 0.001, lambda: arrived.append(sim.now))
         sim.run(1.0)

@@ -52,7 +52,7 @@ class TestDoorbellChannel:
         channel = self._channel(sim, regions, hop_us=2.0)
         wakes = []
         channel.bind(lambda: wakes.append(sim.now))
-        sim.schedule(0.0, channel.send, payload(1))
+        sim.schedule(0.0, channel.send_many, [payload(1)])
         sim.run(until=10 * USEC)
         assert wakes and wakes[0] == pytest.approx(2 * USEC)
 
@@ -68,7 +68,7 @@ class TestDoorbellChannel:
         """A drain before the hop elapses must see nothing -- later messages
         cannot ride an earlier doorbell."""
         channel = self._channel(sim, regions, hop_us=5.0)
-        channel.send(payload(1))
+        channel.send_many([payload(1)])
         got, _ = channel.drain()
         assert got == []
         sim.run(until=sim.now + 6 * USEC)
@@ -80,7 +80,7 @@ class TestDoorbellChannel:
         wakes = []
         channel.bind(lambda: wakes.append(sim.now))
         for i in range(5):
-            sim.schedule(i * 0.1 * USEC, channel.send, payload(i))
+            sim.schedule(i * 0.1 * USEC, channel.send_many, [payload(i)])
         sim.run(until=100 * USEC)
         assert len(wakes) == 1       # one doorbell for the burst
 
@@ -104,7 +104,7 @@ class TestDoorbellChannel:
 class TestLocalChannel:
     def test_roundtrip(self, sim):
         channel = LocalChannel(sim, "ipc")
-        channel.send(b"a")
+        channel.send_many([b"a"])
         channel.send_many([b"b", b"c"])
         got, _ = channel.drain()
         assert got == [b"a", b"b", b"c"]
@@ -113,7 +113,7 @@ class TestLocalChannel:
         channel = LocalChannel(sim, "ipc", hop_us=0.5)
         wakes = []
         channel.bind(lambda: wakes.append(sim.now))
-        sim.schedule(0.0, channel.send, b"x")
+        sim.schedule(0.0, channel.send_many, [b"x"])
         sim.run(until=10 * USEC)
         assert wakes and wakes[0] == pytest.approx(0.5 * USEC)
 
@@ -123,13 +123,13 @@ class TestChannelPair:
         pool = regions.pool
         pair = ChannelPair.over_cxl(sim, regions, HostCache(pool, "a"),
                                     HostCache(pool, "b"), "p", slots=64)
-        pair.a_to_b.send(payload(1))
-        pair.b_to_a.send(payload(2))
+        pair.a_to_b.send_many([payload(1)])
+        pair.b_to_a.send_many([payload(2)])
         sim.run(until=sim.now + 10 * USEC)
         assert pair.a_to_b.drain()[0] == [payload(1)]
         assert pair.b_to_a.drain()[0] == [payload(2)]
 
     def test_local_pair(self, sim):
         pair = ChannelPair.local(sim, "p")
-        pair.a_to_b.send(b"x")
+        pair.a_to_b.send_many([b"x"])
         assert pair.a_to_b.drain()[0] == [b"x"]

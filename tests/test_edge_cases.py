@@ -159,22 +159,3 @@ class TestCliEntrypoint:
 
         assert main(["table1"]) == 0
         assert "Table 1" in capsys.readouterr().out
-
-
-class TestRunnerJsonDump:
-    def test_jsonable_handles_numpy_and_objects(self):
-        import numpy as np
-        from repro.experiments.runner import _jsonable
-
-        class Obj:
-            def __init__(self):
-                self.x = np.float64(1.5)
-                self.arr = np.arange(3)
-                self._hidden = "skip"
-
-        out = _jsonable({"a": [Obj()], "b": np.int64(2), (1, 2): None})
-        assert out["a"][0]["x"] == 1.5
-        assert out["a"][0]["arr"] == [0, 1, 2]
-        assert "_hidden" not in out["a"][0]
-        assert out["b"] == 2
-        assert out["(1, 2)"] is None

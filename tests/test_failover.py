@@ -26,7 +26,7 @@ class TestFailover:
     def test_instance_registered_with_backup_at_launch(self):
         pod, inst, client, nic0, nic1 = build_failover_pod()
         backend1 = pod.backends[nic1.name]
-        assert SERVER_IP in backend1.registered_ips   # §3.3.3: at launch
+        assert SERVER_IP in backend1._registry   # §3.3.3: at launch
 
     def test_switch_port_failure_detected_and_failed_over(self):
         pod, inst, client, nic0, nic1 = build_failover_pod()
@@ -41,7 +41,7 @@ class TestFailover:
     def test_nic_hardware_failure_also_detected(self):
         pod, inst, client, nic0, nic1 = build_failover_pod()
         pod.run(0.1)
-        pod.fail_nic(nic0)
+        nic0.fail()
         pod.run(0.2)
         assert pod.allocator.failovers_executed == 1
 
@@ -136,9 +136,9 @@ class TestMigration:
         pod.run(0.01)
         pod.allocator.migrate(SERVER_IP, nic1.name)
         pod.run(1.0)   # still inside the 5 s grace period
-        assert SERVER_IP in pod.backends[nic0.name].registered_ips
+        assert SERVER_IP in pod.backends[nic0.name]._registry
         pod.run(5.0)   # grace period over
-        assert SERVER_IP not in pod.backends[nic0.name].registered_ips
+        assert SERVER_IP not in pod.backends[nic0.name]._registry
 
     def test_traffic_flows_after_migration(self):
         pod = CXLPod(mode="oasis")
@@ -183,14 +183,14 @@ class TestControlPlaneRaces:
         pod.run(0.3)
         allocator = pod.allocator
         assert allocator.failover_no_backup >= 1
-        assert SERVER_IP in allocator.parked
+        assert SERVER_IP in allocator.state.tables["nic"].parked
         assert allocator.assignments.get(SERVER_IP) is None
         # Capacity returns: a new NIC registers and the parked instance
         # re-acquires onto it with a fresh lease and epoch.
         h2 = pod.add_host()
         nic2 = pod.add_nic(h2)
         pod.run(0.2)
-        assert allocator.parked == {}
+        assert allocator.state.tables["nic"].parked == {}
         assert allocator.assignments[SERVER_IP] == nic2.name
         lease = allocator.leases.get(SERVER_IP, nic2.name)
         assert lease is not None and lease.valid(pod.sim.now)

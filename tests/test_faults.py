@@ -49,7 +49,7 @@ class TestFaultPlan:
 
     def test_bare_list_accepted(self):
         plan = FaultPlan.from_json('[{"kind": "switch.drop", "at": 0.1}]')
-        assert len(plan) == 1 and plan.faults[0].kind == "switch.drop"
+        assert len(plan.faults) == 1 and plan.faults[0].kind == "switch.drop"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -25,6 +25,40 @@ from repro.obs.fleet import (
     StrandingGauge,
 )
 from repro.sim.core import Simulator
+from repro.workloads.allocation import RESOURCES, generate_allocation_trace
+from repro.workloads.stranding import (UsageTimeline, pooled_stranding,
+                                       schedule_trace)
+
+from .test_obs import level
+
+
+def devices_needed(gauge, device_unit):
+    """Whole devices covering a stranding gauge's loaded peak (>= 1): the
+    device count Figure 2's offline pipeline provisions."""
+    peak = gauge.peak_used if gauge.loaded_s > 0 else gauge.peak_any
+    return max(1, int(math.ceil(peak / device_unit - 1e-9)))
+
+
+def live_stranding(trace, n_hosts, resource, device_unit,
+                   load_threshold=0.6):
+    """Replay a trace's pod-wide usage timeline through the live
+    :class:`StrandingGauge`, one update per timeline event -- exactly how
+    ``FleetHealth`` feeds it from scraper ticks: once to find the loaded
+    peak, then provisioned at the whole-device count covering it (Figure
+    2's minimum provisioning).  Returns ``(devices, stranded_fraction)``."""
+    timeline = UsageTimeline.build(trace, n_hosts)
+    mask = timeline.loaded_mask(trace.host_capacity, load_threshold)
+    pod_usage = timeline.usage[:, :, RESOURCES.index(resource)].sum(axis=1)
+    probe, gauge = StrandingGauge(), StrandingGauge()
+    for t, used, loaded in zip(timeline.times, pod_usage, mask):
+        probe.update(float(t), float(used), 0.0, bool(loaded))
+    devices = devices_needed(probe, device_unit)
+    for t, used, loaded in zip(timeline.times, pod_usage, mask):
+        gauge.update(float(t), float(used), devices * device_unit,
+                     bool(loaded))
+    return devices, gauge.stranded_fraction
+
+
 
 
 class TestEwma:
@@ -94,13 +128,21 @@ class TestHealthSeries:
         assert 0.2 <= series.p50 <= 0.8
 
     def test_counter_differencing(self):
-        series = HealthSeries("lease_expiry_rate", "pod")
-        series.observe_counter(0.0, 0.0)
-        series.observe_counter(1.0, 50.0)   # 50/s
-        series.observe_counter(2.0, 150.0)  # 100/s
+        """The pipeline differences a cumulative counter into a per-second
+        rate series; the first scrape only primes it."""
+        reg = MetricsRegistry()
+        expiries = reg.counter("allocator_events", event="lease_expiry")
+        fleet = FleetHealth(nic_bytes_per_sec=1e9, ssd_bytes_per_sec=1e9,
+                            link_bytes_per_sec=1e9)
+        fleet.ingest(reg.snapshot(time=0.0))
+        expiries.inc(50)                    # 50/s
+        fleet.ingest(reg.snapshot(time=1.0))
+        expiries.inc(100)                   # 100/s
+        fleet.ingest(reg.snapshot(time=2.0))
+        series = fleet.gauges[("lease_expiry_rate", "pod")]
         assert series.last == pytest.approx(100.0)
         assert series.peak == pytest.approx(100.0)
-        assert series.count == 2            # first cum sample only primes
+        assert series.count == 2
 
     def test_as_dict_shape(self):
         series = HealthSeries("x", "e")
@@ -135,17 +177,17 @@ class TestStrandingGauge:
         gauge.update(2.0, 100.0, 300.0, loaded=True)
         assert gauge.peak_used == 250.0
         assert gauge.peak_any == 420.0
-        assert gauge.devices_needed(100.0) == 3
+        assert devices_needed(gauge, 100.0) == 3
         # Exact multiples don't round up past the peak.
         exact = StrandingGauge()
         exact.update(0.0, 200.0, 200.0)
         exact.update(1.0, 0.0, 200.0)
-        assert exact.devices_needed(100.0) == 2
+        assert devices_needed(exact, 100.0) == 2
 
     def test_empty_gauge_is_benign(self):
         gauge = StrandingGauge()
         assert gauge.stranded_fraction == 0.0
-        assert gauge.devices_needed(100.0) == 1
+        assert devices_needed(gauge, 100.0) == 1
 
 
 class TestAlertEngine:
@@ -223,7 +265,7 @@ class TestAlertEngine:
         snap = registry.snapshot()
         assert snap.get("fleet_alert_fired", rule="hot") == 1
         assert snap.get("fleet_alert_cleared", rule="hot") == 1
-        instants = tracer.instants(category="alert")
+        instants = [e for e in tracer.events if e.category == "alert"]
         assert [e.name for e in instants] == ["alert.fire:hot",
                                               "alert.clear:hot"]
 
@@ -266,10 +308,10 @@ class TestFleetIngest:
         ssd.inc(1e9)          # 0.5 of 2 GB/s
         link.inc(2e9)         # 0.5 of 4 GB/s
         fleet.ingest(reg.snapshot(time=1.0))
-        view = fleet.view()
-        assert view.utilization("nic0") == pytest.approx(0.5)
-        assert view.utilization("ssd0") == pytest.approx(0.5)
-        assert view.saturation("h0") == pytest.approx(0.5)
+        assert fleet.gauges[("device_util", "nic0")].last == pytest.approx(0.5)
+        assert fleet.gauges[("device_util", "ssd0")].last == pytest.approx(0.5)
+        assert fleet.gauges[("link_saturation", "h0")].last == \
+            pytest.approx(0.5)
         assert fleet.device_kind == {"nic0": "nic", "ssd0": "ssd"}
         assert fleet.device_host == {"nic0": "h0", "ssd0": "h1"}
         # No raw snapshot retention: only the previous snapshot is held.
@@ -280,7 +322,7 @@ class TestFleetIngest:
         reg = MetricsRegistry()
         nic_b = reg.counter("nic_bytes", device="nic0", host="h0",
                             direction="tx")
-        reg.gauge("device_queue_depth", device="nic0").set(512)
+        level(reg, "device_queue_depth", device="nic0")[0] = 512
         fleet = self._fleet()
         fleet.ingest(reg.snapshot(time=0.0))
         nic_b.inc(1)          # teaches the pipeline nic0 is a NIC
@@ -290,27 +332,26 @@ class TestFleetIngest:
 
     def test_pool_stranding_and_failed_devices(self):
         reg = MetricsRegistry()
-        alloc = {}
+        failed = {}
         for name, allocated in (("nic0", 30.0), ("nic1", 10.0)):
-            reg.gauge("allocator_device_capacity", device=name,
-                      kind="nic").set(100.0)
-            g = reg.gauge("allocator_device_allocated", device=name,
-                          kind="nic")
-            g.set(allocated)
-            alloc[name] = g
-            reg.gauge("allocator_device_failed", device=name, kind="nic").set(0)
+            level(reg, "allocator_device_capacity", device=name,
+                  kind="nic")[0] = 100.0
+            level(reg, "allocator_device_allocated", device=name,
+                  kind="nic")[0] = allocated
+            failed[name] = level(reg, "allocator_device_failed", device=name,
+                                 kind="nic")
         fleet = self._fleet()
         fleet.ingest(reg.snapshot(time=0.0))
         fleet.ingest(reg.snapshot(time=1.0))
-        view = fleet.view()
-        assert view.stranding_now("nic") == pytest.approx(1 - 40.0 / 200.0)
+        nic_pool = fleet.stranding_gauges["nic"]
+        assert nic_pool.stranded_now == pytest.approx(1 - 40.0 / 200.0)
         assert fleet.pools["nic"]["devices"] == 2
         # Fail one device: it drops out of provisioned capacity.
-        reg.gauge("allocator_device_failed", device="nic1", kind="nic").set(1)
+        failed["nic1"][0] = 1
         fleet.ingest(reg.snapshot(time=2.0))
         assert fleet.pools["nic"]["failed"] == 1
         assert fleet.pools["nic"]["provisioned"] == pytest.approx(100.0)
-        assert view.stranding_now("nic") == pytest.approx(1 - 30.0 / 100.0)
+        assert nic_pool.stranded_now == pytest.approx(1 - 30.0 / 100.0)
 
     def test_lease_expiry_rate_and_alerts(self):
         reg = MetricsRegistry()
@@ -326,22 +367,6 @@ class TestFleetIngest:
         assert fleet.alerts.fired == 1
         alerts = fleet.view().alerts()
         assert alerts[0]["rule"] == "lease_expiry_storm"
-
-    def test_hot_devices_ranking(self):
-        reg = MetricsRegistry()
-        counters = {
-            name: reg.counter("nic_bytes", device=name, host="h0",
-                              direction="tx")
-            for name in ("nic-a", "nic-b", "nic-c")
-        }
-        fleet = self._fleet()
-        fleet.ingest(reg.snapshot(time=0.0))
-        counters["nic-a"].inc(9e8)
-        counters["nic-b"].inc(9.5e8)
-        counters["nic-c"].inc(1e8)
-        fleet.ingest(reg.snapshot(time=1.0))
-        hot = fleet.view().hot_devices(threshold=0.8)
-        assert [name for name, _ in hot] == ["nic-b", "nic-a"]
 
     def test_as_dict_document(self):
         reg = MetricsRegistry()
@@ -361,15 +386,25 @@ class TestCrossChecks:
     """Satellite: live stranding gauge vs the offline fig2/table2 pipeline."""
 
     def test_live_stranding_matches_fig2_offline(self):
-        from repro.experiments import fig2
+        """Live-vs-offline agreement on one pod spanning every host: the
+        streaming gauge replayed over Figure 2's timeline reproduces the
+        offline integral (the fleet pipeline's contract)."""
+        from repro.experiments.fig2 import NIC_DEVICE_UNIT, SSD_DEVICE_UNIT
 
-        results = fig2.run(n_instances=800, n_hosts=16, pod_sizes=(1,),
-                           crosscheck=True)
-        for resource in ("nic", "ssd"):
-            check = results["crosscheck"][resource]
-            assert abs(check["live_devices"] - check["offline_devices"]) <= 1
-            assert check["live_stranded"] == pytest.approx(
-                check["offline_stranded"], abs=1e-6)
+        n_hosts, seed = 16, 7
+        trace = generate_allocation_trace(
+            n_instances=800, duration_s=20_000.0, mean_lifetime_s=3000.0,
+            rng=np.random.default_rng(seed))
+        schedule_trace(trace, n_hosts)
+        for resource, unit in (("nic_gbps", NIC_DEVICE_UNIT),
+                               ("ssd_tb", SSD_DEVICE_UNIT)):
+            offline = pooled_stranding(
+                trace, n_hosts, (n_hosts,), resource, unit,
+                rng=np.random.default_rng(seed + 3), repeats=1)[0]
+            devices, stranded = live_stranding(trace, n_hosts, resource, unit)
+            assert abs(devices - offline.devices_needed) <= 1
+            assert stranded == pytest.approx(offline.stranded_fraction,
+                                             abs=1e-6)
 
     def test_sketch_p99_matches_table2_exact(self):
         from repro.experiments import table2
@@ -441,4 +476,4 @@ class TestTopCli:
         pod, _, _, _ = build_echo_pod("oasis", remote=True)
         fleet = pod.enable_fleet_telemetry(period_s=0.01)
         assert pod.enable_fleet_telemetry() is fleet
-        assert pod.scraper.running
+        assert pod.scraper._task is not None    # sampling

@@ -71,7 +71,7 @@ class TestFlowPrimitives:
         assert reg.start("echo") is None
         assert reg.started == 0
         assert reg.complete(None) is None
-        assert len(reg) == 0
+        assert reg.records == []
 
     def test_null_flows_shared_instance(self):
         assert NULL_FLOWS.start("echo") is None
@@ -119,7 +119,7 @@ class TestFlowPrimitives:
             reg.stash(i, ctx)
         assert len(reg._stash) == 4
         assert reg.stash_evicted == 2
-        assert reg.peek(0) is None                # oldest evicted first
+        assert 0 not in reg._stash                # oldest evicted first
         assert reg.pop(5) is ctxs[5]
 
     def test_queue_service_split(self):
@@ -172,7 +172,7 @@ class TestEchoConservation:
         pod.stop()
         assert client.stats.received > 0
         assert pod.flows.started == 0
-        assert len(pod.flows) == 0
+        assert pod.flows.records == []
         assert len(pod.flows._stash) == 0
 
 
@@ -248,7 +248,6 @@ class TestAttributionTools:
         violations = strict.check(reg.attribution)
         assert {v.scope for v in violations} == {"total", "slow"}
         assert all(v.measured_us > v.limit_us for v in violations)
-        assert "exceeds SLO" in str(violations[0])
         assert not SLOChecker().configured and strict.configured
 
     def test_critical_path_buckets(self):

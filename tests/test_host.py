@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.host.host import Host
-from repro.host.instance import Instance, ResourceSpec
+from repro.host.instance import Instance
 from repro.mem.cxl import CXLMemoryPool
 from repro.net.packet import Frame, make_ip
 from repro.sim.core import Simulator
@@ -26,7 +26,8 @@ class TestDomains:
         assert t.cxl_load_ns == t.ddr_load_ns
 
     def test_local_dma_transfer_faster(self, host):
-        assert host.cxl_transfer_time(1500, local=True) < host.cxl_transfer_time(1500)
+        assert host.domain_of(True).transfer_time(1500) < \
+            host.domain_of(False).transfer_time(1500)
 
     def test_shared_domains_share_backing_store(self, sim):
         pool = CXLMemoryPool(size=1 << 20)
@@ -99,12 +100,6 @@ class TestInstance:
         inst.deliver_frame(Frame(dst_mac=0, src_mac=0))
         assert len(got_a) == 1 and len(got_b) == 1
         assert inst.rx_frames == 1
-
-    def test_resource_spec_scaling(self):
-        spec = ResourceSpec(cores=2, memory_gb=8, nic_gbps=2, ssd_tb=0.5)
-        doubled = spec.scaled(2.0)
-        assert doubled.cores == 4
-        assert doubled.nic_gbps == 4
 
     def test_device_attachment(self, sim, host):
         from repro.pcie.device import PCIeDevice

@@ -112,8 +112,8 @@ class TestNonCoherence:
         b.load(0, 3)
         a.store(0, b"new")
         a.clwb(0)
-        issued, _ = b.prefetch(0)
-        assert issued is False
+        issued, _ = b.prefetch_range(0, 1)
+        assert issued == []
         assert b.stats.prefetches_ignored == 1
         data, _ = b.load(0, 3)
         assert data == b"old"           # prefetch did NOT refresh the line
@@ -121,8 +121,8 @@ class TestNonCoherence:
     def test_prefetch_fills_uncached_line(self, cache_pair, small_pool):
         _, b = cache_pair
         small_pool.dma_write(0, b"pooled")
-        issued, _ = b.prefetch(0)
-        assert issued is True
+        issued, _ = b.prefetch_range(0, 1)
+        assert issued == [0]
         data, cost = b.load(0, 6)
         assert data == b"pooled"
         assert cost < b.timings.cxl_load_ns  # served from cache
@@ -304,7 +304,7 @@ class TestBoundsCheckedUpFront:
     @pytest.mark.parametrize("op", [
         lambda c: c.clwb(-64), lambda c: c.clflush(1 << 20),
         lambda c: c.clwb_range(-1, 10), lambda c: c.clflush_range((1 << 20) - 64, 128),
-        lambda c: c.prefetch(-1), lambda c: c.snoop_dma_write((1 << 20) - 8, 16),
+        lambda c: c.prefetch_range(-1, 1), lambda c: c.snoop_dma_write((1 << 20) - 8, 16),
         lambda c: c.snoop_dma_read(-8, 16), lambda c: c.clflush_cached(-64, 128)])
     def test_every_operation_rejects_out_of_range(self, cache_pair, op):
         a, _ = cache_pair

@@ -4,7 +4,9 @@ import pytest
 
 from repro.config import CACHE_LINE, CXLConfig
 from repro.errors import MemoryFault
-from repro.mem.cxl import CXLMemoryPool, LinkStats, line_base, line_index, lines_spanned
+from repro.mem.cxl import CXLMemoryPool, LinkStats, line_index, lines_spanned
+from repro.obs.bindings import bind_pool
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestAddressMath:
@@ -13,23 +15,11 @@ class TestAddressMath:
         assert line_index(63) == 0
         assert line_index(64) == 1
 
-    def test_line_base(self):
-        assert line_base(100) == 64
-        assert line_base(64) == 64
-
     def test_lines_spanned(self):
         assert list(lines_spanned(0, 64)) == [0]
         assert list(lines_spanned(60, 8)) == [0, 1]
         assert list(lines_spanned(0, 0)) == []
         assert list(lines_spanned(128, 1)) == [2]
-
-    def test_line_base_rejects_negative_address(self):
-        # The seed silently returned a "valid"-looking base for negative
-        # addresses (Python floor masking), hiding sign bugs upstream.
-        with pytest.raises(MemoryFault):
-            line_base(-1)
-        with pytest.raises(MemoryFault):
-            line_base(-64)
 
     def test_lines_spanned_rejects_negative_address(self):
         with pytest.raises(MemoryFault):
@@ -68,7 +58,7 @@ class TestPool:
     def test_read_line_and_write_line(self, small_pool):
         payload = bytes(range(64))
         small_pool.write_line(3, payload)
-        assert small_pool.read_line(3) == payload
+        assert small_pool.dma_read(3 * 64, 64) == payload
 
     def test_zero_size_pool_rejected(self):
         with pytest.raises(MemoryFault):
@@ -125,7 +115,7 @@ class TestAccounting:
 
     def test_no_host_no_accounting(self, small_pool):
         small_pool.dma_write(0, b"x" * 64)
-        assert small_pool.total_traffic() == 0
+        assert small_pool.link_stats == {}
 
     def test_total_and_direction(self, small_pool):
         small_pool.dma_write(0, b"x" * 64, host="h0")
@@ -136,11 +126,15 @@ class TestAccounting:
         assert stats.total() == 128
 
     def test_snapshot_delta(self, small_pool):
+        """A window's traffic is the delta of two registry snapshots."""
+        reg = MetricsRegistry()
+        bind_pool(reg, small_pool)
         small_pool.dma_write(0, b"x" * 64, host="h0")
-        snap = small_pool.stats_for("h0").snapshot()
+        snap = reg.snapshot()
         small_pool.dma_write(64, b"y" * 64, host="h0")
-        delta = small_pool.stats_for("h0").delta_since(snap)
-        assert delta.write_bytes["payload"] == 64
+        delta = reg.snapshot().delta_since(snap)
+        assert delta.get("cxl_link_bytes", host="h0", direction="write",
+                         category="payload") == 64
 
     def test_by_category_merges_directions(self, small_pool):
         small_pool.dma_write(0, b"x" * 64, host="h0", category="message")

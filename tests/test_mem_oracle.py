@@ -138,7 +138,8 @@ class MemoryModels(RuleBasedStateMachine):
 
     @rule(host=hosts, addr=addresses, category=categories)
     def prefetch(self, host, addr, category):
-        self.both(host, "prefetch", addr, category)
+        # One line: prefetch_range's short cut (the streaming receiver's case).
+        self.both(host, "prefetch_range", addr, 1, category)
 
     @rule(host=hosts, addr=addresses, size=sizes, category=categories)
     def prefetch_range(self, host, addr, size, category):

@@ -79,7 +79,6 @@ class TestMicrobenchHarness:
         bench._actor_now = 0.0
         bench.sender.cache.store(bench.layout.region.base, b"\x01" * 16)
         bench.sender.cache.clwb(bench.layout.region.base)
-        assert bench.pool.read_line(bench.layout.region.base // 64) == bytes(64)
+        assert bench.pool.dma_read(bench.layout.region.base, 64) == bytes(64)
         bench._apply_pending(1e9)
-        assert bench.pool.read_line(
-            bench.layout.region.base // 64)[:16] == b"\x01" * 16
+        assert bench.pool.dma_read(bench.layout.region.base, 16) == b"\x01" * 16

@@ -24,7 +24,8 @@ class TestMessageCodec:
     def test_roundtrip(self):
         message = NetMessage(OP_TX, 1500, SERVER_IP, 0xDEADBEEF00)
         out = NetMessage.unpack(message.pack())
-        assert out == message
+        assert [getattr(out, f) for f in NetMessage.__slots__] == \
+            [getattr(message, f) for f in NetMessage.__slots__]
 
     def test_exactly_16_bytes(self):
         assert NET_MESSAGE_SIZE == 16

@@ -27,13 +27,28 @@ from repro.obs import (
 from repro.sim.core import MSEC, Simulator
 
 
+def level(reg, name, **labels):
+    """A settable series, bound the way the pod binds a level it reads off
+    an object (a registry reader): set ``box[0]`` between scrapes."""
+    box = [0.0]
+
+    def declare(series):
+        slot = series(name, **labels)
+
+        def read(vector):
+            vector[slot] += box[0]
+        return read
+
+    reg.register(declare)
+    return box
+
+
 class TestRegistry:
     def test_counter_gauge_histogram_roundtrip(self):
         reg = MetricsRegistry()
         c = reg.counter("ops", host="h0", op="read")
         c.inc(3)
-        g = reg.gauge("depth", queue="q0")
-        g.set(7)
+        level(reg, "depth", queue="q0")[0] = 7
         h = reg.histogram("lat_us", device="nic0")
         h.observe(4.0)
         h.observe(9.0)
@@ -52,7 +67,7 @@ class TestRegistry:
         assert a is b
         assert reg.counter("ops", host="h1") is not a
         with pytest.raises(TypeError):
-            reg.gauge("ops", host="h0")    # kind mismatch
+            reg.histogram("ops", host="h0")    # kind mismatch
 
     def test_label_aggregation(self):
         reg = MetricsRegistry()
@@ -67,11 +82,13 @@ class TestRegistry:
         assert snap.total("bytes") == 35.0
 
     def test_fn_backed_gauge_reads_live_value(self):
+        """A level (a gauge) is a reader over live state, evaluated at each
+        scrape: there is no separate gauge instrument to keep in sync."""
         reg = MetricsRegistry()
-        state = {"v": 1.0}
-        reg.gauge("live", fn=lambda: state["v"], node="n0")
+        live = level(reg, "live", node="n0")
+        live[0] = 1.0
         assert reg.snapshot().get("live", node="n0") == 1.0
-        state["v"] = 42.0
+        live[0] = 42.0
         assert reg.snapshot().get("live", node="n0") == 42.0
 
     def test_snapshot_delta(self):
@@ -98,9 +115,9 @@ class TestRegistry:
     def test_histogram_series_are_not_shared_with_other_instruments(self):
         reg = MetricsRegistry()
         reg.histogram("lat", host="h0").observe(3.0)
-        for make, name in ((reg.counter, "lat_count"), (reg.gauge, "lat_sum")):
+        for name in ("lat_count", "lat_sum"):
             with pytest.raises(TypeError, match=f"{name}.*histogram lat"):
-                make(name, host="h0")
+                reg.counter(name, host="h0")
         reg.counter("lat_count", host="h1").inc(5)     # other labels: apart
         reg.counter("rtt_sum").inc(4)
         with pytest.raises(TypeError, match="histogram rtt.*counter rtt_sum"):
@@ -113,8 +130,7 @@ class TestRegistry:
     def test_labels_key_is_canonical(self):
         assert labels_key({"b": 1, "a": 2}) == labels_key({"a": 2, "b": 1})
         s = Sample("x", labels_key({"host": "h0", "op": "r"}), 1.0)
-        assert s.label("host") == "h0"
-        assert s.label("missing", "d") == "d"
+        assert dict(s.labels) == {"host": "h0", "op": "r"}
 
 
 class TestSeriesTable:
@@ -218,7 +234,7 @@ class TestSeriesTable:
         pool.dma_write(0, b"x" * 64, host="h0", category="message")
         assert len(reg.snapshot()) == 2       # a family member, on sight
 
-    def test_value_and_aggregate_read_only_the_owning_readers(self):
+    def test_value_reads_only_the_owning_readers(self):
         """One number must not cost a whole snapshot (counted, not timed)."""
         from repro.experiments.common import build_echo_pod
 
@@ -233,17 +249,18 @@ class TestSeriesTable:
             for read in reg._readers]
         assert reg.value("echo_rtt_us_count", client="c0") == 1.0
         assert len(calls) == 1
-        frames = reg.snapshot().aggregate("nic_frames", by=("device",))
         del calls[:]
-        assert reg.aggregate("nic_frames", by=("device",)) == frames
+        nic = next(iter(pod.nics))
+        frames = reg.value("nic_frames", device=nic, direction="tx")
         assert len(calls) == len(pod.nics) < len(reg._readers)
+        assert frames == reg.snapshot().get("nic_frames", device=nic,
+                                            direction="tx")
         del calls[:]
         assert reg.value("no_such_metric", default=-1.0) == -1.0
-        assert reg.aggregate("no_such_metric") == {}
         assert calls == []
         # A family whose members appear at run time is owned by its reader
         # before it has any member.
-        assert reg.aggregate("fault_injected") == {}
+        assert reg.value("fault_injected", default=-1.0) == -1.0
         assert "cxl_link_bytes" in reg._producers
 
 
@@ -269,20 +286,21 @@ class TestLinkStatsBinding:
         assert {cat: v for (cat,), v
                 in snap.aggregate("cxl_link_bytes", by=("category",)).items()
                 } == merged
-        assert snap.total("cxl_link_bytes") == pool.total_traffic()
+        assert snap.total("cxl_link_bytes") == sum(
+            stats.total() for stats in pool.link_stats.values())
 
     def test_delta_matches_legacy_delta_since(self):
         pool = self._pool_with_traffic()
         reg = MetricsRegistry()
         bindings.bind_pool(reg, pool)
-        legacy_before = pool.stats_for("h0").snapshot()
+        legacy_before = dict(pool.stats_for("h0").write_bytes)
         snap_before = reg.snapshot()
         pool.dma_write(0, b"z" * 256, host="h0", category="payload")
-        legacy_delta = pool.stats_for("h0").delta_since(legacy_before)
+        legacy_delta = (pool.stats_for("h0").write_bytes["payload"]
+                        - legacy_before.get("payload", 0))
         reg_delta = reg.snapshot().delta_since(snap_before)
         assert reg_delta.get("cxl_link_bytes", host="h0", direction="write",
-                             category="payload") == \
-            legacy_delta.write_bytes["payload"]
+                             category="payload") == legacy_delta
 
 
 class TestScraper:
@@ -402,7 +420,7 @@ class TestScraper:
         pod, _, _, _ = build_echo_pod("oasis", remote=True)
         scraper = pod.scraper
         scraper.sample_now()
-        series = len(scraper.latest)
+        series = len(scraper.snapshots[-1])
         assert series > 150
         tracemalloc.start()
         try:
@@ -416,7 +434,7 @@ class TestScraper:
                     for stat in after.compare_to(before, "filename"))
         assert grown / 200 <= 16 * series + 512
         assert len(scraper) == 201 and scraper.dropped == 0
-        assert scraper.latest.get("scraper_buffered") == 200
+        assert scraper.snapshots[-1].get("scraper_buffered") == 200
         times, values = scraper.series("scraper_buffered")
         assert values == [float(i) for i in range(201)]
 
@@ -518,7 +536,7 @@ class TestScrapeCost:
             client.start(1.0)
         pod.run(0.1)                           # warm: every series interned
         pod.scraper.stop()
-        series = len(pod.scraper.latest)
+        series = len(pod.scraper.snapshots[-1])
         assert series >= 269
 
         samples = []
@@ -542,7 +560,7 @@ class TestScrapeCost:
             finally:
                 sys.setprofile(None)
         pod.stop()
-        assert pod.fleet.ticks >= 99 and len(pod.scraper.latest) == series
+        assert pod.fleet.ticks >= 99 and len(pod.scraper.snapshots[-1]) == series
         assert counts["labels_key"] == 0
         assert samples == []
         assert 0 < counts["obs"] / 50 <= self.CALLS_PER_TICK_CEILING
@@ -556,7 +574,7 @@ class TestTracer:
         sim.schedule(2 * MSEC, lambda: tracer.begin("work", category="test"))
         sim.schedule(5 * MSEC, lambda: tracer.end("work"))
         sim.run_all()
-        (inst,) = tracer.instants(category="test")
+        (inst,) = [e for e in tracer.events if e.kind == "instant"]
         assert inst.ts == pytest.approx(MSEC)
         (span,) = tracer.spans(category="test")
         assert span.dur == pytest.approx(3 * MSEC)

@@ -279,8 +279,9 @@ class TestTenantlessWfqIsTheAdmissionQueue:
                 next_item += 1
             elif op == "pop":
                 assert wfq.pop(now) == queue.pop(now)
-            else:
-                assert wfq.drain() == queue.drain()
+            else:                           # serve both until empty
+                while len(queue):
+                    assert wfq.pop(now) == queue.pop(now)
             assert len(wfq) == len(queue)
             assert wfq.saturation == len(queue) / depth
             assert ((wfq.admitted, wfq.shed_full, wfq.shed_sojourn)

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from repro.channel.designs import make_receiver
 from repro.channel.protocol import ChannelSender
-from repro.channel.ring import RingLayout, decode_slot, encode_slot
+from repro.channel.ring import RingLayout
 from repro.core.raft.log import LogEntry, RaftLog
 from repro.errors import MemoryFault
 from repro.mem.cache import HostCache
 from repro.mem.cxl import CXLMemoryPool
 from repro.mem.layout import FixedPool, Region, RegionAllocator, align_up
 from repro.net.packet import Frame
+
+from .reference_ring import decode_slot, encode_slot, expected_epoch
 
 slow = settings(max_examples=50,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -89,8 +91,8 @@ class TestEpochCodecProperties:
     def test_expected_epoch_toggles_exactly_per_lap(self, seq):
         layout = RingLayout(
             Region(0, RingLayout.required_bytes(64, 16)), 64, 16)
-        assert layout.expected_epoch(seq) != layout.expected_epoch(seq + 64)
-        assert layout.expected_epoch(seq) == layout.expected_epoch(seq + 128)
+        assert expected_epoch(layout, seq) != expected_epoch(layout, seq + 64)
+        assert expected_epoch(layout, seq) == expected_epoch(layout, seq + 128)
 
 
 class TestChannelFifoProperty:

@@ -15,6 +15,8 @@ from repro.mem.layout import Region
 from repro.net.packet import make_ip
 from repro.workloads.echo import EchoClient, EchoServer
 
+from .reference_ring import send_one, slot_addr
+
 
 class TestChannelSafety:
     """No duplication, no corruption, no reordering -- under any
@@ -80,8 +82,8 @@ class TestChannelSafety:
         got = []
         for i in range(64):
             payload = bytes([1]) + i.to_bytes(8, "little") + bytes(7)
-            sender.send(payload)
-            sender.cache.clwb(layout.slot_addr(i))      # spurious
+            send_one(sender, payload)
+            sender.cache.clwb(slot_addr(layout, i))      # spurious
             for _ in range(6):
                 item, _ = receiver.poll()
                 if item is not None:

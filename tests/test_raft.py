@@ -157,6 +157,12 @@ class TestRaftLogCompaction:
 
 
 class TestElection:
+    def test_a_node_needs_an_explicit_rng(self, sim):
+        # A default drawn from hash(node_id) would move with PYTHONHASHSEED:
+        # election timeouts come only from a stream the caller seeded.
+        with pytest.raises(TypeError):
+            RaftNode(sim, "n0", ["n0"], DirectTransport(sim))
+
     def test_exactly_one_leader_elected(self, sim):
         _, nodes, _ = build_cluster(sim)
         sim.run(until=2.0)

@@ -73,8 +73,10 @@ class TestTenantProfile:
         assert spec.guarantee_rate == 100.0
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown tenant profile"):
-            TenantProfile.from_dict({"name": "t", "rate_mbps": 1.0})
+        """A profile read from a dict (``TenantProfile(**data)``) rejects
+        keys it does not know."""
+        with pytest.raises(TypeError, match="rate_mbps"):
+            TenantProfile(**{"name": "t", "rate_mbps": 1.0})
 
     @pytest.mark.parametrize("bad", [
         {"name": ""},
@@ -85,7 +87,7 @@ class TestTenantProfile:
     ])
     def test_validation_rejects_bad_profiles(self, bad):
         with pytest.raises(ValueError):
-            TenantProfile.from_dict(bad)
+            TenantProfile(**bad).validate()
 
     def test_diurnal_rate_is_a_pure_function_of_time(self):
         pod, _h1, clients = build_serve_pod()
@@ -264,7 +266,7 @@ class TestArmingMidRun:
         pod.run(1e-6)
         frontend.stop()         # a stalled core: frames pile up unserved
         for _ in range(4):
-            inst.vnic.transmit(Frame(
+            inst._vnic.transmit(Frame(
                 dst_mac=0, src_mac=0, src_ip=inst.ip, dst_ip=CLIENT_IP,
                 src_port=1, dst_port=2, payload=b"x" * 64))
         pod.run(20e-6)          # past the IPC hop: all four are queued

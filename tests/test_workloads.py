@@ -57,10 +57,6 @@ class TestPacketTraces:
         assert len(agg.times) == sum(len(t.times) for t in traces)
         assert np.all(np.diff(agg.times) >= 0)
 
-    def test_scaled_thins_packets(self, trace):
-        thin = trace.scaled(0.5)
-        assert 0.3 < len(thin.times) / len(trace.times) < 0.7
-
     def test_deterministic_given_seed(self):
         a = generate_trace(RACK_A_PARAMS[0], np.random.default_rng(5))
         b = generate_trace(RACK_A_PARAMS[0], np.random.default_rng(5))

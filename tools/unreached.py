@@ -50,6 +50,7 @@ RUN_SET = [
     REPRO + ["chaos", "--seed", "7", "--duration", "0.3"],
     REPRO + ["chaos", "--seed", "11", "--plan", "control-failover",
              "--duration", "0.9"],
+    REPRO + ["chaos", "--seed", "11", "--plan", "every-kind"],
     REPRO + ["overload", "--check"],
     REPRO + ["serve", "--check"],
     [sys.executable, str(ROOT / "perf" / "run.py"), "--trace", "1", "--seed", "17"],

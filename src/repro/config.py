@@ -112,9 +112,8 @@ class NICConfig:
     bandwidth_gbps: float = 100.0       # line rate, bits/s
     tx_queue_depth: int = 1024
     rx_queue_depth: int = 1024
-    max_flow_tags: int = 4096
+    max_flow_tags: int = 4096           # 0: no flow tagging (footnote 6)
     dma_setup_ns: float = 250.0         # WQE fetch + doorbell processing
-    supports_flow_tagging: bool = True
 
     @property
     def bytes_per_sec(self) -> float:
@@ -125,6 +124,8 @@ class NICConfig:
             raise ConfigError("bandwidth_gbps must be positive")
         if self.tx_queue_depth <= 0 or self.rx_queue_depth <= 0:
             raise ConfigError("queue depths must be positive")
+        if self.max_flow_tags < 0:
+            raise ConfigError("max_flow_tags must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -300,8 +301,6 @@ class OverloadConfig:
     breaker_failure_threshold: int = 8  # consecutive failures to trip open
     breaker_open_ms: float = 50.0       # open dwell before a half-open probe
     breaker_probe_jitter_ms: float = 5.0  # seeded jitter on the probe timer
-    # -- retry timing jitter (dedicated RNG substreams; 0 = legacy timing) -
-    retry_jitter_frac: float = 0.0      # +/- fraction of each backoff delay
     # -- brownout (driven by HealthView queue saturation) ------------------
     brownout_high: float = 0.85         # enter brownout at/above this
     brownout_low: float = 0.60          # leave brownout below this
@@ -324,8 +323,6 @@ class OverloadConfig:
             raise ConfigError("breaker_failure_threshold must be >= 1")
         if self.breaker_open_ms <= 0 or self.breaker_probe_jitter_ms < 0:
             raise ConfigError("breaker timings must be positive")
-        if not 0 <= self.retry_jitter_frac < 1:
-            raise ConfigError("retry_jitter_frac must be in [0, 1)")
         if not 0 < self.brownout_low <= self.brownout_high:
             raise ConfigError("brownout thresholds must satisfy 0 < low <= high")
         if self.brownout_period_s <= 0:

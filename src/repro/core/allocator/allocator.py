@@ -50,6 +50,9 @@ from .telemetry import TelemetryStore
 
 __all__ = ["PodAllocator", "AllocatorClient"]
 
+#: One-way delay of a driver's report or request to the allocator (§3.2.2).
+CONTROL_HOP_S = 5.0 * USEC
+
 
 class PodAllocator:
     """The control plane service."""
@@ -687,24 +690,22 @@ class PodAllocator:
 class AllocatorClient:
     """Driver-side stub: models the channel hop to the allocator (§3.2.2)."""
 
-    def __init__(self, sim: Simulator, allocator: PodAllocator,
-                 latency_us: float = 5.0):
+    def __init__(self, sim: Simulator, allocator: PodAllocator):
         self.sim = sim
         self.allocator = allocator
-        self.latency_s = latency_us * USEC
 
     def report_failure(self, backend) -> None:
-        self.sim.schedule(self.latency_s, self.allocator.on_failure_report,
+        self.sim.schedule(CONTROL_HOP_S, self.allocator.on_failure_report,
                           backend.device_name)
 
     def telemetry(self, backend, record: dict) -> None:
-        self.sim.schedule(self.latency_s, self.allocator.on_telemetry, record)
+        self.sim.schedule(CONTROL_HOP_S, self.allocator.on_telemetry, record)
 
     def frontend_telemetry(self, record: dict) -> None:
-        self.sim.schedule(self.latency_s, self.allocator.on_frontend_telemetry,
+        self.sim.schedule(CONTROL_HOP_S, self.allocator.on_frontend_telemetry,
                           record)
 
     def request_resync(self, ip: int, host_name: str,
                        kind: str = "nic") -> None:
-        self.sim.schedule(self.latency_s, self.allocator.resync,
+        self.sim.schedule(CONTROL_HOP_S, self.allocator.resync,
                           ip, host_name, kind)

@@ -40,6 +40,13 @@ __all__ = ["SharedRegions", "DoorbellChannel", "LocalChannel", "ChannelPair",
 #: fig10 calibration every pod's channels use.
 CHANNEL_HOP_US = 2.8
 
+#: A datapath receiver's prefetch window, in lines.  Shallow: driver cores
+#: drain several channels in small batches, so a deep window would be
+#: invalidated and re-fetched on every drain, wasting CXL bandwidth (the
+#: microbenchmark's dedicated single-channel receiver keeps the paper's
+#: depth of 16, ``DatapathConfig.prefetch_depth``).
+DOORBELL_PREFETCH_DEPTH = 4
+
 
 class SharedRegions:
     """Region bookkeeping for one CXL pod."""
@@ -94,21 +101,14 @@ class DoorbellChannel(TracerBinding):
         receiver_cache,
         name: str,
         hop_us: float = CHANNEL_HOP_US,
-        prefetch_depth: int = 4,
     ):
         self.sim = sim
         self.name = name
         self.layout = layout
         self.hop_s = hop_us * USEC
         self.sender = ChannelSender(layout, sender_cache)
-        # Datapath channels use a shallow prefetch window: driver cores drain
-        # several channels in small batches, so a deep window would be
-        # invalidated and re-fetched on every drain, wasting CXL bandwidth
-        # (the microbenchmark's dedicated single-channel receiver keeps the
-        # paper's depth of 16).
         self.receiver = InvalidatePrefetchedReceiver(
-            layout, receiver_cache, prefetch_depth=prefetch_depth
-        )
+            layout, receiver_cache, prefetch_depth=DOORBELL_PREFETCH_DEPTH)
         self._wake: Optional[Callable[[], None]] = None
         # Per-message visibility times: a message can be drained only once
         # its CLWB flight + busy-poll discovery delay has elapsed, so a later

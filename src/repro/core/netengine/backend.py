@@ -96,14 +96,12 @@ class NetBackend(Driver, TracerBinding):
     def register_instance(self, ip: int, frontend_name: str) -> Optional[int]:
         """Register an instance's IP with this NIC (flow tagging, §3.3.1)."""
         self._registry[ip] = frontend_name
-        if self.nic.config.supports_flow_tagging:
-            try:
-                tag = self.nic.add_flow_tag(ip)
-            except DeviceError:
-                return None
-            self._tag_to_ip[tag] = ip
-            return tag
-        return None
+        try:
+            tag = self.nic.add_flow_tag(ip)
+        except DeviceError:
+            return None     # untagged: the footnote-6 fallback inspects it
+        self._tag_to_ip[tag] = ip
+        return tag
 
     def unregister_instance(self, ip: int) -> None:
         self._registry.pop(ip, None)
@@ -254,8 +252,6 @@ class NetBackend(Driver, TracerBinding):
                         self.tx_retries += 1
                         backoff_s = (self.config.retry.tx_retry_backoff_us
                                      * 1e-6 * 2 ** (descriptor.retries - 1))
-                        if stage is not None:
-                            backoff_s *= stage.jitter()
                         self.sim.call_after(backoff_s, self._repost_tx,
                                             descriptor)
                         cost += self.COMP_ITEM_NS

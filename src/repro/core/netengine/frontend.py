@@ -454,7 +454,6 @@ class NetFrontend(Driver):
         return moved
 
     def migrate_instance(self, ip: int, new_link: BackendLink,
-                         grace_period_s: Optional[float] = None,
                          epoch: Optional[int] = None) -> None:
         """Gracefully move an instance's traffic to ``new_link`` (§3.3.4)."""
         record = self._records[ip]
@@ -466,9 +465,8 @@ class NetFrontend(Driver):
             record.epoch = epoch
         # The instance's stack broadcasts GARP announcing the new MAC.
         self.arp.announce(ip, new_link.nic_mac, garp=True)
-        grace = (grace_period_s if grace_period_s is not None
-                 else self.config.failover.migration_grace_period_s)
-        self.sim.schedule(grace, self._finish_migration, ip, old.name)
+        self.sim.schedule(self.config.failover.migration_grace_period_s,
+                          self._finish_migration, ip, old.name)
 
     def _finish_migration(self, ip: int, old_link_name: str) -> None:
         record = self._records.get(ip)

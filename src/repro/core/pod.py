@@ -467,7 +467,7 @@ class CXLPod:
 
     # -- control-plane replication --------------------------------------------------------
 
-    def enable_raft(self, replicas: int = 3, latency_us: float = 5.0) -> None:
+    def enable_raft(self, replicas: int = 3) -> None:
         """Replicate the allocator with Raft across ``replicas`` hosts.
 
         Each node carries a full replica of the allocator state machine;
@@ -483,7 +483,7 @@ class CXLPod:
             # they carry the group name.
             prefix = ("alloc" if group.allocator is self.allocator
                       else f"alloc-{group.name}")
-            transport = DirectTransport(self.sim, latency_us)
+            transport = DirectTransport(self.sim)
             ids = [f"{prefix}-{i}" for i in range(replicas)]
             nodes = []
             for i, node_id in enumerate(ids):
@@ -684,8 +684,7 @@ class CXLPod:
         (idempotent; asking a running scraper for another period raises)."""
         return self.scraper.start(period_s)
 
-    def enable_fleet_telemetry(self, period_s: float = 0.01, rules=None,
-                               slo=None):
+    def enable_fleet_telemetry(self, period_s: float = 0.01, rules=None):
         """Turn on the streaming fleet-health pipeline (off by default).
 
         Builds a :class:`~repro.obs.fleet.FleetHealth` sized from this
@@ -697,10 +696,7 @@ class CXLPod:
         ``max_snapshots`` scrapes at 8 bytes per series each.  Returns the
         pipeline; query it through ``pod.fleet.view()``.
 
-        ``rules`` overrides :data:`~repro.obs.fleet.DEFAULT_ALERT_RULES`;
-        ``slo`` is an optional :class:`~repro.obs.attribution.SLOChecker`
-        evaluated against live flow attribution (needs
-        ``enable_flow_tracing()``) for the burn-rate gauge.
+        ``rules`` overrides :data:`~repro.obs.fleet.DEFAULT_ALERT_RULES`.
         """
         from ..obs.fleet import FleetHealth
 
@@ -716,8 +712,6 @@ class CXLPod:
             rules=rules,
             tracer=self.tracer,
             registry=self.metrics,
-            flows=self.flows,
-            slo=slo,
         )
         self.scraper.subscribe(self.fleet.ingest)
         self._start_brownout()
@@ -827,6 +821,13 @@ class RackBuilder:
                 f"need 1 <= pools <= hosts, got pools={pools} hosts={hosts}")
         if nics_per_host < 1:
             raise ConfigError("nics_per_host must be >= 1")
+        if ssds_per_host < 0 or backup_nics_per_pool < 0:
+            raise ConfigError(
+                f"device counts must be >= 0, got ssds_per_host="
+                f"{ssds_per_host} backup_nics_per_pool={backup_nics_per_pool}")
+        if port_limit is not None and port_limit < 1:
+            raise ConfigError(
+                f"port_limit must be >= 1 or None (no limit), got {port_limit}")
         self.hosts = hosts
         self.pools = pools
         self.nics_per_host = nics_per_host

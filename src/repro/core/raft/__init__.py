@@ -7,7 +7,7 @@ a peer that falls behind the leader's log base is sent the snapshot.
 
 from .log import LogEntry, RaftLog
 from .node import CANDIDATE, FOLLOWER, LEADER, RaftNode
-from .rpc import ChannelRpcTransport, DirectTransport
+from .rpc import DirectTransport
 
 __all__ = [
     "RaftNode",
@@ -17,5 +17,4 @@ __all__ = [
     "CANDIDATE",
     "LEADER",
     "DirectTransport",
-    "ChannelRpcTransport",
 ]

@@ -31,6 +31,9 @@ LEADER = "leader"
 #: few enough that a node never retains over ~0.3 MiB of applied commands.
 COMPACT_AFTER = 256
 
+#: How often a leader sends appends to every follower when nothing else does.
+HEARTBEAT_S = 50.0 * MSEC
+
 
 class RaftNode:
     """One Raft peer."""
@@ -44,10 +47,7 @@ class RaftNode:
         peers: List[str],
         transport,
         apply_cb: Optional[Callable[[int, Any], None]] = None,
-        snapshot_cb: Optional[Callable[[], Any]] = None,
-        restore_cb: Optional[Callable[[Any], None]] = None,
         election_timeout_ms: tuple = (150.0, 300.0),
-        heartbeat_ms: float = 50.0,
         *,
         rng: np.random.Generator,
     ):
@@ -56,12 +56,12 @@ class RaftNode:
         self.peers = [p for p in peers if p != node_id]
         self.transport = transport
         self.apply_cb = apply_cb
-        # The state machine's half of compaction: its JSON-able state as of
-        # ``last_applied``, and back.  A node without them keeps its whole log.
-        self.snapshot_cb = snapshot_cb
-        self.restore_cb = restore_cb
+        # The state machine's half of compaction, assigned by its owner: its
+        # JSON-able state as of ``last_applied``, and back.  A node without
+        # them keeps its whole log.
+        self.snapshot_cb: Optional[Callable[[], Any]] = None
+        self.restore_cb: Optional[Callable[[Any], None]] = None
         self.election_timeout_ms = election_timeout_ms
-        self.heartbeat_ms = heartbeat_ms
         self.rng = rng
 
         self.state = FOLLOWER
@@ -114,7 +114,7 @@ class RaftNode:
         if not self.alive or self.state != LEADER:
             return
         self._broadcast_append()
-        self._heartbeat_timer.set(self.heartbeat_ms * MSEC)
+        self._heartbeat_timer.set(HEARTBEAT_S)
 
     # -- elections ----------------------------------------------------------------
 

@@ -378,7 +378,6 @@ class StorageFrontend(Driver):
         stage = self._stage
         if stage is not None:
             stage.count(state["tenant"], "retries")
-            backoff *= stage.jitter()
         self.sim.schedule(backoff * MSEC, self._resubmit, cid)
 
     def _resubmit(self, cid: int) -> None:

@@ -23,10 +23,10 @@ Representation (DESIGN §3h): per touched 4 KiB page the cache keeps one data
 page and two 64-bit masks, ``present`` and ``dirty``.  Every operation is, per
 page spanned, one mask computation, ``int.bit_count()`` for the stats, link
 bytes and cost, and one slice copy per contiguous run of lines; a single-line
-access is the one-bit case of that loop.  Only three conditions make an
-operation walk its lines bit by bit: a writeback hook, an armed writeback
-fault (both see one 64 B line at a time) and a bounded cache
-(``capacity_lines``), whose LRU order is per line.
+access is the one-bit case of that loop.  Only two conditions make an
+operation walk its lines bit by bit: a writeback hook and an armed writeback
+fault, both of which see one 64 B line at a time.  The cache is unbounded:
+no line is ever evicted for capacity.
 
 ``load``, ``store`` and ``prefetch_range`` begin with a short cut for an
 access that lies inside one line (every ring slot and counter): same result
@@ -38,7 +38,6 @@ fast path here and it is kept because the ledger says so -- without it
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -54,11 +53,11 @@ class CacheStats:
     """Operation counters, used by tests and the Table 3 experiment.
 
     ``writebacks`` counts the writebacks software asked for (CLWB or
-    CLFLUSHOPT of a dirty line).  The two the hardware starts on its own are
-    counted where they are caused instead: a dirty capacity eviction under
-    ``evictions`` (its bytes under the ``"eviction"`` link category), a dirty
-    line snooped out by a device read under ``dma_read_snoop_hits``
-    (``"snoop"``).
+    CLFLUSHOPT of a dirty line).  The one the hardware starts on its own is
+    counted where it is caused instead: a dirty line snooped out by a device
+    read under ``dma_read_snoop_hits`` (link category ``"snoop"``).  The
+    cache never evicts for capacity, so ``evictions`` stays 0; it is kept as
+    a reported series.
     """
 
     hits: int = 0
@@ -79,34 +78,24 @@ class CacheStats:
 class HostCache:
     """One host's view of the shared pool through its (non-coherent) caches."""
 
-    __slots__ = ("pool", "host", "capacity_lines", "timings", "_pages",
-                 "stats", "_lru", "_spare", "_size", "_rd", "_wr",
-                 "writeback_hook", "_wb_fault")
+    __slots__ = ("pool", "host", "timings", "_pages", "stats", "_spare",
+                 "_size", "_rd", "_wr", "writeback_hook", "_wb_fault")
 
     def __init__(
         self,
         pool: CXLMemoryPool,
         host: str,
-        capacity_lines: Optional[int] = None,
         timings: Optional[CacheTimings] = None,
     ):
-        if capacity_lines is not None and capacity_lines < 1:
-            raise ValueError("capacity_lines must be at least 1")
         self.pool = pool
         self._size = pool.size
         self.host = host
-        self.capacity_lines = capacity_lines
         self.timings = timings or pool.timings
         self._pages: "dict[int, Page]" = {}
         # The page that last went empty, kept for the next claim: a buffer
         # that is invalidated and re-read does not churn 4 KiB allocations.
         self._spare: Optional[Page] = None
         self.stats = CacheStats()
-        # A bounded cache keeps its lines in LRU order and evicts after every
-        # line it admits, so its loads and stores advance a line at a time;
-        # the unbounded default advances a page at a time.
-        self._lru: "Optional[OrderedDict[int, None]]" = \
-            None if capacity_lines is None else OrderedDict()
         # This host's per-category byte counters, bound lazily on the first
         # accounted transfer so the pool's link table is populated exactly
         # when traffic first flows (not when the cache object is built).
@@ -175,23 +164,6 @@ class HostCache:
                 rd = self._link_tables()[0]
             rd[category] = rd.get(category, 0) + fetch.bit_count() * CACHE_LINE
         page.present |= claim
-        if self._lru is not None:
-            # Bounded cache (``claim`` is one line): most recent; evict the excess.
-            lru = self._lru
-            lru[(pidx << 6) | (claim.bit_length() - 1)] = None
-            while len(lru) > self.capacity_lines:
-                victim, _ = lru.popitem(last=False)
-                old = self._pages[victim >> 6]
-                bit = BIT[victim & 63]
-                if old.dirty & bit:
-                    # A capacity eviction of a dirty line is a posted write
-                    # just like CLWB/CLFLUSHOPT: it must go through the
-                    # writeback hook so timing harnesses model its flight
-                    # time too.
-                    self._write_back(victim >> 6, old, victim & 63, victim & 63, bit,
-                                     "eviction")
-                self._forget(victim >> 6, old, bit)
-                self.stats.evictions += 1
         return page
 
     def _forget(self, pidx: int, page: Page, mask: int) -> None:
@@ -289,13 +261,10 @@ class HostCache:
                 if hit and drop:
                     self._forget(addr >> 12, page, hit)
                     dropped += hit.bit_count()
-                    if dropped_lines is not None or self._lru is not None:
+                    if dropped_lines is not None:
                         base = (addr >> 12) << 6
                         for bit in mask_bits(hit):
-                            if dropped_lines is not None:
-                                dropped_lines.append(base | bit)
-                            if self._lru is not None:
-                                del self._lru[base | bit]
+                            dropped_lines.append(base | bit)
             stop -= off
             addr += stop
             size -= stop
@@ -329,9 +298,8 @@ class HostCache:
         the caller's problem, exactly as on real non-coherent CXL 2.0.
         """
         pages = self._pages
-        lru = self._lru
         off = addr & 4095
-        if 0 < size <= 64 - (off & 63) and lru is None:
+        if 0 < size <= 64 - (off & 63):
             # Short cut for the commonest access of all, one inside a single
             # line (ring slots, counters): the loop below computes the same
             # thing in three times the steps (DESIGN §3h has the ledger rows).
@@ -343,8 +311,6 @@ class HostCache:
             page = self._claim(addr >> 12, page, lo, lo, BIT[lo], BIT[lo], category, addr, size)
             self.stats.misses += 1
             return bytes(page.data[off:off + size]), self.timings.cxl_load_ns
-        if lru is not None and size > 0:
-            self._check(addr, size)             # before any LRU reordering
         out = b""
         lines = misses = 0
         pos = addr
@@ -355,8 +321,6 @@ class HostCache:
             if stop > 4096:
                 stop = 4096
                 self._check(addr, size)             # more pages follow: validate first
-            if lru is not None and stop > (off | 63) + 1:
-                stop = (off | 63) + 1               # bounded: a line at a time
             lo = off >> 6
             hi = (stop - 1) >> 6
             mask = SPAN[lo][hi]
@@ -365,8 +329,6 @@ class HostCache:
                 need = mask if page is None else mask & ~page.present
                 page = self._claim(pos >> 12, page, lo, hi, need, need, category, addr, size)
                 misses += need.bit_count()
-            elif lru is not None:
-                lru.move_to_end(pos >> 6)
             lines += hi - lo + 1
             out += page.data[off:stop]
             stop -= off
@@ -389,9 +351,8 @@ class HostCache:
         """CPU store (write-allocate).  Dirty data stays local until CLWB."""
         size = len(data)
         pages = self._pages
-        lru = self._lru
         off = addr & 4095
-        if 0 < size <= 64 - (off & 63) and lru is None:
+        if 0 < size <= 64 - (off & 63):
             # The same short cut as in load(): a store inside a single line.
             page = pages.get(addr >> 12)
             lo = off >> 6
@@ -407,8 +368,6 @@ class HostCache:
             page.dirty |= BIT[lo]
             self.stats.stores += 1
             return cost
-        if lru is not None and size > 0:
-            self._check(addr, size)             # before any LRU reordering
         lines = fetched = 0
         pos = addr
         left = size
@@ -418,8 +377,6 @@ class HostCache:
             if stop > 4096:
                 stop = 4096
                 self._check(addr, size)             # more pages follow: validate first
-            if lru is not None and stop > (off | 63) + 1:
-                stop = (off | 63) + 1               # bounded: a line at a time
             lo = off >> 6
             hi = (stop - 1) >> 6
             mask = SPAN[lo][hi]
@@ -435,8 +392,6 @@ class HostCache:
                     fetch |= absent & BIT[hi]
                 page = self._claim(pos >> 12, page, lo, hi, absent, fetch, category, addr, size)
                 fetched += fetch.bit_count()
-            elif lru is not None:
-                lru.move_to_end(pos >> 6)
             lines += hi - lo + 1
             stop -= off
             page.data[off:off + stop] = (
@@ -490,8 +445,6 @@ class HostCache:
             if not page.present:
                 del self._pages[addr >> 12]
                 self._spare = page
-            if self._lru is not None:
-                del self._lru[addr >> 6]
             self.stats.invalidations += 1
         elif addr < 0 or addr >= self._size:    # (a cached line is always in range)
             self._check(addr, 1)
@@ -574,9 +527,8 @@ class HostCache:
         the cached copy is stale.  This no-op is the root cause dissected in
         §3.2.2."""
         pages = self._pages
-        lru = self._lru
         off = addr & 4095
-        if 0 < size <= 64 - (off & 63) and lru is None:
+        if 0 < size <= 64 - (off & 63):
             # One line (the streaming receiver's usual request): short cut.
             page = pages.get(addr >> 12)
             lo = off >> 6
@@ -596,8 +548,6 @@ class HostCache:
             if stop > 4096:
                 stop = 4096
                 self._check(addr, size)             # more pages follow: validate first
-            if lru is not None and stop > (off | 63) + 1:
-                stop = (off | 63) + 1               # bounded: a line at a time
             lo = off >> 6
             hi = (stop - 1) >> 6
             mask = SPAN[lo][hi]
@@ -623,8 +573,6 @@ class HostCache:
         """Invalidate the entire cache without writing anything back."""
         self._pages.clear()
         self._spare = None
-        if self._lru is not None:
-            self._lru.clear()
 
     # -- intra-host DMA snooping ------------------------------------------------
 

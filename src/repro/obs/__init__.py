@@ -11,8 +11,8 @@
   :class:`FlowContext` rides each request through every hop, yielding
   latency records whose stage segments sum to the end-to-end total.
 * :mod:`repro.obs.attribution` -- the bottleneck profiler on top of flow
-  records: streaming per-stage percentiles, queueing-vs-service splits,
-  critical-path summaries and SLO checks.
+  records: streaming per-stage percentiles, queueing-vs-service splits and
+  critical-path summaries.
 * :mod:`repro.obs.bindings` -- readers that expose the pre-existing
   ad-hoc counter classes (``LinkStats``, ``CacheStats``, ...) through the
   registry without mutating them.
@@ -25,8 +25,6 @@
 
 from .attribution import (
     FlowAttribution,
-    SLOChecker,
-    SLOViolation,
     critical_path,
     render_waterfall,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "FlowRegistry",
     "NULL_FLOWS",
     "FlowAttribution",
-    "SLOChecker",
-    "SLOViolation",
     "critical_path",
     "render_waterfall",
     "FleetHealth",

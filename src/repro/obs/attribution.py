@@ -9,15 +9,12 @@ questions Fig 11 asks of the real system:
   enqueue;
 * :func:`critical_path` -- which stage dominates end-to-end latency in each
   percentile bucket (the p50 bottleneck is often not the p999 bottleneck);
-* :class:`SLOChecker` -- configurable per-stage / end-to-end latency
-  thresholds evaluated against the streamed percentiles;
 * :func:`render_waterfall` -- a per-request text waterfall for terminals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,8 +23,6 @@ from .metrics import Histogram, labels_key
 __all__ = [
     "FlowAttribution",
     "StageStats",
-    "SLOChecker",
-    "SLOViolation",
     "critical_path",
     "render_waterfall",
 ]
@@ -107,10 +102,6 @@ class FlowAttribution:
 
     # -- reading -------------------------------------------------------------
 
-    def percentile(self, stage: str, q: float) -> float:
-        stats = self.stages.get(stage)
-        return stats.percentile(q) if stats is not None else float("nan")
-
     def total_percentile(self, q: float) -> float:
         return _percentile(self.total, q)
 
@@ -172,46 +163,6 @@ def critical_path(records, buckets: Sequence[Tuple[float, float]] = _DEFAULT_BUC
             "dominant_share": dom_time / grand,
         })
     return out
-
-
-@dataclass(frozen=True)
-class SLOViolation:
-    """One threshold breach found by :class:`SLOChecker`."""
-
-    scope: str          # "total" or a stage name
-    q: float
-    limit_us: float
-    measured_us: float
-
-
-@dataclass
-class SLOChecker:
-    """Configurable latency objectives checked against an attribution.
-
-    ``total_us`` bounds the end-to-end percentile; ``stage_us`` maps stage
-    names to per-stage bounds.  Both are evaluated at percentile ``q``.
-    """
-
-    total_us: Optional[float] = None
-    stage_us: Dict[str, float] = field(default_factory=dict)
-    q: float = 99.0
-
-    def check(self, attribution: FlowAttribution) -> List[SLOViolation]:
-        violations = []
-        if self.total_us is not None:
-            measured = attribution.total_percentile(self.q)
-            if measured == measured and measured > self.total_us:
-                violations.append(SLOViolation("total", self.q, self.total_us,
-                                               measured))
-        for stage, limit in self.stage_us.items():
-            measured = attribution.percentile(stage, self.q)
-            if measured == measured and measured > limit:
-                violations.append(SLOViolation(stage, self.q, limit, measured))
-        return violations
-
-    @property
-    def configured(self) -> bool:
-        return self.total_us is not None or bool(self.stage_us)
 
 
 def render_waterfall(record, width: int = 50) -> str:

@@ -149,14 +149,14 @@ class HealthSeries:
     __slots__ = ("family", "entity", "last", "last_t", "peak", "count",
                  "ewma", "_p50", "_p99")
 
-    def __init__(self, family: str, entity: str, ewma_tau_s: float = 0.05):
+    def __init__(self, family: str, entity: str):
         self.family = family
         self.entity = entity
         self.last = 0.0
         self.last_t: Optional[float] = None
         self.peak = 0.0
         self.count = 0
-        self.ewma = Ewma(ewma_tau_s)
+        self.ewma = Ewma()
         self._p50 = P2Quantile(0.50)
         self._p99 = P2Quantile(0.99)
 
@@ -278,7 +278,8 @@ class AlertRule:
 
 #: The default ruleset: a device hot >80 % for 100 ms, a CXL link near
 #: line rate, a device queue backing up, a lease-expiry storm (sweeps are
-#: rare in a healthy pod), and sustained SLO burn.
+#: rare in a healthy pod), overload control at work, and a tenant burning
+#: its latency SLO.
 DEFAULT_ALERT_RULES: Tuple[AlertRule, ...] = (
     AlertRule("hot_device", "device_util", 0.80, for_s=0.100,
               clear_below=0.70,
@@ -292,8 +293,6 @@ DEFAULT_ALERT_RULES: Tuple[AlertRule, ...] = (
     AlertRule("lease_expiry_storm", "lease_expiry_rate", 10.0, for_s=0.200,
               clear_below=1.0,
               help=">10 lease expirations/s for 200 ms"),
-    AlertRule("slo_burn", "slo_burn", 0.5, for_s=0.200, clear_below=0.25,
-              help="SLO violated on >50% of recent scrape ticks"),
     # Overload control (PR 9): sustained load shedding, a starved retry
     # budget, or a frontend dropped into brownout are all pod-health events.
     AlertRule("overload_shedding", "shed_rate", 100.0, for_s=0.050,
@@ -461,18 +460,11 @@ class FleetHealth:
         rules: Optional[Sequence[AlertRule]] = None,
         tracer=None,
         registry=None,
-        flows=None,
-        slo=None,
-        ewma_tau_s: float = 0.05,
-        slo_tau_s: float = 0.05,
     ):
         self.nic_bytes_per_sec = nic_bytes_per_sec
         self.ssd_bytes_per_sec = ssd_bytes_per_sec
         self.link_bytes_per_sec = link_bytes_per_sec
         self.queue_depths = {"nic": nic_queue_depth, "ssd": ssd_queue_depth}
-        self.flows = flows
-        self.slo = slo
-        self.ewma_tau_s = ewma_tau_s
         self.gauges: Dict[Tuple[str, str], HealthSeries] = {}
         self.stranding_gauges: Dict[str, StrandingGauge] = {}
         self.pools: Dict[str, dict] = {}
@@ -481,8 +473,6 @@ class FleetHealth:
         self.alerts = AlertEngine(
             rules if rules is not None else DEFAULT_ALERT_RULES,
             tracer=tracer, registry=registry)
-        self._slo_ewma = Ewma(slo_tau_s)
-        self._slo_tau_s = slo_tau_s
         #: per-tenant SLO-burn EWMAs (created lazily as tenants appear)
         self._tenant_burn: Dict[str, Ewma] = {}
         self._prev = None
@@ -496,8 +486,7 @@ class FleetHealth:
         key = (family, entity)
         series = self.gauges.get(key)
         if series is None:
-            series = self.gauges[key] = HealthSeries(
-                family, entity, ewma_tau_s=self.ewma_tau_s)
+            series = self.gauges[key] = HealthSeries(family, entity)
         return series
 
     def _observe(self, family: str, entity: str, t: float,
@@ -561,7 +550,6 @@ class FleetHealth:
                 # a stalled tenant's burn gauge does not freeze mid-alert.
                 self._observe("tenant_slo_burn", tenant, t,
                               ewma.update(t, ewma.value))
-        self._ingest_slo(t)
         self.alerts.evaluate(t, {key: series.last
                                  for key, series in self.gauges.items()})
 
@@ -651,20 +639,10 @@ class FleetHealth:
         # and the ``tenant_slo_burn`` alert rule stays inert.
         by_result = ("tenant", "result")
         self._tenants = [
-            (tenant, self._tenant_burn.setdefault(tenant,
-                                                  Ewma(self._slo_tau_s)),
+            (tenant, self._tenant_burn.setdefault(tenant, Ewma()),
              results.get("ok", ()), results.get("slo_violation", ()))
             for (tenant,), results in nested("tenant_requests", by_result)]
         rates("tenant_shed_rate", "tenant_requests", by_result, (("shed",),))
-
-    def _ingest_slo(self, t: float) -> None:
-        if self.slo is None or self.flows is None:
-            return
-        attribution = getattr(self.flows, "attribution", None)
-        if attribution is None or not self.slo.configured:
-            return
-        violated = 1.0 if self.slo.check(attribution) else 0.0
-        self._observe("slo_burn", "pod", t, self._slo_ewma.update(t, violated))
 
     # -- querying ----------------------------------------------------------
 
@@ -752,7 +730,9 @@ class HealthView:
             "devices": devices,
             "pools": pools,
             "lease_expiry_rate": self._latest("lease_expiry_rate", "pod"),
-            "slo_burn": self._latest("slo_burn", "pod"),
+            # No pod-level SLO gauge exists; the dashboard keeps the key
+            # at 0.0 (per-tenant burn is ``tenant_slo_burn``).
+            "slo_burn": 0.0,
             "alerts": {
                 "active": self.alerts(active_only=True),
                 "fired": fleet.alerts.fired,

@@ -17,8 +17,8 @@ buffer depth register via :meth:`TelemetryScraper.subscribe` (that is how
 the previous one to difference against).
 
 The scrape period relies on :class:`~repro.sim.core.PeriodicTask` firing
-from an unjittered base timeline -- "every 100 ms" really means a 100 ms
-mean period, which is what makes the derived rates trustworthy.
+on its base timeline -- "every 100 ms" really means a 100 ms period, which
+is what makes the derived rates trustworthy.
 """
 
 from __future__ import annotations

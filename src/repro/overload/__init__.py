@@ -25,7 +25,7 @@ composes the parts in this package:
   brownout level, so their drivers shed background/low-priority work first.
 
 Everything here is deterministic: the only randomness (breaker probe
-jitter, optional retry backoff jitter) comes from dedicated
+jitter) comes from dedicated
 :class:`~repro.sim.rng.RngFactory` substreams, so overload control never
 perturbs workload RNG draws and whole runs replay byte-identically.
 """

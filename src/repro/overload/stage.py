@@ -2,9 +2,9 @@
 
 A driver is either *unarmed* (``driver._stage is None``: the paper's
 datapath) or *armed* (it holds one :class:`AdmissionStage`).  The stage
-owns the scheduler, the launch window, the retry budget and its jitter
-substream, the per-device breakers, the brownout level and the only
-shed / retry-denied / give-up ledger.  The scheduler is always a
+owns the scheduler, the launch window, the retry budget, the per-device
+breakers, the brownout level and the only shed / retry-denied / give-up
+ledger.  The scheduler is always a
 :class:`WeightedFairScheduler`: with no tenant registered every request
 lands on its ``"-"`` lane, which *is* one ``AdmissionQueue``, and
 registering tenants only adds lanes to the live scheduler.  DESIGN.md §3g
@@ -47,8 +47,6 @@ class AdmissionStage:
         # Dedicated substreams only: arming a stage never touches a
         # workload RNG stream, so it cannot perturb arrival processes.
         self._rng = rng_factory
-        self._jitter_rng = (rng_factory.get(f"overload/{name}/retry")
-                            if cfg.retry_jitter_frac > 0 else None)
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.brownout_level = 0
         #: optional ``() -> float`` probe of congestion *behind* the
@@ -93,7 +91,7 @@ class AdmissionStage:
                 for name, row in sorted(self._rows.items(),
                                         key=lambda kv: str(kv[0]))}
 
-    # -- breakers, jitter, saturation ----------------------------------------
+    # -- breakers, saturation --------------------------------------------------
 
     def breaker(self, device: str) -> CircuitBreaker:
         breaker = self.breakers.get(device)
@@ -114,13 +112,6 @@ class AdmissionStage:
     @property
     def breakers_open(self) -> int:
         return sum(1 for b in self.breakers.values() if b.state != CLOSED)
-
-    def jitter(self) -> float:
-        """Multiplier for one retry backoff (1.0 with jitter off)."""
-        if self._jitter_rng is None:
-            return 1.0
-        return 1.0 + self.cfg.retry_jitter_frac * float(
-            self._jitter_rng.uniform(-1.0, 1.0))
 
     @property
     def admission_saturation(self) -> float:

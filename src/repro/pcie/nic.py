@@ -91,9 +91,8 @@ class SimNIC(PCIeDevice, TracerBinding, FlowBinding):
     # -- flow tagging (rte_flow) ---------------------------------------------------
 
     def add_flow_tag(self, dst_ip: int) -> int:
-        """Steer frames for ``dst_ip`` to a tag; returns the tag."""
-        if not self.config.supports_flow_tagging:
-            raise DeviceError(f"{self.name} does not support flow tagging")
+        """Steer frames for ``dst_ip`` to a tag; returns the tag.  A NIC
+        with ``max_flow_tags == 0`` has no flow tagging: this always raises."""
         if dst_ip in self.flow_table:
             return self.flow_table[dst_ip]
         if len(self.flow_table) >= self.config.max_flow_tags:

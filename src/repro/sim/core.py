@@ -298,11 +298,9 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         start_after: Optional[float] = None,
-        jitter: float = 0.0,
-        rng=None,
     ) -> "PeriodicTask":
         """Run ``fn(*args)`` every ``interval`` seconds until cancelled."""
-        return PeriodicTask(self, interval, fn, args, start_after, jitter, rng)
+        return PeriodicTask(self, interval, fn, args, start_after)
 
 
 class Timer:
@@ -362,51 +360,33 @@ class Timer:
 class PeriodicTask:
     """A repeating callback; cancel with :meth:`cancel`.
 
-    Each firing is scheduled off an unjittered base timeline
-    (``start + n * interval``); jitter only offsets the individual firing
-    from its base tick.  Adding jitter to every gap instead would inflate
-    the mean period to ``interval + jitter/2`` and drift the task
-    unboundedly late -- a 100 ms telemetry task would silently sample
-    slower than configured.
-
-    When ``jitter >= interval`` a firing can land past the next base tick.
-    Base ticks the firing overran are skipped (the task samples slower for
-    that window) rather than clamped to zero delay, which would fire
-    back-to-back bursts at the same timestamp.
+    Firings lie on the timeline ``start + n * interval``, accumulated by
+    repeated addition (``base += interval``), so the period never drifts
+    with the callback's own scheduling: a 100 ms telemetry task samples
+    every 100 ms.
     """
 
-    __slots__ = ("sim", "interval", "fn", "args", "jitter", "rng",
-                 "_next_base", "_event", "_cancelled")
+    __slots__ = ("sim", "interval", "fn", "args", "_next_base", "_event",
+                 "_cancelled")
 
-    def __init__(self, sim, interval, fn, args, start_after, jitter, rng):
+    def __init__(self, sim, interval, fn, args, start_after):
         self.sim = sim
         self.interval = interval
         self.fn = fn
         self.args = args
-        self.jitter = jitter
-        self.rng = rng
         self._cancelled = False
         delay = interval if start_after is None else start_after
         self._next_base = sim.now + delay
-        self._event = sim.schedule(self._jittered_delay(), self._fire)
-
-    def _jittered_delay(self) -> float:
-        when = self._next_base
-        if self.jitter and self.rng is not None:
-            when += float(self.rng.uniform(0, self.jitter))
-        return max(when - self.sim.now, 0.0)
+        self._event = sim.schedule(self._next_base - sim.now, self._fire)
 
     def _fire(self) -> None:
         if self._cancelled:
             return
         self.fn(*self.args)
         if not self._cancelled:
-            base = self._next_base + self.interval
-            now = self.sim.now
-            while base <= now:
-                base += self.interval
-            self._next_base = base
-            self._event = self.sim.schedule(self._jittered_delay(), self._fire)
+            self._next_base += self.interval
+            self._event = self.sim.schedule(self._next_base - self.sim.now,
+                                            self._fire)
 
     def cancel(self) -> None:
         self._cancelled = True

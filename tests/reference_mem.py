@@ -21,7 +21,6 @@ addresses and a descriptor made only for a buffer a frame lands in.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.config import CACHE_LINE, CacheTimings, CXLConfig
@@ -115,13 +114,11 @@ class _Line:
 
 class ReferenceCache:
     def __init__(self, pool: ReferencePool, host: str,
-                 capacity_lines: Optional[int] = None,
                  timings: Optional[CacheTimings] = None):
         self.pool = pool
         self.host = host
-        self.capacity_lines = capacity_lines
         self.timings = timings or pool.timings
-        self._lines: "OrderedDict[int, _Line]" = OrderedDict()
+        self._lines: Dict[int, _Line] = {}
         self.stats = CacheStats()
         self.writeback_hook = None
         self._wb_fault: Optional[dict] = None
@@ -135,21 +132,9 @@ class ReferenceCache:
         if addr < 0 or addr + size > self.pool.size:
             raise MemoryFault(f"access [{addr}, {addr + size}) outside pool")
 
-    def _touch(self, index: int) -> None:
-        if self.capacity_lines is not None:
-            self._lines.move_to_end(index)
-
-    def _insert(self, index: int, line: _Line) -> None:
-        self._lines[index] = line
-        while self.capacity_lines is not None and len(self._lines) > self.capacity_lines:
-            victim, old = self._lines.popitem(last=False)
-            if old.dirty:
-                self._write_back(victim, old, "eviction")
-            self.stats.evictions += 1
-
     def _fill(self, index: int, category: str) -> _Line:
         line = _Line(bytearray(self.pool.read_line(index)))
-        self._insert(index, line)
+        self._lines[index] = line
         self._account(False, category, CACHE_LINE)
         return line
 
@@ -210,7 +195,6 @@ class ReferenceCache:
                 cost += t.cxl_load_ns if first_miss else t.cxl_stream_ns
                 first_miss = False
             else:
-                self._touch(index)
                 self.stats.hits += 1
                 cost += t.cache_hit_ns
             out += line.data
@@ -232,14 +216,11 @@ class ReferenceCache:
             line = self._lines.get(index)
             if line is None:
                 if take == CACHE_LINE:          # full line: no read-for-ownership
-                    line = _Line(bytearray(CACHE_LINE))
-                    self._insert(index, line)
+                    line = self._lines[index] = _Line(bytearray(CACHE_LINE))
                 else:
                     line = self._fill(index, category)
                     cost += t.cxl_load_ns if first_miss else t.cxl_stream_ns
                     first_miss = False
-            else:
-                self._touch(index)
             line.data[offset:offset + take] = data[pos:pos + take]
             line.dirty = True
             cost += t.store_ns

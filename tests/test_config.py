@@ -87,6 +87,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             replace(NICConfig(), tx_queue_depth=0).validate()
 
+    def test_negative_flow_tags_rejected(self):
+        """``max_flow_tags == 0`` is a NIC without flow tagging; below 0 is
+        a mistake."""
+        replace(NICConfig(), max_flow_tags=0).validate()
+        with pytest.raises(ConfigError):
+            replace(NICConfig(), max_flow_tags=-1).validate()
+
     def test_bad_block_size_rejected(self):
         with pytest.raises(ConfigError):
             replace(SSDConfig(), block_size=1000).validate()

@@ -281,7 +281,7 @@ class TestAlertEngine:
     def test_default_ruleset_families_exist(self):
         families = {rule.family for rule in DEFAULT_ALERT_RULES}
         assert {"device_util", "link_saturation", "queue_saturation",
-                "lease_expiry_rate", "slo_burn"} <= families
+                "lease_expiry_rate", "tenant_slo_burn"} <= families
         for rule in DEFAULT_ALERT_RULES:
             assert rule.clear_threshold <= rule.threshold
 

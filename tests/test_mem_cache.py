@@ -181,59 +181,6 @@ class TestExplicitOps:
         assert small_pool.dma_read(0, 6) == bytes(6)
 
 
-class TestEviction:
-    def test_capacity_evicts_lru(self, small_pool):
-        cache = HostCache(small_pool, "h", capacity_lines=2)
-        cache.store(0, b"a" * 64)
-        cache.store(64, b"b" * 64)
-        cache.store(128, b"c" * 64)
-        assert cache.cached_line_count == 2
-        assert not cache.contains(0)
-        assert cache.stats.evictions == 1
-
-    def test_eviction_writes_back_dirty_data(self, small_pool):
-        cache = HostCache(small_pool, "h", capacity_lines=1)
-        cache.store(0, b"a" * 64)
-        cache.store(64, b"b" * 64)   # evicts line 0
-        assert small_pool.dma_read(0, 64) == b"a" * 64
-
-    def test_dirty_eviction_goes_through_writeback_hook(self, small_pool):
-        # The seed wrote dirty evicted lines straight to the pool, bypassing
-        # the writeback hook -- so a timing harness modelling posted-write
-        # flight time (the Fig 6 microbench) never saw capacity evictions.
-        cache = HostCache(small_pool, "h", capacity_lines=1)
-        hooked = []
-        cache.writeback_hook = lambda idx, data, cat: hooked.append(
-            (idx, data, cat))
-        cache.store(0, b"a" * 64)
-        cache.store(64, b"b" * 64)   # evicts dirty line 0
-        assert hooked == [(0, b"a" * 64, "eviction")]
-        # The hook owns the delayed apply: the pool must NOT have the data yet.
-        assert small_pool.dma_read(0, 64) == bytes(64)
-        # The link traffic is still accounted as an eviction write.
-        assert small_pool.stats_for("h").write_bytes.get("eviction") == 64
-
-    def test_clean_eviction_skips_writeback_hook(self, small_pool):
-        cache = HostCache(small_pool, "h", capacity_lines=1)
-        hooked = []
-        cache.writeback_hook = lambda idx, data, cat: hooked.append(idx)
-        cache.store(0, b"a" * 64)
-        cache.clwb(0)                # line 0 now clean
-        hooked.clear()
-        cache.load(64, 1)            # evicts clean line 0
-        assert hooked == []
-        assert cache.stats.evictions == 1
-
-    def test_lru_touch_on_access(self, small_pool):
-        cache = HostCache(small_pool, "h", capacity_lines=2)
-        cache.store(0, b"a" * 64)
-        cache.store(64, b"b" * 64)
-        cache.load(0, 1)             # touch line 0: now line 1 is LRU
-        cache.store(128, b"c" * 64)
-        assert cache.contains(0)
-        assert not cache.contains(64)
-
-
 class TestDmaSnoop:
     def test_dma_write_snoop_invalidates_local_copy(self, cache_pair, small_pool):
         a, _ = cache_pair
@@ -332,28 +279,6 @@ class TestZeroLengthIsFree:
         assert a.store(130, b"") == 0.0
         assert _snapshot(a, small_pool) == before
         assert not a.contains(130)
-
-
-class TestEvictionAccounting:
-    def test_dirty_eviction_is_not_a_software_writeback(self, small_pool):
-        """``stats.writebacks`` counts CLWB/CLFLUSHOPT of dirty lines only; a
-        dirty capacity eviction shows as ``evictions`` plus ``"eviction"``
-        link bytes (see the ``CacheStats`` docstring)."""
-        cache = HostCache(small_pool, "h", capacity_lines=1)
-        cache.store(0, b"a" * 64)
-        cache.store(64, b"b" * 64)               # evicts dirty line 0
-        cache.load(128, 1)                       # evicts dirty line 1
-        assert cache.stats.evictions == 2
-        assert cache.stats.writebacks == 0
-        assert small_pool.stats_for("h").write_bytes == {"eviction": 128}
-        cache.clflush(128)                       # clean: still no writeback
-        cache.store(128, b"c")
-        cache.clwb(128)
-        assert cache.stats.writebacks == 1
-
-    def test_capacity_must_be_positive(self, small_pool):
-        with pytest.raises(ValueError):
-            HostCache(small_pool, "h", capacity_lines=0)
 
 
 class TestPageLayoutEdges:

@@ -4,8 +4,8 @@
 ``tests/reference_mem.py`` (the per-line implementation it replaced) are driven
 in lock-step with random interleavings of every cache, DMA and snoop operation
 from two hosts -- unaligned, sub-line, page-straddling, pool-end and
-out-of-range ranges; with and without a writeback hook, an armed writeback
-fault and a bounded (LRU) cache.  After every step both must agree on the
+out-of-range ranges; with and without a writeback hook and an armed
+writeback fault.  After every step both must agree on the
 returned bytes, the costs, ``CacheStats``, the per-category link bytes, which
 lines are cached and dirty, and the pool contents -- and every pool page must
 hold its written lines and nothing more.
@@ -60,19 +60,16 @@ odd_timings = st.builds(
 
 
 class MemoryModels(RuleBasedStateMachine):
-    @initialize(timings=st.none() | odd_timings,
-                capacities=st.tuples(st.none() | st.integers(1, 6),
-                                     st.none() | st.integers(1, 6)),
-                hooked=st.booleans())
-    def build(self, timings, capacities, hooked):
+    @initialize(timings=st.none() | odd_timings, hooked=st.booleans())
+    def build(self, timings, hooked):
         self.exact = timings is None
         config = CXLConfig() if timings is None else CXLConfig(timings=timings)
         self.pools = (CXLMemoryPool(config, size=POOL_BYTES),
                       ReferencePool(config, size=POOL_BYTES))
         self.caches = {
-            host: (HostCache(self.pools[0], host, capacity_lines=capacity),
-                   ReferenceCache(self.pools[1], host, capacity_lines=capacity))
-            for host, capacity in zip(HOSTS, capacities)}
+            host: (HostCache(self.pools[0], host),
+                   ReferenceCache(self.pools[1], host))
+            for host in HOSTS}
         # A hook owns the posted write until it "lands"; both models' hooks
         # must have been handed the same lines in the same order.
         self.in_flight = ([], [])

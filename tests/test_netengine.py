@@ -90,7 +90,7 @@ class TestEndToEnd:
         assert backend.rx_forwarded > 0
 
     def test_fallback_inspection_without_flow_tagging(self):
-        config = OasisConfig(nic=NICConfig(supports_flow_tagging=False))
+        config = OasisConfig(nic=NICConfig(max_flow_tags=0))
         pod = CXLPod(config=config)
         h0, h1 = pod.add_host(), pod.add_host()
         nic = pod.add_nic(h0)

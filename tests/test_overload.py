@@ -11,7 +11,7 @@ Covers the acceptance criteria of the overload-robustness PR:
 * the circuit breaker trips on a sick device, sheds while open, and
   re-closes after a healthy half-open probe -- with nothing lost from the
   ``submitted == ok + error + shed + pending`` conservation identity;
-* retry/backoff jitter draws from a dedicated RNG substream: injecting a
+* overload control draws only from dedicated RNG substreams: injecting a
   retry into the fig10 echo path leaves the workload's arrival stream
   byte-identical (satellite of the fig10 replay contract);
 * the netengine browns out low-priority frames only;
@@ -201,7 +201,7 @@ class TestBreakerOnSickDevice:
 
 
 class TestRetryJitterIsolation:
-    """Satellite: retry jitter draws from a dedicated substream, so an
+    """Overload control draws only from dedicated substreams, so an
     injected retry cannot perturb the workload's own RNG stream."""
 
     def _fig10_run(self, inject_retry: bool):
@@ -209,7 +209,7 @@ class TestRetryJitterIsolation:
         pod, _inst, client_ep, nic0 = build_echo_pod("oasis", remote=True,
                                                      config=config)
         pod.enable_overload_control(replace(
-            OasisConfig().overload, enabled=True, retry_jitter_frac=0.5))
+            OasisConfig().overload, enabled=True))
         if inject_retry:
             pod.sim.at(0.01, nic0.inject_dma_abort, 2)
         client = EchoClient(pod.sim, client_ep, SERVER_IP, packet_size=75,

@@ -204,7 +204,7 @@ class TestFlowTable:
 
     def test_tagging_unsupported_raises(self, sim, rig):
         _, _, _, nic, _, _ = rig
-        nic.config = NICConfig(supports_flow_tagging=False)
+        nic.config = NICConfig(max_flow_tags=0)
         with pytest.raises(DeviceError):
             nic.add_flow_tag(1)
 

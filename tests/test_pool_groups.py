@@ -127,6 +127,23 @@ class TestSharpEdges:
         assert snapshot.total("raft_is_leader") == len(pod.groups)
         pod.stop()
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(ssds_per_host=-1), dict(backup_nics_per_pool=-2),
+        dict(port_limit=0), dict(port_limit=-3)])
+    def test_rack_builder_refuses_negative_counts_and_port_limits(self, kwargs):
+        """A negative device count used to build a rack whose
+        ``device_count()`` disagreed with it (8 devices against 0), and
+        ``port_limit=0`` silently meant one head per device where the CLI
+        documents 0 as "no limit" (it maps 0 to ``None``)."""
+        with pytest.raises(ConfigError):
+            RackBuilder(hosts=4, pools=2, **kwargs)
+        builder = RackBuilder(hosts=4, pools=2, ssds_per_host=0,
+                              backup_nics_per_pool=0, port_limit=None)
+        assert builder.device_count() == 8
+        pod = builder.build()
+        assert len(pod.nics) + len(pod.storage_backends) == 8
+        pod.stop()
+
     def test_cross_pool_pin_is_refused(self):
         pod = RackBuilder(hosts=4, pools=2, ssds_per_host=1).build()
         h0, h2 = pod.groups[0].hosts[0], pod.groups[1].hosts[0]

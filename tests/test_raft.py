@@ -10,8 +10,8 @@ from repro.core.raft.rpc import DirectTransport
 from repro.sim.core import MSEC, Simulator
 
 
-def build_cluster(sim, n=3, latency_us=5.0, seed=0):
-    transport = DirectTransport(sim, latency_us=latency_us)
+def build_cluster(sim, n=3, seed=0):
+    transport = DirectTransport(sim)
     ids = [f"n{i}" for i in range(n)]
     applied = {node_id: [] for node_id in ids}
     nodes = []

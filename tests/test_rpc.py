@@ -1,24 +1,23 @@
-"""Tests for RPC transports, including RPCs over real 64 B message channels."""
+"""Tests for the Raft RPC transport, and the allocator's real snapshot
+carried through it as JSON."""
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.core.datapath import SharedRegions
 from repro.core.raft.node import RaftNode
-from repro.core.raft.rpc import FRAGMENT_PAYLOAD, ChannelRpcTransport, DirectTransport
-from repro.mem.cache import HostCache
-from repro.mem.cxl import CXLMemoryPool
-from repro.sim.core import MSEC, USEC, Simulator
+from repro.core.raft.rpc import RPC_LATENCY_S, DirectTransport
 
 
 class TestDirectTransport:
     def test_delivery_with_latency(self, sim):
-        transport = DirectTransport(sim, latency_us=10.0)
+        transport = DirectTransport(sim)
         got = []
         transport.register("b", lambda src, m: got.append((sim.now, src, m)))
         transport.send("a", "b", {"x": 1})
         sim.run_all()
-        assert got == [(pytest.approx(10 * USEC), "a", {"x": 1})]
+        assert got == [(RPC_LATENCY_S, "a", {"x": 1})]
 
     def test_unknown_destination_dropped(self, sim):
         transport = DirectTransport(sim)
@@ -41,113 +40,26 @@ class TestDirectTransport:
         assert got == [{"x": 3}]
 
 
-def build_channel_transport(sim):
-    pool = CXLMemoryPool(size=32 << 20)
-    regions = SharedRegions(pool)
-    transport = ChannelRpcTransport(sim)
-    caches = {name: HostCache(pool, name) for name in ("a", "b")}
-    from repro.core.datapath import DoorbellChannel
-
-    for src, dst in (("a", "b"), ("b", "a")):
-        layout = regions.alloc_ring(64, f"rpc-{src}-{dst}", slots=256)
-        channel = DoorbellChannel(sim, layout, caches[src], caches[dst],
-                                  f"rpc-{src}-{dst}", hop_us=1.0)
-        transport.add_channel(src, dst, channel)
-    return transport
-
-
-class TestChannelRpcTransport:
-    def test_small_message_single_fragment(self, sim):
-        transport = build_channel_transport(sim)
-        got = []
-        transport.register("b", lambda src, m: got.append(m))
-        transport.send("a", "b", {"op": "hi"})
-        sim.run(until=1 * MSEC)
-        assert got == [{"op": "hi"}]
-        assert transport.fragments_sent == 1
-
-    def test_large_message_fragments_and_reassembles(self, sim):
-        transport = build_channel_transport(sim)
-        got = []
-        transport.register("b", lambda src, m: got.append(m))
-        big = {"data": "x" * (FRAGMENT_PAYLOAD * 5)}
-        transport.send("a", "b", big)
-        sim.run(until=1 * MSEC)
-        assert got == [big]
-        assert transport.fragments_sent > 5
-
-    def test_bidirectional(self, sim):
-        transport = build_channel_transport(sim)
-        got_a, got_b = [], []
-        transport.register("a", lambda src, m: got_a.append(m))
-        transport.register("b", lambda src, m: got_b.append(m))
-        transport.send("a", "b", {"n": 1})
-        transport.send("b", "a", {"n": 2})
-        sim.run(until=1 * MSEC)
-        assert got_b == [{"n": 1}]
-        assert got_a == [{"n": 2}]
-
-    def test_interleaved_rpcs_reassemble_independently(self, sim):
-        transport = build_channel_transport(sim)
-        got = []
-        transport.register("b", lambda src, m: got.append(m))
-        for i in range(10):
-            transport.send("a", "b", {"i": i, "pad": "y" * 100})
-        sim.run(until=5 * MSEC)
-        assert [m["i"] for m in got] == list(range(10))
-
-    def test_missing_channel_raises(self, sim):
-        transport = ChannelRpcTransport(sim)
-        from repro.errors import ChannelError
-
-        with pytest.raises(ChannelError):
-            transport.send("a", "z", {})
-
-
-class TestRaftOverChannels:
+class TestControlStateSnapshot:
     @staticmethod
     def _cluster(sim):
-        pool = CXLMemoryPool(size=64 << 20)
-        regions = SharedRegions(pool)
-        transport = ChannelRpcTransport(sim)
+        """Three replicas whose every message crosses the transport as JSON,
+        as a wire would carry it."""
+        transport = DirectTransport(sim)
         ids = ["r0", "r1", "r2"]
-        caches = {i: HostCache(pool, i) for i in ids}
-        from repro.core.datapath import DoorbellChannel
-
-        for src in ids:
-            for dst in ids:
-                if src == dst:
-                    continue
-                layout = regions.alloc_ring(64, f"{src}-{dst}", slots=512)
-                channel = DoorbellChannel(sim, layout, caches[src], caches[dst],
-                                          f"{src}-{dst}", hop_us=1.0)
-                transport.add_channel(src, dst, channel)
         nodes = [RaftNode(sim, node_id, ids, transport,
                           rng=np.random.default_rng(k))
                  for k, node_id in enumerate(ids)]
+        for node in nodes:
+            transport.register(node.node_id, lambda src, m, node=node:
+                               node._on_message(src, json.loads(json.dumps(m))))
         return transport, nodes
 
-    def test_election_and_commit_over_real_channels(self, sim):
-        """§3.5: the allocator's Raft RPCs ride Oasis message channels."""
-        _, nodes = self._cluster(sim)
-        applied = {node.node_id: [] for node in nodes}
-        for node in nodes:
-            node.apply_cb = (lambda idx, cmd, n=node.node_id:
-                             applied[n].append(cmd))
-            node.start()
-        sim.run(until=2.0)
-        leaders = [n for n in nodes if n.is_leader]
-        assert len(leaders) == 1
-        leaders[0].propose({"op": "failover", "device": "nic0"})
-        sim.run(until=3.0)
-        for commands in applied.values():
-            assert commands == [{"op": "failover", "device": "nic0"}]
-
-    def test_install_snapshot_survives_fragmenting(self, sim, monkeypatch):
+    def test_install_snapshot_rebuilds_control_state(self, sim, monkeypatch):
         """A replica that was down while the leader compacted is reseeded by
-        one ``install_snapshot`` carried as JSON in 64 B fragments: the real
-        ``ControlState`` snapshot (devices, leases, dedup window and mark)
-        comes out the far side able to rebuild an identical machine."""
+        one ``install_snapshot`` carried as JSON: the real ``ControlState``
+        snapshot (devices, leases, dedup window and mark) comes out the far
+        side able to rebuild an identical machine."""
         from repro.core.allocator.policy import DeviceState
         from repro.core.control import AllocatorStateMachine, ControlState
 

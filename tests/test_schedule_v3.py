@@ -529,7 +529,7 @@ class TestElectionTimer:
         """Seeded, bit-equal to schedule version 2: the follower's deadline
         moved ~40 times by appends, and expires where its last ``rng`` draw
         put it although the kernel never saw the moves."""
-        transport = DirectTransport(sim, latency_us=5.0)
+        transport = DirectTransport(sim)
         ids = ["n0", "n1", "n2"]
         nodes = [RaftNode(sim, node_id, ids, transport,
                           rng=np.random.default_rng(700 + i))

@@ -222,6 +222,7 @@ class TestPeriodicTask:
         task.cancel()
         sim.run(until=10 * MSEC)
         assert len(times) == 2
+        assert sim.pending == 0
 
     def test_start_after_override(self, sim):
         times = []
@@ -229,54 +230,22 @@ class TestPeriodicTask:
         sim.run(until=2.5 * MSEC)
         assert times[0] == pytest.approx(0.0)
 
-
-class TestPeriodicJitter:
-    """Jitter offsets each fire from an unjittered base timeline.
-
-    The seed implementation added ``uniform(0, jitter)`` to every period, so
-    the mean period was ``interval + jitter/2`` and the drift against the
-    nominal timeline was unbounded.  These tests fail on that behaviour.
-    """
-
-    def test_jitter_spreads_fire_times(self):
-        import numpy as np
-        from repro.sim.core import MSEC, Simulator
-
-        sim = Simulator()
+    def test_mean_period_converges_to_interval(self, sim):
         times = []
-        sim.every(1 * MSEC, lambda: times.append(sim.now), jitter=0.5 * MSEC,
-                  rng=np.random.default_rng(0))
-        sim.run(until=200 * MSEC)
-        gaps = np.diff(times)
-        # Fixed-base jitter: consecutive gaps vary within +-jitter...
-        assert gaps.min() >= 0.5 * MSEC - 1e-9
-        assert gaps.max() <= 1.5 * MSEC + 1e-9
-        assert gaps.max() - gaps.min() > 0.1 * MSEC   # and it does vary
-
-    def test_mean_period_converges_to_interval(self):
-        import numpy as np
-        from repro.sim.core import MSEC, Simulator
-
-        sim = Simulator()
-        times = []
-        sim.every(1 * MSEC, lambda: times.append(sim.now), jitter=0.5 * MSEC,
-                  rng=np.random.default_rng(1))
+        sim.every(1 * MSEC, lambda: times.append(sim.now))
         sim.run(until=1000 * MSEC)
-        gaps = np.diff(times)
-        # The seed bug inflated the mean period to interval + jitter/2
-        # (~1.25 ms here); the fixed-base schedule keeps it at ~1 ms.
-        assert abs(gaps.mean() - 1 * MSEC) < 0.02 * MSEC
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert abs(sum(gaps) / len(gaps) - 1 * MSEC) < 1e-12
 
-    def test_fires_never_before_base_tick_and_drift_is_bounded(self):
-        import numpy as np
-        from repro.sim.core import MSEC, Simulator
-
-        sim = Simulator()
+    def test_fires_never_before_base_tick_and_drift_is_bounded(self, sim):
+        """Each firing lands on the repeated-addition timeline, to the bit."""
         times = []
-        jitter = 0.5 * MSEC
-        sim.every(1 * MSEC, lambda: times.append(sim.now), jitter=jitter,
-                  rng=np.random.default_rng(2))
+        sim.every(1 * MSEC, lambda: times.append(sim.now))
         sim.run(until=500 * MSEC)
-        for n, t in enumerate(times, start=1):
-            base = n * 1 * MSEC
-            assert base - 1e-12 <= t <= base + jitter + 1e-12
+        base = 0.0
+        for t in times:
+            base += 1 * MSEC
+            assert t == base
+        assert 499 <= len(times) <= 500
+
+

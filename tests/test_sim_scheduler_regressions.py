@@ -1,72 +1,17 @@
 """Regression tests for the event-kernel scheduler bugfixes.
 
-* :class:`~repro.sim.core.PeriodicTask` with ``jitter >= interval`` used to
-  clamp overrun firings to zero delay, producing same-timestamp bursts that
-  inflated the sample count; overrun base ticks are now skipped.
 * ``Simulator.pending`` counts live events only, never cancellation
   tombstones (the ``report`` CLI's queue-depth line over-counted).
 * ``run()`` used to flush ``processed_events`` / ``pending`` only on exit, so
   a scraper tick *inside* a run exported a flat processed count and an
   over-counted queue depth; both are exact at every read now.
 
-The doorbell audits at the bottom pin what the two doorbell users
-(``core.engine.Driver.kick`` and, through it, ``core.raft.rpc``'s channel
-pump) rely on: one wakeup per park however many rings arrive; the full
-contract is ``tests/test_engine.py::TestDoorbell``.
+The doorbell audits at the bottom pin what the doorbell user
+(``core.engine.Driver.kick``) relies on: one wakeup per park however many
+rings arrive; the full contract is ``tests/test_engine.py::TestDoorbell``.
 """
 
-import numpy as np
-
 from repro.sim.core import MSEC, USEC, Simulator
-
-
-class TestPeriodicJitterOverrun:
-    """``jitter >= interval``: firings may overrun the next base tick."""
-
-    def _fire_times(self, jitter_ratio: float, seed: int = 0,
-                    interval: float = 1 * MSEC, until: float = 400 * MSEC):
-        sim = Simulator()
-        times = []
-        sim.every(interval, lambda: times.append(sim.now),
-                  jitter=jitter_ratio * interval,
-                  rng=np.random.default_rng(seed))
-        sim.run(until=until)
-        return times
-
-    def test_no_same_timestamp_bursts(self):
-        # Seed behaviour: an overrun firing was clamped to zero delay, so the
-        # task fired repeatedly at one timestamp until the base caught up.
-        times = self._fire_times(jitter_ratio=2.0)
-        assert len(times) == len(set(times))
-        for earlier, later in zip(times, times[1:]):
-            assert later > earlier
-
-    def test_overrun_ticks_are_skipped_not_burst(self):
-        # With jitter = 2x interval the task may sample slower than nominal
-        # (skipped ticks) but must never fire more often than the base
-        # timeline allows.
-        interval = 1 * MSEC
-        until = 400 * MSEC
-        times = self._fire_times(jitter_ratio=2.0, interval=interval,
-                                 until=until)
-        assert 0 < len(times) <= int(until / interval)
-
-    def test_jitter_equal_to_interval_stays_ordered(self):
-        for seed in range(5):
-            times = self._fire_times(jitter_ratio=1.0, seed=seed)
-            assert all(b > a for a, b in zip(times, times[1:]))
-
-    def test_cancel_during_overrun_stops_cleanly(self):
-        sim = Simulator()
-        times = []
-        task = sim.every(1 * MSEC, lambda: times.append(sim.now),
-                         jitter=3 * MSEC, rng=np.random.default_rng(7))
-        sim.run(until=10 * MSEC)
-        task.cancel()
-        fired = len(times)
-        sim.run(until=100 * MSEC)
-        assert len(times) == fired
-        assert sim.pending == 0
 
 
 class TestInterruptHeapLeak:
@@ -168,8 +113,7 @@ class TestDoorbellUsers:
         assert driver.wakeups <= 2
 
     def test_raft_pump_drains_channel_per_ring(self, sim):
-        # raft.rpc's channel pump relies on one ring per drain pass; the
-        # full stack is exercised via a pod-level raft round-trip.
+        # A pod-level Raft round trip: three replicas elect one leader.
         from repro.config import OasisConfig
         from repro.core.pod import CXLPod
 

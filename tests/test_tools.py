@@ -1,13 +1,16 @@
-"""The keep-list in ``tools/README.md`` names only code that exists.
+"""The audit in ``tools/unreached.py`` and the keep-list it is read against.
 
 ``tools/unreached.py`` lists the functions no non-test entry point reaches;
 each one that stays has a row in the README's keep-list table (path,
 qualified name, reason).  A row whose ``def`` was deleted or renamed would
 justify nothing, so every row is checked against the source with ``ast``.
+The audit's second list, the unturned parameters, is checked end to end on a
+two-function fixture package: the hook in a child process, then the report.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +62,55 @@ def test_every_keep_list_row_names_an_existing_def():
 def test_keep_list_rows_are_unique():
     rows = [(path, name) for path, name, _ in keep_list()]
     assert len(rows) == len(set(rows))
+
+
+FIXTURE = '''\
+def turned(n=1, label="a"):
+    return n
+
+
+def unturned(flag=False, *, size=4):
+    return flag
+'''
+
+
+def test_unturned_parameters_are_reported(tmp_path):
+    """The hook records a parameter as turned the first time it is bound to
+    a value other than its literal default; the report lists the rest."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import unreached
+    finally:
+        sys.path.pop(0)
+    package = tmp_path / "fixpkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(FIXTURE)
+    out = tmp_path / "out"
+    out.mkdir()
+    # ``turned(2, 'a')`` turns ``n``; ``label`` and ``size`` are passed
+    # their defaults, which does not turn them.
+    unreached.run([[sys.executable, "-c",
+                    "import fixpkg; fixpkg.turned(); fixpkg.turned(2, 'a'); "
+                    "fixpkg.unturned(size=4)"]], out, package)
+    called, turned = unreached.collect(out)
+    functions = unreached.defined_functions(package)
+    params = unreached.defaulted_parameters(package)
+    path = str(package / "__init__.py")
+    assert params == {(path, 1): {"n": 1, "label": "a"},
+                      (path, 5): {"flag": False, "size": 4}}
+    assert called == {(path, 1), (path, 5)}
+    assert turned == {(path, 1, "n")}
+    assert unreached.unturned(functions, params, called, turned) == [
+        (path, 1, "turned", "label", "a"),
+        (path, 5, "unturned", "flag", False),
+        (path, 5, "unturned", "size", 4)]
+    text = unreached.report(functions, params, called, turned, root=tmp_path)
+    assert text.splitlines() == [
+        "unreached: 0 of 2 functions, 0 of 4 function lines",
+        "",
+        "unturned parameters (literal default never bound to another value):",
+        "fixpkg/__init__.py: 3 parameters",
+        "        1  turned(label='a')",
+        "        5  unturned(flag=False)",
+        "        5  unturned(size=4)",
+        "unturned: 3 of 4 literal-default parameters of reached functions"]

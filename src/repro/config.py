@@ -207,6 +207,8 @@ class FailoverConfig:
     def validate(self) -> None:
         if self.link_monitor_interval_ms <= 0:
             raise ConfigError("link_monitor_interval_ms must be positive")
+        if not self.telemetry_interval_ms > 0:
+            raise ConfigError("telemetry_interval_ms must be positive")
         if self.lease_ttl_ms <= self.telemetry_interval_ms:
             raise ConfigError("lease TTL must exceed the telemetry interval")
         if self.lease_sweep_interval_ms <= 0:

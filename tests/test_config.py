@@ -115,6 +115,21 @@ class TestValidation:
             replace(FailoverConfig(), lease_ttl_ms=50.0,
                     telemetry_interval_ms=100.0).validate()
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_telemetry_interval_must_be_positive(self, interval):
+        with pytest.raises(ConfigError):
+            replace(FailoverConfig(),
+                    telemetry_interval_ms=interval).validate()
+
+    def test_zero_telemetry_interval_fails_when_the_pod_is_built(self):
+        """Every frontend reports on ``sim.every(telemetry interval)``: a
+        zero interval would spin at one instant, so the pod refuses it."""
+        from repro.core.pod import CXLPod
+        config = replace(OasisConfig(), failover=replace(
+            FailoverConfig(), telemetry_interval_ms=0.0))
+        with pytest.raises(ConfigError, match="telemetry_interval_ms"):
+            CXLPod(config)
+
     def test_rto_bounds(self):
         with pytest.raises(ConfigError):
             replace(TransportConfig(), initial_rto_ms=100.0, max_rto_ms=50.0).validate()

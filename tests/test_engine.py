@@ -510,7 +510,7 @@ class TestEveryWorkSourceRings:
 
 def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
     """Source scan (in the manner of test_mem_oracle's cache fence): the
-    kernel's event queues, the drain loop's no-op guard and the ring-full
+    kernel's one event queue, the drain loop's no-op guard and the ring-full
     handler each appear only in the module that owns them, and no coroutine
     primitive (``Signal``/``Process``/``SimQueue``/``spawn``, a loop driven
     by resuming generators) appears anywhere: the kernel is callback-only."""
@@ -518,8 +518,11 @@ def test_loop_guard_ring_full_and_event_pool_live_in_one_place():
     from pathlib import Path
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     fences = (
-        (re.compile(r"sim\w*\._(pool|now_q|near|far)\b|\bEvent\("),
-         ("sim/",)),
+        (re.compile(r"sim\w*\._queue\b|\bEvent\("), ("sim/",)),
+        # One event queue: the now-queue, the near/far heaps and the Event
+        # free list stay deleted, in the kernel too.
+        (re.compile(r"_now_q|\b_near\b|\b_far\b|_NEAR_WINDOW|_POOL_LIMIT"
+                    r"|_pooled|_seqno"), ()),
         (re.compile(r"_consumed_since_update|queue_view|counter_view"),
          ("core/engine.py", "core/datapath.py", "channel/")),
         (re.compile(r"except ChannelFullError"), ("core/engine.py",)),

@@ -31,6 +31,15 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("post", ["schedule", "at", "call_after"])
+    def test_nan_delay_rejected(self, sim, post):
+        """NaN compares false with everything: unrefused, it sat in the heap
+        ahead of a post due at 1 ms."""
+        sim.schedule(1 * MSEC, lambda: None)
+        with pytest.raises(SimulationError):
+            getattr(sim, post)(float("nan"), lambda: None)
+        assert sim.pending == 1
+
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
         event = sim.schedule(1e-6, fired.append, "x")
@@ -205,8 +214,24 @@ class TestTimer:
             timer.set_at(0.5)
         assert sim.pending == 0
 
+    def test_nan_deadline_rejected(self, sim):
+        timer, _ = self._timer(sim)
+        with pytest.raises(SimulationError):
+            timer.set(float("nan"))
+        with pytest.raises(SimulationError):
+            timer.set_at(float("nan"))
+        assert sim.pending == 0 and timer.deadline is None
+
 
 class TestPeriodicTask:
+    @pytest.mark.parametrize("interval", [0.0, -1 * MSEC, float("nan")])
+    def test_non_positive_interval_rejected(self, sim, interval):
+        """A zero period fired forever at one instant: ``now`` never moved
+        and only ``max_events`` stopped the loop."""
+        with pytest.raises(SimulationError):
+            sim.every(interval, lambda: None)
+        assert sim.pending == 0
+
     def test_fires_at_interval(self, sim):
         times = []
         task = sim.every(1 * MSEC, lambda: times.append(sim.now))

@@ -1,14 +1,13 @@
-"""Property tests: the tiered event queue is one totally-ordered queue.
+"""Property tests: the event queue is one totally-ordered queue.
 
-The scheduler splits events across a now-queue and two heaps (near/far) by
-delay, and four ways to post (``schedule``, ``at``, ``call_after``, a
-one-shot ``Timer``) feed it.  Hypothesis drives random mixes of API, delay and
-nesting and asserts the one ordering contract every driver and channel in
-the reproduction depends on:
+Four ways to post (``schedule``, ``at``, ``call_after``, a one-shot
+``Timer``) feed the kernel's one ``(time, seq)`` heap.  Hypothesis drives
+random mixes of API, delay and nesting and asserts the one ordering contract
+every driver and channel in the reproduction depends on:
 
 * events fire in global ``(time, issue-order)`` order -- in particular,
   **same-timestamp events fire in exactly the order they were issued**,
-  regardless of which API or which internal tier each one landed in;
+  regardless of which API posted each one (with or without a handle);
 * events issued *while firing* at time T slot in after everything already
   queued for T (they drew a later sequence number), still before anything
   later.
@@ -33,9 +32,9 @@ MAX_EXAMPLES = int(os.environ.get("CHAOS_MAX_EXAMPLES", "50"))
 FIFO_SETTINGS = settings(max_examples=MAX_EXAMPLES, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
 
-# Delays straddling every tier boundary: the zero-delay now queue, the
-# sub-4 us near heap, and the far heap -- with heavy collision mass so most
-# runs contain many same-timestamp groups.
+# Zero, nanosecond, microsecond and millisecond delays -- the old
+# now-queue / near-heap / far-heap boundaries at 0 and 4 us among them --
+# with heavy collision mass so most runs contain many same-timestamp groups.
 DELAYS = st.sampled_from([0.0, 0.0, 0.0, 1e-9, 1e-9, 5e-7, 1e-6, 1e-6,
                           3.9e-6, 4e-6, 1e-5, 1e-3])
 
@@ -107,8 +106,8 @@ class TestSameTimestampFifo:
            st.integers(0, 1 << 30))
     @FIFO_SETTINGS
     def test_order_is_seed_stable(self, ops, salt):
-        """Two identical schedules replay identically (no hidden state --
-        e.g. the Event free list -- may leak into ordering)."""
+        """Two identical schedules replay identically (no hidden state may
+        leak into ordering)."""
         del salt  # ordering must not depend on anything but the ops
         runs = []
         for _ in range(2):
@@ -116,8 +115,8 @@ class TestSameTimestampFifo:
             fired = []
             for index, (api, delay) in enumerate(ops):
                 _issue(sim, api, delay, lambda i=index: fired.append(i))
-            # Interleave a partial run to exercise pool recycling between
-            # batches: recycled Events must not perturb later ordering.
+            # Interleave a partial run: stopping and resuming the loop must
+            # not perturb later ordering.
             sim.run(max_events=len(ops) // 2)
             sim.run_all()
             runs.append(fired)

@@ -24,8 +24,8 @@ class TestInterruptHeapLeak:
         events[1].cancel()
         events[3].cancel()
         assert sim.pending == 3
-        live = sum(1 for _, _, e in (sim._near + sim._far)
-                   if not e.cancelled) + len(sim._now_q)
+        live = sum(1 for *_, handle in sim._queue
+                   if handle is None or not handle.cancelled)
         assert live == 3
 
 

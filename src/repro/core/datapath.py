@@ -79,6 +79,13 @@ class SharedRegions:
         return self._allocator.free_bytes
 
 
+class _Undrained:
+    """Stands in for the driver of a channel no driver drains: its bit is
+    0, so marking it active changes nothing."""
+
+    _active = 0
+
+
 class DoorbellChannel(TracerBinding):
     """One-way cross-host channel: non-coherent ring + modelled hop latency.
 
@@ -92,6 +99,9 @@ class DoorbellChannel(TracerBinding):
     #: queue_view holds visibility timestamps; a future head means drain()
     #: cannot deliver yet (the engine drain loop uses this to skip the call).
     timed = True
+    #: the receiving driver and this channel's bit of its active-link mask
+    _owner = _Undrained
+    _bit = 0
 
     def __init__(
         self,
@@ -151,6 +161,12 @@ class DoorbellChannel(TracerBinding):
         """Attach the receiver's doorbell: ``wake()`` is called when sent
         messages become visible (a driver passes its ``kick``)."""
         self._wake = wake
+
+    def bind_mask(self, owner, bit: int) -> None:
+        """Set ``bit`` of ``owner``'s active-link mask whenever a message is
+        queued, before any ring (``Driver.connect``, DESIGN §3j)."""
+        self._owner = owner
+        self._bit = bit
 
     def drain(self, limit: int = 256) -> Tuple[List[bytes], float]:
         """Receive the messages already visible; returns (payloads, cpu_ns)."""
@@ -231,6 +247,7 @@ class DoorbellChannel(TracerBinding):
         if self._trace is not None:
             self._trace.instant("chan.send", category="channel",
                                 track=self.name, count=count)
+        self._owner._active |= self._bit
         visible_at = self.sim.now + self.hop_s
         if count == 1:
             self._visible_at.append(visible_at)
@@ -273,6 +290,8 @@ class LocalChannel(TracerBinding):
     timed = False
     #: an unbounded local ring never reads as congested
     occupancy_cached = 0.0
+    _owner = _Undrained      # see DoorbellChannel
+    _bit = 0
 
     def __init__(self, sim: Simulator, name: str, hop_us: float = 0.25):
         self.sim = sim
@@ -298,6 +317,8 @@ class LocalChannel(TracerBinding):
     def bind(self, wake: Callable[[], None]) -> None:
         self._wake = wake
 
+    bind_mask = DoorbellChannel.bind_mask
+
     def drain(self, limit: int = 256) -> Tuple[List[bytes], float]:
         out = []
         while self._queue and len(out) < limit:
@@ -310,6 +331,7 @@ class LocalChannel(TracerBinding):
         self._queue.extend(payloads)
         self.sent += len(payloads)
         if payloads:
+            self._owner._active |= self._bit
             if self._trace is not None:
                 self._trace.instant("chan.send", category="channel",
                                     track=self.name, count=len(payloads))

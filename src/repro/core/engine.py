@@ -9,8 +9,9 @@ rest lives here, once:
   with :meth:`Driver.connect`;
 * the loop -- :meth:`Driver.kick` and :meth:`Driver._pass`, below;
 * :meth:`Driver._drain_links` -- the link-drain loop with its no-op guard,
-  delivering each link's payloads to the subclass's ``_on_messages(link,
-  payloads, cost)``, which returns ``cost`` plus the CPU ns it spent;
+  walking the links of the active-link mask (DESIGN §3j) and delivering
+  each one's payloads to the subclass's ``_on_messages(link, payloads,
+  cost)``, which returns ``cost`` plus the CPU ns it spent;
 * :meth:`Driver._send` -- the send path and the one ring-full rule: what
   does not fit waits on the driver's backlog, per-link FIFO, and one timer
   re-kicks the driver to try again;
@@ -93,21 +94,29 @@ class Driver(FlowBinding):
         self._kicked = False   # rung while not parked: one follow-up pass latched
         self._busy_until = 0.0   # the core is charged up to here (the horizon)
         self._links: Dict[str, Link] = {}
-        # Per-link drain tuples (link, rx, counter_view, queue_view, timed),
-        # rebuilt on connect: the drain loop runs once per pass and these
-        # four attribute chains are invariant for a link's lifetime.
+        # Per-link drain tuples (link, rx, counter_view, queue_view, timed,
+        # above) in connect order: the four attribute chains are invariant
+        # for a link's lifetime.  Bit i of the active-link mask ``_active`` is
+        # ``_views[i]`` (``above`` masks the bits after it): set by the
+        # channel when it queues a message, cleared by the pass that finds
+        # the link with nothing queued and no counter owed (DESIGN §3j).
         self._views: list = []
+        self._active = 0
         self._backlog: deque = deque()   # (link, payload) a full ring refused
         self._rekick_armed = False       # the one backlog retry timer is pending
 
     # -- wiring ----------------------------------------------------------------
 
     def connect(self, link: Link) -> None:
-        """Attach a peer; its RX channel rings this driver's doorbell."""
+        """Attach a peer; its RX channel rings this driver's doorbell and
+        sets the peer's bit of the active-link mask."""
         self._links[link.name] = link
         link.rx.bind(self.kick)
-        self._views = [(lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view,
-                        lk.rx.timed) for lk in self._links.values()]
+        link.rx.bind_mask(self, 1 << list(self._links).index(link.name))
+        # in place: a walk under way indexes the list it started with
+        self._views[:] = [(lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view,
+                           lk.rx.timed, -2 << i)
+                          for i, lk in enumerate(self._links.values())]
 
     def link(self, name: str) -> Link:
         return self._links[name]
@@ -141,7 +150,8 @@ class Driver(FlowBinding):
             self.sim.call_after(wait, self._pass)
         else:
             self.wakeups += 1
-            self._settle()
+            if self._active:
+                self._settle()
             self._pass()
 
     def _pass(self) -> None:
@@ -177,10 +187,15 @@ class Driver(FlowBinding):
         """Publish, uncharged, the consumed counters this driver owed when
         it went idle at ``_busy_until`` -- what the elided pass at that
         instant would have done: only links with nothing visible by then."""
-        idle_at = self._busy_until + 1e-12
         cost = 0.0
-        for _link, _rx, cv, qv, _timed in self._views:
-            if cv._consumed_since_update and (not qv or qv[0] > idle_at):
+        views = self._views
+        active = self._active      # a link that owes a counter is active
+        while active:
+            _link, _rx, cv, qv, _timed, above = views[
+                (active & -active).bit_length() - 1]
+            active &= above
+            if cv._consumed_since_update and (
+                    not qv or qv[0] > self._busy_until + 1e-12):
                 cost += cv._publish_counter()
         self.busy_ns += cost
 
@@ -191,31 +206,49 @@ class Driver(FlowBinding):
     def stranded(self) -> int:
         """Items a pass would find although the driver is parked and no ring
         (or backlog retry) is on its way: 0 unless a work source forgot to
-        ring -- queued items, visible messages, parked sends."""
+        ring -- queued items, visible messages, parked sends -- plus, parked
+        or not, every link with work whose active bit is clear."""
+        active = self._active
+        missed = sum(1 for i, view in enumerate(self._views)
+                     if not active >> i & 1
+                     and (view[3] or view[2]._consumed_since_update))
         if not self._parked:
-            return 0
-        return (self._queued() + sum(view[1].unrung for view in self._views)
+            return missed
+        return (missed + self._queued()
+                + sum(view[1].unrung for view in self._views)
                 + (0 if self._rekick_armed else len(self._backlog)))
 
     # -- receive: the one link-drain loop ----------------------------------------
 
     def _drain_links(self) -> tuple:
-        """Hand every link's visible messages to ``_on_messages``;
-        returns ``(messages, cost_ns)``.  The cost is one running total that
-        the drain and handler costs are added to one by one, in arrival
-        order (the float grouping of that sum is part of replay identity)."""
+        """Hand every active link's visible messages to ``_on_messages``, in
+        connect order; returns ``(messages, cost_ns)``.  The cost is one
+        running total that the drain and handler costs are added to one by
+        one, in arrival order (the float grouping of that sum is part of
+        replay identity).  A link a handler activates above the current one
+        is visited in this pass, as a scan of every link would."""
         items = 0
         cost = 0.0
-        now_eps = self.sim.now + 1e-12
-        for link, rx, cv, qv, timed in self._views:
-            if cv._consumed_since_update == 0:
-                if not qv or (timed and qv[0] > now_eps):
-                    continue   # drain() would be a no-op
+        views = self._views
+        active = self._active
+        while active:
+            link, rx, cv, qv, timed, above = views[
+                (active & -active).bit_length() - 1]
+            if not cv._consumed_since_update:
+                if not qv:
+                    # nothing queued, nothing owed: clear its bit
+                    self._active ^= active & -active
+                    active &= above
+                    continue
+                if timed and qv[0] > self.sim.now + 1e-12:
+                    active &= above         # drain() would be a no-op
+                    continue
             payloads, drain_cost = rx.drain()
             cost += drain_cost
             if payloads:
                 items += len(payloads)
                 cost = self._on_messages(link, payloads, cost)
+            active = self._active & above   # re-read: a handler may activate
         return items, cost
 
     #: ``_process() -> (items_handled, cpu_ns)`` drains a driver's work

@@ -230,9 +230,17 @@ class NetBackend(Driver, TracerBinding):
 
     def _handle_rx_comp(self, message: NetMessage) -> float:
         """Frontend consumed an RX buffer: recycle and repost it."""
-        self.rx_pool.free(message.buffer_addr)
-        self._fill_rx_ring()
+        self._recycle_rx(message.buffer_addr)
         return self.COMP_ITEM_NS
+
+    def _recycle_rx(self, addr: int) -> None:
+        """Take an RX buffer back and refill the ring.  Its lines leave the
+        pool first: the frame was loaded and flushed before ``OP_RX_COMP``
+        (or dropped unread), and the NIC's next DMA write comes before any
+        read, so an RX area holds only its in-flight frames (DESIGN §3h)."""
+        self.rx_domain.pool.discard(addr, self.rx_pool.buffer_size)
+        self.rx_pool.free(addr)
+        self._fill_rx_ring()
 
     def _process_tx_comps(self) -> tuple:
         cost = 0.0
@@ -296,8 +304,7 @@ class NetBackend(Driver, TracerBinding):
             fe_name = self._registry.get(ip)
             if fe_name is None:
                 self.rx_dropped_unknown += 1
-                self.rx_pool.free(addr)
-                self._fill_rx_ring()
+                self._recycle_rx(addr)
                 continue
             self.rx_forwarded += 1
             if self._flows is not None:

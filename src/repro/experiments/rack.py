@@ -174,6 +174,9 @@ def run_rack(
         # per shard; history kept again shows here first (DESIGN §3b)
         "retained": {group.name: group.allocator.retained()
                      for group in pod.groups},
+        # per pool: lines held; recycled RX buffers leave it (DESIGN §3h)
+        "pool_lines": {group.name: group.pool.footprint()[0]
+                       for group in pod.groups},
     }
     if checker is not None:
         result["verdict"] = checker.finish()
@@ -242,7 +245,10 @@ def main_rack(argv=None) -> int:
               "; retained "
               "log/dedup " + " ".join(
                   f"{name}={kept['log_entries']}/{kept['dedup_window']}"
-                  for name, kept in result["retained"].items()))
+                  for name, kept in result["retained"].items())
+              + "; pool lines " + " ".join(
+                  f"{name}={lines}"
+                  for name, lines in result["pool_lines"].items()))
         print(f"  control  {result['commits']} replicated commits in "
               f"{result['batches_proposed']} batches, "
               f"p50 {result['commit_p50_ms']:.3f} ms, "

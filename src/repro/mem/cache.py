@@ -126,7 +126,7 @@ class HostCache:
         table[category] = table.get(category, 0) + nbytes
 
     def _check(self, addr: int, size: int) -> None:
-        if addr < 0 or addr + size > self._size:
+        if addr < 0 or size < 0 or addr + size > self._size:
             raise MemoryFault(
                 f"access [{addr}, {addr + size}) outside pool of {self._size} B")
 
@@ -238,7 +238,7 @@ class HostCache:
         if ``drop`` (appending their indices to ``dropped_lines``).  Returns
         ``(lines spanned, written back, dropped)``.
         """
-        if addr < 0 or addr + size > self._size:
+        if (addr | size) < 0 or addr + size > self._size:     # either negative
             self._check(addr, size)
         pages = self._pages
         spanned = written = dropped = 0
@@ -311,6 +311,8 @@ class HostCache:
             page = self._claim(addr >> 12, page, lo, lo, BIT[lo], BIT[lo], category, addr, size)
             self.stats.misses += 1
             return bytes(page.data[off:off + size]), self.timings.cxl_load_ns
+        if size < 0:
+            self._check(addr, size)
         out = b""
         lines = misses = 0
         pos = addr
@@ -538,6 +540,8 @@ class HostCache:
             self._claim(addr >> 12, page, lo, lo, BIT[lo], BIT[lo], category, addr, size)
             self.stats.prefetches_issued += 1
             return [addr >> 6], self.timings.prefetch_issue_ns
+        if size < 0:
+            self._check(addr, size)
         issued: list = []
         lines = 0
         pos = addr

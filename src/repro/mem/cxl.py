@@ -7,13 +7,14 @@ The pool is a flat, byte-addressable store shared by every host in the pod
 pool through :meth:`CXLMemoryPool.dma_read` / :meth:`dma_write`.
 
 Storage is sparse twice over (DESIGN §3h).  Only touched 4 KiB pages exist,
-and a page keeps a 64-bit mask of the lines ever written and *only those
-lines*, packed in line order: line ``b`` sits at ``(present & BELOW[b])
+and a page keeps a 64-bit mask of the lines written and *only those lines*,
+packed in line order: line ``b`` sits at ``(present & BELOW[b])
 .bit_count() << 6`` of its ``data``.  So a 256 GB pool costs 64 B per line
-ever written -- a 2 KiB packet buffer holding a 256 B frame costs 256 B --
-and a run of written lines still moves as one slice copy.  Every transfer is
-accounted per host link and per *category* ("payload", "message", "counter",
-...), which is what regenerates Table 3's bandwidth breakdown.
+written -- a 2 KiB packet buffer holding a 256 B frame costs 256 B, until
+:meth:`CXLMemoryPool.discard` makes its lines unwritten again -- and a run
+of written lines still moves as one slice copy.  Every transfer is accounted
+per host link and per *category* ("payload", "message", "counter", ...),
+which is what regenerates Table 3's bandwidth breakdown.
 """
 
 from __future__ import annotations
@@ -81,12 +82,12 @@ class Page:
     byte ``b << 6`` -- and reaches only as far as the highest line the page
     has held (:meth:`reach`); bytes of absent lines are garbage.
 
-    In the pool ``present`` marks the lines ever written, ``dirty`` stays
-    zero and ``data`` is packed: it holds exactly the present lines, in line
-    order, line ``b`` at ``(present & BELOW[b]).bit_count() << 6``, so
-    ``len(data) == 64 * present.bit_count()``.  Absent lines read as zeros.
-    Rings of 2 KiB packet buffers holding 256 B frames, and counters alone on
-    their page, would otherwise be mostly resident padding.
+    In the pool ``present`` marks the lines written and not discarded since,
+    ``dirty`` stays zero and ``data`` is packed: it holds exactly the present
+    lines, in line order, line ``b`` at ``(present & BELOW[b]).bit_count()
+    << 6``, so ``len(data) == 64 * present.bit_count()``.  Absent lines read
+    as zeros.  Rings of 2 KiB packet buffers holding 256 B frames, and
+    counters alone on their page, would otherwise be mostly resident padding.
     """
 
     __slots__ = ("data", "present", "dirty")
@@ -303,16 +304,45 @@ class CXLMemoryPool:
                 return base * derate + extra_s
         return base
 
+    def discard(self, addr: int, size: int) -> None:
+        """Forget the lines lying wholly inside ``[addr, addr+size)``: they
+        read as zeros again and cost nothing, like lines never written (a
+        recycled RX buffer, DESIGN §3h).  A line the range covers only in
+        part is kept -- its other bytes are a neighbour's -- and a page left
+        with no line is deleted.  No transfer: nothing is accounted."""
+        if (addr | size) < 0 or addr + size > self.size:      # either negative
+            self._check(addr, size)
+        pages = self._pages
+        line = (addr + 63) >> 6                 # the first line wholly inside
+        end = (addr + size) >> 6                # one past the last
+        while line < end:
+            stop = (line | 63) + 1              # this page's part: [line, stop)
+            if stop > end:
+                stop = end
+            page = pages.get(line >> 6)
+            if page is not None:
+                present = page.present
+                drop = present & SPAN[line & 63][(stop - 1) & 63]
+                if drop == present:
+                    del pages[line >> 6]
+                elif drop:
+                    # The present lines of one span are adjacent when packed.
+                    rank = (present & BELOW[line & 63]).bit_count() << 6
+                    del page.data[rank:rank + (drop.bit_count() << 6)]
+                    page.present = present ^ drop
+            line = stop
+
     def touched_lines(self) -> Iterator[Tuple[int, bytes]]:
-        """All lines ever written, for debugging/verification."""
+        """All lines written and not since discarded, for verification."""
         for pidx in sorted(self._pages):
             page = self._pages[pidx]
             for rank, bit in enumerate(mask_bits(page.present)):
                 yield (pidx << 6) | bit, bytes(page.data[rank << 6:(rank + 1) << 6])
 
     def footprint(self) -> Tuple[int, int]:
-        """``(lines ever written, bytes of page data resident)``; the pages
-        are packed, so the second is 64 times the first."""
+        """``(lines held, bytes of page data resident)``: lines written and
+        not since discarded; the pages are packed, so the second is 64 times
+        the first."""
         pages = self._pages.values()
         return (sum(page.present.bit_count() for page in pages),
                 sum(len(page.data) for page in pages))

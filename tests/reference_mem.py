@@ -7,7 +7,9 @@ bitmasks (DESIGN §3h); this copy, with the hand-inlined fast paths folded
 back into one loop per operation, is what ``test_mem_oracle.py`` drives in
 lock-step with it.  It follows the same contract as the production model:
 bounds are validated up front, zero-length loads and stores are free, and the
-pool size is a whole number of lines.  Correctness over speed -- do not
+pool size is a whole number of lines; a negative size is refused.
+``ReferencePool.discard`` forgets the lines lying wholly inside a range (the
+production pool drops them from packed pages).  Correctness over speed -- do not
 optimise this file.
 
 ``ReferenceFixedPool`` (PR 22) is the same idea for ``mem/layout.py``: the
@@ -99,9 +101,18 @@ class ReferencePool:
                       account_bytes if account_bytes is not None
                       else len(_lines(addr, size)) * CACHE_LINE)
 
+    def discard(self, addr, size) -> None:
+        self._check(addr, size)
+        first = (addr + CACHE_LINE - 1) // CACHE_LINE
+        for index in range(first, (addr + size) // CACHE_LINE):
+            self._lines.pop(index, None)
+
     def touched_lines(self) -> Iterator[Tuple[int, bytes]]:
         for index in sorted(self._lines):
             yield index, bytes(self._lines[index])
+
+    def footprint(self) -> Tuple[int, int]:
+        return len(self._lines), CACHE_LINE * len(self._lines)
 
 
 class _Line:
@@ -129,7 +140,7 @@ class ReferenceCache:
         _record(self.pool.stats_for(self.host), "write" if write else "read", category, nbytes)
 
     def _check(self, addr: int, size: int) -> None:
-        if addr < 0 or addr + size > self.pool.size:
+        if addr < 0 or size < 0 or addr + size > self.pool.size:
             raise MemoryFault(f"access [{addr}, {addr + size}) outside pool")
 
     def _fill(self, index: int, category: str) -> _Line:
@@ -180,7 +191,7 @@ class ReferenceCache:
     # -- loads and stores ---------------------------------------------------
 
     def load(self, addr: int, size: int, category: str = "payload") -> Tuple[bytes, float]:
-        if size <= 0:
+        if size == 0:
             return b"", 0.0
         self._check(addr, size)
         t = self.timings
@@ -288,7 +299,7 @@ class ReferenceCache:
         return self.timings.mfence_ns
 
     def prefetch_range(self, addr: int, size: int, category: str = "message"):
-        if size <= 0:
+        if size == 0:
             return [], 0.0
         self._check(addr, size)
         issued = []

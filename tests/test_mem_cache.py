@@ -263,6 +263,37 @@ class TestBoundsCheckedUpFront:
             CXLMemoryPool(CXLConfig(), size=1000)
 
 
+class TestNegativeSizeIsRefused:
+    """A negative size is refused up front, as the pool's ``dma_read(100,
+    -5)`` always did.  At the parent the cache took it for free work:
+    ``load(100, -5)`` returned ``(b"", 0.0)`` and the range ops below cost
+    0.0 with size -64.  (The single-line short cuts never see it: their
+    guard is ``0 < size``.)"""
+
+    @pytest.mark.parametrize("op", [
+        lambda c: c.load(100, -5), lambda c: c.clwb_range(100, -64),
+        lambda c: c.clflush_range(100, -64), lambda c: c.clflush_cached(100, -64),
+        lambda c: c.prefetch_range(100, -64), lambda c: c.snoop_dma_read(100, -64),
+        lambda c: c.snoop_dma_write(100, -64)],
+        ids=["load", "clwb_range", "clflush_range", "clflush_cached",
+             "prefetch_range", "snoop_dma_read", "snoop_dma_write"])
+    def test_cache_range_op_refuses_a_negative_size(self, cache_pair, small_pool, op):
+        a, _ = cache_pair
+        a.store(0, bytes(range(128)))          # dirty lines around the range
+        before = _snapshot(a, small_pool)
+        with pytest.raises(MemoryFault):
+            op(a)
+        assert _snapshot(a, small_pool) == before
+
+    def test_pool_refuses_a_negative_size(self, small_pool):
+        small_pool.dma_write(0, b"\x01" * 256)
+        with pytest.raises(MemoryFault):
+            small_pool.dma_read(100, -5)
+        with pytest.raises(MemoryFault):
+            small_pool.discard(100, -5)
+        assert small_pool.footprint() == (4, 256)
+
+
 class TestZeroLengthIsFree:
     """PR 15: at the parent ``load(a, 0)`` filled a line, counted a miss and
     charged 250 ns; ``store(a, b"")`` did an RFO and dirtied the line."""

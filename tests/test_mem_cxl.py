@@ -51,6 +51,17 @@ class TestPool:
         with pytest.raises(MemoryFault):
             small_pool.dma_write(-1, b"x")
 
+    def test_discard_forgets_whole_lines_and_keeps_partial_edges(self, small_pool):
+        small_pool.dma_write(4096 - 128, b"\xAA" * 256)     # lines 62..65
+        small_pool.discard(4096 - 100, 200)                  # wholly: 63, 64
+        assert [index for index, _ in small_pool.touched_lines()] == [62, 65]
+        assert small_pool.footprint() == (2, 128)
+        assert small_pool.dma_read(4096 - 128, 256) == (
+            b"\xAA" * 64 + bytes(128) + b"\xAA" * 64)
+        small_pool.discard(0, 8192)                          # empties both pages
+        assert small_pool.footprint() == (0, 0)
+        assert list(small_pool.touched_lines()) == []
+
     def test_line_write_size_enforced(self, small_pool):
         with pytest.raises(MemoryFault):
             small_pool.write_line(0, b"short")

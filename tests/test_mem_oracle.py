@@ -2,13 +2,13 @@
 
 ``repro.mem`` (4 KiB pages, ``present``/``dirty`` masks, DESIGN §3h) and
 ``tests/reference_mem.py`` (the per-line implementation it replaced) are driven
-in lock-step with random interleavings of every cache, DMA and snoop operation
-from two hosts -- unaligned, sub-line, page-straddling, pool-end and
-out-of-range ranges; with and without a writeback hook and an armed
-writeback fault.  After every step both must agree on the
+in lock-step with random interleavings of every cache, DMA, snoop and pool
+``discard`` operation from two hosts -- unaligned, sub-line, page-straddling,
+pool-end, negative-size and out-of-range ranges; with and without a writeback
+hook and an armed writeback fault.  After every step both must agree on the
 returned bytes, the costs, ``CacheStats``, the per-category link bytes, which
-lines are cached and dirty, and the pool contents -- and every pool page must
-hold its written lines and nothing more.
+lines are cached and dirty, and the pool contents and footprint -- and every
+pool page must hold its written lines and nothing more.
 
 ``CHAOS_MAX_EXAMPLES`` scales the search effort (raised in the nightly job).
 """
@@ -45,7 +45,8 @@ _EDGES = sorted({base + delta
                  for delta in (-130, -65, -64, -1, 0, 1, 63, 64)})
 addresses = st.one_of(st.sampled_from(_EDGES),
                       st.integers(-200, POOL_BYTES + 200))
-sizes = st.one_of(st.sampled_from((0, 1, 8, 16, 63, 64, 65, 128, 512, 4096, 4097, 8192)),
+sizes = st.one_of(st.sampled_from((0, 1, 8, 16, 63, 64, 65, 128, 512, 4096, 4097, 8192,
+                                   -1, -64)),
                   st.integers(0, 9000))
 hosts = st.sampled_from(HOSTS)
 categories = st.sampled_from(CATEGORIES)
@@ -181,6 +182,18 @@ class MemoryModels(RuleBasedStateMachine):
                 outcomes.append(MemoryFault)
         assert outcomes[0] == outcomes[1]
 
+    @rule(addr=addresses, size=sizes)
+    def discard(self, addr, size):
+        # A recycled buffer: the lines wholly inside leave the pool, a
+        # partial edge line (a neighbour's bytes) stays.
+        outcomes = []
+        for pool in self.pools:
+            try:
+                outcomes.append(pool.discard(addr, size))
+            except MemoryFault:
+                outcomes.append(MemoryFault)
+        assert outcomes[0] == outcomes[1]
+
     @rule(host=hosts, count=st.integers(1, 3), mode=st.sampled_from(("drop", "partial")),
           category=st.none() | categories)
     def arm_writeback_fault(self, host, count, mode, category):
@@ -204,8 +217,11 @@ class MemoryModels(RuleBasedStateMachine):
         assert self.fault_log[0] == self.fault_log[1]
         new_pool, ref_pool = self.pools
         assert list(new_pool.touched_lines()) == list(ref_pool.touched_lines())
-        # Memory is O(lines written): a pool page holds its written lines only.
+        assert new_pool.footprint() == ref_pool.footprint()
+        # Memory is O(lines held): a pool page holds its written lines only,
+        # and a page discard emptied is gone.
         for page in new_pool._pages.values():
+            assert page.present
             assert len(page.data) == CACHE_LINE * page.present.bit_count()
         assert sorted(new_pool.link_stats) == sorted(ref_pool.link_stats)
         for host, stats in new_pool.link_stats.items():

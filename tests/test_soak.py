@@ -134,10 +134,12 @@ class TestSoak:
 class TestRxRingSoak:
     """ROADMAP 7(v), page tables: the fig10 echo cell (seed 17, 256 B,
     20 kpps Poisson) over ~10 laps of the server NIC's RX ring.  The pool
-    holds 64 B per line ever written; once the ring has lapped, the lines
-    written stop growing (they still grow over the first ~0.3 s, so no
-    equality across laps is asserted); and the NIC recycles its ring rather
-    than walking the RX area."""
+    holds 64 B per line held; the lines held stop growing (they still grow
+    over the first ~0.3 s, so no equality across laps is asserted); the NIC
+    recycles its ring rather than walking the RX area; and a recycled RX
+    buffer leaves the pool (DESIGN §3h), so at each checkpoint the RX area
+    holds only the lines of frames in flight -- not the ~4,096 lines of
+    every buffer a frame ever landed in."""
 
     def test_page_store_is_packed_and_flat_across_laps(self):
         pod = CXLPod(config=OasisConfig().with_(seed=17))
@@ -149,12 +151,23 @@ class TestRxRingSoak:
                             SERVER_IP, packet_size=256, rate_pps=20_000.0,
                             rng=pod.rng.get("echo-client"), poisson=True)
         client.start(RX_SOAK_SIM_S)
-        checkpoints = []
+        rx_pool = pod.backends[nic0.name].rx_pool
+        area = rx_pool.region
+        checkpoints, rx_held = [], []
         for until in (0.6 * RX_SOAK_SIM_S, RX_SOAK_SIM_S):
             pod.run(until - pod.sim.now)
             checkpoints.append(pod.pool.footprint())
-        rx_pool = pod.backends[nic0.name].rx_pool
+            held = [index for index, _ in pod.pool.touched_lines()
+                    if area.base <= index << 6 < area.end]
+            buffers = {((index << 6) - area.base) // rx_pool.buffer_size
+                       for index in held}
+            # taken by the NIC (a frame landed) and not yet recycled
+            in_flight = rx_pool.outstanding - len(nic0.rx_ring)
+            rx_held.append((len(held), len(buffers), in_flight))
         pod.stop()
+        for lines, buffers, in_flight in rx_held:
+            assert buffers <= in_flight
+            assert lines <= in_flight * rx_pool.buffer_size // 64
         for lines, resident in checkpoints:
             assert resident == 64 * lines
         (lines0, resident0), (lines1, resident1) = checkpoints

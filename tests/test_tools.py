@@ -1,4 +1,5 @@
-"""The audit in ``tools/unreached.py`` and the keep-list it is read against.
+"""The audit in ``tools/unreached.py`` and the keep-list it is read against;
+the deterministic cost counter ``tools/opcount.py``.
 
 ``tools/unreached.py`` lists the functions no non-test entry point reaches;
 each one that stays has a row in the README's keep-list table (path,
@@ -10,6 +11,7 @@ two-function fixture package: the hook in a child process, then the report.
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -114,3 +116,23 @@ def test_unturned_parameters_are_reported(tmp_path):
         "        5  unturned(flag=False)",
         "        5  unturned(size=4)",
         "unturned: 3 of 4 literal-default parameters of reached functions"]
+
+
+def test_opcount_is_deterministic_and_its_layers_sum_to_the_total():
+    """Two runs of ``tools/opcount.py`` on a 2 ms slice of ``echo_cell``
+    print the same table; each column's layer rows sum to its total row."""
+    command = [sys.executable, str(ROOT / "tools" / "opcount.py"),
+               "echo_cell", "--sim-s", "0.002"]
+    runs = [subprocess.run(command, capture_output=True, text=True,
+                           check=True, cwd=ROOT).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    head, columns, *rows = runs[0].splitlines()
+    assert head.startswith("workload echo_cell  seed 17  sim-s 0.002  requests ")
+    assert columns.split() == ["layer", "bytecodes", "per", "req", "calls",
+                               "per", "req"]
+    table = {row.split()[0]: [int(row.split()[1]), int(row.split()[3])]
+             for row in rows}
+    total = table.pop("total")
+    assert {"core.engine", "mem", "sim"} <= set(table)
+    assert [sum(column) for column in zip(*table.values())] == total
+    assert total[0] > 0 and total[1] > 0

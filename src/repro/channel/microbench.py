@@ -23,8 +23,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..config import CACHE_LINE, OasisConfig
 from ..mem.cache import HostCache
 from ..mem.cxl import CXLMemoryPool
@@ -147,6 +145,7 @@ class ChannelMicrobench:
         warmup_fraction: float = 0.2,
     ) -> MicrobenchResult:
         """Send ``n_messages``; ``interval_ns=None`` means closed-loop saturation."""
+        import numpy as np
         if interval_ns is None:
             arrivals = np.zeros(n_messages)
             offered = float("inf")

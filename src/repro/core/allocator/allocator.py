@@ -99,9 +99,12 @@ class PodAllocator:
         self._batch_timer_armed = False
         self.batches_proposed = 0
         # Decide -> leader-applied latency samples (seconds), for the rack
-        # benchmark; bounded so long runs cannot grow without limit.
+        # benchmark; bounded so long runs cannot grow without limit.  A
+        # sample past the cap is counted, not kept: percentiles over the
+        # list then describe only a prefix, and ``rack --check`` fails.
         self._decided_at: Dict[int, float] = {}
         self.commit_latencies: list = []
+        self.commit_latencies_dropped = 0
         self._commit_latency_cap = 200_000
 
     # -- replicated-state views ----------------------------------------------------
@@ -246,9 +249,11 @@ class PodAllocator:
         cid = command.get("cid")
         if cid in self._pending:
             decided = self._decided_at.pop(cid, None)
-            if (decided is not None
-                    and len(self.commit_latencies) < self._commit_latency_cap):
-                self.commit_latencies.append(self.sim.now - decided)
+            if decided is not None:
+                if len(self.commit_latencies) < self._commit_latency_cap:
+                    self.commit_latencies.append(self.sim.now - decided)
+                else:
+                    self.commit_latencies_dropped += 1
             del self._pending[cid]
             self._proposed_at.pop(cid, None)
 

@@ -18,7 +18,8 @@ caller that holds only a host name, an instance ip or a device name needs:
   holding the assignment, ``on_failure_report`` by device;
 * the start/stop fan-out;
 * the rack-wide roll-ups the rack experiment and the benchmark read:
-  ``commit_latencies``, ``batches_proposed``, ``pending_commands``,
+  ``commit_latencies`` (and ``commit_latencies_dropped``),
+  ``batches_proposed``, ``pending_commands``,
   ``convergence_ok()`` and one ``signature()``.
 
 Anything else is asked of ``shards[name]``.
@@ -101,6 +102,10 @@ class ShardedAllocator:
         for _name, shard in sorted(self.shards.items()):
             merged.extend(shard.commit_latencies)
         return merged
+
+    @property
+    def commit_latencies_dropped(self) -> int:
+        return sum(s.commit_latencies_dropped for s in self.shards.values())
 
     def signature(self) -> tuple:
         """Every shard's canonical state signature, by shard name."""

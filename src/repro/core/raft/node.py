@@ -10,14 +10,11 @@ Messages travel over a pluggable transport (see :mod:`repro.core.raft.rpc`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ...obs.trace import NULL_TRACER
 from ...sim.core import MSEC, Simulator, Timer
 from .log import LogEntry, RaftLog
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["RaftNode", "FOLLOWER", "CANDIDATE", "LEADER", "COMPACT_AFTER"]
 
@@ -49,7 +46,7 @@ class RaftNode:
         apply_cb: Optional[Callable[[int, Any], None]] = None,
         election_timeout_ms: tuple = (150.0, 300.0),
         *,
-        rng: np.random.Generator,
+        rng,
     ):
         self.sim = sim
         self.node_id = node_id

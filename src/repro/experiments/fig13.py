@@ -14,6 +14,7 @@ import numpy as np
 
 from ..analysis.report import render_series, render_table
 from ..faults import FaultPlan, FaultSpec
+from ..sim.rng import Stream
 from ..workloads.echo import EchoClient
 from .common import SERVER_IP, build_echo_pod, scale
 
@@ -42,7 +43,7 @@ def run(
     pod.enable_tracing(categories={"failover"})
     client = EchoClient(pod.sim, client_ep, SERVER_IP, packet_size=75,
                         rate_pps=rate_pps,
-                        rng=np.random.default_rng(seed), poisson=False)
+                        rng=Stream(seed), poisson=False)
     client.start(duration)
     # The paper's injection ("we disable the switch port connected to the
     # NIC"), scheduled through the deterministic fault injector.

@@ -15,6 +15,7 @@ import numpy as np
 from ..analysis.report import render_table
 from ..core.pod import CXLPod
 from ..faults import FaultPlan, FaultSpec
+from ..sim.rng import Stream
 from ..workloads.apps import APP_PROFILES, AppClient, AppServer
 from ..workloads.echo import EchoServer
 from .common import CLIENT_IP, SERVER_IP, build_echo_pod, scale
@@ -36,10 +37,10 @@ def run(
                                                 backup_nic=True)
     pod.enable_raft()
     profile = APP_PROFILES["memcached"]
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     AppServer(pod.sim, inst, profile, rng, port=11211)
     client = AppClient(pod.sim, client_ep, SERVER_IP, profile, rate_rps,
-                       np.random.default_rng(seed + 1), server_port=11211)
+                       Stream(seed + 1), server_port=11211)
     client.start(duration)
     injector = pod.inject_faults(FaultPlan(
         [FaultSpec(kind="switch.port_down", target=nic0.name, at=fail_at)],

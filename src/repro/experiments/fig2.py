@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..analysis.report import render_table
 from ..workloads.allocation import generate_allocation_trace
 from ..workloads.stranding import (pooled_stranding, schedule_trace,
@@ -41,6 +39,7 @@ def run(
     headline is that rack-scale pooling still strands *less* than the
     2-host pods PRs 1-7 simulated (``beats_2host`` flags).
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     trace = generate_allocation_trace(
         n_instances=n_instances, duration_s=20_000.0, mean_lifetime_s=3000.0,

@@ -6,8 +6,6 @@ P99 utilization is under 3 % while P99.99 reaches ~39 %.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..analysis.report import render_table
 from ..workloads.traces import RACK_A_PARAMS, generate_trace
 
@@ -15,6 +13,7 @@ __all__ = ["run", "main"]
 
 
 def run(seed: int = 1000) -> dict:
+    import numpy as np
     traces = [
         generate_trace(params, np.random.default_rng(seed + i))
         for i, params in enumerate(RACK_A_PARAMS)

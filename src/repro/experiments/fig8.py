@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from ..analysis.report import render_table
 from ..core.pod import CXLPod
 from ..net.packet import make_ip
+from ..sim.rng import Stream
 from ..workloads.apps import APP_PROFILES, AppClient, AppProfile, AppServer
 from .common import CLIENT_IP, SERVER_IP, scale
 
@@ -38,12 +37,12 @@ def run_app(
     h1 = pod.add_host() if remote else h0
     nic = pod.add_nic(h0)
     inst = pod.add_instance(h1 if remote else h0, ip=SERVER_IP, nic=nic)
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     AppServer(pod.sim, inst, profile, rng)
     client_ep = pod.add_external_client(ip=CLIENT_IP)
     rate = load_fraction * 1e6 / profile.service_mean_us
     client = AppClient(pod.sim, client_ep, SERVER_IP, profile, rate,
-                       np.random.default_rng(seed + 1))
+                       Stream(seed + 1))
     client.start(duration_s)
     pod.run(duration_s + 0.05)
     pod.stop()

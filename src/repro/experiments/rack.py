@@ -17,9 +17,11 @@ Headline numbers:
 * ``converged`` -- every Raft replica of every shard matches its shard's
   canonical state at the end of the run.
 
-``--check`` exits 1 unless the shards converged, the proposal queue drained
-and ``commit_p99_ms`` <= ``COMMIT_P99_CEILING_MS`` (simulated time, exact on
-any machine).  It also installs the chaos invariant probes
+``--check`` exits 1 unless the shards converged, the proposal queue drained,
+every commit latency was kept (none fell past the allocator's sample cap, so
+the p99 is of the whole run) and ``commit_p99_ms`` <=
+``COMMIT_P99_CEILING_MS`` (simulated time, exact on any machine).  It also
+installs the chaos invariant probes
 (:meth:`~repro.core.pod.CXLPod.check_invariants`, no periodic task, so the
 event count does not move) and fails on a violated verdict: the per-group
 control-plane checks of DESIGN §3f run against every pool group here.
@@ -160,6 +162,8 @@ def run_rack(
         "rtt_p99_us": float(np.percentile(latencies, 99)),
         "echo_replies": int(sum(len(c.stats.latencies_us) for c in clients)),
         "commits": int(commits.size),
+        # samples past the allocator's cap: percentiles then read a prefix
+        "commits_dropped": pod.allocator.commit_latencies_dropped,
         "commit_p50_ms": (float(np.percentile(commits, 50)) * 1e3
                           if commits.size else 0.0),
         "commit_p99_ms": (float(np.percentile(commits, 99)) * 1e3
@@ -215,7 +219,8 @@ def main_rack(argv=None) -> int:
                         help="print the machine-readable result")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless replicas converged, the "
-                             "command queue drained, commit p99 stayed "
+                             "command queue drained, no commit latency "
+                             "fell past the sample cap, commit p99 stayed "
                              f"within {COMMIT_P99_CEILING_MS} ms and the "
                              "invariant checker's verdict is OK")
     args = parser.parse_args(argv)
@@ -263,6 +268,12 @@ def main_rack(argv=None) -> int:
     if args.check and not (result["converged"]
                            and result["pending_after"] == 0):
         print("rack: FAIL -- control plane did not converge", flush=True)
+        return 1
+    if args.check and result["commits_dropped"]:
+        print(f"rack: FAIL -- {result['commits_dropped']:,} commit latencies "
+              f"fell past the allocator's sample cap "
+              f"(PodAllocator._commit_latency_cap, {result['commits']:,} kept): "
+              f"commit p99 would gate only a prefix of the run", flush=True)
         return 1
     if args.check and result["commit_p99_ms"] > COMMIT_P99_CEILING_MS:
         print(f"rack: FAIL -- commit p99 {result['commit_p99_ms']:.3f} ms "

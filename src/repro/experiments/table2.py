@@ -7,8 +7,6 @@ single NIC, raising pooled utilization from ~20 % to ~80 %.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..analysis.report import render_table
 from ..analysis.stats import utilization_percentile
 from ..workloads.traces import RACK_A_PARAMS, RACK_B_PARAMS, PacketTrace, generate_trace
@@ -33,6 +31,7 @@ def run(seed: int = 1000, crosscheck: bool = False, rack: bool = False,
     PRs simulated, one shared NIC minimum per pair).  ``beats_pairs`` is
     the acceptance flag: rack-wide pooling must need fewer NICs.
     """
+    import numpy as np
     racks = {}
     for rack_name, params in (("A", RACK_A_PARAMS), ("B", RACK_B_PARAMS)):
         traces = [

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .metrics import Histogram, labels_key
 
 __all__ = [
@@ -33,6 +31,7 @@ _US_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
 
 
 def _percentile(hist: Histogram, q: float) -> float:
+    import numpy as np
     if not hist.observations:
         return float("nan")
     return float(np.percentile(np.asarray(hist.observations), q))
@@ -137,6 +136,7 @@ def critical_path(records, buckets: Sequence[Tuple[float, float]] = _DEFAULT_BUC
     bucket and reports the stage with the largest share -- the answer to
     "what should I optimise to move the pXX?".
     """
+    import numpy as np
     records = list(records)
     if not records:
         return []

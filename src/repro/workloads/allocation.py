@@ -16,11 +16,12 @@ SSD capacity).  We generate a statistically similar trace:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..config import HostConfig
+
+if TYPE_CHECKING:
+    import numpy as np   # annotations only; the functions import it
 
 __all__ = ["InstanceRequest", "InstanceFamily", "AllocationTrace",
            "DEFAULT_FAMILIES", "generate_allocation_trace"]
@@ -73,6 +74,7 @@ class InstanceRequest:
     host: Optional[int] = None   # assigned by the scheduler
 
     def demand(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.cores, self.memory_gb, self.nic_gbps, self.ssd_tb])
 
 
@@ -99,6 +101,7 @@ def generate_allocation_trace(
 ) -> AllocationTrace:
     """Generate an unplaced trace (run a scheduler from
     :mod:`repro.workloads.stranding` to assign hosts)."""
+    import numpy as np
     rng = rng if rng is not None else np.random.default_rng(0)
     host = host or HostConfig()
     families = families or DEFAULT_FAMILIES

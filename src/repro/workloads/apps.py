@@ -23,6 +23,7 @@ from ..config import TransportConfig
 from ..net.packet import Frame
 from ..net.transport import ReliableSocket, UdpSocket
 from ..sim.core import Simulator, USEC
+from ..sim.rng import Stream
 
 __all__ = ["AppProfile", "APP_PROFILES", "AppServer", "AppClient"]
 
@@ -39,7 +40,7 @@ class AppProfile:
     request_bytes: int
     response_bytes: int
 
-    def sample_service_us(self, rng: np.random.Generator) -> float:
+    def sample_service_us(self, rng: Stream) -> float:
         mu = np.log(self.service_mean_us) - self.service_sigma ** 2 / 2
         return float(rng.lognormal(mu, self.service_sigma))
 
@@ -62,7 +63,7 @@ class AppServer:
         sim: Simulator,
         endpoint,
         profile: AppProfile,
-        rng: np.random.Generator,
+        rng: Stream,
         port: int = APP_PORT,
         transport_config: Optional[TransportConfig] = None,
     ):
@@ -100,7 +101,7 @@ class AppClient:
         server_ip: int,
         profile: AppProfile,
         rate_rps: float,
-        rng: np.random.Generator,
+        rng: Stream,
         port: int = 30_000,
         server_port: int = APP_PORT,
         transport_config: Optional[TransportConfig] = None,
@@ -144,10 +145,11 @@ class AppClient:
 
     def _on_response(self, frame: Frame) -> None:
         # Responses arrive in submission order per server; match greedily by
-        # oldest outstanding request (the server responds FIFO).
+        # oldest outstanding request (the server responds FIFO).  Sequence
+        # numbers rise with each send, so the oldest is the first key.
         if not self._outstanding:
             return
-        seq = min(self._outstanding)
+        seq = next(iter(self._outstanding))
         sent_at = self._outstanding.pop(seq)
         self.latencies_us.append((self.sim.now - sent_at) / USEC)
         self.response_times.append(self.sim.now)

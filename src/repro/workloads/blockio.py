@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..analysis.stats import summarize_latencies
 from ..obs.flow import NULL_FLOWS
 from ..sim.core import Simulator, USEC
+from ..sim.rng import Stream
 
 __all__ = ["BlockWorkload", "BlockWorkloadStats"]
 
@@ -56,7 +55,7 @@ class BlockWorkload:
         io_blocks: int = 1,
         address_blocks: int = 4096,
         queue_depth: int = 64,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Stream] = None,
         flows=None,
     ):
         self.sim = sim
@@ -67,7 +66,7 @@ class BlockWorkload:
         self.io_blocks = io_blocks
         self.address_blocks = address_blocks
         self.queue_depth = queue_depth
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else Stream(0)
         self.stats = BlockWorkloadStats()
         self.flows = flows if flows is not None else NULL_FLOWS
         self._inflight = 0

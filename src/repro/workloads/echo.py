@@ -16,6 +16,7 @@ from ..net.packet import Frame
 from ..net.transport import UdpSocket
 from ..obs.flow import NULL_FLOWS
 from ..sim.core import Simulator, USEC
+from ..sim.rng import Stream
 
 __all__ = ["EchoServer", "EchoClient", "EchoStats"]
 
@@ -95,7 +96,7 @@ class EchoClient:
         rate_pps: float = 10_000.0,
         port: int = 20_000,
         server_port: int = ECHO_PORT,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Stream] = None,
         poisson: bool = False,
         metrics=None,
         flows=None,

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.storage.frontend import STATUS_SHED
 from ..sim.core import Simulator, USEC
+from ..sim.rng import Stream
 
 __all__ = ["OpenLoopBlockClient", "OpenLoopStats"]
 
@@ -149,7 +150,7 @@ class OpenLoopBlockClient:
         read_fraction: float = 0.9,
         io_blocks: int = 1,
         address_blocks: int = 4096,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Stream] = None,
         bin_s: float = 0.01,
         burst_rate_per_s: float = 0.0,
         burst_size_median: float = 32.0,
@@ -165,7 +166,7 @@ class OpenLoopBlockClient:
         self.read_fraction = read_fraction
         self.io_blocks = io_blocks
         self.address_blocks = address_blocks
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else Stream(0)
         self.bin_s = bin_s
         self.burst_rate_per_s = burst_rate_per_s
         self.burst_size_median = burst_size_median

@@ -21,11 +21,12 @@ Pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .allocation import RESOURCES, AllocationTrace, InstanceRequest
+
+if TYPE_CHECKING:
+    import numpy as np   # annotations only; the functions import it
 
 __all__ = [
     "schedule_trace",
@@ -42,6 +43,7 @@ def schedule_trace(trace: AllocationTrace, n_hosts: int) -> int:
     Mutates ``instance.host``; unplaceable instances keep ``host=None``.
     Returns the number of placed instances.
     """
+    import numpy as np
     events: List[Tuple[float, int, InstanceRequest]] = []
     for instance in trace.instances:
         events.append((instance.arrive_s, 1, instance))
@@ -75,6 +77,7 @@ class UsageTimeline:
 
     @classmethod
     def build(cls, trace: AllocationTrace, n_hosts: int) -> "UsageTimeline":
+        import numpy as np
         events: List[Tuple[float, int, float, float, float, float]] = []
         for instance in trace.placed:
             d = instance.demand()
@@ -158,6 +161,7 @@ def pooled_stranding(
     of ``m`` members needs at least ``ceil(m / port_limit)`` devices no
     matter how low its pooled peak is.
     """
+    import numpy as np
     rng = rng if rng is not None else np.random.default_rng(0)
     timeline = UsageTimeline.build(trace, n_hosts)
     mask = timeline.loaded_mask(trace.host_capacity, load_threshold)

@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..overload import TenantSpec
 from ..sim.core import Simulator, USEC
+from ..sim.rng import Stream
 from .openloop import OpenLoopBlockClient
 
 __all__ = ["TenantProfile", "TenantClient", "SERVE_PROFILES"]
@@ -90,7 +89,7 @@ class TenantClient(OpenLoopBlockClient):
     """
 
     def __init__(self, sim: Simulator, device, profile: TenantProfile,
-                 rng: Optional[np.random.Generator] = None,
+                 rng: Optional[Stream] = None,
                  bin_s: float = 0.01, address_blocks: int = 4096):
         profile.validate()
         super().__init__(

@@ -18,11 +18,12 @@ P99/P99.99 utilizations land in the ranges of Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from ..analysis.stats import utilization_percentile, utilization_series
+
+if TYPE_CHECKING:
+    import numpy as np   # annotations only; the functions import it
 
 __all__ = ["TraceParams", "PacketTrace", "generate_trace", "RACK_A_PARAMS",
            "RACK_B_PARAMS"]
@@ -80,6 +81,7 @@ class PacketTrace:
     @staticmethod
     def aggregate(traces: List["PacketTrace"]) -> "PacketTrace":
         """Merge several hosts' traces (for aggregated utilization)."""
+        import numpy as np
         times = np.concatenate([t.times for t in traces])
         sizes = np.concatenate([t.sizes for t in traces])
         order = np.argsort(times, kind="stable")
@@ -88,6 +90,7 @@ class PacketTrace:
 
 def generate_trace(params: TraceParams, rng: np.random.Generator) -> PacketTrace:
     """Generate one host's capture."""
+    import numpy as np
     line = params.line_bytes_per_sec
     pkt = params.packet_bytes
 

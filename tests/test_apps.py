@@ -112,3 +112,36 @@ class TestAppServer:
         # Deterministic service: latency = queue wait + 30 us, monotone in
         # queue depth; no negative or absurd values from mismatching.
         assert all(25.0 <= lat < 10_000 for lat in client.latencies_us)
+
+    def test_first_outstanding_is_the_oldest_under_a_deep_queue(self, sim, wire):
+        """With hundreds of requests outstanding, matching each response to
+        the first key in send order pairs exactly what the oldest-seq rule
+        (``min`` over the keys) pairs: the same latency list, bit for bit."""
+
+        class MinMatchClient(AppClient):
+            def _on_response(self, frame):
+                if self._outstanding:
+                    seq = min(self._outstanding)
+                    sent_at = self._outstanding.pop(seq)
+                    self.latencies_us.append((self.sim.now - sent_at) / USEC)
+
+        def run(client_cls):
+            sim = Simulator()
+            client_ep = LoopbackEndpoint(sim, make_ip(10, 0, 9, 1))
+            server_ep = LoopbackEndpoint(sim, make_ip(10, 0, 0, 1))
+            client_ep.connect(server_ep)
+            profile = AppProfile("slow", 200.0, 0.3, 100, 100)
+            AppServer(sim, server_ep, profile, np.random.default_rng(3))
+            client = client_cls(sim, client_ep, server_ep.ip, profile,
+                                rate_rps=50_000, rng=np.random.default_rng(4))
+            depth = []
+            client.start(0.02)
+            sim.every(1e-3, lambda: depth.append(len(client._outstanding)))
+            sim.run(until=0.02)
+            return client.latencies_us, max(depth)
+
+        fifo, deepest = run(AppClient)
+        reference, _ = run(MinMatchClient)
+        assert deepest > 500
+        assert len(fifo) > 50
+        assert fifo == reference

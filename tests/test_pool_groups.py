@@ -229,6 +229,7 @@ class TestRackCheckCli:
         assert main_rack(self.ARGS) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "verdict" not in doc and doc["converged"] is True
+        assert doc["commits_dropped"] == 0
 
     def test_violated_verdict_exits_1(self, capsys, monkeypatch):
         from repro.experiments.rack import main_rack
@@ -246,3 +247,29 @@ class TestRackCheckCli:
         assert len(groups) == 2             # once per pool group
         out = capsys.readouterr().out
         assert "rack: FAIL" in out and "forced by the test" in out
+
+    def test_commit_latency_cap_fails_loudly(self, capsys, monkeypatch):
+        """Past the cap the p99 would read a prefix of the run: the dropped
+        samples are counted and ``--check`` exits 1 naming the cap."""
+        from repro.core.pod import RackBuilder
+        from repro.experiments.rack import main_rack
+
+        build = RackBuilder.build
+        shards = []
+
+        def capped_build(self):
+            pod = build(self)
+            for group in pod.groups:
+                group.allocator._commit_latency_cap = 3
+                shards.append(group.allocator)
+            return pod
+
+        monkeypatch.setattr(RackBuilder, "build", capped_build)
+        assert main_rack(self.ARGS) == 1
+        out = capsys.readouterr().out
+        doc = json.loads(out[:out.index("rack: FAIL")])
+        assert doc["commits"] == sum(len(s.commit_latencies) for s in shards)
+        assert all(len(s.commit_latencies) <= 3 for s in shards)
+        assert doc["commits_dropped"] == sum(
+            s.commit_latencies_dropped for s in shards) > 0
+        assert "_commit_latency_cap" in out[out.index("rack: FAIL"):]

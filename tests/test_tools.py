@@ -1,5 +1,6 @@
 """The audit in ``tools/unreached.py`` and the keep-list it is read against;
-the deterministic cost counter ``tools/opcount.py``.
+the deterministic cost counter ``tools/opcount.py`` and the cost ledger
+``tools/ledger.py`` built on it.
 
 ``tools/unreached.py`` lists the functions no non-test entry point reaches;
 each one that stays has a row in the README's keep-list table (path,
@@ -10,6 +11,7 @@ two-function fixture package: the hook in a child process, then the report.
 """
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -136,3 +138,31 @@ def test_opcount_is_deterministic_and_its_layers_sum_to_the_total():
     assert {"core.engine", "mem", "sim"} <= set(table)
     assert [sum(column) for column in zip(*table.values())] == total
     assert total[0] > 0 and total[1] > 0
+
+
+def test_ledger_prints_one_row_of_this_tree():
+    """``tools/ledger.py`` on one 2 ms ``echo_cell`` slice: one JSON line
+    of counts, and an ``import repro`` that loads no heavy module."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ledger.py"), "--workload",
+         "echo_cell", "--sim-s", "0.002"],
+        capture_output=True, text=True, check=True, cwd=ROOT).stdout
+    lines = out.splitlines()
+    assert len(lines) == 1
+    row = json.loads(lines[0])
+    assert set(row) == {"rev", "opcount", "import_repro", "src_lines",
+                        "schedule_v3_events"}
+    cell = row["opcount"]["echo_cell"]
+    assert cell["requests"] > 0 and cell["events_per_request"] > 0
+    assert cell["bytecodes"] > cell["calls"] > 0
+    assert row["import_repro"]["heavy"] == []
+    assert row["import_repro"]["rss_mib"] > 0 and row["import_repro"]["ms"] > 0
+    assert row["schedule_v3_events"] == 13_781
+    assert row["src_lines"] > 10_000
+
+
+def test_the_committed_history_parses():
+    rows = [json.loads(line) for line in
+            (ROOT / "BENCH_history.jsonl").read_text().splitlines()]
+    assert len(rows) >= 2
+    assert all({"rev", "opcount", "import_repro"} <= set(row) for row in rows)

@@ -76,6 +76,20 @@ def count(run) -> dict:
     return counts
 
 
+def window(name: str, seed: int, sim_s: float) -> tuple:
+    """Build ``WORKLOADS[name](seed, 6.0)``, run its ``setup()``, then count
+    ``pod.run(sim_s)``: ``(counts, requests, events)``, with the requests
+    issued and the kernel events dispatched in the counted window."""
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[name](seed, 6.0)
+    workload.setup()
+    before, events = workload.generator_count(), workload.events()
+    counts = count(lambda: workload.pod.run(sim_s))
+    return (counts, workload.generator_count() - before,
+            workload.events() - events)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="bytecodes and Python calls per request of a perf workload")
@@ -89,13 +103,9 @@ def main(argv=None) -> int:
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"one of {', '.join(WORKLOADS)}")
-    workload = WORKLOADS[args.workload](args.seed, 6.0)
-    if not hasattr(workload, "generator_count"):
+    if not hasattr(WORKLOADS[args.workload], "generator_count"):
         parser.error(f"{args.workload} builds no pod")
-    workload.setup()
-    before = workload.generator_count()
-    counts = count(lambda: workload.pod.run(args.sim_s))
-    requests = workload.generator_count() - before
+    counts, requests, _ = window(args.workload, args.seed, args.sim_s)
     if requests <= 0:
         parser.error("no request was issued in the traced window")
 

@@ -7,10 +7,9 @@ detached (``pod.set_fencing(False)``).  The suite asserts the fenced pod
 keeps at least 98 % of the unfenced throughput.
 """
 
-import numpy as np
-
 from repro.analysis.report import render_table
 from repro.experiments.common import SERVER_IP, build_echo_pod, scale
+from repro.sim.rng import Stream
 from repro.workloads.echo import EchoClient
 
 
@@ -19,7 +18,7 @@ def _echo_received(fencing: bool, rate_pps: float = 20000.0) -> int:
     pod, inst, client_ep, nic0 = build_echo_pod("oasis", remote=True)
     pod.set_fencing(fencing)
     echo = EchoClient(pod.sim, client_ep, SERVER_IP, packet_size=256,
-                      rate_pps=rate_pps, rng=np.random.default_rng(7))
+                      rate_pps=rate_pps, rng=Stream(7))
     echo.start(duration)
     pod.run(duration + 0.1)
     pod.stop()

@@ -8,11 +8,10 @@ same story as the network engine, an order of magnitude below the device's
 own latency.
 """
 
-import numpy as np
-
 from repro.analysis.report import render_table
 from repro.core.pod import CXLPod
 from repro.net.packet import make_ip
+from repro.sim.rng import Stream
 from repro.workloads.blockio import BlockWorkload
 
 IP = make_ip(10, 0, 0, 1)
@@ -27,7 +26,7 @@ def _run(mode: str, remote: bool, duration: float = 0.2) -> dict:
     inst = pod.add_instance(h1 if remote else h0, ip=IP)
     device = pod.add_block_device(inst, ssd)
     workload = BlockWorkload(pod.sim, device, rate_iops=20_000,
-                             rng=np.random.default_rng(3))
+                             rng=Stream(3))
     workload.start(duration)
     pod.run(duration + 0.05)
     pod.stop()

@@ -9,16 +9,14 @@ from .designs import (
     make_receiver,
 )
 from .microbench import ChannelMicrobench, MicrobenchResult, sweep_designs
-from .protocol import ChannelCounters, ChannelReceiver, ChannelSender, TimingHooks
+from .protocol import ChannelCounters, ChannelReceiver, ChannelSender
 from .ring import RingLayout
-from .sharded import sharded_saturation
 
 __all__ = [
     "RingLayout",
     "ChannelSender",
     "ChannelReceiver",
     "ChannelCounters",
-    "TimingHooks",
     "BypassCacheReceiver",
     "NaivePrefetchReceiver",
     "InvalidateConsumedReceiver",
@@ -28,5 +26,4 @@ __all__ = [
     "ChannelMicrobench",
     "MicrobenchResult",
     "sweep_designs",
-    "sharded_saturation",
 ]

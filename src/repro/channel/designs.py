@@ -66,8 +66,8 @@ class _PrefetchingReceiver(ChannelReceiver):
     invalidate_prefetched = False
     __slots__ = ("prefetch_depth", "_streak", "_prefetch_threshold")
 
-    def __init__(self, layout, cache, counter_batch=None, timing=None, prefetch_depth=16):
-        super().__init__(layout, cache, counter_batch=counter_batch, timing=timing)
+    def __init__(self, layout, cache, counter_batch=None, prefetch_depth=16):
+        super().__init__(layout, cache, counter_batch=counter_batch)
         self.prefetch_depth = prefetch_depth
         # Prefetching is only worth its CXL bandwidth when the channel is
         # actually streaming (§3.2.2 / Table 3: "prefetching is triggered
@@ -78,23 +78,12 @@ class _PrefetchingReceiver(ChannelReceiver):
 
     def poll(self) -> Tuple[Optional[bytes], float]:
         # One flat pass over the slot check, consume bookkeeping and line
-        # maintenance; a timing harness, when installed, is told about every
-        # fill and invalidation on the way.
+        # maintenance.
         seq = self.next_seq
         msize = self._msize
         addr = self._slot_base + (seq & self._slot_mask) * msize
         cache = self.cache
-        timing = self._timing
-        if timing is None:
-            raw, cost = cache.load(addr, msize, "message")
-        else:
-            # One slot lies in one line, so the load misses at most once.
-            misses = cache.stats.misses
-            raw, cost = cache.load(addr, msize, "message")
-            if cache.stats.misses == misses:
-                cost += timing.hit_stall_ns(addr >> 6)
-            else:
-                timing.on_demand_fill(addr >> 6)
+        raw, cost = cache.load(addr, msize, "message")
         b0 = raw[0]
         if (b0 >> 7) != 1 - ((seq >> self._wrap_shift) & 1):
             # Empty poll: the cached copy of the current line may simply be
@@ -104,8 +93,6 @@ class _PrefetchingReceiver(ChannelReceiver):
             cost += timings.empty_poll_ns
             self._streak = 0
             cost += cache.clflush(addr & -64, True, "message")
-            if timing is not None:
-                timing.on_invalidate(addr >> 6)
             cache.stats.fences += 1
             cost += timings.mfence_ns
             if self.invalidate_prefetched:
@@ -127,8 +114,6 @@ class _PrefetchingReceiver(ChannelReceiver):
             # Line fully consumed: drop it (unfenced, off the critical
             # path) so the next lap's prefetch can bring in fresh data.
             cost += cache.clflush(addr & -64, False, "message")
-            if timing is not None:
-                timing.on_invalidate(addr >> 6)
         if streak >= self._prefetch_threshold:
             cost += self._prefetch_ahead(self.prefetch_depth)
         return payload, cost
@@ -138,7 +123,6 @@ class _PrefetchingReceiver(ChannelReceiver):
         cost = 0.0
         layout = self.layout
         depth = min(self.prefetch_depth, layout.lines - 1)
-        timing = self._timing
         lseq = self.next_seq // layout.messages_per_line + 1
         ring_bytes = self._ring_bytes
         while depth:
@@ -146,12 +130,8 @@ class _PrefetchingReceiver(ChannelReceiver):
             offset = (lseq << 6) & (ring_bytes - 1)
             lines = min(depth, (ring_bytes - offset) >> 6)
             # Only the lines actually cached cost a CLFLUSHOPT.
-            dropped, c = self.cache.clflush_cached(
-                self._slot_base + offset, lines << 6, "message")
-            cost += c
-            if timing is not None:
-                for index in dropped:
-                    timing.on_invalidate(index)
+            cost += self.cache.clflush_cached(
+                self._slot_base + offset, lines << 6, "message")[1]
             lseq += lines
             depth -= lines
         self._reset_prefetch_horizon()

@@ -1,34 +1,39 @@
-"""Virtual-time microbenchmark for one-way message passing (Figure 6).
+"""Event-kernel microbenchmark for one-way message passing (Figure 6).
 
 Mirrors the paper's two-socket setup (§3.2.2): one sender core and one
 receiver core, each behind its own non-coherent cache, exchanging fixed-size
-messages through a ring in shared CXL memory.  The harness interleaves the
-two actors in global virtual-time order so that the *functional* ring state
-(including staleness) is temporally consistent, and layers two timing
-refinements on top of the per-operation CPU costs:
+messages through a ring in shared CXL memory.  Sender and receiver are
+callbacks on the harness's own :class:`~repro.sim.core.Simulator`, whose
+clock counts nanoseconds: each step posts the actor's next one after its CPU
+cost.  Two timing refinements sit on top, both owned by the harness:
 
 * **posted-write flight time** -- a CLWB'd line lands in the pool
-  ``cxl_write_ns`` after the writeback executes (via the cache's
-  ``writeback_hook``);
-* **memory-level parallelism** -- prefetched lines arrive ``cxl_load_ns``
-  after issue; touching a line still in flight stalls the receiver for the
-  remaining time, while demand misses serialise.  This is what separates
-  design ② (serialised invalidate+miss per line, ~8.6 MOp/s) from designs
-  ③/④ (pipelined prefetches, ~87 MOp/s).
+  ``cxl_write_ns`` after the writeback executes: the cache's
+  ``writeback_hook`` posts the landing as a kernel event;
+* **memory-level parallelism** -- the receiver's :class:`_TimedCache`
+  records when each prefetched line arrives (``cxl_load_ns`` after issue);
+  touching a line still in flight stalls the receiver for the remaining
+  time, while demand misses serialise.  This is what separates design ②
+  (serialised invalidate+miss per line, ~8.6 MOp/s) from designs ③/④
+  (pipelined prefetches, ~87 MOp/s).
+
+The receivers are timing-free: the pod runs them over a plain ``HostCache``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf, nextafter
 from typing import Dict, List, Optional, Sequence
 
-from ..config import CACHE_LINE, OasisConfig
+from ..config import OasisConfig
 from ..mem.cache import HostCache
 from ..mem.cxl import CXLMemoryPool
 from ..mem.layout import Region
+from ..sim.core import Simulator
 from .designs import make_receiver
-from .protocol import ChannelSender, TimingHooks
+from .protocol import ChannelSender
 from .ring import RingLayout
 
 __all__ = ["ChannelMicrobench", "MicrobenchResult", "sweep_designs"]
@@ -49,32 +54,51 @@ class MicrobenchResult:
     messages: int
 
 
-class _PipelineTiming(TimingHooks):
-    """Tracks in-flight prefetches; `clock_ns` is advanced by the harness."""
+class _TimedCache(HostCache):
+    """A receiver's cache whose prefetches take ``cxl_load_ns`` to arrive.
 
-    def __init__(self, cxl_load_ns: float):
-        self.cxl_load_ns = cxl_load_ns
-        self.clock_ns = 0.0
+    ``ready`` maps a prefetched line to its arrival time on ``sim``'s clock.
+    A load that hits such a line stalls until it arrives; a demand fill or
+    an invalidation of the line cancels the entry.
+    """
+
+    __slots__ = ("sim", "ready")
+
+    def __init__(self, pool: CXLMemoryPool, host: str, sim: Simulator):
+        super().__init__(pool, host)
+        self.sim = sim
         self.ready: Dict[int, float] = {}
 
-    def on_prefetch_issued(self, line_index: int) -> None:
-        self.ready[line_index] = self.clock_ns + self.cxl_load_ns
-
-    def on_demand_fill(self, line_index: int) -> None:
-        self.ready.pop(line_index, None)
-
-    def on_invalidate(self, line_index: int) -> None:
-        self.ready.pop(line_index, None)
-
-    def hit_stall_ns(self, line_index: int) -> float:
-        ready_at = self.ready.pop(line_index, None)
+    def load(self, addr, size, category="payload"):
+        ready_at = self.ready.pop(addr >> 6, None)
         if ready_at is None:
-            return 0.0
-        return max(0.0, ready_at - self.clock_ns)
+            return HostCache.load(self, addr, size, category)
+        hits = self.stats.hits
+        data, cost = HostCache.load(self, addr, size, category)
+        if self.stats.hits != hits and ready_at > self.sim.now:
+            cost += ready_at - self.sim.now
+        return data, cost
+
+    def prefetch_range(self, addr, size, category="message"):
+        issued, cost = HostCache.prefetch_range(self, addr, size, category)
+        arrival = self.sim.now + self.timings.cxl_load_ns
+        for index in issued:
+            self.ready[index] = arrival
+        return issued, cost
+
+    def clflush(self, addr, fenced=False, category="payload"):
+        self.ready.pop(addr >> 6, None)
+        return HostCache.clflush(self, addr, fenced, category)
+
+    def clflush_cached(self, addr, size, category="payload"):
+        dropped, cost = HostCache.clflush_cached(self, addr, size, category)
+        for index in dropped:
+            self.ready.pop(index, None)
+        return dropped, cost
 
 
 class ChannelMicrobench:
-    """Drive one channel design at one offered load in virtual time."""
+    """Drive one channel design at one offered load on an event kernel."""
 
     #: sender busy-wait before retrying a full ring, ns
     RETRY_NS = 100.0
@@ -100,43 +124,31 @@ class ChannelMicrobench:
         )
         self.counter_batch = counter_batch
         self.timings = self.config.cxl.timings
+        self.sim = Simulator()          # its clock counts nanoseconds
 
         ring_bytes = RingLayout.required_bytes(self.slots, message_size)
         self.pool = CXLMemoryPool(self.config.cxl, size=ring_bytes)
         self.layout = RingLayout(Region(0, ring_bytes, "microbench-ring"),
                                  self.slots, message_size)
-        self.sender_cache = HostCache(self.pool, "sender", timings=self.timings)
-        self.receiver_cache = HostCache(self.pool, "receiver", timings=self.timings)
+        self.sender_cache = HostCache(self.pool, "sender")
+        self.receiver_cache = _TimedCache(self.pool, "receiver", self.sim)
         self.sender = ChannelSender(self.layout, self.sender_cache)
-        self.pipeline = _PipelineTiming(self.timings.cxl_load_ns)
-        kwargs = dict(counter_batch=self.counter_batch, timing=self.pipeline)
-        if design != "bypass-cache":
-            kwargs["prefetch_depth"] = self.prefetch_depth
-        self.receiver = make_receiver(design, self.layout, self.receiver_cache, **kwargs)
+        self.receiver = make_receiver(design, self.layout, self.receiver_cache,
+                                      counter_batch=counter_batch,
+                                      prefetch_depth=self.prefetch_depth)
+        sim, write_line = self.sim, self.pool.write_line
+        flight_ns = self.timings.cxl_write_ns
 
-        # Posted writes from either cache land in the pool after a flight time.
-        self._pending: List[tuple] = []  # (apply_time_ns, line_index, data)
-        self._actor_now = 0.0
-        self.sender_cache.writeback_hook = self._delayed_writeback
-        self.receiver_cache.writeback_hook = self._delayed_writeback
+        def post_landing(line_index: int, data: bytes, _category: str) -> None:
+            """A posted write lands in the pool ``flight_ns`` after it left,
+            visible to an access at that instant: posted one ulp early, it
+            sorts ahead of every step there.  The pool write reads no clock."""
+            now = sim.now
+            land = nextafter(now + flight_ns, -inf)
+            sim.call_after(land - now, write_line, line_index, data)
 
-    # -- delayed visibility ----------------------------------------------------
-
-    def _delayed_writeback(self, line_index: int, data: bytes, category: str) -> None:
-        self._pending.append((self._actor_now + self.timings.cxl_write_ns, line_index, data))
-
-    def _apply_pending(self, up_to_ns: float) -> None:
-        if not self._pending:
-            return
-        remaining = []
-        for apply_at, line_index, data in self._pending:
-            if apply_at <= up_to_ns:
-                self.pool.write_line(line_index, data)
-            else:
-                remaining.append((apply_at, line_index, data))
-        self._pending = remaining
-
-    # -- main loop ----------------------------------------------------------------
+        self.sender_cache.writeback_hook = post_landing
+        self.receiver_cache.writeback_hook = post_landing
 
     def run(
         self,
@@ -146,59 +158,68 @@ class ChannelMicrobench:
     ) -> MicrobenchResult:
         """Send ``n_messages``; ``interval_ns=None`` means closed-loop saturation."""
         import numpy as np
-        if interval_ns is None:
-            arrivals = np.zeros(n_messages)
-            offered = float("inf")
-        else:
-            arrivals = np.arange(n_messages, dtype=float) * interval_ns
-            offered = 1e3 / interval_ns  # MOp/s
-
-        sender_clock = 0.0
-        receiver_clock = 0.0
+        sim = self.sim
+        call_after = sim.call_after
+        sender, receiver = self.sender, self.receiver
+        try_send = sender.try_send
+        poll = receiver.poll
+        size = self.message_size
+        retry_ns, flush_lag_ns = self.RETRY_NS, self.FLUSH_LAG_NS
+        start = sim.now
+        offered = float("inf") if interval_ns is None else 1e3 / interval_ns  # MOp/s
+        interval = interval_ns or 0.0           # 0: every message due at once
         send_times: Dict[int, float] = {}
         recv_times: List[float] = []
         latencies: List[float] = []
         next_msg = 0
         received = 0
 
-        while received < n_messages:
-            if next_msg < n_messages:
-                next_send_t = max(sender_clock, arrivals[next_msg])
+        # The sender's next attempt is posted for when it is free (``clock``)
+        # or when the next message is due, whichever is later.
+        def send() -> None:
+            nonlocal next_msg
+            now = sim.now
+            payload = _PAYLOAD16.pack(1, size, next_msg & 0xFFFFFFFF, next_msg)
+            ok, cost = try_send(payload.ljust(size, b"\x00"))
+            if not ok:      # retry at (now + cost) + retry_ns, as a delay
+                call_after(now + cost + retry_ns - now, send)
+                return
+            send_times[sender.next_seq - 1] = now
+            clock = now + cost
+            next_msg += 1
+            due = start + next_msg * interval
+            if next_msg >= n_messages or due > clock + flush_lag_ns:
+                call_after(cost, flush)
             else:
-                next_send_t = float("inf")
+                call_after((clock if clock > due else due) - now, send)
 
-            if next_send_t <= receiver_clock:
-                # -- sender step
-                self._apply_pending(next_send_t)
-                self._actor_now = next_send_t
-                payload = _PAYLOAD16.pack(1, self.message_size, next_msg & 0xFFFFFFFF,
-                                          next_msg)
-                payload = payload.ljust(self.message_size, b"\x00")
-                ok, cost = self.sender.try_send(payload)
-                if ok:
-                    send_times[self.sender.next_seq - 1] = next_send_t
-                    sender_clock = next_send_t + cost
-                    no_more_soon = (
-                        next_msg + 1 >= n_messages
-                        or arrivals[next_msg + 1] > sender_clock + self.FLUSH_LAG_NS
-                    )
-                    if no_more_soon:
-                        self._actor_now = sender_clock
-                        sender_clock += self.sender.flush()
-                    next_msg += 1
-                else:
-                    sender_clock = next_send_t + cost + self.RETRY_NS
-            else:
-                # -- receiver step
-                self._apply_pending(receiver_clock)
-                self.pipeline.clock_ns = receiver_clock
-                payload, cost = self.receiver.poll()
-                receiver_clock += max(cost, 1.0)
-                if payload is not None:
-                    seq = self.receiver.next_seq - 1
-                    latencies.append(receiver_clock - send_times.pop(seq))
-                    recv_times.append(receiver_clock)
-                    received += 1
+        def flush() -> None:
+            now = sim.now
+            clock = now + sender.flush()
+            if next_msg < n_messages:
+                due = start + next_msg * interval
+                call_after((clock if clock > due else due) - now, send)
+
+        def receive() -> None:
+            nonlocal received
+            payload, cost = poll()
+            step = cost if cost > 1.0 else 1.0
+            if payload is not None:
+                clock = sim.now + step
+                latencies.append(clock - send_times.pop(receiver.next_seq - 1))
+                recv_times.append(clock)
+                received += 1
+                if received == n_messages:
+                    return
+            call_after(step, receive)
+
+        if n_messages > 0:
+            call_after(0.0, send)
+            call_after(0.0, receive)
+        sim.run()   # until the queue drains: the last delivery, then landings
+        # The actors post themselves; unbinding them breaks the reference
+        # cycles that would keep this run's lists alive until a full GC.
+        send = receive = None
 
         skip = int(len(latencies) * warmup_fraction)
         lat = np.asarray(latencies[skip:]) / 1e3  # us

@@ -17,8 +17,9 @@ load / epoch check / counter machinery is here.
 
 Both endpoints sit on the driver cores' hottest loop, so the ring geometry
 (slot base, power-of-two mask, wrap shift) is captured once at construction
-and the timing hooks collapse to a no-hook fast path when the default
-:class:`TimingHooks` is in use -- per-poll dispatch never re-discovers either.
+and per-poll dispatch never re-discovers it.  The protocol is timing-free:
+when a prefetched line arrives is the cache's business (the Figure 6
+harness gives the receiver a cache that models it).
 """
 
 from __future__ import annotations
@@ -32,32 +33,10 @@ from ..errors import ChannelError
 from ..mem.cache import HostCache
 from .ring import RingLayout
 
-__all__ = ["ChannelSender", "ChannelReceiver", "TimingHooks", "ChannelCounters"]
+__all__ = ["ChannelSender", "ChannelReceiver", "ChannelCounters"]
 
 _COUNTER = struct.Struct("<Q")
 _LINE_MASK = CACHE_LINE - 1
-
-
-class TimingHooks:
-    """Callbacks that let a timing harness model memory-level parallelism.
-
-    The functional protocol is timing-agnostic; the Figure 6 microbench
-    injects a subclass that tracks when prefetched lines actually arrive so
-    that a "hit" on a line still in flight stalls the receiver.
-    """
-
-    def on_prefetch_issued(self, line_index: int) -> None:
-        """A PREFETCHT0 actually went out to CXL for ``line_index``."""
-
-    def on_demand_fill(self, line_index: int) -> None:
-        """A demand load missed and fetched ``line_index`` synchronously."""
-
-    def on_invalidate(self, line_index: int) -> None:
-        """The receiver dropped ``line_index`` from its cache."""
-
-    def hit_stall_ns(self, line_index: int) -> float:
-        """Extra stall when touching a cached line that is still in flight."""
-        return 0.0
 
 
 @dataclass
@@ -183,24 +162,19 @@ class ChannelReceiver:
     #: human-readable design name (Figure 6 legend)
     design = "abstract"
 
-    __slots__ = ("layout", "cache", "timing", "_timing", "counter_batch",
-                 "next_seq", "_consumed_since_update", "_prefetch_horizon",
-                 "counters", "_slot_base", "_slot_mask", "_msize",
-                 "_wrap_shift", "_counter_addr", "_timings", "_ring_bytes")
+    __slots__ = ("layout", "cache", "counter_batch", "next_seq",
+                 "_consumed_since_update", "_prefetch_horizon", "counters",
+                 "_slot_base", "_slot_mask", "_msize", "_wrap_shift",
+                 "_counter_addr", "_timings", "_ring_bytes")
 
     def __init__(
         self,
         layout: RingLayout,
         cache: HostCache,
         counter_batch: Optional[int] = None,
-        timing: Optional[TimingHooks] = None,
     ):
         self.layout = layout
         self.cache = cache
-        self.timing = timing or TimingHooks()
-        # Precomputed dispatch: the no-op default hooks are skipped entirely
-        # on the poll path; only a real (subclassed) harness pays the calls.
-        self._timing = None if type(self.timing) is TimingHooks else self.timing
         # §4: update the counter only after consuming half the ring by default.
         self.counter_batch = counter_batch if counter_batch is not None else max(
             1, layout.slots // 2
@@ -228,18 +202,7 @@ class ChannelReceiver:
         """Load the slot for ``seq``; return (payload, cost) or (None, cost)."""
         msize = self._msize
         addr = self._slot_base + (seq & self._slot_mask) * msize
-        timing = self._timing
-        cache = self.cache
-        if timing is None:
-            raw, cost = cache.load(addr, msize, "message")
-        else:
-            # One slot lies in one line, so the load misses at most once.
-            misses = cache.stats.misses
-            raw, cost = cache.load(addr, msize, "message")
-            if cache.stats.misses == misses:
-                cost += timing.hit_stall_ns(addr >> 6)
-            else:
-                timing.on_demand_fill(addr >> 6)
+        raw, cost = self.cache.load(addr, msize, "message")
         b0 = raw[0]
         if (b0 >> 7) != 1 - ((seq >> self._wrap_shift) & 1):
             self.counters.empty_polls += 1
@@ -274,10 +237,7 @@ class ChannelReceiver:
 
     def _invalidate_line_of(self, seq: int, fenced: bool) -> float:
         line_addr = (self._slot_base + (seq & self._slot_mask) * self._msize) & ~_LINE_MASK
-        cost = self.cache.clflush(line_addr, fenced, "message")
-        if self._timing is not None:
-            self._timing.on_invalidate(line_addr >> 6)
-        return cost
+        return self.cache.clflush(line_addr, fenced, "message")
 
     def _prefetch_ahead(self, depth_lines: int) -> float:
         """Issue PREFETCHT0 up to ``depth_lines`` ring lines ahead.
@@ -294,20 +254,14 @@ class ChannelReceiver:
             start = cur_lseq + 1
         end = cur_lseq + depth_lines
         cost = 0.0
-        if start <= end:
-            timing = self._timing
-            ring_bytes = self._ring_bytes
-            while start <= end:
-                # The longest run of ring lines from ``start`` before the wrap.
-                offset = (start << 6) & (ring_bytes - 1)
-                lines = min(end - start + 1, (ring_bytes - offset) >> 6)
-                issued, c = self.cache.prefetch_range(
-                    self._slot_base + offset, lines << 6, "message")
-                cost += c
-                if timing is not None:
-                    for index in issued:
-                        timing.on_prefetch_issued(index)
-                start += lines
+        ring_bytes = self._ring_bytes
+        while start <= end:
+            # The longest run of ring lines from ``start`` before the wrap.
+            offset = (start << 6) & (ring_bytes - 1)
+            lines = min(end - start + 1, (ring_bytes - offset) >> 6)
+            cost += self.cache.prefetch_range(
+                self._slot_base + offset, lines << 6, "message")[1]
+            start += lines
         if self._prefetch_horizon < end:
             self._prefetch_horizon = end
         return cost

@@ -283,7 +283,7 @@ class OverloadConfig:
       fresh traffic (``retry_budget_ratio`` tokens per fresh request), so a
       retry storm can never exceed a configured fraction of offered load;
     * each frontend runs a per-device *circuit breaker*
-      (closed -> open -> half-open) whose half-open probe timing is jittered
+      (closed -> open -> half-open) whose half-open probe time is jittered
       from a dedicated seeded substream;
     * a brownout controller watches the fleet ``HealthView`` queue-saturation
       gauges and tells frontends to shed background/low-priority work first.

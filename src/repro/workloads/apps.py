@@ -14,7 +14,9 @@ retransmission-driven latency tail after a NIC failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -40,9 +42,14 @@ class AppProfile:
     request_bytes: int
     response_bytes: int
 
+    @cached_property
+    def _log_mu(self) -> float:
+        """The normal's mean that gives the lognormal a mean of
+        ``service_mean_us``."""
+        return math.log(self.service_mean_us) - self.service_sigma ** 2 / 2
+
     def sample_service_us(self, rng: Stream) -> float:
-        mu = np.log(self.service_mean_us) - self.service_sigma ** 2 / 2
-        return float(rng.lognormal(mu, self.service_sigma))
+        return rng.lognormal(self._log_mu, self.service_sigma)
 
 
 #: Calibrated floors: an interpreted Python server is ~10x slower than nginx.

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.config import CXLConfig, OasisConfig
 from repro.mem.cache import HostCache
 from repro.mem.cxl import CXLMemoryPool
 from repro.sim.core import Simulator
+from repro.sim.rng import Stream
 
 
 @pytest.fixture
@@ -38,4 +38,4 @@ def cache_pair(small_pool):
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(1234)
+    return Stream(1234)

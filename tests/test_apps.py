@@ -1,10 +1,10 @@
 """Tests for the application service models (Figures 8/9/14 workloads)."""
 
-import numpy as np
 import pytest
 
 from repro.net.packet import Frame, make_ip
 from repro.sim.core import USEC, Simulator
+from repro.sim.rng import Stream
 from repro.workloads.apps import APP_PROFILES, AppClient, AppProfile, AppServer
 
 
@@ -131,9 +131,9 @@ class TestAppServer:
             server_ep = LoopbackEndpoint(sim, make_ip(10, 0, 0, 1))
             client_ep.connect(server_ep)
             profile = AppProfile("slow", 200.0, 0.3, 100, 100)
-            AppServer(sim, server_ep, profile, np.random.default_rng(3))
+            AppServer(sim, server_ep, profile, Stream(3))
             client = client_cls(sim, client_ep, server_ep.ip, profile,
-                                rate_rps=50_000, rng=np.random.default_rng(4))
+                                rate_rps=50_000, rng=Stream(4))
             depth = []
             client.start(0.02)
             sim.every(1e-3, lambda: depth.append(len(client._outstanding)))

@@ -1,4 +1,4 @@
-"""Tests for the Figure 6 virtual-time microbenchmark.
+"""Tests for the Figure 6 microbenchmark.
 
 These assert the *shape* of the paper's result: the strict throughput
 ordering of the designs, sub-microsecond idle latency for the Oasis design,

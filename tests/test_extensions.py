@@ -1,21 +1,12 @@
-"""Tests for the §6 extensions: sharded channels and the load balancer."""
+"""Tests for the §6 extension: the load balancer."""
 
 import pytest
 
-from repro.channel.sharded import sharded_saturation
 from repro.core.allocator.balancer import LoadBalancer
 from repro.core.pod import CXLPod
 from repro.net.packet import make_ip
 
 SERVER_IP = make_ip(10, 0, 0, 1)
-
-
-class TestShardedChannels:
-    def test_throughput_scales_linearly(self):
-        """The §6 claim: aggregate throughput ~ linear in shard count."""
-        results = sharded_saturation(shard_counts=(1, 4), n_messages=6000,
-                                     slots=1024)
-        assert results[4] == pytest.approx(4 * results[1], rel=0.15)
 
 
 class TestLoadBalancer:

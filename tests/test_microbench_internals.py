@@ -1,55 +1,81 @@
-"""Tests for the Figure 6 microbench internals and timing hooks."""
+"""Tests for the Figure 6 microbench internals: the receiver's timed cache,
+the posted-write landings, and the kernel harness against the old
+interleave loop (``tests/reference_microbench.py``)."""
+
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.channel.microbench import ChannelMicrobench, _PipelineTiming
-from repro.channel.protocol import TimingHooks
+from repro.channel.microbench import ChannelMicrobench, _TimedCache
+from repro.config import CXLConfig
+from repro.mem.cxl import CXLMemoryPool
+from repro.sim.core import Simulator
+
+from .reference_microbench import ReferenceLoop
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+T = CXLConfig().timings
+LINE = 7 * 64          # a line of the pool, by address
+
+
+def timed_cache():
+    sim = Simulator()
+    pool = CXLMemoryPool(CXLConfig(), size=64 * 64)
+    return sim, _TimedCache(pool, "receiver", sim)
+
+
+def prefetched_at(now):
+    sim, cache = timed_cache()
+    sim.now = now
+    cache.prefetch_range(LINE, 64)
+    return sim, cache
 
 
 class TestPipelineTiming:
+    """The receiver's ``_TimedCache``: prefetch arrival, hit stall, cancel."""
+
     def test_prefetch_arrival_tracked(self):
-        timing = _PipelineTiming(cxl_load_ns=250.0)
-        timing.clock_ns = 1000.0
-        timing.on_prefetch_issued(7)
-        assert timing.ready[7] == 1250.0
+        _sim, cache = prefetched_at(1000.0)
+        assert cache.ready == {LINE >> 6: 1000.0 + T.cxl_load_ns}
 
     def test_hit_before_arrival_stalls(self):
-        timing = _PipelineTiming(cxl_load_ns=250.0)
-        timing.clock_ns = 1000.0
-        timing.on_prefetch_issued(7)
-        timing.clock_ns = 1100.0
-        assert timing.hit_stall_ns(7) == pytest.approx(150.0)
+        sim, cache = prefetched_at(1000.0)
+        sim.now = 1100.0
+        _data, cost = cache.load(LINE, 16)
+        assert cost == T.cache_hit_ns + (T.cxl_load_ns - 100.0)
 
     def test_hit_after_arrival_free(self):
-        timing = _PipelineTiming(cxl_load_ns=250.0)
-        timing.on_prefetch_issued(7)
-        timing.clock_ns = 500.0
-        assert timing.hit_stall_ns(7) == 0.0
+        sim, cache = prefetched_at(0.0)
+        sim.now = 500.0
+        assert cache.load(LINE, 16)[1] == T.cache_hit_ns
 
     def test_stall_consumed_once(self):
-        timing = _PipelineTiming(cxl_load_ns=250.0)
-        timing.on_prefetch_issued(7)
-        timing.hit_stall_ns(7)
-        assert timing.hit_stall_ns(7) == 0.0   # entry removed
+        sim, cache = prefetched_at(1000.0)
+        sim.now = 1100.0
+        cache.load(LINE, 16)
+        assert cache.ready == {}
+        assert cache.load(LINE, 16)[1] == T.cache_hit_ns
 
     def test_invalidate_cancels_inflight(self):
-        timing = _PipelineTiming(cxl_load_ns=250.0)
-        timing.on_prefetch_issued(7)
-        timing.on_invalidate(7)
-        assert timing.hit_stall_ns(7) == 0.0
+        """Both invalidations the receivers issue cancel the arrival: a
+        re-prefetch later is timed from its own issue."""
+        for drop in (lambda c: c.clflush(LINE, True),
+                     lambda c: c.clflush_cached(LINE, 64)):
+            sim, cache = prefetched_at(1000.0)
+            drop(cache)
+            assert cache.ready == {}
+            sim.now = 1100.0
+            assert cache.load(LINE, 16)[1] == T.cxl_load_ns    # demand miss
 
     def test_demand_fill_clears_entry(self):
-        timing = _PipelineTiming(cxl_load_ns=250.0)
-        timing.on_prefetch_issued(7)
-        timing.on_demand_fill(7)
-        assert 7 not in timing.ready
-
-    def test_default_hooks_are_no_ops(self):
-        hooks = TimingHooks()
-        hooks.on_prefetch_issued(1)
-        hooks.on_demand_fill(1)
-        hooks.on_invalidate(1)
-        assert hooks.hit_stall_ns(1) == 0.0
+        """A line dropped behind the cache's back (``drop_all``) is
+        re-fetched on demand: no stall on top of the miss, entry gone."""
+        sim, cache = prefetched_at(1000.0)
+        cache.drop_all()
+        sim.now = 1100.0
+        assert cache.load(LINE, 16)[1] == T.cxl_load_ns
+        assert cache.ready == {}
 
 
 class TestMicrobenchHarness:
@@ -74,11 +100,78 @@ class TestMicrobenchHarness:
 
     def test_posted_writes_are_delayed(self):
         """The sender's CLWB lands in the pool only after the flight time;
-        until then the ring line is unchanged (microbench-only behaviour)."""
+        until then the ring line is unchanged."""
         bench = ChannelMicrobench("invalidate-prefetched", slots=512)
-        bench._actor_now = 0.0
-        bench.sender.cache.store(bench.layout.region.base, b"\x01" * 16)
-        bench.sender.cache.clwb(bench.layout.region.base)
-        assert bench.pool.dma_read(bench.layout.region.base, 64) == bytes(64)
-        bench._apply_pending(1e9)
-        assert bench.pool.dma_read(bench.layout.region.base, 16) == b"\x01" * 16
+        base = bench.layout.region.base
+        bench.sender.cache.store(base, b"\x01" * 16)
+        bench.sender.cache.clwb(base)
+        assert bench.pool.dma_read(base, 64) == bytes(64)
+        bench.sim.run(until=T.cxl_write_ns - 1.0)
+        assert bench.pool.dma_read(base, 64) == bytes(64)
+        bench.sim.run(until=T.cxl_write_ns)
+        assert bench.pool.dma_read(base, 16) == b"\x01" * 16
+
+    def test_the_run_leaves_nothing_queued(self):
+        bench = ChannelMicrobench("invalidate-prefetched", slots=512)
+        bench.run(2000, interval_ns=100.0)
+        assert bench.sim.pending == 0
+
+
+class _Recording:
+    """Stands in for a receiver and keeps every payload it delivers."""
+
+    def __init__(self, receiver):
+        self.receiver = receiver
+        self.delivered = []
+
+    @property
+    def next_seq(self):
+        return self.receiver.next_seq
+
+    def poll(self):
+        payload, cost = self.receiver.poll()
+        if payload is not None:
+            self.delivered.append(payload)
+        return payload, cost
+
+
+DESIGNS = ("bypass-cache", "naive-prefetch", "invalidate-consumed",
+           "invalidate-prefetched")
+LOADS = (0.5, 4.0, 14.0, 50.0, None)       # MOp/s; None = saturation
+
+
+@pytest.mark.parametrize("messages", (2_000, 13_200))
+@pytest.mark.parametrize("design", DESIGNS)
+def test_kernel_harness_matches_the_interleave_loop(design, messages):
+    """Every point of the kernel harness equals the old loop's by ``repr``
+    and delivers the same payloads in the same order: a landing sorts
+    before same-instant steps, as the loop applied it before either
+    actor's step, and sender/receiver ties touch no shared state."""
+    for load in LOADS:
+        interval = None if load is None else 1e3 / load
+        runs = []
+        for drive in (lambda b: b.run, lambda b: ReferenceLoop(b).run):
+            bench = ChannelMicrobench(design)
+            bench.receiver = recorder = _Recording(bench.receiver)
+            runs.append((repr(drive(bench)(messages, interval_ns=interval)),
+                         recorder.delivered))
+        (kernel, k_order), (loop, l_order) = runs
+        assert len(k_order) == messages
+        assert k_order == l_order, (design, load)
+        assert kernel == loop, (design, load)
+
+
+FORBIDDEN = ("TimingHooks", "_timing", "timing is", "_apply_pending",
+             "_actor_now", "_PipelineTiming")
+
+
+def test_one_timing_model_in_the_source():
+    """The receivers have one code path and the harness one clock: the
+    hook interface, its per-receiver slots and forks, and the second
+    clock's pending-write list stay deleted."""
+    pattern = re.compile(r"\b(?:%s)\b" % "|".join(map(re.escape, FORBIDDEN)))
+    found = [f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+             for path in sorted(SRC.rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []

@@ -140,6 +140,32 @@ def test_opcount_is_deterministic_and_its_layers_sum_to_the_total():
     assert total[0] > 0 and total[1] > 0
 
 
+def test_opcount_counts_channel_sweep_per_delivered_message():
+    """``channel_sweep`` has no pod: its points run under the tracer at the
+    smallest size, one request per delivered message.  One point (the
+    first slice: bypass-cache at 4 MOp/s, 1,000 messages) keeps this fast."""
+    code = ("import sys; sys.path.insert(0, 'tools'); import opcount, workloads; "
+            "workloads.SLICES = 1; "
+            "counts, requests, events = opcount.window('channel_sweep', 17, None); "
+            "print(sorted(counts), requests, events)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT).stdout.split()
+    *layers, requests, events = out
+    assert " ".join(layers) == "['channel', 'mem', 'sim']"
+    assert int(requests) == 1_000
+    assert int(events) >= 2 * 1_000      # a send and a delivering poll each
+
+
+def test_opcount_windows_are_per_workload_kind():
+    """A pod workload needs ``--sim-s``; ``channel_sweep`` refuses one."""
+    for args in (["echo_cell"], ["channel_sweep", "--sim-s", "0.02"]):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "opcount.py"), *args],
+            capture_output=True, text=True, cwd=ROOT)
+        assert done.returncode == 2, args
+        assert "--sim-s" in done.stderr
+
+
 def test_ledger_prints_one_row_of_this_tree():
     """``tools/ledger.py`` on one 2 ms ``echo_cell`` slice: one JSON line
     of counts, and an ``import repro`` that loads no heavy module."""

@@ -4,11 +4,12 @@
 
 The line holds, for the tree at ``DIR`` (default: this checkout):
 
-* ``opcount``: per pod workload of ``perf/workloads.py``, the bytecodes and
+* ``opcount``: per workload of ``perf/workloads.py``, the bytecodes and
   Python calls per request inside ``src/repro`` (``tools/opcount.py``'s
   counter, the same settings: seed 17, ``--sim-s`` 0.02, 0.0015 for
-  ``rack_echo``; ``opcount.window``) and ``events_per_request``, kernel
-  events dispatched in that window;
+  ``rack_echo``, every point of ``channel_sweep`` at its smallest size;
+  ``opcount.window``) and ``events_per_request``, the events dispatched in
+  that window (``channel_sweep``: sender attempts and receiver polls);
 * ``import_repro``: peak RSS (MiB) and milliseconds of ``import repro`` in a
   fresh interpreter with a warm bytecode cache, median of five, and the heavy
   modules it loaded beyond the interpreter's start-up set (any package
@@ -39,8 +40,10 @@ import tempfile
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
+#: ``--sim-s`` per workload; ``None``: no pod, every point is counted.
 WORKLOADS = {"echo_cell": 0.02, "rack_echo": 0.0015, "storage_read": 0.02,
-             "storage_write": 0.02, "serve_mix": 0.02, "control_churn": 0.02}
+             "storage_write": 0.02, "serve_mix": 0.02, "control_churn": 0.02,
+             "channel_sweep": None}
 WATCH = ("numpy.random", "_hashlib", "_ssl")
 SEED = 17
 
@@ -54,7 +57,7 @@ print(json.dumps({"ms": ms, "rss_mib": rss, "modules": sorted(sys.modules)}))
 """
 
 
-def count_child(tree: Path, workload: str, sim_s: float) -> dict:
+def count_child(tree: Path, workload: str, sim_s: float | None) -> dict:
     """In a child process: the counts for one workload window of ``tree``."""
     sys.path.insert(0, str(TOOLS))
     import opcount
@@ -112,10 +115,11 @@ def row(tree: Path, names, sim_s: float | None) -> dict:
                          capture_output=True, text=True).stdout.strip()
     counts = {}
     for name in names:
+        window = [] if WORKLOADS[name] is None else [
+            "--sim-s", str(sim_s or WORKLOADS[name])]
         out = subprocess.run(
             [sys.executable, __file__, "--tree", str(tree), "--child", name,
-             "--sim-s", str(sim_s or WORKLOADS[name])],
-            capture_output=True, text=True, check=True).stdout
+             *window], capture_output=True, text=True, check=True).stdout
         counts[name] = json.loads(out.splitlines()[-1])
     return {"rev": rev or None,
             "opcount": counts,
@@ -132,8 +136,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=list(WORKLOADS),
                         help="count only these workloads (repeatable)")
     parser.add_argument("--sim-s", type=float, default=None,
-                        help="simulated seconds per window (default: per "
-                             "workload, as in tools/README.md)")
+                        help="simulated seconds per pod workload window "
+                             "(default: per workload, as in tools/README.md)")
     parser.add_argument("--child", choices=list(WORKLOADS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     tree = args.tree.resolve()

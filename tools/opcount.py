@@ -1,6 +1,7 @@
 """Count the bytecodes and Python calls a benchmark workload spends per request.
 
     python tools/opcount.py WORKLOAD --sim-s S [--seed 17]
+    python tools/opcount.py channel_sweep
 
 Builds ``perf/workloads.py``'s ``WORKLOADS[WORKLOAD](seed, 6.0)``, runs its
 ``setup()`` (topology, warm-up), then runs ``pod.run(S)`` under
@@ -8,6 +9,9 @@ Builds ``perf/workloads.py``'s ``WORKLOADS[WORKLOAD](seed, 6.0)``, runs its
 ``src/repro``.  Prints, in total and per layer, the bytecodes executed and the
 Python calls made (generator resumptions included), each as a count and per
 request, a request being one unit of the workload's ``generator_count()``.
+``channel_sweep`` builds no pod: it is built at the smallest message count it
+allows (``host_seconds`` 0) and its ``SLICES`` points are run under the
+tracer, a request being one delivered message.
 
 Unlike ``perf/run.py``'s host-time rows, the counts are deterministic: the
 same tree, workload, seed and ``S`` print the same table on any box, so "which
@@ -76,12 +80,29 @@ def count(run) -> dict:
     return counts
 
 
-def window(name: str, seed: int, sim_s: float) -> tuple:
-    """Build ``WORKLOADS[name](seed, 6.0)``, run its ``setup()``, then count
-    ``pod.run(sim_s)``: ``(counts, requests, events)``, with the requests
-    issued and the kernel events dispatched in the counted window."""
+def is_pod_workload(name: str) -> bool:
     from workloads import WORKLOADS
 
+    return hasattr(WORKLOADS[name], "generator_count")
+
+
+def window(name: str, seed: int, sim_s: float | None) -> tuple:
+    """Build ``WORKLOADS[name](seed, 6.0)``, run its ``setup()``, then count
+    ``pod.run(sim_s)``: ``(counts, requests, events)``, with the requests
+    issued and the events dispatched in the counted window.  A workload
+    without a pod is built at ``host_seconds`` 0 and all its slices are
+    counted (``sim_s`` unused); its requests are the messages delivered and
+    its events the workload's own ``events()``."""
+    from workloads import SLICES, WORKLOADS
+
+    if not is_pod_workload(name):
+        workload = WORKLOADS[name](seed, 0.0)
+        workload.setup()
+        events = workload.events()
+        counts = count(lambda: [workload.run_slice(i) for i in range(SLICES)])
+        delivered = sum(bench.receiver.counters.received
+                        for bench in workload.benches())
+        return counts, delivered, workload.events() - events
     workload = WORKLOADS[name](seed, 6.0)
     workload.setup()
     before, events = workload.generator_count(), workload.events()
@@ -94,8 +115,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="bytecodes and Python calls per request of a perf workload")
     parser.add_argument("workload")
-    parser.add_argument("--sim-s", type=float, required=True,
-                        help="simulated seconds traced after setup()")
+    parser.add_argument("--sim-s", type=float,
+                        help="simulated seconds traced after setup() (pod "
+                             "workloads only)")
     parser.add_argument("--seed", type=int, default=17)
     args = parser.parse_args(argv)
 
@@ -103,13 +125,18 @@ def main(argv=None) -> int:
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"one of {', '.join(WORKLOADS)}")
-    if not hasattr(WORKLOADS[args.workload], "generator_count"):
-        parser.error(f"{args.workload} builds no pod")
+    pod = is_pod_workload(args.workload)
+    if pod and args.sim_s is None:
+        parser.error(f"{args.workload} needs --sim-s")
+    if not pod and args.sim_s is not None:
+        parser.error(f"{args.workload} builds no pod: it runs every point, "
+                     "not a --sim-s window")
     counts, requests, _ = window(args.workload, args.seed, args.sim_s)
     if requests <= 0:
         parser.error("no request was issued in the traced window")
 
-    print(f"workload {args.workload}  seed {args.seed}  sim-s {args.sim_s:g}"
+    span = f"sim-s {args.sim_s:g}" if pod else "all slices"
+    print(f"workload {args.workload}  seed {args.seed}  {span}"
           f"  requests {requests}")
     print(f"{'layer':<16}{'bytecodes':>12}{'per req':>11}"
           f"{'calls':>10}{'per req':>9}")

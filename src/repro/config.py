@@ -285,7 +285,7 @@ class OverloadConfig:
     * each frontend runs a per-device *circuit breaker*
       (closed -> open -> half-open) whose half-open probe time is jittered
       from a dedicated seeded substream;
-    * a brownout controller watches the fleet ``HealthView`` queue-saturation
+    * a brownout controller watches the fleet pipeline's queue-saturation
       gauges and tells frontends to shed background/low-priority work first.
     """
 
@@ -303,7 +303,7 @@ class OverloadConfig:
     breaker_failure_threshold: int = 8  # consecutive failures to trip open
     breaker_open_ms: float = 50.0       # open dwell before a half-open probe
     breaker_probe_jitter_ms: float = 5.0  # seeded jitter on the probe timer
-    # -- brownout (driven by HealthView queue saturation) ------------------
+    # -- brownout (driven by fleet queue saturation) -----------------------
     brownout_high: float = 0.85         # enter brownout at/above this
     brownout_low: float = 0.60          # leave brownout below this
     brownout_period_s: float = 0.005    # controller evaluation period

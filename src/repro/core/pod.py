@@ -582,8 +582,8 @@ class CXLPod:
         added later -- an :class:`~repro.overload.stage.AdmissionStage`
         (bounded admission, the retry budget, per-device circuit breakers)
         and, once fleet telemetry is on, starts the brownout controller
-        that sheds low-priority work off the HealthView queue-saturation
-        gauges.  ``config.overload.enabled`` arms the pod the same way at
+        that sheds low-priority work off the fleet pipeline's
+        queue-saturation gauges.  ``config.overload.enabled`` arms the pod the same way at
         construction.
 
         ``overload`` overrides ``config.overload``; either way the config
@@ -611,7 +611,7 @@ class CXLPod:
             return
         cfg = self._stage_spec[0]
         self.brownout = BrownoutController(
-            self.sim, self.fleet.view(),
+            self.sim, self.fleet,
             high=cfg.brownout_high, low=cfg.brownout_low,
             period_s=cfg.brownout_period_s)
         for driver in self._drivers():
@@ -694,7 +694,7 @@ class CXLPod:
         the scraper already runs at another period).  The pipeline itself
         holds one previous value vector; ``pod.scraper`` retains up to
         ``max_snapshots`` scrapes at 8 bytes per series each.  Returns the
-        pipeline; query it through ``pod.fleet.view()``.
+        pipeline; query it through its methods (``pod.fleet.as_dict()``).
 
         ``rules`` overrides :data:`~repro.obs.fleet.DEFAULT_ALERT_RULES`.
         """

@@ -127,9 +127,9 @@ def _one_run(
             "breaker_trips": frontend.breaker_trips,
         },
         "alerts": {
-            "fired": pod.fleet.alerts.fired,
-            "cleared": pod.fleet.alerts.cleared,
-            "log": pod.fleet.alerts.log_json(),
+            "fired": pod.fleet.alert_engine.fired,
+            "cleared": pod.fleet.alert_engine.cleared,
+            "log": pod.fleet.alert_engine.log_json(),
         },
     }
     if overload_on:

@@ -163,11 +163,11 @@ def _one_run(seed: int, tenants, pre_s: float, surge_s: float,
              "detail": v.detail} for v in verdict.violations],
         "tenant_slo_burn": {
             name: round(value, 6) for name, value in sorted(
-                pod.fleet.view().tenant_slo_burn().items())},
+                pod.fleet.tenant_slo_burn().items())},
         "alerts": {
-            "fired": pod.fleet.alerts.fired,
-            "cleared": pod.fleet.alerts.cleared,
-            "log": pod.fleet.alerts.log_json(),
+            "fired": pod.fleet.alert_engine.fired,
+            "cleared": pod.fleet.alert_engine.cleared,
+            "log": pod.fleet.alert_engine.log_json(),
         },
     }
 

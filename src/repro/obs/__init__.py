@@ -17,10 +17,11 @@
   ad-hoc counter classes (``LinkStats``, ``CacheStats``, ...) through the
   registry without mutating them.
 * :mod:`repro.obs.fleet` -- the streaming fleet-health pipeline on top of
-  the scraper: bounded per-entity gauges (EWMA + p50/p99 sketches), live
-  pool-stranding gauges matching the Figure 2 offline definition, a
-  declarative :class:`AlertEngine`, and the :class:`HealthView` query API
-  behind ``python -m repro top``.
+  the scraper: one latest level per gauge, EWMA + p50/p99 sketches for
+  the three families the dashboard renders, live pool-stranding gauges
+  matching the Figure 2 offline definition, a declarative
+  :class:`AlertEngine`, and the :class:`FleetHealth` query methods behind
+  ``python -m repro top``.
 """
 
 from .attribution import (
@@ -35,7 +36,6 @@ from .fleet import (
     AlertRule,
     FleetHealth,
     HealthSeries,
-    HealthView,
     StrandingGauge,
 )
 from .flow import NULL_FLOWS, FlowContext, FlowRecord, FlowRegistry, FlowSegment
@@ -71,7 +71,6 @@ __all__ = [
     "critical_path",
     "render_waterfall",
     "FleetHealth",
-    "HealthView",
     "HealthSeries",
     "StrandingGauge",
     "AlertEngine",

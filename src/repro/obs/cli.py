@@ -20,7 +20,7 @@ across components in Perfetto.
 ``top`` runs a seeded echo workload with the fleet-health pipeline enabled
 and renders a live rack dashboard (per-host/per-device utilization bars,
 pool stranding, firing alerts); ``top --once --json`` emits the final
-:meth:`~repro.obs.fleet.HealthView.as_dict` document for CI artifacts.
+:meth:`~repro.obs.fleet.FleetHealth.as_dict` document for CI artifacts.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def render_bar(fraction: float, width: int = 24) -> str:
 
 
 def render_dashboard(doc: dict) -> str:
-    """Render a :meth:`HealthView.as_dict` document as the rack dashboard."""
+    """Render a :meth:`FleetHealth.as_dict` document as the rack dashboard."""
     lines = [f"oasis top -- sim t={doc['time'] * 1e3:8.1f} ms, "
              f"{doc['ticks']} scrape ticks"]
     lines.append("")
@@ -385,12 +385,11 @@ def top(duration_s: float = 0.3, rate_pps: float = 20_000.0,
             pod.run(min(refresh_s, end - now))
             now = pod.sim.now
             stream.write("\x1b[2J\x1b[H"
-                         + render_dashboard(fleet.view().as_dict()) + "\n")
+                         + render_dashboard(fleet.as_dict()) + "\n")
             stream.flush()
             _time.sleep(0.02)
     pod.stop()
-    return {"pod": pod, "fleet": fleet, "view": fleet.view(),
-            "doc": fleet.view().as_dict()}
+    return {"pod": pod, "fleet": fleet, "doc": fleet.as_dict()}
 
 
 def main_top(argv=None) -> int:
@@ -402,7 +401,7 @@ def main_top(argv=None) -> int:
     parser.add_argument("--once", action="store_true",
                         help="run to completion and print one final frame")
     parser.add_argument("--json", action="store_true",
-                        help="with --once: emit the HealthView JSON document")
+                        help="with --once: emit the fleet-health JSON document")
     parser.add_argument("--hosts", type=int, default=2,
                         help="pod size (2 = the paper's testbed; more builds "
                              "a rack slice with one NIC+instance per host)")

@@ -1,17 +1,20 @@
-"""Fleet health telemetry: streaming utilization/saturation/stranding state.
+"""Fleet health telemetry: live utilization/saturation/stranding levels.
 
 The scraper/registry firehose answers "what happened since the run
 started"; this module answers "which device, link, or host is hot *right
-now*, and how stranded is each pool?" -- the live signals the load-aware
-placement policy (ROADMAP item 5) consumes and the ``python -m repro top``
-dashboard renders.  Everything is bounded-memory and fed exclusively from
+now*, and how stranded is each pool?" -- the live signals the alert rules,
+the brownout controller and the ``python -m repro top`` dashboard read.
+Everything is bounded-memory and fed exclusively from
 :class:`~repro.obs.scraper.TelemetryScraper` ticks: :class:`FleetHealth`
-keeps the previous value vector and fixed-size streaming state per entity
-(:class:`HealthSeries`: last, peak, :class:`Ewma`, :class:`P2Quantile`
-p50/p99; :class:`StrandingGauge`: the Figure 2 stranding integral, live),
-never a snapshot history of its own.  :class:`AlertEngine` evaluates
-declarative threshold / hysteresis / for-duration rules once per tick;
-:class:`HealthView` is the stable query API placement policies consume.
+keeps the previous value vector, one latest level per gauge
+(``levels``), streaming statistics (:class:`HealthSeries`: last, peak,
+:class:`Ewma`, :class:`P2Quantile` p50/p99) only for the
+:data:`SERIES_FAMILIES` the dashboard renders (``series``), and per-pool
+:class:`StrandingGauge` s (the Figure 2 stranding integral, live); never a
+snapshot history of its own.  :class:`AlertEngine` evaluates declarative
+threshold / hysteresis / for-duration rules over the levels once per tick,
+and ``FleetHealth``'s query methods (``queue_saturation``,
+``tenant_slo_burn``, ``alerts``, ``as_dict``) are what consumers read.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "AlertEvent",
     "AlertEngine",
     "FleetHealth",
-    "HealthView",
     "DEFAULT_ALERT_RULES",
 ]
 
@@ -139,21 +141,17 @@ class P2Quantile:
 
 
 class HealthSeries:
-    """One entity's streaming gauge: rate/level, peak, EWMA, p50/p99.
+    """One dashboard entity's streaming statistics: last, peak, EWMA, p50/p99.
 
     Fixed memory: a handful of scalars plus two five-marker sketches.
     ``observe`` records a level (a utilization fraction, a saturation, a
     rate the pipeline differenced from two snapshots).
     """
 
-    __slots__ = ("family", "entity", "last", "last_t", "peak", "count",
-                 "ewma", "_p50", "_p99")
+    __slots__ = ("last", "peak", "count", "ewma", "_p50", "_p99")
 
-    def __init__(self, family: str, entity: str):
-        self.family = family
-        self.entity = entity
+    def __init__(self):
         self.last = 0.0
-        self.last_t: Optional[float] = None
         self.peak = 0.0
         self.count = 0
         self.ewma = Ewma()
@@ -161,9 +159,7 @@ class HealthSeries:
         self._p99 = P2Quantile(0.99)
 
     def observe(self, t: float, value: float) -> None:
-        value = float(value)
         self.last = value
-        self.last_t = t
         self.count += 1
         if value > self.peak:
             self.peak = value
@@ -171,20 +167,12 @@ class HealthSeries:
         self._p50.observe(value)
         self._p99.observe(value)
 
-    @property
-    def p50(self) -> float:
-        return self._p50.value
-
-    @property
-    def p99(self) -> float:
-        return self._p99.value
-
     def as_dict(self) -> dict:
         return {
             "last": self.last,
             "ewma": self.ewma.value if self.ewma.value is not None else 0.0,
-            "p50": self.p50 if self.count else 0.0,
-            "p99": self.p99 if self.count else 0.0,
+            "p50": self._p50.value if self.count else 0.0,
+            "p99": self._p99.value if self.count else 0.0,
             "peak": self.peak,
             "samples": self.count,
         }
@@ -204,7 +192,7 @@ class StrandingGauge:
 
     __slots__ = ("_last_t", "_last_used", "_last_provisioned", "_last_loaded",
                  "weighted_used", "weighted_provisioned", "loaded_s",
-                 "peak_used", "peak_any", "updates")
+                 "peak_used", "peak_any")
 
     def __init__(self):
         self._last_t: Optional[float] = None
@@ -216,7 +204,6 @@ class StrandingGauge:
         self.loaded_s = 0.0
         self.peak_used = 0.0          # peak while loaded
         self.peak_any = 0.0           # peak regardless of load mask
-        self.updates = 0
 
     def update(self, t: float, used: float, provisioned: float,
                loaded: bool = True) -> None:
@@ -229,7 +216,6 @@ class StrandingGauge:
         self._last_used = float(used)
         self._last_provisioned = float(provisioned)
         self._last_loaded = bool(loaded)
-        self.updates += 1
         if used > self.peak_any:
             self.peak_any = float(used)
         if loaded and used > self.peak_used:
@@ -323,7 +309,6 @@ class AlertEvent:
     entity: str
     kind: str                 # "fire" | "clear"
     value: float
-    since: float              # when the breach (pending) began
 
     def as_json(self) -> list:
         return [round(self.t, 9), self.rule, self.entity, self.kind,
@@ -400,7 +385,7 @@ class AlertEngine:
                             and t - state["since"] >= rule.for_s):
                         state["state"] = "firing"
                         self._emit(AlertEvent(t, rule.name, entity, "fire",
-                                              value, state["since"]))
+                                              value))
                 elif state is not None:
                     state["value"] = value
                     if state["state"] == "pending":
@@ -408,7 +393,7 @@ class AlertEngine:
                         del self._state[key]
                     elif value < rule.clear_threshold:
                         self._emit(AlertEvent(t, rule.name, entity, "clear",
-                                              value, state["since"]))
+                                              value))
                         del self._state[key]
                     # clear_threshold <= value < threshold: keep firing.
 
@@ -439,15 +424,22 @@ def _level(now, slots) -> float:
     return total
 
 
+#: The gauge families the ``top`` dashboard renders with statistics
+#: (:class:`HealthSeries`); every other family keeps only its latest level.
+SERIES_FAMILIES = ("device_util", "host_util", "link_saturation")
+
+
 class FleetHealth:
     """Streaming fleet state fed from scraper ticks.
 
     Subscribe via ``scraper.subscribe(fleet.ingest)`` (what
     :meth:`repro.core.pod.CXLPod.enable_fleet_telemetry` does); each scrape
-    tick differences the new value vector against the previous one, updates
-    the per-entity :class:`HealthSeries` gauges and per-pool
-    :class:`StrandingGauge` s, and runs the :class:`AlertEngine`.  Memory
-    is bounded by the entity count, never the run length.
+    tick differences the new value vector against the previous one, writes
+    every gauge's latest value into ``levels``, feeds the
+    :data:`SERIES_FAMILIES` gauges' :class:`HealthSeries` in ``series`` and
+    the per-pool :class:`StrandingGauge` s, and runs the
+    :class:`AlertEngine` over ``levels``.  Memory is bounded by the entity
+    count, never the run length.
     """
 
     def __init__(
@@ -465,12 +457,15 @@ class FleetHealth:
         self.ssd_bytes_per_sec = ssd_bytes_per_sec
         self.link_bytes_per_sec = link_bytes_per_sec
         self.queue_depths = {"nic": nic_queue_depth, "ssd": ssd_queue_depth}
-        self.gauges: Dict[Tuple[str, str], HealthSeries] = {}
+        #: (family, entity) -> the gauge's latest value
+        self.levels: Dict[Tuple[str, str], float] = {}
+        #: (family, entity) -> statistics, for the SERIES_FAMILIES only
+        self.series: Dict[Tuple[str, str], HealthSeries] = {}
         self.stranding_gauges: Dict[str, StrandingGauge] = {}
         self.pools: Dict[str, dict] = {}
         self.device_host: Dict[str, str] = {}
         self.device_kind: Dict[str, str] = {}
-        self.alerts = AlertEngine(
+        self.alert_engine = AlertEngine(
             rules if rules is not None else DEFAULT_ALERT_RULES,
             tracer=tracer, registry=registry)
         #: per-tenant SLO-burn EWMAs (created lazily as tenants appear)
@@ -479,19 +474,6 @@ class FleetHealth:
         self._planned = -1           # series-table size the plan was built for
         self.ticks = 0
         self.time = 0.0
-
-    # -- gauge plumbing ----------------------------------------------------
-
-    def gauge(self, family: str, entity: str) -> HealthSeries:
-        key = (family, entity)
-        series = self.gauges.get(key)
-        if series is None:
-            series = self.gauges[key] = HealthSeries(family, entity)
-        return series
-
-    def _observe(self, family: str, entity: str, t: float,
-                 value: float) -> None:
-        self.gauge(family, entity).observe(t, value)
 
     # -- ingest ------------------------------------------------------------
 
@@ -511,16 +493,16 @@ class FleetHealth:
             before = list(before) + [0.0] * (len(now) - len(before))
         if self._planned != len(now):
             self._plan(snapshot.table, len(now))
+        levels = self.levels
         host_util: Dict[str, float] = {}
-        for series, groups, per_sec, host in self._rates:
-            rate = _growth(now, before, groups) / (per_sec * dt)
-            series.observe(t, rate)
+        for key, groups, per_sec, host in self._rates:
+            rate = levels[key] = _growth(now, before, groups) / (per_sec * dt)
             if host is not None:
                 host_util[host] = max(host_util.get(host, 0.0), rate)
-        for host, series in self._hosts:
-            series.observe(t, host_util[host])
-        for series, slots, full in self._levels:
-            series.observe(t, _level(now, slots) / full)
+        for key, host in self._hosts:
+            levels[key] = host_util[host]
+        for key, slots, full in self._levels:
+            levels[key] = _level(now, slots) / full
         pools: Dict[str, dict] = {}
         for kind, capacity, failed, allocated in self._pool_devices:
             pool = pools.setdefault(kind, {"allocated": 0.0,
@@ -532,35 +514,34 @@ class FleetHealth:
             pool["devices"] += 1
             pool["provisioned"] += _level(now, capacity)
             pool["allocated"] += _level(now, allocated)
-        for kind, gauge, series in self._pools:
+        for kind, gauge in self._pools:
             gauge.update(t, pools[kind]["allocated"],
                          pools[kind]["provisioned"])
-            series.observe(t, gauge.stranded_now)
         self.pools = pools
-        for tenant, ewma, ok_slots, violation_slots in self._tenants:
+        for key, ewma, ok_slots, violation_slots in self._tenants:
             # ``tenant_slo_burn``: the EWMA'd fraction of this tick's ok
             # completions that blew the tenant's latency SLO.
             ok = _growth(now, before, (ok_slots,))
             if ok > 0:
                 burn = min(1.0, _growth(now, before, (violation_slots,)) / ok)
-                self._observe("tenant_slo_burn", tenant, t,
-                              ewma.update(t, burn))
+                levels[key] = ewma.update(t, burn)
             elif ewma.value is not None:
                 # No completions this tick: decay toward the last level so
                 # a stalled tenant's burn gauge does not freeze mid-alert.
-                self._observe("tenant_slo_burn", tenant, t,
-                              ewma.update(t, ewma.value))
-        self.alerts.evaluate(t, {key: series.last
-                                 for key, series in self.gauges.items()})
+                levels[key] = ewma.update(t, ewma.value)
+        for key, series in self.series.items():
+            series.observe(t, levels[key])
+        self.alert_engine.evaluate(t, levels)
 
     def _plan(self, table, n: int) -> None:
         """Map the first ``n`` slots of the series table onto the gauges.
 
-        A rate gauge is ``(series, counter groups, capacity per second,
+        A rate gauge is ``(key, counter groups, capacity per second,
         host)``: the busiest group's growth over capacity x dt (NICs and CXL
         links are full duplex: the busier direction sets it); a level gauge
-        ``(series, slots, full scale)``.  Entities are planned sorted, and
-        every gauge created here is observed in this same tick.
+        ``(key, slots, full scale)``.  Entities are planned sorted, every
+        gauge planned here gets its level in this same tick, and each one of
+        the :data:`SERIES_FAMILIES` gets a :class:`HealthSeries`.
         """
         self._planned = n
 
@@ -588,7 +569,7 @@ class FleetHealth:
                     self.device_kind[entity[0]] = kind
                 if any(groups) or not sparse:
                     self._rates.append((
-                        self.gauge(family, entity[0]), groups, per_sec,
+                        (family, entity[0]), groups, per_sec,
                         entity[1] if kind is not None else None))
 
         self._rates = []
@@ -596,12 +577,12 @@ class FleetHealth:
               (("tx",), ("rx",)), self.nic_bytes_per_sec, "nic")
         rates("device_util", "ssd_bytes", ("device", "host", "op"), None,
               self.ssd_bytes_per_sec, "ssd")
-        self._hosts = [(host, self.gauge("host_util", host)) for host in
+        self._hosts = [(("host_util", host), host) for host in
                        sorted({entry[3] for entry in self._rates})]
         rates("link_saturation", "cxl_link_bytes", ("host", "direction"),
               (("read",), ("write",)), self.link_bytes_per_sec)
         self._levels = [
-            (self.gauge("queue_saturation", device), slots,
+            (("queue_saturation", device), slots,
              # a zero-depth queue reads 0, never divides by it
              self.queue_depths.get(self.device_kind.get(device, "nic"), 1024)
              or math.inf)
@@ -615,11 +596,10 @@ class FleetHealth:
             for key, slots in grouped("allocator_device_capacity",
                                       by_device).items()]
         self._pools = [
-            (kind, self.stranding_gauges.setdefault(kind, StrandingGauge()),
-             self.gauge("pool_stranding", kind))
+            (kind, self.stranding_gauges.setdefault(kind, StrandingGauge()))
             for kind in sorted({entry[0] for entry in self._pool_devices})]
         self._rates.append((
-            self.gauge("lease_expiry_rate", "pod"),
+            ("lease_expiry_rate", "pod"),
             (grouped("allocator_events", ("event",)).get(
                 ("lease_expiry",), ()),), 1.0, None))
         # Overload control (PR 9): per-second rates of the shed and budget-
@@ -631,101 +611,73 @@ class FleetHealth:
         rates("retry_denied_rate", "driver_ops", by_op,
               (("retry_budget_denied",),), sparse=True)
         self._levels += [
-            (self.gauge("brownout", driver), ops["brownout_level"], 1.0)
+            (("brownout", driver), ops["brownout_level"], 1.0)
             for (driver,), ops in nested("driver_ops", by_op)
             if "brownout_level" in ops]
         # Per-tenant serving gauges: ``tenant_requests`` only exists once a
         # pod registers tenant clients, so non-serving runs never grow them
-        # and the ``tenant_slo_burn`` alert rule stays inert.
-        by_result = ("tenant", "result")
+        # and the ``tenant_slo_burn`` alert rule stays inert.  A tenant's
+        # level appears with its first completion.
         self._tenants = [
-            (tenant, self._tenant_burn.setdefault(tenant, Ewma()),
+            (("tenant_slo_burn", tenant),
+             self._tenant_burn.setdefault(tenant, Ewma()),
              results.get("ok", ()), results.get("slo_violation", ()))
-            for (tenant,), results in nested("tenant_requests", by_result)]
-        rates("tenant_shed_rate", "tenant_requests", by_result, (("shed",),))
+            for (tenant,), results in nested("tenant_requests",
+                                             ("tenant", "result"))]
+        for key, *_ in self._rates + self._hosts:
+            if key[0] in SERIES_FAMILIES:
+                self.series.setdefault(key, HealthSeries())
 
     # -- querying ----------------------------------------------------------
-
-    def view(self) -> "HealthView":
-        return HealthView(self)
-
-
-class HealthView:
-    """The stable query API over a :class:`FleetHealth` pipeline.
-
-    ROADMAP item 5's placement/migration policy should consume *this* --
-    not the pipeline internals -- so the pipeline can evolve without
-    breaking policies.
-    """
-
-    def __init__(self, fleet: FleetHealth):
-        self.fleet = fleet
-
-    # -- devices -----------------------------------------------------------
 
     def _latest(self, family: str, entity: Optional[str]):
         """Latest level per entity of one gauge family (or one entity's)."""
         if entity is not None:
-            series = self.fleet.gauges.get((family, entity))
-            return series.last if series is not None else 0.0
-        return {name: series.last
-                for (fam, name), series in self.fleet.gauges.items()
+            return self.levels.get((family, entity), 0.0)
+        return {name: value for (fam, name), value in self.levels.items()
                 if fam == family}
 
     def queue_saturation(self, device: Optional[str] = None):
+        """Descriptor-queue fill per device (or of one device)."""
         return self._latest("queue_saturation", device)
-
-    # -- tenants (multi-tenant serving) ------------------------------------
 
     def tenant_slo_burn(self, tenant: Optional[str] = None):
         """EWMA'd fraction of each tenant's completions blowing its SLO."""
         return self._latest("tenant_slo_burn", tenant)
 
-    # -- alerts ------------------------------------------------------------
-
-    def alerts(self, active_only: bool = True) -> List[dict]:
-        """Firing alerts (or, with ``active_only=False``, the full log)."""
-        if active_only:
-            return [
-                {"rule": rule, "entity": entity, "since": state["since"],
-                 "value": state["value"]}
-                for (rule, entity), state in sorted(
-                    self.fleet.alerts.active.items())
-            ]
+    def alerts(self) -> List[dict]:
+        """The firing alerts, sorted by (rule, entity)."""
         return [
-            {"t": e.t, "rule": e.rule, "entity": e.entity, "kind": e.kind,
-             "value": e.value}
-            for e in self.fleet.alerts.log
+            {"rule": rule, "entity": entity, "since": state["since"],
+             "value": state["value"]}
+            for (rule, entity), state in sorted(
+                self.alert_engine.active.items())
         ]
-
-    # -- dashboards --------------------------------------------------------
 
     def as_dict(self) -> dict:
         """The full JSON document ``python -m repro top --json`` emits."""
-        fleet = self.fleet
         devices, hosts = {}, {}
-        for (family, entity), series in sorted(fleet.gauges.items()):
+        for (family, entity), series in sorted(self.series.items()):
+            stats = series.as_dict()
             if family == "device_util":
                 devices[entity] = {
-                    "kind": fleet.device_kind.get(entity, "nic"),
-                    "host": fleet.device_host.get(entity, ""),
-                    "util": series.as_dict(),
+                    "kind": self.device_kind.get(entity, "nic"),
+                    "host": self.device_host.get(entity, ""),
+                    "util": stats,
                     "queue_saturation": self.queue_saturation(entity),
                 }
-            elif family == "host_util":
-                hosts.setdefault(entity, {})["util"] = series.as_dict()
-            elif family == "link_saturation":
-                hosts.setdefault(entity, {})["link_saturation"] = \
-                    series.as_dict()
+            else:               # host_util, link_saturation
+                hosts.setdefault(entity, {})[
+                    "util" if family == "host_util" else family] = stats
         pools = {}
-        for kind, gauge in sorted(fleet.stranding_gauges.items()):
-            info = dict(fleet.pools.get(kind, {}))
+        for kind, gauge in sorted(self.stranding_gauges.items()):
+            info = dict(self.pools.get(kind, {}))
             info["stranded"] = gauge.stranded_fraction
             info["stranded_now"] = gauge.stranded_now
             pools[kind] = info
         return {
-            "time": fleet.time,
-            "ticks": fleet.ticks,
+            "time": self.time,
+            "ticks": self.ticks,
             "hosts": hosts,
             "devices": devices,
             "pools": pools,
@@ -734,9 +686,9 @@ class HealthView:
             # at 0.0 (per-tenant burn is ``tenant_slo_burn``).
             "slo_burn": 0.0,
             "alerts": {
-                "active": self.alerts(active_only=True),
-                "fired": fleet.alerts.fired,
-                "cleared": fleet.alerts.cleared,
-                "log": fleet.alerts.log_json(),
+                "active": self.alerts(),
+                "fired": self.alert_engine.fired,
+                "cleared": self.alert_engine.cleared,
+                "log": self.alert_engine.log_json(),
             },
         }

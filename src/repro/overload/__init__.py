@@ -21,7 +21,7 @@ composes the parts in this package:
   :class:`~repro.overload.wfq.TokenBucket` rate guarantees for the
   multi-tenant serving layer (``python -m repro serve``).
 * :class:`~repro.overload.brownout.BrownoutController` -- watches the fleet
-  ``HealthView`` queue-saturation gauges and sets the registered stages'
+  pipeline's queue-saturation gauges and sets the registered stages'
   brownout level, so their drivers shed background/low-priority work first.
 
 Everything here is deterministic: the only randomness (breaker probe

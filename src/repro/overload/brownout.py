@@ -1,7 +1,7 @@
 """Brownout controller: graceful degradation driven by fleet telemetry.
 
-Consumes the PR 7 ``HealthView`` queue-saturation gauges (the same API the
-placement policy will use) on a fixed period and maps the worst device queue
+Reads the fleet pipeline's queue-saturation levels
+(:meth:`~repro.obs.fleet.FleetHealth.queue_saturation`) on a fixed period and maps the worst device queue
 onto a discrete *brownout level*:
 
 * level 0 -- healthy, serve everything;
@@ -26,12 +26,12 @@ __all__ = ["BrownoutController"]
 class BrownoutController:
     """Periodic queue-saturation watcher toggling frontend brownout."""
 
-    def __init__(self, sim, view, high: float = 0.85, low: float = 0.60,
+    def __init__(self, sim, fleet, high: float = 0.85, low: float = 0.60,
                  period_s: float = 0.005):
         if not 0 < low <= high:
             raise ValueError("need 0 < low <= high")
         self.sim = sim
-        self.view = view                # HealthView over the fleet pipeline
+        self.fleet = fleet              # the FleetHealth pipeline
         self.high = high
         self.low = low
         self.period_s = period_s
@@ -59,12 +59,12 @@ class BrownoutController:
     def worst_saturation(self) -> float:
         """Worst congestion signal: device queues OR admission queues.
 
-        Device-queue gauges come from the HealthView; with admission
+        Device-queue gauges come from the fleet pipeline; with admission
         control armed the device queue is deliberately kept short, so the
         registered stages' own admission saturation is folded in -- that
         is where excess load piles up once launches are windowed.
         """
-        table = self.view.queue_saturation()
+        table = self.fleet.queue_saturation()
         worst = max(table.values()) if table else 0.0
         for stage in self._targets:
             worst = max(worst, stage.admission_saturation)

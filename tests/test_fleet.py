@@ -4,11 +4,15 @@ Covers the fixed-memory primitives (EWMA, P-square sketch, HealthSeries),
 the live stranding gauge's exact agreement with the offline Figure 2
 integral, the AlertEngine state machine (for-duration gating, hysteresis,
 clears, determinism), the FleetHealth ingest path over real registry
-snapshots, the HealthView query API, and the ``python -m repro top`` CLI.
+snapshots, the FleetHealth query methods, the cut to what something reads
+(statistics only for the dashboard families), and the ``python -m repro
+top`` CLI.
 """
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,14 +122,14 @@ class TestP2Quantile:
 
 class TestHealthSeries:
     def test_levels(self):
-        series = HealthSeries("device_util", "nic0")
+        series = HealthSeries()
         series.observe(0.0, 0.2)
         series.observe(0.1, 0.8)
         series.observe(0.2, 0.4)
         assert series.last == 0.4
         assert series.peak == 0.8
         assert series.count == 3
-        assert 0.2 <= series.p50 <= 0.8
+        assert 0.2 <= series.as_dict()["p50"] <= 0.8
 
     def test_counter_differencing(self):
         """The pipeline differences a cumulative counter into a per-second
@@ -134,18 +138,20 @@ class TestHealthSeries:
         expiries = reg.counter("allocator_events", event="lease_expiry")
         fleet = FleetHealth(nic_bytes_per_sec=1e9, ssd_bytes_per_sec=1e9,
                             link_bytes_per_sec=1e9)
+        key = ("lease_expiry_rate", "pod")
         fleet.ingest(reg.snapshot(time=0.0))
+        assert key not in fleet.levels      # the first scrape only primes
         expiries.inc(50)                    # 50/s
         fleet.ingest(reg.snapshot(time=1.0))
+        assert fleet.levels[key] == pytest.approx(50.0)
         expiries.inc(100)                   # 100/s
         fleet.ingest(reg.snapshot(time=2.0))
-        series = fleet.gauges[("lease_expiry_rate", "pod")]
-        assert series.last == pytest.approx(100.0)
-        assert series.peak == pytest.approx(100.0)
-        assert series.count == 2
+        assert fleet.levels[key] == pytest.approx(100.0)
+        fleet.ingest(reg.snapshot(time=3.0))
+        assert fleet.levels[key] == 0.0     # a zero delta is a level too
 
     def test_as_dict_shape(self):
-        series = HealthSeries("x", "e")
+        series = HealthSeries()
         series.observe(0.0, 1.0)
         doc = series.as_dict()
         assert set(doc) == {"last", "ewma", "p50", "p99", "peak", "samples"}
@@ -308,10 +314,11 @@ class TestFleetIngest:
         ssd.inc(1e9)          # 0.5 of 2 GB/s
         link.inc(2e9)         # 0.5 of 4 GB/s
         fleet.ingest(reg.snapshot(time=1.0))
-        assert fleet.gauges[("device_util", "nic0")].last == pytest.approx(0.5)
-        assert fleet.gauges[("device_util", "ssd0")].last == pytest.approx(0.5)
-        assert fleet.gauges[("link_saturation", "h0")].last == \
-            pytest.approx(0.5)
+        assert fleet.levels[("device_util", "nic0")] == pytest.approx(0.5)
+        assert fleet.levels[("device_util", "ssd0")] == pytest.approx(0.5)
+        assert fleet.levels[("link_saturation", "h0")] == pytest.approx(0.5)
+        assert fleet.series[("device_util", "nic0")].last == \
+            fleet.levels[("device_util", "nic0")]
         assert fleet.device_kind == {"nic0": "nic", "ssd0": "ssd"}
         assert fleet.device_host == {"nic0": "h0", "ssd0": "h1"}
         # No raw snapshot retention: only the previous snapshot is held.
@@ -327,7 +334,7 @@ class TestFleetIngest:
         fleet.ingest(reg.snapshot(time=0.0))
         nic_b.inc(1)          # teaches the pipeline nic0 is a NIC
         fleet.ingest(reg.snapshot(time=1.0))
-        assert fleet.view().queue_saturation("nic0") == \
+        assert fleet.queue_saturation("nic0") == \
             pytest.approx(512 / 1024)
 
     def test_pool_stranding_and_failed_devices(self):
@@ -362,10 +369,10 @@ class TestFleetIngest:
         fleet.ingest(reg.snapshot(time=0.0))
         expiries.inc(50)      # 50/s over the next second
         fleet.ingest(reg.snapshot(time=1.0))
-        assert fleet.gauges[("lease_expiry_rate", "pod")].last == \
+        assert fleet.levels[("lease_expiry_rate", "pod")] == \
             pytest.approx(50.0)
-        assert fleet.alerts.fired == 1
-        alerts = fleet.view().alerts()
+        assert fleet.alert_engine.fired == 1
+        alerts = fleet.alerts()
         assert alerts[0]["rule"] == "lease_expiry_storm"
 
     def test_as_dict_document(self):
@@ -375,11 +382,39 @@ class TestFleetIngest:
         fleet.ingest(reg.snapshot(time=0.0))
         tx.inc(1e8)
         fleet.ingest(reg.snapshot(time=1.0))
-        doc = fleet.view().as_dict()
+        doc = fleet.as_dict()
         assert set(doc) >= {"time", "ticks", "hosts", "devices", "pools",
                             "alerts", "lease_expiry_rate", "slo_burn"}
         assert doc["devices"]["nic0"]["kind"] == "nic"
         json.dumps(doc)       # must be JSON-serialisable as-is
+
+
+class TestOnlyWhatIsRead:
+    """Fleet health computes only what something reads: alerts, brownout
+    and ``serve`` read latest levels; statistics exist only for the three
+    families the ``top`` dashboard renders."""
+
+    def test_serve_mix_keeps_statistics_only_for_dashboard_families(self):
+        from .test_replay import _serve_mix_pod
+
+        pod, run = _serve_mix_pod(5)
+        run(0.01)
+        families = {family for family, _ in pod.fleet.levels}
+        assert {"device_util", "queue_saturation", "tenant_slo_burn",
+                "brownout"} <= families
+        assert pod.fleet.series
+        assert {family for family, _ in pod.fleet.series} <= {
+            "device_util", "host_util", "link_saturation"}
+        assert set(pod.fleet.series) <= set(pod.fleet.levels)
+
+    def test_unread_parts_stay_gone(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        gone = re.compile(r"HealthView|pool_stranding|tenant_shed_rate"
+                          r"|active_only")
+        assert [f"{path.relative_to(src)}:{n}: {line.strip()}"
+                for path in sorted(src.rglob("*.py"))
+                for n, line in enumerate(path.read_text().splitlines(), 1)
+                if gone.search(line)] == []
 
 
 class TestCrossChecks:

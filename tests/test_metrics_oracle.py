@@ -218,7 +218,7 @@ class TestSeriesTableOracle:
         assert first.delta_since(last).get("tenant_requests", -1.0,
                                            **labels) == -1.0
         families = {}
-        for family, entity in pod.fleet.gauges:
+        for family, entity in pod.fleet.levels:
             families.setdefault(family, set()).add(entity)
         assert families["device_util"] == {"nic-h0", "nic-late", ssd.name}
-        assert "web" in families["tenant_shed_rate"]
+        assert "web" in families["tenant_slo_burn"]

@@ -22,13 +22,13 @@ queue, checking the invariants the frontends rely on:
 import math
 import os
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overload import (AdmissionQueue, CircuitBreaker, RetryBudget,
                             WeightedFairScheduler)
 from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.sim.rng import Stream
 
 MAX_EXAMPLES = int(os.environ.get("CHAOS_MAX_EXAMPLES", "100"))
 
@@ -156,7 +156,7 @@ class TestCircuitBreakerProperties:
         def run():
             breaker = CircuitBreaker(
                 failure_threshold=2, open_s=0.02, probe_jitter_s=0.005,
-                rng=np.random.default_rng(seed))
+                rng=Stream(seed))
             return drive(breaker, ops)
 
         assert run() == run()

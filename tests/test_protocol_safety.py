@@ -1,6 +1,5 @@
 """Safety properties of the channel protocol and simulation determinism."""
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,6 +12,7 @@ from repro.mem.cache import HostCache
 from repro.mem.cxl import CXLMemoryPool
 from repro.mem.layout import Region
 from repro.net.packet import make_ip
+from repro.sim.rng import Stream
 from repro.workloads.echo import EchoClient, EchoServer
 
 from .reference_ring import send_one, slot_addr
@@ -101,7 +101,7 @@ class TestDeterminism:
         EchoServer(pod.sim, inst)
         client = pod.add_external_client(ip=make_ip(10, 0, 9, 1))
         ec = EchoClient(pod.sim, client, inst.ip, rate_pps=20_000,
-                        rng=np.random.default_rng(5), poisson=True)
+                        rng=Stream(5), poisson=True)
         ec.start(0.02)
         pod.run(0.05)
         pod.stop()

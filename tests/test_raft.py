@@ -1,6 +1,5 @@
 """Tests for the Raft consensus substrate."""
 
-import numpy as np
 import pytest
 
 from repro.core.raft.log import LogEntry, RaftLog
@@ -8,6 +7,7 @@ from repro.core.raft.node import (CANDIDATE, COMPACT_AFTER, FOLLOWER, LEADER,
                                   RaftNode)
 from repro.core.raft.rpc import DirectTransport
 from repro.sim.core import MSEC, Simulator
+from repro.sim.rng import Stream
 
 
 def build_cluster(sim, n=3, seed=0):
@@ -19,7 +19,7 @@ def build_cluster(sim, n=3, seed=0):
         node = RaftNode(
             sim, node_id, ids, transport,
             apply_cb=lambda idx, cmd, nid=node_id: applied[nid].append((idx, cmd)),
-            rng=np.random.default_rng(seed * 100 + i),
+            rng=Stream(seed * 100 + i),
         )
         nodes.append(node)
     for node in nodes:
@@ -268,7 +268,7 @@ class TestReplication:
         applied = []
         node = RaftNode(sim, "solo", ["solo"], transport,
                         apply_cb=lambda i, c: applied.append(c),
-                        rng=np.random.default_rng(0))
+                        rng=Stream(0))
         node.start()
         sim.run(until=1.0)
         assert node.is_leader

@@ -110,8 +110,8 @@ def _fleet_snapshot(seed: int) -> tuple:
     client.start(0.05)
     pod.run(0.08)
     pod.stop()
-    return (json.dumps(fleet.alerts.log_json(), sort_keys=True),
-            json.dumps(fleet.view().as_dict(), sort_keys=True))
+    return (json.dumps(fleet.alert_engine.log_json(), sort_keys=True),
+            json.dumps(fleet.as_dict(), sort_keys=True))
 
 
 def _serve_mix_pod(seed: int):
@@ -305,8 +305,8 @@ def _golden_fleet() -> dict:
     return {
         "echo": {"log": json.loads(log), "doc": json.loads(doc)},
         "top": top(duration_s=0.05, once=True)["doc"],
-        "serve_mix": {"log": pod.fleet.alerts.log_json(),
-                      "doc": pod.fleet.view().as_dict()},
+        "serve_mix": {"log": pod.fleet.alert_engine.log_json(),
+                      "doc": pod.fleet.as_dict()},
     }
 
 

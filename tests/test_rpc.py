@@ -3,11 +3,11 @@ carried through it as JSON."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.raft.node import RaftNode
 from repro.core.raft.rpc import RPC_LATENCY_S, DirectTransport
+from repro.sim.rng import Stream
 
 
 class TestDirectTransport:
@@ -48,7 +48,7 @@ class TestControlStateSnapshot:
         transport = DirectTransport(sim)
         ids = ["r0", "r1", "r2"]
         nodes = [RaftNode(sim, node_id, ids, transport,
-                          rng=np.random.default_rng(k))
+                          rng=Stream(k))
                  for k, node_id in enumerate(ids)]
         for node in nodes:
             transport.register(node.node_id, lambda src, m, node=node:

@@ -13,7 +13,6 @@ an election starts at the simulated time it always did.
 from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.config import NICConfig, OasisConfig, SSDConfig
@@ -32,6 +31,7 @@ from repro.pcie.queues import NVMeCommand, TxDescriptor
 from repro.pcie.ssd import (NVME_OP_READ, NVME_STATUS_FAILED,
                             NVME_STATUS_LBA_RANGE, NVME_STATUS_OK, SimSSD)
 from repro.sim.core import MSEC, USEC, Simulator, Timer
+from repro.sim.rng import Stream
 from repro.workloads.blockio import BlockWorkload
 from repro.workloads.echo import EchoClient, EchoServer
 
@@ -532,7 +532,7 @@ class TestElectionTimer:
         transport = DirectTransport(sim)
         ids = ["n0", "n1", "n2"]
         nodes = [RaftNode(sim, node_id, ids, transport,
-                          rng=np.random.default_rng(700 + i))
+                          rng=Stream(700 + i))
                  for i, node_id in enumerate(ids)]
         elections = []
         for node in nodes:

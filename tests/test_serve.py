@@ -366,8 +366,8 @@ class TestTenantSloBurnAlert:
         pod.run(0.25)
         pod.stop()
         assert client.slo_violations == client.stats.completed_ok > 0
-        assert pod.fleet.view().tenant_slo_burn("mc") > 0.5
-        fired = {event.rule for event in pod.fleet.alerts.log
+        assert pod.fleet.tenant_slo_burn("mc") > 0.5
+        fired = {event.rule for event in pod.fleet.alert_engine.log
                  if event.kind == "fire"}
         assert "tenant_slo_burn" in fired
 
@@ -392,7 +392,7 @@ class TestTenantSloBurnAlert:
         pod.run(0.25)
         pod.stop()
         assert client.slo_violations == 0
-        assert pod.fleet.view().tenant_slo_burn("mc") == 0.0
-        fired = {event.rule for event in pod.fleet.alerts.log
+        assert pod.fleet.tenant_slo_burn("mc") == 0.0
+        fired = {event.rule for event in pod.fleet.alert_engine.log
                  if event.kind == "fire"}
         assert "tenant_slo_burn" not in fired

@@ -23,6 +23,7 @@ from repro.core.allocator.balancer import LoadBalancer
 from repro.core.pod import CXLPod
 from repro.experiments.common import CLIENT_IP, SERVER_IP
 from repro.net.packet import make_ip
+from repro.sim.rng import Stream
 from repro.workloads.blockio import BlockWorkload
 from repro.workloads.echo import EchoClient, EchoServer
 
@@ -68,7 +69,7 @@ def soak_result():
     # Block I/O from instance 0 against the pooled SSD.
     device = pod.add_block_device(instances[0], ssd)
     workload = BlockWorkload(pod.sim, device, rate_iops=3000,
-                             rng=np.random.default_rng(9))
+                             rng=Stream(9))
     workload.start(1.5)
 
     pod.run(0.702)
@@ -233,6 +234,7 @@ class TestStorageSoak:
 
     def test_random_writes_hold_at_most_the_range(self):
         duration = STORAGE_SOAK_SIM_S / 6   # ~60 writes per LBA
+        # payload bytes, not pod draws: ``Stream`` has no ``bytes``
         pod, ssd, workload = self._cell(duration, np.random.default_rng(23),
                                         address_blocks=64)
         pod.run(duration)

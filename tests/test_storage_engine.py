@@ -281,11 +281,11 @@ class TestStoragePlacement:
 class TestBlockWorkload:
     def test_workload_measures_latency(self):
         from repro.workloads.blockio import BlockWorkload
-        import numpy as np
+        from repro.sim.rng import Stream
 
         pod, ssd, device = build_storage_pod(remote=True)
         workload = BlockWorkload(pod.sim, device, rate_iops=2000,
-                                 rng=np.random.default_rng(1))
+                                 rng=Stream(1))
         workload.start(0.05)
         pod.run(0.1)
         stats = workload.stats.summary()
@@ -297,11 +297,11 @@ class TestBlockWorkload:
 
     def test_queue_depth_cap(self):
         from repro.workloads.blockio import BlockWorkload
-        import numpy as np
+        from repro.sim.rng import Stream
 
         pod, ssd, device = build_storage_pod(remote=True)
         workload = BlockWorkload(pod.sim, device, rate_iops=500_000,
-                                 queue_depth=8, rng=np.random.default_rng(1))
+                                 queue_depth=8, rng=Stream(1))
         workload.start(0.01)
         pod.run(0.05)
         # Open-loop overload: many issue ticks find the queue full.

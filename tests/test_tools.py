@@ -181,6 +181,15 @@ def test_ledger_prints_one_row_of_this_tree():
     cell = row["opcount"]["echo_cell"]
     assert cell["requests"] > 0 and cell["events_per_request"] > 0
     assert cell["bytecodes"] > cell["calls"] > 0
+    # per layer, so a row shows which layer moved; the rounded layers add
+    # up to the rounded total
+    layers = cell["layers"]
+    assert {"core.engine", "mem", "sim"} <= set(layers)
+    slack = len(layers) + 1
+    assert abs(sum(ops for ops, _ in layers.values())
+               - cell["bytecodes"]) <= 0.05 * slack
+    assert abs(sum(calls for _, calls in layers.values())
+               - cell["calls"]) <= 0.005 * slack
     assert row["import_repro"]["heavy"] == []
     assert row["import_repro"]["rss_mib"] > 0 and row["import_repro"]["ms"] > 0
     assert row["schedule_v3_events"] == 13_781

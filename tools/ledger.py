@@ -8,8 +8,10 @@ The line holds, for the tree at ``DIR`` (default: this checkout):
   Python calls per request inside ``src/repro`` (``tools/opcount.py``'s
   counter, the same settings: seed 17, ``--sim-s`` 0.02, 0.0015 for
   ``rack_echo``, every point of ``channel_sweep`` at its smallest size;
-  ``opcount.window``) and ``events_per_request``, the events dispatched in
-  that window (``channel_sweep``: sender attempts and receiver polls);
+  ``opcount.window``), the same two per layer (``layers``: ``{layer:
+  [bytecodes, calls]}``, ``opcount.py``'s rows, so a row shows which layer
+  moved) and ``events_per_request``, the events dispatched in that window
+  (``channel_sweep``: sender attempts and receiver polls);
 * ``import_repro``: peak RSS (MiB) and milliseconds of ``import repro`` in a
   fresh interpreter with a warm bytecode cache, median of five, and the heavy
   modules it loaded beyond the interpreter's start-up set (any package
@@ -71,6 +73,9 @@ def count_child(tree: Path, workload: str, sim_s: float | None) -> dict:
     return {"requests": requests,
             "bytecodes": round(sum(c[0] for c in counts.values()) / requests, 1),
             "calls": round(sum(c[1] for c in counts.values()) / requests, 2),
+            "layers": {layer: [round(ops / requests, 1),
+                               round(calls / requests, 2)]
+                       for layer, (ops, calls) in counts.items()},
             "events_per_request": round(events / requests, 3)}
 
 

@@ -689,12 +689,14 @@ class CXLPod:
 
         Builds a :class:`~repro.obs.fleet.FleetHealth` sized from this
         pod's configured device/link capacities, subscribes it to the
-        scraper, exports its ``fleet_alert_*`` counters into the registry,
-        and starts the scraper at ``period_s`` (a :class:`ConfigError` if
-        the scraper already runs at another period).  The pipeline itself
-        holds one previous value vector; ``pod.scraper`` retains up to
-        ``max_snapshots`` scrapes at 8 bytes per series each.  Returns the
-        pipeline; query it through its methods (``pod.fleet.as_dict()``).
+        scraper and starts the scraper at ``period_s`` (a
+        :class:`ConfigError` if the scraper already runs at another period).
+        The pipeline only reads the registry (its alert transitions are
+        counted by its :class:`~repro.obs.fleet.AlertEngine` and marked in
+        the tracer) and holds one previous value vector; ``pod.scraper``
+        retains up to ``max_snapshots`` scrapes at 8 bytes per series each.
+        Returns the pipeline; query it through its methods
+        (``pod.fleet.as_dict()``).
 
         ``rules`` overrides :data:`~repro.obs.fleet.DEFAULT_ALERT_RULES`.
         """
@@ -711,7 +713,6 @@ class CXLPod:
             ssd_queue_depth=self.config.ssd.queue_depth,
             rules=rules,
             tracer=self.tracer,
-            registry=self.metrics,
         )
         self.scraper.subscribe(self.fleet.ingest)
         self._start_brownout()

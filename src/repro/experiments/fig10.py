@@ -47,8 +47,8 @@ def run_echo(mode: str, packet_size: int, rate_pps: float,
     client.start(duration_s)
     pod.run(duration_s + 0.02)
     pod.stop()
-    # Percentiles come from the registry's echo_rtt_us histogram (keep_raw
-    # preserves every observation, so this is numerically identical to the
+    # Percentiles come from the registry's echo_rtt_us histogram (it keeps
+    # every observation, so this is numerically identical to the
     # legacy client.stats.latencies_us path it replaced).
     summary = summarize_latencies(client.rtt_hist.observations)
     summary["lost"] = (client.stats.sent

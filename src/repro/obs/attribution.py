@@ -3,10 +3,9 @@
 Consumes :class:`~repro.obs.flow.FlowRecord` streams and answers the
 questions Fig 11 asks of the real system:
 
-* :class:`FlowAttribution` -- streaming per-stage
-  :class:`~repro.obs.metrics.Histogram` percentiles (p50/p99/p999) plus the
-  queueing-vs-service split derived from the queue depth each stage saw at
-  enqueue;
+* :class:`FlowAttribution` -- exact per-stage percentiles (p50/p99/p999)
+  over every flow's microseconds in the stage, plus the queueing-vs-service
+  split derived from the queue depth each stage saw at enqueue;
 * :func:`critical_path` -- which stage dominates end-to-end latency in each
   percentile bucket (the p50 bottleneck is often not the p999 bottleneck);
 * :func:`render_waterfall` -- a per-request text waterfall for terminals.
@@ -16,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .metrics import Histogram, labels_key
-
 __all__ = [
     "FlowAttribution",
     "StageStats",
@@ -25,28 +22,22 @@ __all__ = [
     "render_waterfall",
 ]
 
-#: microsecond-scale buckets for stage/total histograms
-_US_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-               256.0, 512.0, 1024.0, float("inf"))
 
-
-def _percentile(hist: Histogram, q: float) -> float:
+def _percentile(values: List[float], q: float) -> float:
     import numpy as np
-    if not hist.observations:
+    if not values:
         return float("nan")
-    return float(np.percentile(np.asarray(hist.observations), q))
+    return float(np.percentile(np.asarray(values), q))
 
 
 class StageStats:
     """Streaming statistics for one named stage across all observed flows."""
 
-    __slots__ = ("name", "hist", "depth_sum", "depth_n", "queue_us", "service_us")
+    __slots__ = ("name", "durations_us", "depth_sum", "depth_n", "queue_us", "service_us")
 
     def __init__(self, name: str):
         self.name = name
-        self.hist = Histogram("flow_stage_us", labels_key({"stage": name}),
-                              help="per-flow time in stage (us)",
-                              buckets=_US_BUCKETS, keep_raw=True)
+        self.durations_us: List[float] = []   # per flow, summed over its segments
         self.depth_sum = 0.0
         self.depth_n = 0
         self.queue_us = 0.0
@@ -54,7 +45,7 @@ class StageStats:
 
     @property
     def count(self) -> int:
-        return self.hist.count
+        return len(self.durations_us)
 
     @property
     def mean_depth(self) -> float:
@@ -66,7 +57,7 @@ class StageStats:
         return self.queue_us / total if total else 0.0
 
     def percentile(self, q: float) -> float:
-        return _percentile(self.hist, q)
+        return _percentile(self.durations_us, q)
 
 
 class FlowAttribution:
@@ -74,14 +65,12 @@ class FlowAttribution:
 
     def __init__(self):
         self.stages: Dict[str, StageStats] = {}
-        self.total = Histogram("flow_total_us", labels_key({}),
-                               help="end-to-end flow latency (us)",
-                               buckets=_US_BUCKETS, keep_raw=True)
+        self.totals_us: List[float] = []    # end-to-end, one per flow
         self.flows = 0
 
     def observe(self, record) -> None:
         self.flows += 1
-        self.total.observe(record.total_us)
+        self.totals_us.append(record.total_us)
         # Sum repeated stages (e.g. switch.wire on both echo legs) within a
         # flow so a stage contributes once per request to its distribution.
         per_stage: Dict[str, List] = {}
@@ -91,7 +80,7 @@ class FlowAttribution:
             stats = self.stages.get(name)
             if stats is None:
                 stats = self.stages[name] = StageStats(name)
-            stats.hist.observe(sum(s.dur for s in segs) * 1e6)
+            stats.durations_us.append(sum(s.dur for s in segs) * 1e6)
             for seg in segs:
                 if seg.depth is not None:
                     stats.depth_sum += seg.depth
@@ -102,7 +91,7 @@ class FlowAttribution:
     # -- reading -------------------------------------------------------------
 
     def total_percentile(self, q: float) -> float:
-        return _percentile(self.total, q)
+        return _percentile(self.totals_us, q)
 
     def stage_p50s(self) -> Dict[str, float]:
         return {name: stats.percentile(50.0)

@@ -255,16 +255,15 @@ def bind_driver(series, driver):
 
 @_bind
 def bind_tenant_client(series, client):
-    """Export a tenant load generator's request counters.
+    """Export the two request counters fleet health reads of a tenant.
 
-    One ``tenant_requests`` family keyed by (tenant, result); fleet health
-    turns the deltas into per-tenant SLO-burn and shed-rate gauges.
+    One ``tenant_requests`` family keyed by (tenant, result), with the
+    ``ok`` and ``slo_violation`` rows only: fleet health turns their deltas
+    into the per-tenant SLO-burn gauge.  Submitted, shed and failed requests
+    per tenant are the admission stage's rows (``tenant_stats()``).
     """
     return _reader(series, client, (
-        ("tenant_requests", {"result": "submitted"}, "stats.submitted"),
         ("tenant_requests", {"result": "ok"}, "stats.completed_ok"),
-        ("tenant_requests", {"result": "shed"}, "stats.shed"),
-        ("tenant_requests", {"result": "error"}, "stats.errors"),
         ("tenant_requests", {"result": "slo_violation"}, "slo_violations")),
         tenant=client.tenant)
 

@@ -7,8 +7,9 @@ the brownout controller and the ``python -m repro top`` dashboard read.
 Everything is bounded-memory and fed exclusively from
 :class:`~repro.obs.scraper.TelemetryScraper` ticks: :class:`FleetHealth`
 keeps the previous value vector, one latest level per gauge
-(``levels``), streaming statistics (:class:`HealthSeries`: last, peak,
-:class:`Ewma`, :class:`P2Quantile` p50/p99) only for the
+(``levels``, by family then entity), streaming statistics
+(:class:`HealthSeries`: last, peak, :class:`Ewma`, :class:`P2Quantile`
+p50/p99) only for the
 :data:`SERIES_FAMILIES` the dashboard renders (``series``), and per-pool
 :class:`StrandingGauge` s (the Figure 2 stranding integral, live); never a
 snapshot history of its own.  :class:`AlertEngine` evaluates declarative
@@ -325,16 +326,15 @@ class AlertEngine:
         firing --value<clear_below--> ok           (clear event)
         firing --clear_below<=value--> firing      (hysteresis: no flap)
 
-    Transitions emit :class:`AlertEvent` s into a bounded log, sim-time
-    instants into the tracer (category ``alert``) and ``fleet_alert_*``
-    registry counters.
+    Transitions emit :class:`AlertEvent` s into a bounded log and sim-time
+    instants into the tracer (category ``alert``); ``fired`` and ``cleared``
+    count them.
     """
 
     def __init__(self, rules: Sequence[AlertRule] = DEFAULT_ALERT_RULES,
-                 tracer=None, registry=None, max_events: int = 10_000):
+                 tracer=None, max_events: int = 10_000):
         self.rules = tuple(rules)
         self.tracer = tracer
-        self.registry = registry
         self.log: deque = deque(maxlen=max_events)
         self.dropped = 0
         self.fired = 0
@@ -357,23 +357,20 @@ class AlertEngine:
             self.fired += 1
         else:
             self.cleared += 1
-        if self.registry is not None:
-            counter = ("fleet_alert_fired" if event.kind == "fire"
-                       else "fleet_alert_cleared")
-            self.registry.counter(counter, rule=event.rule).inc()
         if self.tracer is not None:
             self.tracer.instant(f"alert.{event.kind}:{event.rule}",
                                 category="alert", track="alerts",
                                 entity=event.entity,
                                 value=round(event.value, 6))
 
-    def evaluate(self, t: float, values: Dict[Tuple[str, str], float]) -> None:
-        """One tick: ``values`` maps (family, entity) -> current level."""
-        by_family: Dict[str, List[Tuple[str, float]]] = {}
-        for (family, entity), value in values.items():
-            by_family.setdefault(family, []).append((entity, value))
+    def evaluate(self, t: float, levels: Dict[str, Dict[str, float]]) -> None:
+        """One tick: ``levels`` maps family -> {entity: current level}; each
+        rule reads its own family, entities in sorted order."""
         for rule in self.rules:
-            for entity, value in sorted(by_family.get(rule.family, ())):
+            family = levels.get(rule.family)
+            if not family:
+                continue
+            for entity, value in sorted(family.items()):
                 key = (rule.name, entity)
                 state = self._state.get(key)
                 if value >= rule.threshold:
@@ -435,7 +432,7 @@ class FleetHealth:
     Subscribe via ``scraper.subscribe(fleet.ingest)`` (what
     :meth:`repro.core.pod.CXLPod.enable_fleet_telemetry` does); each scrape
     tick differences the new value vector against the previous one, writes
-    every gauge's latest value into ``levels``, feeds the
+    every gauge's latest value into ``levels[family][entity]``, feeds the
     :data:`SERIES_FAMILIES` gauges' :class:`HealthSeries` in ``series`` and
     the per-pool :class:`StrandingGauge` s, and runs the
     :class:`AlertEngine` over ``levels``.  Memory is bounded by the entity
@@ -451,14 +448,13 @@ class FleetHealth:
         ssd_queue_depth: int = 64,
         rules: Optional[Sequence[AlertRule]] = None,
         tracer=None,
-        registry=None,
     ):
         self.nic_bytes_per_sec = nic_bytes_per_sec
         self.ssd_bytes_per_sec = ssd_bytes_per_sec
         self.link_bytes_per_sec = link_bytes_per_sec
         self.queue_depths = {"nic": nic_queue_depth, "ssd": ssd_queue_depth}
-        #: (family, entity) -> the gauge's latest value
-        self.levels: Dict[Tuple[str, str], float] = {}
+        #: family -> {entity: the gauge's latest value}
+        self.levels: Dict[str, Dict[str, float]] = {}
         #: (family, entity) -> statistics, for the SERIES_FAMILIES only
         self.series: Dict[Tuple[str, str], HealthSeries] = {}
         self.stranding_gauges: Dict[str, StrandingGauge] = {}
@@ -467,7 +463,7 @@ class FleetHealth:
         self.device_kind: Dict[str, str] = {}
         self.alert_engine = AlertEngine(
             rules if rules is not None else DEFAULT_ALERT_RULES,
-            tracer=tracer, registry=registry)
+            tracer=tracer)
         #: per-tenant SLO-burn EWMAs (created lazily as tenants appear)
         self._tenant_burn: Dict[str, Ewma] = {}
         self._prev = None
@@ -493,16 +489,15 @@ class FleetHealth:
             before = list(before) + [0.0] * (len(now) - len(before))
         if self._planned != len(now):
             self._plan(snapshot.table, len(now))
-        levels = self.levels
         host_util: Dict[str, float] = {}
-        for key, groups, per_sec, host in self._rates:
-            rate = levels[key] = _growth(now, before, groups) / (per_sec * dt)
+        for table, entity, groups, per_sec, host in self._rates:
+            rate = table[entity] = _growth(now, before, groups) / (per_sec * dt)
             if host is not None:
                 host_util[host] = max(host_util.get(host, 0.0), rate)
-        for key, host in self._hosts:
-            levels[key] = host_util[host]
-        for key, slots, full in self._levels:
-            levels[key] = _level(now, slots) / full
+        for table, host in self._hosts:
+            table[host] = host_util[host]
+        for table, entity, slots, full in self._levels:
+            table[entity] = _level(now, slots) / full
         pools: Dict[str, dict] = {}
         for kind, capacity, failed, allocated in self._pool_devices:
             pool = pools.setdefault(kind, {"allocated": 0.0,
@@ -518,32 +513,45 @@ class FleetHealth:
             gauge.update(t, pools[kind]["allocated"],
                          pools[kind]["provisioned"])
         self.pools = pools
-        for key, ewma, ok_slots, violation_slots in self._tenants:
+        for table, tenant, ewma, ok_slots, violation_slots in self._tenants:
             # ``tenant_slo_burn``: the EWMA'd fraction of this tick's ok
             # completions that blew the tenant's latency SLO.
             ok = _growth(now, before, (ok_slots,))
             if ok > 0:
                 burn = min(1.0, _growth(now, before, (violation_slots,)) / ok)
-                levels[key] = ewma.update(t, burn)
+                table[tenant] = ewma.update(t, burn)
             elif ewma.value is not None:
                 # No completions this tick: decay toward the last level so
                 # a stalled tenant's burn gauge does not freeze mid-alert.
-                levels[key] = ewma.update(t, ewma.value)
-        for key, series in self.series.items():
-            series.observe(t, levels[key])
-        self.alert_engine.evaluate(t, levels)
+                table[tenant] = ewma.update(t, ewma.value)
+        for series, table, entity in self._series:
+            series.observe(t, table[entity])
+        self.alert_engine.evaluate(t, self.levels)
 
     def _plan(self, table, n: int) -> None:
         """Map the first ``n`` slots of the series table onto the gauges.
 
-        A rate gauge is ``(key, counter groups, capacity per second,
-        host)``: the busiest group's growth over capacity x dt (NICs and CXL
-        links are full duplex: the busier direction sets it); a level gauge
-        ``(key, slots, full scale)``.  Entities are planned sorted, every
-        gauge planned here gets its level in this same tick, and each one of
-        the :data:`SERIES_FAMILIES` gets a :class:`HealthSeries`.
+        Each gauge is planned with its family's level table and its entity,
+        so a tick writes ``table[entity]`` without finding either.
+        A rate gauge is ``(table, entity, counter groups, capacity per
+        second, host)``: the busiest group's growth over capacity x dt (NICs
+        and CXL links are full duplex: the busier direction sets it); a level
+        gauge ``(table, entity, slots, full scale)``.  Entities are planned
+        sorted, every gauge planned here gets its level in this same tick,
+        and each one of the :data:`SERIES_FAMILIES` gets a
+        :class:`HealthSeries`.
         """
         self._planned = n
+        self._series = []
+
+        def gauge(family, entity):
+            """``family``'s level table; a dashboard family's ``entity``
+            also gets its statistics, fed from that table every tick."""
+            family_levels = self.levels.setdefault(family, {})
+            if family in SERIES_FAMILIES:
+                self._series.append((self.series.setdefault(
+                    (family, entity), HealthSeries()), family_levels, entity))
+            return family_levels
 
         def grouped(name, by):
             return {group: tuple(slots) for group, slots
@@ -569,7 +577,7 @@ class FleetHealth:
                     self.device_kind[entity[0]] = kind
                 if any(groups) or not sparse:
                     self._rates.append((
-                        (family, entity[0]), groups, per_sec,
+                        gauge(family, entity[0]), entity[0], groups, per_sec,
                         entity[1] if kind is not None else None))
 
         self._rates = []
@@ -577,12 +585,12 @@ class FleetHealth:
               (("tx",), ("rx",)), self.nic_bytes_per_sec, "nic")
         rates("device_util", "ssd_bytes", ("device", "host", "op"), None,
               self.ssd_bytes_per_sec, "ssd")
-        self._hosts = [(("host_util", host), host) for host in
-                       sorted({entry[3] for entry in self._rates})]
+        self._hosts = [(gauge("host_util", host), host) for host in
+                       sorted({entry[4] for entry in self._rates})]
         rates("link_saturation", "cxl_link_bytes", ("host", "direction"),
               (("read",), ("write",)), self.link_bytes_per_sec)
         self._levels = [
-            (("queue_saturation", device), slots,
+            (gauge("queue_saturation", device), device, slots,
              # a zero-depth queue reads 0, never divides by it
              self.queue_depths.get(self.device_kind.get(device, "nic"), 1024)
              or math.inf)
@@ -599,7 +607,7 @@ class FleetHealth:
             (kind, self.stranding_gauges.setdefault(kind, StrandingGauge()))
             for kind in sorted({entry[0] for entry in self._pool_devices})]
         self._rates.append((
-            ("lease_expiry_rate", "pod"),
+            gauge("lease_expiry_rate", "pod"), "pod",
             (grouped("allocator_events", ("event",)).get(
                 ("lease_expiry",), ()),), 1.0, None))
         # Overload control (PR 9): per-second rates of the shed and budget-
@@ -611,7 +619,7 @@ class FleetHealth:
         rates("retry_denied_rate", "driver_ops", by_op,
               (("retry_budget_denied",),), sparse=True)
         self._levels += [
-            (("brownout", driver), ops["brownout_level"], 1.0)
+            (gauge("brownout", driver), driver, ops["brownout_level"], 1.0)
             for (driver,), ops in nested("driver_ops", by_op)
             if "brownout_level" in ops]
         # Per-tenant serving gauges: ``tenant_requests`` only exists once a
@@ -619,23 +627,18 @@ class FleetHealth:
         # and the ``tenant_slo_burn`` alert rule stays inert.  A tenant's
         # level appears with its first completion.
         self._tenants = [
-            (("tenant_slo_burn", tenant),
+            (gauge("tenant_slo_burn", tenant), tenant,
              self._tenant_burn.setdefault(tenant, Ewma()),
              results.get("ok", ()), results.get("slo_violation", ()))
             for (tenant,), results in nested("tenant_requests",
                                              ("tenant", "result"))]
-        for key, *_ in self._rates + self._hosts:
-            if key[0] in SERIES_FAMILIES:
-                self.series.setdefault(key, HealthSeries())
 
     # -- querying ----------------------------------------------------------
 
     def _latest(self, family: str, entity: Optional[str]):
         """Latest level per entity of one gauge family (or one entity's)."""
-        if entity is not None:
-            return self.levels.get((family, entity), 0.0)
-        return {name: value for (fam, name), value in self.levels.items()
-                if fam == family}
+        table = self.levels.get(family, {})
+        return table.get(entity, 0.0) if entity is not None else dict(table)
 
     def queue_saturation(self, device: Optional[str] = None):
         """Descriptor-queue fill per device (or of one device)."""

@@ -135,19 +135,17 @@ DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
 class Histogram(_Instrument):
     """A distribution: cumulative buckets plus count/sum.
 
-    ``keep_raw=True`` (the default) also retains every observation, so
-    experiments can compute *exact* percentiles from the registry -- this is
-    what lets Figure 10/11 render from the registry while staying
-    numerically identical to the legacy hand-pulled lists.
+    It also retains every observation (``observations``), so experiments can
+    compute *exact* percentiles from the registry -- this is what lets
+    Figure 10/11 render from the registry while staying numerically
+    identical to the legacy hand-pulled lists.
     """
 
     kind = "histogram"
-    __slots__ = ("buckets", "bucket_counts", "count", "sum", "observations",
-                 "keep_raw")
+    __slots__ = ("buckets", "bucket_counts", "count", "sum", "observations")
 
     def __init__(self, name: str, labels: LabelsKey, help: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 keep_raw: bool = True):
+                 buckets: Sequence[float] = DEFAULT_BUCKETS):
         super().__init__(name, labels, help)
         bounds = sorted(float(b) for b in buckets)
         if not bounds or bounds[-1] != float("inf"):
@@ -156,7 +154,6 @@ class Histogram(_Instrument):
         self.bucket_counts: List[int] = [0] * len(self.buckets)
         self.count = 0
         self.sum = 0.0
-        self.keep_raw = keep_raw
         self.observations: List[float] = []
 
     def observe(self, value: float) -> None:
@@ -168,8 +165,7 @@ class Histogram(_Instrument):
         self.sum += value
         # First bound >= value; the last bound is +Inf, so always in range.
         self.bucket_counts[bisect_left(self.buckets, value)] += 1
-        if self.keep_raw:
-            self.observations.append(value)
+        self.observations.append(value)
 
     @property
     def mean(self) -> float:
@@ -359,9 +355,9 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_BUCKETS,
-                  keep_raw: bool = True, **labels) -> Histogram:
+                  **labels) -> Histogram:
         return self._get_or_create(Histogram, name, help, labels,
-                                   buckets=buckets, keep_raw=keep_raw)
+                                   buckets=buckets)
 
     def register(self, declare: Callable) -> None:
         """Bind a reader of counters that live elsewhere.

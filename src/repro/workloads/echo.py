@@ -119,13 +119,13 @@ class EchoClient:
         # per-tenant WFQ lanes can classify them (None -> untagged lane).
         self.tenant = tenant
         # When a pod's MetricsRegistry is passed in, RTTs are also observed
-        # into an "echo_rtt_us" histogram (keep_raw), so experiments can
-        # compute exact percentiles from the registry.
+        # into an "echo_rtt_us" histogram, which keeps every observation,
+        # so experiments can compute exact percentiles from the registry.
         self.rtt_hist = None
         if metrics is not None:
             self.rtt_hist = metrics.histogram(
                 "echo_rtt_us", help="UDP echo round-trip time (us)",
-                keep_raw=True, client=name,
+                client=name,
             )
         # When a pod's FlowRegistry is passed in (and enabled), every echo
         # becomes an end-to-end flow record attributing its RTT across hops.

@@ -336,23 +336,17 @@ def bind_driver(registry, driver) -> None:
 
 
 def bind_tenant_client(registry, client) -> None:
-    """Export a tenant load generator's request counters.
+    """Export the ``ok`` and ``slo_violation`` request counters of a tenant
+    load generator (the rows the source binding declares).
 
     One ``tenant_requests`` family keyed by (tenant, result); fleet health
-    turns the deltas into per-tenant SLO-burn and shed-rate gauges.
+    turns the deltas into the per-tenant SLO-burn gauge.
     """
 
     def collect():
         tenant = client.tenant
-        stats = client.stats
-        yield _sample("tenant_requests", stats.submitted,
-                      tenant=tenant, result="submitted")
-        yield _sample("tenant_requests", stats.completed_ok,
+        yield _sample("tenant_requests", client.stats.completed_ok,
                       tenant=tenant, result="ok")
-        yield _sample("tenant_requests", stats.shed,
-                      tenant=tenant, result="shed")
-        yield _sample("tenant_requests", stats.errors,
-                      tenant=tenant, result="error")
         yield _sample("tenant_requests", client.slo_violations,
                       tenant=tenant, result="slo_violation")
 

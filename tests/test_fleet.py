@@ -138,17 +138,17 @@ class TestHealthSeries:
         expiries = reg.counter("allocator_events", event="lease_expiry")
         fleet = FleetHealth(nic_bytes_per_sec=1e9, ssd_bytes_per_sec=1e9,
                             link_bytes_per_sec=1e9)
-        key = ("lease_expiry_rate", "pod")
         fleet.ingest(reg.snapshot(time=0.0))
-        assert key not in fleet.levels      # the first scrape only primes
+        assert fleet.levels == {}           # the first scrape only primes
         expiries.inc(50)                    # 50/s
         fleet.ingest(reg.snapshot(time=1.0))
-        assert fleet.levels[key] == pytest.approx(50.0)
+        rate = fleet.levels["lease_expiry_rate"]
+        assert rate["pod"] == pytest.approx(50.0)
         expiries.inc(100)                   # 100/s
         fleet.ingest(reg.snapshot(time=2.0))
-        assert fleet.levels[key] == pytest.approx(100.0)
+        assert rate["pod"] == pytest.approx(100.0)
         fleet.ingest(reg.snapshot(time=3.0))
-        assert fleet.levels[key] == 0.0     # a zero delta is a level too
+        assert rate["pod"] == 0.0           # a zero delta is a level too
 
     def test_as_dict_shape(self):
         series = HealthSeries()
@@ -200,7 +200,7 @@ class TestAlertEngine:
     RULE = AlertRule("hot", "device_util", 0.8, for_s=0.1, clear_below=0.7)
 
     def _tick(self, engine, t, value, entity="nic0"):
-        engine.evaluate(t, {("device_util", entity): value})
+        engine.evaluate(t, {"device_util": {entity: value}})
 
     def test_for_duration_gates_short_spikes(self):
         engine = AlertEngine((self.RULE,))
@@ -251,8 +251,7 @@ class TestAlertEngine:
             engine = AlertEngine((self.RULE,))
             for i in range(5):
                 engine.evaluate(i * 0.04, {
-                    ("device_util", "nic-b"): 0.9,
-                    ("device_util", "nic-a"): 0.9,
+                    "device_util": {"nic-b": 0.9, "nic-a": 0.9},
                 })
             return [e.as_json() for e in engine.log]
 
@@ -261,16 +260,17 @@ class TestAlertEngine:
         assert [e[2] for e in log] == ["nic-a", "nic-b"]   # sorted entities
 
     def test_counters_and_tracer_instants(self):
+        """The engine counts and logs its transitions; the tracer marks
+        them."""
         sim = Simulator()
-        registry = MetricsRegistry()
         tracer = Tracer(sim, enabled=True)
-        engine = AlertEngine((self.RULE,), tracer=tracer, registry=registry)
+        engine = AlertEngine((self.RULE,), tracer=tracer)
         for i in range(4):
             self._tick(engine, i * 0.04, 0.9)
         self._tick(engine, 0.2, 0.1)
-        snap = registry.snapshot()
-        assert snap.get("fleet_alert_fired", rule="hot") == 1
-        assert snap.get("fleet_alert_cleared", rule="hot") == 1
+        assert (engine.fired, engine.cleared) == (1, 1)
+        assert [(e.rule, e.kind) for e in engine.log] == [("hot", "fire"),
+                                                          ("hot", "clear")]
         instants = [e for e in tracer.events if e.category == "alert"]
         assert [e.name for e in instants] == ["alert.fire:hot",
                                               "alert.clear:hot"]
@@ -314,11 +314,11 @@ class TestFleetIngest:
         ssd.inc(1e9)          # 0.5 of 2 GB/s
         link.inc(2e9)         # 0.5 of 4 GB/s
         fleet.ingest(reg.snapshot(time=1.0))
-        assert fleet.levels[("device_util", "nic0")] == pytest.approx(0.5)
-        assert fleet.levels[("device_util", "ssd0")] == pytest.approx(0.5)
-        assert fleet.levels[("link_saturation", "h0")] == pytest.approx(0.5)
+        assert fleet.levels["device_util"]["nic0"] == pytest.approx(0.5)
+        assert fleet.levels["device_util"]["ssd0"] == pytest.approx(0.5)
+        assert fleet.levels["link_saturation"]["h0"] == pytest.approx(0.5)
         assert fleet.series[("device_util", "nic0")].last == \
-            fleet.levels[("device_util", "nic0")]
+            fleet.levels["device_util"]["nic0"]
         assert fleet.device_kind == {"nic0": "nic", "ssd0": "ssd"}
         assert fleet.device_host == {"nic0": "h0", "ssd0": "h1"}
         # No raw snapshot retention: only the previous snapshot is held.
@@ -369,7 +369,7 @@ class TestFleetIngest:
         fleet.ingest(reg.snapshot(time=0.0))
         expiries.inc(50)      # 50/s over the next second
         fleet.ingest(reg.snapshot(time=1.0))
-        assert fleet.levels[("lease_expiry_rate", "pod")] == \
+        assert fleet.levels["lease_expiry_rate"]["pod"] == \
             pytest.approx(50.0)
         assert fleet.alert_engine.fired == 1
         alerts = fleet.alerts()
@@ -399,18 +399,19 @@ class TestOnlyWhatIsRead:
 
         pod, run = _serve_mix_pod(5)
         run(0.01)
-        families = {family for family, _ in pod.fleet.levels}
+        levels = {(family, entity) for family, table
+                  in pod.fleet.levels.items() for entity in table}
         assert {"device_util", "queue_saturation", "tenant_slo_burn",
-                "brownout"} <= families
+                "brownout"} <= {family for family, _ in levels}
         assert pod.fleet.series
         assert {family for family, _ in pod.fleet.series} <= {
             "device_util", "host_util", "link_saturation"}
-        assert set(pod.fleet.series) <= set(pod.fleet.levels)
+        assert set(pod.fleet.series) <= levels
 
     def test_unread_parts_stay_gone(self):
         src = Path(__file__).resolve().parents[1] / "src" / "repro"
         gone = re.compile(r"HealthView|pool_stranding|tenant_shed_rate"
-                          r"|active_only")
+                          r"|active_only|fleet_alert_|keep_raw|_US_BUCKETS")
         assert [f"{path.relative_to(src)}:{n}: {line.strip()}"
                 for path in sorted(src.rglob("*.py"))
                 for n, line in enumerate(path.read_text().splitlines(), 1)

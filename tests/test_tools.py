@@ -166,6 +166,31 @@ def test_opcount_windows_are_per_workload_kind():
         assert "--sim-s" in done.stderr
 
 
+def test_serve_mix_fleet_health_counts_each_quantity_once():
+    """On the ``serve_mix`` window (seed 17, 0.02 sim-s) ``obs`` stays at or
+    under 610 bytecodes per request (846.3 while alert counts were also
+    registry series and levels were one flat table), and the fleet's plan
+    is not re-made: nothing it writes grows the series table."""
+    code = ("import sys; sys.path.insert(0, 'tools'); import opcount\n"
+            "from repro.obs.fleet import FleetHealth\n"
+            "plan, count, plans = FleetHealth._plan, opcount.count, []\n"
+            "def counted(run):\n"
+            "    FleetHealth._plan = lambda self, *a: (plans.append(self.time),"
+            " plan(self, *a))[1]\n"
+            "    try:\n"
+            "        return count(run)\n"
+            "    finally:\n"
+            "        FleetHealth._plan = plan\n"
+            "opcount.count = counted\n"
+            "counts, requests, _ = opcount.window('serve_mix', 17, 0.02)\n"
+            "print(counts['obs'][0] / requests, len(plans))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT).stdout.split()
+    obs_per_request, plans = float(out[0]), int(out[1])
+    assert plans == 0
+    assert 0 < obs_per_request <= 610
+
+
 def test_ledger_prints_one_row_of_this_tree():
     """``tools/ledger.py`` on one 2 ms ``echo_cell`` slice: one JSON line
     of counts, and an ``import repro`` that loads no heavy module."""
@@ -177,7 +202,7 @@ def test_ledger_prints_one_row_of_this_tree():
     assert len(lines) == 1
     row = json.loads(lines[0])
     assert set(row) == {"rev", "opcount", "import_repro", "src_lines",
-                        "schedule_v3_events"}
+                        "schedule_v3_events", "idle_rack_events_per_sim_s"}
     cell = row["opcount"]["echo_cell"]
     assert cell["requests"] > 0 and cell["events_per_request"] > 0
     assert cell["bytecodes"] > cell["calls"] > 0
@@ -193,6 +218,8 @@ def test_ledger_prints_one_row_of_this_tree():
     assert row["import_repro"]["heavy"] == []
     assert row["import_repro"]["rss_mib"] > 0 and row["import_repro"]["ms"] > 0
     assert row["schedule_v3_events"] == 13_781
+    # exact: it moves only with the schedule of an idle rack (ROADMAP 4(a))
+    assert row["idle_rack_events_per_sim_s"] == 5_935
     assert row["src_lines"] > 10_000
 
 

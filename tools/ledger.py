@@ -17,6 +17,9 @@ The line holds, for the tree at ``DIR`` (default: this checkout):
   modules it loaded beyond the interpreter's start-up set (any package
   outside the standard library, and ``numpy.random``, OpenSSL's ``_hashlib``
   and ``_ssl``);
+* ``idle_rack_events_per_sim_s``: the events an idle
+  ``RackBuilder(hosts=32, pools=4)`` with ``enable_raft(3)`` dispatches per
+  simulated second over [0.5, 1.5] s (ROADMAP item 4(a)'s count);
 * ``src_lines``: ``wc -l`` over ``src/repro``'s ``.py`` files;
 * ``schedule_v3_events``: ``SCHEDULE_V3_EVENTS`` in
   ``tests/test_schedule_v3.py``.
@@ -24,7 +27,8 @@ The line holds, for the tree at ``DIR`` (default: this checkout):
 Every number but the import row is exact, so two trees compare by one run
 each.  Each workload is counted in its own child process, with ``DIR``'s
 ``src`` and ``perf`` first on its path and this file's counter, so one
-checkout of the tool can measure another tree (a clone of an older commit).
+checkout of the tool can measure another tree (a clone of an older commit);
+the idle rack runs in a fresh interpreter on ``DIR``'s ``src`` as well.
 ``python tools/ledger.py >> BENCH_history.jsonl`` adds the line to the
 history.  Standard library only.
 """
@@ -56,6 +60,17 @@ import repro
 ms = (time.perf_counter() - t0) * 1e3
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"ms": ms, "rss_mib": rss, "modules": sorted(sys.modules)}))
+"""
+
+IDLE_RACK_S = (0.5, 1.5)
+IDLE_RACK_PROBE = f"""
+from repro.core.pod import RackBuilder
+pod = RackBuilder(hosts=32, pools=4).build()
+pod.enable_raft(3)
+pod.run({IDLE_RACK_S[0]})
+before = pod.sim.processed_events
+pod.run({IDLE_RACK_S[1] - IDLE_RACK_S[0]})
+print(pod.sim.processed_events - before)
 """
 
 
@@ -103,6 +118,17 @@ def import_row(tree: Path, runs: int = 5) -> dict:
             "heavy": sorted(heavy)}
 
 
+def idle_rack_events(tree: Path) -> float:
+    """Events an idle 32-host, 4-pool rack with Raft dispatches per simulated
+    second over ``IDLE_RACK_S``, in a fresh interpreter on ``tree``'s
+    ``src``."""
+    events = int(subprocess.run(
+        [sys.executable, "-c", IDLE_RACK_PROBE], cwd=tree, check=True,
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        capture_output=True, text=True).stdout)
+    return round(events / (IDLE_RACK_S[1] - IDLE_RACK_S[0]), 1)
+
+
 def schedule_version(tree: Path) -> int | None:
     path = tree / "tests" / "test_schedule_v3.py"
     if not path.is_file():
@@ -129,6 +155,7 @@ def row(tree: Path, names, sim_s: float | None) -> dict:
     return {"rev": rev or None,
             "opcount": counts,
             "import_repro": import_row(tree),
+            "idle_rack_events_per_sim_s": idle_rack_events(tree),
             "src_lines": sum(len(p.read_bytes().splitlines())
                              for p in (tree / "src" / "repro").rglob("*.py")),
             "schedule_v3_events": schedule_version(tree)}

@@ -131,7 +131,7 @@ class _PrefetchingReceiver(ChannelReceiver):
             lines = min(depth, (ring_bytes - offset) >> 6)
             # Only the lines actually cached cost a CLFLUSHOPT.
             cost += self.cache.clflush_cached(
-                self._slot_base + offset, lines << 6, "message")[1]
+                self._slot_base + offset, lines << 6, "message")
             lseq += lines
             depth -= lines
         self._reset_prefetch_horizon()

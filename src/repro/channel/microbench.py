@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..config import OasisConfig
 from ..mem.cache import HostCache
-from ..mem.cxl import CXLMemoryPool
+from ..mem.cxl import CXLMemoryPool, mask_bits
 from ..mem.layout import Region
 from ..sim.core import Simulator
 from .designs import make_receiver
@@ -79,22 +79,44 @@ class _TimedCache(HostCache):
             cost += ready_at - self.sim.now
         return data, cost
 
+    def _masks(self, addr, size):
+        """``(page index, present mask)`` of each page the range spans."""
+        if size <= 0:
+            return []
+        pages = self._pages
+        masks = []
+        for pidx in range(addr >> 12, ((addr + size - 1) >> 12) + 1):
+            page = pages.get(pidx)
+            masks.append((pidx, 0 if page is None else page.present))
+        return masks
+
+    def _flipped(self, masks):
+        """The line indices whose presence changed since ``_masks``: a range
+        op changes only lines of its range, so these are the lines a
+        prefetch fetched or a flush dropped."""
+        pages = self._pages
+        return [pidx << 6 | bit for pidx, before in masks
+                for bit in mask_bits(before ^ getattr(pages.get(pidx),
+                                                      "present", 0))]
+
     def prefetch_range(self, addr, size, category="message"):
-        issued, cost = HostCache.prefetch_range(self, addr, size, category)
+        masks = self._masks(addr, size)
+        cost = HostCache.prefetch_range(self, addr, size, category)
         arrival = self.sim.now + self.timings.cxl_load_ns
-        for index in issued:
+        for index in self._flipped(masks):
             self.ready[index] = arrival
-        return issued, cost
+        return cost
 
     def clflush(self, addr, fenced=False, category="payload"):
         self.ready.pop(addr >> 6, None)
         return HostCache.clflush(self, addr, fenced, category)
 
     def clflush_cached(self, addr, size, category="payload"):
-        dropped, cost = HostCache.clflush_cached(self, addr, size, category)
-        for index in dropped:
+        masks = self._masks(addr, size)
+        cost = HostCache.clflush_cached(self, addr, size, category)
+        for index in self._flipped(masks):
             self.ready.pop(index, None)
-        return dropped, cost
+        return cost
 
 
 class ChannelMicrobench:

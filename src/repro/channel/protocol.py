@@ -260,7 +260,7 @@ class ChannelReceiver:
             offset = (start << 6) & (ring_bytes - 1)
             lines = min(end - start + 1, (ring_bytes - offset) >> 6)
             cost += self.cache.prefetch_range(
-                self._slot_base + offset, lines << 6, "message")[1]
+                self._slot_base + offset, lines << 6, "message")
             start += lines
         if self._prefetch_horizon < end:
             self._prefetch_horizon = end

@@ -35,6 +35,7 @@ notification cannot corrupt post-failover state.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import replace
 from typing import Callable, Dict, Optional
 
@@ -103,7 +104,7 @@ class PodAllocator:
         # sample past the cap is counted, not kept: percentiles over the
         # list then describe only a prefix, and ``rack --check`` fails.
         self._decided_at: Dict[int, float] = {}
-        self.commit_latencies: list = []
+        self.commit_latencies = array("d")
         self.commit_latencies_dropped = 0
         self._commit_latency_cap = 200_000
 

@@ -27,6 +27,7 @@ Anything else is asked of ``shards[name]``.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Optional
 
 from .allocator import PodAllocator
@@ -97,8 +98,8 @@ class ShardedAllocator:
         return sum(s.pending_commands for s in self.shards.values())
 
     @property
-    def commit_latencies(self) -> list:
-        merged: list = []
+    def commit_latencies(self) -> array:
+        merged = array("d")
         for _name, shard in sorted(self.shards.items()):
             merged.extend(shard.commit_latencies)
         return merged

@@ -43,7 +43,7 @@ from typing import Optional, Tuple
 
 from ..config import CACHE_LINE, CacheTimings
 from ..errors import MemoryFault
-from .cxl import BELOW, BIT, SPAN, CXLMemoryPool, Page, copy_lines, mask_bits
+from .cxl import BELOW, BIT, SPAN, CXLMemoryPool, Page, copy_lines
 
 __all__ = ["HostCache", "CacheStats"]
 
@@ -231,12 +231,10 @@ class HostCache:
             wr[category] = wr.get(category, 0) + CACHE_LINE
 
     def _sweep(self, addr: int, size: int, category: Optional[str], drop: bool,
-               posted: bool = True, dropped_lines: Optional[list] = None
-               ) -> Tuple[int, int, int]:
+               posted: bool = True) -> Tuple[int, int, int]:
         """Visit the cached lines of ``[addr, addr+size)``: write the dirty
         ones back under ``category`` (``None``: do not), then forget them all
-        if ``drop`` (appending their indices to ``dropped_lines``).  Returns
-        ``(lines spanned, written back, dropped)``.
+        if ``drop``.  Returns ``(lines spanned, written back, dropped)``.
         """
         if (addr | size) < 0 or addr + size > self._size:     # either negative
             self._check(addr, size)
@@ -261,10 +259,6 @@ class HostCache:
                 if hit and drop:
                     self._forget(addr >> 12, page, hit)
                     dropped += hit.bit_count()
-                    if dropped_lines is not None:
-                        base = (addr >> 12) << 6
-                        for bit in mask_bits(hit):
-                            dropped_lines.append(base | bit)
             stop -= off
             addr += stop
             size -= stop
@@ -463,20 +457,18 @@ class HostCache:
         return spanned * (t.clflush_ns if fenced else t.clflush_issue_ns)
 
     def clflush_cached(self, addr: int, size: int,
-                       category: str = "payload") -> Tuple[list, float]:
+                       category: str = "payload") -> float:
         """Unfenced CLFLUSHOPT of exactly the cached lines in the range.
 
         For a caller that tracks what it brought in (a receiver's prefetch
         window) and so issues no flush for the lines it knows are absent:
-        those cost nothing.  Returns ``(dropped line indices, cost_ns)``.
+        those cost nothing.  Returns ``cost_ns``.
         """
-        lines: list = []
-        _, written, dropped = self._sweep(addr, size, category, drop=True,
-                                          dropped_lines=lines)
+        _, written, dropped = self._sweep(addr, size, category, drop=True)
         stats = self.stats
         stats.writebacks += written
         stats.invalidations += dropped
-        return lines, dropped * self.timings.clflush_issue_ns
+        return dropped * self.timings.clflush_issue_ns
 
     def inject_writeback_fault(self, count: int = 1, mode: str = "drop",
                                category: Optional[str] = "payload",
@@ -522,12 +514,11 @@ class HostCache:
         return self.timings.mfence_ns
 
     def prefetch_range(self, addr: int, size: int,
-                       category: str = "message") -> Tuple[list, float]:
-        """One PREFETCHT0 per line of the range.  Returns ``(indices of the
-        lines actually fetched, cost_ns)``.  A prefetch of a line already
-        present in the cache is ignored by the hardware -- including when
-        the cached copy is stale.  This no-op is the root cause dissected in
-        §3.2.2."""
+                       category: str = "message") -> float:
+        """One PREFETCHT0 per line of the range.  Returns ``cost_ns``.  A
+        prefetch of a line already present in the cache is ignored by the
+        hardware -- including when the cached copy is stale.  This no-op is
+        the root cause dissected in §3.2.2."""
         pages = self._pages
         off = addr & 4095
         if 0 < size <= 64 - (off & 63):
@@ -536,14 +527,13 @@ class HostCache:
             lo = off >> 6
             if page is not None and page.present & BIT[lo]:
                 self.stats.prefetches_ignored += 1
-                return [], self.timings.prefetch_issue_ns
+                return self.timings.prefetch_issue_ns
             self._claim(addr >> 12, page, lo, lo, BIT[lo], BIT[lo], category, addr, size)
             self.stats.prefetches_issued += 1
-            return [addr >> 6], self.timings.prefetch_issue_ns
+            return self.timings.prefetch_issue_ns
         if size < 0:
             self._check(addr, size)
-        issued: list = []
-        lines = 0
+        issued = lines = 0
         pos = addr
         left = size
         while left > 0:
@@ -559,19 +549,15 @@ class HostCache:
             need = mask if page is None else mask & ~page.present
             if need:
                 self._claim(pos >> 12, page, lo, hi, need, need, category, addr, size)
-                base = (pos >> 12) << 6
-                if need == mask:
-                    issued += range(base | lo, (base | hi) + 1)
-                else:
-                    issued += [base | bit for bit in mask_bits(need)]
+                issued += need.bit_count()
             lines += hi - lo + 1
             stop -= off
             pos += stop
             left -= stop
         stats = self.stats
-        stats.prefetches_issued += len(issued)
-        stats.prefetches_ignored += lines - len(issued)
-        return issued, lines * self.timings.prefetch_issue_ns
+        stats.prefetches_issued += issued
+        stats.prefetches_ignored += lines - issued
+        return lines * self.timings.prefetch_issue_ns
 
     def drop_all(self) -> None:
         """Invalidate the entire cache without writing anything back."""

@@ -23,7 +23,7 @@ from ..config import TransportConfig
 from ..sim.core import MSEC, Simulator, Timer
 from .packet import PROTO_TCP, PROTO_UDP, Frame
 
-__all__ = ["UdpSocket", "ReliableSocket", "FLAG_ACK"]
+__all__ = ["UdpSocket", "ReliableSocket", "ReceivedSeqs", "FLAG_ACK"]
 
 FLAG_ACK = 0x01
 
@@ -85,6 +85,41 @@ class UdpSocket:
             self._on_datagram(frame)
 
 
+class ReceivedSeqs:
+    """The sequence numbers received from one peer, in bounded space.
+
+    Every seq up to ``floor`` was received, plus the out-of-order ones in
+    ``above``; a contiguous arrival advances ``floor`` and pulls the seqs it
+    reaches out of ``above``.  A sender numbers from 1, so ``floor`` starts
+    at 0.  ``above`` holds only what arrived ahead of a gap, instead of one
+    entry per message ever received.
+    """
+
+    __slots__ = ("floor", "above")
+
+    def __init__(self):
+        self.floor = 0
+        self.above: set = set()
+
+    def add(self, seq: int) -> bool:
+        """Record ``seq``; False if it had been received already."""
+        floor = self.floor
+        if seq <= floor:
+            return False
+        above = self.above
+        if seq != floor + 1:
+            if seq in above:
+                return False
+            above.add(seq)
+            return True
+        floor = seq
+        while floor + 1 in above:
+            floor += 1
+            above.remove(floor)
+        self.floor = floor
+        return True
+
+
 class ReliableSocket:
     """Message-oriented reliable transport with RTO-based retransmission."""
 
@@ -101,7 +136,7 @@ class ReliableSocket:
         self.config = config or TransportConfig()
         self._next_seq = 1
         self._unacked: Dict[int, dict] = {}
-        self._seen: Dict[Tuple[int, int], set] = {}
+        self._seen: Dict[Tuple[int, int], ReceivedSeqs] = {}
         self._on_message: Optional[Callable[[Frame], None]] = None
         self._on_give_up: Optional[Callable[[int], None]] = None
         self.sent = 0
@@ -205,10 +240,11 @@ class ReliableSocket:
         ack.src_mac = 0
         self.endpoint.send_frame(ack)
         peer = (frame.src_ip, frame.src_port)
-        seen = self._seen.setdefault(peer, set())
-        if frame.seq in seen:
+        seen = self._seen.get(peer)
+        if seen is None:
+            seen = self._seen[peer] = ReceivedSeqs()
+        if not seen.add(frame.seq):
             return
-        seen.add(frame.seq)
         self.received += 1
         if self._on_message is not None:
             self._on_message(frame)

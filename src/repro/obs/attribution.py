@@ -13,6 +13,7 @@ questions Fig 11 asks of the real system:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
@@ -23,7 +24,7 @@ __all__ = [
 ]
 
 
-def _percentile(values: List[float], q: float) -> float:
+def _percentile(values: Sequence[float], q: float) -> float:
     import numpy as np
     if not values:
         return float("nan")
@@ -37,7 +38,7 @@ class StageStats:
 
     def __init__(self, name: str):
         self.name = name
-        self.durations_us: List[float] = []   # per flow, summed over its segments
+        self.durations_us = array("d")   # per flow, summed over its segments
         self.depth_sum = 0.0
         self.depth_n = 0
         self.queue_us = 0.0
@@ -65,7 +66,7 @@ class FlowAttribution:
 
     def __init__(self):
         self.stages: Dict[str, StageStats] = {}
-        self.totals_us: List[float] = []    # end-to-end, one per flow
+        self.totals_us = array("d")    # end-to-end, one per flow
         self.flows = 0
 
     def observe(self, record) -> None:

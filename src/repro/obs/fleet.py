@@ -339,15 +339,16 @@ class AlertEngine:
         self.dropped = 0
         self.fired = 0
         self.cleared = 0
-        #: (rule, entity) -> {"state": "pending"|"firing", "since": t,
-        #:                    "value": last}
-        self._state: Dict[Tuple[str, str], dict] = {}
+        #: rule -> {entity: {"state": "pending"|"firing", "since": t,
+        #:                   "value": last}}, only entities not ok
+        self._states: Dict[str, Dict[str, dict]] = {
+            rule.name: {} for rule in self.rules}
 
     @property
     def active(self) -> Dict[Tuple[str, str], dict]:
         """Currently firing alerts: (rule, entity) -> state dict."""
-        return {key: st for key, st in self._state.items()
-                if st["state"] == "firing"}
+        return {(rule, entity): st for rule, states in self._states.items()
+                for entity, st in states.items() if st["state"] == "firing"}
 
     def _emit(self, event: AlertEvent) -> None:
         if len(self.log) == self.log.maxlen:
@@ -364,34 +365,37 @@ class AlertEngine:
                                 value=round(event.value, 6))
 
     def evaluate(self, t: float, levels: Dict[str, Dict[str, float]]) -> None:
-        """One tick: ``levels`` maps family -> {entity: current level}; each
-        rule reads its own family, entities in sorted order."""
+        """One tick: ``levels`` maps family -> {entity: current level}, each
+        family kept in sorted entity order; each rule reads its own family
+        in that order."""
         for rule in self.rules:
             family = levels.get(rule.family)
             if not family:
                 continue
-            for entity, value in sorted(family.items()):
-                key = (rule.name, entity)
-                state = self._state.get(key)
-                if value >= rule.threshold:
+            threshold = rule.threshold
+            states = self._states[rule.name]
+            for entity, value in family.items():
+                if value >= threshold:
+                    state = states.get(entity)
                     if state is None:
                         state = {"state": "pending", "since": t, "value": value}
-                        self._state[key] = state
+                        states[entity] = state
                     state["value"] = value
                     if (state["state"] == "pending"
                             and t - state["since"] >= rule.for_s):
                         state["state"] = "firing"
                         self._emit(AlertEvent(t, rule.name, entity, "fire",
                                               value))
-                elif state is not None:
+                elif entity in states:
+                    state = states[entity]
                     state["value"] = value
                     if state["state"] == "pending":
                         # Spike shorter than for_s: gated, never fired.
-                        del self._state[key]
+                        del states[entity]
                     elif value < rule.clear_threshold:
                         self._emit(AlertEvent(t, rule.name, entity, "clear",
                                               value))
-                        del self._state[key]
+                        del states[entity]
                     # clear_threshold <= value < threshold: keep firing.
 
     def log_json(self) -> List[list]:
@@ -419,6 +423,13 @@ def _level(now, slots) -> float:
     for slot in slots:
         total += now[slot]
     return total
+
+
+def _sort_entities(table: dict) -> None:
+    """Reorder a level table by entity, in place (the gauges hold it)."""
+    items = sorted(table.items())
+    table.clear()
+    table.update(items)
 
 
 #: The gauge families the ``top`` dashboard renders with statistics
@@ -519,7 +530,10 @@ class FleetHealth:
             ok = _growth(now, before, (ok_slots,))
             if ok > 0:
                 burn = min(1.0, _growth(now, before, (violation_slots,)) / ok)
+                first = ewma.value is None
                 table[tenant] = ewma.update(t, burn)
+                if first:                   # a new entity: keep the order
+                    _sort_entities(table)
             elif ewma.value is not None:
                 # No completions this tick: decay toward the last level so
                 # a stalled tenant's burn gauge does not freeze mid-alert.
@@ -539,15 +553,21 @@ class FleetHealth:
         gauge ``(table, entity, slots, full scale)``.  Entities are planned
         sorted, every gauge planned here gets its level in this same tick,
         and each one of the :data:`SERIES_FAMILIES` gets a
-        :class:`HealthSeries`.
+        :class:`HealthSeries`.  Each level table is then put in entity
+        order, so :meth:`AlertEngine.evaluate` reads it as stored: a gauge
+        that writes every tick holds its entity's key from here on, and a
+        tenant's burn level, which appears with its first completion, is
+        put in order by :meth:`ingest` then.
         """
         self._planned = n
         self._series = []
 
-        def gauge(family, entity):
+        def gauge(family, entity, every_tick=True):
             """``family``'s level table; a dashboard family's ``entity``
             also gets its statistics, fed from that table every tick."""
             family_levels = self.levels.setdefault(family, {})
+            if every_tick:
+                family_levels.setdefault(entity, 0.0)
             if family in SERIES_FAMILIES:
                 self._series.append((self.series.setdefault(
                     (family, entity), HealthSeries()), family_levels, entity))
@@ -627,11 +647,13 @@ class FleetHealth:
         # and the ``tenant_slo_burn`` alert rule stays inert.  A tenant's
         # level appears with its first completion.
         self._tenants = [
-            (gauge("tenant_slo_burn", tenant), tenant,
+            (gauge("tenant_slo_burn", tenant, every_tick=False), tenant,
              self._tenant_burn.setdefault(tenant, Ewma()),
              results.get("ok", ()), results.get("slo_violation", ()))
             for (tenant,), results in nested("tenant_requests",
                                              ("tenant", "result"))]
+        for family_levels in self.levels.values():
+            _sort_entities(family_levels)
 
     # -- querying ----------------------------------------------------------
 

@@ -22,6 +22,7 @@ shorter vector reads a later series as absent.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
@@ -135,10 +136,11 @@ DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
 class Histogram(_Instrument):
     """A distribution: cumulative buckets plus count/sum.
 
-    It also retains every observation (``observations``), so experiments can
-    compute *exact* percentiles from the registry -- this is what lets
-    Figure 10/11 render from the registry while staying numerically
-    identical to the legacy hand-pulled lists.
+    It also retains every observation (``observations``, a packed
+    ``array("d")``: 8 B a sample), so experiments can compute *exact*
+    percentiles from the registry -- this is what lets Figure 10/11 render
+    from the registry while staying numerically identical to the legacy
+    hand-pulled lists.
     """
 
     kind = "histogram"
@@ -154,7 +156,7 @@ class Histogram(_Instrument):
         self.bucket_counts: List[int] = [0] * len(self.buckets)
         self.count = 0
         self.sum = 0.0
-        self.observations: List[float] = []
+        self.observations = array("d")
 
     def observe(self, value: float) -> None:
         value = float(value)

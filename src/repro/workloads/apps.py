@@ -15,9 +15,10 @@ retransmission-driven latency tail after a NIC failure.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -123,8 +124,8 @@ class AppClient:
         self.sock.on_message(self._on_response)
         self._outstanding: Dict[int, float] = {}   # our request seq -> sent at
         self._sent_request_for: Dict[int, int] = {}
-        self.latencies_us: List[float] = []
-        self.response_times: List[float] = []
+        self.latencies_us = array("d")
+        self.response_times = array("d")
         self.sent = 0
         self._stopped = False
 

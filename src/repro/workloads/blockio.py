@@ -10,8 +10,9 @@ per-request completion latency.  Used by the storage overhead benchmark
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..analysis.stats import summarize_latencies
 from ..obs.flow import NULL_FLOWS
@@ -30,8 +31,8 @@ class BlockWorkloadStats:
     errors: int = 0
 
     def __post_init__(self):
-        self.read_latencies_us: List[float] = []
-        self.write_latencies_us: List[float] = []
+        self.read_latencies_us = array("d")
+        self.write_latencies_us = array("d")
 
     def summary(self) -> dict:
         return {

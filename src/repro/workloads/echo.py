@@ -7,8 +7,9 @@ records per-packet round-trip latency.  Used for Figures 10, 11, 12 and 13.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -46,15 +47,26 @@ class EchoServer:
         self.sock.reply(frame)
 
 
+def _samples() -> array:
+    return array("d")
+
+
 @dataclass
 class EchoStats:
-    """Client-side results."""
+    """Client-side results.
+
+    ``send_times`` (by sequence number), ``recv_times`` and ``latencies_us``
+    (one per first reply) are packed ``array("d")`` records, 8 B a sample.
+    ``outstanding`` is the client's send map, sequence number -> send time:
+    a sequence number leaves it on its first reply.
+    """
 
     sent: int = 0
     received: int = 0
-    latencies_us: List[float] = field(default_factory=list)
-    send_times: List[float] = field(default_factory=list)
-    recv_times: List[float] = field(default_factory=list)
+    latencies_us: array = field(default_factory=_samples)
+    send_times: array = field(default_factory=_samples)
+    recv_times: array = field(default_factory=_samples)
+    outstanding: Dict[int, float] = field(default_factory=dict)
 
     @property
     def lost(self) -> int:
@@ -68,20 +80,14 @@ class EchoStats:
     def loss_timeline(self, bin_s: float, duration: float) -> np.ndarray:
         """Lost packets per time bin (Figure 13a).
 
-        A sent packet counts as lost if its sequence number never came back;
-        the loss is attributed to the bin it was sent in.
+        A sent packet counts as lost if it is still outstanding (no reply
+        came back); the loss is attributed to the bin it was sent in.
         """
         bins = int(np.ceil(duration / bin_s))
         lost = np.zeros(bins, dtype=int)
-        got = self._received_seqs
-        for seq, t in enumerate(self.send_times):
-            if seq not in got:
-                index = min(bins - 1, int(t / bin_s))
-                lost[index] += 1
+        for t in self.outstanding.values():
+            lost[min(bins - 1, int(t / bin_s))] += 1
         return lost
-
-    # sequence numbers that round-tripped (populated by the client)
-    _received_seqs: set = field(default_factory=set)
 
 
 class EchoClient:
@@ -130,7 +136,6 @@ class EchoClient:
         # When a pod's FlowRegistry is passed in (and enabled), every echo
         # becomes an end-to-end flow record attributing its RTT across hops.
         self.flows = flows if flows is not None else NULL_FLOWS
-        self._send_time: Dict[int, float] = {}
         self._next_seq = 0
         self._task = None
         self._stopped = False
@@ -166,9 +171,10 @@ class EchoClient:
         from ..net.packet import HEADER_SIZE
         pad = max(0, self.packet_size - HEADER_SIZE - 8)
         payload = seq.to_bytes(8, "little") + b"\x00" * pad
-        self._send_time[seq] = self.sim.now
-        self.stats.sent += 1
-        self.stats.send_times.append(self.sim.now)
+        stats = self.stats
+        stats.outstanding[seq] = self.sim.now
+        stats.sent += 1
+        stats.send_times.append(self.sim.now)
         frame = self.sock.sendto(payload, self.server_ip, self.server_port,
                                  wire_size=self.packet_size, seq=seq)
         if self.tenant is not None:
@@ -180,17 +186,17 @@ class EchoClient:
         self._schedule_next()
 
     def _on_reply(self, frame: Frame) -> None:
-        sent_at = self._send_time.pop(frame.seq, None)
+        stats = self.stats
+        sent_at = stats.outstanding.pop(frame.seq, None)
         if sent_at is None:
             return
         if frame.meta:
             flow = frame.meta.get("flow")
             if flow is not None:
                 self.flows.complete(flow)
-        self.stats.received += 1
+        stats.received += 1
         rtt_us = (self.sim.now - sent_at) / USEC
-        self.stats.latencies_us.append(rtt_us)
+        stats.latencies_us.append(rtt_us)
         if self.rtt_hist is not None:
             self.rtt_hist.observe(rtt_us)
-        self.stats.recv_times.append(self.sim.now)
-        self.stats._received_seqs.add(frame.seq)
+        stats.recv_times.append(self.sim.now)

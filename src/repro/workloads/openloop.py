@@ -25,7 +25,8 @@ the offered event stream is a pure function of (seed, rate profile).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from array import array
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class OpenLoopStats:
         self.completed_ok = 0
         self.shed = 0
         self.errors = 0
-        self.latencies_us: List[float] = []
+        self.latencies_us = array("d")
         # Completions landing after the last bin's right edge (requests in
         # flight when the run window closed).  They still count in the
         # totals above, but folding them into the final bin would inflate

@@ -9,6 +9,7 @@ comparison isolates *multiplexing interference*.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -37,8 +38,8 @@ class TraceReplayClient:
         self.sock = UdpSocket(sim, endpoint, port)
         self.sock.on_datagram(self._on_reply)
         self._send_time: Dict[int, float] = {}
-        self.latencies_us: List[float] = []
-        self.recv_times: List[float] = []
+        self.latencies_us = array("d")
+        self.recv_times = array("d")
         self.recv_sizes: List[int] = []
         self.sent = 0
 

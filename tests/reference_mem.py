@@ -274,7 +274,7 @@ class ReferenceCache:
     def clflush_cached(self, addr: int, size: int, category: str = "payload"):
         self._check(addr, size)
         dropped = [i for i in _lines(addr, size) if self._drop(i, category)]
-        return dropped, len(dropped) * self.timings.clflush_issue_ns
+        return len(dropped) * self.timings.clflush_issue_ns
 
     def _drop(self, index: int, category: str) -> bool:
         line = self._lines.pop(index, None)
@@ -300,17 +300,15 @@ class ReferenceCache:
 
     def prefetch_range(self, addr: int, size: int, category: str = "message"):
         if size == 0:
-            return [], 0.0
+            return 0.0
         self._check(addr, size)
-        issued = []
         for index in _lines(addr, size):
             if index in self._lines:
                 self.stats.prefetches_ignored += 1
             else:
                 self._fill(index, category)
                 self.stats.prefetches_issued += 1
-                issued.append(index)
-        return issued, len(_lines(addr, size)) * self.timings.prefetch_issue_ns
+        return len(_lines(addr, size)) * self.timings.prefetch_issue_ns
 
     def drop_all(self) -> None:
         self._lines.clear()

@@ -613,9 +613,9 @@ class TestBoundedHistory:
 
     def test_soak_peak_rss_is_flat_over_the_second_half(self):
         """ROADMAP item 5(v) for the control plane.  What still grows per
-        command is the harness-side ``commit_latencies`` sample list (32 B a
-        command up to its 200,000 cap: under 2 MiB over the full soak's
-        second half); the parent grew ~1.2 KB per command."""
+        command is the harness-side ``commit_latencies`` sample record (an
+        ``array("d")``, 8 B a command up to its 200,000 cap: under 1 MiB over
+        the full soak's second half); the parent grew ~1.2 KB per command."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))

@@ -247,17 +247,18 @@ class TestAlertEngine:
         assert engine.fired == 2
 
     def test_entities_evaluated_deterministically(self):
-        def run():
+        """The engine reads each family's table as stored; ``FleetHealth``
+        stores it in entity order (``TestFleetIngest::
+        test_level_tables_stay_in_entity_order``)."""
+        def run(table):
             engine = AlertEngine((self.RULE,))
             for i in range(5):
-                engine.evaluate(i * 0.04, {
-                    "device_util": {"nic-b": 0.9, "nic-a": 0.9},
-                })
+                engine.evaluate(i * 0.04, {"device_util": dict(table)})
             return [e.as_json() for e in engine.log]
 
-        log = run()
-        assert log == run()
-        assert [e[2] for e in log] == ["nic-a", "nic-b"]   # sorted entities
+        log = run({"nic-a": 0.9, "nic-b": 0.9})
+        assert log == run({"nic-a": 0.9, "nic-b": 0.9})
+        assert [e[2] for e in log] == ["nic-a", "nic-b"]
 
     def test_counters_and_tracer_instants(self):
         """The engine counts and logs its transitions; the tracer marks
@@ -375,6 +376,29 @@ class TestFleetIngest:
         alerts = fleet.alerts()
         assert alerts[0]["rule"] == "lease_expiry_storm"
 
+    def test_level_tables_stay_in_entity_order(self):
+        """Every family's level table iterates in entity order: NICs and
+        SSDs mixed in ``device_util``, entities that appear after the first
+        plan (a re-plan), and a tenant whose level appears with its first
+        completion, ticks after its series did."""
+        reg = MetricsRegistry()
+        reg.counter("nic_bytes", device="nic-b", host="h1", direction="tx")
+        ok_b = reg.counter("tenant_requests", tenant="t-b", result="ok")
+        ok_a = reg.counter("tenant_requests", tenant="t-a", result="ok")
+        fleet = self._fleet()
+        fleet.ingest(reg.snapshot(time=0.0))
+        ok_b.inc(1)
+        fleet.ingest(reg.snapshot(time=1.0))
+        reg.counter("ssd_bytes", device="a-ssd", host="h0", op="read")
+        reg.counter("nic_bytes", device="nic-a", host="h0", direction="rx")
+        ok_a.inc(1)
+        fleet.ingest(reg.snapshot(time=2.0))
+        assert list(fleet.levels["device_util"]) == ["a-ssd", "nic-a", "nic-b"]
+        assert list(fleet.levels["host_util"]) == ["h0", "h1"]
+        assert list(fleet.levels["tenant_slo_burn"]) == ["t-a", "t-b"]
+        assert all(list(table) == sorted(table)
+                   for table in fleet.levels.values())
+
     def test_as_dict_document(self):
         reg = MetricsRegistry()
         tx = reg.counter("nic_bytes", device="nic0", host="h0", direction="tx")
@@ -407,6 +431,8 @@ class TestOnlyWhatIsRead:
         assert {family for family, _ in pod.fleet.series} <= {
             "device_util", "host_util", "link_saturation"}
         assert set(pod.fleet.series) <= levels
+        assert all(list(table) == sorted(table)     # AlertEngine reads them
+                   for table in pod.fleet.levels.values())
 
     def test_unread_parts_stay_gone(self):
         src = Path(__file__).resolve().parents[1] / "src" / "repro"

@@ -68,6 +68,22 @@ class TestPipelineTiming:
             sim.now = 1100.0
             assert cache.load(LINE, 16)[1] == T.cxl_load_ns    # demand miss
 
+    def test_entries_follow_the_present_masks(self):
+        """A range prefetch times only the lines it fetched (a held line is
+        ignored by the hardware); a range flush cancels only the lines it
+        dropped, so an entry for a line that left some other way stays."""
+        sim, cache = timed_cache()
+        cache.load(LINE + 64, 16)                   # line 8 held
+        sim.now = 1000.0
+        cache.prefetch_range(LINE, 4 * 64)          # lines 7..10
+        arrival = 1000.0 + T.cxl_load_ns
+        assert cache.ready == {7: arrival, 9: arrival, 10: arrival}
+        cache.drop_all()
+        sim.now = 1200.0
+        cache.prefetch_range(LINE + 2 * 64, 64)     # line 9 again
+        cache.clflush_cached(LINE, 4 * 64)          # drops line 9 only
+        assert cache.ready == {7: arrival, 10: arrival}
+
     def test_demand_fill_clears_entry(self):
         """A line dropped behind the cache's back (``drop_all``) is
         re-fetched on demand: no stall on top of the miss, entry gone."""

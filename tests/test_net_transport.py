@@ -1,11 +1,18 @@
 """Tests for the datagram and reliable transports."""
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import TransportConfig
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Frame
-from repro.net.transport import FLAG_ACK, ReliableSocket, UdpSocket
+from repro.net.transport import (FLAG_ACK, ReceivedSeqs, ReliableSocket,
+                                 UdpSocket)
 from repro.sim.core import MSEC, Simulator
+
+MAX_EXAMPLES = max(200, int(os.environ.get("CHAOS_MAX_EXAMPLES", "25")))
 
 
 class FakeEndpoint:
@@ -176,3 +183,67 @@ class TestReliableSocket:
         rs_a.send(b"x", dst_ip=2, dst_port=20)
         sim.run_all()
         assert len(got_b) == 1 and got_a == []
+
+
+@st.composite
+def arrivals(draw):
+    """Two peers' seq streams, each reordered, duplicated and lossy, then
+    interleaved: ``[(peer, seq), ...]``.  A lost seq never arrives (its
+    sender gave up), so the seqs above it stay ahead of a gap."""
+    out = []
+    for peer in (0, 1):
+        n = draw(st.integers(0, 40))
+        seqs = draw(st.permutations(range(1, n + 1)))
+        lost = draw(st.sets(st.integers(1, max(1, n)), max_size=3))
+        seqs = [s for s in seqs if s not in lost]
+        for _ in range(draw(st.integers(0, n))):
+            seqs.insert(draw(st.integers(0, len(seqs))),
+                        draw(st.integers(1, max(1, n))))
+        out.append([(peer, s) for s in seqs if s not in lost])
+    merged, (first, second) = [], out
+    while first or second:
+        source = first if (first and (not second or draw(st.booleans()))) \
+            else second
+        merged.append(source.pop(0))
+    return merged
+
+
+class TestReceivedSeqs:
+    """The duplicate filter is a watermark plus an out-of-order set; it
+    must decide every arrival as the set of every seq received did."""
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(arrivals())
+    def test_decisions_equal_the_set_of_every_seq(self, stream):
+        sim = Simulator()
+        b = FakeEndpoint(sim, ip=2)
+        sock = ReliableSocket(sim, b, port=20)
+        b.peer = FakeEndpoint(sim, ip=1)       # ACKs go nowhere
+        b.peer.handlers = []
+        delivered = []
+        sock.on_message(lambda f: delivered.append((f.src_port, f.seq)))
+        every = set()                           # the old filter, the oracle
+        expected = []
+        for peer, seq in stream:
+            if (peer, seq) not in every:
+                every.add((peer, seq))
+                expected.append((100 + peer, seq))
+            b._deliver(Frame(dst_mac=0, src_mac=0, src_ip=1, dst_ip=2,
+                             proto=PROTO_TCP, src_port=100 + peer,
+                             dst_port=20, seq=seq, payload=b"m"))
+        sim.run_all()
+        assert delivered == expected
+        assert sock.received == len(expected)
+        for (_ip, port), window in sock._seen.items():
+            got = {seq for peer, seq in every if 100 + peer == port}
+            assert set(range(1, window.floor + 1)) <= got
+            assert window.floor + 1 not in got
+            assert window.above == {s for s in got if s > window.floor}
+
+    def test_in_order_stream_holds_no_set(self):
+        window = ReceivedSeqs()
+        assert all(window.add(seq) for seq in range(1, 1001))
+        assert (window.floor, window.above) == (1000, set())
+        assert not window.add(1) and not window.add(1000)
+        assert window.add(1002) and window.above == {1002}
+        assert window.add(1001) and (window.floor, window.above) == (1002, set())

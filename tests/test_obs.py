@@ -9,6 +9,7 @@ objects or from the registry.
 
 import json
 import sys
+from array import array
 import tracemalloc
 
 import numpy as np
@@ -58,7 +59,7 @@ class TestRegistry:
         assert snap.get("depth", queue="q0") == 7
         assert snap.get("lat_us_count", device="nic0") == 2
         assert snap.get("lat_us_sum", device="nic0") == pytest.approx(13.0)
-        assert h.observations == [4.0, 9.0]
+        assert h.observations == array("d", [4.0, 9.0])
 
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
@@ -492,7 +493,8 @@ class TestHistogramPercentiles:
         hist.observe(2.0)
         with pytest.raises(ValueError, match="NaN"):
             hist.observe(float("nan"))
-        assert (hist.count, hist.sum, hist.observations) == (1, 2.0, [2.0])
+        assert (hist.count, hist.sum, hist.observations) == (
+            1, 2.0, array("d", [2.0]))
         assert sum(hist.bucket_counts) == hist.count
 
     def test_bucket_edges(self):

@@ -10,10 +10,12 @@ A second, long-horizon soak drives the fig10 echo cell's RX ring around many
 laps and checks that the pool's page store stays flat (``TestRxRingSoak``);
 a third drives the storage_write cell over the drive's address range and
 checks that the drive stores only blocks that hold data
-(``TestStorageSoak``).
+(``TestStorageSoak``).  ``TestEchoRecordsRetained`` holds what the echo
+client's records keep per reply.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ import pytest
 from repro.config import OasisConfig
 from repro.core.allocator.balancer import LoadBalancer
 from repro.core.pod import CXLPod
-from repro.experiments.common import CLIENT_IP, SERVER_IP
+from repro.experiments.common import CLIENT_IP, SERVER_IP, build_echo_pod
 from repro.net.packet import make_ip
 from repro.sim.rng import Stream
 from repro.workloads.blockio import BlockWorkload
@@ -176,6 +178,47 @@ class TestRxRingSoak:
         assert resident1 - resident0 < 0.01 * resident0
         assert rx_pool.touched <= nic0.rx_ring.depth + 8
         assert client.stats.received > 0.95 * 20_000 * RX_SOAK_SIM_S
+
+
+class TestEchoRecordsRetained:
+    """ROADMAP item 13(a): what the fig10 echo cell's client keeps grows only
+    by its packed per-reply samples.  ``send_times``, ``recv_times``,
+    ``latencies_us`` and the RTT histogram's ``observations`` are
+    ``array("d")`` records (8 B a sample, 32 B a reply, plus an array's
+    1/16 growth slack), and the outstanding map holds only the requests in
+    flight: 32.8 B a reply.  Boxed floats in lists and a set of every
+    answered sequence number kept 53 B a reply over this window and 192 B
+    over [0.15, 0.3] s (the set grows in steps of 4x)."""
+
+    KEEPERS = ("workloads/echo.py", "obs/metrics.py")
+
+    def _kept(self):
+        snapshot = tracemalloc.take_snapshot()
+        return sum(stat.size for stat in snapshot.statistics("filename")
+                   if stat.traceback[0].filename.replace(os.sep, "/")
+                   .endswith(self.KEEPERS))
+
+    def test_client_keeps_at_most_40_bytes_per_reply(self):
+        pod, _inst, endpoint, _nic = build_echo_pod(
+            "oasis", config=OasisConfig().with_(seed=17))
+        client = EchoClient(pod.sim, endpoint, SERVER_IP, packet_size=256,
+                            rate_pps=20_000.0, rng=pod.rng.get("echo-client"),
+                            poisson=True, metrics=pod.metrics)
+        client.start(1.0)
+        pod.run(0.01)                   # warm: the records exist
+        tracemalloc.start(1)
+        try:
+            marks = []
+            for until in (0.1, 0.2):    # ~2,000 and ~4,000 replies
+                pod.run(until - pod.sim.now)
+                marks.append((client.stats.received, self._kept()))
+        finally:
+            tracemalloc.stop()
+        pod.stop()
+        (n1, kept1), (n2, kept2) = marks
+        assert n2 - n1 > 1500
+        assert len(client.stats.outstanding) < 100
+        assert (kept2 - kept1) / (n2 - n1) <= 40
 
 
 class RandomPayloadDevice:

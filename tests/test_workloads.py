@@ -1,5 +1,7 @@
 """Tests for workload generators: traces, allocation, stranding, apps, echo."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.workloads.allocation import (
     generate_allocation_trace,
 )
 from repro.workloads.apps import APP_PROFILES, AppProfile
-from repro.workloads.echo import EchoStats
+from repro.workloads.echo import EchoClient, EchoStats
 from repro.workloads.stranding import (
     UsageTimeline,
     pooled_stranding,
@@ -166,10 +168,48 @@ class TestEchoStats:
     def test_loss_timeline_attributes_by_send_bin(self):
         stats = EchoStats()
         stats.sent = 3
-        stats.send_times = [0.05, 0.15, 0.25]
-        stats._received_seqs = {0, 2}
+        stats.send_times = array("d", [0.05, 0.15, 0.25])
+        stats.outstanding = {1: 0.15}       # seqs 0 and 2 were answered
         timeline = stats.loss_timeline(0.1, 0.3)
         assert list(timeline) == [0, 1, 0]
+
+    def test_loss_timeline_equals_the_set_of_answered_seqs(self):
+        """On a lossy run (the Fig 13 NIC failover, shortened, Poisson so
+        replies also arrive out of send order) a sent seq is lost exactly
+        when it is still outstanding: the timeline equals the count the
+        parent made from a set of every answered seq, kept here beside the
+        client as the oracle."""
+        from repro.experiments.common import SERVER_IP, build_echo_pod
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.sim.rng import Stream
+
+        class SetClient(EchoClient):
+            def _on_reply(self, frame):
+                first = frame.seq in self.stats.outstanding
+                super()._on_reply(frame)
+                if first:
+                    answered.add(frame.seq)
+
+        answered = set()
+        pod, _inst, endpoint, nic0 = build_echo_pod("oasis", remote=True,
+                                                    backup_nic=True)
+        client = SetClient(pod.sim, endpoint, SERVER_IP, packet_size=75,
+                           rate_pps=4000.0, rng=Stream(3), poisson=True)
+        client.start(0.3)
+        pod.inject_faults(FaultPlan(
+            [FaultSpec(kind="switch.port_down", target=nic0.name, at=0.152)],
+            name="port-down"))
+        pod.run(0.4)
+        pod.stop()
+        stats = client.stats
+        bins = int(np.ceil(0.3 / 0.05))
+        oracle = np.zeros(bins, dtype=int)
+        for seq, t in enumerate(stats.send_times):
+            if seq not in answered:
+                oracle[min(bins - 1, int(t / 0.05))] += 1
+        assert stats.lost > 50 and oracle.sum() == stats.lost
+        assert list(stats.loss_timeline(0.05, 0.3)) == list(oracle)
+        assert len(stats.outstanding) == stats.lost
 
     def test_percentile_empty_is_nan(self):
         stats = EchoStats()

@@ -12,6 +12,15 @@ The line holds, for the tree at ``DIR`` (default: this checkout):
   [bytecodes, calls]}``, ``opcount.py``'s rows, so a row shows which layer
   moved) and ``events_per_request``, the events dispatched in that window
   (``channel_sweep``: sender attempts and receiver polls);
+* ``retained_bytes_per_request`` (pod workloads, inside each ``opcount``
+  row): the bytes allocated by code under ``src/repro`` (``tracemalloc``,
+  innermost frame) in the counted window and still live after it, cycles
+  collected, over the window's requests.  The window is run a second time
+  for it, on a fresh build without the bytecode tracer (which would keep
+  frame objects alive).  A record that grows with the horizon shows here,
+  and so does churn in bounded state (a recycled buffer address replacing
+  an older one); a container reallocated inside the window counts whole, so
+  a window that crosses a list's or an array's growth step reads high;
 * ``import_repro``: peak RSS (MiB) and milliseconds of ``import repro`` in a
   fresh interpreter with a warm bytecode cache, median of five, and the heavy
   modules it loaded beyond the interpreter's start-up set (any package
@@ -37,12 +46,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import gc
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -85,13 +96,37 @@ def count_child(tree: Path, workload: str, sim_s: float | None) -> dict:
 
     workloads.track_simulators()
     counts, requests, events = opcount.window(workload, SEED, sim_s)
-    return {"requests": requests,
-            "bytecodes": round(sum(c[0] for c in counts.values()) / requests, 1),
-            "calls": round(sum(c[1] for c in counts.values()) / requests, 2),
-            "layers": {layer: [round(ops / requests, 1),
-                               round(calls / requests, 2)]
-                       for layer, (ops, calls) in counts.items()},
-            "events_per_request": round(events / requests, 3)}
+    row = {"requests": requests,
+           "bytecodes": round(sum(c[0] for c in counts.values()) / requests, 1),
+           "calls": round(sum(c[1] for c in counts.values()) / requests, 2),
+           "layers": {layer: [round(ops / requests, 1),
+                              round(calls / requests, 2)]
+                      for layer, (ops, calls) in counts.items()},
+           "events_per_request": round(events / requests, 3)}
+    if opcount.is_pod_workload(workload):
+        retained = []
+
+        def traced(run):
+            """The window again, untraced but for ``tracemalloc``: what it
+            allocated under ``src/repro`` and left live."""
+            tracemalloc.start(1)
+            try:
+                run()
+                gc.collect()
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            retained.append(sum(
+                stat.size for stat in snapshot.statistics("filename")
+                if stat.traceback[0].filename.startswith(opcount.REPRO)))
+            return {}
+
+        _, again, _ = opcount.window(workload, SEED, sim_s, traced)
+        if again != requests:
+            raise RuntimeError(f"{workload}: the second window issued "
+                               f"{again} requests, the first {requests}")
+        row["retained_bytes_per_request"] = round(retained[0] / requests, 1)
+    return row
 
 
 def import_row(tree: Path, runs: int = 5) -> dict:

@@ -86,27 +86,28 @@ def is_pod_workload(name: str) -> bool:
     return hasattr(WORKLOADS[name], "generator_count")
 
 
-def window(name: str, seed: int, sim_s: float | None) -> tuple:
+def window(name: str, seed: int, sim_s: float | None, counter=count) -> tuple:
     """Build ``WORKLOADS[name](seed, 6.0)``, run its ``setup()``, then count
     ``pod.run(sim_s)``: ``(counts, requests, events)``, with the requests
     issued and the events dispatched in the counted window.  A workload
     without a pod is built at ``host_seconds`` 0 and all its slices are
     counted (``sim_s`` unused); its requests are the messages delivered and
-    its events the workload's own ``events()``."""
+    its events the workload's own ``events()``.  ``counter(run)`` counts
+    the window (:func:`count`; a caller may wrap it)."""
     from workloads import SLICES, WORKLOADS
 
     if not is_pod_workload(name):
         workload = WORKLOADS[name](seed, 0.0)
         workload.setup()
         events = workload.events()
-        counts = count(lambda: [workload.run_slice(i) for i in range(SLICES)])
+        counts = counter(lambda: [workload.run_slice(i) for i in range(SLICES)])
         delivered = sum(bench.receiver.counters.received
                         for bench in workload.benches())
         return counts, delivered, workload.events() - events
     workload = WORKLOADS[name](seed, 6.0)
     workload.setup()
     before, events = workload.generator_count(), workload.events()
-    counts = count(lambda: workload.pod.run(sim_s))
+    counts = counter(lambda: workload.pod.run(sim_s))
     return (counts, workload.generator_count() - before,
             workload.events() - events)
 

@@ -281,6 +281,8 @@ class PodAllocator:
             return
         self._pending[cid] = command
         self._decided_at[cid] = self.sim.now
+        if self._retry_task is not None:
+            self._retry_task.wake()
         self._replicate(command)
 
     def _replicate(self, command: dict) -> None:
@@ -342,12 +344,14 @@ class PodAllocator:
         if self._retry_task is not None:
             return
         interval = self.config.failover.commit_retry_ms * MSEC
-        self._retry_task = self.sim.every(interval, self._retry_pending)
+        self._retry_task = self.sim.every(interval, self._retry_pending,
+                                          quiet=not self._pending)
 
     def _retry_pending(self) -> None:
         """Re-propose queued commands (e.g. after a leader crash) in decide
         order; duplicate log entries are deduplicated by cid at apply."""
         if not self._pending:
+            self._retry_task.quiet()       # until _await_commit wakes it
             return
         leader = self.leader_node()
         if leader is None:

@@ -341,9 +341,11 @@ class NetBackend(Driver, TracerBinding):
     def start_monitors(self) -> None:
         """Start the link monitor, then the telemetry report."""
         if self._monitor_task is None:
+            # (quiet: up with nothing reported, or down and reported)
             self._monitor_task = self.sim.every(
                 self.config.failover.link_monitor_interval_ms * MSEC,
-                self._check_link)
+                self._check_link,
+                quiet=self.nic.link_up != self._failure_reported)
         super().start_monitors()
 
     def stop_monitors(self) -> None:
@@ -359,8 +361,15 @@ class NetBackend(Driver, TracerBinding):
             self._link_down_at = self.sim.now
         elif up:
             self._link_down_at = None
+        if self._monitor_task is not None:
+            self._monitor_task.wake()
 
     def _check_link(self) -> None:
+        # A later tick acts only after a link change (which wakes it) or,
+        # for a failure not yet reported, once a control plane is attached.
+        if (self.nic.link_up or self._failure_reported
+                or self.control is not None):
+            self._monitor_task.quiet()
         if self.nic.link_up:
             self._failure_reported = False
             return

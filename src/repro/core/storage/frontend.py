@@ -133,10 +133,10 @@ class StorageFrontend(Driver):
         self.retries = 0
         self.timeouts = 0
         self.giveups = 0
-        # Per-attempt deadlines (deadline, cid, state, attempt).  The timeout
-        # is one constant, so arming order is deadline order and one timer,
-        # armed for the head, serves them all.
-        self._deadlines: Deque[Tuple[float, int, dict, int]] = deque()
+        # Per-attempt deadlines (deadline, cid, serial, attempt): no state,
+        # which a completion frees at once.  The timeout is one constant, so
+        # arming order is deadline order and one timer serves them all.
+        self._deadlines: Deque[Tuple[float, int, int, int]] = deque()
         self._deadline_timer = Timer(sim, self._on_deadline)
         # Fencing (§3.3.3): per-(backend, instance) epoch stamps put on the
         # wire, refreshed through the allocator after a FENCED rejection.
@@ -281,6 +281,7 @@ class StorageFrontend(Driver):
             "op": op, "region": region, "callback": callback,
             "nbytes": nbytes, "backend": backend,
             "lba": lba, "nlb": nlb, "ip": ip, "retries": 0, "attempt": 0,
+            "serial": self.submitted,
             "background": background, "tenant": tenant,
         }
         message = StorageMessage(op, cid, lba, nlb, region.base, ip,
@@ -321,21 +322,23 @@ class StorageFrontend(Driver):
         """Start (or restart) the per-attempt deadline for ``cid``."""
         state["attempt"] += 1
         deadline = self.sim.now + self.config.retry.storage_timeout_ms * MSEC
-        self._deadlines.append((deadline, cid, state, state["attempt"]))
+        self._deadlines.append((deadline, cid, state["serial"],
+                                state["attempt"]))
         if len(self._deadlines) == 1:
             self._deadline_timer.set_at(deadline)
 
     def _on_deadline(self) -> None:
         """Time out every live attempt that has expired, in arming order, and
         re-arm for the first that has not.  A completion does not touch the
-        queue; its entry goes stale (this state object -- not whatever reuses
-        its cid -- is retired, or on a later attempt) and is skipped here."""
+        queue; its entry goes stale (this request -- not whatever reuses its
+        cid -- is retired, or on a later attempt) and is skipped here."""
         deadlines = self._deadlines
         now = self.sim.now
         while deadlines:
-            deadline, cid, state, attempt = deadlines[0]
-            live = (state["attempt"] == attempt
-                    and self._pending.get(cid) is state)
+            deadline, cid, serial, attempt = deadlines[0]
+            state = self._pending.get(cid)
+            live = (state is not None and state["serial"] == serial
+                    and state["attempt"] == attempt)
             if live and deadline > now:
                 self._deadline_timer.set_at(deadline)
                 return

@@ -18,7 +18,9 @@ the previous one to difference against).
 
 The scrape period relies on :class:`~repro.sim.core.PeriodicTask` firing
 on its base timeline -- "every 100 ms" really means a 100 ms period, which
-is what makes the derived rates trustworthy.
+is what makes the derived rates trustworthy.  The scrape task never goes
+quiet (DESIGN §3e, schedule version 4): a scrape is modelled traffic, due
+whether or not anything changed.
 """
 
 from __future__ import annotations

@@ -183,7 +183,7 @@ class TestTopologyEquivalence:
         assert latencies == rack_latencies
         assert len(latencies) > 900
         if seed == 17:
-            assert events == 13_829        # schedule version 3
+            assert events == 13_825        # schedule version 4
 
     def test_idle_sibling_group_changes_nothing(self, seed):
         """A second, empty pool group is data, not behaviour."""

@@ -30,7 +30,7 @@ from repro.pcie.nic import (TX_STATUS_DMA_ABORT, TX_STATUS_LINK_ERROR,
 from repro.pcie.queues import NVMeCommand, TxDescriptor
 from repro.pcie.ssd import (NVME_OP_READ, NVME_STATUS_FAILED,
                             NVME_STATUS_LBA_RANGE, NVME_STATUS_OK, SimSSD)
-from repro.sim.core import MSEC, USEC, Simulator, Timer
+from repro.sim.core import MSEC, USEC, PeriodicTask, Simulator, Timer
 from repro.sim.rng import Stream
 from repro.workloads.blockio import BlockWorkload
 from repro.workloads.echo import EchoClient, EchoServer
@@ -53,8 +53,9 @@ def _storage_cell():
 #: seed, same schedule, same count on every machine; it moves only with a
 #: change to when something posts an event.  32,139 under version 1, 14,796
 #: under version 2 (the work-proportional driver loop), 13,781 under version
-#: 3 (lazy deadlines, inline device doorbells).
-SCHEDULE_V3_EVENTS = 13_781
+#: 3 (lazy deadlines, inline device doorbells), 13,779 under version 4 (the
+#: link monitor ticks only after a link change).
+SCHEDULE_V4_EVENTS = 13_779
 
 
 def test_seeded_fig10_echo_dispatches_the_pinned_event_count():
@@ -70,7 +71,7 @@ def test_seeded_fig10_echo_dispatches_the_pinned_event_count():
     pod.run(0.07)
     events = pod.sim.processed_events - before
     pod.stop()
-    assert events == SCHEDULE_V3_EVENTS
+    assert events == SCHEDULE_V4_EVENTS
 
 
 # -- (i) events per request on quiet cells -----------------------------------
@@ -92,13 +93,14 @@ def tally(monkeypatch):
 
     for name in ("schedule", "call_after"):     # at() goes through schedule
         monkeypatch.setattr(Simulator, name, counting(getattr(Simulator, name)))
-    tick = Timer._tick                          # a Timer posts its own entry
+    for cls, name in ((Timer, "_tick"),          # these post their own entry
+                      (PeriodicTask, "_fire")):
+        def counted_own(self, method=getattr(cls, name),
+                        key=f"{cls.__name__}.{name}"):
+            counts[key] += 1
+            method(self)
 
-    def counted_tick(self):
-        counts["Timer._tick"] += 1
-        tick(self)
-
-    monkeypatch.setattr(Timer, "_tick", counted_tick)
+        monkeypatch.setattr(cls, name, counted_own)
     return counts
 
 

@@ -273,4 +273,53 @@ class TestPeriodicTask:
             assert t == base
         assert 499 <= len(times) <= 500
 
+    def test_quiet_posts_nothing_until_woken(self, sim):
+        """A quiet task holds no queue entry and leaves no tombstone; a wake
+        resumes it on its own timeline (tests/test_sim_oracle.py replays
+        drawn quiet/wake mixes against the always-on task)."""
+        times = []
+        task = sim.every(1 * MSEC, lambda: (times.append(sim.now),
+                                            task.quiet()))
+        sim.run(until=5.5 * MSEC)
+        assert times == [1 * MSEC] and sim.pending == 0
+        assert sim.tombstones == 0
+        task.wake()
+        task.wake()                     # a no-op on an awake task
+        assert sim.pending == 1
+        sim.run(until=10 * MSEC)
+        assert times == [1 * MSEC, 6 * MSEC]
+
+    def test_born_quiet_and_quiet_outside_a_tick(self, sim):
+        times = []
+        task = sim.every(1 * MSEC, lambda: times.append(sim.now), quiet=True)
+        assert sim.pending == 0
+        sim.run(until=2.5 * MSEC)
+        task.wake()
+        with pytest.raises(SimulationError):
+            task.quiet()                # it has a queued tick
+        sim.run(until=4.5 * MSEC)
+        assert times == [3 * MSEC, 4 * MSEC]
+
+    def test_wake_inside_the_tick_that_went_quiet_posts_once(self, sim):
+        times = []
+
+        def tick():
+            times.append(sim.now)
+            task.quiet()
+            task.wake()
+
+        task = sim.every(1 * MSEC, tick)
+        sim.run(until=3.5 * MSEC)
+        assert times == [1 * MSEC, 2 * MSEC, 3 * MSEC] and sim.pending == 1
+
+    def test_cancelled_task_stays_down(self, sim):
+        times = []
+        task = sim.every(1 * MSEC, lambda: (times.append(sim.now),
+                                            task.quiet()))
+        sim.run(until=1.5 * MSEC)
+        task.cancel()
+        task.wake()
+        sim.run(until=5 * MSEC)
+        assert times == [1 * MSEC] and sim.pending == 0
+
 

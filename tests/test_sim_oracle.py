@@ -106,3 +106,129 @@ class TestOneHeapMatchesTieredKernel:
         actual = _replay(core, segments, rearms)
         for segment, (want, got) in enumerate(zip(expected, actual)):
             assert got == want, f"segment {segment}"
+
+
+# -- quiet and wake (schedule version 4, DESIGN §3e) ---------------------------
+
+#: How many ticks of the always-on timeline a quiet/wake case spans.
+N_TICKS = 12
+QUIET_INTERVALS = st.sampled_from([1e-6, 3.9e-6, 1e-5, 1e-3, 0.025, 0.1])
+#: Construction instants: a round clock and clocks where ``now + (base -
+#: now)`` need not be ``base``.
+BIRTHS = st.sampled_from([0.0, 0.0123, 1 / 3, 0.7])
+#: ``start_after`` as a fraction of the interval: none, zero, inside
+#: ``(0, interval)`` or past one interval.
+STARTS = st.one_of(st.none(), st.just(0.0), st.floats(0.01, 0.99),
+                   st.floats(1.0, 2.5))
+#: A wake event: the tick it aims at, and whether it lands on that tick's
+#: float or halfway from the previous tick (the construction instant for
+#: tick 0).
+WAKES = st.lists(st.tuples(st.integers(0, N_TICKS - 1),
+                           st.sampled_from(["on", "before"])), max_size=8)
+#: Pauses of the run on a tick's float (``run(until=tick)``), each followed
+#: by a wake from outside the loop: called at once, or posted to fire on
+#: that float in the next run (after the tick, which already fired).
+PAUSES = st.lists(st.tuples(st.integers(0, N_TICKS - 2),
+                            st.sampled_from(["direct", "posted"])),
+                  max_size=4)
+
+
+def _quiet_case(kernel, interval, birth, start, ticks, wakes, pauses,
+                quiets, start_quiet, cancel_at):
+    """The fired log of one task built at ``birth``.  A marker sits on each
+    of ``ticks``' floats, and the wake events and the cancel are posted at
+    time 0 (earlier than any tick entry); the run pauses at ``pauses``.  The
+    kernel task (``quiets`` given) goes quiet at its n-th firing when
+    ``quiets[n % len(quiets)]``; the oracle's wakes and cancel only log."""
+    sim = kernel.Simulator()
+    log = []
+    task = []
+    fired = [0]
+
+    def tick():
+        log.append((sim.now, "tick"))
+        if quiets is not None and quiets[fired[0] % len(quiets)]:
+            task[0].quiet()
+        fired[0] += 1
+
+    def build():
+        kwargs = {"start_after": start}
+        if start_quiet:
+            kwargs["quiet"] = True
+        task.append(sim.every(interval, tick, **kwargs))
+
+    def wake():
+        log.append((sim.now, "wake"))
+        if quiets is not None:
+            task[0].wake()
+
+    def cancel():
+        log.append((sim.now, "cancel"))
+        if quiets is not None:
+            task[0].cancel()
+
+    sim.schedule(birth, build)
+    for t in ticks:
+        sim.schedule(t, log.append, (t, "mark"))
+    for k, where in wakes:
+        prev = birth if k == 0 else ticks[k - 1]
+        sim.schedule(ticks[k] if where == "on" else prev + (ticks[k] - prev) / 2,
+                     wake)
+    if cancel_at is not None:
+        sim.schedule(ticks[cancel_at], cancel)
+    for k, how in sorted(set(pauses)):
+        sim.run(until=ticks[k])
+        if how == "direct":
+            wake()
+        else:
+            sim.schedule(0.0, wake)
+    sim.run(until=ticks[-1] if ticks else birth + (N_TICKS + 4) * interval)
+    return log
+
+
+def _awake_ticks(log, quiets, start_quiet, birth):
+    """The always-on log less the ticks a quiet task skips: a tick fires iff
+    no firing has gone quiet since the last wake before it, in the oracle's
+    order (a task built quiet fires a first tick due at birth), and nothing
+    fires after the cancel."""
+    first = next(t for t, what in log if what == "tick")
+    awake = not start_quiet or first == birth
+    fired, cancelled, kept = 0, False, []
+    for time, what in log:
+        if what == "wake":
+            awake = awake or not cancelled
+        elif what == "cancel":
+            cancelled, awake = True, False
+        elif what == "tick":
+            if not awake:
+                continue
+            awake = not quiets[fired % len(quiets)]
+            fired += 1
+        kept.append((time, what))
+    return kept
+
+
+class TestQuietAndWake:
+    @given(QUIET_INTERVALS, BIRTHS, STARTS, WAKES, PAUSES,
+           st.lists(st.booleans(), min_size=1, max_size=8), st.booleans(),
+           st.one_of(st.none(), st.integers(0, N_TICKS - 1)))
+    @settings(max_examples=MAX_EXAMPLES * 4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_woken_task_fires_the_always_on_floats(self, interval, birth,
+                                                   start, wakes, pauses,
+                                                   quiets, start_quiet,
+                                                   cancel_at):
+        """Every tick the kernel's task fires is a tick of the oracle's
+        always-on task at which it was awake, on the same float, in the same
+        order against the same-time marker and wakes."""
+        start = None if start is None else start * interval
+        ticks = [t for t, what in _quiet_case(
+            reference_sim, interval, birth, start, [], [], [], None, False,
+            None)][:N_TICKS]
+        assert len(ticks) == N_TICKS
+        expected = _quiet_case(reference_sim, interval, birth, start, ticks,
+                               wakes, pauses, None, False, cancel_at)
+        assert [t for t, what in expected if what == "tick"] == ticks
+        actual = _quiet_case(core, interval, birth, start, ticks, wakes,
+                             pauses, quiets, start_quiet, cancel_at)
+        assert actual == _awake_ticks(expected, quiets, start_quiet, birth)

@@ -205,7 +205,8 @@ def test_ledger_prints_one_row_of_this_tree():
     assert len(lines) == 1
     row = json.loads(lines[0])
     assert set(row) == {"rev", "opcount", "import_repro", "src_lines",
-                        "schedule_v3_events", "idle_rack_events_per_sim_s"}
+                        "schedule_version", "schedule_events",
+                        "idle_rack_events_per_sim_s"}
     cell = row["opcount"]["echo_cell"]
     assert cell["requests"] > 0 and cell["events_per_request"] > 0
     assert cell["bytecodes"] > cell["calls"] > 0
@@ -221,9 +222,9 @@ def test_ledger_prints_one_row_of_this_tree():
                - cell["calls"]) <= 0.005 * slack
     assert row["import_repro"]["heavy"] == []
     assert row["import_repro"]["rss_mib"] > 0 and row["import_repro"]["ms"] > 0
-    assert row["schedule_v3_events"] == 13_781
+    assert (row["schedule_version"], row["schedule_events"]) == (4, 13_779)
     # exact: it moves only with the schedule of an idle rack (ROADMAP 4(a))
-    assert row["idle_rack_events_per_sim_s"] == 5_935
+    assert row["idle_rack_events_per_sim_s"] == 2_947
     assert row["src_lines"] > 10_000
 
 
@@ -232,3 +233,6 @@ def test_the_committed_history_parses():
             (ROOT / "BENCH_history.jsonl").read_text().splitlines()]
     assert len(rows) >= 2
     assert all({"rev", "opcount", "import_repro"} <= set(row) for row in rows)
+    # the schedule pin: (version, count) since version 4, the v3 count before
+    assert all({"schedule_version", "schedule_events"} <= set(row)
+               or "schedule_v3_events" in set(row) for row in rows)

@@ -30,8 +30,9 @@ The line holds, for the tree at ``DIR`` (default: this checkout):
   ``RackBuilder(hosts=32, pools=4)`` with ``enable_raft(3)`` dispatches per
   simulated second over [0.5, 1.5] s (ROADMAP item 4(a)'s count);
 * ``src_lines``: ``wc -l`` over ``src/repro``'s ``.py`` files;
-* ``schedule_v3_events``: ``SCHEDULE_V3_EVENTS`` in
-  ``tests/test_schedule_v3.py``.
+* ``schedule_version`` and ``schedule_events``: ``<n>`` and the value of
+  the ``SCHEDULE_V<n>_EVENTS`` pin in ``tests/test_schedule_v3.py`` (rows
+  before version 4 hold the count alone, as ``schedule_v3_events``).
 
 Every number but the import row is exact, so two trees compare by one run
 each.  Each workload is counted in its own child process, with ``DIR``'s
@@ -49,6 +50,7 @@ import ast
 import gc
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -164,16 +166,20 @@ def idle_rack_events(tree: Path) -> float:
     return round(events / (IDLE_RACK_S[1] - IDLE_RACK_S[0]), 1)
 
 
-def schedule_version(tree: Path) -> int | None:
+def schedule_pin(tree: Path) -> tuple:
+    """``(n, events)`` of the ``SCHEDULE_V<n>_EVENTS`` pin, ``(None, None)``
+    for a tree older than the pin's file; a file without a pin is an error,
+    so a renamed pin cannot blank the field."""
     path = tree / "tests" / "test_schedule_v3.py"
     if not path.is_file():
-        return None
+        return None, None
     for node in ast.parse(path.read_text()).body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "SCHEDULE_V3_EVENTS"
-                        for t in node.targets)):
-            return ast.literal_eval(node.value)
-    return None
+        for target in node.targets if isinstance(node, ast.Assign) else ():
+            match = re.fullmatch(r"SCHEDULE_V(\d+)_EVENTS",
+                                 getattr(target, "id", ""))
+            if match:
+                return int(match[1]), ast.literal_eval(node.value)
+    raise RuntimeError(f"{path}: no SCHEDULE_V<n>_EVENTS pin")
 
 
 def row(tree: Path, names, sim_s: float | None) -> dict:
@@ -187,13 +193,14 @@ def row(tree: Path, names, sim_s: float | None) -> dict:
             [sys.executable, __file__, "--tree", str(tree), "--child", name,
              *window], capture_output=True, text=True, check=True).stdout
         counts[name] = json.loads(out.splitlines()[-1])
+    version, events = schedule_pin(tree)
     return {"rev": rev or None,
             "opcount": counts,
             "import_repro": import_row(tree),
             "idle_rack_events_per_sim_s": idle_rack_events(tree),
             "src_lines": sum(len(p.read_bytes().splitlines())
                              for p in (tree / "src" / "repro").rglob("*.py")),
-            "schedule_v3_events": schedule_version(tree)}
+            "schedule_version": version, "schedule_events": events}
 
 
 def main(argv=None) -> int:

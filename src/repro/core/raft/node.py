@@ -100,7 +100,7 @@ class RaftNode:
 
     def _reset_election_timer(self) -> None:
         lo, hi = self.election_timeout_ms
-        self._election_timer.set(float(self.rng.uniform(lo, hi)) * MSEC)
+        self._election_timer.set(self.rng.uniform(lo, hi) * MSEC)
 
     def _on_election_timeout(self) -> None:
         if not self.alive or self.state == LEADER:

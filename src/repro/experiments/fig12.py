@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
 from ..analysis.report import render_table
 from ..workloads.replay import run_trace_replay
 from ..workloads.traces import RACK_A_PARAMS, generate_trace
@@ -22,6 +20,7 @@ __all__ = ["run", "main"]
 
 
 def run(duration_s: Optional[float] = None, seed: int = 50) -> dict:
+    import numpy as np
     duration = duration_s if duration_s is not None else 0.25 * scale()
     traces = [
         generate_trace(replace(RACK_A_PARAMS[i], duration_s=duration),

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from ..analysis.report import render_series, render_table
+from ..analysis.report import render_table
 from ..faults import FaultPlan, FaultSpec
 from ..sim.rng import Stream
 from ..workloads.echo import EchoClient
@@ -56,10 +54,10 @@ def run(
 
     stats = client.stats
     # Interruption: the longest gap between consecutive received packets.
-    recv = np.asarray(stats.recv_times)
-    gaps = np.diff(recv)
-    worst = int(gaps.argmax()) if len(gaps) else 0
-    interruption_ms = float(gaps[worst] * 1000) if len(gaps) else float("nan")
+    recv = stats.recv_times
+    gaps = [b - a for a, b in zip(recv, recv[1:])]
+    worst = gaps.index(max(gaps)) if gaps else 0
+    interruption_ms = gaps[worst] * 1000 if gaps else float("nan")
     # The traced failover phases (detect -> report -> process -> reroute)
     # decompose the interruption the paper narrates in §3.3.3.
     phases = {e.name.split(".", 1)[1]: e.dur * 1e3
@@ -72,7 +70,7 @@ def run(
         "received": stats.received,
         "lost": stats.lost,
         "interruption_ms": interruption_ms,
-        "interruption_at_s": float(recv[worst]) if len(gaps) else float("nan"),
+        "interruption_at_s": recv[worst] if gaps else float("nan"),
         "loss_timeline": stats.loss_timeline(0.1, duration),
         "failovers": pod.allocator.failovers_executed,
         "fail_at_s": fail_at,

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..analysis.report import render_table
-from ..core.pod import CXLPod
+from ..analysis.stats import percentile
 from ..faults import FaultPlan, FaultSpec
 from ..sim.rng import Stream
 from ..workloads.apps import APP_PROFILES, AppClient, AppServer
-from ..workloads.echo import EchoServer
-from .common import CLIENT_IP, SERVER_IP, build_echo_pod, scale
+from .common import SERVER_IP, build_echo_pod, scale
 
 __all__ = ["run", "main"]
 
@@ -52,14 +49,14 @@ def run(
     timeline = client.p99_timeline(bin_s, duration)
     # Baseline P99: bins well before the failure.
     pre = timeline[: max(1, int(fail_at / bin_s) - 2)]
-    baseline_p99 = float(np.nanmedian(pre))
+    baseline_p99 = percentile([v for v in pre if v == v], 50)
     # Recovery: last bin whose P99 exceeds 3x the pre-failure baseline.
     threshold = 3.0 * baseline_p99
     spike_bins = [i for i, v in enumerate(timeline)
                   if v == v and v > threshold and i * bin_s >= fail_at - bin_s]
     if spike_bins:
         recovery_ms = (spike_bins[-1] + 1) * bin_s * 1000 - fail_at * 1000
-        peak_ms = float(np.nanmax(timeline[spike_bins[0]:spike_bins[-1] + 1])) / 1000
+        peak_ms = max(timeline[i] for i in spike_bins) / 1000
     else:
         recovery_ms = 0.0
         peak_ms = 0.0

@@ -34,8 +34,7 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
+from ..analysis.stats import percentile
 from ..config import OasisConfig
 from ..core.pod import RackBuilder
 from ..net.packet import make_ip
@@ -136,10 +135,10 @@ def run_rack(
     pod.run(0.1)
     pod.stop()
 
-    latencies = np.concatenate(
-        [np.asarray(c.stats.latencies_us, dtype=float) for c in clients
-         if c.stats.latencies_us] or [np.zeros(1)])
-    commits = np.asarray(pod.allocator.commit_latencies, dtype=float)
+    rtt_p50, rtt_p99 = percentile(
+        [x for c in clients for x in c.stats.latencies_us] or [0.0], (50, 99))
+    commits = pod.allocator.commit_latencies
+    commit_p50, commit_p99 = percentile(commits, (50, 99))
     converged = pod.allocator.convergence_ok()
     result = {
         "hosts": hosts,
@@ -158,17 +157,15 @@ def run_rack(
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "wall_per_sim_sec": wall / duration_s,
-        "rtt_p50_us": float(np.percentile(latencies, 50)),
-        "rtt_p99_us": float(np.percentile(latencies, 99)),
-        "echo_replies": int(sum(len(c.stats.latencies_us) for c in clients)),
-        "commits": int(commits.size),
+        "rtt_p50_us": rtt_p50,
+        "rtt_p99_us": rtt_p99,
+        "echo_replies": sum(len(c.stats.latencies_us) for c in clients),
+        "commits": len(commits),
         # samples past the allocator's cap: percentiles then read a prefix
         "commits_dropped": pod.allocator.commit_latencies_dropped,
-        "commit_p50_ms": (float(np.percentile(commits, 50)) * 1e3
-                          if commits.size else 0.0),
-        "commit_p99_ms": (float(np.percentile(commits, 99)) * 1e3
-                          if commits.size else 0.0),
-        "control_commits_per_sec": (commits.size / duration_s
+        "commit_p50_ms": commit_p50 * 1e3 if commits else 0.0,
+        "commit_p99_ms": commit_p99 * 1e3 if commits else 0.0,
+        "control_commits_per_sec": (len(commits) / duration_s
                                     if duration_s > 0 else 0.0),
         "batches_proposed": pod.allocator.batches_proposed,
         "churn_placed": churn_stats["placed"],

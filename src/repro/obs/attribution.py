@@ -16,19 +16,14 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Sequence, Tuple
 
+from ..analysis.stats import percentile
+
 __all__ = [
     "FlowAttribution",
     "StageStats",
     "critical_path",
     "render_waterfall",
 ]
-
-
-def _percentile(values: Sequence[float], q: float) -> float:
-    import numpy as np
-    if not values:
-        return float("nan")
-    return float(np.percentile(np.asarray(values), q))
 
 
 class StageStats:
@@ -58,7 +53,7 @@ class StageStats:
         return self.queue_us / total if total else 0.0
 
     def percentile(self, q: float) -> float:
-        return _percentile(self.durations_us, q)
+        return percentile(self.durations_us, q)
 
 
 class FlowAttribution:
@@ -92,7 +87,7 @@ class FlowAttribution:
     # -- reading -------------------------------------------------------------
 
     def total_percentile(self, q: float) -> float:
-        return _percentile(self.totals_us, q)
+        return percentile(self.totals_us, q)
 
     def stage_p50s(self) -> Dict[str, float]:
         return {name: stats.percentile(50.0)
@@ -106,7 +101,8 @@ class FlowAttribution:
         for name, stats in self.stages.items():
             rows.append((
                 name, stats.count,
-                *(round(stats.percentile(q), 3) for q in percentiles),
+                *(round(p, 3) for p in percentile(stats.durations_us,
+                                                   percentiles)),
                 round(stats.mean_depth, 2),
                 round(stats.queue_share, 3),
             ))
@@ -126,15 +122,13 @@ def critical_path(records, buckets: Sequence[Tuple[float, float]] = _DEFAULT_BUC
     bucket and reports the stage with the largest share -- the answer to
     "what should I optimise to move the pXX?".
     """
-    import numpy as np
     records = list(records)
     if not records:
         return []
-    totals = np.asarray([r.total_s for r in records])
+    edges = percentile([r.total_s for r in records],
+                       [q for bucket in buckets for q in bucket])
     out = []
-    for lo, hi in buckets:
-        t_lo = np.percentile(totals, lo)
-        t_hi = np.percentile(totals, hi)
+    for (lo, hi), t_lo, t_hi in zip(buckets, edges[::2], edges[1::2]):
         selected = [r for r in records
                     if t_lo <= r.total_s <= t_hi]
         if not selected:
@@ -148,7 +142,7 @@ def critical_path(records, buckets: Sequence[Tuple[float, float]] = _DEFAULT_BUC
         out.append({
             "bucket": f"p{lo:g}-p{hi:g}",
             "flows": len(selected),
-            "mean_total_us": float(np.mean([r.total_us for r in selected])),
+            "mean_total_us": sum(r.total_us for r in selected) / len(selected),
             "dominant_stage": dominant,
             "dominant_share": dom_time / grand,
         })

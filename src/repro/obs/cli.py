@@ -31,6 +31,7 @@ import time as _time
 from typing import Optional
 
 from ..analysis.report import render_series, render_table
+from ..analysis.stats import percentile
 
 __all__ = ["report", "trace", "flows", "top", "render_bar",
            "render_dashboard", "main_report", "main_trace", "main_flows",
@@ -140,13 +141,11 @@ def main_report(as_json: bool = False, sim_gauges: bool = False) -> dict:
 
     hist = data["rtt_hist"]
     if hist is not None and hist.count:
-        import numpy as np
-
-        obs = np.asarray(hist.observations)
+        p50, p99 = percentile(hist.observations, (50, 99))
         print(render_table(
             ["metric", "value"],
-            [("echo RTT p50 (us)", round(float(np.percentile(obs, 50)), 2)),
-             ("echo RTT p99 (us)", round(float(np.percentile(obs, 99)), 2)),
+            [("echo RTT p50 (us)", round(p50, 2)),
+             ("echo RTT p99 (us)", round(p99, 2)),
              ("echo RTT mean (us)", round(hist.mean, 2)),
              ("echoes", hist.count)],
             title="Echo RTT (registry: echo_rtt_us histogram)",

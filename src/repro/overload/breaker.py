@@ -85,5 +85,5 @@ class CircuitBreaker:
         self.trips += 1
         jitter = 0.0
         if self.rng is not None and self.probe_jitter_s > 0:
-            jitter = float(self.rng.uniform(0.0, self.probe_jitter_s))
+            jitter = self.rng.uniform(0.0, self.probe_jitter_s)
         self.open_until = now + self.open_s + jitter

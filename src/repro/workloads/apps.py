@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-import numpy as np
-
+from ..analysis.stats import percentile, summarize_latencies
 from ..config import TransportConfig
 from ..net.packet import Frame
-from ..net.transport import ReliableSocket, UdpSocket
+from ..net.transport import ReliableSocket
 from ..sim.core import Simulator, USEC
 from ..sim.rng import Stream
 
@@ -148,7 +148,7 @@ class AppClient:
         )
         self._outstanding[seq] = self.sim.now
         self.sent += 1
-        self.sim.schedule(float(self.rng.exponential(1.0 / self.rate_rps)),
+        self.sim.schedule(self.rng.exponential(1.0 / self.rate_rps),
                           self._send_one)
 
     def _on_response(self, frame: Frame) -> None:
@@ -163,18 +163,18 @@ class AppClient:
         self.response_times.append(self.sim.now)
 
     def latency_percentiles(self) -> dict:
-        from ..analysis.stats import summarize_latencies
-
         return summarize_latencies(self.latencies_us)
 
-    def p99_timeline(self, bin_s: float, duration: float) -> np.ndarray:
-        """Per-bin P99 latency (Figure 14)."""
-        bins = int(np.ceil(duration / bin_s))
-        out = np.full(bins, np.nan)
-        times = np.asarray(self.response_times)
-        lats = np.asarray(self.latencies_us)
-        for b in range(bins):
-            mask = (times >= b * bin_s) & (times < (b + 1) * bin_s)
-            if mask.any():
-                out[b] = np.percentile(lats[mask], 99)
-        return out
+    def p99_timeline(self, bin_s: float, duration: float) -> List[float]:
+        """Per-bin P99 latency (Figure 14), NaN for a bin without responses.
+
+        Bin ``b`` holds the responses in ``[b * bin_s, (b + 1) * bin_s)``.
+        """
+        bins = math.ceil(duration / bin_s)
+        edges = [b * bin_s for b in range(bins + 1)]
+        per_bin = [[] for _ in range(bins)]
+        for t, lat in zip(self.response_times, self.latencies_us):
+            b = bisect_right(edges, t) - 1
+            if 0 <= b < bins:
+                per_bin[b].append(lat)
+        return [percentile(lats, 99) for lats in per_bin]

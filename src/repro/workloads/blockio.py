@@ -98,11 +98,11 @@ class BlockWorkload:
         if self._stopped:
             return
         rate = self.rate_iops * self.rate_mult
-        self.sim.schedule(float(self.rng.exponential(1.0 / rate)),
+        self.sim.schedule(self.rng.exponential(1.0 / rate),
                           self._issue_one)
         if self._inflight >= self.queue_depth:
             return   # open-loop drop: queue-depth cap reached
-        lba = int(self.rng.integers(0, self.address_blocks - self.io_blocks + 1))
+        lba = self.rng.integers(0, self.address_blocks - self.io_blocks + 1)
         start = self.sim.now
         self._inflight += 1
         self.stats.submitted += 1

@@ -7,12 +7,12 @@ records per-packet round-trip latency.  Used for Figures 10, 11, 12 and 13.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-import numpy as np
-
+from ..analysis.stats import percentile
 from ..net.packet import Frame
 from ..net.transport import UdpSocket
 from ..obs.flow import NULL_FLOWS
@@ -73,18 +73,16 @@ class EchoStats:
         return self.sent - self.received
 
     def percentile_us(self, q: float) -> float:
-        if not self.latencies_us:
-            return float("nan")
-        return float(np.percentile(self.latencies_us, q))
+        return percentile(self.latencies_us, q)
 
-    def loss_timeline(self, bin_s: float, duration: float) -> np.ndarray:
+    def loss_timeline(self, bin_s: float, duration: float) -> List[int]:
         """Lost packets per time bin (Figure 13a).
 
         A sent packet counts as lost if it is still outstanding (no reply
         came back); the loss is attributed to the bin it was sent in.
         """
-        bins = int(np.ceil(duration / bin_s))
-        lost = np.zeros(bins, dtype=int)
+        bins = math.ceil(duration / bin_s)
+        lost = [0] * bins
         for t in self.outstanding.values():
             lost[min(bins - 1, int(t / bin_s))] += 1
         return lost
@@ -152,7 +150,7 @@ class EchoClient:
     def _interval(self) -> float:
         mean = 1.0 / self.rate_pps
         if self.poisson and self.rng is not None:
-            return float(self.rng.exponential(mean))
+            return self.rng.exponential(mean)
         return mean
 
     def _schedule_next(self, first: bool = False) -> None:

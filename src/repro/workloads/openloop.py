@@ -28,8 +28,7 @@ import math
 from array import array
 from typing import Optional
 
-import numpy as np
-
+from ..analysis.stats import percentile
 from ..core.storage.frontend import STATUS_SHED
 from ..sim.core import Simulator, USEC
 from ..sim.rng import Stream
@@ -124,8 +123,8 @@ class OpenLoopStats:
             "late_goodput": self.late_goodput,
             "late_shed": self.late_shed,
             "late_errors": self.late_errors,
-            "p50_us": float(np.percentile(lat, 50)) if lat else 0.0,
-            "p99_us": float(np.percentile(lat, 99)) if lat else 0.0,
+            "p50_us": percentile(lat, 50) if lat else 0.0,
+            "p99_us": percentile(lat, 99) if lat else 0.0,
             "bin_s": self.bin_s,
             "offered": list(self.offered),
             "goodput": list(self.goodput),
@@ -210,7 +209,7 @@ class OpenLoopBlockClient:
         self.sim.schedule(0.0, self._arrival_loop)
         if self.burst_rate_per_s > 0:
             self.sim.schedule(
-                float(self.rng.exponential(1.0 / self.burst_rate_per_s)),
+                self.rng.exponential(1.0 / self.burst_rate_per_s),
                 self._burst_loop)
         self.sim.schedule(duration, self._stop)
 
@@ -224,7 +223,7 @@ class OpenLoopBlockClient:
             return
         rate = self.effective_rate
         if rate > 0:
-            self.sim.schedule(float(self.rng.exponential(1.0 / rate)),
+            self.sim.schedule(self.rng.exponential(1.0 / rate),
                               self._arrival_loop)
             self._issue_one()
         else:
@@ -235,7 +234,7 @@ class OpenLoopBlockClient:
         if self._stopped:
             return
         self.sim.schedule(
-            float(self.rng.exponential(1.0 / self.burst_rate_per_s)),
+            self.rng.exponential(1.0 / self.burst_rate_per_s),
             self._burst_loop)
         size = max(1, int(self.rng.lognormal(
             math.log(self.burst_size_median), self.burst_size_sigma)))
@@ -245,14 +244,13 @@ class OpenLoopBlockClient:
     def _issue_one(self) -> None:
         if self._stopped:
             return
-        lba = int(self.rng.integers(
-            0, self.address_blocks - self.io_blocks + 1))
+        lba = self.rng.integers(0, self.address_blocks - self.io_blocks + 1)
         background = (self.background_fraction > 0
-                      and float(self.rng.random()) < self.background_fraction)
+                      and self.rng.random() < self.background_fraction)
         start = self.sim.now
         self.stats.on_submit(start)
         self._inflight += 1
-        if float(self.rng.random()) < self.read_fraction:
+        if self.rng.random() < self.read_fraction:
             self.device.read(
                 lba, self.io_blocks,
                 lambda status, data, s=start: self._complete(status, s),

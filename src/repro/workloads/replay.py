@@ -13,8 +13,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..analysis.stats import summarize_latencies, utilization_percentile
 from ..core.pod import CXLPod
 from ..net.packet import make_ip
@@ -88,6 +86,7 @@ def run_trace_replay(
     config=None,
 ) -> ReplayResult:
     """Replay one trace per host; share host 0's NIC when multiplexed."""
+    import numpy as np
     pod = CXLPod(config=config, mode="oasis")
     hosts = [pod.add_host() for _ in traces]
     nics = [pod.add_nic(h) for h in hosts]

@@ -160,7 +160,7 @@ class TestFailoverExperiments:
         assert 20.0 <= results["interruption_ms"] <= 60.0   # paper: 38 ms
         assert results["failovers"] == 1
         timeline = results["loss_timeline"]
-        assert (timeline > 0).sum() <= 2    # a single loss burst
+        assert sum(v > 0 for v in timeline) <= 2    # a single loss burst
 
     def test_fig14_recovery_band(self):
         results = fig14.run(duration_s=1.6, rate_rps=2500, fail_at_s=0.802)

@@ -462,28 +462,28 @@ class TestHistogramPercentiles:
                          buckets=(1.0, 10.0, float("inf")))
 
     def test_empty_is_nan(self):
-        from repro.obs.attribution import _percentile
+        from repro.analysis.stats import percentile
 
         hist = self._hist()
         for q in (0.0, 50.0, 99.9):
-            assert np.isnan(_percentile(hist.observations, q))
+            assert np.isnan(percentile(hist.observations, q))
 
     def test_single_sample_is_that_sample(self):
-        from repro.obs.attribution import _percentile
+        from repro.analysis.stats import percentile
 
         hist = self._hist()
         hist.observe(4.2)
         for q in (0.0, 50.0, 99.0, 100.0):
-            assert _percentile(hist.observations, q) == pytest.approx(4.2)
+            assert percentile(hist.observations, q) == pytest.approx(4.2)
 
     def test_all_equal_samples_collapse(self):
-        from repro.obs.attribution import _percentile
+        from repro.analysis.stats import percentile
 
         hist = self._hist()
         for _ in range(100):
             hist.observe(7.0)
         for q in (50.0, 99.0, 99.9):
-            assert _percentile(hist.observations, q) == pytest.approx(7.0)
+            assert percentile(hist.observations, q) == pytest.approx(7.0)
         assert hist.count == 100
         assert hist.mean == pytest.approx(7.0)
 

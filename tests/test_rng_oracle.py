@@ -19,9 +19,11 @@ library and must give the same bits.  numpy stays the oracle
   of the wedge test the density entries decide.  The branch shows in the
   state: the fast one consumes one word, an accepted wedge two.
 * ``derive_seed``'s pure SHA-256 equals ``hashlib``'s.
-* ``import repro`` loads no numpy, and a pod at work loads neither
-  ``numpy.random`` nor OpenSSL's ``_hashlib``; a source scan keeps
-  module-level numpy imports out of the ``import repro`` closure.
+* ``import repro`` and the pod-path import (``repro.workloads``,
+  ``repro.experiments``, ``repro.obs.cli``, ``repro.faults.chaos``) load no
+  numpy, and a pod at work (an echo cell, a rack, a Fig 8 app cell) loads
+  neither numpy nor OpenSSL's ``_hashlib``; a source scan keeps module-level
+  numpy imports out of the pod-path closure.
 
 ``CHAOS_MAX_EXAMPLES`` scales the search effort (the nightly job runs
 2,000); tier-1 never runs fewer than 100 examples.
@@ -317,16 +319,27 @@ class TestSharpEdges:
 
 # -- what a simulator process loads --------------------------------------------
 
-PROBE = """
+POD_IMPORT = ("import repro.workloads, repro.experiments, repro.obs.cli, "
+              "repro.faults.chaos")
+
+PROBE = f"""
 import json, sys
 import repro
-bare = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+numpy = lambda: sorted(m for m in sys.modules
+                       if m == "numpy" or m.startswith("numpy."))
+bare = numpy()
+{POD_IMPORT}
+pod_import = numpy()
+from repro.experiments.fig8 import run_app
 from repro.experiments.fig10 import run_echo
 from repro.experiments.rack import main_rack
+from repro.workloads.apps import APP_PROFILES
 run_echo("oasis", 256, 20_000.0, duration_s=0.002, seed=17)
 assert main_rack(["--hosts", "8", "--pools", "2", "--churn", "64",
                   "--duration", "0.002", "--json"]) == 0
-print(json.dumps({"bare": bare, "after": sorted(sys.modules)}))
+assert run_app(APP_PROFILES["nginx"], "oasis", 0.45, duration_s=0.01)["count"]
+print(json.dumps({{"bare": bare, "pod_import": pod_import, "pod": numpy(),
+                  "after": sorted(sys.modules)}}))
 """
 
 
@@ -336,15 +349,17 @@ def test_a_pod_loads_no_numpy_random_and_no_openssl():
                          text=True, env=env, cwd=ROOT, timeout=600, check=True)
     doc = json.loads(out.stdout.splitlines()[-1])
     assert doc["bare"] == []                      # ``import repro``: no numpy
+    assert doc["pod_import"] == []
+    assert doc["pod"] == []                       # nor the pods at work
     loaded = set(doc["after"])
     assert "repro.sim.rng" in loaded and "repro.core.raft.node" in loaded
-    assert "numpy.random" not in loaded
+    assert "repro.workloads.apps" in loaded
     assert "_hashlib" not in loaded
 
 
 def import_closure() -> list:
-    """The ``repro`` modules ``import repro`` loads, as source paths."""
-    code = ("import json, sys, repro; print(json.dumps(sorted("
+    """The ``repro`` modules the pod-path import loads, as source paths."""
+    code = (f"import json, sys; {POD_IMPORT}; print(json.dumps(sorted("
             "m.__file__ for n, m in sys.modules.items() "
             "if n.split('.')[0] == 'repro')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -354,13 +369,17 @@ def import_closure() -> list:
 
 
 def module_level_numpy_imports(path: Path) -> list:
-    """``import numpy`` / ``from numpy ...`` lines outside any function."""
+    """``import numpy`` / ``from numpy ...`` lines outside any function and
+    outside ``if TYPE_CHECKING:`` (annotations only; never run)."""
     found = []
 
     def walk(node):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.Lambda)):
+                continue
+            if (isinstance(child, ast.If) and isinstance(child.test, ast.Name)
+                    and child.test.id == "TYPE_CHECKING"):
                 continue
             if isinstance(child, ast.Import) and any(
                     a.name.split(".")[0] == "numpy" for a in child.names):
@@ -386,6 +405,7 @@ def test_the_scan_sees_a_module_level_import(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("import os\nif True:\n    import numpy as np\n"
                       "from numpy.random import default_rng\n"
-                      "def f():\n    import numpy\n")
+                      "def f():\n    import numpy\n"
+                      "if TYPE_CHECKING:\n    import numpy as np\n")
     assert module_level_numpy_imports(sample) == [3, 4]
 

@@ -195,8 +195,8 @@ def test_serve_mix_fleet_health_counts_each_quantity_once():
 
 def test_ledger_prints_one_row_of_this_tree():
     """``tools/ledger.py`` on one 2 ms ``echo_cell`` slice: one JSON line
-    of counts and retained bytes, and an ``import repro`` that loads no
-    heavy module."""
+    of counts and retained bytes, and an ``import repro`` and a pod-path
+    import that load no heavy module."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ledger.py"), "--workload",
          "echo_cell", "--sim-s", "0.002"],
@@ -204,7 +204,8 @@ def test_ledger_prints_one_row_of_this_tree():
     lines = out.splitlines()
     assert len(lines) == 1
     row = json.loads(lines[0])
-    assert set(row) == {"rev", "opcount", "import_repro", "src_lines",
+    assert set(row) == {"rev", "opcount", "import_repro", "import_pod",
+                        "src_lines",
                         "schedule_version", "schedule_events",
                         "idle_rack_events_per_sim_s"}
     cell = row["opcount"]["echo_cell"]
@@ -222,6 +223,7 @@ def test_ledger_prints_one_row_of_this_tree():
                - cell["calls"]) <= 0.005 * slack
     assert row["import_repro"]["heavy"] == []
     assert row["import_repro"]["rss_mib"] > 0 and row["import_repro"]["ms"] > 0
+    assert row["import_pod"]["heavy"] == []
     assert (row["schedule_version"], row["schedule_events"]) == (4, 13_779)
     # exact: it moves only with the schedule of an idle rack (ROADMAP 4(a))
     assert row["idle_rack_events_per_sim_s"] == 2_947

@@ -26,6 +26,8 @@ The line holds, for the tree at ``DIR`` (default: this checkout):
   modules it loaded beyond the interpreter's start-up set (any package
   outside the standard library, and ``numpy.random``, OpenSSL's ``_hashlib``
   and ``_ssl``);
+* ``import_pod``: the same probe on the pod path, ``import repro.workloads,
+  repro.experiments, repro.obs.cli, repro.faults.chaos``;
 * ``idle_rack_events_per_sim_s``: the events an idle
   ``RackBuilder(hosts=32, pools=4)`` with ``enable_raft(3)`` dispatches per
   simulated second over [0.5, 1.5] s (ROADMAP item 4(a)'s count);
@@ -65,11 +67,15 @@ WORKLOADS = {"echo_cell": 0.02, "rack_echo": 0.0015, "storage_read": 0.02,
              "channel_sweep": None}
 WATCH = ("numpy.random", "_hashlib", "_ssl")
 SEED = 17
+#: ledger key -> the modules its import probe imports
+IMPORTS = {"import_repro": "repro",
+           "import_pod": "repro.workloads, repro.experiments, repro.obs.cli, "
+                         "repro.faults.chaos"}
 
 IMPORT_PROBE = """
 import json, resource, sys, time
 t0 = time.perf_counter()
-import repro
+import %s
 ms = (time.perf_counter() - t0) * 1e3
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"ms": ms, "rss_mib": rss, "modules": sorted(sys.modules)}))
@@ -131,9 +137,9 @@ def count_child(tree: Path, workload: str, sim_s: float | None) -> dict:
     return row
 
 
-def import_row(tree: Path, runs: int = 5) -> dict:
-    """``import repro`` in fresh interpreters with a warm bytecode cache (a
-    private ``PYTHONPYCACHEPREFIX``, filled by one untimed run first)."""
+def import_row(tree: Path, modules: str, runs: int = 5) -> dict:
+    """``import <modules>`` in fresh interpreters with a warm bytecode cache
+    (a private ``PYTHONPYCACHEPREFIX``, filled by one untimed run first)."""
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                    PYTHONPYCACHEPREFIX=cache)
@@ -145,7 +151,7 @@ def import_row(tree: Path, runs: int = 5) -> dict:
                 capture_output=True, text=True).stdout)
 
         startup = set(probe("import json, sys; print(json.dumps(list(sys.modules)))"))
-        samples = [probe(IMPORT_PROBE) for _ in range(runs + 1)][1:]
+        samples = [probe(IMPORT_PROBE % modules) for _ in range(runs + 1)][1:]
     loaded = set(samples[0]["modules"]) - startup
     heavy = {name.split(".")[0] for name in loaded} - set(
         sys.stdlib_module_names) - {"repro"}
@@ -196,7 +202,8 @@ def row(tree: Path, names, sim_s: float | None) -> dict:
     version, events = schedule_pin(tree)
     return {"rev": rev or None,
             "opcount": counts,
-            "import_repro": import_row(tree),
+            **{key: import_row(tree, modules)
+               for key, modules in IMPORTS.items()},
             "idle_rack_events_per_sim_s": idle_rack_events(tree),
             "src_lines": sum(len(p.read_bytes().splitlines())
                              for p in (tree / "src" / "repro").rglob("*.py")),

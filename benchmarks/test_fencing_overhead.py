@@ -29,17 +29,11 @@ def _echo_received(fencing: bool, rate_pps: float = 20000.0) -> int:
     return echo.stats.received
 
 
-def test_fencing_throughput_overhead(benchmark):
-    def run():
-        on = _echo_received(fencing=True)
-        off = _echo_received(fencing=False)
-        rows = [("fencing on", on), ("fencing off", off),
-                ("ratio", round(on / off, 4))]
-        print(render_table(["configuration", "echoes received"], rows,
-                           title="Epoch fencing: datapath overhead"))
-        return on, off
-
-    on, off = benchmark.pedantic(run, rounds=1, iterations=1)
-    # The fencing check is one dictionary lookup on the backend CPU; it
-    # must cost <2% of throughput (in the model: nothing at all).
-    assert on >= 0.98 * off
+def test_fencing_throughput_overhead():
+    on = _echo_received(fencing=True)
+    off = _echo_received(fencing=False)
+    rows = [("fencing on", on), ("fencing off", off),
+            ("ratio", round(on / off, 4))]
+    print(render_table(["configuration", "echoes received"], rows,
+                       title="Epoch fencing: datapath overhead"))
+    assert on >= 0.98 * off   # in the model: nothing at all

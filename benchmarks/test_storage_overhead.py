@@ -33,28 +33,20 @@ def _run(mode: str, remote: bool, duration: float = 0.2) -> dict:
     return workload.stats.summary()
 
 
-def test_storage_overhead(benchmark):
-    def run():
-        base = _run("local", remote=False)
-        oasis = _run("oasis", remote=True)
-        rows = []
-        for op in ("read", "write"):
-            rows.append((
-                op, base[op]["p50"], oasis[op]["p50"],
-                oasis[op]["p50"] - base[op]["p50"],
-                base[op]["p99"], oasis[op]["p99"],
-            ))
-        print(render_table(
-            ["op", "base p50 us", "oasis p50 us", "d(p50)", "base p99",
-             "oasis p99"],
-            rows,
-            title="Storage engine overhead: local vs pooled SSD "
-                  "(4 KB random I/O at 20 kIOPS)"))
-        return {"base": base, "oasis": oasis}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_storage_overhead():
+    base = _run("local", remote=False)
+    oasis = _run("oasis", remote=True)
+    rows = [(op, base[op]["p50"], oasis[op]["p50"],
+             oasis[op]["p50"] - base[op]["p50"], base[op]["p99"],
+             oasis[op]["p99"]) for op in ("read", "write")]
+    print(render_table(
+        ["op", "base p50 us", "oasis p50 us", "d(p50)", "base p99",
+         "oasis p99"],
+        rows,
+        title="Storage engine overhead: local vs pooled SSD "
+              "(4 KB random I/O at 20 kIOPS)"))
     for op in ("read", "write"):
-        delta = results["oasis"][op]["p50"] - results["base"][op]["p50"]
-        assert 1.0 <= delta <= 12.0            # single-digit us over the media
-        assert results["base"][op]["count"] > 500
-        assert results["oasis"][op]["count"] > 500
+        # single-digit us over the media
+        assert 1.0 <= oasis[op]["p50"] - base[op]["p50"] <= 12.0
+        assert base[op]["count"] > 500
+        assert oasis[op]["count"] > 500

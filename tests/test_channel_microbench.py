@@ -9,6 +9,7 @@ the 14 MOp/s target load.
 import pytest
 
 from repro.channel.microbench import ChannelMicrobench, sweep_designs
+from repro.experiments.bands import BANDS
 
 SLOTS = 2048          # smaller ring, faster tests; >= 3 laps at N below
 N = 8000
@@ -54,7 +55,8 @@ class TestLatency:
     def test_oasis_idle_latency_sub_microsecond(self):
         r = ChannelMicrobench("invalidate-prefetched", slots=SLOTS).run(
             2000, interval_ns=1000.0)
-        assert 0.3 <= r.latency_p50_us <= 1.0   # paper: ~0.6 us
+        band = BANDS["fig6.oasis_idle_p50_us"]
+        assert band.lo <= r.latency_p50_us <= band.hi, band.paper
 
     def test_bypass_idle_latency_similar(self):
         r = ChannelMicrobench("bypass-cache", slots=SLOTS).run(

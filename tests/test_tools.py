@@ -238,3 +238,14 @@ def test_the_committed_history_parses():
     # the schedule pin: (version, count) since version 4, the v3 count before
     assert all({"schedule_version", "schedule_events"} <= set(row)
                or "schedule_v3_events" in set(row) for row in rows)
+
+
+def test_import_probe_reads_the_childs_own_peak():
+    """``ru_maxrss`` is inherited through fork and exec: a child of a caller
+    that touched 64 MiB would report more than that for ``import json``."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import ledger
+
+    ballast = b"\x01" * (64 << 20)
+    assert ledger.import_row(ROOT, "json", runs=1)["rss_mib"] < 40
+    del ballast

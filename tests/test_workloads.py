@@ -5,6 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
+from repro.experiments.bands import BANDS
 from repro.workloads.allocation import (
     DEFAULT_FAMILIES,
     generate_allocation_trace,
@@ -121,8 +122,9 @@ class TestStranding:
 
     def test_stranding_in_paper_band(self, scheduled):
         fractions = stranded_fractions(scheduled, 32)
-        assert 0.15 <= fractions["nic_gbps"] <= 0.40   # paper: 27 %
-        assert 0.20 <= fractions["ssd_tb"] <= 0.45     # paper: 33 %
+        for key, resource in (("nic", "nic_gbps"), ("ssd", "ssd_tb")):
+            band = BANDS[f"fig2.baseline_{key}_stranded"]
+            assert band.lo <= fractions[resource] <= band.hi, band.paper
 
     def test_pooling_reduces_stranding(self, scheduled):
         rows = pooled_stranding(scheduled, 32, [1, 8], "ssd_tb", 4.0,

@@ -21,11 +21,12 @@ The line holds, for the tree at ``DIR`` (default: this checkout):
   and so does churn in bounded state (a recycled buffer address replacing
   an older one); a container reallocated inside the window counts whole, so
   a window that crosses a list's or an array's growth step reads high;
-* ``import_repro``: peak RSS (MiB) and milliseconds of ``import repro`` in a
-  fresh interpreter with a warm bytecode cache, median of five, and the heavy
-  modules it loaded beyond the interpreter's start-up set (any package
-  outside the standard library, and ``numpy.random``, OpenSSL's ``_hashlib``
-  and ``_ssl``);
+* ``import_repro``: peak RSS (MiB, the child's own ``VmHWM``: ``ru_maxrss``
+  would carry the caller's peak through fork and exec) and milliseconds of
+  ``import repro`` in a fresh interpreter with a warm bytecode cache, median
+  of five, and the heavy modules it loaded beyond the interpreter's start-up
+  set (any package outside the standard library, and ``numpy.random``,
+  OpenSSL's ``_hashlib`` and ``_ssl``);
 * ``import_pod``: the same probe on the pod path, ``import repro.workloads,
   repro.experiments, repro.obs.cli, repro.faults.chaos``;
 * ``idle_rack_events_per_sim_s``: the events an idle
@@ -73,11 +74,13 @@ IMPORTS = {"import_repro": "repro",
                          "repro.faults.chaos"}
 
 IMPORT_PROBE = """
-import json, resource, sys, time
+import json, sys, time
 t0 = time.perf_counter()
 import %s
 ms = (time.perf_counter() - t0) * 1e3
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open("/proc/self/status") as status:
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
+rss = int(hwm.split()[1]) / 1024
 print(json.dumps({"ms": ms, "rss_mib": rss, "modules": sorted(sys.modules)}))
 """
 

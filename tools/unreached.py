@@ -63,7 +63,7 @@ RUN_SET = [
     *([sys.executable, str(example)]
       for example in sorted((ROOT / "examples").glob("*.py"))),
     [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-     str(ROOT / "benchmarks"), "--benchmark-disable"],
+     str(ROOT / "benchmarks")],
 ]
 
 # Installed in every child before anything else runs.  Code objects are keyed
